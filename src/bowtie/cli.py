@@ -51,7 +51,8 @@ def _add_spec_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed-corpus", metavar="NAME", default=None,
                     help="built-in instance name, or 'list' to show them")
     sp.add_argument("--budget", type=int, default=None, metavar="K",
-                    help="largest |M><I| to build (default: BOWTIE_BUDGET or 256)")
+                    help="largest |A><I| or |M><I| to build"
+                         " (default: BOWTIE_BUDGET or 256)")
 
 
 def _load_spec(args: argparse.Namespace) -> InstanceSpec | int:
@@ -97,11 +98,12 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
     except SpecError as exc:
         _err(str(exc))
         return EXIT_BAD_INPUT
-    _, module_size = predicted_sizes(ring, ideal, module)
-    if module_size > cap:
-        _err(f"|M><I| = {module_size} exceeds the budget {cap};"
-             " raise --budget or BOWTIE_BUDGET")
-        return EXIT_BUDGET
+    ring_size, module_size = predicted_sizes(ring, ideal, module)
+    for what, size in (("|M><I|", module_size), ("|A><I|", ring_size)):
+        if size > cap:
+            _err(f"{what} = {size} exceeds the budget {cap};"
+                 " raise --budget or BOWTIE_BUDGET")
+            return EXIT_BUDGET
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
     ctx = Instance(ring, ideal, module, key=name)
     return ctx, sub

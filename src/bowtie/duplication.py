@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rings import Ideal, TableRing, direct_product, subring_from_subset
+import numpy as np
+
+from .rings import ClosureError, Ideal, TableRing, validate_ring
 from .modules import (
     Submodule,
     TableModule,
@@ -66,49 +68,83 @@ def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple
     return ring.size * len(ideal), module.size * len(im)
 
 
+def _pair_lookup(pairs: tuple[tuple[int, int], ...], width: int) -> np.ndarray:
+    """Pair index by code a*width + b; -1 for a pair outside the carrier."""
+    lookup = np.full(width * width, -1, dtype=np.int64)
+    lookup[[a * width + b for a, b in pairs]] = np.arange(len(pairs))
+    return lookup
+
+
+def _componentwise(
+    op: tuple[tuple[int, ...], ...],
+    rows: tuple[tuple[int, int], ...],
+    cols: tuple[tuple[int, int], ...],
+    lookup: np.ndarray,
+    width: int,
+    what: str,
+) -> tuple[tuple[int, ...], ...]:
+    """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
+
+    A result outside the carrier raises ClosureError at the first such
+    entry, with its two pairs as codes a*width + b.
+    """
+    t = np.asarray(op, dtype=np.int64)
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+    table = lookup[t[r[:, :1], c[:, 0]] * width + t[r[:, 1:], c[:, 1]]]
+    if (table < 0).any():
+        i, j = (int(v) for v in np.argwhere(table < 0)[0])
+        (a, b), (x, y) = rows[i], cols[j]
+        raise ClosureError(
+            f"subset not closed under {what} at (({a},{b}),({x},{y}))",
+            (a * width + b, x * width + y),
+        )
+    return tuple(map(tuple, table.tolist()))
+
+
 def build_bowtie(
     ring: TableRing, ideal: Ideal, module: TableModule, limit: int | None = None
 ) -> BowtieInstance:
-    """Construct the duplicated ring and module with full validation."""
+    """Construct the duplicated ring and module from their pairs, validated.
+
+    Both carriers are sorted pairs, the lexicographic order of A x A and
+    M x M, and both are operated on componentwise.
+    """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if module.ring is not ring:
         raise ValueError("module is over a different ring")
     im = product_submodule(ideal, module)
 
-    ambient = direct_product(ring, ring, limit=limit)
-    subset = {a * ring.size + ring.add[a][i] for a in range(ring.size) for i in ideal.members}
-    bowtie_ring, decode = subring_from_subset(ambient, subset, limit=limit)
-    ring_pairs = tuple((amb // ring.size, amb % ring.size) for amb in decode)
+    n = ring.size
+    ring_pairs = tuple(sorted({(a, ring.add[a][i]) for a in range(n) for i in ideal.members}))
+    ring_index = _pair_lookup(ring_pairs, n)
+    bowtie_ring = TableRing(
+        size=len(ring_pairs),
+        add=_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"),
+        mul=_componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul"),
+        zero=int(ring_index[ring.zero * n + ring.zero]),
+        one=int(ring_index[ring.one * n + ring.one]),
+        labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
+        name=f"sub(({ring.name}x{ring.name}))",
+    )
+    validate_ring(bowtie_ring, limit)
 
     # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
+    k = module.size
     module_pairs = tuple(
         (m, mp)
-        for m in range(module.size)
-        for mp in range(module.size)
+        for m in range(k)
+        for mp in range(k)
         if module.sub(m, mp) in im.member_set
     )
-    pair_index = {p: i for i, p in enumerate(module_pairs)}
-    add = tuple(
-        tuple(
-            pair_index[(module.add[m1][m2], module.add[n1][n2])]
-            for (m2, n2) in module_pairs
-        )
-        for (m1, n1) in module_pairs
-    )
-    act = tuple(
-        tuple(
-            pair_index[(module.act[a][m], module.act[a2][mp])]
-            for (m, mp) in module_pairs
-        )
-        for (a, a2) in ring_pairs
-    )
+    module_index = _pair_lookup(module_pairs, k)
     bowtie_module = TableModule(
         ring=bowtie_ring,
         size=len(module_pairs),
-        add=add,
-        act=act,
-        zero=pair_index[(module.zero, module.zero)],
+        add=_componentwise(module.add, module_pairs, module_pairs, module_index, k, "add"),
+        act=_componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act"),
+        zero=int(module_index[module.zero * k + module.zero]),
         labels=tuple(
             f"({module.labels[m]},{module.labels[mp]})" for (m, mp) in module_pairs
         ),

@@ -109,7 +109,7 @@ def _build_ring(desc: Any, where: str = "ring") -> TableRing:
         ring = TableRing(size=k, add=add, mul=mul, zero=zero, one=one,
                          labels=tuple(labels), name=body.get("name", "ring"))
         try:
-            validate_ring(ring)
+            validate_ring(ring, limit=k)  # a user table is checked at any size
         except ValueError as exc:
             raise SpecError(f"{where}.tables: {exc}") from exc
         return ring
@@ -153,7 +153,7 @@ def _build_module(desc: Any, ring: TableRing, where: str = "module") -> TableMod
     module = TableModule(ring=ring, size=k, add=add, act=act, zero=zero,
                          labels=tuple(labels), name=body.get("name", "module"))
     try:
-        validate_module(module)
+        validate_module(module, limit=max(k, ring.size))
     except ValueError as exc:
         raise SpecError(f"{where}.tables: {exc}") from exc
     return module

@@ -15,8 +15,9 @@ import numpy as np
 
 from .rings import (
     DEFAULT_VALIDATION_LIMIT,
-    _BLOCK,
     _additive_closure,
+    _additive_generators,
+    _associative_at,
     Ideal,
     RingAxiomError,
     TableRing,
@@ -56,7 +57,14 @@ class TableModule:
 
 
 def validate_module(module: TableModule, limit: int | None = None) -> None:
-    """Exhaustive abelian-group and action axioms; skipped above the limit."""
+    """Check every abelian-group and action axiom; skipped above the limit.
+
+    As in validate_ring, the axioms that are additive in a module argument
+    are checked at the points g in {zero} + G, for additive generators G of
+    the module: Light's test for +, then r(m+g) = rm + rg, (r+s)g = rg + sg
+    and (rs)g = r(sg). Each is an instance of its axiom and, once the ones
+    before it hold, implies that axiom everywhere.
+    """
     limit = DEFAULT_VALIDATION_LIMIT if limit is None else limit
     k = module.size
     r = module.ring.size
@@ -81,29 +89,22 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
         raise RingAxiomError("some module element has no additive inverse")
     if not np.array_equal(act[module.ring.one], idx):
         raise RingAxiomError("action is not unital")
-    for lo in range(0, k, _BLOCK):
-        rows = np.arange(lo, min(lo + _BLOCK, k), dtype=np.int32)
-        lhs = add[add[rows][:, :, None], idx[None, None, :]]
-        rhs = add[rows[:, None, None], add[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            raise RingAxiomError("module add is not associative")
-    for lo in range(0, r, _BLOCK):
-        rows = np.arange(lo, min(lo + _BLOCK, r), dtype=np.int32)
-        # r(m+n) == rm + rn
-        lhs = act[rows[:, None, None], add[None, :, :]]
-        ab = act[rows]
-        rhs = add[ab[:, :, None], ab[:, None, :]]
-        if not np.array_equal(lhs, rhs):
+    points = [module.zero, *_additive_generators(module.add, module.zero)]
+    if not _associative_at(add, points):
+        raise RingAxiomError("module add is not associative")
+    for g in points:
+        # r(m+g) == rm + rg
+        if not np.array_equal(act[:, add[:, g]], add[act, act[:, g, None]]):
             raise RingAxiomError("action is not additive in the module argument")
-        # (r+s)m == rm + sm; rhs[i, s, m] = add[act[rows[i], m], act[s, m]]
-        lhs = act[radd[rows], :]
-        rhs = add[ab[:, None, :], act[None, :, :]]
-        if not np.array_equal(lhs, rhs):
+    for g in points:
+        # (r+s)g == rg + sg
+        col = act[:, g]
+        if not np.array_equal(col[radd], add[col[:, None], col[None, :]]):
             raise RingAxiomError("action is not additive in the scalar argument")
-        # (rs)m == r(sm)
-        lhs = act[rmul[rows], :]
-        rhs = act[rows[:, None, None], act[None, :, :]]
-        if not np.array_equal(lhs, rhs):
+    for g in points:
+        # (rs)g == r(sg)
+        col = act[:, g]
+        if not np.array_equal(col[rmul], act[:, col]):
             raise RingAxiomError("action does not respect ring multiplication")
 
 

@@ -1087,7 +1087,9 @@ def hunt(
         ring = make_zn(n)
         for ideal in enumerate_ideals(ring):
             tasks.append((n, ideal.members, chosen, variants, readings, budget))
-    if workers and workers > 1 and len(tasks) > 1:
+    # more processes than tasks or cores buy nothing, and all start at once
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_hunt_task, tasks))
     else:

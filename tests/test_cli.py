@@ -197,6 +197,22 @@ def test_console_entry_point():
     assert "[N><I in M><I]" in proc.stdout
 
 
+def test_budget_covers_the_duplicated_ring(tmp_path, capsys):
+    # Z24 with I = Z24 acting on Z2: |M><I| = 4 but |A><I| = 576
+    p = tmp_path / "z24-on-z2.json"
+    p.write_text(json.dumps({
+        "ring": {"zn": 24},
+        "ideal_generators": ["1"],
+        "module": {"tables": {
+            "add": [[0, 1], [1, 0]],
+            "act": [[0, a % 2] for a in range(24)],
+        }},
+    }))
+    assert main(["verify", str(p), "--budget", "256"]) == 4
+    assert ("|A><I| = 576 exceeds the budget 256; raise --budget or BOWTIE_BUDGET"
+            in capsys.readouterr().err)
+
+
 def test_budget_env_var(z6_path):
     proc = _run_cli("classify", z6_path, BOWTIE_BUDGET="10")
     assert proc.returncode == 4

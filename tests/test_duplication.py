@@ -20,7 +20,7 @@ from bowtie.modules import (
     ring_as_module,
     zero_submodule,
 )
-from bowtie.rings import Ideal, enumerate_ideals, make_zn
+from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn
 from bowtie.theorems import make_zn_instance
 
 Z6_PAIRS = (
@@ -51,6 +51,14 @@ def test_predicted_sizes_match_construction():
             inst = build_bowtie(ring, ideal, module)
             assert inst.bowtie_ring.size == rs
             assert inst.bowtie_module.size == ms
+
+
+def test_pairs_of_a_non_ideal_raise_closure_error():
+    ring = make_zn(6)
+    fake = Ideal(ring, [0, 1], _checked=True)  # (0,1) + (0,1) = (0,2) is no pair
+    with pytest.raises(ClosureError, match=r"under add at \(\(0,1\),\(0,1\)\)") as exc:
+        build_bowtie(ring, fake, ring_as_module(ring))
+    assert exc.value.pair == (1, 1)  # (0,1) in A x A, at index 0*6 + 1
 
 
 def test_arithmetic_is_componentwise(z6):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bowtie import modules, rings
 from bowtie.instances import SEEDS, InstanceSpec, SpecError, seed_spec
 
 
@@ -124,6 +125,31 @@ def test_invalid_tables_are_located():
             }},
             "ideal_generators": [],
             "module": "regular",
+        }).build()
+
+
+def test_tables_validated_above_the_default_limit(monkeypatch):
+    # the library skips validation above DEFAULT_VALIDATION_LIMIT; user
+    # tables are validated at any size all the same
+    monkeypatch.setattr(rings, "DEFAULT_VALIDATION_LIMIT", 1)
+    monkeypatch.setattr(modules, "DEFAULT_VALIDATION_LIMIT", 1)
+    z4 = rings.make_zn(4)
+    mul = [list(row) for row in z4.mul]
+    mul[2][2] = 1  # 2*2 = 1 breaks distributivity, nothing entry by entry
+    with pytest.raises(SpecError, match="ring.tables: mul does not distribute"):
+        InstanceSpec.from_dict({
+            "ring": {"tables": {"add": [list(r) for r in z4.add], "mul": mul}},
+            "ideal_generators": [],
+            "module": "regular",
+        }).build()
+    with pytest.raises(SpecError, match="module.tables: action is not additive"):
+        InstanceSpec.from_dict({
+            "ring": {"zn": 4},
+            "ideal_generators": ["2"],
+            "module": {"tables": {
+                "add": [[0, 1], [1, 0]],
+                "act": [[0, 0], [0, 1], [0, 1], [0, 1]],  # 2*1 = 1 != 1 + 1
+            }},
         }).build()
 
 

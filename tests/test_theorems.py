@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from bowtie import theorems
 from bowtie.modules import Submodule, zero_submodule
 from bowtie.theorems import (
     THEOREM_IDS,
@@ -186,6 +187,36 @@ def test_hunt_deterministic_across_workers():
     one = serialize_reports(hunt(CorpusSpec(max_n=5), workers=1))
     three = serialize_reports(hunt(CorpusSpec(max_n=5), workers=3))
     assert one == three
+
+
+def test_hunt_clamps_workers(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingPool)
+    corpus = CorpusSpec(max_n=3)  # 5 (Z_n, I) tasks
+    serial = serialize_reports(hunt(corpus, ["L8"], workers=1))
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 4)
+    assert serialize_reports(hunt(corpus, ["L8"], workers=1000)) == serial
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    assert serialize_reports(hunt(corpus, ["L8"], workers=1000)) == serial
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert serialize_reports(hunt(corpus, ["L8"], workers=1000)) == serial
+    assert started == [4, 5]
 
 
 FROZEN_N6_COUNTS = {
