@@ -13,8 +13,10 @@ literature, so each gets its own predicate:
             module is weakly prime when the annihilator of every nonzero
             submodule is a prime ideal (Behboodi and Koohy's definition)
 
-All scans run in canonical index order, so a returned witness is always
-the lexicographically first violation.
+All scans read the preimage masks pre[a] = {x : a*x in N} of their
+input (``Submodule.pre``, ``Ideal.pre``) in canonical index order and take
+the lowest set bit, so a returned witness is always the lexicographically
+first violation.
 """
 
 from __future__ import annotations
@@ -22,16 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .rings import Ideal, radical
+from .rings import Ideal, bits, lowest_bit, mask_of, radical
 from .modules import (
     Submodule,
     TableModule,
     annihilator,
-    colon_into_ring,
+    colon_mask,
     enumerate_submodules,
     quotient_module,
-    submodule_intersection,
-    whole_submodule,
 )
 
 VARIANTS = ("af", "azizi", "behboodi")
@@ -73,197 +73,108 @@ def _require_proper(n: Submodule) -> None:
         raise ImproperError("predicate requires a proper submodule")
 
 
+def _first_violation(
+    pre: tuple[int, ...],
+    exempt: int,
+    outside: int,
+    zero_pre: tuple[int, ...] | None = None,
+) -> tuple[int, int] | None:
+    """The lowest (a, x) with a not in ``exempt`` and x in pre[a] & outside.
+
+    With ``zero_pre`` (the preimage of zero), a*x must also be nonzero.
+    Scalars ascend and x is the lowest set bit, so this is the
+    lexicographically first violation.
+    """
+    for a, p in enumerate(pre):
+        if exempt >> a & 1:
+            continue
+        bad = p & outside
+        if zero_pre is not None:
+            bad &= ~zero_pre[a]
+        if bad:
+            return a, lowest_bit(bad)
+    return None
+
+
 # ---------------------------------------------------------------- ideals
+
+
+def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> Verdict:
+    if hit is None:
+        return Verdict(holds=True)
+    r = j.ring
+    a, b = hit
+    return Verdict(
+        holds=False,
+        witness=(a, b),
+        witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[r.mul[a][b]]}{suffix}",
+    )
 
 
 def is_prime_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or b in J."""
     _require_proper_ideal(j)
-    r = j.ring
-    for a in range(r.size):
-        if a in j.member_set:
-            continue
-        row = r.mul[a]
-        for b in range(r.size):
-            if b in j.member_set:
-                continue
-            if row[b] in j.member_set:
-                return Verdict(
-                    holds=False,
-                    witness=(a, b),
-                    witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[row[b]]}",
-                )
-    return Verdict(holds=True)
-
-
-def violates_prime_ideal(j: Ideal, a: int, b: int) -> bool:
-    r = j.ring
-    return a not in j.member_set and b not in j.member_set and r.mul[a][b] in j.member_set
+    return _ideal_verdict(j, _first_violation(j.pre, j.mask, ~j.mask))
 
 
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:
     """0 != ab in J implies a in J or b in J."""
     _require_proper_ideal(j)
-    r = j.ring
-    for a in range(r.size):
-        if a in j.member_set:
-            continue
-        row = r.mul[a]
-        for b in range(r.size):
-            if b in j.member_set:
-                continue
-            ab = row[b]
-            if ab != r.zero and ab in j.member_set:
-                return Verdict(
-                    holds=False,
-                    witness=(a, b),
-                    witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}",
-                )
-    return Verdict(holds=True)
-
-
-def violates_weakly_prime_ideal(j: Ideal, a: int, b: int) -> bool:
-    r = j.ring
-    ab = r.mul[a][b]
-    return (
-        a not in j.member_set
-        and b not in j.member_set
-        and ab in j.member_set
-        and ab != r.zero
-    )
+    hit = _first_violation(j.pre, j.mask, ~j.mask, j.ring.zero_pre)
+    return _ideal_verdict(j, hit)
 
 
 def is_primary_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or some power of b lands in J."""
     _require_proper_ideal(j)
-    r = j.ring
-    rad = radical(j)
-    for a in range(r.size):
-        if a in j.member_set:
-            continue
-        row = r.mul[a]
-        for b in range(r.size):
-            if b in rad.member_set:
-                continue
-            if row[b] in j.member_set:
-                return Verdict(
-                    holds=False,
-                    witness=(a, b),
-                    witness_text=(
-                        f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[row[b]]}"
-                        f" and no power of b enters {j.label_set()}"
-                    ),
-                )
-    return Verdict(holds=True)
-
-
-def violates_primary_ideal(j: Ideal, a: int, b: int) -> bool:
-    return (
-        a not in j.member_set
-        and b not in radical(j).member_set
-        and j.ring.mul[a][b] in j.member_set
-    )
+    hit = _first_violation(j.pre, j.mask, ~radical(j).mask)
+    return _ideal_verdict(j, hit, f" and no power of b enters {j.label_set()}")
 
 
 # ------------------------------------------------------------- submodules
 
 
+def _whole_colon(n: Submodule) -> int:
+    """(N : M) as a mask: the scalars whose preimage is everything."""
+    return colon_mask(n.pre, (1 << n.module.size) - 1)
+
+
+def _submodule_verdict(
+    n: Submodule, hit: tuple[int, int] | None, variant: str = "n/a", suffix: str = ""
+) -> Verdict:
+    if hit is None:
+        return Verdict(holds=True, variant=variant)
+    mod = n.module
+    a, x = hit
+    return Verdict(
+        holds=False,
+        variant=variant,
+        witness=(a, x),
+        witness_text=(
+            f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[mod.act[a][x]]}{suffix}"
+        ),
+    )
+
+
 def is_prime_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    mod = n.module
-    colon = colon_into_ring(n, whole_submodule(mod)).member_set
-    for a in range(mod.ring.size):
-        if a in colon:
-            continue
-        row = mod.act[a]
-        for x in range(mod.size):
-            if x in n.member_set:
-                continue
-            if row[x] in n.member_set:
-                return Verdict(
-                    holds=False,
-                    witness=(a, x),
-                    witness_text=(
-                        f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[row[x]]}"
-                    ),
-                )
-    return Verdict(holds=True)
-
-
-def violates_prime_submodule(n: Submodule, a: int, x: int) -> bool:
-    mod = n.module
-    colon = colon_into_ring(n, whole_submodule(mod)).member_set
-    return (
-        a not in colon and x not in n.member_set and mod.act[a][x] in n.member_set
-    )
+    return _submodule_verdict(n, _first_violation(n.pre, _whole_colon(n), ~n.mask))
 
 
 def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
     """0 != a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    mod = n.module
-    colon = colon_into_ring(n, whole_submodule(mod)).member_set
-    for a in range(mod.ring.size):
-        if a in colon:
-            continue
-        row = mod.act[a]
-        for x in range(mod.size):
-            if x in n.member_set:
-                continue
-            ax = row[x]
-            if ax != mod.zero and ax in n.member_set:
-                return Verdict(
-                    holds=False,
-                    variant="af",
-                    witness=(a, x),
-                    witness_text=(
-                        f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[ax]}"
-                    ),
-                )
-    return Verdict(holds=True, variant="af")
-
-
-def violates_weakly_prime_submodule_af(n: Submodule, a: int, x: int) -> bool:
-    mod = n.module
-    colon = colon_into_ring(n, whole_submodule(mod)).member_set
-    ax = mod.act[a][x]
-    return (
-        a not in colon
-        and x not in n.member_set
-        and ax in n.member_set
-        and ax != mod.zero
-    )
+    hit = _first_violation(n.pre, _whole_colon(n), ~n.mask, n.module.zero_pre)
+    return _submodule_verdict(n, hit, "af")
 
 
 def is_primary_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in radical((N : M))."""
     _require_proper(n)
-    mod = n.module
-    rad = radical(colon_into_ring(n, whole_submodule(mod))).member_set
-    for a in range(mod.ring.size):
-        if a in rad:
-            continue
-        row = mod.act[a]
-        for x in range(mod.size):
-            if x in n.member_set:
-                continue
-            if row[x] in n.member_set:
-                return Verdict(
-                    holds=False,
-                    witness=(a, x),
-                    witness_text=(
-                        f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[row[x]]}"
-                        " and no power of a multiplies M into N"
-                    ),
-                )
-    return Verdict(holds=True)
-
-
-def violates_primary_submodule(n: Submodule, a: int, x: int) -> bool:
-    mod = n.module
-    rad = radical(colon_into_ring(n, whole_submodule(mod))).member_set
-    return a not in rad and x not in n.member_set and mod.act[a][x] in n.member_set
+    colon = Ideal(n.module.ring, bits(_whole_colon(n)), _checked=True)
+    hit = _first_violation(n.pre, radical(colon).mask, ~n.mask)
+    return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 
 
 def is_weakly_prime_submodule_azizi(
@@ -277,42 +188,30 @@ def is_weakly_prime_submodule_azizi(
     _require_proper(n)
     mod = n.module
     subs = enumerate_submodules(mod) if submodules is None else submodules
-    rsize = mod.ring.size
-    # in_n[c][t]: does scalar c send submodule t into N
-    in_n = [
-        [all(mod.act[c][x] in n.member_set for x in t.members) for t in subs]
-        for c in range(rsize)
-    ]
+    # sends[c]: the lattice indices t with c*T inside N, one per distinct pre[c]
+    by_pre: dict[int, int] = {}
+    sends = []
+    for p in n.pre:
+        if p not in by_pre:
+            by_pre[p] = mask_of(t for t, sub in enumerate(subs) if sub.mask & p == sub.mask)
+        sends.append(by_pre[p])
     mul = mod.ring.mul
-    for a in range(rsize):
-        row_a = in_n[a]
-        for b in range(rsize):
-            row_ab = in_n[mul[a][b]]
-            row_b = in_n[b]
-            for t in range(len(subs)):
-                if row_ab[t] and not row_a[t] and not row_b[t]:
-                    return Verdict(
-                        holds=False,
-                        variant="azizi",
-                        witness=(a, b, t),
-                        witness_text=(
-                            f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
-                            f" T={subs[t].label_set()}"
-                        ),
-                    )
+    for a, sa in enumerate(sends):
+        row = mul[a]
+        for b, sb in enumerate(sends):
+            bad = sends[row[b]] & ~(sa | sb)
+            if bad:
+                t = lowest_bit(bad)
+                return Verdict(
+                    holds=False,
+                    variant="azizi",
+                    witness=(a, b, t),
+                    witness_text=(
+                        f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
+                        f" T={subs[t].label_set()}"
+                    ),
+                )
     return Verdict(holds=True, variant="azizi")
-
-
-def violates_weakly_prime_submodule_azizi(
-    n: Submodule, a: int, b: int, t: Submodule
-) -> bool:
-    mod = n.module
-    ab = mod.ring.mul[a][b]
-
-    def sends(c: int) -> bool:
-        return all(mod.act[c][x] in n.member_set for x in t.members)
-
-    return sends(ab) and not sends(a) and not sends(b)
 
 
 def is_weakly_prime_module(module: TableModule) -> Verdict:
@@ -361,29 +260,19 @@ def is_irreducible_submodule(
     _require_proper(n)
     mod = n.module
     subs = enumerate_submodules(mod) if submodules is None else submodules
+    nm = n.mask
     candidates = [
-        (i, s) for i, s in enumerate(subs)
-        if s.members != n.members and n.member_set <= s.member_set
+        (i, s) for i, s in enumerate(subs) if s.mask != nm and s.mask & nm == nm
     ]
-    for pos_k in range(len(candidates)):
-        i, k = candidates[pos_k]
-        for pos_l in range(pos_k + 1, len(candidates)):
-            j, l = candidates[pos_l]
-            if k.member_set & l.member_set == n.member_set:
+    for pos_k, (i, k) in enumerate(candidates):
+        for j, l in candidates[pos_k + 1:]:
+            if k.mask & l.mask == nm:
                 return Verdict(
                     holds=False,
                     witness=(i, j),
                     witness_text=f"K={k.label_set()} L={l.label_set()}",
                 )
     return Verdict(holds=True)
-
-
-def violates_irreducible_submodule(n: Submodule, k: Submodule, l: Submodule) -> bool:
-    return (
-        k.members != n.members
-        and l.members != n.members
-        and submodule_intersection(k, l).members == n.members
-    )
 
 
 def weakly_prime_submodule(

@@ -1,14 +1,15 @@
 """Finite unital modules over a TableRing.
 
 A module is an addition table plus a scalar-action table (ring index x
-module index). Submodules are canonically stored as sorted index tuples,
-so every enumeration and witness is reproducible.
+module index). Submodules are canonically stored as sorted index tuples
+and as bitmasks, so every enumeration and witness is reproducible; each
+submodule N computes its preimage masks pre[a] = {x : a*x in N} once, and
+colons are read off them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -21,6 +22,11 @@ from .rings import (
     Ideal,
     RingAxiomError,
     TableRing,
+    bits,
+    derived,
+    mask_of,
+    preimage_masks,
+    table_array,
 )
 
 
@@ -35,13 +41,24 @@ class TableModule:
     zero: int
     labels: tuple[str, ...]
     name: str = "module"
+    derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
+    def act_array(self) -> np.ndarray:
+        if self.act is self.ring.mul:  # the regular module shares the ring's table
+            return self.ring.mul_array
+        return derived(self, "act_array", lambda: table_array(self.act))
+
+    @property
+    def zero_pre(self) -> tuple[int, ...]:
+        """zero_pre[a] = {m : a*m = 0}, as masks."""
+        return derived(
+            self, "zero_pre", lambda: preimage_masks(self.act_array, (self.zero,), self.size)
+        )
+
+    @property
     def neg(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for m in range(self.size):
-            out[m] = self.add[m].index(self.zero)
-        return tuple(out)
+        return derived(self, "neg", lambda: tuple(row.index(self.zero) for row in self.add))
 
     def sub(self, m: int, n: int) -> int:
         return self.add[m][self.neg[n]]
@@ -72,10 +89,10 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
         raise RingAxiomError("empty module carrier")
     if max(k, r) > limit:
         return
-    add = np.asarray(module.add, dtype=np.int32)
-    act = np.asarray(module.act, dtype=np.int32)
-    radd = np.asarray(module.ring.add, dtype=np.int32)
-    rmul = np.asarray(module.ring.mul, dtype=np.int32)
+    add = table_array(module.add)
+    act = module.act_array
+    radd = module.ring.add_array
+    rmul = module.ring.mul_array
     idx = np.arange(k, dtype=np.int32)
     if add.shape != (k, k) or add.min() < 0 or add.max() >= k:
         raise RingAxiomError("module add is not a total operation")
@@ -111,15 +128,28 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule:
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "members", "member_set")
+    __slots__ = ("module", "members", "member_set", "mask", "_pre")
 
     def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
         self.module = module
         self.members: tuple[int, ...] = tuple(sorted(mset))
         self.member_set: frozenset[int] = mset
+        self.mask: int = mask_of(self.members)
+        self._pre: tuple[int, ...] | None = None
         if not _checked:
             self._validate()
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        """pre[a] = {x : a*x in N}, as masks; computed once.
+
+        Every colon and prime-type scan of N reads this one table.
+        """
+        if self._pre is None:
+            mod = self.module
+            self._pre = preimage_masks(mod.act_array, self.members, mod.size)
+        return self._pre
 
     def _validate(self) -> None:
         mod = self.module
@@ -250,26 +280,26 @@ def _same_module(n: Submodule, k: Submodule) -> TableModule:
     return n.module
 
 
+def colon_mask(pre: tuple[int, ...], k_mask: int) -> int:
+    """{a : pre[a] contains K}, as a mask over the scalars."""
+    return mask_of(a for a, p in enumerate(pre) if p & k_mask == k_mask)
+
+
 def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
     """The ideal {a in ring : a*K inside N}."""
     mod = _same_module(n, k)
-    members = [
-        a
-        for a in range(mod.ring.size)
-        if all(mod.act[a][x] in n.member_set for x in k.members)
-    ]
-    return Ideal(mod.ring, members, _checked=True)
+    return Ideal(mod.ring, bits(colon_mask(n.pre, k.mask)), _checked=True)
 
 
 def colon_by_scalar(n: Submodule, a: int) -> Submodule:
     """The submodule {m : a*m in N}; always contains N."""
-    mod = n.module
-    members = [m for m in range(mod.size) if mod.act[a][m] in n.member_set]
-    return Submodule(mod, members, _checked=True)
+    return Submodule(n.module, bits(n.pre[a]), _checked=True)
 
 
 def annihilator(k: Submodule) -> Ideal:
-    return colon_into_ring(zero_submodule(k.module), k)
+    """(0 : K), from the zero submodule's preimage table."""
+    mod = k.module
+    return Ideal(mod.ring, bits(colon_mask(mod.zero_pre, k.mask)), _checked=True)
 
 
 def is_faithful(module: TableModule) -> bool:

@@ -10,8 +10,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +38,86 @@ def _as_table(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in r) for r in rows)
 
 
+def table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """A read-only numpy copy of an operation table.
+
+    Entries are stored as uint8 or uint16 when they all fit, so that the
+    copies cached next to the tuple tables stay small; a table with an entry
+    outside that range (which validation then rejects) is int32.
+    """
+    for dtype in (np.uint8, np.uint16):
+        try:
+            arr = np.asarray(table, dtype=dtype)
+            break
+        except OverflowError:  # an entry is negative or too large for dtype
+            continue
+    else:
+        arr = np.asarray(table, dtype=np.int32)
+    arr.setflags(write=False)
+    return arr
+
+
+# ------------------------------------------------------------- bitmasks
+#
+# A subset of a carrier is an int whose bit x is set when x is a member.
+# Ascending bit order is index order, so the lowest set bit of a mask of
+# violations is the lexicographically first one.
+
+
+def mask_of(members: Iterable[int]) -> int:
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
+
+
+def lowest_bit(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def pack_rows(hits: np.ndarray) -> tuple[int, ...]:
+    """Row i of a boolean matrix as the mask of its True columns."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    raw = packed.tobytes()
+    width = packed.shape[1]
+    return tuple(
+        int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
+    )
+
+
+def preimage_masks(table: np.ndarray, members: Iterable[int], size: int) -> tuple[int, ...]:
+    """pre[a] = {x : table[a][x] in members}, for a carrier of the given size."""
+    inside = np.zeros(size, dtype=bool)
+    inside[list(members)] = True
+    return pack_rows(inside[table])
+
+
+def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
+    """A value derived from a table object, computed on first use.
+
+    Kept in the object's ``derived_cache`` field rather than with
+    functools.cached_property: a write into an instance's ``__dict__``
+    costs CPython its fast path for every later attribute load on that
+    instance, and the table loops load ``add``, ``mul`` and ``act`` per
+    entry.
+    """
+    cache = obj.derived_cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
 @dataclass(frozen=True, eq=False)
 class TableRing:
     """A finite commutative ring with identity on the carrier 0..size-1."""
@@ -50,15 +129,27 @@ class TableRing:
     one: int
     labels: tuple[str, ...]
     name: str = "ring"
+    derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
+    def add_array(self) -> np.ndarray:
+        return derived(self, "add_array", lambda: table_array(self.add))
+
+    @property
+    def mul_array(self) -> np.ndarray:
+        return derived(self, "mul_array", lambda: table_array(self.mul))
+
+    @property
+    def zero_pre(self) -> tuple[int, ...]:
+        """zero_pre[a] = {b : a*b = 0}, as masks."""
+        return derived(
+            self, "zero_pre", lambda: preimage_masks(self.mul_array, (self.zero,), self.size)
+        )
+
+    @property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse of every element."""
-        out = [0] * self.size
-        for a in range(self.size):
-            row = self.add[a]
-            out[a] = row.index(self.zero)
-        return tuple(out)
+        return derived(self, "neg", lambda: tuple(row.index(self.zero) for row in self.add))
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
@@ -131,8 +222,8 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
         raise RingAxiomError("empty carrier")
     if k > limit:
         return
-    add = np.asarray(ring.add, dtype=np.int32)
-    mul = np.asarray(ring.mul, dtype=np.int32)
+    add = ring.add_array
+    mul = ring.mul_array
     for tbl, op in ((add, "add"), (mul, "mul")):
         if tbl.shape != (k, k) or tbl.min() < 0 or tbl.max() >= k:
             raise RingAxiomError(f"{op} table is not a total operation on the carrier")
@@ -258,15 +349,24 @@ def subring_from_subset(
 class Ideal:
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "members", "member_set")
+    __slots__ = ("ring", "members", "member_set", "mask", "_pre")
 
     def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
         self.ring = ring
         self.members: tuple[int, ...] = tuple(sorted(mset))
         self.member_set: frozenset[int] = mset
+        self.mask: int = mask_of(self.members)
+        self._pre: tuple[int, ...] | None = None
         if not _checked:
             self._validate()
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        """pre[a] = {b : a*b in J}, as masks; computed once."""
+        if self._pre is None:
+            self._pre = preimage_masks(self.ring.mul_array, self.members, self.ring.size)
+        return self._pre
 
     def _validate(self) -> None:
         r = self.ring

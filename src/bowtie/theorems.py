@@ -49,7 +49,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .rings import Ideal, TableRing, make_zn, enumerate_ideals, radical
+import numpy as np
+
+from .rings import (
+    Ideal,
+    TableRing,
+    enumerate_ideals,
+    lowest_bit,
+    make_zn,
+    pack_rows,
+    radical,
+)
 from .modules import (
     ModuleMap,
     Submodule,
@@ -57,7 +67,6 @@ from .modules import (
     annihilator,
     check_module_map,
     colon_into_ring,
-    cyclic_members,
     enumerate_submodules,
     image,
     is_cyclic,
@@ -77,9 +86,9 @@ from .classify import (
     is_weakly_prime_ideal,
     is_weakly_prime_module,
     is_weakly_prime_submodule_af,
-    is_weakly_prime_submodule_azizi,
     is_weakly_prime_submodule_behboodi,
     is_irreducible_submodule,
+    weakly_prime_submodule,
 )
 from .duplication import (
     BowtieInstance,
@@ -180,6 +189,7 @@ class Instance:
         self._primary: dict[tuple[int, ...], Verdict] = {}
         self._wp: dict[tuple[tuple[int, ...], str], Verdict] = {}
         self._npack: dict[tuple[int, ...], dict] = {}
+        self._prime_ideal: dict[tuple[int, ...], Verdict] = {}
 
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
@@ -197,6 +207,15 @@ class Instance:
     @cached_property
     def bowtie_whole(self) -> Submodule:
         return whole_submodule(self.inst.bowtie_module)
+
+    @cached_property
+    def bowtie_images(self) -> tuple[int, ...]:
+        """images[a] = a*(M><I), as masks."""
+        mod = self.inst.bowtie_module
+        act = mod.act_array
+        hits = np.zeros(act.shape, dtype=bool)
+        hits[np.arange(act.shape[0])[:, None], act] = True
+        return pack_rows(hits)
 
     def bowtie(self, n: Submodule) -> Submodule:
         key = n.members
@@ -225,62 +244,79 @@ class Instance:
     def weakly_prime(self, nb: Submodule, variant: str) -> Verdict:
         key = (nb.members, variant)
         if key not in self._wp:
-            if variant == "af":
-                v = is_weakly_prime_submodule_af(nb)
-            elif variant == "azizi":
-                v = is_weakly_prime_submodule_azizi(nb, self.bowtie_submodules)
-            elif variant == "behboodi":
-                v = is_weakly_prime_submodule_behboodi(nb)
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
-            self._wp[key] = v
+            self._wp[key] = weakly_prime_submodule(nb, variant, self.bowtie_submodules)
         return self._wp[key]
 
-    def npack(self, nb: Submodule) -> dict:
-        """Per-N geometry shared by T4 and C_IRR.
+    def prime_ideal(self, j: Ideal) -> Verdict:
+        """is_prime_ideal, once per distinct ideal of the duplicated ring."""
+        key = j.members
+        if key not in self._prime_ideal:
+            self._prime_ideal[key] = is_prime_ideal(j)
+        return self._prime_ideal[key]
 
-        sum_id[x]: canonical id of the submodule N><I + cyclic(x);
-        sum_sets[id]: its member set; col_id[x]: canonical id of the
-        element colon {a : a x in N><I}; pair_ok: cache of
-        "intersection of two sum-sets equals N><I" per id pair.
+    def npack(self, nb: Submodule) -> dict:
+        """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
+
+        sum_ids[x]: id of the submodule N><I + Ax, numbered by first
+        appearance; sum_masks[id]: its members; sum_members[id]: the x with
+        that id. col_ids[x]: id of the element colon {a : a x in N><I};
+        col_masks[id]: its members; col_members[id]: the x with that id.
+        bad_y[id]: the y whose sum meets sum id ``id`` in more than N><I.
         """
         key = nb.members
         if key in self._npack:
             return self._npack[key]
         mod = self.inst.bowtie_module
-        rsize = self.inst.bowtie_ring.size
-        sum_ids: list[int] = []
-        sum_sets: list[frozenset[int]] = []
-        sum_index: dict[frozenset[int], int] = {}
-        col_ids: list[int] = []
-        col_index: dict[frozenset[int], int] = {}
-        for x in range(mod.size):
-            cyc = cyclic_members(mod, x)
-            s = frozenset(mod.add[p][q] for p in nb.members for q in cyc)
-            sid = sum_index.setdefault(s, len(sum_index))
-            if sid == len(sum_sets):
-                sum_sets.append(s)
-            sum_ids.append(sid)
-            col = frozenset(a for a in range(rsize) if mod.act[a][x] in nb.member_set)
-            col_ids.append(col_index.setdefault(col, len(col_index)))
+        k = mod.size
+        act = mod.act_array
+        # N + Ax is the union of the cosets of N that meet Ax
+        labels = [-1] * k
+        count = 0
+        for x in range(k):
+            if labels[x] < 0:
+                for m in nb.members:
+                    labels[mod.add[x][m]] = count
+                count += 1
+        coset = np.asarray(labels)
+        meets = np.zeros((k, count), dtype=bool)
+        meets[np.arange(k), coset[act]] = True
+        sum_index: dict[int, int] = {}
+        sum_ids = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets[:, coset])]
+        sum_masks = list(sum_index)
+        # element colons are the columns of the preimage table
+        inside = np.zeros(k, dtype=bool)
+        inside[list(nb.members)] = True
+        col_index: dict[int, int] = {}
+        col_ids = [col_index.setdefault(c, len(col_index)) for c in pack_rows(inside[act].T)]
+        sum_members = _members_by_id(sum_ids, len(sum_masks))
+        n_mask = nb.mask
+        bad_y = []
+        for s in sum_masks:
+            bad = 0
+            for t, other in enumerate(sum_masks):
+                if s & other != n_mask:
+                    bad |= sum_members[t]
+            bad_y.append(bad)
         pack = {
             "sum_ids": sum_ids,
-            "sum_sets": sum_sets,
+            "sum_masks": sum_masks,
+            "sum_members": sum_members,
             "col_ids": col_ids,
-            "pair_ok": {},
-            "n_set": nb.member_set,
+            "col_masks": list(col_index),
+            "col_members": _members_by_id(col_ids, len(col_index)),
+            "bad_y": bad_y,
+            "n_mask": n_mask,
         }
         self._npack[key] = pack
         return pack
 
-    def pair_meets_n(self, pack: dict, sid1: int, sid2: int) -> bool:
-        """Does (N><I + A x) intersect (N><I + A y) in exactly N><I."""
-        key = (sid1, sid2) if sid1 <= sid2 else (sid2, sid1)
-        ok = pack["pair_ok"].get(key)
-        if ok is None:
-            ok = (pack["sum_sets"][sid1] & pack["sum_sets"][sid2]) == pack["n_set"]
-            pack["pair_ok"][key] = ok
-        return ok
+
+def _members_by_id(ids: list[int], count: int) -> list[int]:
+    """For each id, the mask of the positions that carry it."""
+    out = [0] * count
+    for x, i in enumerate(ids):
+        out[i] |= 1 << x
+    return out
 
 
 def make_zn_instance(
@@ -365,10 +401,10 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theore
     rhs_witness = ""
     rhs_holds = True
     for k in _quantifier_domain(ctx, reading):
-        if k.member_set <= nb.member_set:
+        if k.mask & nb.mask == k.mask:
             continue
         col = colon_into_ring(nb, k)
-        v = is_prime_ideal(col)
+        v = ctx.prime_ideal(col)
         if not v.holds:
             rhs_holds = False
             rhs_witness = (
@@ -404,16 +440,16 @@ def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theor
         )
     domain = [
         k for k in _quantifier_domain(ctx, reading)
-        if not k.member_set <= nb.member_set
+        if k.mask & nb.mask != k.mask
     ]
-    colons = [colon_into_ring(nb, k).member_set for k in domain]
+    colons = [colon_into_ring(nb, k).mask for k in domain]
     for i in range(len(domain)):
         for j in range(i + 1, len(domain)):
             a, b = colons[i], colons[j]
-            if not (a <= b or b <= a):
+            if a & ~b and b & ~a:
                 ring = ctx.inst.bowtie_ring
-                onlya = ring.labels[min(a - b)]
-                onlyb = ring.labels[min(b - a)]
+                onlya = ring.labels[lowest_bit(a & ~b)]
+                onlyb = ring.labels[lowest_bit(b & ~a)]
                 return TheoremReport(
                     key, "L3ii", variant, reading, outcome="fail",
                     witness_text=(
@@ -450,33 +486,30 @@ def check_C_PPW(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     return TheoremReport(key, "C_PPW", variant, outcome="fail", witness_text=text)
 
 
+def t4_violation(ctx: Instance, nb: Submodule) -> str:
+    """Witness of the first x, y with unequal element colons whose sums
+    N><I + Ax and N><I + Ay meet in more than N><I; "" when there is none."""
+    pack = ctx.npack(nb)
+    sum_ids, sum_masks, col_ids = pack["sum_ids"], pack["sum_masks"], pack["col_ids"]
+    for x, sx in enumerate(sum_ids):
+        bad = pack["bad_y"][sx] & ~pack["col_members"][col_ids[x]]
+        if bad:
+            y = lowest_bit(bad)
+            extra = lowest_bit(sum_masks[sx] & sum_masks[sum_ids[y]] & ~pack["n_mask"])
+            labels = ctx.inst.bowtie_module.labels
+            return (
+                f"x={labels[x]} y={labels[y]}: colons differ but the"
+                f" intersection keeps {labels[extra]} outside N><I"
+            )
+    return ""
+
+
 def check_T4(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Weakly prime <=> unequal element colons force the two-sum identity."""
     nb = ctx.bowtie(n)
     wp = ctx.weakly_prime(nb, variant)
-    pack = ctx.npack(nb)
-    mod = ctx.inst.bowtie_module
-    sum_ids, col_ids = pack["sum_ids"], pack["col_ids"]
-    cond_witness = ""
-    cond = True
-    for x in range(mod.size):
-        cx, sx = col_ids[x], sum_ids[x]
-        for y in range(mod.size):
-            if col_ids[y] == cx:
-                continue
-            if not ctx.pair_meets_n(pack, sx, sum_ids[y]):
-                cond = False
-                extra = min(
-                    (pack["sum_sets"][sx] & pack["sum_sets"][sum_ids[y]])
-                    - pack["n_set"]
-                )
-                cond_witness = (
-                    f"x={mod.labels[x]} y={mod.labels[y]}: colons differ but the"
-                    f" intersection keeps {mod.labels[extra]} outside N><I"
-                )
-                break
-        if not cond:
-            break
+    cond_witness = t4_violation(ctx, nb)
+    cond = not cond_witness
     key = ctx.key_for(n)
     if wp.holds == cond:
         return TheoremReport(
@@ -503,15 +536,13 @@ def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
             key, "R_T4", outcome="na", notes="hypothesis fails: N><I is not prime",
         )
     mod = ctx.inst.bowtie_module
-    colon = ctx.colon(nb).member_set
-    for a in range(ctx.inst.bowtie_ring.size):
-        if a in colon:
+    colon = ctx.colon(nb).mask
+    for a, p in enumerate(nb.pre):
+        if colon >> a & 1:
             continue
-        row = mod.act[a]
-        for x in range(mod.size):
-            if x in nb.member_set or row[x] not in nb.member_set:
-                continue
-            y = next(yy for yy in range(mod.size) if row[yy] not in nb.member_set)
+        if p & ~nb.mask:
+            x = lowest_bit(p & ~nb.mask)
+            y = lowest_bit(~p)
             return TheoremReport(
                 key, "R_T4", outcome="fail",
                 witness_text=(
@@ -520,6 +551,33 @@ def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
                 ),
             )
     return TheoremReport(key, "R_T4", notes="disjunction holds for all triples")
+
+
+def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
+    """Witness of the first a, x, y with a x in N><I whose sums N><I + Ax
+    and N><I + A(ay) meet in more than N><I; "" when there is none."""
+    pack = ctx.npack(nb)
+    sum_ids, bad_y, sum_members = pack["sum_ids"], pack["bad_y"], pack["sum_members"]
+    inst = ctx.inst
+    for a, xs in enumerate(nb.pre):
+        image = ctx.bowtie_images[a]
+        bad_x = 0
+        for s, bad in enumerate(bad_y):
+            if image & bad:
+                bad_x |= sum_members[s]
+        bad_x &= xs
+        if bad_x:
+            x = lowest_bit(bad_x)
+            row = inst.bowtie_module.act[a]
+            targets = bad_y[sum_ids[x]]
+            y = next(y for y, ay in enumerate(row) if targets >> ay & 1)
+            labels = inst.bowtie_module.labels
+            return (
+                f"a={inst.bowtie_ring.labels[a]} x={labels[x]}"
+                f" y={labels[y]}: ax in N><I but the intersection"
+                " identity fails"
+            )
+    return ""
 
 
 def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
@@ -532,39 +590,7 @@ def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
             key, "C_IRR", variant, outcome="na",
             notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
         )
-    inst = ctx.inst
-    mod = inst.bowtie_module
-    pack = ctx.npack(nb)
-    sum_ids = pack["sum_ids"]
-    part1_witness = ""
-    for a in range(inst.bowtie_ring.size):
-        row = mod.act[a]
-        xs = [x for x in range(mod.size) if row[x] in nb.member_set]
-        if not xs:
-            continue
-        # distinct right-hand sum ids reachable through this scalar
-        bad_right = {
-            sum_ids[row[y]]
-            for y in range(mod.size)
-        }
-        found = False
-        for x in xs:
-            sx = sum_ids[x]
-            if all(ctx.pair_meets_n(pack, sx, sr) for sr in bad_right):
-                continue
-            for y in range(mod.size):
-                if not ctx.pair_meets_n(pack, sx, sum_ids[row[y]]):
-                    part1_witness = (
-                        f"a={inst.bowtie_ring.labels[a]} x={mod.labels[x]}"
-                        f" y={mod.labels[y]}: ax in N><I but the intersection"
-                        " identity fails"
-                    )
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
+    part1_witness = c_irr_identity_violation(ctx, nb)
     irr = is_irreducible_submodule(nb, ctx.bowtie_submodules)
     p = ctx.prime(nb)
     part2_witness = ""
@@ -587,39 +613,29 @@ def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     )
 
 
+def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
+    """Witness of the first scalars s, t with (N><I : st) equal to neither
+    (N><I : s) nor (N><I : t); "" when there are none."""
+    ring = ctx.inst.bowtie_ring
+    ids: dict[int, int] = {}
+    cid = np.array([ids.setdefault(p, len(ids)) for p in nb.pre])
+    prod = cid[ring.mul_array]
+    bad = (prod != cid[:, None]) & (prod != cid[None, :])
+    if not bad.any():
+        return ""
+    s1, s2 = divmod(int(bad.argmax()), ring.size)
+    return (
+        f"s={ring.labels[s1]} t={ring.labels[s2]}: (N><I : st) matches neither"
+        f" (N><I : s) nor (N><I : t)"
+    )
+
+
 def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
     nb = ctx.bowtie(n)
     wp = ctx.weakly_prime(nb, variant)
-    inst = ctx.inst
-    mod = inst.bowtie_module
-    rsize = inst.bowtie_ring.size
-    ids: dict[frozenset[int], int] = {}
-    cid = []
-    csets = []
-    for s in range(rsize):
-        col = frozenset(m for m in range(mod.size) if mod.act[s][m] in nb.member_set)
-        i = ids.setdefault(col, len(ids))
-        if i == len(csets):
-            csets.append(col)
-        cid.append(i)
-    mul = inst.bowtie_ring.mul
-    cond = True
-    cond_witness = ""
-    for s1 in range(rsize):
-        row = mul[s1]
-        for s2 in range(rsize):
-            cp = cid[row[s2]]
-            if cp != cid[s1] and cp != cid[s2]:
-                cond = False
-                labels = inst.bowtie_ring.labels
-                cond_witness = (
-                    f"s={labels[s1]} t={labels[s2]}: (N><I : st) matches neither"
-                    f" (N><I : s) nor (N><I : t)"
-                )
-                break
-        if not cond:
-            break
+    cond_witness = colon_product_violation(ctx, nb)
+    cond = not cond_witness
     key = ctx.key_for(n)
     if wp.holds == cond:
         return TheoremReport(
@@ -688,24 +704,20 @@ def check_L_radical(ctx: Instance, n: Submodule) -> TheoremReport:
     nb = ctx.bowtie(n)
     lhs = ctx.primary(nb)
     mod = ctx.inst.bowtie_module
-    rad = radical(ctx.colon(nb)).member_set
+    rad = radical(ctx.colon(nb)).mask
+    pack = ctx.npack(nb)
     rhs_holds = True
     rhs_witness = ""
-    for b in range(mod.size):
-        if b in nb.member_set:
+    for b, cb in enumerate(pack["col_ids"]):
+        bad = pack["col_masks"][cb] & ~rad
+        if nb.mask >> b & 1 or not bad:
             continue
-        bad = next(
-            (a for a in range(ctx.inst.bowtie_ring.size)
-             if mod.act[a][b] in nb.member_set and a not in rad),
-            None,
+        rhs_holds = False
+        rhs_witness = (
+            f"b={mod.labels[b]}: a={ctx.inst.bowtie_ring.labels[lowest_bit(bad)]} sends b"
+            " into N><I but no power of a lands in the colon"
         )
-        if bad is not None:
-            rhs_holds = False
-            rhs_witness = (
-                f"b={mod.labels[b]}: a={ctx.inst.bowtie_ring.labels[bad]} sends b"
-                " into N><I but no power of a lands in the colon"
-            )
-            break
+        break
     key = ctx.key_for(n)
     if lhs.holds == rhs_holds:
         return TheoremReport(

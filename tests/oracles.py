@@ -4,15 +4,16 @@ Everything here recomputes results from first principles with no shared
 code paths: substructure enumeration by powerset filtering, primality by
 direct quantifier evaluation, primary-ness by the literal exists-k
 definition. Intended for carriers of at most 16 elements; the axiom
-sweeps at the end take carriers up to 256.
+sweeps and the frozenset kernels at the end take larger carriers.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from bowtie.classify import Verdict
 from bowtie.modules import Submodule, TableModule
-from bowtie.rings import TableRing
+from bowtie.rings import Ideal, TableRing
 
 
 def _subsets_with_zero(size: int, zero: int):
@@ -247,3 +248,315 @@ def module_axiom_violations(module: TableModule) -> list[str]:
         rhs = act[rows[:, None, None], act[None, :, :]]
         broken["action does not respect ring multiplication"] |= not np.array_equal(lhs, rhs)
     return found + [msg for msg, bad in broken.items() if bad]
+
+
+# --------------------------------------------------- frozenset kernels
+#
+# The predicate scans, colons and checker conditions as plain loops over
+# member frozensets, with no bitmask and no preimage table: the reference
+# the library's bitmask kernel must agree with, verdict for verdict and
+# witness for witness. Each scans in canonical index order, so its witness
+# is the lexicographically first violation.
+
+
+def colon_members(n: Submodule, k: Submodule) -> frozenset[int]:
+    """{a : a*K inside N}."""
+    mod = n.module
+    return frozenset(
+        a for a in range(mod.ring.size)
+        if all(mod.act[a][x] in n.member_set for x in k.members)
+    )
+
+
+def scalar_colon_members(n: Submodule, a: int) -> frozenset[int]:
+    """{m : a*m in N}."""
+    mod = n.module
+    return frozenset(m for m in range(mod.size) if mod.act[a][m] in n.member_set)
+
+
+def _whole_colon(n: Submodule) -> frozenset[int]:
+    mod = n.module
+    return frozenset(
+        a for a in range(mod.ring.size)
+        if all(mod.act[a][x] in n.member_set for x in range(mod.size))
+    )
+
+
+def _proper(members, size: int) -> None:
+    if len(members) == size:
+        raise ValueError("improper")
+
+
+def prime_ideal(j: Ideal) -> Verdict:
+    r = j.ring
+    _proper(j.members, r.size)
+    for a in range(r.size):
+        if a in j.member_set:
+            continue
+        for b in range(r.size):
+            ab = r.mul[a][b]
+            if b not in j.member_set and ab in j.member_set:
+                return Verdict(
+                    holds=False, witness=(a, b),
+                    witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}",
+                )
+    return Verdict(holds=True)
+
+
+def weakly_prime_ideal(j: Ideal) -> Verdict:
+    r = j.ring
+    _proper(j.members, r.size)
+    for a in range(r.size):
+        if a in j.member_set:
+            continue
+        for b in range(r.size):
+            ab = r.mul[a][b]
+            if b not in j.member_set and ab != r.zero and ab in j.member_set:
+                return Verdict(
+                    holds=False, witness=(a, b),
+                    witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}",
+                )
+    return Verdict(holds=True)
+
+
+def primary_ideal(j: Ideal) -> Verdict:
+    r = j.ring
+    _proper(j.members, r.size)
+    rad = brute_radical(r, j.member_set)
+    for a in range(r.size):
+        if a in j.member_set:
+            continue
+        for b in range(r.size):
+            ab = r.mul[a][b]
+            if b not in rad and ab in j.member_set:
+                return Verdict(
+                    holds=False, witness=(a, b),
+                    witness_text=(
+                        f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}"
+                        f" and no power of b enters {j.label_set()}"
+                    ),
+                )
+    return Verdict(holds=True)
+
+
+def _submodule_scan(n: Submodule, exempt, nonzero: bool, variant: str, suffix: str) -> Verdict:
+    mod = n.module
+    _proper(n.members, mod.size)
+    for a in range(mod.ring.size):
+        if a in exempt:
+            continue
+        for x in range(mod.size):
+            ax = mod.act[a][x]
+            if x in n.member_set or ax not in n.member_set:
+                continue
+            if nonzero and ax == mod.zero:
+                continue
+            return Verdict(
+                holds=False, variant=variant, witness=(a, x),
+                witness_text=(
+                    f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[ax]}{suffix}"
+                ),
+            )
+    return Verdict(holds=True, variant=variant)
+
+
+def prime_submodule(n: Submodule) -> Verdict:
+    return _submodule_scan(n, _whole_colon(n), False, "n/a", "")
+
+
+def weakly_prime_af(n: Submodule) -> Verdict:
+    return _submodule_scan(n, _whole_colon(n), True, "af", "")
+
+
+def primary_submodule(n: Submodule) -> Verdict:
+    rad = brute_radical(n.module.ring, _whole_colon(n))
+    return _submodule_scan(
+        n, rad, False, "n/a", " and no power of a multiplies M into N"
+    )
+
+
+def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
+    """a*b*T in N implies a*T or b*T in N, for every T in subs."""
+    mod = n.module
+    _proper(n.members, mod.size)
+    rsize = mod.ring.size
+    in_n = [
+        [all(mod.act[c][x] in n.member_set for x in t.members) for t in subs]
+        for c in range(rsize)
+    ]
+    for a in range(rsize):
+        for b in range(rsize):
+            ab = mod.ring.mul[a][b]
+            for t in range(len(subs)):
+                if in_n[ab][t] and not in_n[a][t] and not in_n[b][t]:
+                    return Verdict(
+                        holds=False, variant="azizi", witness=(a, b, t),
+                        witness_text=(
+                            f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
+                            f" T={subs[t].label_set()}"
+                        ),
+                    )
+    return Verdict(holds=True, variant="azizi")
+
+
+def irreducible_submodule(n: Submodule, subs: list[Submodule]) -> Verdict:
+    """No two strictly larger submodules meet exactly in N."""
+    _proper(n.members, n.module.size)
+    above = [
+        (i, s) for i, s in enumerate(subs)
+        if s.member_set != n.member_set and n.member_set <= s.member_set
+    ]
+    for pos, (i, k) in enumerate(above):
+        for j, l in above[pos + 1:]:
+            if k.member_set & l.member_set == n.member_set:
+                return Verdict(
+                    holds=False, witness=(i, j),
+                    witness_text=f"K={k.label_set()} L={l.label_set()}",
+                )
+    return Verdict(holds=True)
+
+
+# ------------------------------------------- replays of one witness
+
+
+def violates_prime_ideal(j: Ideal, a: int, b: int) -> bool:
+    r = j.ring
+    return a not in j.member_set and b not in j.member_set and r.mul[a][b] in j.member_set
+
+
+def violates_weakly_prime_ideal(j: Ideal, a: int, b: int) -> bool:
+    ab = j.ring.mul[a][b]
+    return violates_prime_ideal(j, a, b) and ab != j.ring.zero
+
+
+def violates_primary_ideal(j: Ideal, a: int, b: int) -> bool:
+    r = j.ring
+    return (
+        a not in j.member_set
+        and b not in brute_radical(r, j.member_set)
+        and r.mul[a][b] in j.member_set
+    )
+
+
+def violates_prime_submodule(n: Submodule, a: int, x: int) -> bool:
+    mod = n.module
+    return (
+        a not in _whole_colon(n)
+        and x not in n.member_set
+        and mod.act[a][x] in n.member_set
+    )
+
+
+def violates_weakly_prime_submodule_af(n: Submodule, a: int, x: int) -> bool:
+    return violates_prime_submodule(n, a, x) and n.module.act[a][x] != n.module.zero
+
+
+def violates_primary_submodule(n: Submodule, a: int, x: int) -> bool:
+    mod = n.module
+    return (
+        a not in brute_radical(mod.ring, _whole_colon(n))
+        and x not in n.member_set
+        and mod.act[a][x] in n.member_set
+    )
+
+
+def violates_weakly_prime_submodule_azizi(
+    n: Submodule, a: int, b: int, t: Submodule
+) -> bool:
+    mod = n.module
+
+    def sends(c: int) -> bool:
+        return all(mod.act[c][x] in n.member_set for x in t.members)
+
+    return sends(mod.ring.mul[a][b]) and not sends(a) and not sends(b)
+
+
+# ------------------------------------------------ checker conditions
+#
+# Each returns the witness text of the first violation in scan order, or
+# "" when the condition holds. ``nb`` is any submodule of the duplicated
+# module of the instance ``ctx``.
+
+
+def _sum_and_colon_ids(ctx, nb: Submodule):
+    """Per element x: id of N + Ax and id of {a : a x in N}, first-seen order.
+
+    Also returns meets(s, t): do sum sets s and t intersect exactly in N,
+    cached per pair of ids.
+    """
+    mod = ctx.inst.bowtie_module
+    sums: dict[frozenset[int], int] = {}
+    cols: dict[frozenset[int], int] = {}
+    sum_ids, col_ids = [], []
+    for x in range(mod.size):
+        cyc = {mod.act[s][x] for s in range(mod.ring.size)}
+        s = frozenset(mod.add[p][q] for p in nb.members for q in cyc)
+        sum_ids.append(sums.setdefault(s, len(sums)))
+        col = frozenset(a for a in range(mod.ring.size) if mod.act[a][x] in nb.member_set)
+        col_ids.append(cols.setdefault(col, len(cols)))
+    sum_sets = list(sums)
+    cache: dict[tuple[int, int], bool] = {}
+
+    def meets(s: int, t: int) -> bool:
+        if (s, t) not in cache:
+            cache[(s, t)] = sum_sets[s] & sum_sets[t] == nb.member_set
+        return cache[(s, t)]
+
+    return sum_ids, sum_sets, col_ids, meets
+
+
+def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
+    """Witnesses of the T4 and C_IRR part 1 conditions, from one set of sums.
+
+    T4: unequal element colons force (N + Ax) and (N + Ay) to meet in N.
+    C_IRR part 1: ax in N forces (N + Ax) and (N + A ay) to meet in N.
+    """
+    mod = ctx.inst.bowtie_module
+    sum_ids, sum_sets, col_ids, meets = _sum_and_colon_ids(ctx, nb)
+    t4 = c_irr = ""
+    for x in range(mod.size):
+        y = next(
+            (y for y in range(mod.size)
+             if col_ids[y] != col_ids[x] and not meets(sum_ids[x], sum_ids[y])),
+            None,
+        )
+        if y is not None:
+            extra = min(sum_sets[sum_ids[x]] & sum_sets[sum_ids[y]] - nb.member_set)
+            t4 = (
+                f"x={mod.labels[x]} y={mod.labels[y]}: colons differ but the"
+                f" intersection keeps {mod.labels[extra]} outside N><I"
+            )
+            break
+    for a in range(mod.ring.size):
+        row = mod.act[a]
+        right = {sum_ids[row[y]] for y in range(mod.size)}
+        x = next(
+            (x for x in range(mod.size)
+             if row[x] in nb.member_set
+             and not all(meets(sum_ids[x], t) for t in right)),
+            None,
+        )
+        if x is not None:
+            y = next(y for y in range(mod.size) if not meets(sum_ids[x], sum_ids[row[y]]))
+            c_irr = (
+                f"a={mod.ring.labels[a]} x={mod.labels[x]}"
+                f" y={mod.labels[y]}: ax in N><I but the intersection"
+                " identity fails"
+            )
+            break
+    return t4, c_irr
+
+
+def colon_product_violation(ctx, nb: Submodule) -> str:
+    """(N : st) equals (N : s) or (N : t), for every pair of scalars."""
+    ring = ctx.inst.bowtie_ring
+    cols = [scalar_colon_members(nb, s) for s in range(ring.size)]
+    for s in range(ring.size):
+        for t in range(ring.size):
+            cp = cols[ring.mul[s][t]]
+            if cp != cols[s] and cp != cols[t]:
+                return (
+                    f"s={ring.labels[s]} t={ring.labels[t]}: (N><I : st) matches neither"
+                    f" (N><I : s) nor (N><I : t)"
+                )
+    return ""

@@ -15,8 +15,6 @@ from bowtie.classify import (
     is_primary_submodule,
     is_weakly_prime_ideal,
     is_weakly_prime_submodule_af,
-    violates_prime_submodule,
-    violates_weakly_prime_submodule_af,
 )
 from bowtie.cli import main
 from bowtie.duplication import build_bowtie
@@ -35,7 +33,13 @@ from bowtie.theorems import (
     summarize,
 )
 
-from oracles import brute_primary_ideal, brute_primary_submodule, brute_submodules
+from oracles import (
+    brute_primary_ideal,
+    brute_primary_submodule,
+    brute_submodules,
+    violates_prime_submodule,
+    violates_weakly_prime_submodule_af,
+)
 
 TRANSFER_NOTIONS = ("prime", "weakly_prime_af", "primary")
 

@@ -15,13 +15,6 @@ from bowtie.classify import (
     is_weakly_prime_submodule_af,
     is_weakly_prime_submodule_azizi,
     is_weakly_prime_submodule_behboodi,
-    violates_primary_ideal,
-    violates_primary_submodule,
-    violates_prime_ideal,
-    violates_prime_submodule,
-    violates_weakly_prime_ideal,
-    violates_weakly_prime_submodule_af,
-    violates_weakly_prime_submodule_azizi,
     weakly_prime_submodule,
 )
 from bowtie.modules import (
@@ -39,6 +32,13 @@ from oracles import (
     brute_prime_ideal,
     brute_prime_submodule,
     brute_weakly_prime_af,
+    violates_primary_ideal,
+    violates_primary_submodule,
+    violates_prime_ideal,
+    violates_prime_submodule,
+    violates_weakly_prime_ideal,
+    violates_weakly_prime_submodule_af,
+    violates_weakly_prime_submodule_azizi,
 )
 
 

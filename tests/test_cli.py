@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,10 @@ import pytest
 
 import bowtie
 from bowtie.cli import main
+
+# SHA-256 of the stdout of `bowtie hunt --max 12` (every checker, variant
+# and reading, budget 256), as first recorded in BENCH_3.json
+HUNT_MAX12_SHA256 = "1a097192b73711ff4e51bef7e89fbdb14d6d1053340c6ad38fe068a431166be1"
 
 Z6_SPEC = {
     "ring": {"zn": 6},
@@ -157,6 +162,12 @@ def test_hunt_stdout_report(capsys):
     body = [l for l in lines[1:] if l]
     assert all(l.split("\t")[1] == "L1" for l in body)
     assert len(body) == 1 + 4 + 4  # sum over n<=3 of d(n)^2
+
+
+def test_hunt_max12_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX12_SHA256
 
 
 def test_hunt_divergence_summary(capsys):
