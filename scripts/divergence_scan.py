@@ -14,11 +14,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from bowtie.classify import weakly_prime_submodule
+from bowtie.classify import VARIANTS, weakly_prime_submodule
 from bowtie.modules import ring_as_module, zero_submodule
 from bowtie.rings import make_zn
-
-VARIANTS = ("af", "azizi", "behboodi")
 
 
 def main() -> int:

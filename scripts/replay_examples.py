@@ -13,10 +13,16 @@ import time
 
 sys.path.insert(0, "src")  # allow running from a source checkout
 
-from bowtie.classify import classify_ideal, classify_submodule
+from bowtie.classify import VARIANTS, classify_ideal, classify_submodule
 from bowtie.instances import SEEDS, seed_spec
 from bowtie.modules import colon_into_ring, whole_submodule
-from bowtie.theorems import Instance, normalize_theorems, rows_for_submodule, run_checker
+from bowtie.theorems import (
+    READINGS,
+    THEOREM_IDS,
+    Instance,
+    instance_rows,
+    rows_for_submodule,
+)
 
 
 def replay(name: str) -> int:
@@ -48,10 +54,8 @@ def replay(name: str) -> int:
     print(f"  colon (N : M)       = {base_colon.label_set()}")
 
     failures = 0
-    rows = [run_checker(ctx, t, None) for t in ("L8", "T_FINAL")]
-    rows += rows_for_submodule(ctx, sub, normalize_theorems(None),
-                               ("af", "azizi", "behboodi"),
-                               ("bowtie", "all-submodules"))
+    rows = instance_rows(ctx, THEOREM_IDS, zero_ideal_probe=False)
+    rows += rows_for_submodule(ctx, sub, THEOREM_IDS, VARIANTS, READINGS)
     for row in rows:
         if row.outcome == "fail":
             failures += 1

@@ -3,8 +3,8 @@
 Exit codes
   0  success (verify: every applicable check passed)
   1  verify found at least one failing check
-  2  unusable input: spec parse error, unknown theorem id or a
-     BOWTIE_BUDGET that is not an integer
+  2  unusable input: spec parse error, unknown theorem id, negative
+     hunt --max or a BOWTIE_BUDGET that is not an integer
   3  improper submodule where a proper one is required
   4  instance exceeds the size budget (see BOWTIE_BUDGET)
 """
@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classify import ImproperError, classify_ideal, classify_submodule
+from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
 from .instances import SEEDS, InstanceSpec, SpecError, seed_spec
 from .modules import Submodule, colon_into_ring, whole_submodule
@@ -25,9 +25,9 @@ from .theorems import (
     Instance,
     default_budget,
     hunt,
+    instance_rows,
     normalize_theorems,
     rows_for_submodule,
-    run_checker,
     serialize_reports,
     summarize,
 )
@@ -37,8 +37,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_IMPROPER = 3
 EXIT_BUDGET = 4
-
-ALL_VARIANTS = ("af", "azizi", "behboodi")
 
 
 def _err(msg: str) -> None:
@@ -110,7 +108,7 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
 
 
 def _variant_list(token: str) -> tuple[str, ...]:
-    return ALL_VARIANTS if token == "all" else (token,)
+    return VARIANTS if token == "all" else (token,)
 
 
 def _reading_list(token: str) -> tuple[str, ...]:
@@ -193,10 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx, n = built
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
-    rows = []
-    for theorem in ("L8", "T_FINAL", "DIVERGENCE"):
-        if theorem in chosen:
-            rows.append(run_checker(ctx, theorem, None))
+    rows = instance_rows(ctx, chosen)
     rows.extend(rows_for_submodule(ctx, n, chosen, variants, readings))
     for row in rows:
         print(row.line())
@@ -215,10 +210,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     tokens = _theorem_tokens(args.theorem)
     try:
         chosen = normalize_theorems(tokens)
+        corpus = CorpusSpec(family=args.family, max_n=args.max)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_BAD_INPUT
-    corpus = CorpusSpec(family=args.family, max_n=args.max)
     budget = _budget(args.budget)
     if budget is None:
         return EXIT_BAD_INPUT
@@ -325,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="all predicates on N and N><I")
     _add_spec_args(sp)
-    sp.add_argument("--variant", choices=("af", "azizi", "behboodi", "all"),
+    sp.add_argument("--variant", choices=VARIANTS + ("all",),
                     default="all", help="weakly-prime definition to report")
     sp.set_defaults(func=cmd_classify)
 
@@ -333,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(sp)
     sp.add_argument("--theorem", action="append", metavar="ID",
                     help="theorem id, 'transfer-all', or 'all' (repeatable)")
-    sp.add_argument("--variant", choices=("af", "azizi", "behboodi", "all"),
+    sp.add_argument("--variant", choices=VARIANTS + ("all",),
                     default="all")
     sp.add_argument("--reading", choices=READINGS + ("both",), default="both",
                     help="quantifier domain for the colon characterizations")
@@ -345,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest modulus to sweep (default 6)")
     sp.add_argument("--theorem", action="append", metavar="ID",
                     help="theorem id, 'transfer-all', or 'all' (repeatable)")
-    sp.add_argument("--variant", choices=("af", "azizi", "behboodi", "all"),
+    sp.add_argument("--variant", choices=VARIANTS + ("all",),
                     default="all")
     sp.add_argument("--reading", choices=READINGS + ("both",), default="both")
     sp.add_argument("--out", metavar="PATH", default=None,

@@ -480,27 +480,11 @@ def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:
-    """Every ideal, as joins of principal ideals, in (size, members) order."""
-    principal: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for g in range(ring.size):
-        p = frozenset(ring.mul[s][g] for s in range(ring.size))
-        if p not in seen:
-            seen.add(p)
-            principal.append(p)
-    found = set(principal)
-    work = list(principal)
-    while work:
-        cur = work.pop()
-        for p in principal:
-            if p <= cur:
-                continue
-            joined = _additive_closure(ring.add, cur | p, ring.zero)
-            if joined not in found:
-                found.add(joined)
-                work.append(joined)
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return [Ideal(ring, s, _checked=True) for s in ordered]
+    """Every ideal: the submodules of the regular module, in (size, members) order."""
+    from .modules import enumerate_submodules, ring_as_module  # modules imports rings
+
+    return [Ideal(ring, n.members, _checked=True)
+            for n in enumerate_submodules(ring_as_module(ring))]
 
 
 def _same_ring(a: Ideal, b: Ideal) -> TableRing:

@@ -6,39 +6,8 @@ whose failure rows carry replayable witnesses. The hunter sweeps a corpus
 of Z_n instances deterministically, so report files are byte-stable across
 worker counts.
 
-Checker ids:
-
-  L1               colon identity (N><I : M><I) = (N : M) >< I
-  L2               prime submodule transfer, both directions
-  C_WP             weakly prime (af) transfer, both directions
-  P_PRIMARY        primary submodule transfer, both directions
-  L3i              weakly prime <=> every colon into a non-contained
-                   submodule is a prime ideal (reading selects the
-                   quantifier domain)
-  L3ii             weakly prime => those colons form a chain
-  C_PPW            prime <=> primary and weakly prime
-  T4               weakly prime <=> unequal element colons force the
-                   two-sum intersection identity
-  R_T4             prime => (x in N><I or a(y,y') in N><I) whenever
-                   a(x,x') lands in N><I
-  C_IRR            weakly prime => intersection identity, and
-                   irreducible => prime
-  L_COLON_PROD     weakly prime <=> colon by a product of scalars equals
-                   the colon by one factor
-  R_CEX            probe: is (N><I : M><I) a weakly prime ideal
-                   (fail = counterexample found)
-  P_FAITHFUL       faithful cyclic M><I and weakly prime N><I =>
-                   the colon is a weakly prime ideal
-  L_RADICAL        primary <=> every element colon outside N><I lies in
-                   the radical of the big colon
-  P_COLON_PRIMARY  primary => the colon equals Ann(M><I / N><I) and is a
-                   primary ideal
-  C_RADICAL_PRIME  primary => the radical of the colon is a prime ideal
-  L8               the two canonical quotient isomorphisms of M><I
-  T_FINAL          weakly-prime-module characterization of M><I and the
-                   0 x IM submodule
-  DIVERGENCE       probe: do the af and behboodi readings of
-                   "weakly prime" agree on the zero submodule of M
+The checkers, and how each one is run, are the entries of CHECKERS, in
+report order.
 """
 
 from __future__ import annotations
@@ -46,8 +15,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -78,6 +47,7 @@ from .modules import (
     zero_submodule,
 )
 from .classify import (
+    VARIANTS,
     Verdict,
     is_prime_ideal,
     is_prime_submodule,
@@ -98,35 +68,6 @@ from .duplication import (
     predicted_sizes,
     restrict_scalars,
 )
-
-THEOREM_IDS = (
-    "L1",
-    "L2",
-    "C_WP",
-    "P_PRIMARY",
-    "L3i",
-    "L3ii",
-    "C_PPW",
-    "T4",
-    "R_T4",
-    "C_IRR",
-    "L_COLON_PROD",
-    "R_CEX",
-    "P_FAITHFUL",
-    "L_RADICAL",
-    "P_COLON_PRIMARY",
-    "C_RADICAL_PRIME",
-    "L8",
-    "T_FINAL",
-    "DIVERGENCE",
-)
-
-# checkers parameterized by the weakly-prime definition variant
-VARIANTED = frozenset({"L3i", "L3ii", "C_PPW", "T4", "C_IRR", "L_COLON_PROD", "P_FAITHFUL"})
-# checkers whose submodule quantifier has two defensible readings
-READABLE = frozenset({"L3i", "L3ii"})
-# checkers evaluated once per (ring, ideal), independent of N
-INSTANCE_LEVEL = frozenset({"L8", "T_FINAL", "DIVERGENCE"})
 
 READINGS = ("bowtie", "all-submodules")
 
@@ -358,18 +299,18 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
     )
 
 
-_TRANSFER = {
-    "prime": ("L2", is_prime_submodule, "prime"),
-    "weakly_prime_af": ("C_WP", is_weakly_prime_submodule_af, "weakly prime (af)"),
-    "primary": ("P_PRIMARY", is_primary_submodule, "primary"),
-}
-
-
 def check_transfer(ctx: Instance, n: Submodule, notion: str) -> TheoremReport:
     """notion(N) must agree with notion(N><I), in both directions."""
-    if notion not in _TRANSFER:
+    # predicates are read from their module-level names at each call, so a
+    # wrapper installed on those names (perfbench/tracer.py) sees every call
+    if notion == "prime":
+        theorem_id, pred, noun = "L2", is_prime_submodule, "prime"
+    elif notion == "weakly_prime_af":
+        theorem_id, pred, noun = "C_WP", is_weakly_prime_submodule_af, "weakly prime (af)"
+    elif notion == "primary":
+        theorem_id, pred, noun = "P_PRIMARY", is_primary_submodule, "primary"
+    else:
         raise ValueError(f"unknown transfer notion {notion!r}")
-    theorem_id, pred, noun = _TRANSFER[notion]
     vb = pred(n)
     vd = pred(ctx.bowtie(n))
     key = ctx.key_for(n)
@@ -915,6 +856,72 @@ def check_divergence(ctx: Instance) -> TheoremReport:
     )
 
 
+# -------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True)
+class Checker:
+    """How one checker runs. fn takes (ctx) when per_instance, otherwise
+    (ctx, n), then a variant if varianted and a reading if readable."""
+
+    fn: Callable[..., TheoremReport]
+    per_instance: bool = False  # once per (ring, ideal), independent of N
+    varianted: bool = False  # once per weakly-prime definition variant
+    readable: bool = False  # once per reading of the submodule quantifier
+    improper_n: bool = False  # also run on N = M
+
+
+# Every checker, in report order. Callers reach a checker only through
+# run_checker, looked up by its module-level name, so that per-checker
+# timing can wrap that one function.
+CHECKERS: dict[str, Checker] = {
+    # colon identity (N><I : M><I) = (N : M) >< I
+    "L1": Checker(check_L1, improper_n=True),
+    # prime, weakly prime (af) and primary submodule transfer, both directions
+    "L2": Checker(partial(check_transfer, notion="prime")),
+    "C_WP": Checker(partial(check_transfer, notion="weakly_prime_af")),
+    "P_PRIMARY": Checker(partial(check_transfer, notion="primary")),
+    # weakly prime <=> every colon into a non-contained submodule is a prime
+    # ideal; the reading selects the quantifier domain
+    "L3i": Checker(check_L3i, varianted=True, readable=True),
+    # weakly prime => those colons form a chain
+    "L3ii": Checker(check_L3ii, varianted=True, readable=True),
+    # prime <=> primary and weakly prime
+    "C_PPW": Checker(check_C_PPW, varianted=True),
+    # weakly prime <=> unequal element colons force the two-sum intersection
+    # identity
+    "T4": Checker(check_T4, varianted=True),
+    # prime => (x in N><I or a(y,y') in N><I) whenever a(x,x') lands in N><I
+    "R_T4": Checker(check_R_T4),
+    # weakly prime => intersection identity, and irreducible => prime
+    "C_IRR": Checker(check_C_IRR, varianted=True),
+    # weakly prime <=> colon by a product of scalars equals the colon by one
+    # factor
+    "L_COLON_PROD": Checker(check_L_colon_prod, varianted=True),
+    # probe: is (N><I : M><I) a weakly prime ideal (fail = counterexample)
+    "R_CEX": Checker(check_R_CEX),
+    # faithful cyclic M><I and weakly prime N><I => the colon is a weakly
+    # prime ideal
+    "P_FAITHFUL": Checker(check_P_faithful, varianted=True),
+    # primary <=> every element colon outside N><I lies in the radical of the
+    # big colon
+    "L_RADICAL": Checker(check_L_radical),
+    # primary => the colon equals Ann(M><I / N><I) and is a primary ideal
+    "P_COLON_PRIMARY": Checker(check_P_colon_primary),
+    # primary => the radical of the colon is a prime ideal
+    "C_RADICAL_PRIME": Checker(check_C_radical_prime),
+    # the two canonical quotient isomorphisms of M><I
+    "L8": Checker(check_L8, per_instance=True),
+    # weakly-prime-module characterization of M><I and the 0 x IM submodule
+    "T_FINAL": Checker(check_T_final, per_instance=True),
+    # probe: do the af and behboodi readings of "weakly prime" agree on the
+    # zero submodule of M
+    "DIVERGENCE": Checker(check_divergence, per_instance=True),
+}
+
+THEOREM_IDS = tuple(CHECKERS)
+
+
 # ----------------------------------------------------------------- hunt
 
 
@@ -957,49 +964,19 @@ def run_checker(
     variant: str = "-",
     reading: str = "-",
 ) -> TheoremReport:
-    """Dispatch a single checker; n is ignored for instance-level checks."""
-    if theorem not in THEOREM_IDS:
+    """Run a single checker; n is ignored for per-instance checkers."""
+    checker = CHECKERS.get(theorem)
+    if checker is None:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if theorem == "L8":
-        return check_L8(ctx)
-    if theorem == "T_FINAL":
-        return check_T_final(ctx)
-    if theorem == "DIVERGENCE":
-        return check_divergence(ctx)
+    if checker.per_instance:
+        return checker.fn(ctx)
     assert n is not None
-    if theorem == "L1":
-        return check_L1(ctx, n)
-    if theorem == "L2":
-        return check_transfer(ctx, n, "prime")
-    if theorem == "C_WP":
-        return check_transfer(ctx, n, "weakly_prime_af")
-    if theorem == "P_PRIMARY":
-        return check_transfer(ctx, n, "primary")
-    if theorem == "L3i":
-        return check_L3i(ctx, n, variant, reading)
-    if theorem == "L3ii":
-        return check_L3ii(ctx, n, variant, reading)
-    if theorem == "C_PPW":
-        return check_C_PPW(ctx, n, variant)
-    if theorem == "T4":
-        return check_T4(ctx, n, variant)
-    if theorem == "R_T4":
-        return check_R_T4(ctx, n)
-    if theorem == "C_IRR":
-        return check_C_IRR(ctx, n, variant)
-    if theorem == "L_COLON_PROD":
-        return check_L_colon_prod(ctx, n, variant)
-    if theorem == "R_CEX":
-        return check_R_CEX(ctx, n)
-    if theorem == "P_FAITHFUL":
-        return check_P_faithful(ctx, n, variant)
-    if theorem == "L_RADICAL":
-        return check_L_radical(ctx, n)
-    if theorem == "P_COLON_PRIMARY":
-        return check_P_colon_primary(ctx, n)
-    if theorem == "C_RADICAL_PRIME":
-        return check_C_radical_prime(ctx, n)
-    raise ValueError(f"unknown theorem id {theorem!r}")
+    args = [ctx, n]
+    if checker.varianted:
+        args.append(variant)
+    if checker.readable:
+        args.append(reading)
+    return checker.fn(*args)
 
 
 def rows_for_submodule(
@@ -1009,23 +986,32 @@ def rows_for_submodule(
     variants: Sequence[str],
     readings: Sequence[str],
 ) -> list[TheoremReport]:
-    """Rows of every selected per-submodule checker on one N, registry order."""
+    """Rows of every selected per-submodule checker on one N, in the order
+    of theorems."""
     rows: list[TheoremReport] = []
     for theorem in theorems:
-        if theorem in INSTANCE_LEVEL:
+        checker = CHECKERS[theorem]
+        if checker.per_instance or not (n.is_proper or checker.improper_n):
             continue
-        if not n.is_proper and theorem != "L1":
-            continue
-        if theorem in VARIANTED:
-            for variant in variants:
-                if theorem in READABLE:
-                    for reading in readings:
-                        rows.append(run_checker(ctx, theorem, n, variant, reading))
-                else:
-                    rows.append(run_checker(ctx, theorem, n, variant))
-        else:
-            rows.append(run_checker(ctx, theorem, n))
+        for variant in variants if checker.varianted else ("-",):
+            for reading in readings if checker.readable else ("-",):
+                rows.append(run_checker(ctx, theorem, n, variant, reading))
     return rows
+
+
+def instance_rows(
+    ctx: Instance, theorems: Sequence[str], zero_ideal_probe: bool = True
+) -> list[TheoremReport]:
+    """Rows of every selected per-instance checker, in registry order.
+
+    DIVERGENCE looks only at M, not at I; zero_ideal_probe=False leaves it out.
+    """
+    return [
+        run_checker(ctx, theorem, None)
+        for theorem, checker in CHECKERS.items()
+        if checker.per_instance and theorem in theorems
+        and (zero_ideal_probe or theorem != "DIVERGENCE")
+    ]
 
 
 def run_instance(
@@ -1036,18 +1022,12 @@ def run_instance(
     zero_ideal_probe: bool = True,
 ) -> list[TheoremReport]:
     """All selected checker rows for one instance, in canonical order."""
-    rows: list[TheoremReport] = []
-    for theorem in ("L8", "T_FINAL"):
-        if theorem in theorems:
-            rows.append(run_checker(ctx, theorem, None))
-            if theorem == "L8" and rows[-1].outcome == "fail":
-                raise RuntimeError(
-                    "construction bug: the canonical quotient maps failed on "
-                    + ctx.base_key
-                )
-    if "DIVERGENCE" in theorems and zero_ideal_probe:
-        rows.append(run_checker(ctx, "DIVERGENCE", None))
-    if any(t not in INSTANCE_LEVEL for t in theorems):
+    rows = instance_rows(ctx, theorems, zero_ideal_probe)
+    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
+        raise RuntimeError(
+            "construction bug: the canonical quotient maps failed on " + ctx.base_key
+        )
+    if any(not CHECKERS[t].per_instance for t in theorems):
         for n in ctx.base_submodules:
             rows.extend(rows_for_submodule(ctx, n, theorems, variants, readings))
     return rows
@@ -1091,7 +1071,7 @@ def hunt(
     the output.
     """
     chosen = normalize_theorems(theorems)
-    variants = tuple(variants) if variants else ("af", "azizi", "behboodi")
+    variants = tuple(variants) if variants else VARIANTS
     readings = tuple(readings) if readings else READINGS
     budget = default_budget() if budget is None else budget
     tasks = []

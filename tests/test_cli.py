@@ -14,6 +14,38 @@ from bowtie.cli import main
 # and reading, budget 256), as first recorded in BENCH_3.json
 HUNT_MAX12_SHA256 = "1a097192b73711ff4e51bef7e89fbdb14d6d1053340c6ad38fe068a431166be1"
 
+# (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
+SEED_STDOUT_SHA256 = {
+    ("verify", "z12-prime"):
+        (1, "0479af4345b3732769d538b90fd6d693940465978ce978bd0452b7823f5e8269"),
+    ("verify", "z16-primary-not-prime"):
+        (1, "f5cfdae43915b2dc14a1cdac5a57a6853c03c2acadea0fdd848ac68fb7f925e4"),
+    ("verify", "z20-primary"):
+        (1, "3b5aa5fdbe439f0385e9dcaeec30e1b8699dc3a83767fb2d4937247d1bb3ad2e"),
+    ("verify", "z6-remark"):
+        (1, "a6c8815e9ce22b877324893ac0f25355c993129d1eaba397e0540436013493b7"),
+    ("verify", "z6-weakly-prime"):
+        (1, "a105eee6a2d97912c15fb3200acdf69fda7cb64427759699f08719c7cf1167b8"),
+    ("classify", "z12-prime"):
+        (0, "c92b405cc27f7254f7c38bb9f3c359dfffcc63c65a3ed92ebaf92a570f23ff15"),
+    ("classify", "z16-primary-not-prime"):
+        (0, "7f5a2ad1d5b9bfc9522df59c5b9b34af47986d9ccba221acd84b64d1391bb286"),
+    ("classify", "z20-primary"):
+        (0, "d82b53052d8b259e290f60762a46d8c42bd2d369245da0d0b3c31c632a5c807e"),
+    ("classify", "z6-remark"):
+        (0, "56926ea9d23e0c833199af81c0a4ac1a7dca4fe94c762cda2742c4c19ca5eecd"),
+    ("classify", "z6-weakly-prime"):
+        (0, "cb7e93fb20f3b57d30e9607e64c4fbcda237bb81ead5ff3dbec40ee4cb5ef91f"),
+}
+
+# SHA-256 of the stdout of scripts/replay_examples.py without its timing line
+REPLAY_SHA256 = "946b45d3c4b8df2f38d9eab3c303600867832632896415c74aa273dc78e2681c"
+
+# SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip rows
+HUNT_BUDGET_SKIP_SHA256 = "f8ec6e720c59f4430116c87fd612a377f3bf8347aa6418c885b09960909d0519"
+
+REPO = Path(__file__).resolve().parent.parent
+
 Z6_SPEC = {
     "ring": {"zn": 6},
     "ideal_generators": ["3"],
@@ -170,6 +202,17 @@ def test_hunt_max12_report_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX12_SHA256
 
 
+def test_hunt_budget_skip_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "4", "--budget", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_BUDGET_SKIP_SHA256
+
+
+def test_hunt_negative_max_exit_2(capsys):
+    assert main(["hunt", "--max", "-1"]) == 2
+    assert capsys.readouterr().err == "bowtie: error: max_n must be nonnegative\n"
+
+
 def test_hunt_divergence_summary(capsys):
     assert main(["hunt", "--max", "4", "--theorem", "divergence"]) == 0
     err = capsys.readouterr().err
@@ -178,6 +221,23 @@ def test_hunt_divergence_summary(capsys):
 
 def test_hunt_unknown_theorem(capsys):
     assert main(["hunt", "--theorem", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("command,seed", sorted(SEED_STDOUT_SHA256))
+def test_seed_stdout_is_byte_identical(command, seed, capsys):
+    code = main([command, "--seed-corpus", seed])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SEED_STDOUT_SHA256[command, seed]
+
+
+def test_replay_examples_output_is_byte_identical():
+    proc = subprocess.run(
+        [sys.executable, "scripts/replay_examples.py"], cwd=REPO,
+        capture_output=True, text=True, timeout=300, env=_child_env(),
+    )
+    assert proc.returncode == 1  # the seeds carry known statement gaps
+    kept = [l for l in proc.stdout.splitlines(True) if "instances replayed in" not in l]
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == REPLAY_SHA256
 
 
 def test_lattice_dot_output(z6_path, capsys, tmp_path):

@@ -146,6 +146,14 @@ def test_run_checker_rejects_unknown(z6):
         run_checker(z6, "NOPE", None)
 
 
+def test_run_checker_reports_its_own_id(z6):
+    n = zero_submodule(z6.inst.base_module)
+    assert n.is_proper
+    for theorem in THEOREM_IDS:
+        row = run_checker(z6, theorem, n, "af", "bowtie")
+        assert row.theorem_id == theorem
+
+
 def test_normalize_theorems():
     assert normalize_theorems(None) == THEOREM_IDS
     assert normalize_theorems(["l1", "L2"]) == ("L1", "L2")
