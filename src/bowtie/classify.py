@@ -1,7 +1,7 @@
 """Decision procedures with witnesses for prime-like conditions.
 
-Three inequivalent notions travel under the name "weakly prime" in the
-literature, so each gets its own predicate:
+Three notions travel under the name "weakly prime" in the literature, so
+each gets its own predicate:
 
   af        proper N with: 0 != a*x in N implies x in N or a*M inside N
             (Atani and Farzalipour's definition)
@@ -12,6 +12,13 @@ literature, so each gets its own predicate:
   behboodi  N is weakly prime when M/N is a weakly prime module, where a
             module is weakly prime when the annihilator of every nonzero
             submodule is a prime ideal (Behboodi and Koohy's definition)
+
+Over a finite commutative ring azizi and behboodi are both equivalent to
+prime, so only af genuinely differs. Azizi asks that (N : T) be prime for
+every submodule T not inside N, Behboodi the same for every T strictly
+containing N, and (N : T) = (N : T+N) makes the two one condition. Every
+prime of a finite ring is maximal, so P = (N : M) is maximal and each
+(N : x) with x outside N, a prime containing P, equals P: N is prime.
 
 All scans read the preimage masks pre[a] = {x : a*x in N} of their
 input (``Submodule.pre``, ``Ideal.pre``) in canonical index order and take

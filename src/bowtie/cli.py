@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
-from .instances import SEEDS, InstanceSpec, SpecError, seed_spec
+from .instances import SEEDS, InstanceSpec, SpecError, declared_ring_size, seed_spec
 from .modules import Submodule, colon_into_ring, whole_submodule
 from .theorems import (
     READINGS,
@@ -86,22 +86,29 @@ def _budget(flag: int | None) -> int | None:
         return None
 
 
+def _over_budget(what: str, size: int | None, cap: int) -> bool:
+    if size is not None and size > cap:
+        _err(f"{what} = {size} exceeds the budget {cap}; raise --budget or BOWTIE_BUDGET")
+        return True
+    return False
+
+
 def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule] | int:
     """Build the duplication under the budget; exit code on refusal."""
     cap = _budget(budget)
     if cap is None:
         return EXIT_BAD_INPUT
+    # |A><I| >= |A|: refuse a large ring before its tables are built
+    if _over_budget("|A|", declared_ring_size(spec.ring_desc), cap):
+        return EXIT_BUDGET
     try:
         ring, ideal, module, sub = spec.build()
     except SpecError as exc:
         _err(str(exc))
         return EXIT_BAD_INPUT
     ring_size, module_size = predicted_sizes(ring, ideal, module)
-    for what, size in (("|M><I|", module_size), ("|A><I|", ring_size)):
-        if size > cap:
-            _err(f"{what} = {size} exceeds the budget {cap};"
-                 " raise --budget or BOWTIE_BUDGET")
-            return EXIT_BUDGET
+    if _over_budget("|M><I|", module_size, cap) or _over_budget("|A><I|", ring_size, cap):
+        return EXIT_BUDGET
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
     ctx = Instance(ring, ideal, module, key=name)
     return ctx, sub

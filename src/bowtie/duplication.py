@@ -14,13 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, validate_ring
-from .modules import (
-    Submodule,
-    TableModule,
-    _additive_closure,
-    validate_module,
-)
+from .rings import ClosureError, Ideal, TableRing
+from .modules import Submodule, TableModule, _additive_closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +97,14 @@ def _componentwise(
     return tuple(map(tuple, table.tolist()))
 
 
-def build_bowtie(
-    ring: TableRing, ideal: Ideal, module: TableModule, limit: int | None = None
-) -> BowtieInstance:
-    """Construct the duplicated ring and module from their pairs, validated.
+def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieInstance:
+    """Construct the duplicated ring and module from their pairs.
 
     Both carriers are sorted pairs, the lexicographic order of A x A and
-    M x M, and both are operated on componentwise.
+    M x M, and both are operated on componentwise. They are a ring and a
+    module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
+    nothing is re-validated; a pair set that is not closed raises
+    ClosureError.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -128,7 +124,6 @@ def build_bowtie(
         labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
         name=f"sub(({ring.name}x{ring.name}))",
     )
-    validate_ring(bowtie_ring, limit)
 
     # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
     k = module.size
@@ -150,9 +145,7 @@ def build_bowtie(
         ),
         name=f"{module.name}><{ideal.label_set()}",
     )
-    validate_module(bowtie_module, limit)
-
-    inst = BowtieInstance(
+    return BowtieInstance(
         base_ring=ring,
         ideal=ideal,
         base_module=module,
@@ -162,25 +155,6 @@ def build_bowtie(
         ring_pairs=ring_pairs,
         module_pairs=module_pairs,
     )
-    _check_diagonal(inst)
-    return inst
-
-
-def _check_diagonal(inst: BowtieInstance) -> None:
-    """The map a -> (a, a) must be an injective unital ring homomorphism."""
-    base = inst.base_ring
-    dup = inst.bowtie_ring
-    emb = [inst.ring_pair_index[(a, a)] for a in range(base.size)]
-    if len(set(emb)) != base.size:
-        raise AssertionError("diagonal embedding is not injective")
-    if emb[base.one] != dup.one or emb[base.zero] != dup.zero:
-        raise AssertionError("diagonal embedding misses the identities")
-    for a in range(base.size):
-        for b in range(base.size):
-            if emb[base.add[a][b]] != dup.add[emb[a]][emb[b]]:
-                raise AssertionError("diagonal embedding is not additive")
-            if emb[base.mul[a][b]] != dup.mul[emb[a]][emb[b]]:
-                raise AssertionError("diagonal embedding is not multiplicative")
 
 
 def diagonal_embed(inst: BowtieInstance, a: int) -> int:
@@ -195,7 +169,7 @@ def bowtie_submodule(inst: BowtieInstance, n: Submodule) -> Submodule:
     members = [
         idx for idx, (m, _mp) in enumerate(inst.module_pairs) if m in n.member_set
     ]
-    return Submodule(inst.bowtie_module, members)
+    return Submodule(inst.bowtie_module, members, _checked=True)
 
 
 def zero_cross_i(inst: BowtieInstance) -> Ideal:
@@ -204,7 +178,7 @@ def zero_cross_i(inst: BowtieInstance) -> Ideal:
     members = [
         idx for idx, (a, _b) in enumerate(inst.ring_pairs) if a == zero
     ]
-    return Ideal(inst.bowtie_ring, members)
+    return Ideal(inst.bowtie_ring, members, _checked=True)
 
 
 def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule]:
@@ -218,11 +192,13 @@ def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule
         mod,
         [i for i, (m, mp) in enumerate(inst.module_pairs)
          if m == zero and mp in inst.im.member_set],
+        _checked=True,
     )
     im_cross_im = Submodule(
         mod,
         [i for i, (m, mp) in enumerate(inst.module_pairs)
          if m in inst.im.member_set and mp in inst.im.member_set],
+        _checked=True,
     )
     ideal = zero_cross_i(inst)
     prods = {mod.act[j][p] for j in ideal.members for p in range(mod.size)}
@@ -247,7 +223,7 @@ def restrict_scalars(
         raise ValueError("module is over a different base ring")
     comp = 0 if which == "first" else 1
     act = tuple(m0.act[pair[comp]] for pair in inst.ring_pairs)
-    out = TableModule(
+    return TableModule(
         ring=inst.bowtie_ring,
         size=m0.size,
         add=m0.add,
@@ -256,23 +232,19 @@ def restrict_scalars(
         labels=m0.labels,
         name=f"{m0.name}|{which}",
     )
-    validate_module(out)
-    return out
 
 
 def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:
     """Recover N with (N join I) = S, when S has that shape.
 
-    N must be the set of first components of S, must itself be a
-    submodule, and rebuilding from it must reproduce S exactly.
+    N is the set of first components of S, its image under the first
+    projection and so a submodule of M; S has the shape when rebuilding
+    from N reproduces it exactly.
     """
     if s.module is not inst.bowtie_module:
         raise ValueError("submodule belongs to a different module")
     firsts = {inst.module_pairs[idx][0] for idx in s.members}
-    try:
-        n = Submodule(inst.base_module, firsts)
-    except ValueError:
-        return None
+    n = Submodule(inst.base_module, firsts, _checked=True)
     rebuilt = bowtie_submodule(inst, n)
     if rebuilt.members == s.members:
         return n

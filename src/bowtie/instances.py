@@ -116,6 +116,22 @@ def _build_ring(desc: Any, where: str = "ring") -> TableRing:
     raise SpecError(f'{where}: unknown ring kind {kind!r}')
 
 
+def declared_ring_size(desc: Any) -> int | None:
+    """|A| as a ring description states it, before any table is built;
+    None when the description is malformed (building it says why)."""
+    if not isinstance(desc, dict) or len(desc) != 1:
+        return None
+    kind, body = next(iter(desc.items()))
+    if kind == "zn" and isinstance(body, int) and not isinstance(body, bool):
+        return body
+    if kind == "product" and isinstance(body, list) and len(body) == 2:
+        left, right = (declared_ring_size(part) for part in body)
+        return None if left is None or right is None else left * right
+    if kind == "tables" and isinstance(body, dict) and isinstance(body.get("add"), list):
+        return len(body["add"])
+    return None
+
+
 def _resolve_labels(labels: Any, universe: tuple[str, ...], where: str) -> tuple[int, ...]:
     _require(isinstance(labels, list), where, "expected a list of element labels")
     index = {lab: i for i, lab in enumerate(universe)}

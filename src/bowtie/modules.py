@@ -331,9 +331,7 @@ def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     return Submodule(mod, n.member_set & k.member_set, _checked=True)
 
 
-def quotient_module(
-    module: TableModule, n: Submodule, limit: int | None = None
-) -> tuple[TableModule, ModuleMap]:
+def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
     """Cosets of a submodule, indexed by minimal member.
 
     Returns the quotient and the projection map.
@@ -368,7 +366,6 @@ def quotient_module(
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps),
         name=f"{module.name}/N",
     )
-    validate_module(quo, limit)
     projection = ModuleMap(
         source=module,
         target=quo,
@@ -395,9 +392,11 @@ def check_module_map(f: ModuleMap) -> bool:
 
 
 def kernel(f: ModuleMap) -> Submodule:
+    """The preimage of zero; a submodule when f is a module map."""
     members = [m for m in range(f.source.size) if f.table[m] == f.target.zero]
-    return Submodule(f.source, members)
+    return Submodule(f.source, members, _checked=True)
 
 
 def image(f: ModuleMap) -> Submodule:
-    return Submodule(f.target, set(f.table))
+    """The image of f; a submodule when f is a module map."""
+    return Submodule(f.target, set(f.table), _checked=True)

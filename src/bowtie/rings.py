@@ -2,9 +2,9 @@
 
 Every ring here is extensional: a carrier 0..k-1 plus full addition and
 multiplication tables. Constructions (products, subrings, quotients) are
-index bookkeeping, and every constructed ring is validated against the
-ring axioms exhaustively while the carrier stays within a configurable
-bound.
+index bookkeeping and rings by theorem, so they are not re-validated;
+validate_ring checks tables that come from outside (see instances.py),
+and the tests check the constructions against the axioms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 # Axiom validation is O(g k^2) numpy work for g additive generators; above
-# this carrier size it is skipped (constructions stay correct by construction).
+# this carrier size validate_ring and validate_module skip it unless the
+# caller passes a larger limit.
 DEFAULT_VALIDATION_LIMIT = 256
 
 
@@ -32,10 +33,6 @@ class ClosureError(ValueError):
     def __init__(self, message: str, pair: tuple[int, int]):
         super().__init__(message)
         self.pair = pair
-
-
-def _as_table(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in r) for r in rows)
 
 
 def table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
@@ -251,13 +248,13 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
             raise RingAxiomError("mul does not distribute over add")
 
 
-def make_zn(n: int, limit: int | None = None) -> TableRing:
+def make_zn(n: int) -> TableRing:
     """The ring of integers modulo n, elements labeled 0..n-1."""
     if n < 1:
         raise ValueError("modulus must be at least 1")
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
-    ring = TableRing(
+    return TableRing(
         size=n,
         add=add,
         mul=mul,
@@ -266,11 +263,9 @@ def make_zn(n: int, limit: int | None = None) -> TableRing:
         labels=tuple(str(a) for a in range(n)),
         name=f"Z{n}",
     )
-    validate_ring(ring, limit)
-    return ring
 
 
-def direct_product(r1: TableRing, r2: TableRing, limit: int | None = None) -> TableRing:
+def direct_product(r1: TableRing, r2: TableRing) -> TableRing:
     """Componentwise product ring; element (a, b) sits at index a*|R2| + b."""
     k1, k2 = r1.size, r2.size
 
@@ -287,7 +282,7 @@ def direct_product(r1: TableRing, r2: TableRing, limit: int | None = None) -> Ta
     labels = tuple(
         f"({r1.labels[a]},{r2.labels[b]})" for a in range(k1) for b in range(k2)
     )
-    ring = TableRing(
+    return TableRing(
         size=size,
         add=tuple(add),
         mul=tuple(mul),
@@ -296,12 +291,10 @@ def direct_product(r1: TableRing, r2: TableRing, limit: int | None = None) -> Ta
         labels=labels,
         name=f"({r1.name}x{r2.name})",
     )
-    validate_ring(ring, limit)
-    return ring
 
 
 def subring_from_subset(
-    ring: TableRing, subset: Iterable[int], limit: int | None = None
+    ring: TableRing, subset: Iterable[int]
 ) -> tuple[TableRing, tuple[int, ...]]:
     """Re-index a closed subset as a ring of its own.
 
@@ -342,7 +335,6 @@ def subring_from_subset(
         labels=tuple(ring.labels[a] for a in decode),
         name=f"sub({ring.name})",
     )
-    validate_ring(sub, limit)
     return sub, decode
 
 
@@ -415,9 +407,7 @@ class Ideal:
         return f"Ideal({self.ring.name}, {self.label_set()})"
 
 
-def quotient_ring(
-    ring: TableRing, j: Ideal, limit: int | None = None
-) -> tuple[TableRing, tuple[int, ...]]:
+def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]]:
     """Cosets of an ideal, indexed by minimal member; returns (ring, projection)."""
     if j.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -449,7 +439,6 @@ def quotient_ring(
         labels=tuple(f"[{ring.labels[rep]}]" for rep in reps),
         name=f"{ring.name}/J",
     )
-    validate_ring(q, limit)
     return q, projection
 
 

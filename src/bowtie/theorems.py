@@ -120,9 +120,8 @@ class Instance:
         ideal: Ideal,
         module: TableModule,
         key: str | None = None,
-        limit: int | None = None,
     ):
-        self.inst: BowtieInstance = build_bowtie(ring, ideal, module, limit)
+        self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self._bowtie_n: dict[tuple[int, ...], Submodule] = {}
         self._colon: dict[tuple[int, ...], Ideal] = {}
@@ -260,13 +259,11 @@ def _members_by_id(ids: list[int], count: int) -> list[int]:
     return out
 
 
-def make_zn_instance(
-    n: int, ideal_members: Iterable[int], limit: int | None = None
-) -> Instance:
+def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
     """Convenience builder: Z_n with its regular module."""
     ring = make_zn(n)
     ideal = Ideal(ring, ideal_members)
-    return Instance(ring, ideal, ring_as_module(ring), limit=limit)
+    return Instance(ring, ideal, ring_as_module(ring))
 
 
 # -------------------------------------------------------------- checkers
@@ -870,6 +867,11 @@ class Checker:
     readable: bool = False  # once per reading of the submodule quantifier
     improper_n: bool = False  # also run on N = M
 
+    def cells(self, variants: Sequence[str], readings: Sequence[str]) -> list[tuple[str, str]]:
+        """The (variant, reading) pairs this checker reports a row for."""
+        return [(v, r) for v in (variants if self.varianted else ("-",))
+                for r in (readings if self.readable else ("-",))]
+
 
 # Every checker, in report order. Callers reach a checker only through
 # run_checker, looked up by its module-level name, so that per-checker
@@ -993,9 +995,8 @@ def rows_for_submodule(
         checker = CHECKERS[theorem]
         if checker.per_instance or not (n.is_proper or checker.improper_n):
             continue
-        for variant in variants if checker.varianted else ("-",):
-            for reading in readings if checker.readable else ("-",):
-                rows.append(run_checker(ctx, theorem, n, variant, reading))
+        for variant, reading in checker.cells(variants, readings):
+            rows.append(run_checker(ctx, theorem, n, variant, reading))
     return rows
 
 
@@ -1038,17 +1039,16 @@ def _hunt_task(
 ) -> list[TheoremReport]:
     n, ideal_members, theorems, variants, readings, budget = args
     ring = make_zn(n)
-    ideal = Ideal(ring, ideal_members)
+    ideal = Ideal(ring, ideal_members, _checked=True)  # from enumerate_ideals
     module = ring_as_module(ring)
     key = f"Z{n}|I={ideal.label_set()}"
     _, module_size = predicted_sizes(ring, ideal, module)
     if module_size > budget:
+        notes = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
-            TheoremReport(
-                key, theorem, outcome="skip",
-                notes=f"budget exceeded: |M><I| = {module_size} > {budget}",
-            )
+            TheoremReport(key, theorem, variant, reading, outcome="skip", notes=notes)
             for theorem in theorems
+            for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
     ctx = Instance(ring, ideal, module, key=key)
     zero_probe = ideal.is_zero

@@ -26,6 +26,7 @@ from bowtie.modules import (
 )
 from bowtie.rings import Ideal, enumerate_ideals, make_zn
 
+from families import duplications, family_modules
 from oracles import (
     brute_primary_ideal,
     brute_primary_submodule,
@@ -238,3 +239,32 @@ def test_classify_dicts_have_all_keys(z6):
 
     di = classify_ideal(colon_into_ring(n, whole_submodule(z6.inst.base_module)))
     assert set(di) == {"prime", "weakly_prime", "primary"}
+
+
+def _prime_azizi_behboodi_agree(module) -> int:
+    """prime, Azizi and Behboodi give the same verdict on every proper N."""
+    subs = enumerate_submodules(module)
+    for n in subs:
+        if n.is_proper:
+            prime = is_prime_submodule(n).holds
+            assert is_weakly_prime_submodule_azizi(n, subs).holds == prime, n
+            assert is_weakly_prime_submodule_behboodi(n).holds == prime, n
+    return sum(n.is_proper for n in subs)
+
+
+@pytest.mark.parametrize("family,cap", [("zn", 256), ("families", 64)])
+def test_azizi_and_behboodi_are_prime_on_finite_rings(family, cap):
+    # In a finite commutative ring every prime ideal is maximal, so both
+    # notions reduce to prime: each (N : x), x outside N, is a prime ideal
+    # containing the maximal ideal (N : M), hence equal to it.
+    # The families stop at |M><I| = 64: Behboodi builds a quotient and its
+    # lattice per N, and the 256-element A + A/J duplications take ~25 s.
+    bases = ([ring_as_module(make_zn(n)) for n in range(1, 17)]
+             if family == "zn" else family_modules())
+    checked = 0
+    for module in bases:
+        for inst in duplications(module, cap):
+            checked += _prime_azizi_behboodi_agree(inst.base_module)
+            checked += _prime_azizi_behboodi_agree(inst.bowtie_module)
+    if family == "zn":
+        assert checked == 540

@@ -41,8 +41,9 @@ SEED_STDOUT_SHA256 = {
 # SHA-256 of the stdout of scripts/replay_examples.py without its timing line
 REPLAY_SHA256 = "946b45d3c4b8df2f38d9eab3c303600867832632896415c74aa273dc78e2681c"
 
-# SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip rows
-HUNT_BUDGET_SKIP_SHA256 = "f8ec6e720c59f4430116c87fd612a377f3bf8347aa6418c885b09960909d0519"
+# SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip
+# rows, one per (variant, reading) cell of each checker
+HUNT_BUDGET_SKIP_SHA256 = "9f280e9456cf3b4827433a2e872bfbfed78f4951c210d5c7d30225e23be84e78"
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -282,6 +283,26 @@ def test_budget_covers_the_duplicated_ring(tmp_path, capsys):
     assert main(["verify", str(p), "--budget", "256"]) == 4
     assert ("|A><I| = 576 exceeds the budget 256; raise --budget or BOWTIE_BUDGET"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ring,size", [
+    ({"zn": 2000}, 2000),
+    ({"product": [{"zn": 20}, {"zn": 20}]}, 400),
+], ids=["zn", "product"])
+def test_large_ring_refused_before_its_tables(ring, size, tmp_path, capsys, monkeypatch):
+    import bowtie.instances
+
+    def unbuilt(*args):
+        raise AssertionError("tables built for an over-budget ring")
+
+    monkeypatch.setattr(bowtie.instances, "make_zn", unbuilt)
+    monkeypatch.setattr(bowtie.instances, "direct_product", unbuilt)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"ring": ring, "ideal_generators": [], "module": "regular"}))
+    assert main(["classify", str(p)]) == 4
+    assert capsys.readouterr().err == (
+        f"bowtie: error: |A| = {size} exceeds the budget 256;"
+        " raise --budget or BOWTIE_BUDGET\n")
 
 
 def test_budget_env_var(z6_path):

@@ -6,7 +6,7 @@ The oracles in ``oracles.py`` compute the same things from member
 frozensets. Verdicts (truth, witness tuple, witness text), colon members
 and condition witnesses must be identical on every submodule N of every
 duplication over Z_n, n <= 12, and of the non-cyclic families of
-``test_validation.py``.
+``families.py``.
 """
 
 import pytest
@@ -35,7 +35,7 @@ from bowtie.theorems import (
 )
 
 import oracles
-from test_validation import _direct_sum, _products
+from families import direct_sum, products
 
 # duplications of the non-cyclic families are checked up to this |M><I|
 FAMILY_BUDGET = 32
@@ -96,7 +96,7 @@ def test_kernel_matches_oracles_on_zn_duplications(n):
 def _families() -> list[tuple[str, TableRing, TableModule]]:
     """Z2xZ2, Z2xZ4 and Z3xZ4 acting on themselves, on A/J and on A + A/J."""
     out = []
-    for ring in _products():
+    for ring in products():
         regular = ring_as_module(ring)
         out.append((ring.name, ring, regular))
         for j in enumerate_ideals(ring)[1:-1]:
@@ -104,7 +104,7 @@ def _families() -> list[tuple[str, TableRing, TableModule]]:
             out.append((f"{ring.name}/{j.label_set()}", ring, quo))
             if ring.size * quo.size <= 32:
                 out.append((f"{ring.name}+{ring.name}/{j.label_set()}", ring,
-                            _direct_sum(regular, quo)))
+                            direct_sum(regular, quo)))
     return out
 
 

@@ -191,6 +191,19 @@ def test_hunt_budget_skip_rows():
     assert all(r.outcome == "pass" for r in checked)
 
 
+def test_hunt_budget_skip_rows_fill_the_checker_cells():
+    # a skipped instance reports under each variant and reading its checker
+    # runs with, so the summary counts the skip in the same cells
+    reports = hunt(CorpusSpec(max_n=4), theorems=["T4", "L3i", "L1"], budget=10)
+    cells = [(r.theorem_id, r.variant, r.reading) for r in reports if r.outcome == "skip"]
+    assert cells == (
+        [("L1", "-", "-")]
+        + [("L3i", v, g) for v in ALL_VARIANTS for g in BOTH_READINGS]
+        + [("T4", v, "-") for v in ALL_VARIANTS]
+    )
+    assert "T4\t-" not in summarize(reports)
+
+
 def test_hunt_deterministic_across_workers():
     one = serialize_reports(hunt(CorpusSpec(max_n=5), workers=1))
     three = serialize_reports(hunt(CorpusSpec(max_n=5), workers=3))

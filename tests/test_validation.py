@@ -1,33 +1,60 @@
-"""The generator-reduced axiom validators against the exhaustive sweeps.
+"""Axiom validation, at the trust boundary and as a test of constructions.
 
 ``validate_ring`` and ``validate_module`` check associativity,
 distributivity and the action axioms only at additive generators. The
 oracles in ``oracles.py`` sweep every triple. Here both run on every
-duplication over Z_n for n <= 16, and on seeded corruptions of rings and
-modules with one and with several additive generators.
+duplication over Z_n for n <= 16 and over the families of ``families.py``,
+and on seeded corruptions of rings and modules with one and with several
+additive generators.
+
+The library validates only tables read from instance documents. Every
+construction (Z_n, products, subrings, quotients, duplications,
+restrictions of scalars, and the submodules and ideals built unchecked
+from them) is a ring, module, submodule or ideal by theorem; the tests
+below check each one against the oracles instead.
 """
 
 import random
+import sys
 
+import numpy as np
 import pytest
 
-from bowtie.duplication import build_bowtie
+from bowtie import modules, rings
+from bowtie.duplication import (
+    bowtie_submodule,
+    build_bowtie,
+    distinguished_submodules,
+    restrict_scalars,
+    zero_cross_i,
+)
 from bowtie.modules import (
+    ModuleMap,
     Submodule,
     TableModule,
+    check_module_map,
+    enumerate_submodules,
+    image,
+    kernel,
     quotient_module,
     ring_as_module,
     validate_module,
 )
 from bowtie.rings import (
+    Ideal,
     RingAxiomError,
     TableRing,
     direct_product,
     enumerate_ideals,
     make_zn,
+    quotient_ring,
+    subring_from_subset,
     validate_ring,
 )
+from bowtie.instances import InstanceSpec
+from bowtie.theorems import CorpusSpec, hunt
 
+from families import duplications, family_modules, products, quotient_bases, quotients_and_sums
 from oracles import module_axiom_violations, ring_axiom_violations
 
 # The axioms checked at generators; every other check is entry by entry.
@@ -43,52 +70,148 @@ MODULE_GENERATOR_AXIOMS = frozenset({
     "action does not respect ring multiplication",
 })
 
+FAMILY = family_modules()
+
+
+def _revalidates(s: Submodule | Ideal) -> None:
+    """A submodule or ideal built unchecked passes the library's own check."""
+    if isinstance(s, Ideal):
+        assert Ideal(s.ring, s.members).members == s.members
+    else:
+        assert Submodule(s.module, s.members).members == s.members
+
+
+def _assert_diagonal_embeds(inst) -> None:
+    """a -> (a, a) is an injective unital ring homomorphism A -> A><I."""
+    base, dup = inst.base_ring, inst.bowtie_ring
+    emb = np.array([inst.ring_pair_index[(a, a)] for a in range(base.size)])
+    assert len(set(emb.tolist())) == base.size
+    assert (emb[base.zero], emb[base.one]) == (dup.zero, dup.one)
+    assert np.array_equal(dup.add_array[emb[:, None], emb], emb[base.add_array])
+    assert np.array_equal(dup.mul_array[emb[:, None], emb], emb[base.mul_array])
+
+
+def _assert_constructions_sound(inst) -> None:
+    ring, mod = inst.bowtie_ring, inst.bowtie_module
+    assert ring_axiom_violations(ring) == []
+    assert module_axiom_violations(mod) == []
+    validate_ring(ring)
+    validate_module(mod)
+    _assert_diagonal_embeds(inst)
+
+    # A><I again, as the subring of A x A on its pairs
+    base = inst.base_ring
+    if base.size ** 2 <= 256:
+        codes = [a * base.size + b for a, b in inst.ring_pairs]
+        sub, decode = subring_from_subset(direct_product(base, base), codes)
+        assert (sub.add, sub.mul, sub.zero, sub.one) == (ring.add, ring.mul, ring.zero, ring.one)
+        assert decode == tuple(codes)
+
+    # the quotient rings A/I and (A><I)/(0 x I)
+    for r, j in ((base, inst.ideal), (ring, zero_cross_i(inst))):
+        _revalidates(j)
+        quo, _ = quotient_ring(r, j)
+        assert ring_axiom_violations(quo) == []
+
+    # the submodules a duplication builds unchecked
+    zero_cross_im, im_cross_im = distinguished_submodules(inst)
+    for n in enumerate_submodules(inst.base_module):
+        _revalidates(bowtie_submodule(inst, n))
+    for s in (zero_cross_im, im_cross_im):
+        _revalidates(s)
+        quo, _ = quotient_module(mod, s)  # the two L8 quotients
+        assert module_axiom_violations(quo) == []
+
+    # M and M/IM over A><I, scalars through either component, and the two
+    # L8 projections onto them with their kernels and images
+    base_quo, bproj = quotient_module(inst.base_module, inst.im)
+    assert module_axiom_violations(base_quo) == []
+    firsts = [m for m, _ in inst.module_pairs]
+    for target, table in ((None, firsts), (base_quo, [bproj.table[m] for m in firsts])):
+        for which in ("first", "second"):
+            assert module_axiom_violations(restrict_scalars(inst, which, target)) == []
+        f = ModuleMap(mod, restrict_scalars(inst, "first", target), tuple(table))
+        assert check_module_map(f)
+        _revalidates(kernel(f))
+        _revalidates(image(f))
+
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_every_zn_duplication_passes_both(n):
-    ring = make_zn(n)
-    module = ring_as_module(ring)
-    for ideal in enumerate_ideals(ring):
-        inst = build_bowtie(ring, ideal, module)
-        assert ring_axiom_violations(inst.bowtie_ring) == []
-        assert module_axiom_violations(inst.bowtie_module) == []
-        validate_ring(inst.bowtie_ring)
-        validate_module(inst.bowtie_module)
+    for inst in duplications(ring_as_module(make_zn(n))):
+        _assert_constructions_sound(inst)
+
+
+@pytest.mark.parametrize("index", range(len(FAMILY)), ids=lambda i: FAMILY[i].name)
+def test_every_family_duplication_passes_both(index):
+    for inst in duplications(FAMILY[index]):
+        _assert_constructions_sound(inst)
+
+
+def test_constructed_rings_pass_the_oracle():
+    zn = [make_zn(n) for n in range(1, 33)]
+    rings = zn + [direct_product(a, b) for a in zn[:12] for b in zn[:12]
+                  if a.size <= b.size and a.size * b.size <= 48]
+    for ring in rings:
+        assert ring_axiom_violations(ring) == [], ring
+
+
+def test_first_components_of_a_bowtie_submodule_form_a_submodule():
+    # detect_bowtie_form builds N from the first components unchecked; they
+    # are the image of S under the first projection (456 S over Z_n, n <= 16)
+    for n in range(1, 17):
+        for inst in duplications(ring_as_module(make_zn(n))):
+            for s in enumerate_submodules(inst.bowtie_module):
+                firsts = {inst.module_pairs[i][0] for i in s.members}
+                _revalidates(Submodule(inst.base_module, firsts, _checked=True))
+
+
+def _replace_validators(monkeypatch, make) -> None:
+    """Rebind validate_ring and validate_module, in every bowtie namespace
+    that binds them, to make(the real function)."""
+    for real in (rings.validate_ring, modules.validate_module):
+        stub = make(real)
+        for name, namespace in list(sys.modules.items()):
+            if name.split(".")[0] == "bowtie" and getattr(namespace, real.__name__, None) is real:
+                monkeypatch.setattr(namespace, real.__name__, stub)
+
+
+def test_constructions_never_call_the_validators(monkeypatch):
+    expected = hunt(CorpusSpec(max_n=8))
+
+    def refusing(real):
+        def stub(obj, limit=None):
+            raise AssertionError(f"{real.__name__} called on {obj!r}")
+        return stub
+
+    _replace_validators(monkeypatch, refusing)
+    assert hunt(CorpusSpec(max_n=8)) == expected
+
+
+def test_tables_spec_calls_both_validators(monkeypatch):
+    calls = []
+
+    def recording(real):
+        def stub(obj, limit=None):
+            calls.append(real.__name__)
+            return real(obj, limit)
+        return stub
+
+    _replace_validators(monkeypatch, recording)
+    z4 = make_zn(4)
+    InstanceSpec.from_dict({
+        "ring": {"tables": {"add": [list(r) for r in z4.add], "mul": [list(r) for r in z4.mul]}},
+        "ideal_generators": ["2"],
+        "module": {"tables": {"add": [[0, 1], [1, 0]], "act": [[0, a % 2] for a in range(4)]}},
+    }).build()
+    assert calls == ["validate_ring", "validate_module"]
 
 
 # ------------------------------------------------------------------ fuzz
 
 
-def _direct_sum(m1: TableModule, m2: TableModule) -> TableModule:
-    """M1 + M2 on pairs (x, y) at index x*|M2| + y."""
-    k1, k2 = m1.size, m2.size
-
-    def combine(op1, op2, rows):
-        return tuple(
-            tuple(op1[a][c] * k2 + op2[b][d] for c in range(k1) for d in range(k2))
-            for a, b in rows
-        )
-
-    elements = [(x, y) for x in range(k1) for y in range(k2)]
-    scalars = [(s, s) for s in range(m1.ring.size)]
-    return TableModule(
-        ring=m1.ring, size=k1 * k2,
-        add=combine(m1.add, m2.add, elements),
-        act=combine(m1.act, m2.act, scalars),
-        zero=m1.zero * k2 + m2.zero,
-        labels=tuple(f"({a},{b})" for a in m1.labels for b in m2.labels),
-        name=f"{m1.name}+{m2.name}",
-    )
-
-
-def _products() -> list[TableRing]:
-    """Z2xZ2, Z2xZ4 and Z3xZ4, where the greedy search finds two generators."""
-    z2, z3, z4 = make_zn(2), make_zn(3), make_zn(4)
-    return [direct_product(z2, z2), direct_product(z2, z4), direct_product(z3, z4)]
-
-
 def _fuzz_rings() -> list[TableRing]:
-    rings = [make_zn(n) for n in range(1, 13)] + _products()
+    rings = [make_zn(n) for n in range(1, 13)] + products()
     for n in (4, 6, 8):
         base = make_zn(n)
         module = ring_as_module(base)
@@ -97,17 +220,10 @@ def _fuzz_rings() -> list[TableRing]:
 
 
 def _fuzz_modules() -> list[TableModule]:
-    bases = [make_zn(n) for n in (2, 4, 6, 8, 9, 12)] + _products()
     modules = []
-    for ring in bases:
-        regular = ring_as_module(ring)
-        modules.append(regular)
-        for j in enumerate_ideals(ring)[1:-1]:
-            # A/J, and A + A/J, as modules over A
-            quo, _ = quotient_module(regular, Submodule(regular, j.members))
-            modules.append(quo)
-            if ring.size * quo.size <= 32:
-                modules.append(_direct_sum(regular, quo))
+    for ring in quotient_bases():
+        modules.append(ring_as_module(ring))
+        modules += quotients_and_sums(ring)
     for n in (4, 6):
         base = make_zn(n)
         regular = ring_as_module(base)
