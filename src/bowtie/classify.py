@@ -221,11 +221,17 @@ def is_weakly_prime_submodule_azizi(
     return Verdict(holds=True, variant="azizi")
 
 
-def is_weakly_prime_module(module: TableModule) -> Verdict:
-    """Every nonzero submodule has a prime annihilator."""
+def is_weakly_prime_module(
+    module: TableModule, submodules: list[Submodule] | None = None
+) -> Verdict:
+    """Every nonzero submodule has a prime annihilator.
+
+    Pass the module's precomputed lattice to avoid re-enumerating.
+    """
     if module.size == 1:
         raise ImproperError("the zero module has no nonzero submodules")
-    for s_index, s in enumerate(enumerate_submodules(module)):
+    subs = enumerate_submodules(module) if submodules is None else submodules
+    for s_index, s in enumerate(subs):
         if s.is_zero:
             continue
         ann = annihilator(s)

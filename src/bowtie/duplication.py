@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing
-from .modules import Submodule, TableModule, _additive_closure
+from .rings import ClosureError, Ideal, TableRing, _additive_closure
+from .modules import Submodule, TableModule
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,19 +4,20 @@ A module is an addition table plus a scalar-action table (ring index x
 module index). Submodules are canonically stored as sorted index tuples
 and as bitmasks, so every enumeration and witness is reproducible; each
 submodule N computes its preimage masks pre[a] = {x : a*x in N} once, and
-colons are read off them.
+colons are read off them. The lattice is enumerated on masks too: the
+cyclic submodules come from one packed table, and a join K + Rg is an OR
+of cosets of K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .rings import (
     DEFAULT_VALIDATION_LIMIT,
-    _additive_closure,
     _additive_generators,
     _associative_at,
     Ideal,
@@ -24,7 +25,9 @@ from .rings import (
     TableRing,
     bits,
     derived,
+    lowest_bit,
     mask_of,
+    pack_rows,
     preimage_masks,
     table_array,
 )
@@ -231,47 +234,75 @@ def whole_submodule(module: TableModule) -> Submodule:
     return Submodule(module, range(module.size), _checked=True)
 
 
-def cyclic_members(module: TableModule, x: int) -> frozenset[int]:
-    """The cyclic submodule generated by one element, as a member set."""
-    return frozenset(module.act[s][x] for s in range(module.ring.size))
+def cyclic_masks(module: TableModule) -> tuple[int, ...]:
+    """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once."""
+
+    def compute() -> tuple[int, ...]:
+        act = module.act_array
+        hits = np.zeros((module.size, module.size), dtype=bool)
+        hits[np.arange(module.size), act] = True  # hits[g, s*g]
+        return pack_rows(hits)
+
+    return derived(module, "cyclic_masks", compute)
+
+
+def _join(
+    add: Sequence[Sequence[int]], k_mask: int, k_members: Sequence[int], other: int,
+    cosets: dict[int, int],
+) -> int:
+    """K + S for a submodule K and a subset S, as a mask.
+
+    K + S is the union of the cosets y + K over y in S, and a union of
+    cosets of K that contains y contains y + K, so only the y of S not yet
+    covered add a coset. ``cosets`` caches y + K by y, so each coset is
+    computed at most once per K.
+    """
+    joined = k_mask
+    rest = other & ~joined
+    while rest:
+        y = lowest_bit(rest)
+        coset = cosets.get(y)
+        if coset is None:
+            row = add[y]
+            coset = 0
+            for m in k_members:
+                coset |= 1 << row[m]
+            cosets[y] = coset
+        joined |= coset
+        rest &= ~joined
+    return joined
 
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
-    """Closure of the generators under action and addition."""
-    seed = {module.zero}
+    """The sum of the cyclic submodules of the generators."""
+    cyclic = cyclic_masks(module)
+    k = 1 << module.zero
     for g in gens:
         g = int(g)
         if not 0 <= g < module.size:
             raise ValueError(f"generator index {g} out of range")
-        seed.update(cyclic_members(module, g))
-    closed = _additive_closure(module.add, seed, module.zero)
-    return Submodule(module, closed, _checked=True)
+        k = _join(module.add, k, bits(k), cyclic[g], {})
+    return Submodule(module, bits(k), _checked=True)
 
 
 def enumerate_submodules(module: TableModule) -> list[Submodule]:
     """All submodules, as joins of cyclic ones, in (size, members) order."""
-    cyclics: list[frozenset[int]] = [frozenset((module.zero,))]
-    seen: set[frozenset[int]] = {cyclics[0]}
-    for g in range(module.size):
-        c = cyclic_members(module, g)
-        if c not in seen:
-            seen.add(c)
-            cyclics.append(c)
-    found = set(cyclics)
-    work = list(cyclics)
+    gens = list(dict.fromkeys(cyclic_masks(module)))
+    found = {1 << module.zero, *gens}
+    work = list(found)
     add = module.add
     while work:
         cur = work.pop()
-        for c in cyclics:
-            if c <= cur:
-                continue
-            # sum of two submodules is the pointwise sum set
-            joined = frozenset(add[x][y] for x in cur for y in c)
-            if joined not in found:
-                found.add(joined)
-                work.append(joined)
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return [Submodule(module, s, _checked=True) for s in ordered]
+        members = bits(cur)
+        cosets: dict[int, int] = {}
+        for c in gens:
+            if c & ~cur:
+                joined = _join(add, cur, members, c, cosets)
+                if joined not in found:
+                    found.add(joined)
+                    work.append(joined)
+    ordered = sorted(found, key=lambda m: (m.bit_count(), bits(m)))
+    return [Submodule(module, bits(m), _checked=True) for m in ordered]
 
 
 def _same_module(n: Submodule, k: Submodule) -> TableModule:
@@ -313,22 +344,21 @@ class CyclicResult(NamedTuple):
 
 def is_cyclic(module: TableModule) -> CyclicResult:
     """Whether one element generates everything; first generator if so."""
-    for g in range(module.size):
-        if len(cyclic_members(module, g)) == module.size:
+    whole = (1 << module.size) - 1
+    for g, c in enumerate(cyclic_masks(module)):
+        if c == whole:
             return CyclicResult(True, g)
     return CyclicResult(False, None)
 
 
 def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
-    add = mod.add
-    members = frozenset(add[x][y] for x in n.members for y in k.members)
-    return Submodule(mod, members, _checked=True)
+    return Submodule(mod, bits(_join(mod.add, n.mask, n.members, k.mask, {})), _checked=True)
 
 
 def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
-    return Submodule(mod, n.member_set & k.member_set, _checked=True)
+    return Submodule(mod, bits(n.mask & k.mask), _checked=True)
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:

@@ -65,7 +65,6 @@ from .duplication import (
     build_bowtie,
     bowtie_submodule,
     distinguished_submodules,
-    predicted_sizes,
     restrict_scalars,
 )
 
@@ -797,8 +796,8 @@ def check_T_final(ctx: Instance) -> TheoremReport:
             key, "T_FINAL", variant="behboodi", outcome="na",
             notes="hypothesis fails: M is the zero module",
         )
-    wp_dup = is_weakly_prime_module(inst.bowtie_module)
-    wp_base = is_weakly_prime_module(inst.base_module)
+    wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
+    wp_base = is_weakly_prime_module(inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = distinguished_submodules(inst)
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im)
@@ -1038,11 +1037,10 @@ def _hunt_task(
     args: tuple[int, tuple[int, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...], int]
 ) -> list[TheoremReport]:
     n, ideal_members, theorems, variants, readings, budget = args
-    ring = make_zn(n)
-    ideal = Ideal(ring, ideal_members, _checked=True)  # from enumerate_ideals
-    module = ring_as_module(ring)
-    key = f"Z{n}|I={ideal.label_set()}"
-    _, module_size = predicted_sizes(ring, ideal, module)
+    # Z_n is labeled 0..n-1, and its regular module has IM = I, so the key
+    # and |M><I| = n*|I| are known before any table is built
+    key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
+    module_size = n * len(ideal_members)
     if module_size > budget:
         notes = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
@@ -1050,6 +1048,9 @@ def _hunt_task(
             for theorem in theorems
             for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
+    ring = make_zn(n)
+    ideal = Ideal(ring, ideal_members, _checked=True)  # from enumerate_ideals
+    module = ring_as_module(ring)
     ctx = Instance(ring, ideal, module, key=key)
     zero_probe = ideal.is_zero
     return run_instance(ctx, theorems, variants, readings, zero_ideal_probe=zero_probe)

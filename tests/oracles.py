@@ -36,6 +36,35 @@ def brute_submodules(module: TableModule) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def join_submodules(module: TableModule) -> list[tuple[int, ...]]:
+    """Every submodule as a join of cyclic ones, by pointwise frozenset sums.
+
+    Closes the cyclic submodules under K + Rg = {k + y : k in K, y in Rg}
+    and sorts by (size, members); takes carriers far beyond
+    ``brute_submodules``.
+    """
+    cyclics = [frozenset((module.zero,))]
+    seen = set(cyclics)
+    for g in range(module.size):
+        c = frozenset(module.act[s][g] for s in range(module.ring.size))
+        if c not in seen:
+            seen.add(c)
+            cyclics.append(c)
+    found = set(cyclics)
+    work = list(cyclics)
+    add = module.add
+    while work:
+        cur = work.pop()
+        for c in cyclics:
+            if c <= cur:
+                continue
+            joined = frozenset(add[x][y] for x in cur for y in c)
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
+    return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+
+
 def brute_ideals(ring: TableRing) -> list[frozenset[int]]:
     out = []
     for s in _subsets_with_zero(ring.size, ring.zero):

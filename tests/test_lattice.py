@@ -1,0 +1,109 @@
+"""The submodule lattice against its references.
+
+``enumerate_submodules`` joins cyclic submodules as ORs of coset masks.
+``oracles.join_submodules`` joins them as pointwise frozenset sums and
+``oracles.brute_submodules`` filters the powerset; the lists must be
+identical, in identical order. Every Instance enumerates its base module
+and M><I at most once.
+"""
+
+import sys
+
+import pytest
+
+from bowtie import theorems
+from bowtie.duplication import build_bowtie
+from bowtie.cli import main
+from bowtie.instances import SEEDS
+from bowtie.modules import enumerate_submodules, is_cyclic, ring_as_module
+from bowtie.rings import enumerate_ideals, make_zn
+from bowtie.theorems import CorpusSpec, hunt
+
+import oracles
+from families import direct_sum, duplications, family_modules
+
+
+def _members(module):
+    return [s.members for s in enumerate_submodules(module)]
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_zn_duplication_lattices_match_the_join_oracle(n):
+    ring = make_zn(n)
+    module = ring_as_module(ring)
+    assert _members(module) == oracles.join_submodules(module)
+    for ideal in enumerate_ideals(ring):
+        dup = build_bowtie(ring, ideal, module).bowtie_module
+        assert _members(dup) == oracles.join_submodules(dup)
+
+
+@pytest.mark.parametrize("module", family_modules(), ids=lambda m: m.name)
+def test_family_duplication_lattices_match_the_join_oracle(module):
+    assert _members(module) == oracles.join_submodules(module)
+    for inst in duplications(module):
+        dup = inst.bowtie_module
+        assert _members(dup) == oracles.join_submodules(dup)
+
+
+# the family modules of at most 16 elements, and Z2 + Z2 over Z2: Z2xZ2 and
+# Z2xZ4 on themselves, and A/J and A + A/J over Z4, Z8, Z2xZ2 and Z2xZ4
+SMALL = [m for m in family_modules() if m.size <= 16] + [
+    direct_sum(ring_as_module(make_zn(2)), ring_as_module(make_zn(2)))
+]
+
+
+def test_small_modules_include_non_cyclic_ones():
+    assert sum(not is_cyclic(m).holds for m in SMALL) >= 5
+
+
+@pytest.mark.parametrize("module", SMALL, ids=lambda m: m.name)
+def test_small_lattices_match_the_powerset(module):
+    brute = [tuple(sorted(s)) for s in oracles.brute_submodules(module)]
+    assert _members(module) == brute
+
+
+def _count_enumerations(monkeypatch):
+    """Record every enumerated module and every Instance's duplication."""
+    enumerated, built = [], []
+    real_enumerate = enumerate_submodules
+    real_build = theorems.build_bowtie
+
+    def counting(module):
+        enumerated.append(module)  # kept alive, so ids are not reused
+        return real_enumerate(module)
+
+    def recording(*args):
+        inst = real_build(*args)
+        built.append(inst)
+        return inst
+
+    for name, namespace in list(sys.modules.items()):
+        bound = getattr(namespace, "enumerate_submodules", None)
+        if name.split(".")[0] == "bowtie" and bound is real_enumerate:
+            monkeypatch.setattr(namespace, "enumerate_submodules", counting)
+    monkeypatch.setattr(theorems, "build_bowtie", recording)
+    return enumerated, built
+
+
+def _assert_once_per_instance(enumerated, built):
+    counts: dict[int, int] = {}
+    for module in enumerated:
+        counts[id(module)] = counts.get(id(module), 0) + 1
+    assert built
+    for inst in built:
+        for module in (inst.base_module, inst.bowtie_module):
+            assert counts.get(id(module), 0) <= 1, module
+
+
+def test_hunt_enumerates_each_instance_lattice_once(monkeypatch):
+    enumerated, built = _count_enumerations(monkeypatch)
+    hunt(CorpusSpec(max_n=8))
+    _assert_once_per_instance(enumerated, built)
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDS))
+def test_verify_enumerates_each_instance_lattice_once(seed, monkeypatch, capsys):
+    enumerated, built = _count_enumerations(monkeypatch)
+    main(["verify", "--seed-corpus", seed])
+    capsys.readouterr()
+    _assert_once_per_instance(enumerated, built)

@@ -9,7 +9,7 @@ from bowtie.modules import (
     check_module_map,
     colon_by_scalar,
     colon_into_ring,
-    cyclic_members,
+    cyclic_masks,
     enumerate_submodules,
     image,
     is_cyclic,
@@ -24,7 +24,7 @@ from bowtie.modules import (
     whole_submodule,
     zero_submodule,
 )
-from bowtie.rings import RingAxiomError, make_zn
+from bowtie.rings import RingAxiomError, make_zn, mask_of
 
 from oracles import brute_submodules
 
@@ -71,7 +71,7 @@ def test_submodule_generated_and_cyclic():
     m = ring_as_module(make_zn(6))
     assert submodule_generated(m, ()).members == (0,)
     assert submodule_generated(m, (2,)).members == (0, 2, 4)
-    assert cyclic_members(m, 2) == frozenset({0, 2, 4})
+    assert cyclic_masks(m)[2] == mask_of({0, 2, 4})
     cyc = is_cyclic(m)
     assert cyc.holds and cyc.generator == 1
 

@@ -204,6 +204,26 @@ def test_hunt_budget_skip_rows_fill_the_checker_cells():
     assert "T4\t-" not in summarize(reports)
 
 
+def test_budget_skipped_task_builds_no_table(monkeypatch):
+    # a skipped Z_n task reads its key and |M><I| = n*|I| off the ideal
+    expected = hunt(CorpusSpec(max_n=6), theorems=["L1", "T4"], budget=10)
+    built = []
+    real = theorems.make_zn
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(theorems, "make_zn", counting)
+    for n, members in ((4, (0, 1, 2, 3)), (6, (0, 2, 4)), (6, (0, 1, 2, 3, 4, 5))):
+        task = (n, members, ("L1", "T4"), ALL_VARIANTS, BOTH_READINGS, 10)
+        rows = theorems._hunt_task(task)
+        key = f"Z{n}|I=" + "{" + ",".join(map(str, members)) + "}"
+        assert rows == [r for r in expected if r.instance_key == key]
+        assert rows and all(r.outcome == "skip" for r in rows)
+    assert built == []
+
+
 def test_hunt_deterministic_across_workers():
     one = serialize_reports(hunt(CorpusSpec(max_n=5), workers=1))
     three = serialize_reports(hunt(CorpusSpec(max_n=5), workers=3))
