@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, _additive_closure
+from .rings import ClosureError, Ideal, TableRing, _additive_closure, narrow_dtype
 from .modules import Submodule, TableModule
 
 
@@ -77,16 +77,21 @@ def _componentwise(
     lookup: np.ndarray,
     width: int,
     what: str,
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
     """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
 
     A result outside the carrier raises ClosureError at the first such
-    entry, with its two pairs as codes a*width + b.
+    entry, with its two pairs as codes a*width + b. The table comes back
+    read-only in table_array's dtype, so no int64 copy outlives the call.
     """
     t = np.asarray(op, dtype=np.int64)
     r = np.asarray(rows, dtype=np.int64)
     c = np.asarray(cols, dtype=np.int64)
-    table = lookup[t[r[:, :1], c[:, 0]] * width + t[r[:, 1:], c[:, 1]]]
+    # codes are built in place: they are a build's largest temporaries
+    codes = t[r[:, :1], c[:, 0]]
+    codes *= width
+    codes += t[r[:, 1:], c[:, 1]]
+    table = lookup[codes]
     if (table < 0).any():
         i, j = (int(v) for v in np.argwhere(table < 0)[0])
         (a, b), (x, y) = rows[i], cols[j]
@@ -94,6 +99,14 @@ def _componentwise(
             f"subset not closed under {what} at (({a},{b}),({x},{y}))",
             (a * width + b, x * width + y),
         )
+    # the entries index the carrier of cols, and the row of zero (for add)
+    # or of one (for mul and act) holds every one of them
+    table = table.astype(narrow_dtype(0, len(cols) - 1))
+    table.setflags(write=False)
+    return table
+
+
+def _tuples(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table.tolist()))
 
 
@@ -104,7 +117,9 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     M x M, and both are operated on componentwise. They are a ring and a
     module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
     nothing is re-validated; a pair set that is not closed raises
-    ClosureError.
+    ClosureError. The numpy tables that the checkers read (the module's
+    addition and action, the ring's multiplication) are kept from the
+    construction rather than rebuilt from the tuples.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -115,36 +130,42 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     n = ring.size
     ring_pairs = tuple(sorted({(a, ring.add[a][i]) for a in range(n) for i in ideal.members}))
     ring_index = _pair_lookup(ring_pairs, n)
+    ring_add = _tuples(_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"))
+    ring_mul = _componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul")
     bowtie_ring = TableRing(
         size=len(ring_pairs),
-        add=_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"),
-        mul=_componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul"),
+        add=ring_add,
+        mul=_tuples(ring_mul),
         zero=int(ring_index[ring.zero * n + ring.zero]),
         one=int(ring_index[ring.one * n + ring.one]),
         labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
         name=f"sub(({ring.name}x{ring.name}))",
     )
+    bowtie_ring.derived_cache["mul_array"] = ring_mul
 
     # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
     k = module.size
-    module_pairs = tuple(
-        (m, mp)
-        for m in range(k)
-        for mp in range(k)
-        if module.sub(m, mp) in im.member_set
-    )
+    inside = np.zeros(k, dtype=bool)
+    inside[list(im.members)] = True
+    diff = module.add_array[:, np.asarray(module.neg)]  # diff[m, m'] = m - m'
+    firsts, seconds = np.nonzero(inside[diff])
+    module_pairs = tuple(zip(firsts.tolist(), seconds.tolist()))
     module_index = _pair_lookup(module_pairs, k)
+    add = _componentwise(module.add, module_pairs, module_pairs, module_index, k, "add")
+    act = _componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act")
     bowtie_module = TableModule(
         ring=bowtie_ring,
         size=len(module_pairs),
-        add=_componentwise(module.add, module_pairs, module_pairs, module_index, k, "add"),
-        act=_componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act"),
+        add=_tuples(add),
+        act=_tuples(act),
         zero=int(module_index[module.zero * k + module.zero]),
         labels=tuple(
             f"({module.labels[m]},{module.labels[mp]})" for (m, mp) in module_pairs
         ),
         name=f"{module.name}><{ideal.label_set()}",
     )
+    bowtie_module.derived_cache["add_array"] = add
+    bowtie_module.derived_cache["act_array"] = act
     return BowtieInstance(
         base_ring=ring,
         ideal=ideal,
@@ -222,16 +243,23 @@ def restrict_scalars(
     if m0.ring is not inst.base_ring:
         raise ValueError("module is over a different base ring")
     comp = 0 if which == "first" else 1
-    act = tuple(m0.act[pair[comp]] for pair in inst.ring_pairs)
-    return TableModule(
+    rows = [pair[comp] for pair in inst.ring_pairs]
+    restricted = TableModule(
         ring=inst.bowtie_ring,
         size=m0.size,
         add=m0.add,
-        act=act,
+        act=tuple(m0.act[r] for r in rows),
         zero=m0.zero,
         labels=m0.labels,
         name=f"{m0.name}|{which}",
     )
+    # every row of the base appears in rows, so the gathered copy has the
+    # dtype table_array would choose
+    act = m0.act_array[rows]
+    act.setflags(write=False)
+    restricted.derived_cache["add_array"] = m0.add_array
+    restricted.derived_cache["act_array"] = act
+    return restricted
 
 
 def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:

@@ -47,6 +47,12 @@ class TableModule:
     derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
+    def add_array(self) -> np.ndarray:
+        if self.add is self.ring.add:  # the regular module shares the ring's table
+            return self.ring.add_array
+        return derived(self, "add_array", lambda: table_array(self.add))
+
+    @property
     def act_array(self) -> np.ndarray:
         if self.act is self.ring.mul:  # the regular module shares the ring's table
             return self.ring.mul_array
@@ -92,7 +98,7 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
         raise RingAxiomError("empty module carrier")
     if max(k, r) > limit:
         return
-    add = table_array(module.add)
+    add = module.add_array
     act = module.act_array
     radd = module.ring.add_array
     rmul = module.ring.mul_array
@@ -405,20 +411,22 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
 
 
 def check_module_map(f: ModuleMap) -> bool:
-    """Pointwise additivity and action compatibility."""
+    """Additivity at every pair (x, y) and action compatibility at every (s, x).
+
+    Both are whole-table comparisons: f(x+y) against f(x)+f(y), and f(sx)
+    against s f(x).
+    """
     src, tgt = f.source, f.target
     if src.ring is not tgt.ring:
         raise ValueError("source and target are over different rings")
-    t = f.table
-    for x in range(src.size):
-        for y in range(src.size):
-            if t[src.add[x][y]] != tgt.add[t[x]][t[y]]:
-                return False
-    for s in range(src.ring.size):
-        for x in range(src.size):
-            if t[src.act[s][x]] != tgt.act[s][t[x]]:
-                return False
-    return True
+    if len(f.table) != src.size:
+        raise ValueError("map table length differs from the source size")
+    t = table_array(f.table)  # narrow, so that the gathered tables stay small
+    # both sides of each comparison have the shape of the source's table
+    return bool(
+        (t[src.add_array] == tgt.add_array[t[:, None], t[None, :]]).all()
+        and (t[src.act_array] == tgt.act_array[:, t]).all()
+    )
 
 
 def kernel(f: ModuleMap) -> Submodule:

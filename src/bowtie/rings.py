@@ -35,21 +35,41 @@ class ClosureError(ValueError):
         self.pair = pair
 
 
-def table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
-    """A read-only numpy copy of an operation table.
+# table_array's dtypes, narrowest first, with the range each holds
+_NARROW = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
+                for d in (np.uint8, np.uint16, np.int32))
+
+
+def narrow_dtype(lo: int, hi: int) -> type:
+    """The dtype table_array gives a table whose entries range over lo..hi."""
+    for dtype, low, high in _NARROW:
+        if low <= lo and hi <= high:
+            return dtype
+    raise OverflowError(f"table entries {lo}..{hi} are out of bounds for int32")
+
+
+def table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """A read-only numpy copy of an operation table, nested sequences or array.
 
     Entries are stored as uint8 or uint16 when they all fit, so that the
     copies cached next to the tuple tables stay small; a table with an entry
     outside that range (which validation then rejects) is int32.
     """
-    for dtype in (np.uint8, np.uint16):
-        try:
-            arr = np.asarray(table, dtype=dtype)
-            break
-        except OverflowError:  # an entry is negative or too large for dtype
-            continue
+    if isinstance(table, np.ndarray):
+        # casting an array to a narrower dtype wraps silently, so the
+        # dtype is chosen from the entries' range
+        lo, hi = (int(table.min()), int(table.max())) if table.size else (0, 0)
+        arr = table.astype(narrow_dtype(lo, hi))
     else:
-        arr = np.asarray(table, dtype=np.int32)
+        # casting nested sequences raises OverflowError at an entry out of range
+        for dtype in (np.uint8, np.uint16):
+            try:
+                arr = np.asarray(table, dtype=dtype)
+                break
+            except OverflowError:
+                continue
+        else:
+            arr = np.asarray(table, dtype=np.int32)
     arr.setflags(write=False)
     return arr
 

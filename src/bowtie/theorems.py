@@ -23,7 +23,6 @@ import numpy as np
 from .rings import (
     Ideal,
     TableRing,
-    enumerate_ideals,
     lowest_bit,
     make_zn,
     pack_rows,
@@ -1049,7 +1048,7 @@ def _hunt_task(
             for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
     ring = make_zn(n)
-    ideal = Ideal(ring, ideal_members, _checked=True)  # from enumerate_ideals
+    ideal = Ideal(ring, ideal_members, _checked=True)  # dZ_n, from hunt
     module = ring_as_module(ring)
     ctx = Instance(ring, ideal, module, key=key)
     zero_probe = ideal.is_zero
@@ -1075,11 +1074,14 @@ def hunt(
     variants = tuple(variants) if variants else VARIANTS
     readings = tuple(readings) if readings else READINGS
     budget = default_budget() if budget is None else budget
-    tasks = []
-    for n in range(1, corpus.max_n + 1):
-        ring = make_zn(n)
-        for ideal in enumerate_ideals(ring):
-            tasks.append((n, ideal.members, chosen, variants, readings, budget))
+    # the ideals of Z_n are the dZ_n for the divisors d of n, listed as
+    # enumerate_ideals orders them: ascending size, so descending d
+    tasks = [
+        (n, tuple(range(0, n, d)), chosen, variants, readings, budget)
+        for n in range(1, corpus.max_n + 1)
+        for d in range(n, 0, -1)
+        if n % d == 0
+    ]
     # more processes than tasks or cores buy nothing, and all start at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:

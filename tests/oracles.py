@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from bowtie.classify import Verdict
-from bowtie.modules import Submodule, TableModule
+from bowtie.modules import ModuleMap, Submodule, TableModule
 from bowtie.rings import Ideal, TableRing
 
 
@@ -63,6 +63,21 @@ def join_submodules(module: TableModule) -> list[tuple[int, ...]]:
                 found.add(joined)
                 work.append(joined)
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+
+
+def module_map_holds(f: ModuleMap) -> bool:
+    """f(x+y) = f(x)+f(y) for every pair and f(sx) = s f(x) for every (s, x)."""
+    src, tgt = f.source, f.target
+    t = f.table
+    for x in range(src.size):
+        for y in range(src.size):
+            if t[src.add[x][y]] != tgt.add[t[x]][t[y]]:
+                return False
+    for s in range(src.ring.size):
+        for x in range(src.size):
+            if t[src.act[s][x]] != tgt.act[s][t[x]]:
+                return False
+    return True
 
 
 def brute_ideals(ring: TableRing) -> list[frozenset[int]]:

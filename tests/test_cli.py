@@ -14,6 +14,11 @@ from bowtie.cli import main
 # and reading, budget 256), as first recorded in BENCH_3.json
 HUNT_MAX12_SHA256 = "1a097192b73711ff4e51bef7e89fbdb14d6d1053340c6ad38fe068a431166be1"
 
+# SHA-256 of the stdout of `bowtie hunt --max 20 --theorem L8`, the report
+# of perfbench's l8-sweep workload (budget 256: the n = 17..20 instances
+# with I = Z_n are skip rows)
+HUNT_L8_MAX20_SHA256 = "19ee1fe2bf59feda9262cf457854ddb78b715e5574caf07c81c3a53efbc5ee7c"
+
 # (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
 SEED_STDOUT_SHA256 = {
     ("verify", "z12-prime"):
@@ -201,6 +206,12 @@ def test_hunt_max12_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "12"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX12_SHA256
+
+
+def test_hunt_l8_max20_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "20", "--theorem", "L8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_L8_MAX20_SHA256
 
 
 def test_hunt_budget_skip_report_is_byte_identical(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bowtie.duplication import (
@@ -20,7 +21,7 @@ from bowtie.modules import (
     ring_as_module,
     zero_submodule,
 )
-from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn
+from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, table_array
 from bowtie.theorems import make_zn_instance
 
 Z6_PAIRS = (
@@ -124,6 +125,31 @@ def test_restrict_scalars_first_and_second(z6):
     assert t2.act[i14][1] == 4
     with pytest.raises(ValueError):
         restrict_scalars(inst, "third")
+
+
+@pytest.mark.parametrize("n,ideal_step", [(255, 255), (16, 1), (256, 256), (17, 1), (257, 257)],
+                         ids=["255", "256-full", "256-zero", "289", "257"])
+def test_seeded_arrays_equal_table_array_of_the_tuples(n, ideal_step):
+    # the arrays build_bowtie and restrict_scalars keep from construction
+    # match what table_array would build from the tuple tables, across the
+    # uint8/uint16 boundary (|M><I| = 255, 256, 289 and 257)
+    ring = make_zn(n)
+    inst = build_bowtie(ring, Ideal(ring, range(0, n, ideal_step)), ring_as_module(ring))
+    seeded = [
+        (inst.bowtie_ring, "mul_array", inst.bowtie_ring.mul),
+        (inst.bowtie_module, "add_array", inst.bowtie_module.add),
+        (inst.bowtie_module, "act_array", inst.bowtie_module.act),
+    ]
+    for which in ("first", "second"):
+        t = restrict_scalars(inst, which)
+        seeded += [(t, "add_array", t.add), (t, "act_array", t.act)]
+    for obj, name, table in seeded:
+        arr = obj.derived_cache[name]
+        expected = table_array(table)
+        assert arr.dtype == expected.dtype, (obj, name)
+        assert np.array_equal(arr, expected), (obj, name)
+        assert not arr.flags.writeable
+    assert inst.bowtie_module.size == n * len(inst.ideal)
 
 
 def test_mismatched_inputs_rejected():

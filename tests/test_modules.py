@@ -24,9 +24,12 @@ from bowtie.modules import (
     whole_submodule,
     zero_submodule,
 )
-from bowtie.rings import RingAxiomError, make_zn, mask_of
+from bowtie import theorems
+from bowtie.duplication import restrict_scalars
+from bowtie.rings import RingAxiomError, enumerate_ideals, make_zn, mask_of
 
-from oracles import brute_submodules
+from families import duplications, family_modules
+from oracles import brute_submodules, module_map_holds
 
 
 def test_regular_module_shape():
@@ -121,6 +124,69 @@ def test_module_map_rejects_non_hom():
     m = ring_as_module(make_zn(4))
     f = ModuleMap(source=m, target=m, table=(0, 2, 1, 3))
     assert not check_module_map(f)
+
+
+def _l8_maps(ctx, monkeypatch) -> list[ModuleMap]:
+    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them."""
+    seen = []
+
+    def recording(f):
+        seen.append(f)
+        return check_module_map(f)
+
+    monkeypatch.setattr(theorems, "check_module_map", recording)
+    assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
+    monkeypatch.undo()
+    assert len(seen) == 4
+    return seen
+
+
+def _mutations(f: ModuleMap) -> list[ModuleMap]:
+    """f with its first, then its last, entry moved to the next target element."""
+    out = []
+    for i in (0, len(f.table) - 1):
+        table = list(f.table)
+        table[i] = (table[i] + 1) % f.target.size
+        out.append(ModuleMap(f.source, f.target, tuple(table)))
+    return out
+
+
+def _assert_maps_agree_with_oracle(ctx, monkeypatch) -> None:
+    inst = ctx.inst
+    maps = _l8_maps(ctx, monkeypatch)
+    # the first projection with scalars through the second component is
+    # additive, but linear only when IM = 0
+    second = restrict_scalars(inst, "second")
+    proj = ModuleMap(inst.bowtie_module, second, tuple(m for m, _ in inst.module_pairs))
+    assert check_module_map(proj) == inst.im.is_zero
+    maps.append(proj)
+    for f in maps:
+        for g in [f, *_mutations(f)]:
+            assert check_module_map(g) == module_map_holds(g), (ctx.base_key, g.table[:8])
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_module_map_check_matches_oracle_on_zn(n, monkeypatch):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        ctx = theorems.Instance(ring, ideal, ring_as_module(ring))
+        _assert_maps_agree_with_oracle(ctx, monkeypatch)
+
+
+def test_module_map_check_matches_oracle_on_families(monkeypatch):
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            ctx = theorems.Instance(inst.base_ring, inst.ideal, module)
+            _assert_maps_agree_with_oracle(ctx, monkeypatch)
+            count += 1
+    assert count == 176
+
+
+def test_module_map_rejects_a_table_of_the_wrong_length():
+    m = ring_as_module(make_zn(4))
+    with pytest.raises(ValueError):
+        check_module_map(ModuleMap(source=m, target=m, table=(0, 1, 2)))
 
 
 def test_sum_and_intersection_z12():

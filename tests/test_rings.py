@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,7 @@ from bowtie.rings import (
     quotient_ring,
     radical,
     subring_from_subset,
+    table_array,
     validate_ring,
 )
 
@@ -76,6 +78,26 @@ def test_validation_skipped_above_limit():
     bad = TableRing(size=3, add=r.add, mul=tuple(map(tuple, mul)),
                     zero=0, one=1, labels=r.labels)
     validate_ring(bad, limit=2)  # carrier above the cap: not checked
+
+
+@pytest.mark.parametrize("hi,dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16),
+                                      (65536, np.int32)])
+@pytest.mark.parametrize("kind", [list, np.asarray])
+def test_table_array_dtype_from_range(hi, dtype, kind):
+    # an int64 array is narrowed by its range, never wrapped (300 is not 44)
+    table = kind([[0, hi], [hi, 1]])
+    arr = table_array(table)
+    assert arr.dtype == dtype
+    assert arr.tolist() == [[0, hi], [hi, 1]]
+    assert not arr.flags.writeable
+
+
+def test_table_array_negative_and_overflow():
+    assert table_array(np.asarray([[-1, 3]])).dtype == np.int32
+    with pytest.raises(OverflowError):
+        table_array(np.asarray([[0, 2**40]]))
+    with pytest.raises(OverflowError):
+        table_array([[0, 2**70]])
 
 
 def test_direct_product_tables():

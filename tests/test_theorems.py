@@ -4,6 +4,7 @@ import pytest
 
 from bowtie import theorems
 from bowtie.modules import Submodule, zero_submodule
+from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import (
     THEOREM_IDS,
     CorpusSpec,
@@ -222,6 +223,19 @@ def test_budget_skipped_task_builds_no_table(monkeypatch):
         assert rows == [r for r in expected if r.instance_key == key]
         assert rows and all(r.outcome == "skip" for r in rows)
     assert built == []
+    # hunt lists its tasks from the divisors of n, so only the in-budget
+    # tasks (n*|I| <= 10) build a Z_n, each its own
+    assert hunt(CorpusSpec(max_n=6), theorems=["L1", "T4"], budget=10) == expected
+    assert built == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+
+
+def test_hunt_lists_the_ideals_of_zn_in_enumeration_order(monkeypatch):
+    tasks = []
+    monkeypatch.setattr(theorems, "_hunt_task", lambda task: tasks.append(task) or [])
+    hunt(CorpusSpec(max_n=48), theorems=["L1"])
+    assert [(n, members) for n, members, *_ in tasks] == [
+        (n, j.members) for n in range(1, 49) for j in enumerate_ideals(make_zn(n))
+    ]
 
 
 def test_hunt_deterministic_across_workers():
