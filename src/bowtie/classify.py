@@ -19,6 +19,12 @@ every submodule T not inside N, Behboodi the same for every T strictly
 containing N, and (N : T) = (N : T+N) makes the two one condition. Every
 prime of a finite ring is maximal, so P = (N : M) is maximal and each
 (N : x) with x outside N, a prime containing P, equals P: N is prime.
+Behboodi is still evaluated by its own definition, so the checkers that
+compare it with prime stay independent checks. It does not build M/N:
+the submodules of M/N are the K/N for the K containing N in the lattice
+of M, Ann(K/N) = (N : K) is read off pre, and the K are visited in the
+order M/N's own enumeration lists them, by size and then by the least
+coset representatives in K, so its witnesses are those of the quotient.
 
 All scans read the preimage masks pre[a] = {x : a*x in N} of their
 input (``Submodule.pre``, ``Ideal.pre``) in canonical index order and take
@@ -29,16 +35,14 @@ first violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable
 
-from .rings import Ideal, bits, lowest_bit, mask_of, radical
+from .rings import Ideal, TableRing, bits, lowest_bit, mask_of, radical
 from .modules import (
     Submodule,
     TableModule,
-    annihilator,
     colon_mask,
     enumerate_submodules,
-    quotient_module,
 )
 
 VARIANTS = ("af", "azizi", "behboodi")
@@ -221,6 +225,40 @@ def is_weakly_prime_submodule_azizi(
     return Verdict(holds=True, variant="azizi")
 
 
+def _first_non_prime_annihilator(
+    ring: TableRing,
+    anns: Iterable[tuple[int, int]],
+    label: Callable[[int], str],
+    prefix: str = "",
+) -> Verdict:
+    """The first (s_index, annihilator mask) whose ideal is not prime.
+
+    Each distinct mask is tested for primality once; ``label(s_index)``
+    renders the submodule S of a failure, and ``prefix`` leads its text.
+    """
+    prime: set[int] = set()
+    for s_index, mask in anns:
+        if mask in prime:
+            continue
+        ann = Ideal(ring, bits(mask), _checked=True)
+        # S is nonzero, so its annihilator is proper and the test is legal
+        sub_verdict = is_prime_ideal(ann)
+        if sub_verdict.holds:
+            prime.add(mask)
+            continue
+        a, b = sub_verdict.witness
+        return Verdict(
+            holds=False,
+            variant="behboodi",
+            witness=(s_index, a, b),
+            witness_text=(
+                f"{prefix}S={label(s_index)} has non-prime annihilator {ann.label_set()}:"
+                f" {sub_verdict.witness_text}"
+            ),
+        )
+    return Verdict(holds=True, variant="behboodi")
+
+
 def is_weakly_prime_module(
     module: TableModule, submodules: list[Submodule] | None = None
 ) -> Verdict:
@@ -231,39 +269,51 @@ def is_weakly_prime_module(
     if module.size == 1:
         raise ImproperError("the zero module has no nonzero submodules")
     subs = enumerate_submodules(module) if submodules is None else submodules
-    for s_index, s in enumerate(subs):
-        if s.is_zero:
-            continue
-        ann = annihilator(s)
-        # s nonzero forces ann proper, so the primality test is legal
-        sub_verdict = is_prime_ideal(ann)
-        if not sub_verdict.holds:
-            a, b = sub_verdict.witness
-            return Verdict(
-                holds=False,
-                variant="behboodi",
-                witness=(s_index, a, b),
-                witness_text=(
-                    f"S={s.label_set()} has non-prime annihilator {ann.label_set()}:"
-                    f" {sub_verdict.witness_text}"
-                ),
-            )
-    return Verdict(holds=True, variant="behboodi")
+    zero_pre = module.zero_pre
+    anns = ((i, colon_mask(zero_pre, s.mask)) for i, s in enumerate(subs) if not s.is_zero)
+    return _first_non_prime_annihilator(module.ring, anns, lambda i: subs[i].label_set())
 
 
-def is_weakly_prime_submodule_behboodi(n: Submodule) -> Verdict:
-    """N is weakly prime when M/N is a weakly prime module."""
+def _coset_representatives(n: Submodule) -> int:
+    """The least member of each coset x + N, as a mask."""
+    add = n.module.add
+    reps = covered = 0
+    for x in range(n.module.size):
+        if not covered >> x & 1:
+            reps |= 1 << x
+            row = add[x]
+            for m in n.members:
+                covered |= 1 << row[m]
+    return reps
+
+
+def is_weakly_prime_submodule_behboodi(
+    n: Submodule, submodules: list[Submodule] | None = None
+) -> Verdict:
+    """N is weakly prime when M/N is a weakly prime module.
+
+    M/N is never built: its submodules are the K/N for the K containing N
+    in the lattice of M, with Ann(K/N) = (N : K). They are visited in the
+    order M/N's own enumeration lists them, by (|K|, the least coset
+    representatives in K), so s_index counts N itself as 0 and S prints
+    as the classes [rep] of those representatives. Pass M's precomputed
+    lattice to avoid re-enumerating.
+    """
     _require_proper(n)
-    quo, _ = quotient_module(n.module, n)
-    inner = is_weakly_prime_module(quo)
-    if inner.holds:
-        return Verdict(holds=True, variant="behboodi")
-    return Verdict(
-        holds=False,
-        variant="behboodi",
-        witness=inner.witness,
-        witness_text=f"in M/N: {inner.witness_text}",
+    mod = n.module
+    subs = enumerate_submodules(mod) if submodules is None else submodules
+    reps = _coset_representatives(n)
+    nm = n.mask
+    above = sorted(
+        (k.mask for k in subs if k.mask & nm == nm),
+        key=lambda k: (k.bit_count(), bits(k & reps)),
     )
+    anns = ((i, colon_mask(n.pre, k)) for i, k in enumerate(above) if i)
+
+    def label(i: int) -> str:
+        return "{" + ",".join(f"[{mod.labels[r]}]" for r in bits(above[i] & reps)) + "}"
+
+    return _first_non_prime_annihilator(mod.ring, anns, label, prefix="in M/N: ")
 
 
 def is_irreducible_submodule(
@@ -297,7 +347,7 @@ def weakly_prime_submodule(
     if variant == "azizi":
         return is_weakly_prime_submodule_azizi(n, submodules)
     if variant == "behboodi":
-        return is_weakly_prime_submodule_behboodi(n)
+        return is_weakly_prime_submodule_behboodi(n, submodules)
     raise ValueError(f"unknown weakly-prime variant: {variant!r}")
 
 
@@ -319,7 +369,7 @@ def classify_submodule(
         "prime": is_prime_submodule(n),
         "weakly_prime_af": is_weakly_prime_submodule_af(n),
         "weakly_prime_azizi": is_weakly_prime_submodule_azizi(n, subs),
-        "weakly_prime_behboodi": is_weakly_prime_submodule_behboodi(n),
+        "weakly_prime_behboodi": is_weakly_prime_submodule_behboodi(n, subs),
         "primary": is_primary_submodule(n),
         "irreducible": is_irreducible_submodule(n, subs),
     }

@@ -122,7 +122,7 @@ class Instance:
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self._bowtie_n: dict[tuple[int, ...], Submodule] = {}
-        self._colon: dict[tuple[int, ...], Ideal] = {}
+        self._colon: dict[tuple[int, int], Ideal] = {}
         self._prime: dict[tuple[int, ...], Verdict] = {}
         self._primary: dict[tuple[int, ...], Verdict] = {}
         self._wp: dict[tuple[tuple[int, ...], str], Verdict] = {}
@@ -161,10 +161,13 @@ class Instance:
             self._bowtie_n[key] = bowtie_submodule(self.inst, n)
         return self._bowtie_n[key]
 
-    def colon(self, nb: Submodule) -> Ideal:
-        key = nb.members
+    def colon(self, nb: Submodule, k: Submodule | None = None) -> Ideal:
+        """(N><I : K) for a submodule K of M><I, by default M><I itself;
+        built once per (N><I, K) and shared by L1, L3i, L3ii and the rest."""
+        k = self.bowtie_whole if k is None else k
+        key = (nb.mask, k.mask)
         if key not in self._colon:
-            self._colon[key] = colon_into_ring(nb, self.bowtie_whole)
+            self._colon[key] = colon_into_ring(nb, k)
         return self._colon[key]
 
     def prime(self, nb: Submodule) -> Verdict:
@@ -271,7 +274,7 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
     """(N><I : M><I) must decode to {(a, a+i) : a in (N:M), i in I}."""
     inst = ctx.inst
     nb = ctx.bowtie(n)
-    lhs = colon_into_ring(nb, ctx.bowtie_whole)
+    lhs = ctx.colon(nb)
     base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
     rhs = {
         inst.ring_pair_index[(a, inst.base_ring.add[a][i])]
@@ -339,7 +342,7 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theore
     for k in _quantifier_domain(ctx, reading):
         if k.mask & nb.mask == k.mask:
             continue
-        col = colon_into_ring(nb, k)
+        col = ctx.colon(nb, k)
         v = ctx.prime_ideal(col)
         if not v.holds:
             rhs_holds = False
@@ -378,7 +381,7 @@ def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theor
         k for k in _quantifier_domain(ctx, reading)
         if k.mask & nb.mask != k.mask
     ]
-    colons = [colon_into_ring(nb, k).mask for k in domain]
+    colons = [ctx.colon(nb, k).mask for k in domain]
     for i in range(len(domain)):
         for j in range(i + 1, len(domain)):
             a, b = colons[i], colons[j]
@@ -799,7 +802,7 @@ def check_T_final(ctx: Instance) -> TheoremReport:
     wp_base = is_weakly_prime_module(inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = distinguished_submodules(inst)
-    wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im)
+    wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
     part1 = wp_dup.holds == (im_zero and wp_base.holds)
     part2 = wp_sub.holds == wp_base.holds
     note = (
@@ -836,7 +839,7 @@ def check_divergence(ctx: Instance) -> TheoremReport:
         )
     zn = zero_submodule(inst.base_module)
     af = is_weakly_prime_submodule_af(zn)
-    bb = is_weakly_prime_submodule_behboodi(zn)
+    bb = is_weakly_prime_submodule_behboodi(zn, ctx.base_submodules)
     if af.holds == bb.holds:
         return TheoremReport(
             key, "DIVERGENCE", notes=f"af={af.holds} behboodi={bb.holds}: agree"

@@ -11,8 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from bowtie.classify import Verdict
-from bowtie.modules import ModuleMap, Submodule, TableModule
+from bowtie.classify import Verdict, is_weakly_prime_module
+from bowtie.modules import ModuleMap, Submodule, TableModule, quotient_module
 from bowtie.rings import Ideal, TableRing
 
 
@@ -441,6 +441,23 @@ def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
                         ),
                     )
     return Verdict(holds=True, variant="azizi")
+
+
+def weakly_prime_behboodi(n: Submodule) -> Verdict:
+    """Behboodi's definition read literally: M/N is a weakly prime module.
+
+    Builds the quotient and enumerates its own lattice, so s_index and the
+    S of a witness are those of M/N.
+    """
+    _proper(n.members, n.module.size)
+    quo, _ = quotient_module(n.module, n)
+    inner = is_weakly_prime_module(quo)
+    if inner.holds:
+        return inner
+    return Verdict(
+        holds=False, variant="behboodi", witness=inner.witness,
+        witness_text=f"in M/N: {inner.witness_text}",
+    )
 
 
 def irreducible_submodule(n: Submodule, subs: list[Submodule]) -> Verdict:

@@ -7,12 +7,17 @@ frozensets. Verdicts (truth, witness tuple, witness text), colon members
 and condition witnesses must be identical on every submodule N of every
 duplication over Z_n, n <= 12, and of the non-cyclic families of
 ``families.py``.
+
+Behboodi reads the colons (N : K) of the lattice of M; its oracle builds
+M/N and enumerates the quotient's own lattice. Their verdicts must be
+identical on every proper submodule of M and M><I over Z_n, n <= 20, and
+over the family duplications up to ``DUPLICATION_CAP`` elements.
 """
 
 import pytest
 
 from bowtie import classify
-from bowtie.duplication import predicted_sizes
+from bowtie.duplication import build_bowtie, predicted_sizes
 from bowtie.modules import (
     Submodule,
     TableModule,
@@ -35,7 +40,7 @@ from bowtie.theorems import (
 )
 
 import oracles
-from families import direct_sum, products
+from families import direct_sum, duplications, family_modules, products
 
 # duplications of the non-cyclic families are checked up to this |M><I|
 FAMILY_BUDGET = 32
@@ -125,3 +130,39 @@ def test_families_are_not_all_cyclic():
     # the family test reaches modules that one element does not generate
     assert sum(not is_cyclic(m).holds for _, _, m in FAMILIES) >= 3
 
+
+def _behboodi_agrees(module: TableModule) -> tuple[int, int]:
+    """Behboodi on M's lattice against the quotient oracle; (checked, negative)."""
+    subs = enumerate_submodules(module)
+    checked = negative = 0
+    for n in subs:
+        if n.is_proper:
+            got = classify.is_weakly_prime_submodule_behboodi(n, subs)
+            assert got == oracles.weakly_prime_behboodi(n), n
+            checked += 1
+            negative += not got.holds
+    return checked, negative
+
+
+def test_behboodi_matches_the_quotient_oracle_on_zn():
+    checked = negative = 0
+    for n in range(1, 21):
+        ring = make_zn(n)
+        module = ring_as_module(ring)
+        modules = [module] + [build_bowtie(ring, i, module).bowtie_module
+                              for i in enumerate_ideals(ring)]
+        for m in modules:
+            c, neg = _behboodi_agrees(m)
+            checked += c
+            negative += neg
+    assert (checked, negative) == (670, 502)
+
+
+def test_behboodi_matches_the_quotient_oracle_on_families():
+    checked = negative = 0
+    for module in family_modules():
+        for m in [module] + [inst.bowtie_module for inst in duplications(module)]:
+            c, neg = _behboodi_agrees(m)
+            checked += c
+            negative += neg
+    assert (checked, negative) == (5646, 4939)

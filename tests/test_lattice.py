@@ -4,14 +4,16 @@
 ``oracles.join_submodules`` joins them as pointwise frozenset sums and
 ``oracles.brute_submodules`` filters the powerset; the lists must be
 identical, in identical order. Every Instance enumerates its base module
-and M><I at most once.
+and M><I at most once, and the Behboodi checkers read those two lattices
+instead of building quotients.
 """
 
 import sys
 
 import pytest
 
-from bowtie import theorems
+from bowtie import modules, theorems
+from bowtie.classify import VARIANTS
 from bowtie.duplication import build_bowtie
 from bowtie.cli import main
 from bowtie.instances import SEEDS
@@ -107,3 +109,26 @@ def test_verify_enumerates_each_instance_lattice_once(seed, monkeypatch, capsys)
     main(["verify", "--seed-corpus", seed])
     capsys.readouterr()
     _assert_once_per_instance(enumerated, built)
+
+
+def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
+    enumerated, built = _count_enumerations(monkeypatch)
+    quotients = []
+    real_quotient = modules.quotient_module
+
+    def recording(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    for name, namespace in list(sys.modules.items()):
+        if (name.split(".")[0] == "bowtie"
+                and getattr(namespace, "quotient_module", None) is real_quotient):
+            monkeypatch.setattr(namespace, "quotient_module", recording)
+    hunt(CorpusSpec(max_n=8), theorems=["L3i", "T_FINAL", "DIVERGENCE"], variants=VARIANTS)
+    assert not quotients
+    # M and M><I once each; M><I is left alone only when M = 0, which has
+    # no proper N and no nonzero submodule to ask about
+    expected = [m for inst in built for m in (inst.base_module, inst.bowtie_module)
+                if m is inst.base_module or inst.base_module.size > 1]
+    assert len(built) == 20
+    assert sorted(map(id, enumerated)) == sorted(map(id, expected))
