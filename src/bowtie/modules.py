@@ -5,8 +5,8 @@ module index). Submodules are canonically stored as sorted index tuples
 and as bitmasks, so every enumeration and witness is reproducible; each
 submodule N computes its preimage masks pre[a] = {x : a*x in N} once, and
 colons are read off them. The lattice is enumerated on masks too: the
-cyclic submodules come from one packed table, and a join K + Rg is an OR
-of cosets of K.
+cyclic submodules come from one packed table, and each distinct one is
+joined onto the lattice found so far, a join being an OR of cosets.
 """
 
 from __future__ import annotations
@@ -141,13 +141,19 @@ class Submodule:
 
     def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
-        self.module = module
+        self.module, self.member_set, self.mask, self._pre = module, mset, mask_of(mset), None
         self.members: tuple[int, ...] = tuple(sorted(mset))
-        self.member_set: frozenset[int] = mset
-        self.mask: int = mask_of(self.members)
-        self._pre: tuple[int, ...] | None = None
         if not _checked:
             self._validate()
+
+    @classmethod
+    def from_mask(cls, module: TableModule, mask: int, members: Sequence[int] = ()) -> Submodule:
+        """A submodule known to be closed, from its mask (and sorted members, if at hand)."""
+        sub = cls.__new__(cls)
+        sub.module, sub.mask, sub._pre = module, mask, None
+        sub.members = tuple(members or bits(mask))
+        sub.member_set = frozenset(sub.members)
+        return sub
 
     @property
     def pre(self) -> tuple[int, ...]:
@@ -260,8 +266,8 @@ def _join(
 
     K + S is the union of the cosets y + K over y in S, and a union of
     cosets of K that contains y contains y + K, so only the y of S not yet
-    covered add a coset. ``cosets`` caches y + K by y, so each coset is
-    computed at most once per K.
+    covered add a coset. ``cosets`` caches y + K by y, and may be shared by
+    every join onto the same K.
     """
     joined = k_mask
     rest = other & ~joined
@@ -288,27 +294,31 @@ def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
         if not 0 <= g < module.size:
             raise ValueError(f"generator index {g} out of range")
         k = _join(module.add, k, bits(k), cyclic[g], {})
-    return Submodule(module, bits(k), _checked=True)
+    return Submodule.from_mask(module, k)
 
 
 def enumerate_submodules(module: TableModule) -> list[Submodule]:
-    """All submodules, as joins of cyclic ones, in (size, members) order."""
-    gens = list(dict.fromkeys(cyclic_masks(module)))
-    found = {1 << module.zero, *gens}
-    work = list(found)
-    add = module.add
-    while work:
-        cur = work.pop()
-        members = bits(cur)
-        cosets: dict[int, int] = {}
-        for c in gens:
-            if c & ~cur:
-                joined = _join(add, cur, members, c, cosets)
+    """All submodules, in (size, members) order.
+
+    Each distinct cyclic C, by size, is joined onto every K found so far, so
+    the found set holds the joins of every subset of the cyclics taken; a C
+    already found is such a join. A join ORs the cosets y + C, cached across
+    the K, or the cosets y + K when C is small against K.
+    """
+    found = {1 << module.zero: [module.zero]}  # mask -> sorted members
+    for c in sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count):
+        if c in found:
+            continue
+        c_members, translates = bits(c), {}
+        for k, k_members in list(found.items()):
+            if c & ~k:
+                joined = (_join(module.add, k, k_members, c, {})
+                          if len(c_members) * (c & k).bit_count() < len(k_members)
+                          else _join(module.add, c, c_members, k, translates))
                 if joined not in found:
-                    found.add(joined)
-                    work.append(joined)
-    ordered = sorted(found, key=lambda m: (m.bit_count(), bits(m)))
-    return [Submodule(module, bits(m), _checked=True) for m in ordered]
+                    found[joined] = bits(joined)
+    ordered = sorted(found.items(), key=lambda item: (len(item[1]), item[1]))
+    return [Submodule.from_mask(module, mask, members) for mask, members in ordered]
 
 
 def _same_module(n: Submodule, k: Submodule) -> TableModule:
@@ -330,7 +340,7 @@ def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
 
 def colon_by_scalar(n: Submodule, a: int) -> Submodule:
     """The submodule {m : a*m in N}; always contains N."""
-    return Submodule(n.module, bits(n.pre[a]), _checked=True)
+    return Submodule.from_mask(n.module, n.pre[a])
 
 
 def annihilator(k: Submodule) -> Ideal:
@@ -359,12 +369,12 @@ def is_cyclic(module: TableModule) -> CyclicResult:
 
 def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
-    return Submodule(mod, bits(_join(mod.add, n.mask, n.members, k.mask, {})), _checked=True)
+    return Submodule.from_mask(mod, _join(mod.add, n.mask, n.members, k.mask, {}))
 
 
 def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
-    return Submodule(mod, bits(n.mask & k.mask), _checked=True)
+    return Submodule.from_mask(mod, n.mask & k.mask)
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:

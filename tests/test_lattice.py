@@ -1,13 +1,17 @@
 """The submodule lattice against its references.
 
-``enumerate_submodules`` joins cyclic submodules as ORs of coset masks.
-``oracles.join_submodules`` joins them as pointwise frozenset sums and
-``oracles.brute_submodules`` filters the powerset; the lists must be
-identical, in identical order. Every Instance enumerates its base module
-and M><I at most once, and the Behboodi checkers read those two lattices
+``enumerate_submodules`` joins each distinct cyclic submodule onto the
+lattice found so far, as ORs of coset masks. ``oracles.join_submodules``
+joins cyclics as pointwise frozenset sums and ``oracles.brute_submodules``
+filters the powerset; the lists must be identical, in identical order.
+The lattices of F_p^k over F_p must have the sizes the Gaussian binomials
+give, and relabelling a carrier, with zero moved off index 0, must not
+change what is enumerated. Every Instance enumerates its base module and
+M><I at most once, and the Behboodi checkers read those two lattices
 instead of building quotients.
 """
 
+import random
 import sys
 
 import pytest
@@ -17,7 +21,9 @@ from bowtie.classify import VARIANTS
 from bowtie.duplication import build_bowtie
 from bowtie.cli import main
 from bowtie.instances import SEEDS
-from bowtie.modules import enumerate_submodules, is_cyclic, ring_as_module
+from bowtie.modules import (
+    TableModule, enumerate_submodules, is_cyclic, ring_as_module, validate_module,
+)
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import CorpusSpec, hunt
 
@@ -62,6 +68,91 @@ def test_small_modules_include_non_cyclic_ones():
 def test_small_lattices_match_the_powerset(module):
     brute = [tuple(sorted(s)) for s in oracles.brute_submodules(module)]
     assert _members(module) == brute
+
+
+def _gaussian_binomial(k: int, j: int, q: int) -> int:
+    """The number of j-dimensional subspaces of F_q^k."""
+    num = den = 1
+    for i in range(j):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _power(p: int, k: int) -> TableModule:
+    """F_p^k over F_p, as k-fold direct sums of Z_p."""
+    base = module = ring_as_module(make_zn(p))
+    for _ in range(k - 1):
+        module = direct_sum(module, base)
+    return module
+
+
+# the lattice sizes are the sums of the Gaussian binomials [k, j]_p over j
+SPACES = [(2, k, n) for k, n in enumerate((2, 5, 16, 67, 374, 2825), 1)] + [
+    (3, k, n) for k, n in enumerate((2, 6, 28, 212), 1)
+]
+
+
+@pytest.mark.parametrize("p,k,count", SPACES)
+def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count):
+    assert sum(_gaussian_binomial(k, j, p) for j in range(k + 1)) == count
+    module = _power(p, k)
+    subs = enumerate_submodules(module)
+    keys = [(len(s), s.members) for s in subs]
+    assert len(subs) == count
+    assert keys == sorted(set(keys))  # (size, members) order, no repeats
+    assert all(s.mask.bit_count() == len(s) and s.member_set == set(s.members) for s in subs)
+    if module.size <= 32:
+        assert [s.members for s in subs] == oracles.join_submodules(module)
+
+
+def _relabel(module: TableModule, perm: list[int]) -> TableModule:
+    """The same module with element x renamed perm[x]."""
+    old = sorted(range(module.size), key=perm.__getitem__)  # old[perm[x]] = x
+
+    def table(rows):
+        return tuple(tuple(perm[row[x]] for x in old) for row in rows)
+
+    return TableModule(
+        ring=module.ring, size=module.size,
+        add=table(module.add[x] for x in old), act=table(module.act),
+        zero=perm[module.zero], labels=tuple(module.labels[x] for x in old),
+        name=f"{module.name}-relabelled",
+    )
+
+
+def _shuffled(size: int, seed: int) -> list[int]:
+    perm = list(range(size))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+FAMILY = {m.name: m for m in SMALL}
+RELABELLED = [
+    # Z6 reversed: zero goes to 5
+    (ring_as_module(make_zn(6)), list(range(5, -1, -1))),
+    # Z2 + Z2, not cyclic, rotated: zero goes to 1
+    (FAMILY["Z2-reg+Z2-reg"], [1, 2, 3, 0]),
+    # A + A/J, not cyclic, shuffled
+    (FAMILY["Z4-reg+Z4/{0,2}"], _shuffled(8, 1)),
+    (FAMILY["(Z2xZ4)-reg+(Z2xZ4)/{(0,0),(0,1),(0,2),(0,3)}"], _shuffled(16, 2)),
+    (FAMILY["(Z3xZ4)-reg"], _shuffled(12, 3)),
+]
+
+
+@pytest.mark.parametrize("module,perm", RELABELLED, ids=[m.name for m, _perm in RELABELLED])
+def test_relabelled_lattices_match_the_powerset(module, perm):
+    relabelled = _relabel(module, perm)
+    validate_module(relabelled)
+    assert relabelled.zero != 0
+    brute = [tuple(sorted(s)) for s in oracles.brute_submodules(relabelled)]
+    assert _members(relabelled) == brute
+    renamed = {frozenset(perm[x] for x in s) for s in _members(module)}
+    assert {frozenset(s) for s in brute} == renamed
+
+
+def test_relabelled_cases_include_non_cyclic_modules():
+    assert sum(not is_cyclic(m).holds for m, _perm in RELABELLED) >= 3
 
 
 def _count_enumerations(monkeypatch):

@@ -110,6 +110,31 @@ def test_colon_by_scalar_definition():
     assert got.member_set == expected
 
 
+def _assert_same_submodule(got: Submodule, members) -> None:
+    """got equals the checked Submodule on these members, attribute by attribute."""
+    ref = Submodule(got.module, members)  # validates closure
+    assert got == ref and hash(got) == hash(ref)
+    assert got.members == ref.members and got.member_set == ref.member_set
+    assert got.mask == ref.mask == mask_of(ref.members)
+    assert type(got.members) is tuple and all(type(x) is int for x in got.members)
+    assert type(got.member_set) is frozenset
+
+
+@pytest.mark.parametrize("module", [m for m in family_modules() if m.size <= 8], ids=lambda m: m.name)
+def test_mask_built_submodules_equal_checked_ones(module):
+    subs = enumerate_submodules(module)
+    for a in subs:
+        _assert_same_submodule(a, a.members)
+        _assert_same_submodule(submodule_generated(module, a.members[::-1]), a.members)
+        for s in range(module.ring.size):
+            colon = [x for x in range(module.size) if module.act[s][x] in a]
+            _assert_same_submodule(colon_by_scalar(a, s), colon)
+        for b in subs:
+            total = {module.add[x][y] for x in a.members for y in b.members}
+            _assert_same_submodule(submodule_sum(a, b), total)
+            _assert_same_submodule(submodule_intersection(a, b), a.member_set & b.member_set)
+
+
 def test_quotient_module_projection_is_map():
     m = ring_as_module(make_zn(12))
     n = Submodule(m, [0, 4, 8])
