@@ -15,13 +15,8 @@ from .rings import (
     make_zn,
     direct_product,
     subring_from_subset,
-    quotient_ring,
     ideal_generated,
     enumerate_ideals,
-    ideal_sum,
-    ideal_product,
-    ideal_power,
-    ideal_intersection,
     radical,
 )
 from .modules import (
@@ -35,8 +30,6 @@ from .modules import (
     colon_by_scalar,
     annihilator,
     quotient_module,
-    submodule_sum,
-    submodule_intersection,
     is_cyclic,
     is_faithful,
 )
@@ -62,7 +55,6 @@ from .duplication import (
     bowtie_submodule,
     distinguished_submodules,
     zero_cross_i,
-    diagonal_embed,
     restrict_scalars,
     detect_bowtie_form,
 )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .rings import Ideal, TableRing, bits, lowest_bit, mask_of, radical
+from .rings import Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit
 from .modules import (
     Submodule,
     TableModule,
@@ -128,6 +128,16 @@ def is_prime_ideal(j: Ideal) -> Verdict:
     return _ideal_verdict(j, _first_violation(j.pre, j.mask, ~j.mask))
 
 
+def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
+    """is_prime_ideal of the ring's ideal with this mask, computed once per
+    distinct ideal; a hit builds no Ideal."""
+    verdicts = derived(ring, "prime_verdicts", dict)
+    v = verdicts.get(mask)
+    if v is None:
+        v = verdicts[mask] = is_prime_ideal(ideal_of(ring, mask))
+    return v
+
+
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:
     """0 != ab in J implies a in J or b in J."""
     _require_proper_ideal(j)
@@ -138,7 +148,7 @@ def is_weakly_prime_ideal(j: Ideal) -> Verdict:
 def is_primary_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or some power of b lands in J."""
     _require_proper_ideal(j)
-    hit = _first_violation(j.pre, j.mask, ~radical(j).mask)
+    hit = _first_violation(j.pre, j.mask, ~ideal_radical(j).mask)
     return _ideal_verdict(j, hit, f" and no power of b enters {j.label_set()}")
 
 
@@ -183,8 +193,8 @@ def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
 def is_primary_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in radical((N : M))."""
     _require_proper(n)
-    colon = Ideal(n.module.ring, bits(_whole_colon(n)), _checked=True)
-    hit = _first_violation(n.pre, radical(colon).mask, ~n.mask)
+    colon = ideal_of(n.module.ring, _whole_colon(n))
+    hit = _first_violation(n.pre, ideal_radical(colon).mask, ~n.mask)
     return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 
 
@@ -194,35 +204,43 @@ def is_weakly_prime_submodule_azizi(
     """a*b*T in N implies a*T in N or b*T in N, over every submodule T.
 
     T ranges over the full submodule lattice in enumeration order; pass a
-    precomputed list to avoid re-enumerating.
+    precomputed list to avoid re-enumerating. For one T the condition says
+    that (N : T) is prime or the whole ring, so each distinct proper colon
+    is tested once; the witness (a, b, t) is the lexicographically first
+    violation, t the first T whose colon (a, b) violates.
     """
     _require_proper(n)
     mod = n.module
+    ring = mod.ring
     subs = enumerate_submodules(mod) if submodules is None else submodules
-    # sends[c]: the lattice indices t with c*T inside N, one per distinct pre[c]
-    by_pre: dict[int, int] = {}
-    sends = []
-    for p in n.pre:
-        if p not in by_pre:
-            by_pre[p] = mask_of(t for t, sub in enumerate(subs) if sub.mask & p == sub.mask)
-        sends.append(by_pre[p])
-    mul = mod.ring.mul
-    for a, sa in enumerate(sends):
-        row = mul[a]
-        for b, sb in enumerate(sends):
-            bad = sends[row[b]] & ~(sa | sb)
-            if bad:
-                t = lowest_bit(bad)
-                return Verdict(
-                    holds=False,
-                    variant="azizi",
-                    witness=(a, b, t),
-                    witness_text=(
-                        f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
-                        f" T={subs[t].label_set()}"
-                    ),
-                )
-    return Verdict(holds=True, variant="azizi")
+    # the scalars of each distinct pre[c]; (N : T) is the union of the
+    # classes whose pre contains T
+    classes: dict[int, int] = {}
+    for c, p in enumerate(n.pre):
+        classes[p] = classes.get(p, 0) | 1 << c
+    colons = [0] * len(subs)
+    for p, scalars in classes.items():
+        for t, sub in enumerate(subs):
+            if sub.mask & p == sub.mask:
+                colons[t] |= scalars
+    whole = (1 << ring.size) - 1
+    hits = []
+    for c in dict.fromkeys(colons):
+        if c != whole:
+            v = ideal_is_prime(ring, c)
+            if not v.holds:
+                hits.append(v.witness)
+    if not hits:
+        return Verdict(holds=True, variant="azizi")
+    a, b = min(hits)
+    ab = ring.mul[a][b]
+    t = next(t for t, c in enumerate(colons) if c >> ab & 1 and not (c >> a | c >> b) & 1)
+    return Verdict(
+        holds=False,
+        variant="azizi",
+        witness=(a, b, t),
+        witness_text=f"a={ring.labels[a]} b={ring.labels[b]} T={subs[t].label_set()}",
+    )
 
 
 def _first_non_prime_annihilator(
@@ -233,18 +251,14 @@ def _first_non_prime_annihilator(
 ) -> Verdict:
     """The first (s_index, annihilator mask) whose ideal is not prime.
 
-    Each distinct mask is tested for primality once; ``label(s_index)``
-    renders the submodule S of a failure, and ``prefix`` leads its text.
+    Each distinct mask is tested for primality once, through the ring's
+    ideal memo; ``label(s_index)`` renders the submodule S of a failure,
+    and ``prefix`` leads its text.
     """
-    prime: set[int] = set()
     for s_index, mask in anns:
-        if mask in prime:
-            continue
-        ann = Ideal(ring, bits(mask), _checked=True)
         # S is nonzero, so its annihilator is proper and the test is legal
-        sub_verdict = is_prime_ideal(ann)
+        sub_verdict = ideal_is_prime(ring, mask)
         if sub_verdict.holds:
-            prime.add(mask)
             continue
         a, b = sub_verdict.witness
         return Verdict(
@@ -252,8 +266,8 @@ def _first_non_prime_annihilator(
             variant="behboodi",
             witness=(s_index, a, b),
             witness_text=(
-                f"{prefix}S={label(s_index)} has non-prime annihilator {ann.label_set()}:"
-                f" {sub_verdict.witness_text}"
+                f"{prefix}S={label(s_index)} has non-prime annihilator"
+                f" {ring.label_set(bits(mask))}: {sub_verdict.witness_text}"
             ),
         )
     return Verdict(holds=True, variant="behboodi")

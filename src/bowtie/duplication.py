@@ -35,10 +35,6 @@ class BowtieInstance:
     def ring_pair_index(self) -> dict[tuple[int, int], int]:
         return {p: i for i, p in enumerate(self.ring_pairs)}
 
-    @cached_property
-    def module_pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.module_pairs)}
-
     def __repr__(self) -> str:
         return (
             f"BowtieInstance({self.base_ring.name}, I={self.ideal.label_set()},"
@@ -176,11 +172,6 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
         ring_pairs=ring_pairs,
         module_pairs=module_pairs,
     )
-
-
-def diagonal_embed(inst: BowtieInstance, a: int) -> int:
-    """The duplicated-ring index of (a, a)."""
-    return inst.ring_pair_index[(a, a)]
 
 
 def bowtie_submodule(inst: BowtieInstance, n: Submodule) -> Submodule:

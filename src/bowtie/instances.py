@@ -66,70 +66,90 @@ def _as_matrix(obj: Any, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _build_ring(desc: Any, where: str = "ring") -> TableRing:
+# deepest nesting of "product" a ring description may use
+MAX_PRODUCT_DEPTH = 32
+
+
+def _ring_size(desc: Any, where: str = "ring", depth: int = 0) -> int:
+    """|A| as a ring description states it. Checks the shape of every factor,
+    right ones too, before any table is built."""
+    _require(depth <= MAX_PRODUCT_DEPTH, where,
+             f"products nest deeper than {MAX_PRODUCT_DEPTH} levels")
     _require(isinstance(desc, dict) and len(desc) == 1, where,
              'expected exactly one of {"zn": n}, {"product": [..]}, {"tables": {..}}')
     kind, body = next(iter(desc.items()))
     if kind == "zn":
         _require(isinstance(body, int) and not isinstance(body, bool) and body >= 1,
                  f"{where}.zn", "expected a positive integer")
-        return make_zn(body)
+        return body
     if kind == "product":
         _require(isinstance(body, list) and len(body) == 2, f"{where}.product",
                  "expected a two-element list of ring descriptions")
-        left = _build_ring(body[0], f"{where}.product[0]")
-        right = _build_ring(body[1], f"{where}.product[1]")
-        return direct_product(left, right)
+        return (_ring_size(body[0], f"{where}.product[0]", depth + 1)
+                * _ring_size(body[1], f"{where}.product[1]", depth + 1))
     if kind == "tables":
         _require(isinstance(body, dict), f"{where}.tables", "expected an object")
         _require("add" in body and "mul" in body, f"{where}.tables",
                  'expected "add" and "mul" matrices')
-        add = _as_matrix(body["add"], f"{where}.tables.add")
-        mul = _as_matrix(body["mul"], f"{where}.tables.mul")
-        k = len(add)
-        _require(all(len(r) == k for r in add) and len(mul) == k
-                 and all(len(r) == k for r in mul),
-                 f"{where}.tables", "add and mul must be square of the same size")
-        labels = body.get("labels", [str(i) for i in range(k)])
-        _require(isinstance(labels, list) and len(labels) == k
-                 and all(isinstance(s, str) for s in labels),
-                 f"{where}.tables.labels", f"expected {k} strings")
-        zero = body.get("zero", 0)
-        one = body.get("one")
-        _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
-                 "expected a carrier index")
-        if one is None:
-            # the unique u with u*x == x for all x; rings require one
-            one = next(
-                (u for u in range(k) if mul[u] == tuple(range(k))), None)
-            _require(one is not None, f"{where}.tables",
-                     "no multiplicative identity row found; supply \"one\"")
-        _require(isinstance(one, int) and 0 <= one < k, f"{where}.tables.one",
-                 "expected a carrier index")
-        ring = TableRing(size=k, add=add, mul=mul, zero=zero, one=one,
-                         labels=tuple(labels), name=body.get("name", "ring"))
-        try:
-            validate_ring(ring, limit=k)  # a user table is checked at any size
-        except ValueError as exc:
-            raise SpecError(f"{where}.tables: {exc}") from exc
-        return ring
+        _require(isinstance(body["add"], list) and body["add"], f"{where}.tables.add",
+                 "expected a nonempty matrix")
+        return len(body["add"])
     raise SpecError(f'{where}: unknown ring kind {kind!r}')
 
 
 def declared_ring_size(desc: Any) -> int | None:
     """|A| as a ring description states it, before any table is built;
     None when the description is malformed (building it says why)."""
-    if not isinstance(desc, dict) or len(desc) != 1:
+    try:
+        return _ring_size(desc)
+    except SpecError:
         return None
+
+
+def _build_ring(desc: Any, where: str = "ring") -> TableRing:
+    _ring_size(desc, where)
+    return _ring_from(desc, where)
+
+
+def _ring_from(desc: Any, where: str) -> TableRing:
+    """The ring of a description whose shape _ring_size has checked."""
     kind, body = next(iter(desc.items()))
-    if kind == "zn" and isinstance(body, int) and not isinstance(body, bool):
-        return body
-    if kind == "product" and isinstance(body, list) and len(body) == 2:
-        left, right = (declared_ring_size(part) for part in body)
-        return None if left is None or right is None else left * right
-    if kind == "tables" and isinstance(body, dict) and isinstance(body.get("add"), list):
-        return len(body["add"])
-    return None
+    if kind == "zn":
+        return make_zn(body)
+    if kind == "product":
+        left = _ring_from(body[0], f"{where}.product[0]")
+        right = _ring_from(body[1], f"{where}.product[1]")
+        return direct_product(left, right)
+    add = _as_matrix(body["add"], f"{where}.tables.add")
+    mul = _as_matrix(body["mul"], f"{where}.tables.mul")
+    k = len(add)
+    _require(all(len(r) == k for r in add) and len(mul) == k
+             and all(len(r) == k for r in mul),
+             f"{where}.tables", "add and mul must be square of the same size")
+    labels = body.get("labels", [str(i) for i in range(k)])
+    _require(isinstance(labels, list) and len(labels) == k
+             and all(isinstance(s, str) for s in labels),
+             f"{where}.tables.labels", f"expected {k} strings")
+    _require(len(set(labels)) == k, f"{where}.tables.labels", "labels must be distinct")
+    zero = body.get("zero", 0)
+    one = body.get("one")
+    _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
+             "expected a carrier index")
+    if one is None:
+        # the unique u with u*x == x for all x; rings require one
+        one = next(
+            (u for u in range(k) if mul[u] == tuple(range(k))), None)
+        _require(one is not None, f"{where}.tables",
+                 "no multiplicative identity row found; supply \"one\"")
+    _require(isinstance(one, int) and 0 <= one < k, f"{where}.tables.one",
+             "expected a carrier index")
+    ring = TableRing(size=k, add=add, mul=mul, zero=zero, one=one,
+                     labels=tuple(labels), name=body.get("name", "ring"))
+    try:
+        validate_ring(ring, limit=k)  # a user table is checked at any size
+    except ValueError as exc:
+        raise SpecError(f"{where}.tables: {exc}") from exc
+    return ring
 
 
 def _resolve_labels(labels: Any, universe: tuple[str, ...], where: str) -> tuple[int, ...]:
@@ -163,6 +183,7 @@ def _build_module(desc: Any, ring: TableRing, where: str = "module") -> TableMod
     _require(isinstance(labels, list) and len(labels) == k
              and all(isinstance(s, str) for s in labels),
              f"{where}.tables.labels", f"expected {k} strings")
+    _require(len(set(labels)) == k, f"{where}.tables.labels", "labels must be distinct")
     zero = body.get("zero", 0)
     _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
              "expected a carrier index")
@@ -224,6 +245,8 @@ class InstanceSpec:
             raise SpecError(f"cannot read {p}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"{p}: not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SpecError(f"{p}: JSON nested too deeply to parse") from exc
         return InstanceSpec.from_dict(data, name=p.stem)
 
     def to_dict(self) -> dict:

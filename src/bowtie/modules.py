@@ -25,6 +25,7 @@ from .rings import (
     TableRing,
     bits,
     derived,
+    ideal_of,
     lowest_bit,
     mask_of,
     pack_rows,
@@ -333,9 +334,9 @@ def colon_mask(pre: tuple[int, ...], k_mask: int) -> int:
 
 
 def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
-    """The ideal {a in ring : a*K inside N}."""
+    """The ideal {a in ring : a*K inside N}, interned on the ring."""
     mod = _same_module(n, k)
-    return Ideal(mod.ring, bits(colon_mask(n.pre, k.mask)), _checked=True)
+    return ideal_of(mod.ring, colon_mask(n.pre, k.mask))
 
 
 def colon_by_scalar(n: Submodule, a: int) -> Submodule:
@@ -344,9 +345,9 @@ def colon_by_scalar(n: Submodule, a: int) -> Submodule:
 
 
 def annihilator(k: Submodule) -> Ideal:
-    """(0 : K), from the zero submodule's preimage table."""
+    """(0 : K), from the zero submodule's preimage table, interned on the ring."""
     mod = k.module
-    return Ideal(mod.ring, bits(colon_mask(mod.zero_pre, k.mask)), _checked=True)
+    return ideal_of(mod.ring, colon_mask(mod.zero_pre, k.mask))
 
 
 def is_faithful(module: TableModule) -> bool:
@@ -365,16 +366,6 @@ def is_cyclic(module: TableModule) -> CyclicResult:
         if c == whole:
             return CyclicResult(True, g)
     return CyclicResult(False, None)
-
-
-def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
-    mod = _same_module(n, k)
-    return Submodule.from_mask(mod, _join(mod.add, n.mask, n.members, k.mask, {}))
-
-
-def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
-    mod = _same_module(n, k)
-    return Submodule.from_mask(mod, n.mask & k.mask)
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:

@@ -9,6 +9,7 @@ and the tests check the constructions against the axioms.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -361,7 +362,7 @@ def subring_from_subset(
 class Ideal:
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "members", "member_set", "mask", "_pre")
+    __slots__ = ("ring", "members", "member_set", "mask", "_pre", "__weakref__")
 
     def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
@@ -372,6 +373,15 @@ class Ideal:
         self._pre: tuple[int, ...] | None = None
         if not _checked:
             self._validate()
+
+    @classmethod
+    def from_mask(cls, ring: TableRing, mask: int) -> Ideal:
+        """An ideal known to be closed, from its mask."""
+        j = cls.__new__(cls)
+        j.ring, j.mask, j._pre = ring, mask, None
+        j.members = tuple(bits(mask))
+        j.member_set = frozenset(j.members)
+        return j
 
     @property
     def pre(self) -> tuple[int, ...]:
@@ -427,39 +437,32 @@ class Ideal:
         return f"Ideal({self.ring.name}, {self.label_set()})"
 
 
-def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]]:
-    """Cosets of an ideal, indexed by minimal member; returns (ring, projection)."""
-    if j.ring is not ring:
-        raise ValueError("ideal belongs to a different ring")
-    rep_of = [-1] * ring.size
-    reps: list[int] = []
-    for a in range(ring.size):
-        if rep_of[a] >= 0:
-            continue
-        coset = sorted(ring.add[a][m] for m in j.members)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            rep_of[c] = rep
-    reps.sort()
-    index = {rep: i for i, rep in enumerate(reps)}
-    projection = tuple(index[rep_of[a]] for a in range(ring.size))
-    add = tuple(
-        tuple(index[rep_of[ring.add[x][y]]] for y in reps) for x in reps
-    )
-    mul = tuple(
-        tuple(index[rep_of[ring.mul[x][y]]] for y in reps) for x in reps
-    )
-    q = TableRing(
-        size=len(reps),
-        add=add,
-        mul=mul,
-        zero=index[rep_of[ring.zero]],
-        one=index[rep_of[ring.one]],
-        labels=tuple(f"[{ring.labels[rep]}]" for rep in reps),
-        name=f"{ring.name}/J",
-    )
-    return q, projection
+# ----------------------------------------------------------- ideal memo
+#
+# Each ring keeps in its derived_cache one Ideal per mask in use, and the
+# radical and prime verdict (classify.ideal_is_prime) of each distinct
+# ideal, computed once however many submodules N lead to it. The verdicts
+# and radical masks refer to no ring, and the ideals are held weakly, so
+# the memo makes no reference cycle and a ring no longer in use is freed
+# at once, not by the cycle collector.
+
+
+def ideal_of(ring: TableRing, mask: int) -> Ideal:
+    """The ring's ideal with this member mask (a known ideal): one object per
+    mask while it is in use, so its pre table is packed once."""
+    ideals = derived(ring, "ideals", weakref.WeakValueDictionary)
+    j = ideals.get(mask)
+    if j is None:
+        j = ideals[mask] = Ideal.from_mask(ring, mask)
+    return j
+
+
+def ideal_radical(j: Ideal) -> Ideal:
+    """radical(j), computed once per distinct ideal of the ring."""
+    radicals = derived(j.ring, "radicals", dict)
+    if j.mask not in radicals:
+        radicals[j.mask] = radical(j).mask
+    return ideal_of(j.ring, radicals[j.mask])
 
 
 def _additive_closure(add: Sequence[Sequence[int]], seed: Iterable[int], zero: int) -> frozenset[int]:
@@ -492,60 +495,35 @@ def enumerate_ideals(ring: TableRing) -> list[Ideal]:
     """Every ideal: the submodules of the regular module, in (size, members) order."""
     from .modules import enumerate_submodules, ring_as_module  # modules imports rings
 
-    return [Ideal(ring, n.members, _checked=True)
-            for n in enumerate_submodules(ring_as_module(ring))]
-
-
-def _same_ring(a: Ideal, b: Ideal) -> TableRing:
-    if a.ring is not b.ring:
-        raise ValueError("ideals live in different rings")
-    return a.ring
-
-
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    ring = _same_ring(a, b)
-    closed = _additive_closure(ring.add, a.member_set | b.member_set, ring.zero)
-    return Ideal(ring, closed, _checked=True)
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    ring = _same_ring(a, b)
-    prods = {ring.mul[x][y] for x in a.members for y in b.members}
-    closed = _additive_closure(ring.add, prods, ring.zero)
-    return Ideal(ring, closed, _checked=True)
-
-
-def ideal_power(a: Ideal, n: int) -> Ideal:
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    acc = a
-    for _ in range(n - 1):
-        acc = ideal_product(acc, a)
-    return acc
-
-
-def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    ring = _same_ring(a, b)
-    return Ideal(ring, a.member_set & b.member_set, _checked=True)
+    return [ideal_of(ring, n.mask) for n in enumerate_submodules(ring_as_module(ring))]
 
 
 def radical(j: Ideal) -> Ideal:
-    """Elements with some power inside the ideal.
+    """Elements with some power inside the ideal: the a with a**size in J.
 
-    Power walks stop after carrier-size steps: in a finite ring the power
-    sequence of any element cycles within that many steps.
+    In a finite ring the powers of a repeat from some exponent below the
+    carrier size on, and that cycle holds a**size; it lies inside J as soon
+    as any power of a does.
     """
     ring = j.ring
-    members = set()
-    for a in range(ring.size):
-        p = a
-        seen = set()
-        for _ in range(ring.size):
-            if p in j.member_set:
-                members.add(a)
-                break
-            if p in seen:
-                break
-            seen.add(p)
-            p = ring.mul[p][a]
-    return Ideal(ring, members, _checked=True)
+    inside = np.zeros(ring.size, dtype=bool)
+    inside[list(j.members)] = True
+    return ideal_of(ring, pack_rows(inside[_top_powers(ring)][None, :])[0])
+
+
+def _top_powers(ring: TableRing) -> np.ndarray:
+    """a**size for every a, by repeated squaring on the multiplication table."""
+
+    def compute() -> np.ndarray:
+        mul = ring.mul_array
+        base = np.arange(ring.size)
+        acc = None
+        e = ring.size
+        while e:
+            if e & 1:
+                acc = base if acc is None else mul[acc, base]
+            base = mul[base, base]
+            e >>= 1
+        return acc
+
+    return derived(ring, "top_powers", compute)

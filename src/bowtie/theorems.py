@@ -23,10 +23,10 @@ import numpy as np
 from .rings import (
     Ideal,
     TableRing,
+    ideal_radical,
     lowest_bit,
     make_zn,
     pack_rows,
-    radical,
 )
 from .modules import (
     ModuleMap,
@@ -48,7 +48,7 @@ from .modules import (
 from .classify import (
     VARIANTS,
     Verdict,
-    is_prime_ideal,
+    ideal_is_prime,
     is_prime_submodule,
     is_primary_ideal,
     is_primary_submodule,
@@ -127,7 +127,6 @@ class Instance:
         self._primary: dict[tuple[int, ...], Verdict] = {}
         self._wp: dict[tuple[tuple[int, ...], str], Verdict] = {}
         self._npack: dict[tuple[int, ...], dict] = {}
-        self._prime_ideal: dict[tuple[int, ...], Verdict] = {}
 
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
@@ -187,13 +186,6 @@ class Instance:
         if key not in self._wp:
             self._wp[key] = weakly_prime_submodule(nb, variant, self.bowtie_submodules)
         return self._wp[key]
-
-    def prime_ideal(self, j: Ideal) -> Verdict:
-        """is_prime_ideal, once per distinct ideal of the duplicated ring."""
-        key = j.members
-        if key not in self._prime_ideal:
-            self._prime_ideal[key] = is_prime_ideal(j)
-        return self._prime_ideal[key]
 
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
@@ -343,7 +335,7 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theore
         if k.mask & nb.mask == k.mask:
             continue
         col = ctx.colon(nb, k)
-        v = ctx.prime_ideal(col)
+        v = ideal_is_prime(col.ring, col.mask)
         if not v.holds:
             rhs_holds = False
             rhs_witness = (
@@ -643,7 +635,7 @@ def check_L_radical(ctx: Instance, n: Submodule) -> TheoremReport:
     nb = ctx.bowtie(n)
     lhs = ctx.primary(nb)
     mod = ctx.inst.bowtie_module
-    rad = radical(ctx.colon(nb)).mask
+    rad = ideal_radical(ctx.colon(nb)).mask
     pack = ctx.npack(nb)
     rhs_holds = True
     rhs_witness = ""
@@ -714,8 +706,8 @@ def check_C_radical_prime(ctx: Instance, n: Submodule) -> TheoremReport:
             key, "C_RADICAL_PRIME", outcome="na",
             notes="hypothesis fails: N><I is not primary",
         )
-    rad = radical(ctx.colon(nb))
-    v = is_prime_ideal(rad)
+    rad = ideal_radical(ctx.colon(nb))
+    v = ideal_is_prime(rad.ring, rad.mask)
     if v.holds:
         return TheoremReport(
             key, "C_RADICAL_PRIME", notes=f"radical {rad.label_set()} is prime"

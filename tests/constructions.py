@@ -1,0 +1,91 @@
+"""Constructions the tests use and the library itself never calls.
+
+Sums, products, intersections and powers of ideals and submodules, the quotient
+ring A/J and the diagonal embedding a -> (a, a) of A into A><I. They live
+here, next to the tests that exercise them, rather than in ``src/``.
+"""
+
+from __future__ import annotations
+
+from bowtie.duplication import BowtieInstance
+from bowtie.modules import Submodule, _join, _same_module
+from bowtie.rings import Ideal, TableRing, _additive_closure
+
+
+def _same_ring(a: Ideal, b: Ideal) -> TableRing:
+    if a.ring is not b.ring:
+        raise ValueError("ideals live in different rings")
+    return a.ring
+
+
+def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
+    ring = _same_ring(a, b)
+    closed = _additive_closure(ring.add, a.member_set | b.member_set, ring.zero)
+    return Ideal(ring, closed, _checked=True)
+
+
+def ideal_product(a: Ideal, b: Ideal) -> Ideal:
+    ring = _same_ring(a, b)
+    prods = {ring.mul[x][y] for x in a.members for y in b.members}
+    closed = _additive_closure(ring.add, prods, ring.zero)
+    return Ideal(ring, closed, _checked=True)
+
+
+def ideal_power(a: Ideal, n: int) -> Ideal:
+    if n < 1:
+        raise ValueError("exponent must be positive")
+    acc = a
+    for _ in range(n - 1):
+        acc = ideal_product(acc, a)
+    return acc
+
+
+def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
+    ring = _same_ring(a, b)
+    return Ideal(ring, a.member_set & b.member_set, _checked=True)
+
+
+def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]]:
+    """Cosets of an ideal, indexed by minimal member; returns (ring, projection)."""
+    if j.ring is not ring:
+        raise ValueError("ideal belongs to a different ring")
+    rep_of = [-1] * ring.size
+    reps: list[int] = []
+    for a in range(ring.size):
+        if rep_of[a] >= 0:
+            continue
+        coset = sorted(ring.add[a][m] for m in j.members)
+        rep = coset[0]
+        reps.append(rep)
+        for c in coset:
+            rep_of[c] = rep
+    reps.sort()
+    index = {rep: i for i, rep in enumerate(reps)}
+    projection = tuple(index[rep_of[a]] for a in range(ring.size))
+    add = tuple(tuple(index[rep_of[ring.add[x][y]]] for y in reps) for x in reps)
+    mul = tuple(tuple(index[rep_of[ring.mul[x][y]]] for y in reps) for x in reps)
+    q = TableRing(
+        size=len(reps),
+        add=add,
+        mul=mul,
+        zero=index[rep_of[ring.zero]],
+        one=index[rep_of[ring.one]],
+        labels=tuple(f"[{ring.labels[rep]}]" for rep in reps),
+        name=f"{ring.name}/J",
+    )
+    return q, projection
+
+
+def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
+    mod = _same_module(n, k)
+    return Submodule.from_mask(mod, _join(mod.add, n.mask, n.members, k.mask, {}))
+
+
+def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
+    mod = _same_module(n, k)
+    return Submodule.from_mask(mod, n.mask & k.mask)
+
+
+def diagonal_embed(inst: BowtieInstance, a: int) -> int:
+    """The duplicated-ring index of (a, a)."""
+    return inst.ring_pair_index[(a, a)]

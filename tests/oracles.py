@@ -13,7 +13,7 @@ import numpy as np
 
 from bowtie.classify import Verdict, is_weakly_prime_module
 from bowtie.modules import ModuleMap, Submodule, TableModule, quotient_module
-from bowtie.rings import Ideal, TableRing
+from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
 
 
 def _subsets_with_zero(size: int, zero: int):
@@ -163,6 +163,18 @@ def brute_prime_submodule(n: Submodule) -> bool:
             if module.act[a][x] in n.member_set:
                 return False
     return True
+
+
+def brute_irreducible(n: Submodule, subs: list[frozenset[int]] | None = None) -> bool:
+    """No submodules K, L of M other than N with K & L = N.
+
+    K and L range over ``brute_submodules(M)``, or over ``subs`` if given.
+    """
+    subs = brute_submodules(n.module) if subs is None else subs
+    return not any(
+        k & l == n.member_set and k != n.member_set and l != n.member_set
+        for k in subs for l in subs
+    )
 
 
 def brute_weakly_prime_af(n: Submodule) -> bool:
@@ -440,6 +452,38 @@ def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
                             f" T={subs[t].label_set()}"
                         ),
                     )
+    return Verdict(holds=True, variant="azizi")
+
+
+def azizi_pair_loop(n: Submodule, subs: list[Submodule]) -> Verdict:
+    """Azizi over every scalar pair (a, b), on preimage masks.
+
+    The library's earlier kernel: sends[c] holds the lattice indices t
+    with c*T inside N, and the first (a, b) with some t in
+    sends[ab] - sends[a] - sends[b] is the witness, t its lowest index.
+    """
+    mod = n.module
+    _proper(n.members, mod.size)
+    by_pre: dict[int, int] = {}
+    sends = []
+    for p in n.pre:
+        if p not in by_pre:
+            by_pre[p] = mask_of(t for t, sub in enumerate(subs) if sub.mask & p == sub.mask)
+        sends.append(by_pre[p])
+    mul = mod.ring.mul
+    for a, sa in enumerate(sends):
+        row = mul[a]
+        for b, sb in enumerate(sends):
+            bad = sends[row[b]] & ~(sa | sb)
+            if bad:
+                t = lowest_bit(bad)
+                return Verdict(
+                    holds=False, variant="azizi", witness=(a, b, t),
+                    witness_text=(
+                        f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
+                        f" T={subs[t].label_set()}"
+                    ),
+                )
     return Verdict(holds=True, variant="azizi")
 
 

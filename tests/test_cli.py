@@ -316,6 +316,59 @@ def test_large_ring_refused_before_its_tables(ring, size, tmp_path, capsys, monk
         " raise --budget or BOWTIE_BUDGET\n")
 
 
+@pytest.mark.parametrize("ring,where", [
+    ({"product": [{"zn": 1000000}, {"zn": 0}]}, "ring.product[1].zn"),
+    ({"product": [{"zn": 1000000}, {"zn": True}]}, "ring.product[1].zn"),
+    ({"product": [{"zn": 1000000}, {"zn": -3}]}, "ring.product[1].zn"),
+    ({"product": [{"zn": 1000000}, {"ring": 2}]}, "ring.product[1]"),
+    ({"product": [{"zn": 1000000}, {"product": [{"zn": 2}]}]}, "ring.product[1].product"),
+], ids=["zero", "bool", "negative", "unknown-kind", "short-product"])
+def test_bad_factor_refused_before_any_table(ring, where, tmp_path, capsys, monkeypatch):
+    # a factor that is not a positive int makes |A| unknown, so the size gate
+    # cannot refuse the document; it is rejected before the left factor is built
+    import bowtie.instances
+
+    def unbuilt(*args):
+        raise AssertionError("tables built for a malformed ring")
+
+    monkeypatch.setattr(bowtie.instances, "make_zn", unbuilt)
+    monkeypatch.setattr(bowtie.instances, "direct_product", unbuilt)
+    assert bowtie.instances.declared_ring_size(ring) is None
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"ring": ring, "ideal_generators": [], "module": "regular"}))
+    assert main(["classify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bowtie: error: {where}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [40, 3000])
+def test_deep_product_nesting_is_a_spec_error(depth, tmp_path, capsys):
+    ring = '{"product": [' * depth + '{"zn": 1}' + ', {"zn": 1}]}' * depth
+    p = tmp_path / "deep.json"
+    p.write_text('{"ring": %s, "ideal_generators": [], "module": "regular"}' % ring)
+    assert main(["classify", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bowtie: error: ") and err.count("\n") == 1
+    assert "nest" in err
+
+
+@pytest.mark.parametrize("where,doc", [
+    ("ring.tables.labels", {
+        "ring": {"tables": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                            "labels": ["a", "a"]}},
+        "ideal_generators": [], "module": "regular"}),
+    ("module.tables.labels", {
+        "ring": {"zn": 2}, "ideal_generators": [],
+        "module": {"tables": {"add": [[0, 1], [1, 0]], "act": [[0, 0], [0, 1]],
+                              "labels": ["x", "x"]}}}),
+], ids=["ring", "module"])
+def test_duplicate_labels_exit_2(where, doc, tmp_path, capsys):
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err == f"bowtie: error: {where}: labels must be distinct\n"
+
+
 def test_budget_env_var(z6_path):
     proc = _run_cli("classify", z6_path, BOWTIE_BUDGET="10")
     assert proc.returncode == 4

@@ -5,7 +5,6 @@ from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
     detect_bowtie_form,
-    diagonal_embed,
     distinguished_submodules,
     predicted_sizes,
     restrict_scalars,
@@ -23,6 +22,8 @@ from bowtie.modules import (
 )
 from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, table_array
 from bowtie.theorems import make_zn_instance
+
+from constructions import diagonal_embed
 
 Z6_PAIRS = (
     (0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 5),

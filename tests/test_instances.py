@@ -3,7 +3,14 @@ import json
 import pytest
 
 from bowtie import modules, rings
-from bowtie.instances import SEEDS, InstanceSpec, SpecError, seed_spec
+from bowtie.instances import (
+    MAX_PRODUCT_DEPTH,
+    SEEDS,
+    InstanceSpec,
+    SpecError,
+    declared_ring_size,
+    seed_spec,
+)
 
 
 def test_minimal_zn_spec():
@@ -150,6 +157,45 @@ def test_tables_validated_above_the_default_limit(monkeypatch):
                 "add": [[0, 1], [1, 0]],
                 "act": [[0, 0], [0, 1], [0, 1], [0, 1]],  # 2*1 = 1 != 1 + 1
             }},
+        }).build()
+
+
+def _nested(depth: int) -> dict:
+    ring = {"zn": 1}
+    for _ in range(depth):
+        ring = {"product": [ring, {"zn": 1}]}
+    return {"ring": ring, "ideal_generators": [], "module": "regular"}
+
+
+def test_product_nesting_is_bounded():
+    quad = InstanceSpec.from_dict(_nested(MAX_PRODUCT_DEPTH)).build()
+    assert quad.ring.size == 1
+    for depth in (MAX_PRODUCT_DEPTH + 1, 3000):
+        with pytest.raises(SpecError, match="products nest deeper than"):
+            InstanceSpec.from_dict(_nested(depth)).build()
+        assert declared_ring_size(_nested(depth)["ring"]) is None
+
+
+def test_declared_ring_size():
+    assert declared_ring_size({"product": [{"zn": 3}, {"zn": 4}]}) == 12
+    assert declared_ring_size({"tables": {"add": [[0]], "mul": [[0]]}}) == 1
+    for bad in ({"zn": 0}, {"zn": True}, {"zn": 2.0}, {"tables": {"add": [], "mul": []}},
+                {"product": [{"zn": 1000000}, {"zn": 0}]}, {"zn": 2, "extra": 1}):
+        assert declared_ring_size(bad) is None, bad
+
+
+def test_duplicate_labels_rejected():
+    z2 = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    with pytest.raises(SpecError, match=r"ring.tables.labels: labels must be distinct"):
+        InstanceSpec.from_dict({
+            "ring": {"tables": {**z2, "labels": ["a", "a"]}},
+            "ideal_generators": [], "module": "regular",
+        }).build()
+    with pytest.raises(SpecError, match=r"module.tables.labels: labels must be distinct"):
+        InstanceSpec.from_dict({
+            "ring": {"zn": 2}, "ideal_generators": [],
+            "module": {"tables": {"add": z2["add"], "act": [[0, 0], [0, 1]],
+                                  "labels": ["x", "x"]}},
         }).build()
 
 

@@ -18,8 +18,6 @@ from bowtie.modules import (
     quotient_module,
     ring_as_module,
     submodule_generated,
-    submodule_intersection,
-    submodule_sum,
     validate_module,
     whole_submodule,
     zero_submodule,
@@ -29,6 +27,7 @@ from bowtie.duplication import restrict_scalars
 from bowtie.rings import RingAxiomError, enumerate_ideals, make_zn, mask_of
 
 from families import duplications, family_modules
+from constructions import submodule_intersection, submodule_sum
 from oracles import brute_submodules, module_map_holds
 
 

@@ -10,18 +10,20 @@ from bowtie.rings import (
     direct_product,
     enumerate_ideals,
     ideal_generated,
-    ideal_intersection,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
     make_zn,
-    quotient_ring,
     radical,
     subring_from_subset,
     table_array,
     validate_ring,
 )
 
+from constructions import (
+    ideal_intersection,
+    ideal_power,
+    ideal_product,
+    ideal_sum,
+    quotient_ring,
+)
 from oracles import brute_ideals, brute_radical
 
 

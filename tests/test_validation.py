@@ -47,13 +47,13 @@ from bowtie.rings import (
     direct_product,
     enumerate_ideals,
     make_zn,
-    quotient_ring,
     subring_from_subset,
     validate_ring,
 )
 from bowtie.instances import InstanceSpec
 from bowtie.theorems import CorpusSpec, hunt
 
+from constructions import quotient_ring
 from families import duplications, family_modules, products, quotient_bases, quotients_and_sums
 from oracles import module_axiom_violations, ring_axiom_violations
 
