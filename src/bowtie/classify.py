@@ -37,13 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .rings import Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit
-from .modules import (
-    Submodule,
-    TableModule,
-    colon_mask,
-    enumerate_submodules,
-)
+from .rings import Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit, mask_of
+from .modules import Submodule, TableModule, colon_mask, cosets, enumerate_submodules
 
 VARIANTS = ("af", "azizi", "behboodi")
 
@@ -115,11 +110,9 @@ def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> V
         return Verdict(holds=True)
     r = j.ring
     a, b = hit
-    return Verdict(
-        holds=False,
-        witness=(a, b),
-        witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[r.mul[a][b]]}{suffix}",
-    )
+    ab = r.labels[int(r.mul_array[a, b])]
+    return Verdict(holds=False, witness=(a, b),
+                   witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={ab}{suffix}")
 
 
 def is_prime_ideal(j: Ideal) -> Verdict:
@@ -167,14 +160,9 @@ def _submodule_verdict(
         return Verdict(holds=True, variant=variant)
     mod = n.module
     a, x = hit
-    return Verdict(
-        holds=False,
-        variant=variant,
-        witness=(a, x),
-        witness_text=(
-            f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[mod.act[a][x]]}{suffix}"
-        ),
-    )
+    ax = mod.labels[int(mod.act_array[a, x])]
+    return Verdict(holds=False, variant=variant, witness=(a, x),
+                   witness_text=f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={ax}{suffix}")
 
 
 def is_prime_submodule(n: Submodule) -> Verdict:
@@ -233,7 +221,7 @@ def is_weakly_prime_submodule_azizi(
     if not hits:
         return Verdict(holds=True, variant="azizi")
     a, b = min(hits)
-    ab = ring.mul[a][b]
+    ab = int(ring.mul_array[a, b])
     t = next(t for t, c in enumerate(colons) if c >> ab & 1 and not (c >> a | c >> b) & 1)
     return Verdict(
         holds=False,
@@ -288,19 +276,6 @@ def is_weakly_prime_module(
     return _first_non_prime_annihilator(module.ring, anns, lambda i: subs[i].label_set())
 
 
-def _coset_representatives(n: Submodule) -> int:
-    """The least member of each coset x + N, as a mask."""
-    add = n.module.add
-    reps = covered = 0
-    for x in range(n.module.size):
-        if not covered >> x & 1:
-            reps |= 1 << x
-            row = add[x]
-            for m in n.members:
-                covered |= 1 << row[m]
-    return reps
-
-
 def is_weakly_prime_submodule_behboodi(
     n: Submodule, submodules: list[Submodule] | None = None
 ) -> Verdict:
@@ -316,7 +291,7 @@ def is_weakly_prime_submodule_behboodi(
     _require_proper(n)
     mod = n.module
     subs = enumerate_submodules(mod) if submodules is None else submodules
-    reps = _coset_representatives(n)
+    reps = mask_of(cosets(n)[1].tolist())  # the least member of each coset
     nm = n.mask
     above = sorted(
         (k.mask for k in subs if k.mask & nm == nm),

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
-from .instances import SEEDS, InstanceSpec, SpecError, declared_ring_size, seed_spec
+from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
+                        declared_ring_size, seed_spec)
 from .modules import Submodule, colon_into_ring, whole_submodule
 from .theorems import (
     READINGS,
@@ -99,8 +100,10 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
     cap = _budget(budget)
     if cap is None:
         return EXIT_BAD_INPUT
-    # |A><I| >= |A|: refuse a large ring before its tables are built
-    if _over_budget("|A|", declared_ring_size(spec.ring_desc), cap):
+    # |A><I| >= |A| and |M><I| >= |M|: refuse a large ring before its tables
+    # are built, and a large module table before it is read
+    if (_over_budget("|A|", declared_ring_size(spec.ring_desc), cap)
+            or _over_budget("|M|", declared_module_size(spec.module_desc), cap)):
         return EXIT_BUDGET
     try:
         ring, ideal, module, sub = spec.build()

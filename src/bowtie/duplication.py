@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, _additive_closure, narrow_dtype
+from .rings import ClosureError, Ideal, TableRing, carrier_table, closure_mask, pack_rows
 from .modules import Submodule, TableModule
 
 
@@ -43,14 +44,17 @@ class BowtieInstance:
 
 
 def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
-    """The submodule I*M: additive closure of the products i*m."""
+    """The submodule I*M: the additive closure of the products i*m."""
     if ideal.ring is not module.ring:
         raise ValueError("ideal and module are over different rings")
-    prods = {
-        module.act[i][m] for i in ideal.members for m in range(module.size)
-    }
-    closed = _additive_closure(module.add, prods, module.zero)
-    return Submodule(module, closed, _checked=True)
+    return Submodule.from_mask(module, _products_closure(module, ideal.members))
+
+
+def _products_closure(module: TableModule, scalars: Sequence[int]) -> int:
+    """The additive closure of the products s*m, s among the scalars, as a mask."""
+    hits = np.zeros((1, module.size), dtype=bool)
+    hits[0, module.act_array[list(scalars)]] = True
+    return closure_mask(module.add_array, pack_rows(hits)[0], module.zero)
 
 
 def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple[int, int]:
@@ -59,51 +63,39 @@ def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple
     return ring.size * len(ideal), module.size * len(im)
 
 
-def _pair_lookup(pairs: tuple[tuple[int, int], ...], width: int) -> np.ndarray:
-    """Pair index by code a*width + b; -1 for a pair outside the carrier."""
+def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """For sorted pair codes a*width + b: the pairs as a (count, 2) array,
+    the pair index by code (-1 for a pair outside the carrier), and the
+    pairs as tuples."""
+    pairs = np.stack(np.divmod(codes, width), axis=1)
     lookup = np.full(width * width, -1, dtype=np.int64)
-    lookup[[a * width + b for a, b in pairs]] = np.arange(len(pairs))
-    return lookup
+    lookup[codes] = np.arange(len(codes))
+    return pairs, lookup, tuple(map(tuple, pairs.tolist()))
 
 
-def _componentwise(
-    op: tuple[tuple[int, ...], ...],
-    rows: tuple[tuple[int, int], ...],
-    cols: tuple[tuple[int, int], ...],
-    lookup: np.ndarray,
-    width: int,
-    what: str,
-) -> np.ndarray:
+def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
+                   width: int, what: str) -> np.ndarray:
     """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
 
     A result outside the carrier raises ClosureError at the first such
     entry, with its two pairs as codes a*width + b. The table comes back
     read-only in table_array's dtype, so no int64 copy outlives the call.
     """
-    t = np.asarray(op, dtype=np.int64)
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
+    t = op.astype(np.int64)
     # codes are built in place: they are a build's largest temporaries
-    codes = t[r[:, :1], c[:, 0]]
+    codes = t[rows[:, :1], cols[:, 0]]
     codes *= width
-    codes += t[r[:, 1:], c[:, 1]]
+    codes += t[rows[:, 1:], cols[:, 1]]
     table = lookup[codes]
     if (table < 0).any():
         i, j = (int(v) for v in np.argwhere(table < 0)[0])
-        (a, b), (x, y) = rows[i], cols[j]
+        (a, b), (x, y) = rows[i].tolist(), cols[j].tolist()
         raise ClosureError(
             f"subset not closed under {what} at (({a},{b}),({x},{y}))",
             (a * width + b, x * width + y),
         )
-    # the entries index the carrier of cols, and the row of zero (for add)
-    # or of one (for mul and act) holds every one of them
-    table = table.astype(narrow_dtype(0, len(cols) - 1))
-    table.setflags(write=False)
-    return table
-
-
-def _tuples(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, table.tolist()))
+    # the entries index the carrier of cols
+    return carrier_table(table, len(cols))
 
 
 def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieInstance:
@@ -113,9 +105,9 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     M x M, and both are operated on componentwise. They are a ring and a
     module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
     nothing is re-validated; a pair set that is not closed raises
-    ClosureError. The numpy tables that the checkers read (the module's
-    addition and action, the ring's multiplication) are kept from the
-    construction rather than rebuilt from the tuples.
+    ClosureError. When M is the regular module of A (it stores the ring's
+    own arrays), IM = I, so M><I has the pairs of A><I and is its regular
+    module: it shares the ring's arrays instead of computing two more.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -124,44 +116,44 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     im = product_submodule(ideal, module)
 
     n = ring.size
-    ring_pairs = tuple(sorted({(a, ring.add[a][i]) for a in range(n) for i in ideal.members}))
-    ring_index = _pair_lookup(ring_pairs, n)
-    ring_add = _tuples(_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"))
-    ring_mul = _componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul")
+    # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted
+    ring_codes = np.sort(
+        (np.arange(n)[:, None] * n + ring.add_array[:, list(ideal.members)]).ravel()
+    )
+    rp, ring_index, ring_pairs = _pairs(ring_codes, n)
     bowtie_ring = TableRing(
         size=len(ring_pairs),
-        add=ring_add,
-        mul=_tuples(ring_mul),
+        add=_componentwise(ring.add_array, rp, rp, ring_index, n, "add"),
+        mul=_componentwise(ring.mul_array, rp, rp, ring_index, n, "mul"),
         zero=int(ring_index[ring.zero * n + ring.zero]),
         one=int(ring_index[ring.one * n + ring.one]),
         labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
         name=f"sub(({ring.name}x{ring.name}))",
     )
-    bowtie_ring.derived_cache["mul_array"] = ring_mul
 
-    # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
     k = module.size
-    inside = np.zeros(k, dtype=bool)
-    inside[list(im.members)] = True
-    diff = module.add_array[:, np.asarray(module.neg)]  # diff[m, m'] = m - m'
-    firsts, seconds = np.nonzero(inside[diff])
-    module_pairs = tuple(zip(firsts.tolist(), seconds.tolist()))
-    module_index = _pair_lookup(module_pairs, k)
-    add = _componentwise(module.add, module_pairs, module_pairs, module_index, k, "add")
-    act = _componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act")
+    if module.add_array is ring.add_array and module.act_array is ring.mul_array:
+        module_pairs, module_index = ring_pairs, ring_index
+        add, act = bowtie_ring.add_array, bowtie_ring.mul_array
+    else:
+        # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
+        inside = np.zeros(k, dtype=bool)
+        inside[list(im.members)] = True
+        diff = module.add_array[:, list(module.neg)]  # diff[m, m'] = m - m'
+        mp, module_index, module_pairs = _pairs(np.flatnonzero(inside[diff]), k)
+        add = _componentwise(module.add_array, mp, mp, module_index, k, "add")
+        act = _componentwise(module.act_array, rp, mp, module_index, k, "act")
+    labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels
+              else tuple(f"({module.labels[m]},{module.labels[mp]})" for m, mp in module_pairs))
     bowtie_module = TableModule(
         ring=bowtie_ring,
         size=len(module_pairs),
-        add=_tuples(add),
-        act=_tuples(act),
+        add=add,
+        act=act,
         zero=int(module_index[module.zero * k + module.zero]),
-        labels=tuple(
-            f"({module.labels[m]},{module.labels[mp]})" for (m, mp) in module_pairs
-        ),
+        labels=labels,
         name=f"{module.name}><{ideal.label_set()}",
     )
-    bowtie_module.derived_cache["add_array"] = add
-    bowtie_module.derived_cache["act_array"] = act
     return BowtieInstance(
         base_ring=ring,
         ideal=ideal,
@@ -212,10 +204,7 @@ def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule
          if m in inst.im.member_set and mp in inst.im.member_set],
         _checked=True,
     )
-    ideal = zero_cross_i(inst)
-    prods = {mod.act[j][p] for j in ideal.members for p in range(mod.size)}
-    closed = _additive_closure(mod.add, prods, mod.zero)
-    if closed != zero_cross_im.member_set:
+    if _products_closure(mod, zero_cross_i(inst).members) != zero_cross_im.mask:
         raise AssertionError("(0 x I)(M join I) differs from 0 x IM")
     return zero_cross_im, im_cross_im
 
@@ -234,23 +223,19 @@ def restrict_scalars(
     if m0.ring is not inst.base_ring:
         raise ValueError("module is over a different base ring")
     comp = 0 if which == "first" else 1
-    rows = [pair[comp] for pair in inst.ring_pairs]
-    restricted = TableModule(
+    # every row of the base appears among the gathered ones, so they keep
+    # the dtype table_array would choose
+    act = m0.act_array[[pair[comp] for pair in inst.ring_pairs]]
+    act.setflags(write=False)
+    return TableModule(
         ring=inst.bowtie_ring,
         size=m0.size,
-        add=m0.add,
-        act=tuple(m0.act[r] for r in rows),
+        add=m0.add_array,
+        act=act,
         zero=m0.zero,
         labels=m0.labels,
         name=f"{m0.name}|{which}",
     )
-    # every row of the base appears in rows, so the gathered copy has the
-    # dtype table_array would choose
-    act = m0.act_array[rows]
-    act.setflags(write=False)
-    restricted.derived_cache["add_array"] = m0.add_array
-    restricted.derived_cache["act_array"] = act
-    return restricted
 
 
 def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:

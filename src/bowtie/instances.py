@@ -52,18 +52,26 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SpecError(f"{where}: {msg}")
 
 
-def _as_matrix(obj: Any, where: str) -> tuple[tuple[int, ...], ...]:
+def _as_matrix(obj: Any, where: str) -> list[list[int]]:
     _require(isinstance(obj, list) and obj, where, "expected a nonempty matrix")
-    rows = []
     for r, row in enumerate(obj):
         _require(isinstance(row, list), f"{where}[{r}]", "expected a list")
-        for c, v in enumerate(row):
-            _require(
-                isinstance(v, int) and not isinstance(v, bool),
-                f"{where}[{r}][{c}]", "expected an integer",
-            )
-        rows.append(tuple(row))
-    return tuple(rows)
+        if not all(type(v) is int for v in row):
+            c = next(c for c, v in enumerate(row) if type(v) is not int)
+            raise SpecError(f"{where}[{r}][{c}]: expected an integer")
+    return obj
+
+
+def _table_labels(body: dict, k: int, where: str) -> tuple[str, ...]:
+    labels = body.get("labels", [str(i) for i in range(k)])
+    _require(isinstance(labels, list) and len(labels) == k
+             and all(isinstance(s, str) for s in labels),
+             f"{where}.labels", f"expected {k} strings")
+    _require(len(set(labels)) == k, f"{where}.labels", "labels must be distinct")
+    # element references are read with their spaces removed
+    spaced = next((s for s in labels if any(c.isspace() for c in s)), None)
+    _require(spaced is None, f"{where}.labels", f"label {spaced!r} contains whitespace")
+    return tuple(labels)
 
 
 # deepest nesting of "product" a ring description may use
@@ -106,6 +114,14 @@ def declared_ring_size(desc: Any) -> int | None:
         return None
 
 
+def declared_module_size(desc: Any) -> int | None:
+    """|M| as a module table states it, before the table is read; None for
+    the regular module (whose size is |A|) or a malformed description."""
+    body = desc.get("tables") if isinstance(desc, dict) else None
+    add = body.get("add") if isinstance(body, dict) else None
+    return len(add) if isinstance(add, list) else None
+
+
 def _build_ring(desc: Any, where: str = "ring") -> TableRing:
     _ring_size(desc, where)
     return _ring_from(desc, where)
@@ -126,28 +142,25 @@ def _ring_from(desc: Any, where: str) -> TableRing:
     _require(all(len(r) == k for r in add) and len(mul) == k
              and all(len(r) == k for r in mul),
              f"{where}.tables", "add and mul must be square of the same size")
-    labels = body.get("labels", [str(i) for i in range(k)])
-    _require(isinstance(labels, list) and len(labels) == k
-             and all(isinstance(s, str) for s in labels),
-             f"{where}.tables.labels", f"expected {k} strings")
-    _require(len(set(labels)) == k, f"{where}.tables.labels", "labels must be distinct")
+    labels = _table_labels(body, k, f"{where}.tables")
     zero = body.get("zero", 0)
     one = body.get("one")
     _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
              "expected a carrier index")
     if one is None:
         # the unique u with u*x == x for all x; rings require one
-        one = next(
-            (u for u in range(k) if mul[u] == tuple(range(k))), None)
+        one = next((u for u in range(k) if mul[u] == list(range(k))), None)
         _require(one is not None, f"{where}.tables",
                  "no multiplicative identity row found; supply \"one\"")
     _require(isinstance(one, int) and 0 <= one < k, f"{where}.tables.one",
              "expected a carrier index")
-    ring = TableRing(size=k, add=add, mul=mul, zero=zero, one=one,
-                     labels=tuple(labels), name=body.get("name", "ring"))
     try:
+        # the lists are read into arrays once, here; an entry too large for
+        # int32 is an OverflowError
+        ring = TableRing(size=k, add=add, mul=mul, zero=zero, one=one,
+                         labels=labels, name=body.get("name", "ring"))
         validate_ring(ring, limit=k)  # a user table is checked at any size
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecError(f"{where}.tables: {exc}") from exc
     return ring
 
@@ -179,19 +192,15 @@ def _build_module(desc: Any, ring: TableRing, where: str = "module") -> TableMod
     _require(all(len(r) == k for r in add), f"{where}.tables.add", "must be square")
     _require(len(act) == ring.size and all(len(r) == k for r in act),
              f"{where}.tables.act", f"must be {ring.size} rows of length {k}")
-    labels = body.get("labels", [str(i) for i in range(k)])
-    _require(isinstance(labels, list) and len(labels) == k
-             and all(isinstance(s, str) for s in labels),
-             f"{where}.tables.labels", f"expected {k} strings")
-    _require(len(set(labels)) == k, f"{where}.tables.labels", "labels must be distinct")
+    labels = _table_labels(body, k, f"{where}.tables")
     zero = body.get("zero", 0)
     _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
              "expected a carrier index")
-    module = TableModule(ring=ring, size=k, add=add, act=act, zero=zero,
-                         labels=tuple(labels), name=body.get("name", "module"))
     try:
+        module = TableModule(ring=ring, size=k, add=add, act=act, zero=zero,
+                             labels=labels, name=body.get("name", "module"))
         validate_module(module, limit=max(k, ring.size))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecError(f"{where}.tables: {exc}") from exc
     return module
 

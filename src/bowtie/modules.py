@@ -20,44 +20,43 @@ from .rings import (
     DEFAULT_VALIDATION_LIMIT,
     _additive_generators,
     _associative_at,
+    _negatives,
     Ideal,
     RingAxiomError,
+    Table,
     TableRing,
     bits,
+    carrier_table,
     derived,
     ideal_of,
     lowest_bit,
     mask_of,
     pack_rows,
     preimage_masks,
+    store_tables,
     table_array,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class TableModule:
-    """A finite unital module on the carrier 0..size-1."""
+    """A finite unital module on the carrier 0..size-1.
+
+    Its tables are stored as ``add_array`` and ``act_array`` (act[r][m], r
+    a ring index; see rings.Table); the regular module stores the ring's.
+    """
 
     ring: TableRing
     size: int
-    add: tuple[tuple[int, ...], ...]
-    act: tuple[tuple[int, ...], ...]  # act[r][m], r a ring index
+    add: tuple[tuple[int, ...], ...] = Table()
+    act: tuple[tuple[int, ...], ...] = Table()
     zero: int
     labels: tuple[str, ...]
     name: str = "module"
     derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def add_array(self) -> np.ndarray:
-        if self.add is self.ring.add:  # the regular module shares the ring's table
-            return self.ring.add_array
-        return derived(self, "add_array", lambda: table_array(self.add))
-
-    @property
-    def act_array(self) -> np.ndarray:
-        if self.act is self.ring.mul:  # the regular module shares the ring's table
-            return self.ring.mul_array
-        return derived(self, "act_array", lambda: table_array(self.act))
+    def __post_init__(self) -> None:
+        store_tables(self, "add", "act")
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
@@ -68,13 +67,10 @@ class TableModule:
 
     @property
     def neg(self) -> tuple[int, ...]:
-        return derived(self, "neg", lambda: tuple(row.index(self.zero) for row in self.add))
+        return derived(self, "neg", lambda: _negatives(self.add_array, self.zero))
 
     def sub(self, m: int, n: int) -> int:
-        return self.add[m][self.neg[n]]
-
-    def label(self, m: int) -> str:
-        return self.labels[m]
+        return int(self.add_array[m, self.neg[n]])
 
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
@@ -138,11 +134,12 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule:
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "members", "member_set", "mask", "_pre")
+    __slots__ = ("module", "members", "member_set", "mask", "_pre", "_cosets")
 
     def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
-        self.module, self.member_set, self.mask, self._pre = module, mset, mask_of(mset), None
+        self.module, self.member_set, self.mask = module, mset, mask_of(mset)
+        self._pre = self._cosets = None
         self.members: tuple[int, ...] = tuple(sorted(mset))
         if not _checked:
             self._validate()
@@ -151,7 +148,7 @@ class Submodule:
     def from_mask(cls, module: TableModule, mask: int, members: Sequence[int] = ()) -> Submodule:
         """A submodule known to be closed, from its mask (and sorted members, if at hand)."""
         sub = cls.__new__(cls)
-        sub.module, sub.mask, sub._pre = module, mask, None
+        sub.module, sub.mask, sub._pre, sub._cosets = module, mask, None, None
         sub.members = tuple(members or bits(mask))
         sub.member_set = frozenset(sub.members)
         return sub
@@ -171,14 +168,15 @@ class Submodule:
         mod = self.module
         if mod.zero not in self.member_set:
             raise ValueError("submodule must contain zero")
+        add, act = mod.add, mod.act
         for a in self.members:
             for b in self.members:
-                if mod.add[a][b] not in self.member_set:
+                if add[a][b] not in self.member_set:
                     raise ValueError(
                         f"not add-closed at ({mod.labels[a]},{mod.labels[b]})"
                     )
             for s in range(mod.ring.size):
-                if mod.act[s][a] not in self.member_set:
+                if act[s][a] not in self.member_set:
                     raise ValueError(
                         f"not action-closed at {mod.ring.labels[s]}*{mod.labels[a]}"
                     )
@@ -231,8 +229,8 @@ def ring_as_module(ring: TableRing) -> TableModule:
     return TableModule(
         ring=ring,
         size=ring.size,
-        add=ring.add,
-        act=ring.mul,
+        add=ring.add_array,
+        act=ring.mul_array,
         zero=ring.zero,
         labels=ring.labels,
         name=f"{ring.name}-reg",
@@ -289,12 +287,13 @@ def _join(
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
     """The sum of the cyclic submodules of the generators."""
     cyclic = cyclic_masks(module)
+    add = module.add
     k = 1 << module.zero
     for g in gens:
         g = int(g)
         if not 0 <= g < module.size:
             raise ValueError(f"generator index {g} out of range")
-        k = _join(module.add, k, bits(k), cyclic[g], {})
+        k = _join(add, k, bits(k), cyclic[g], {})
     return Submodule.from_mask(module, k)
 
 
@@ -307,15 +306,16 @@ def enumerate_submodules(module: TableModule) -> list[Submodule]:
     the K, or the cosets y + K when C is small against K.
     """
     found = {1 << module.zero: [module.zero]}  # mask -> sorted members
+    add = module.add
     for c in sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count):
         if c in found:
             continue
         c_members, translates = bits(c), {}
         for k, k_members in list(found.items()):
             if c & ~k:
-                joined = (_join(module.add, k, k_members, c, {})
+                joined = (_join(add, k, k_members, c, {})
                           if len(c_members) * (c & k).bit_count() < len(k_members)
-                          else _join(module.add, c, c_members, k, translates))
+                          else _join(add, c, c_members, k, translates))
                 if joined not in found:
                     found[joined] = bits(joined)
     ordered = sorted(found.items(), key=lambda item: (len(item[1]), item[1]))
@@ -368,6 +368,16 @@ def is_cyclic(module: TableModule) -> CyclicResult:
     return CyclicResult(False, None)
 
 
+def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets m + N: each element's coset index, numbered by least
+    member, and those least members, ascending; computed once per N."""
+    if n._cosets is None:
+        rep_of = n.module.add_array[:, list(n.members)].min(axis=1)
+        is_rep = rep_of == np.arange(n.module.size)
+        n._cosets = (np.cumsum(is_rep) - 1)[rep_of], np.flatnonzero(is_rep)
+    return n._cosets
+
+
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
     """Cosets of a submodule, indexed by minimal member.
 
@@ -375,40 +385,19 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
     """
     if n.module is not module:
         raise ValueError("submodule belongs to a different module")
-    rep_of = [-1] * module.size
-    reps: list[int] = []
-    for m in range(module.size):
-        if rep_of[m] >= 0:
-            continue
-        coset = sorted(module.add[m][x] for x in n.members)
-        rep = coset[0]
-        reps.append(rep)
-        for c in coset:
-            rep_of[c] = rep
-    reps.sort()
-    index = {rep: i for i, rep in enumerate(reps)}
-    add = tuple(
-        tuple(index[rep_of[module.add[x][y]]] for y in reps) for x in reps
-    )
-    act = tuple(
-        tuple(index[rep_of[module.act[s][x]]] for x in reps)
-        for s in range(module.ring.size)
-    )
+    index, reps = cosets(n)
+    size = len(reps)
+    proj = carrier_table(index, size)
     quo = TableModule(
         ring=module.ring,
-        size=len(reps),
-        add=add,
-        act=act,
-        zero=index[rep_of[module.zero]],
-        labels=tuple(f"[{module.labels[rep]}]" for rep in reps),
+        size=size,
+        add=carrier_table(proj[module.add_array[reps][:, reps]], size),
+        act=carrier_table(proj[module.act_array[:, reps]], size),
+        zero=int(proj[module.zero]),
+        labels=tuple(f"[{module.labels[rep]}]" for rep in reps.tolist()),
         name=f"{module.name}/N",
     )
-    projection = ModuleMap(
-        source=module,
-        target=quo,
-        table=tuple(index[rep_of[m]] for m in range(module.size)),
-    )
-    return quo, projection
+    return quo, ModuleMap(source=module, target=quo, table=tuple(proj.tolist()))
 
 
 def check_module_map(f: ModuleMap) -> bool:

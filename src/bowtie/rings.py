@@ -37,8 +37,8 @@ class ClosureError(ValueError):
 
 
 # table_array's dtypes, narrowest first, with the range each holds
-_NARROW = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max))
-                for d in (np.uint8, np.uint16, np.int32))
+_DTYPES = (np.uint8, np.uint16, np.int32)
+_NARROW = tuple((d, int(np.iinfo(d).min), int(np.iinfo(d).max)) for d in _DTYPES)
 
 
 def narrow_dtype(lo: int, hi: int) -> type:
@@ -53,17 +53,21 @@ def table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """A read-only numpy copy of an operation table, nested sequences or array.
 
     Entries are stored as uint8 or uint16 when they all fit, so that the
-    copies cached next to the tuple tables stay small; a table with an entry
-    outside that range (which validation then rejects) is int32.
+    stored tables stay small; a table with an entry outside that range
+    (which validation then rejects) is int32. An array that is read-only
+    in one of these dtypes already, as the constructions build theirs, is
+    returned as it is.
     """
     if isinstance(table, np.ndarray):
+        if not table.flags.writeable and table.dtype in _DTYPES:
+            return table
         # casting an array to a narrower dtype wraps silently, so the
         # dtype is chosen from the entries' range
         lo, hi = (int(table.min()), int(table.max())) if table.size else (0, 0)
         arr = table.astype(narrow_dtype(lo, hi))
     else:
         # casting nested sequences raises OverflowError at an entry out of range
-        for dtype in (np.uint8, np.uint16):
+        for dtype in _DTYPES[:2]:
             try:
                 arr = np.asarray(table, dtype=dtype)
                 break
@@ -127,8 +131,7 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
     Kept in the object's ``derived_cache`` field rather than with
     functools.cached_property: a write into an instance's ``__dict__``
     costs CPython its fast path for every later attribute load on that
-    instance, and the table loops load ``add``, ``mul`` and ``act`` per
-    entry.
+    instance.
     """
     cache = obj.derived_cache
     if key not in cache:
@@ -136,26 +139,61 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
     return cache[key]
 
 
+def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
+    """A computed table whose entries index a carrier of the given size,
+    read-only in table_array's dtype for it (the row of zero or of one
+    holds every element); ``values`` itself when it has that dtype."""
+    arr = values.astype(narrow_dtype(0, size - 1), copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
+class Table:
+    """An operation-table field of TableRing and TableModule.
+
+    __post_init__ (store_tables) replaces what the constructor was given by
+    its table_array, ``<field>_array``, the one stored form. The first read
+    of the field derives tuple rows of Python ints from it, for the loops
+    that index entry by entry, and keeps them as an instance attribute,
+    which later reads find before this descriptor.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> tuple[tuple[int, ...], ...]:
+        if obj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        rows = tuple(map(tuple, getattr(obj, f"{self.name}_array").tolist()))
+        object.__setattr__(obj, self.name, rows)
+        return rows
+
+
+def store_tables(obj: Any, *names: str) -> None:
+    for name in names:
+        table = object.__getattribute__(obj, name)
+        object.__delattr__(obj, name)
+        object.__setattr__(obj, f"{name}_array", table_array(table))
+
+
 @dataclass(frozen=True, eq=False)
 class TableRing:
-    """A finite commutative ring with identity on the carrier 0..size-1."""
+    """A finite commutative ring with identity on the carrier 0..size-1.
+
+    Its tables are stored as ``add_array`` and ``mul_array`` (see Table).
+    """
 
     size: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    add: tuple[tuple[int, ...], ...] = Table()
+    mul: tuple[tuple[int, ...], ...] = Table()
     zero: int
     one: int
     labels: tuple[str, ...]
     name: str = "ring"
     derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def add_array(self) -> np.ndarray:
-        return derived(self, "add_array", lambda: table_array(self.add))
-
-    @property
-    def mul_array(self) -> np.ndarray:
-        return derived(self, "mul_array", lambda: table_array(self.mul))
+    def __post_init__(self) -> None:
+        store_tables(self, "add", "mul")
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
@@ -167,28 +205,31 @@ class TableRing:
     @property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse of every element."""
-        return derived(self, "neg", lambda: tuple(row.index(self.zero) for row in self.add))
+        return derived(self, "neg", lambda: _negatives(self.add_array, self.zero))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
+        return int(self.add_array[a, self.neg[b]])
 
     def power(self, a: int, n: int) -> int:
         """a**n for n >= 1 by repeated multiplication."""
         if n < 1:
             raise ValueError("exponent must be positive")
+        mul = self.mul_array
         acc = a
         for _ in range(n - 1):
-            acc = self.mul[acc][a]
+            acc = int(mul[acc, a])
         return acc
-
-    def label(self, a: int) -> str:
-        return self.labels[a]
 
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"TableRing({self.name}, size={self.size})"
+
+
+def _negatives(add: np.ndarray, zero: int) -> tuple[int, ...]:
+    """neg[x]: the y with x + y = zero."""
+    return tuple((add == zero).argmax(axis=1).tolist())
 
 
 def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
@@ -273,12 +314,11 @@ def make_zn(n: int) -> TableRing:
     """The ring of integers modulo n, elements labeled 0..n-1."""
     if n < 1:
         raise ValueError("modulus must be at least 1")
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
+    a = np.arange(n, dtype=np.int64)
     return TableRing(
         size=n,
-        add=add,
-        mul=mul,
+        add=carrier_table(np.add.outer(a, a) % n, n),
+        mul=carrier_table(np.multiply.outer(a, a) % n, n),
         zero=0,
         one=1 % n,
         labels=tuple(str(a) for a in range(n)),
@@ -289,26 +329,22 @@ def make_zn(n: int) -> TableRing:
 def direct_product(r1: TableRing, r2: TableRing) -> TableRing:
     """Componentwise product ring; element (a, b) sits at index a*|R2| + b."""
     k1, k2 = r1.size, r2.size
-
-    def pair(a: int, b: int) -> int:
-        return a * k2 + b
-
     size = k1 * k2
-    add = []
-    mul = []
-    for a in range(k1):
-        for b in range(k2):
-            add.append(tuple(pair(r1.add[a][c], r2.add[b][d]) for c in range(k1) for d in range(k2)))
-            mul.append(tuple(pair(r1.mul[a][c], r2.mul[b][d]) for c in range(k1) for d in range(k2)))
+
+    def combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        # entry ((a, b), (c, d)) is t1[a, c]*k2 + t2[b, d]
+        t = t1.astype(np.int64)[:, None, :, None] * k2 + t2[None, :, None, :]
+        return carrier_table(t.reshape(size, size), size)
+
     labels = tuple(
         f"({r1.labels[a]},{r2.labels[b]})" for a in range(k1) for b in range(k2)
     )
     return TableRing(
         size=size,
-        add=tuple(add),
-        mul=tuple(mul),
-        zero=pair(r1.zero, r2.zero),
-        one=pair(r1.one, r2.one),
+        add=combine(r1.add_array, r2.add_array),
+        mul=combine(r1.mul_array, r2.mul_array),
+        zero=r1.zero * k2 + r2.zero,
+        one=r1.one * k2 + r2.one,
         labels=labels,
         name=f"({r1.name}x{r2.name})",
     )
@@ -324,35 +360,36 @@ def subring_from_subset(
     inverse, and mul; the first violating pair is reported otherwise.
     """
     decode = tuple(sorted(set(int(s) for s in subset)))
-    index = {amb: i for i, amb in enumerate(decode)}
-    if ring.zero not in index:
+    if ring.zero not in decode:
         raise ClosureError("subset misses the ambient zero", (ring.zero, ring.zero))
-    if ring.one not in index:
+    if ring.one not in decode:
         raise ClosureError("subset misses the ambient one", (ring.one, ring.one))
-    for a in decode:
-        if ring.neg[a] not in index:
-            raise ClosureError(
-                f"subset not closed under negation at {ring.labels[a]}", (a, a)
-            )
-        for b in decode:
-            if ring.add[a][b] not in index:
-                raise ClosureError(
-                    f"subset not closed under add at ({ring.labels[a]},{ring.labels[b]})",
-                    (a, b),
-                )
-            if ring.mul[a][b] not in index:
-                raise ClosureError(
-                    f"subset not closed under mul at ({ring.labels[a]},{ring.labels[b]})",
-                    (a, b),
-                )
-    add = tuple(tuple(index[ring.add[a][b]] for b in decode) for a in decode)
-    mul = tuple(tuple(index[ring.mul[a][b]] for b in decode) for a in decode)
+    d = np.asarray(decode)
+    index = np.full(ring.size, -1, dtype=np.int64)  # ambient -> new index
+    index[d] = np.arange(len(d))
+    neg = index[np.asarray(ring.neg)[d]]
+    add = index[ring.add_array[d][:, d]]
+    mul = index[ring.mul_array[d][:, d]]
+    # the first a whose negation, or some sum or product with a b, leaves
+    # the subset; at that a, negation is reported first, then b ascending
+    outside = (add < 0) | (mul < 0)
+    bad_rows = (neg < 0) | outside.any(axis=1)
+    if bad_rows.any():
+        i = int(bad_rows.argmax())
+        a = decode[i]
+        if neg[i] < 0:
+            raise ClosureError(f"subset not closed under negation at {ring.labels[a]}", (a, a))
+        j = int(outside[i].argmax())
+        b, op = decode[j], "add" if add[i, j] < 0 else "mul"
+        raise ClosureError(
+            f"subset not closed under {op} at ({ring.labels[a]},{ring.labels[b]})", (a, b)
+        )
     sub = TableRing(
         size=len(decode),
-        add=add,
-        mul=mul,
-        zero=index[ring.zero],
-        one=index[ring.one],
+        add=carrier_table(add, len(decode)),
+        mul=carrier_table(mul, len(decode)),
+        zero=int(index[ring.zero]),
+        one=int(index[ring.one]),
         labels=tuple(ring.labels[a] for a in decode),
         name=f"sub({ring.name})",
     )
@@ -394,14 +431,15 @@ class Ideal:
         r = self.ring
         if r.zero not in self.member_set:
             raise ValueError("ideal must contain zero")
+        add, mul = r.add, r.mul
         for a in self.members:
             for b in self.members:
-                if r.add[a][b] not in self.member_set:
+                if add[a][b] not in self.member_set:
                     raise ValueError(
                         f"not add-closed at ({r.labels[a]},{r.labels[b]})"
                     )
             for s in range(r.size):
-                if r.mul[s][a] not in self.member_set:
+                if mul[s][a] not in self.member_set:
                     raise ValueError(
                         f"not absorbing at {r.labels[s]}*{r.labels[a]}"
                     )
@@ -465,30 +503,37 @@ def ideal_radical(j: Ideal) -> Ideal:
     return ideal_of(j.ring, radicals[j.mask])
 
 
-def _additive_closure(add: Sequence[Sequence[int]], seed: Iterable[int], zero: int) -> frozenset[int]:
-    members = set(seed)
-    members.add(zero)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in tuple(members):
-            z = add[x][y]
-            if z not in members:
-                members.add(z)
-                work.append(z)
-    return frozenset(members)
+def closure_mask(add: np.ndarray, seed: int, zero: int) -> int:
+    """The additive subgroup a subset generates, as a mask, from a group's
+    addition table.
+
+    Each generator y outside the subgroup C found so far adds the cosets
+    C + y, C + 2y, ..., each translated from the last by one table row,
+    until one meets C again; their union is C + <y>.
+    """
+    closed = 1 << zero
+    rest = seed & ~closed
+    while rest:
+        row = add[lowest_bit(rest)].tolist()
+        coset = closed
+        while True:
+            coset = mask_of(row[c] for c in bits(coset))
+            if coset & closed:
+                break
+            closed |= coset
+        rest &= ~closed
+    return closed
 
 
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators: multiples, then sums."""
-    multiples = {ring.zero}
+    multiples = 0
     for g in gens:
         g = int(g)
         if not 0 <= g < ring.size:
             raise ValueError(f"generator index {g} out of range")
-        multiples.update(ring.mul[s][g] for s in range(ring.size))
-    closed = _additive_closure(ring.add, multiples, ring.zero)
-    return Ideal(ring, closed, _checked=True)
+        multiples |= mask_of(ring.mul_array[:, g].tolist())
+    return ideal_of(ring, closure_mask(ring.add_array, multiples, ring.zero))
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:

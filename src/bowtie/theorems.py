@@ -35,6 +35,7 @@ from .modules import (
     annihilator,
     check_module_map,
     colon_into_ring,
+    cosets,
     enumerate_submodules,
     image,
     is_cyclic,
@@ -127,6 +128,7 @@ class Instance:
         self._primary: dict[tuple[int, ...], Verdict] = {}
         self._wp: dict[tuple[tuple[int, ...], str], Verdict] = {}
         self._npack: dict[tuple[int, ...], dict] = {}
+        self._colon_product: dict[int, str] = {}
 
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
@@ -187,6 +189,13 @@ class Instance:
             self._wp[key] = weakly_prime_submodule(nb, variant, self.bowtie_submodules)
         return self._wp[key]
 
+    def colon_product(self, nb: Submodule) -> str:
+        """colon_product_violation of N><I, which no variant changes;
+        computed once per N><I."""
+        if nb.mask not in self._colon_product:
+            self._colon_product[nb.mask] = colon_product_violation(self, nb)
+        return self._colon_product[nb.mask]
+
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
 
@@ -203,15 +212,8 @@ class Instance:
         k = mod.size
         act = mod.act_array
         # N + Ax is the union of the cosets of N that meet Ax
-        labels = [-1] * k
-        count = 0
-        for x in range(k):
-            if labels[x] < 0:
-                for m in nb.members:
-                    labels[mod.add[x][m]] = count
-                count += 1
-        coset = np.asarray(labels)
-        meets = np.zeros((k, count), dtype=bool)
+        coset, reps = cosets(nb)
+        meets = np.zeros((k, len(reps)), dtype=bool)
         meets[np.arange(k), coset[act]] = True
         sum_index: dict[int, int] = {}
         sum_ids = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets[:, coset])]
@@ -268,11 +270,8 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
     nb = ctx.bowtie(n)
     lhs = ctx.colon(nb)
     base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
-    rhs = {
-        inst.ring_pair_index[(a, inst.base_ring.add[a][i])]
-        for a in base_colon.members
-        for i in inst.ideal.members
-    }
+    add, index = inst.base_ring.add, inst.ring_pair_index
+    rhs = {index[(a, add[a][i])] for a in base_colon.members for i in inst.ideal.members}
     key = ctx.key_for(n)
     if lhs.member_set == rhs:
         return TheoremReport(key, "L1", notes=f"both sides = {lhs.label_set()}")
@@ -435,26 +434,31 @@ def t4_violation(ctx: Instance, nb: Submodule) -> str:
     return ""
 
 
-def check_T4(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
-    """Weakly prime <=> unequal element colons force the two-sum identity."""
-    nb = ctx.bowtie(n)
+def _weakly_prime_iff(
+    ctx: Instance, n: Submodule, nb: Submodule, variant: str, theorem_id: str, note: str,
+    noun: str, cond_witness: str,
+) -> TheoremReport:
+    """The row of "N><I is weakly prime <=> a condition", given the
+    condition's violation ("" when it holds)."""
     wp = ctx.weakly_prime(nb, variant)
-    cond_witness = t4_violation(ctx, nb)
     cond = not cond_witness
     key = ctx.key_for(n)
     if wp.holds == cond:
-        return TheoremReport(
-            key, "T4", variant,
-            notes=f"weakly_prime={wp.holds} intersection-condition={cond}",
-        )
+        return TheoremReport(key, theorem_id, variant,
+                             notes=f"weakly_prime={wp.holds} {note}={cond}")
     if wp.holds:
         text = f"statement gap (forward): N><I is weakly prime ({variant}) but {cond_witness}"
     else:
-        text = (
-            "statement gap (backward): the intersection condition holds but N><I"
-            f" is not weakly prime ({variant}): {wp.witness_text}"
-        )
-    return TheoremReport(key, "T4", variant, outcome="fail", witness_text=text)
+        text = (f"statement gap (backward): the {noun} holds but N><I is not weakly prime"
+                f" ({variant}): {wp.witness_text}")
+    return TheoremReport(key, theorem_id, variant, outcome="fail", witness_text=text)
+
+
+def check_T4(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+    """Weakly prime <=> unequal element colons force the two-sum identity."""
+    nb = ctx.bowtie(n)
+    return _weakly_prime_iff(ctx, n, nb, variant, "T4", "intersection-condition",
+                             "intersection condition", t4_violation(ctx, nb))
 
 
 def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
@@ -499,7 +503,7 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
         bad_x &= xs
         if bad_x:
             x = lowest_bit(bad_x)
-            row = inst.bowtie_module.act[a]
+            row = inst.bowtie_module.act_array[a].tolist()
             targets = bad_y[sum_ids[x]]
             y = next(y for y, ay in enumerate(row) if targets >> ay & 1)
             labels = inst.bowtie_module.labels
@@ -564,23 +568,8 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
 def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
     nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    cond_witness = colon_product_violation(ctx, nb)
-    cond = not cond_witness
-    key = ctx.key_for(n)
-    if wp.holds == cond:
-        return TheoremReport(
-            key, "L_COLON_PROD", variant,
-            notes=f"weakly_prime={wp.holds} colon-product-condition={cond}",
-        )
-    if wp.holds:
-        text = f"statement gap (forward): N><I is weakly prime ({variant}) but {cond_witness}"
-    else:
-        text = (
-            "statement gap (backward): the colon condition holds but N><I is"
-            f" not weakly prime ({variant}): {wp.witness_text}"
-        )
-    return TheoremReport(key, "L_COLON_PROD", variant, outcome="fail", witness_text=text)
+    return _weakly_prime_iff(ctx, n, nb, variant, "L_COLON_PROD", "colon-product-condition",
+                             "colon condition", ctx.colon_product(nb))
 
 
 def check_R_CEX(ctx: Instance, n: Submodule) -> TheoremReport:

@@ -9,7 +9,22 @@ from __future__ import annotations
 
 from bowtie.duplication import BowtieInstance
 from bowtie.modules import Submodule, _join, _same_module
-from bowtie.rings import Ideal, TableRing, _additive_closure
+from bowtie.rings import Ideal, TableRing
+
+
+def _additive_closure(add, seed, zero: int) -> frozenset[int]:
+    """The closure of a subset holding zero under the addition table ``add``."""
+    members = set(seed)
+    members.add(zero)
+    work = list(members)
+    while work:
+        x = work.pop()
+        for y in tuple(members):
+            z = add[x][y]
+            if z not in members:
+                members.add(z)
+                work.append(z)
+    return frozenset(members)
 
 
 def _same_ring(a: Ideal, b: Ideal) -> TableRing:

@@ -665,3 +665,31 @@ def colon_product_violation(ctx, nb: Submodule) -> str:
                     f" (N><I : s) nor (N><I : t)"
                 )
     return ""
+
+
+def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
+    """M/N entry by entry through dicts, on tuple tables: each coset is
+    indexed by its least member, in ascending order (the library's
+    quotient_module before it moved onto arrays)."""
+    rep_of = [-1] * module.size
+    reps: list[int] = []
+    for m in range(module.size):
+        if rep_of[m] >= 0:
+            continue
+        coset = sorted(module.add[m][x] for x in n.members)
+        reps.append(coset[0])
+        for c in coset:
+            rep_of[c] = coset[0]
+    reps.sort()
+    index = {rep: i for i, rep in enumerate(reps)}
+    add = tuple(tuple(index[rep_of[module.add[x][y]]] for y in reps) for x in reps)
+    act = tuple(
+        tuple(index[rep_of[module.act[s][x]]] for x in reps) for s in range(module.ring.size)
+    )
+    quo = TableModule(
+        ring=module.ring, size=len(reps), add=add, act=act,
+        zero=index[rep_of[module.zero]],
+        labels=tuple(f"[{module.labels[rep]}]" for rep in reps), name=f"{module.name}/N",
+    )
+    table = tuple(index[rep_of[m]] for m in range(module.size))
+    return quo, ModuleMap(source=module, target=quo, table=table)

@@ -316,6 +316,28 @@ def test_large_ring_refused_before_its_tables(ring, size, tmp_path, capsys, monk
         " raise --budget or BOWTIE_BUDGET\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "verify", "lattice"])
+def test_large_module_table_refused_before_it_is_read(command, tmp_path, capsys, monkeypatch):
+    # |M><I| >= |M|, so a module table over the budget is refused unread
+    import bowtie.instances
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an over-budget module table was validated")
+
+    p = tmp_path / "f2-cubed.json"  # F_2^3 over Z2, with I = 0: |M><I| = |M| = 8
+    p.write_text(json.dumps({
+        "ring": {"zn": 2}, "ideal_generators": [],
+        "module": {"tables": {"add": [[a ^ b for b in range(8)] for a in range(8)],
+                              "act": [[0] * 8, list(range(8))]}},
+    }))
+    assert main([command, str(p), "--budget", "8"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bowtie.instances, "validate_module", unread)
+    assert main([command, str(p), "--budget", "7"]) == 4
+    assert capsys.readouterr().err == (
+        "bowtie: error: |M| = 8 exceeds the budget 7; raise --budget or BOWTIE_BUDGET\n")
+
+
 @pytest.mark.parametrize("ring,where", [
     ({"product": [{"zn": 1000000}, {"zn": 0}]}, "ring.product[1].zn"),
     ({"product": [{"zn": 1000000}, {"zn": True}]}, "ring.product[1].zn"),

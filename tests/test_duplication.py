@@ -131,12 +131,13 @@ def test_restrict_scalars_first_and_second(z6):
 @pytest.mark.parametrize("n,ideal_step", [(255, 255), (16, 1), (256, 256), (17, 1), (257, 257)],
                          ids=["255", "256-full", "256-zero", "289", "257"])
 def test_seeded_arrays_equal_table_array_of_the_tuples(n, ideal_step):
-    # the arrays build_bowtie and restrict_scalars keep from construction
-    # match what table_array would build from the tuple tables, across the
+    # the arrays build_bowtie and restrict_scalars store match what
+    # table_array builds from the tuple rows read off them, across the
     # uint8/uint16 boundary (|M><I| = 255, 256, 289 and 257)
     ring = make_zn(n)
     inst = build_bowtie(ring, Ideal(ring, range(0, n, ideal_step)), ring_as_module(ring))
     seeded = [
+        (inst.bowtie_ring, "add_array", inst.bowtie_ring.add),
         (inst.bowtie_ring, "mul_array", inst.bowtie_ring.mul),
         (inst.bowtie_module, "add_array", inst.bowtie_module.add),
         (inst.bowtie_module, "act_array", inst.bowtie_module.act),
@@ -145,7 +146,7 @@ def test_seeded_arrays_equal_table_array_of_the_tuples(n, ideal_step):
         t = restrict_scalars(inst, which)
         seeded += [(t, "add_array", t.add), (t, "act_array", t.act)]
     for obj, name, table in seeded:
-        arr = obj.derived_cache[name]
+        arr = getattr(obj, name)
         expected = table_array(table)
         assert arr.dtype == expected.dtype, (obj, name)
         assert np.array_equal(arr, expected), (obj, name)

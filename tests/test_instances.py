@@ -199,6 +199,33 @@ def test_duplicate_labels_rejected():
         }).build()
 
 
+@pytest.mark.parametrize("label", ["o ne", " one", "one\t", "o\nne"])
+def test_labels_with_whitespace_rejected(label):
+    # a reference has its spaces removed before lookup, so such a label
+    # could never be referenced; the table is refused when it is read
+    z2 = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    with pytest.raises(SpecError, match=r"^ring.tables.labels: label .* contains whitespace$"):
+        InstanceSpec.from_dict({
+            "ring": {"tables": {**z2, "labels": ["zero", label]}},
+            "ideal_generators": [label], "module": "regular",
+        }).build()
+    with pytest.raises(SpecError, match=r"^module.tables.labels: label .* contains whitespace$"):
+        InstanceSpec.from_dict({
+            "ring": {"zn": 2}, "ideal_generators": [],
+            "module": {"tables": {"add": z2["add"], "act": [[0, 0], [0, 1]],
+                                  "labels": ["zero", label]}},
+        }).build()
+
+
+def test_table_entry_beyond_int32_rejected():
+    with pytest.raises(SpecError, match=r"^ring.tables: .*out of bounds"):
+        InstanceSpec.from_dict({
+            "ring": {"tables": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 2**40]],
+                                "one": 1}},
+            "ideal_generators": [], "module": "regular",
+        }).build()
+
+
 def test_seed_corpus_contents():
     assert set(SEEDS) == {
         "z6-weakly-prime", "z6-remark", "z12-prime",
