@@ -22,14 +22,14 @@ prime of a finite ring is maximal, so P = (N : M) is maximal and each
 Behboodi is still evaluated by its own definition, so the checkers that
 compare it with prime stay independent checks. It does not build M/N:
 the submodules of M/N are the K/N for the K containing N in the lattice
-of M, Ann(K/N) = (N : K) is read off pre, and the K are visited in the
-order M/N's own enumeration lists them, by size and then by the least
-coset representatives in K, so its witnesses are those of the quotient.
+of M, Ann(K/N) = (N : K) is read off N's classes, and the K are visited
+in the order M/N's own enumeration lists them, by size and then by the
+least coset representatives in K, so its witnesses are the quotient's.
 
-All scans read the preimage masks pre[a] = {x : a*x in N} of their
-input (``Submodule.pre``, ``Ideal.pre``) in canonical index order and take
-the lowest set bit, so a returned witness is always the lexicographically
-first violation.
+All scans read the preimage masks pre[a] = {x : a*x in N} of their input
+by scalar class (``Submodule.classes``, ``Ideal.classes``) and take the
+lowest scalar and lowest set bit, so a returned witness is always the
+lexicographically first violation.
 """
 
 from __future__ import annotations
@@ -80,26 +80,29 @@ def _require_proper(n: Submodule) -> None:
 
 
 def _first_violation(
-    pre: tuple[int, ...],
+    classes: tuple[tuple[int, int], ...],
     exempt: int,
     outside: int,
     zero_pre: tuple[int, ...] | None = None,
 ) -> tuple[int, int] | None:
     """The lowest (a, x) with a not in ``exempt`` and x in pre[a] & outside.
 
-    With ``zero_pre`` (the preimage of zero), a*x must also be nonzero.
-    Scalars ascend and x is the lowest set bit, so this is the
-    lexicographically first violation.
+    Each class whose row meets ``outside`` offers its lowest non-exempt
+    scalar; with ``zero_pre`` (the preimage of zero) a*x must also be
+    nonzero, and its scalars are tried upwards until one has such an x.
     """
-    for a, p in enumerate(pre):
-        if exempt >> a & 1:
-            continue
-        bad = p & outside
-        if zero_pre is not None:
-            bad &= ~zero_pre[a]
-        if bad:
-            return a, lowest_bit(bad)
-    return None
+    best = None
+    for p, scalars in classes:
+        if best is not None and lowest_bit(scalars) > best[0]:
+            break  # the classes come by least scalar
+        bad, live = p & outside, scalars & ~exempt
+        while bad and live and (best is None or lowest_bit(live) < best[0]):
+            a = lowest_bit(live)
+            hit = bad if zero_pre is None else bad & ~zero_pre[a]
+            if hit:
+                best = a, lowest_bit(hit)
+            live &= live - 1
+    return best
 
 
 # ---------------------------------------------------------------- ideals
@@ -118,7 +121,7 @@ def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> V
 def is_prime_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or b in J."""
     _require_proper_ideal(j)
-    return _ideal_verdict(j, _first_violation(j.pre, j.mask, ~j.mask))
+    return _ideal_verdict(j, _first_violation(j.classes, j.mask, ~j.mask))
 
 
 def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
@@ -134,14 +137,14 @@ def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:
     """0 != ab in J implies a in J or b in J."""
     _require_proper_ideal(j)
-    hit = _first_violation(j.pre, j.mask, ~j.mask, j.ring.zero_pre)
+    hit = _first_violation(j.classes, j.mask, ~j.mask, j.ring.zero_pre)
     return _ideal_verdict(j, hit)
 
 
 def is_primary_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or some power of b lands in J."""
     _require_proper_ideal(j)
-    hit = _first_violation(j.pre, j.mask, ~ideal_radical(j).mask)
+    hit = _first_violation(j.classes, j.mask, ~ideal_radical(j).mask)
     return _ideal_verdict(j, hit, f" and no power of b enters {j.label_set()}")
 
 
@@ -150,7 +153,7 @@ def is_primary_ideal(j: Ideal) -> Verdict:
 
 def _whole_colon(n: Submodule) -> int:
     """(N : M) as a mask: the scalars whose preimage is everything."""
-    return colon_mask(n.pre, (1 << n.module.size) - 1)
+    return colon_mask(n.classes, (1 << n.module.size) - 1)
 
 
 def _submodule_verdict(
@@ -168,13 +171,13 @@ def _submodule_verdict(
 def is_prime_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    return _submodule_verdict(n, _first_violation(n.pre, _whole_colon(n), ~n.mask))
+    return _submodule_verdict(n, _first_violation(n.classes, _whole_colon(n), ~n.mask))
 
 
 def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
     """0 != a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    hit = _first_violation(n.pre, _whole_colon(n), ~n.mask, n.module.zero_pre)
+    hit = _first_violation(n.classes, _whole_colon(n), ~n.mask, n.module.zero_pre)
     return _submodule_verdict(n, hit, "af")
 
 
@@ -182,7 +185,7 @@ def is_primary_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in radical((N : M))."""
     _require_proper(n)
     colon = ideal_of(n.module.ring, _whole_colon(n))
-    hit = _first_violation(n.pre, ideal_radical(colon).mask, ~n.mask)
+    hit = _first_violation(n.classes, ideal_radical(colon).mask, ~n.mask)
     return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 
 
@@ -201,13 +204,9 @@ def is_weakly_prime_submodule_azizi(
     mod = n.module
     ring = mod.ring
     subs = enumerate_submodules(mod) if submodules is None else submodules
-    # the scalars of each distinct pre[c]; (N : T) is the union of the
-    # classes whose pre contains T
-    classes: dict[int, int] = {}
-    for c, p in enumerate(n.pre):
-        classes[p] = classes.get(p, 0) | 1 << c
+    # (N : T) is the union of the scalar classes whose row contains T
     colons = [0] * len(subs)
-    for p, scalars in classes.items():
+    for p, scalars in n.classes:
         for t, sub in enumerate(subs):
             if sub.mask & p == sub.mask:
                 colons[t] |= scalars
@@ -271,8 +270,8 @@ def is_weakly_prime_module(
     if module.size == 1:
         raise ImproperError("the zero module has no nonzero submodules")
     subs = enumerate_submodules(module) if submodules is None else submodules
-    zero_pre = module.zero_pre
-    anns = ((i, colon_mask(zero_pre, s.mask)) for i, s in enumerate(subs) if not s.is_zero)
+    zero = module.zero_classes
+    anns = ((i, colon_mask(zero, s.mask)) for i, s in enumerate(subs) if not s.is_zero)
     return _first_non_prime_annihilator(module.ring, anns, lambda i: subs[i].label_set())
 
 
@@ -297,7 +296,7 @@ def is_weakly_prime_submodule_behboodi(
         (k.mask for k in subs if k.mask & nm == nm),
         key=lambda k: (k.bit_count(), bits(k & reps)),
     )
-    anns = ((i, colon_mask(n.pre, k)) for i, k in enumerate(above) if i)
+    anns = ((i, colon_mask(n.classes, k)) for i, k in enumerate(above) if i)
 
     def label(i: int) -> str:
         return "{" + ",".join(f"[{mod.labels[r]}]" for r in bits(above[i] & reps)) + "}"

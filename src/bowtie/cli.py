@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from operator import and_, or_
 from pathlib import Path
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
 from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
                         declared_ring_size, seed_spec)
-from .modules import Submodule, colon_into_ring, whole_submodule
+from .modules import LatticeLimitError, Submodule, colon_into_ring, whole_submodule
+from .rings import bits
 from .theorems import (
     READINGS,
     CorpusSpec,
@@ -114,7 +116,16 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
     if _over_budget("|M><I|", module_size, cap) or _over_budget("|A><I|", ring_size, cap):
         return EXIT_BUDGET
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
-    ctx = Instance(ring, ideal, module, key=name)
+    # the per-N quantifiers cost |Lat| each, so the lattices are capped too
+    limit = 16 * cap
+    ctx = Instance(ring, ideal, module, key=name, lattice_limit=limit)
+    for what, lattice in (("M", "base_submodules"), ("M><I", "bowtie_submodules")):
+        try:
+            getattr(ctx, lattice)
+        except LatticeLimitError:
+            _err(f"lattice of {what} exceeds {limit} submodules (16 x budget {cap});"
+                 " raise --budget or BOWTIE_BUDGET")
+            return EXIT_BUDGET
     return ctx, sub
 
 
@@ -253,17 +264,17 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def _hasse_edges(subs: list[Submodule]) -> list[tuple[int, int]]:
-    below = [
-        [j for j in range(len(subs))
-         if i != j and subs[i].member_set < subs[j].member_set]
-        for i in range(len(subs))
-    ]
-    edges = []
-    for i, ups in enumerate(below):
-        for j in ups:
-            if not any(k in below[i] and j in below[k] for k in ups if k != j):
-                edges.append((i, j))
-    return edges
+    """The covering pairs (i, j), ascending: ups[i], the nodes above S_i, is
+    the AND over x in S_i of the nodes that contain x, and the covers of i
+    are the nodes of ups[i] above no other node of ups[i]."""
+    containing = [0] * subs[0].module.size
+    for i, s in enumerate(subs):
+        for x in s.members:
+            containing[x] |= 1 << i
+    ups = [functools.reduce(and_, map(containing.__getitem__, s.members)) & ~(1 << i)
+           for i, s in enumerate(subs)]
+    return [(i, j) for i, up in enumerate(ups)
+            for j in bits(up & ~functools.reduce(or_, map(ups.__getitem__, bits(up)), 0))]
 
 
 def _badges(verdicts: dict) -> str:

@@ -3,10 +3,11 @@
 A module is an addition table plus a scalar-action table (ring index x
 module index). Submodules are canonically stored as sorted index tuples
 and as bitmasks, so every enumeration and witness is reproducible; each
-submodule N computes its preimage masks pre[a] = {x : a*x in N} once, and
-colons are read off them. The lattice is enumerated on masks too: the
-cyclic submodules come from one packed table, and each distinct one is
-joined onto the lattice found so far, a join being an OR of cosets.
+submodule N computes the scalar classes of its preimage masks
+pre[a] = {x : a*x in N} once, and colons are read off them. The lattice is
+enumerated on masks too: the cyclic submodules come from one packed table,
+and each distinct one is joined onto the lattice found so far, a join
+being an OR of cosets.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .rings import (
     _negatives,
     Ideal,
     RingAxiomError,
+    Subset,
     Table,
     TableRing,
     bits,
@@ -32,7 +34,7 @@ from .rings import (
     lowest_bit,
     mask_of,
     pack_rows,
-    preimage_masks,
+    preimage_classes,
     store_tables,
     table_array,
 )
@@ -59,11 +61,15 @@ class TableModule:
         store_tables(self, "add", "act")
 
     @property
+    def zero_classes(self) -> tuple[tuple[int, int], ...]:
+        """The scalar classes of zero_pre[a] = {m : a*m = 0}."""
+        return derived(self, "zero_classes",
+                       lambda: preimage_classes(self.act_array, (self.zero,), self.size))
+
+    @property
     def zero_pre(self) -> tuple[int, ...]:
-        """zero_pre[a] = {m : a*m = 0}, as masks."""
-        return derived(
-            self, "zero_pre", lambda: preimage_masks(self.act_array, (self.zero,), self.size)
-        )
+        """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan."""
+        return derived(self, "zero_pre", lambda: pack_rows(self.act_array == self.zero))
 
     @property
     def neg(self) -> tuple[int, ...]:
@@ -131,85 +137,40 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
             raise RingAxiomError("action does not respect ring multiplication")
 
 
-class Submodule:
+class Submodule(Subset):
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "members", "member_set", "mask", "_pre", "_cosets")
+    __slots__ = ("module", "over", "members", "member_set", "mask", "_classes", "_cosets")
 
     def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
-        self.module, self.member_set, self.mask = module, mset, mask_of(mset)
-        self._pre = self._cosets = None
+        self.module = self.over = module
+        self.member_set, self.mask = mset, mask_of(mset)
+        self._classes = self._cosets = None
         self.members: tuple[int, ...] = tuple(sorted(mset))
         if not _checked:
-            self._validate()
+            self._validate(module.act, module.ring.labels, "action-closed")
 
     @classmethod
     def from_mask(cls, module: TableModule, mask: int, members: Sequence[int] = ()) -> Submodule:
         """A submodule known to be closed, from its mask (and sorted members, if at hand)."""
         sub = cls.__new__(cls)
-        sub.module, sub.mask, sub._pre, sub._cosets = module, mask, None, None
+        sub.module = sub.over = module
+        sub.mask, sub._classes, sub._cosets = mask, None, None
         sub.members = tuple(members or bits(mask))
         sub.member_set = frozenset(sub.members)
         return sub
 
     @property
-    def pre(self) -> tuple[int, ...]:
-        """pre[a] = {x : a*x in N}, as masks; computed once.
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """The scalar classes of pre[a] = {x : a*x in N}; computed once.
 
         Every colon and prime-type scan of N reads this one table.
         """
-        if self._pre is None:
+        if self._classes is None:
             mod = self.module
-            self._pre = preimage_masks(mod.act_array, self.members, mod.size)
-        return self._pre
-
-    def _validate(self) -> None:
-        mod = self.module
-        if mod.zero not in self.member_set:
-            raise ValueError("submodule must contain zero")
-        add, act = mod.add, mod.act
-        for a in self.members:
-            for b in self.members:
-                if add[a][b] not in self.member_set:
-                    raise ValueError(
-                        f"not add-closed at ({mod.labels[a]},{mod.labels[b]})"
-                    )
-            for s in range(mod.ring.size):
-                if act[s][a] not in self.member_set:
-                    raise ValueError(
-                        f"not action-closed at {mod.ring.labels[s]}*{mod.labels[a]}"
-                    )
-
-    @property
-    def is_proper(self) -> bool:
-        return len(self.members) < self.module.size
-
-    @property
-    def is_zero(self) -> bool:
-        return self.members == (self.module.zero,)
-
-    def __contains__(self, m: int) -> bool:
-        return m in self.member_set
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Submodule)
-            and other.module is self.module
-            and other.members == self.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.module), self.members))
-
-    def label_set(self) -> str:
-        return self.module.label_set(self.members)
-
-    def __repr__(self) -> str:
-        return f"Submodule({self.module.name}, {self.label_set()})"
+            self._classes = preimage_classes(mod.act_array, self.members, mod.size)
+        return self._classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +203,7 @@ def zero_submodule(module: TableModule) -> Submodule:
 
 
 def whole_submodule(module: TableModule) -> Submodule:
-    return Submodule(module, range(module.size), _checked=True)
+    return Submodule.from_mask(module, (1 << module.size) - 1, range(module.size))
 
 
 def cyclic_masks(module: TableModule) -> tuple[int, ...]:
@@ -297,13 +258,18 @@ def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
     return Submodule.from_mask(module, k)
 
 
-def enumerate_submodules(module: TableModule) -> list[Submodule]:
+class LatticeLimitError(ValueError):
+    """A submodule lattice has more nodes than the enumeration may find."""
+
+
+def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[Submodule]:
     """All submodules, in (size, members) order.
 
     Each distinct cyclic C, by size, is joined onto every K found so far, so
     the found set holds the joins of every subset of the cyclics taken; a C
     already found is such a join. A join ORs the cosets y + C, cached across
-    the K, or the cosets y + K when C is small against K.
+    the K, or the cosets y + K when C is small against K. Finding more than
+    ``limit`` submodules raises LatticeLimitError.
     """
     found = {1 << module.zero: [module.zero]}  # mask -> sorted members
     add = module.add
@@ -318,6 +284,8 @@ def enumerate_submodules(module: TableModule) -> list[Submodule]:
                           else _join(add, c, c_members, k, translates))
                 if joined not in found:
                     found[joined] = bits(joined)
+                    if limit is not None and len(found) > limit:
+                        raise LatticeLimitError(f"more than {limit} submodules")
     ordered = sorted(found.items(), key=lambda item: (len(item[1]), item[1]))
     return [Submodule.from_mask(module, mask, members) for mask, members in ordered]
 
@@ -328,26 +296,27 @@ def _same_module(n: Submodule, k: Submodule) -> TableModule:
     return n.module
 
 
-def colon_mask(pre: tuple[int, ...], k_mask: int) -> int:
-    """{a : pre[a] contains K}, as a mask over the scalars."""
-    return mask_of(a for a, p in enumerate(pre) if p & k_mask == k_mask)
+def colon_mask(classes: tuple[tuple[int, int], ...], k_mask: int) -> int:
+    """{a : pre[a] contains K}, as a mask over the scalars: the union (here
+    a sum) of the disjoint scalar classes whose row contains K."""
+    return sum(scalars for p, scalars in classes if p & k_mask == k_mask)
 
 
 def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
     """The ideal {a in ring : a*K inside N}, interned on the ring."""
     mod = _same_module(n, k)
-    return ideal_of(mod.ring, colon_mask(n.pre, k.mask))
+    return ideal_of(mod.ring, colon_mask(n.classes, k.mask))
 
 
 def colon_by_scalar(n: Submodule, a: int) -> Submodule:
     """The submodule {m : a*m in N}; always contains N."""
-    return Submodule.from_mask(n.module, n.pre[a])
+    return Submodule.from_mask(n.module, next(p for p, s in n.classes if s >> a & 1))
 
 
 def annihilator(k: Submodule) -> Ideal:
     """(0 : K), from the zero submodule's preimage table, interned on the ring."""
     mod = k.module
-    return ideal_of(mod.ring, colon_mask(mod.zero_pre, k.mask))
+    return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
 
 
 def is_faithful(module: TableModule) -> bool:

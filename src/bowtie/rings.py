@@ -108,21 +108,40 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def _row_keys(hits: np.ndarray) -> list:
+    """Row i of a boolean matrix, all rows in one conversion: the mask of its
+    True columns up to 64 columns, its little-endian bytes beyond."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width > 8:  # packbits of a transposed input is not C-contiguous
+        return np.ascontiguousarray(packed).view(f"V{width}").ravel().tolist()
+    wide = np.zeros((rows, 8), dtype=np.uint8)
+    wide[:, :width] = packed
+    return wide.view("<u8").ravel().tolist()
+
+
+def _mask(key: int | bytes) -> int:
+    return key if type(key) is int else int.from_bytes(key, "little")
+
+
 def pack_rows(hits: np.ndarray) -> tuple[int, ...]:
     """Row i of a boolean matrix as the mask of its True columns."""
-    packed = np.packbits(hits, axis=1, bitorder="little")
-    raw = packed.tobytes()
-    width = packed.shape[1]
-    return tuple(
-        int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
-    )
+    return tuple(map(_mask, _row_keys(hits)))
 
 
-def preimage_masks(table: np.ndarray, members: Iterable[int], size: int) -> tuple[int, ...]:
-    """pre[a] = {x : table[a][x] in members}, for a carrier of the given size."""
+def preimage_classes(
+    table: np.ndarray, members: Iterable[int], size: int
+) -> tuple[tuple[int, int], ...]:
+    """The scalar classes of pre[a] = {x : table[a][x] in members}, for a
+    carrier of the given size: each distinct row p with the mask of the
+    scalars a whose pre[a] is p, ordered by least scalar. Colons and scans
+    depend on a only through pre[a], so they loop over these classes."""
     inside = np.zeros(size, dtype=bool)
     inside[list(members)] = True
-    return pack_rows(inside[table])
+    classes: dict = {}
+    for a, key in enumerate(_row_keys(inside[table])):
+        classes[key] = classes.get(key, 0) | 1 << a
+    return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
 
 def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
@@ -198,9 +217,7 @@ class TableRing:
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {b : a*b = 0}, as masks."""
-        return derived(
-            self, "zero_pre", lambda: preimage_masks(self.mul_array, (self.zero,), self.size)
-        )
+        return derived(self, "zero_pre", lambda: pack_rows(self.mul_array == self.zero))
 
     @property
     def neg(self) -> tuple[int, ...]:
@@ -396,83 +413,87 @@ def subring_from_subset(
     return sub, decode
 
 
-class Ideal:
-    """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
+class Subset:
+    """What an Ideal or a Submodule reads off its members alone; its slot
+    ``over`` holds the ring or the module it lives in."""
 
-    __slots__ = ("ring", "members", "member_set", "mask", "_pre", "__weakref__")
+    __slots__ = ()
 
-    def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
-        mset = frozenset(int(m) for m in members)
-        self.ring = ring
-        self.members: tuple[int, ...] = tuple(sorted(mset))
-        self.member_set: frozenset[int] = mset
-        self.mask: int = mask_of(self.members)
-        self._pre: tuple[int, ...] | None = None
-        if not _checked:
-            self._validate()
-
-    @classmethod
-    def from_mask(cls, ring: TableRing, mask: int) -> Ideal:
-        """An ideal known to be closed, from its mask."""
-        j = cls.__new__(cls)
-        j.ring, j.mask, j._pre = ring, mask, None
-        j.members = tuple(bits(mask))
-        j.member_set = frozenset(j.members)
-        return j
-
-    @property
-    def pre(self) -> tuple[int, ...]:
-        """pre[a] = {b : a*b in J}, as masks; computed once."""
-        if self._pre is None:
-            self._pre = preimage_masks(self.ring.mul_array, self.members, self.ring.size)
-        return self._pre
-
-    def _validate(self) -> None:
-        r = self.ring
-        if r.zero not in self.member_set:
-            raise ValueError("ideal must contain zero")
-        add, mul = r.add, r.mul
+    def _validate(self, act: Sequence[Sequence[int]], scalars: Sequence[str], closed: str) -> None:
+        """Contains zero and is closed under + and under the action table
+        ``act``, whose scalars have these labels; ValueError otherwise."""
+        over, mset = self.over, self.member_set
+        if over.zero not in mset:
+            raise ValueError(f"{type(self).__name__.lower()} must contain zero")
+        add, labels = over.add, over.labels
         for a in self.members:
             for b in self.members:
-                if add[a][b] not in self.member_set:
-                    raise ValueError(
-                        f"not add-closed at ({r.labels[a]},{r.labels[b]})"
-                    )
-            for s in range(r.size):
-                if mul[s][a] not in self.member_set:
-                    raise ValueError(
-                        f"not absorbing at {r.labels[s]}*{r.labels[a]}"
-                    )
+                if add[a][b] not in mset:
+                    raise ValueError(f"not add-closed at ({labels[a]},{labels[b]})")
+            for s, row in enumerate(act):
+                if row[a] not in mset:
+                    raise ValueError(f"not {closed} at {scalars[s]}*{labels[a]}")
 
     @property
     def is_proper(self) -> bool:
-        return len(self.members) < self.ring.size
+        return len(self.members) < self.over.size
 
     @property
     def is_zero(self) -> bool:
-        return self.members == (self.ring.zero,)
+        return self.members == (self.over.zero,)
 
-    def __contains__(self, a: int) -> bool:
-        return a in self.member_set
+    def __contains__(self, x: int) -> bool:
+        return x in self.member_set
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Ideal)
-            and other.ring is self.ring
-            and other.members == self.members
-        )
+        return (type(other) is type(self) and other.over is self.over
+                and other.members == self.members)
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.members))
+        return hash((id(self.over), self.members))
 
     def label_set(self) -> str:
-        return self.ring.label_set(self.members)
+        return self.over.label_set(self.members)
 
     def __repr__(self) -> str:
-        return f"Ideal({self.ring.name}, {self.label_set()})"
+        return f"{type(self).__name__}({self.over.name}, {self.label_set()})"
+
+
+class Ideal(Subset):
+    """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
+
+    __slots__ = ("ring", "over", "members", "member_set", "mask", "_classes", "__weakref__")
+
+    def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
+        mset = frozenset(int(m) for m in members)
+        self.ring = self.over = ring
+        self.members: tuple[int, ...] = tuple(sorted(mset))
+        self.member_set: frozenset[int] = mset
+        self.mask: int = mask_of(self.members)
+        self._classes: tuple[tuple[int, int], ...] | None = None
+        if not _checked:
+            self._validate(ring.mul, ring.labels, "absorbing")
+
+    @classmethod
+    def from_mask(cls, ring: TableRing, mask: int) -> Ideal:
+        """An ideal known to be closed, from its mask."""
+        j = cls.__new__(cls)
+        j.ring = j.over = ring
+        j.mask, j._classes = mask, None
+        j.members = tuple(bits(mask))
+        j.member_set = frozenset(j.members)
+        return j
+
+    @property
+    def classes(self) -> tuple[tuple[int, int], ...]:
+        """The scalar classes of pre[a] = {b : a*b in J}; computed once."""
+        if self._classes is None:
+            r = self.ring
+            self._classes = preimage_classes(r.mul_array, self.members, r.size)
+        return self._classes
 
 
 # ----------------------------------------------------------- ideal memo
@@ -487,7 +508,7 @@ class Ideal:
 
 def ideal_of(ring: TableRing, mask: int) -> Ideal:
     """The ring's ideal with this member mask (a known ideal): one object per
-    mask while it is in use, so its pre table is packed once."""
+    mask while it is in use, so its scalar classes are packed once."""
     ideals = derived(ring, "ideals", weakref.WeakValueDictionary)
     j = ideals.get(mask)
     if j is None:

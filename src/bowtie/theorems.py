@@ -23,6 +23,7 @@ import numpy as np
 from .rings import (
     Ideal,
     TableRing,
+    bits,
     ideal_radical,
     lowest_bit,
     make_zn,
@@ -39,7 +40,6 @@ from .modules import (
     enumerate_submodules,
     image,
     is_cyclic,
-    is_faithful,
     kernel,
     quotient_module,
     ring_as_module,
@@ -111,7 +111,8 @@ class TheoremReport:
 
 
 class Instance:
-    """A built duplication plus memoized enumerations shared by checkers."""
+    """A built duplication plus memoized enumerations shared by checkers;
+    each lattice may hold at most ``lattice_limit`` submodules."""
 
     def __init__(
         self,
@@ -119,9 +120,11 @@ class Instance:
         ideal: Ideal,
         module: TableModule,
         key: str | None = None,
+        lattice_limit: int | None = None,
     ):
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
+        self.lattice_limit = lattice_limit
         self._bowtie_n: dict[tuple[int, ...], Submodule] = {}
         self._colon: dict[tuple[int, int], Ideal] = {}
         self._prime: dict[tuple[int, ...], Verdict] = {}
@@ -137,15 +140,20 @@ class Instance:
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
-        return enumerate_submodules(self.inst.base_module)
+        return enumerate_submodules(self.inst.base_module, self.lattice_limit)
 
     @cached_property
     def bowtie_submodules(self) -> list[Submodule]:
-        return enumerate_submodules(self.inst.bowtie_module)
+        return enumerate_submodules(self.inst.bowtie_module, self.lattice_limit)
 
     @cached_property
     def bowtie_whole(self) -> Submodule:
         return whole_submodule(self.inst.bowtie_module)
+
+    @cached_property
+    def faithful_cyclic(self) -> tuple[bool, bool]:
+        """Whether M><I is faithful, and whether it is cyclic."""
+        return annihilator(self.bowtie_whole).is_zero, is_cyclic(self.inst.bowtie_module).holds
 
     @cached_property
     def bowtie_images(self) -> tuple[int, ...]:
@@ -471,13 +479,10 @@ def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
             key, "R_T4", outcome="na", notes="hypothesis fails: N><I is not prime",
         )
     mod = ctx.inst.bowtie_module
-    colon = ctx.colon(nb).mask
-    for a, p in enumerate(nb.pre):
-        if colon >> a & 1:
-            continue
-        if p & ~nb.mask:
-            x = lowest_bit(p & ~nb.mask)
-            y = lowest_bit(~p)
+    colon = ctx.colon(nb).mask  # a union of N><I's scalar classes
+    for p, scalars in nb.classes:
+        if not scalars & colon and p & ~nb.mask:
+            a, x, y = lowest_bit(scalars), lowest_bit(p & ~nb.mask), lowest_bit(~p)
             return TheoremReport(
                 key, "R_T4", outcome="fail",
                 witness_text=(
@@ -494,7 +499,11 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
     pack = ctx.npack(nb)
     sum_ids, bad_y, sum_members = pack["sum_ids"], pack["bad_y"], pack["sum_members"]
     inst = ctx.inst
-    for a, xs in enumerate(nb.pre):
+    pre = [0] * inst.bowtie_ring.size  # pre[a], from N><I's scalar classes
+    for p, scalars in nb.classes:
+        for a in bits(scalars):
+            pre[a] = p
+    for a, xs in enumerate(pre):
         image = ctx.bowtie_images[a]
         bad_x = 0
         for s, bad in enumerate(bad_y):
@@ -552,8 +561,9 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     """Witness of the first scalars s, t with (N><I : st) equal to neither
     (N><I : s) nor (N><I : t); "" when there are none."""
     ring = ctx.inst.bowtie_ring
-    ids: dict[int, int] = {}
-    cid = np.array([ids.setdefault(p, len(ids)) for p in nb.pre])
+    cid = np.empty(ring.size, dtype=np.intp)  # each scalar's class
+    for i, (_p, scalars) in enumerate(nb.classes):
+        cid[bits(scalars)] = i
     prod = cid[ring.mul_array]
     bad = (prod != cid[:, None]) & (prod != cid[None, :])
     if not bad.any():
@@ -591,15 +601,13 @@ def check_R_CEX(ctx: Instance, n: Submodule) -> TheoremReport:
 def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Faithful cyclic M><I with weakly prime N><I: colon is weakly prime."""
     nb = ctx.bowtie(n)
-    mod = ctx.inst.bowtie_module
-    faithful = is_faithful(mod)
-    cyc = is_cyclic(mod)
+    faithful, cyclic = ctx.faithful_cyclic
     wp = ctx.weakly_prime(nb, variant)
     key = ctx.key_for(n)
     missing = []
     if not faithful:
         missing.append("M><I is not faithful")
-    if not cyc.holds:
+    if not cyclic:
         missing.append("M><I is not cyclic")
     if not wp.holds:
         missing.append(f"N><I is not weakly prime ({variant})")

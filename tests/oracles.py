@@ -4,7 +4,9 @@ Everything here recomputes results from first principles with no shared
 code paths: substructure enumeration by powerset filtering, primality by
 direct quantifier evaluation, primary-ness by the literal exists-k
 definition. Intended for carriers of at most 16 elements; the axiom
-sweeps and the frozenset kernels at the end take larger carriers.
+sweeps, the frozenset kernels, and the library's earlier per-scalar
+preimage kernel and pairwise lattice edges at the end take larger
+carriers.
 """
 
 from itertools import combinations
@@ -466,7 +468,7 @@ def azizi_pair_loop(n: Submodule, subs: list[Submodule]) -> Verdict:
     _proper(n.members, mod.size)
     by_pre: dict[int, int] = {}
     sends = []
-    for p in n.pre:
+    for p in preimage_masks(n.module.act_array, n.members, n.module.size):
         if p not in by_pre:
             by_pre[p] = mask_of(t for t, sub in enumerate(subs) if sub.mask & p == sub.mask)
         sends.append(by_pre[p])
@@ -693,3 +695,64 @@ def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableMo
     )
     table = tuple(index[rep_of[m]] for m in range(module.size))
     return quo, ModuleMap(source=module, target=quo, table=table)
+
+
+# ------------------------------------------- per-scalar preimage kernel
+#
+# The library's kernel before it read preimage tables by scalar class:
+# one mask per scalar, converted row by row with int.from_bytes, and the
+# colons and prime-type scans as loops over every scalar.
+
+
+def pack_rows(hits: np.ndarray) -> tuple[int, ...]:
+    """Row i of a boolean matrix as the mask of its True columns."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    raw = packed.tobytes()
+    width = packed.shape[1]
+    return tuple(
+        int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
+    )
+
+
+def preimage_masks(table: np.ndarray, members, size: int) -> tuple[int, ...]:
+    """pre[a] = {x : table[a][x] in members}, for a carrier of the given size."""
+    inside = np.zeros(size, dtype=bool)
+    inside[list(members)] = True
+    return pack_rows(inside[table])
+
+
+def colon_mask(pre: tuple[int, ...], k_mask: int) -> int:
+    """{a : pre[a] contains K}, as a mask over the scalars."""
+    return mask_of(a for a, p in enumerate(pre) if p & k_mask == k_mask)
+
+
+def first_violation(pre, exempt: int, outside: int, zero_pre=None):
+    """The lowest (a, x) with a not in ``exempt`` and x in pre[a] & outside.
+
+    With ``zero_pre`` (the preimage of zero), a*x must also be nonzero.
+    """
+    for a, p in enumerate(pre):
+        if exempt >> a & 1:
+            continue
+        bad = p & outside
+        if zero_pre is not None:
+            bad &= ~zero_pre[a]
+        if bad:
+            return a, lowest_bit(bad)
+    return None
+
+
+def hasse_edges(subs: list[Submodule]) -> list[tuple[int, int]]:
+    """The covering pairs (i, j), S_i < S_j with nothing strictly between,
+    by pairwise frozenset comparison (the lattice command's earlier edges)."""
+    below = [
+        [j for j in range(len(subs))
+         if i != j and subs[i].member_set < subs[j].member_set]
+        for i in range(len(subs))
+    ]
+    edges = []
+    for i, ups in enumerate(below):
+        for j in ups:
+            if not any(k in below[i] and j in below[k] for k in ups if k != j):
+                edges.append((i, j))
+    return edges

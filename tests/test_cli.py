@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bowtie
+from bowtie import modules
 from bowtie.cli import main
 
 # SHA-256 of the stdout of `bowtie hunt --max 12` (every checker, variant
@@ -49,6 +50,18 @@ REPLAY_SHA256 = "946b45d3c4b8df2f38d9eab3c303600867832632896415c74aa273dc78e2681
 # SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip
 # rows, one per (variant, reading) cell of each checker
 HUNT_BUDGET_SKIP_SHA256 = "9f280e9456cf3b4827433a2e872bfbfed78f4951c210d5c7d30225e23be84e78"
+
+# SHA-256 of the stdout of `bowtie lattice` on each seed and on F_2^4 over
+# F_2 with I = 0 (``_vector_space_doc(4)``), as the pairwise edge search
+# printed them
+LATTICE_STDOUT_SHA256 = {
+    "z12-prime": "21f32be81ff1544d93f3ed2ada9e07f65f1dc418e8e705825f1c9e8fbe5c8e89",
+    "z16-primary-not-prime": "a5c67f4d4eb997ed6e972a745cc1efc4a785f04e60b0fc090bf8ecc3f4e8e329",
+    "z20-primary": "4bfe3c725036b357bbd3af53b84911370e65fdb6608a88fc7ec8163d022bad50",
+    "z6-remark": "556b87777b12d80034ef19e9e2863e725cc6331be3a3cdca9f8e669635719e98",
+    "z6-weakly-prime": "556b87777b12d80034ef19e9e2863e725cc6331be3a3cdca9f8e669635719e98",
+    "F2^4": "7fc71942fdacecf07ee0011a8b119997468a3ac59059c8067ef4cc5d07ed22e3",
+}
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -272,6 +285,77 @@ def test_lattice_stdout(z6_path, capsys):
 
 def test_lattice_budget(z6_path):
     assert main(["lattice", z6_path, "--budget", "4"]) == 4
+
+
+def _vector_space_doc(k: int) -> dict:
+    """F_2^k over F_2 as a table document, with I = 0, so M><I has 2^k elements."""
+    n = 1 << k
+    return {
+        "ring": {"zn": 2},
+        "ideal_generators": [],
+        "module": {"tables": {
+            "add": [[x ^ y for y in range(n)] for x in range(n)],
+            "act": [[0] * n, list(range(n))],
+            "labels": [format(x, f"0{k}b") for x in range(n)],
+        }},
+        "submodule_generators": [],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_STDOUT_SHA256))
+def test_lattice_stdout_is_byte_identical(name, tmp_path, capsys):
+    if name.startswith("F2^"):
+        p = tmp_path / "f2.json"
+        p.write_text(json.dumps(_vector_space_doc(int(name[3:]))))
+        args = ["lattice", str(p)]
+    else:
+        args = ["lattice", "--seed-corpus", name]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "lattice"])
+def test_lattice_over_16_nodes_per_budget_element_is_refused(command, tmp_path, capsys,
+                                                             monkeypatch):
+    # F_2^6 has 2825 submodules: within 16 x 256, beyond 16 x 64
+    p = tmp_path / "f2_6.json"
+    p.write_text(json.dumps(_vector_space_doc(6)))
+    found = []
+    real_bits = modules.bits
+
+    def counting(mask):
+        found.append(mask)
+        return real_bits(mask)
+
+    # enumerate_submodules lists the members of each submodule it finds once
+    monkeypatch.setattr(modules, "bits", counting)
+    assert main([command, str(p), "--budget", "64"]) == 4
+    assert capsys.readouterr().err == (
+        "bowtie: error: lattice of M exceeds 1024 submodules (16 x budget 64);"
+        " raise --budget or BOWTIE_BUDGET\n")
+    # the enumeration stopped at the 1025th submodule, not after all 2825
+    assert 1025 <= len(found) <= 1025 + 64
+
+
+def test_lattice_within_16_nodes_per_budget_element_is_drawn(tmp_path, capsys):
+    # F_2^5 has 374 submodules, within 16 x 32
+    p = tmp_path / "f2_5.json"
+    p.write_text(json.dumps(_vector_space_doc(5)))
+    assert main(["lattice", str(p), "--budget", "32"]) == 0
+    assert "nodes\t374" in capsys.readouterr().err
+
+
+def test_lattice_cap_names_the_duplicated_module(tmp_path, capsys):
+    # F_2^4 with I = F_2: M has 67 submodules, M><I = M x M has 67 * 67 = 4489
+    doc = _vector_space_doc(4)
+    doc["ideal_generators"] = ["1"]
+    p = tmp_path / "f2_4.json"
+    p.write_text(json.dumps(doc))
+    assert main(["classify", str(p)]) == 4
+    assert capsys.readouterr().err == (
+        "bowtie: error: lattice of M><I exceeds 4096 submodules (16 x budget 256);"
+        " raise --budget or BOWTIE_BUDGET\n")
 
 
 def test_console_entry_point():

@@ -8,7 +8,9 @@ The lattices of F_p^k over F_p must have the sizes the Gaussian binomials
 give, and relabelling a carrier, with zero moved off index 0, must not
 change what is enumerated. Every Instance enumerates its base module and
 M><I at most once, and the Behboodi checkers read those two lattices
-instead of building quotients.
+instead of building quotients. The lattice command's covering edges,
+read off masks of the nodes above each node, must equal the pairwise
+frozenset search (``oracles.hasse_edges``), edge for edge and in order.
 """
 
 import random
@@ -19,7 +21,7 @@ import pytest
 from bowtie import modules, theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import build_bowtie
-from bowtie.cli import main
+from bowtie.cli import _hasse_edges, main
 from bowtie.instances import SEEDS
 from bowtie.modules import (
     TableModule, enumerate_submodules, is_cyclic, ring_as_module, validate_module,
@@ -161,9 +163,9 @@ def _count_enumerations(monkeypatch):
     real_enumerate = enumerate_submodules
     real_build = theorems.build_bowtie
 
-    def counting(module):
+    def counting(module, *limit):
         enumerated.append(module)  # kept alive, so ids are not reused
-        return real_enumerate(module)
+        return real_enumerate(module, *limit)
 
     def recording(*args):
         inst = real_build(*args)
@@ -223,3 +225,25 @@ def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
                 if m is inst.base_module or inst.base_module.size > 1]
     assert len(built) == 20
     assert sorted(map(id, enumerated)) == sorted(map(id, expected))
+
+
+def _hasse_cases():
+    for n in range(1, 13):
+        ring = make_zn(n)
+        for ideal in enumerate_ideals(ring):
+            yield build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_module
+    for module in family_modules():
+        yield module
+        for inst in duplications(module, cap=64):
+            yield inst.bowtie_module
+    for k in range(1, 6):
+        yield _power(2, k)
+
+
+def test_hasse_edges_match_the_pairwise_search():
+    cases = 0
+    for module in _hasse_cases():
+        subs = enumerate_submodules(module)
+        assert _hasse_edges(subs) == oracles.hasse_edges(subs), module.name
+        cases += 1
+    assert cases > 100

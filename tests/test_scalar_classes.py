@@ -1,0 +1,162 @@
+"""Preimage tables stored as scalar classes, against the per-scalar kernel.
+
+A preimage table pre[a] = {x : a*x in N} is stored as its scalar classes:
+the distinct rows p, each with the mask of the scalars that carry it,
+ordered by least scalar. The per-scalar kernel it replaced, one mask per
+scalar converted row by row with ``int.from_bytes`` and every colon and
+scan a loop over all scalars, is kept in ``oracles.py``. Here the packing
+must equal the row-by-row conversion at every width from 1 to 1100
+columns and on non-contiguous inputs; the classes must equal the
+per-scalar rows grouped by value; and the class colons and scans must
+return exactly what the per-scalar ones return, on every submodule of M
+and M><I over Z_n, n <= 16, and of the family duplications.
+"""
+
+import numpy as np
+import pytest
+
+from bowtie import classify
+from bowtie.duplication import build_bowtie
+from bowtie.modules import TableModule, colon_mask, enumerate_submodules, ring_as_module
+from bowtie.rings import (
+    TableRing,
+    enumerate_ideals,
+    ideal_radical,
+    ideal_of,
+    make_zn,
+    pack_rows,
+    preimage_classes,
+)
+
+import oracles
+from families import duplications, family_modules
+
+
+def _grouped(rows) -> tuple[tuple[int, int], ...]:
+    """Per-row masks grouped by value: (row, mask of its indices), by least index."""
+    out: dict[int, int] = {}
+    for i, p in enumerate(rows):
+        out[p] = out.get(p, 0) | 1 << i
+    return tuple(out.items())
+
+
+def _agree_on_matrix(hits: np.ndarray) -> None:
+    want = oracles.pack_rows(hits)
+    got = pack_rows(hits)
+    assert got == want
+    assert all(type(m) is int for m in got)  # Python ints only, never numpy scalars
+    size = hits.shape[1]
+    # each row as a preimage row: table[a][x] = x where hits[a][x], else an outsider
+    table = np.where(hits, np.arange(size), size)
+    assert preimage_classes(table, range(size), size + 1) == _grouped(want)
+
+
+def test_pack_rows_matches_the_row_by_row_conversion_at_every_width():
+    rng = np.random.default_rng(11)
+    for width in range(1, 1101):
+        hits = rng.random((5, width)) < 0.5
+        hits[1] = False
+        hits[2] = True
+        hits[3] = hits[0]  # a repeated row
+        _agree_on_matrix(hits)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 127, 512, 513, 1100])
+def test_pack_rows_on_empty_transposed_and_sliced_inputs(width):
+    rng = np.random.default_rng(width)
+    _agree_on_matrix(np.zeros((0, width), dtype=bool))
+    _agree_on_matrix(np.zeros((3, width), dtype=bool))
+    _agree_on_matrix(np.ones((3, width), dtype=bool))
+    tall = rng.random((width, 6)) < 0.3
+    _agree_on_matrix(tall.T)  # the transpose packs into a non-contiguous array
+    wide = rng.random((9, 2 * width + 3)) < 0.6
+    for sliced in (wide[::2, 1:width + 1], wide[:, ::2], wide[1:, 3:]):
+        assert not sliced.flags.c_contiguous
+        _agree_on_matrix(sliced)
+
+
+def _family_modules():
+    for module in family_modules():
+        yield module
+        for inst in duplications(module):
+            yield inst.bowtie_module
+
+
+def _scans_agree(classes, pre, exempts, outside, zero_pre, zero_pre_old) -> None:
+    for exempt in exempts:
+        for zp, zp_old in ((None, None), (zero_pre, zero_pre_old)):
+            got = classify._first_violation(classes, exempt, outside, zp)
+            assert got == oracles.first_violation(pre, exempt, outside, zp_old)
+
+
+def _agree_on_ring(ring: TableRing) -> None:
+    zero_old = oracles.preimage_masks(ring.mul_array, (ring.zero,), ring.size)
+    assert ring.zero_pre == zero_old
+    every_third = sum(1 << a for a in range(0, ring.size, 3))
+    for j in enumerate_ideals(ring):
+        pre = oracles.preimage_masks(ring.mul_array, j.members, ring.size)
+        assert j.classes == _grouped(pre)
+        if not j.is_proper:
+            continue
+        for outside in (~j.mask, ~ideal_radical(j).mask):
+            _scans_agree(j.classes, pre, (j.mask, 0, every_third), outside,
+                         ring.zero_pre, zero_old)
+
+
+def _agree_on_module(module: TableModule) -> int:
+    """Classes, colons and scans of every submodule; the number of submodules."""
+    ring = module.ring
+    zero_old = oracles.preimage_masks(module.act_array, (module.zero,), module.size)
+    assert module.zero_classes == _grouped(zero_old)
+    assert module.zero_pre == zero_old
+    subs = enumerate_submodules(module)
+    whole = (1 << module.size) - 1
+    every_third = sum(1 << a for a in range(0, ring.size, 3))
+    for k in subs:
+        assert colon_mask(module.zero_classes, k.mask) == oracles.colon_mask(zero_old, k.mask)
+    # every K as the colon's second argument, or about 100 evenly spread
+    # ones and M on the largest lattices
+    ks = subs[::-(-len(subs) // 100)] + subs[-1:]
+    for n in subs:
+        pre = oracles.preimage_masks(module.act_array, n.members, module.size)
+        assert n.classes == _grouped(pre)
+        for k in ks:
+            assert colon_mask(n.classes, k.mask) == oracles.colon_mask(pre, k.mask)
+        if not n.is_proper:
+            continue
+        colon = colon_mask(n.classes, whole)
+        radical = ideal_radical(ideal_of(ring, colon)).mask
+        _scans_agree(n.classes, pre, (colon, radical, 0, every_third), ~n.mask,
+                     module.zero_pre, zero_old)
+    return len(subs)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_classes_colons_and_scans_match_the_per_scalar_kernel_on_zn(n):
+    ring = make_zn(n)
+    module = ring_as_module(ring)
+    _agree_on_ring(ring)
+    _agree_on_module(module)
+    for ideal in enumerate_ideals(ring):
+        inst = build_bowtie(ring, ideal, module)
+        _agree_on_ring(inst.bowtie_ring)
+        _agree_on_module(inst.bowtie_module)
+
+
+def test_classes_colons_and_scans_match_the_per_scalar_kernel_on_families():
+    checked, rings = 0, []
+    for module in _family_modules():
+        if not any(r is module.ring for r in rings):
+            rings.append(module.ring)
+            _agree_on_ring(module.ring)
+        checked += _agree_on_module(module)
+    assert checked > 2000
+
+
+def test_large_duplications_collapse_into_few_classes():
+    # Z16 with I = Z16: 256 scalars, and every preimage table far fewer rows
+    ring = make_zn(16)
+    module = build_bowtie(ring, enumerate_ideals(ring)[-1], ring_as_module(ring)).bowtie_module
+    assert module.ring.size == 256
+    counts = [len(n.classes) for n in enumerate_submodules(module)]
+    assert max(counts) <= 32

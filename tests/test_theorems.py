@@ -3,7 +3,9 @@ import os
 import pytest
 
 from bowtie import theorems
-from bowtie.modules import Submodule, zero_submodule
+from bowtie.modules import (
+    Submodule, is_cyclic, is_faithful, whole_submodule, zero_submodule,
+)
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import (
     THEOREM_IDS,
@@ -236,6 +238,38 @@ def test_hunt_lists_the_ideals_of_zn_in_enumeration_order(monkeypatch):
     assert [(n, members) for n, members, *_ in tasks] == [
         (n, j.members) for n in range(1, 49) for j in enumerate_ideals(make_zn(n))
     ]
+
+
+def test_p_faithful_hypotheses_once_per_instance(monkeypatch):
+    asked = []
+    real_is_cyclic = theorems.is_cyclic
+
+    def recording(module):
+        asked.append(module)  # kept alive, so ids are not reused
+        return real_is_cyclic(module)
+
+    monkeypatch.setattr(theorems, "is_cyclic", recording)
+    rows = hunt(CorpusSpec(max_n=8), theorems=["P_FAITHFUL"])
+    assert len(rows) > 100
+    # Z1 has no proper N; every other instance asks once, whatever its N and variant
+    assert len(asked) == len({id(m) for m in asked}) == 19
+
+
+def test_instance_keeps_the_facts_of_m_bowtie_i():
+    for n in range(1, 13):
+        for ideal in enumerate_ideals(make_zn(n)):
+            ctx = make_zn_instance(n, ideal.members)
+            mod = ctx.inst.bowtie_module
+            assert ctx.faithful_cyclic == (is_faithful(mod), is_cyclic(mod).holds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+def test_whole_submodule_equals_the_checked_one(n):
+    for ideal in enumerate_ideals(make_zn(n)):
+        mod = make_zn_instance(n, ideal.members).inst.bowtie_module
+        whole, checked = whole_submodule(mod), Submodule(mod, range(mod.size))
+        assert whole == checked
+        assert (whole.mask, whole.member_set) == (checked.mask, checked.member_set)
 
 
 def test_hunt_deterministic_across_workers():
