@@ -71,7 +71,13 @@ def _table_labels(body: dict, k: int, where: str) -> tuple[str, ...]:
     # element references are read with their spaces removed
     spaced = next((s for s in labels if any(c.isspace() for c in s)), None)
     _require(spaced is None, f"{where}.labels", f"label {spaced!r} contains whitespace")
+    _require(isinstance(body.get("name", ""), str), f"{where}.name", "expected a string")
     return tuple(labels)
+
+
+def _carrier_index(value: Any, k: int, where: str) -> int:
+    _require(type(value) is int and 0 <= value < k, where, "expected a carrier index")
+    return value
 
 
 # deepest nesting of "product" a ring description may use
@@ -143,17 +149,14 @@ def _ring_from(desc: Any, where: str) -> TableRing:
              and all(len(r) == k for r in mul),
              f"{where}.tables", "add and mul must be square of the same size")
     labels = _table_labels(body, k, f"{where}.tables")
-    zero = body.get("zero", 0)
+    zero = _carrier_index(body.get("zero", 0), k, f"{where}.tables.zero")
     one = body.get("one")
-    _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
-             "expected a carrier index")
     if one is None:
         # the unique u with u*x == x for all x; rings require one
         one = next((u for u in range(k) if mul[u] == list(range(k))), None)
         _require(one is not None, f"{where}.tables",
                  "no multiplicative identity row found; supply \"one\"")
-    _require(isinstance(one, int) and 0 <= one < k, f"{where}.tables.one",
-             "expected a carrier index")
+    one = _carrier_index(one, k, f"{where}.tables.one")
     try:
         # the lists are read into arrays once, here; an entry too large for
         # int32 is an OverflowError
@@ -193,9 +196,7 @@ def _build_module(desc: Any, ring: TableRing, where: str = "module") -> TableMod
     _require(len(act) == ring.size and all(len(r) == k for r in act),
              f"{where}.tables.act", f"must be {ring.size} rows of length {k}")
     labels = _table_labels(body, k, f"{where}.tables")
-    zero = body.get("zero", 0)
-    _require(isinstance(zero, int) and 0 <= zero < k, f"{where}.tables.zero",
-             "expected a carrier index")
+    zero = _carrier_index(body.get("zero", 0), k, f"{where}.tables.zero")
     try:
         module = TableModule(ring=ring, size=k, add=add, act=act, zero=zero,
                              labels=labels, name=body.get("name", "module"))
@@ -229,6 +230,7 @@ class InstanceSpec:
         _require("ideal_generators" in data, "instance",
                  'missing field "ideal_generators"')
         _require("module" in data, "instance", 'missing field "module"')
+        _require(isinstance(data.get("name", ""), str), "name", "expected a string")
         gens = data["ideal_generators"]
         _require(isinstance(gens, list) and all(isinstance(g, str) for g in gens),
                  "ideal_generators", "expected a list of element labels")

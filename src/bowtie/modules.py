@@ -2,12 +2,12 @@
 
 A module is an addition table plus a scalar-action table (ring index x
 module index). Submodules are canonically stored as sorted index tuples
-and as bitmasks, so every enumeration and witness is reproducible; each
-submodule N computes the scalar classes of its preimage masks
-pre[a] = {x : a*x in N} once, and colons are read off them. The lattice is
-enumerated on masks too: the cyclic submodules come from one packed table,
-and each distinct one is joined onto the lattice found so far, a join
-being an OR of cosets.
+and as bitmasks, so every enumeration and witness is reproducible; the
+scalar classes of the preimage masks pre[a] = {x : a*x in N} are computed
+once per distinct N and action table, and colons are read off them. The
+lattice is enumerated on masks too: the cyclic submodules come from one
+packed table, and each distinct one is joined onto the lattice found so
+far, a join being an OR of cosets.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .rings import (
     lowest_bit,
     mask_of,
     pack_rows,
-    preimage_classes,
     store_tables,
+    subset_classes,
     table_array,
 )
 
@@ -60,11 +60,18 @@ class TableModule:
     def __post_init__(self) -> None:
         store_tables(self, "add", "act")
 
+    def classes(self, mask: int, members: Iterable[int]) -> tuple[tuple[int, int], ...]:
+        """The scalar classes of pre[a] = {m : a*m in S} for the subset S with
+        this mask and these members, computed once per action table: a module
+        acting by its ring's multiplication (the regular module, M><I of a
+        regular M) shares the ring's memo."""
+        owner = self.ring if self.act_array is self.ring.mul_array else self
+        return subset_classes(owner, self.act_array, mask, members)
+
     @property
     def zero_classes(self) -> tuple[tuple[int, int], ...]:
         """The scalar classes of zero_pre[a] = {m : a*m = 0}."""
-        return derived(self, "zero_classes",
-                       lambda: preimage_classes(self.act_array, (self.zero,), self.size))
+        return self.classes(1 << self.zero, (self.zero,))
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
@@ -140,13 +147,13 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule(Subset):
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "over", "members", "member_set", "mask", "_classes", "_cosets")
+    __slots__ = ("module", "over", "members", "member_set", "mask", "_cosets")
 
     def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
         self.module = self.over = module
         self.member_set, self.mask = mset, mask_of(mset)
-        self._classes = self._cosets = None
+        self._cosets = None
         self.members: tuple[int, ...] = tuple(sorted(mset))
         if not _checked:
             self._validate(module.act, module.ring.labels, "action-closed")
@@ -156,21 +163,19 @@ class Submodule(Subset):
         """A submodule known to be closed, from its mask (and sorted members, if at hand)."""
         sub = cls.__new__(cls)
         sub.module = sub.over = module
-        sub.mask, sub._classes, sub._cosets = mask, None, None
+        sub.mask, sub._cosets = mask, None
         sub.members = tuple(members or bits(mask))
         sub.member_set = frozenset(sub.members)
         return sub
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
-        """The scalar classes of pre[a] = {x : a*x in N}; computed once.
+        """The scalar classes of pre[a] = {x : a*x in N}, computed once per
+        distinct N in its module's memo (TableModule.classes).
 
         Every colon and prime-type scan of N reads this one table.
         """
-        if self._classes is None:
-            mod = self.module
-            self._classes = preimage_classes(mod.act_array, self.members, mod.size)
-        return self._classes
+        return self.module.classes(self.mask, self.members)
 
 
 @dataclass(frozen=True, eq=False)

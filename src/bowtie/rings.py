@@ -158,6 +158,18 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
     return cache[key]
 
 
+def subset_classes(
+    owner: Any, table: np.ndarray, mask: int, members: Iterable[int]
+) -> tuple[tuple[int, int], ...]:
+    """preimage_classes of the subset with this mask and these members under
+    ``table``, owner's multiplication or action table, once per (owner, mask).
+    The memo holds only ints, so it makes no reference cycle."""
+    memo = derived(owner, "classes", dict)
+    if mask not in memo:
+        memo[mask] = preimage_classes(table, members, table.shape[1])
+    return memo[mask]
+
+
 def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
     """A computed table whose entries index a carrier of the given size,
     read-only in table_array's dtype for it (the row of zero or of one
@@ -465,7 +477,7 @@ class Subset:
 class Ideal(Subset):
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "over", "members", "member_set", "mask", "_classes", "__weakref__")
+    __slots__ = ("ring", "over", "members", "member_set", "mask", "__weakref__")
 
     def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
         mset = frozenset(int(m) for m in members)
@@ -473,7 +485,6 @@ class Ideal(Subset):
         self.members: tuple[int, ...] = tuple(sorted(mset))
         self.member_set: frozenset[int] = mset
         self.mask: int = mask_of(self.members)
-        self._classes: tuple[tuple[int, int], ...] | None = None
         if not _checked:
             self._validate(ring.mul, ring.labels, "absorbing")
 
@@ -482,18 +493,16 @@ class Ideal(Subset):
         """An ideal known to be closed, from its mask."""
         j = cls.__new__(cls)
         j.ring = j.over = ring
-        j.mask, j._classes = mask, None
+        j.mask = mask
         j.members = tuple(bits(mask))
         j.member_set = frozenset(j.members)
         return j
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
-        """The scalar classes of pre[a] = {b : a*b in J}; computed once."""
-        if self._classes is None:
-            r = self.ring
-            self._classes = preimage_classes(r.mul_array, self.members, r.size)
-        return self._classes
+        """The scalar classes of pre[a] = {b : a*b in J}, computed once per
+        distinct J in the ring's memo, which the regular module shares."""
+        return subset_classes(self.ring, self.ring.mul_array, self.mask, self.members)
 
 
 # ----------------------------------------------------------- ideal memo

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -125,18 +125,27 @@ class Instance:
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self.lattice_limit = lattice_limit
-        self._bowtie_n: dict[tuple[int, ...], Submodule] = {}
+        # every memo is keyed by mask: a tuple of members rehashes on each lookup
+        self._bowtie_n: dict[int, Submodule] = {}
         self._colon: dict[tuple[int, int], Ideal] = {}
-        self._prime: dict[tuple[int, ...], Verdict] = {}
-        self._primary: dict[tuple[int, ...], Verdict] = {}
-        self._wp: dict[tuple[tuple[int, ...], str], Verdict] = {}
-        self._npack: dict[tuple[int, ...], dict] = {}
-        self._colon_product: dict[int, str] = {}
+        self._prime: dict[int, Verdict] = {}
+        self._primary: dict[int, Verdict] = {}
+        self._wp: dict[tuple[int, str], Verdict] = {}
+        self._npack: dict[int, dict] = {}
+        self._facts: dict[tuple[str, int, str], Any] = {}
+
+    def fact(self, what: str, n: Submodule, compute: Callable[[], Any], reading: str = "-") -> Any:
+        """compute(), a fact about one submodule n that no variant changes,
+        computed once per (what, n, reading)."""
+        key = (what, n.mask, reading)
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
             return self.base_key
-        return f"{self.base_key}|N={n.label_set()}"
+        return self.fact("key", n, lambda: f"{self.base_key}|N={n.label_set()}")
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
@@ -165,7 +174,7 @@ class Instance:
         return pack_rows(hits)
 
     def bowtie(self, n: Submodule) -> Submodule:
-        key = n.members
+        key = n.mask
         if key not in self._bowtie_n:
             self._bowtie_n[key] = bowtie_submodule(self.inst, n)
         return self._bowtie_n[key]
@@ -180,29 +189,23 @@ class Instance:
         return self._colon[key]
 
     def prime(self, nb: Submodule) -> Verdict:
-        key = nb.members
+        key = nb.mask
         if key not in self._prime:
             self._prime[key] = is_prime_submodule(nb)
         return self._prime[key]
 
     def primary(self, nb: Submodule) -> Verdict:
-        key = nb.members
+        key = nb.mask
         if key not in self._primary:
             self._primary[key] = is_primary_submodule(nb)
         return self._primary[key]
 
     def weakly_prime(self, nb: Submodule, variant: str) -> Verdict:
-        key = (nb.members, variant)
+        key = (nb.mask, variant)
         if key not in self._wp:
-            self._wp[key] = weakly_prime_submodule(nb, variant, self.bowtie_submodules)
+            subs = None if variant == "af" else self.bowtie_submodules  # af reads no lattice
+            self._wp[key] = weakly_prime_submodule(nb, variant, subs)
         return self._wp[key]
-
-    def colon_product(self, nb: Submodule) -> str:
-        """colon_product_violation of N><I, which no variant changes;
-        computed once per N><I."""
-        if nb.mask not in self._colon_product:
-            self._colon_product[nb.mask] = colon_product_violation(self, nb)
-        return self._colon_product[nb.mask]
 
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
@@ -213,7 +216,7 @@ class Instance:
         col_masks[id]: its members; col_members[id]: the x with that id.
         bad_y[id]: the y whose sum meets sum id ``id`` in more than N><I.
         """
-        key = nb.members
+        key = nb.mask
         if key in self._npack:
             return self._npack[key]
         mod = self.inst.bowtie_module
@@ -298,18 +301,20 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
 
 def check_transfer(ctx: Instance, n: Submodule, notion: str) -> TheoremReport:
     """notion(N) must agree with notion(N><I), in both directions."""
-    # predicates are read from their module-level names at each call, so a
-    # wrapper installed on those names (perfbench/tracer.py) sees every call
+    # predicates are called by their module-level names, so a wrapper on those
+    # names (perfbench/tracer.py) sees every call; N><I's go through the memos
+    nb = ctx.bowtie(n)
     if notion == "prime":
-        theorem_id, pred, noun = "L2", is_prime_submodule, "prime"
+        theorem_id, noun = "L2", "prime"
+        vb, vd = is_prime_submodule(n), ctx.prime(nb)
     elif notion == "weakly_prime_af":
-        theorem_id, pred, noun = "C_WP", is_weakly_prime_submodule_af, "weakly prime (af)"
+        theorem_id, noun = "C_WP", "weakly prime (af)"
+        vb, vd = is_weakly_prime_submodule_af(n), ctx.weakly_prime(nb, "af")
     elif notion == "primary":
-        theorem_id, pred, noun = "P_PRIMARY", is_primary_submodule, "primary"
+        theorem_id, noun = "P_PRIMARY", "primary"
+        vb, vd = is_primary_submodule(n), ctx.primary(nb)
     else:
         raise ValueError(f"unknown transfer notion {notion!r}")
-    vb = pred(n)
-    vd = pred(ctx.bowtie(n))
     key = ctx.key_for(n)
     stats = {"base": vb.holds, "duplicate": vd.holds}
     if vb.holds == vd.holds:
@@ -332,24 +337,25 @@ def _quantifier_domain(ctx: Instance, reading: str) -> list[Submodule]:
     raise ValueError(f"unknown reading {reading!r}")
 
 
-def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
-    """Weakly prime <=> every colon into a non-contained K is a prime ideal."""
-    nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    rhs_witness = ""
-    rhs_holds = True
+def non_prime_colon(ctx: Instance, nb: Submodule, reading: str) -> str:
+    """Witness of the first K of the domain, not inside N><I, whose colon
+    (N><I : K) is not a prime ideal; "" when there is none."""
     for k in _quantifier_domain(ctx, reading):
         if k.mask & nb.mask == k.mask:
             continue
         col = ctx.colon(nb, k)
         v = ideal_is_prime(col.ring, col.mask)
         if not v.holds:
-            rhs_holds = False
-            rhs_witness = (
-                f"K={k.label_set()} gives colon {col.label_set()},"
-                f" not prime: {v.witness_text}"
-            )
-            break
+            return f"K={k.label_set()} gives colon {col.label_set()}, not prime: {v.witness_text}"
+    return ""
+
+
+def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
+    """Weakly prime <=> every colon into a non-contained K is a prime ideal."""
+    nb = ctx.bowtie(n)
+    wp = ctx.weakly_prime(nb, variant)
+    rhs_witness = ctx.fact("L3i", nb, lambda: non_prime_colon(ctx, nb, reading), reading)
+    rhs_holds = not rhs_witness
     key = ctx.key_for(n)
     if wp.holds == rhs_holds:
         return TheoremReport(
@@ -366,16 +372,9 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theore
     return TheoremReport(key, "L3i", variant, reading, outcome="fail", witness_text=text)
 
 
-def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
-    """Weakly prime => colons into non-contained submodules form a chain."""
-    nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    key = ctx.key_for(n)
-    if not wp.holds:
-        return TheoremReport(
-            key, "L3ii", variant, reading, outcome="na",
-            notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
-        )
+def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
+    """Witness of the first K, L of the domain, neither inside N><I, whose
+    colons are incomparable; "" when the colons form a chain."""
     domain = [
         k for k in _quantifier_domain(ctx, reading)
         if k.mask & nb.mask != k.mask
@@ -388,14 +387,27 @@ def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theor
                 ring = ctx.inst.bowtie_ring
                 onlya = ring.labels[lowest_bit(a & ~b)]
                 onlyb = ring.labels[lowest_bit(b & ~a)]
-                return TheoremReport(
-                    key, "L3ii", variant, reading, outcome="fail",
-                    witness_text=(
-                        f"K={domain[i].label_set()} L={domain[j].label_set()}:"
-                        f" colon(K) has {onlya} outside colon(L),"
-                        f" colon(L) has {onlyb} outside colon(K)"
-                    ),
+                return (
+                    f"K={domain[i].label_set()} L={domain[j].label_set()}:"
+                    f" colon(K) has {onlya} outside colon(L),"
+                    f" colon(L) has {onlyb} outside colon(K)"
                 )
+    return ""
+
+
+def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
+    """Weakly prime => colons into non-contained submodules form a chain."""
+    nb = ctx.bowtie(n)
+    wp = ctx.weakly_prime(nb, variant)
+    key = ctx.key_for(n)
+    if not wp.holds:
+        return TheoremReport(
+            key, "L3ii", variant, reading, outcome="na",
+            notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
+        )
+    witness = ctx.fact("L3ii", nb, lambda: colon_chain_violation(ctx, nb, reading), reading)
+    if witness:
+        return TheoremReport(key, "L3ii", variant, reading, outcome="fail", witness_text=witness)
     return TheoremReport(key, "L3ii", variant, reading, notes="colons form a chain")
 
 
@@ -443,12 +455,15 @@ def t4_violation(ctx: Instance, nb: Submodule) -> str:
 
 
 def _weakly_prime_iff(
-    ctx: Instance, n: Submodule, nb: Submodule, variant: str, theorem_id: str, note: str,
-    noun: str, cond_witness: str,
+    ctx: Instance, n: Submodule, variant: str, theorem_id: str, note: str, noun: str,
+    violation: Callable[[Instance, Submodule], str],
 ) -> TheoremReport:
-    """The row of "N><I is weakly prime <=> a condition", given the
-    condition's violation ("" when it holds)."""
+    """The row of "N><I is weakly prime <=> a condition", given the function
+    that finds the condition's violation ("" when it holds); no variant
+    changes that, so it runs once per N><I."""
+    nb = ctx.bowtie(n)
     wp = ctx.weakly_prime(nb, variant)
+    cond_witness = ctx.fact(theorem_id, nb, lambda: violation(ctx, nb))
     cond = not cond_witness
     key = ctx.key_for(n)
     if wp.holds == cond:
@@ -464,9 +479,8 @@ def _weakly_prime_iff(
 
 def check_T4(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Weakly prime <=> unequal element colons force the two-sum identity."""
-    nb = ctx.bowtie(n)
-    return _weakly_prime_iff(ctx, n, nb, variant, "T4", "intersection-condition",
-                             "intersection condition", t4_violation(ctx, nb))
+    return _weakly_prime_iff(ctx, n, variant, "T4", "intersection-condition",
+                             "intersection condition", t4_violation)
 
 
 def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
@@ -534,8 +548,9 @@ def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
             key, "C_IRR", variant, outcome="na",
             notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
         )
-    part1_witness = c_irr_identity_violation(ctx, nb)
-    irr = is_irreducible_submodule(nb, ctx.bowtie_submodules)
+    part1_witness = ctx.fact("C_IRR", nb, lambda: c_irr_identity_violation(ctx, nb))
+    irr = ctx.fact("irreducible", nb,
+                   lambda: is_irreducible_submodule(nb, ctx.bowtie_submodules))
     p = ctx.prime(nb)
     part2_witness = ""
     if irr.holds and not p.holds:
@@ -577,16 +592,15 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
 
 def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
-    nb = ctx.bowtie(n)
-    return _weakly_prime_iff(ctx, n, nb, variant, "L_COLON_PROD", "colon-product-condition",
-                             "colon condition", ctx.colon_product(nb))
+    return _weakly_prime_iff(ctx, n, variant, "L_COLON_PROD", "colon-product-condition",
+                             "colon condition", colon_product_violation)
 
 
 def check_R_CEX(ctx: Instance, n: Submodule) -> TheoremReport:
     """Probe: fail exactly when (N><I : M><I) is not a weakly prime ideal."""
     nb = ctx.bowtie(n)
     col = ctx.colon(nb)
-    v = is_weakly_prime_ideal(col)
+    v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(col))
     key = ctx.key_for(n)
     if v.holds:
         return TheoremReport(
@@ -616,7 +630,7 @@ def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> TheoremReport
             key, "P_FAITHFUL", variant, outcome="na",
             notes="hypothesis fails: " + "; ".join(missing),
         )
-    v = is_weakly_prime_ideal(ctx.colon(nb))
+    v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(ctx.colon(nb)))
     if v.holds:
         return TheoremReport(
             key, "P_FAITHFUL", variant, notes="colon is a weakly prime ideal"

@@ -1,0 +1,180 @@
+"""Each fact about a subset is computed once per distinct subset.
+
+Scalar classes live in one memo per action table, keyed by mask: an ideal of
+A and the same subset as a submodule of the regular module share one entry,
+and so do the submodules of M><I of a regular M and the ideals of A><I. The
+checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
+C_IRR, the weakly-prime test of the colon, the report key) are computed once
+per N><I and reading on ``Instance``. Here the calls are counted over a hunt,
+and every row is compared with the row of the same cell computed on a fresh
+``Instance`` over fresh tables, so that a memo key that leaves out the
+reading or the variant shows up as a changed row.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from bowtie import rings, theorems
+from bowtie.classify import VARIANTS
+from bowtie.duplication import predicted_sizes
+from bowtie.modules import Submodule, TableModule, enumerate_submodules, ring_as_module
+from bowtie.rings import Ideal, enumerate_ideals, ideal_of, make_zn, preimage_classes
+from bowtie.theorems import (
+    CHECKERS,
+    READINGS,
+    THEOREM_IDS,
+    CorpusSpec,
+    Instance,
+    hunt,
+    make_zn_instance,
+    run_checker,
+    run_instance,
+)
+
+from families import family_modules, products
+
+
+# ------------------------------------------------------------ counting
+
+
+def _counting(monkeypatch, owner, name, key):
+    """Replace owner.name by a wrapper that counts its calls by key(*args)."""
+    counts: Counter = Counter()
+    kept = []  # the arguments stay alive, so no id in a key is reused
+    real = getattr(owner, name)
+
+    def counted(*args):
+        kept.append(args)
+        counts[key(*args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_each_fact_is_computed_once_over_zn(monkeypatch):
+    classes = _counting(monkeypatch, rings, "preimage_classes",
+                        lambda table, members, size: (id(table), tuple(members)))
+    per_n = [_counting(monkeypatch, theorems, name, lambda ctx, nb: (id(ctx), nb.mask))
+             for name in ("t4_violation", "c_irr_identity_violation")]
+    irreducible = _counting(monkeypatch, theorems, "is_irreducible_submodule",
+                            lambda nb, subs: (id(nb.module), nb.mask))
+    scans = [_counting(monkeypatch, theorems, name,
+                       lambda ctx, nb, reading: (id(ctx), nb.mask, reading))
+             for name in ("non_prime_colon", "colon_chain_violation")]
+    rows = hunt(CorpusSpec(max_n=12))
+    # one pack per distinct (action table, mask)
+    assert len(classes) > 300 and max(classes.values()) == 1
+    for counts in (*per_n, irreducible, *scans):
+        assert counts and max(counts.values()) == 1
+    # L3i's colon scan runs for every (N><I, reading), once for the three variants
+    l3i = [r for r in rows if r.theorem_id == "L3i"]
+    assert len(scans[0]) * len(VARIANTS) == len(l3i)
+
+
+def test_each_row_key_is_built_once_per_n(monkeypatch):
+    labels = _counting(monkeypatch, Submodule, "label_set",
+                       lambda n: (id(n.module), n.module.name, n.mask))
+    rows = hunt(CorpusSpec(max_n=8), theorems=["T4", "C_IRR"])
+    # T4 and C_IRR print a base N (a submodule of Z_n-reg) only in the key
+    # of its 2 x 3 rows
+    base = [c for (_id, name, _mask), c in labels.items() if name.endswith("-reg")]
+    assert len(base) * 2 * len(VARIANTS) == len(rows) > 100
+    assert max(base) == 1
+
+
+# ------------------------------------------------------- classes sharing
+
+
+def _memo(owner):
+    return owner.derived_cache["classes"]
+
+
+@pytest.mark.parametrize("ring", [make_zn(n) for n in range(1, 13)] + products(),
+                         ids=lambda r: r.name)
+def test_ideals_and_regular_submodules_share_their_classes(ring):
+    regular = ring_as_module(ring)
+    for j in enumerate_ideals(ring):
+        assert Submodule(regular, j.members).classes is j.classes is _memo(ring)[j.mask]
+    assert regular.zero_classes is _memo(ring)[1 << ring.zero]
+    assert "classes" not in regular.derived_cache
+
+
+def test_bowtie_of_a_regular_module_shares_the_rings_memo():
+    for n in (4, 6, 8, 12):
+        for ideal in enumerate_ideals(make_zn(n)):
+            ctx = make_zn_instance(n, ideal.members)
+            mod, ring = ctx.inst.bowtie_module, ctx.inst.bowtie_ring
+            for nb in ctx.bowtie_submodules:
+                assert nb.classes is ideal_of(ring, nb.mask).classes is _memo(ring)[nb.mask]
+            assert mod.zero_classes is _memo(ring)[1 << mod.zero]
+            assert "classes" not in mod.derived_cache
+
+
+def test_a_non_regular_module_keeps_its_own_memo():
+    modules = [m for m in family_modules() if m.act_array is not m.ring.mul_array]
+    assert len(modules) >= 10
+    for mod in modules:
+        for n in enumerate_submodules(mod):
+            assert n.classes == preimage_classes(mod.act_array, n.members, mod.size)
+            assert n.classes is _memo(mod)[n.mask]
+        assert mod.zero_classes is _memo(mod)[1 << mod.zero]
+        assert mod.zero_classes == preimage_classes(mod.act_array, (mod.zero,), mod.size)
+
+
+# ------------------------------------------------------ per-cell oracle
+
+
+def _cell_by_cell(make) -> list:
+    """The rows of run_instance, each cell computed on an Instance of its own
+    from make(), which builds every table afresh, so no memo is shared."""
+    ctx = make()
+    rows = [run_checker(make(), t, None) for t in THEOREM_IDS if CHECKERS[t].per_instance]
+    for n in ctx.base_submodules:
+        for t in THEOREM_IDS:
+            checker = CHECKERS[t]
+            if checker.per_instance or not (n.is_proper or checker.improper_n):
+                continue
+            for variant, reading in checker.cells(VARIANTS, READINGS):
+                fresh = make()
+                n = Submodule.from_mask(fresh.inst.base_module, n.mask)
+                rows.append(run_checker(fresh, t, n, variant, reading))
+    return rows
+
+
+def _assert_cells_agree(make) -> None:
+    shared = run_instance(make(), THEOREM_IDS, VARIANTS, READINGS)
+    assert [r.line() for r in shared] == [r.line() for r in _cell_by_cell(make)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shared_instance_rows_equal_fresh_cells_on_zn(n):
+    for ideal in enumerate_ideals(make_zn(n)):
+        _assert_cells_agree(lambda: make_zn_instance(n, ideal.members))
+
+
+def _copy(mod: TableModule) -> TableModule:
+    """The module over a copy of its ring, with fresh tables and empty memos."""
+    ring = replace(mod.ring)
+    if mod.act_array is mod.ring.mul_array:
+        return ring_as_module(ring)
+    return replace(mod, ring=ring)
+
+
+def test_shared_instance_rows_equal_fresh_cells_on_families():
+    checked = non_regular = 0
+    for mod in family_modules():
+        for ideal in enumerate_ideals(mod.ring):
+            if max(predicted_sizes(mod.ring, ideal, mod)) > 64:
+                continue
+
+            def make(mod=mod, members=ideal.members):
+                copy = _copy(mod)
+                return Instance(copy.ring, Ideal(copy.ring, members, _checked=True), copy)
+
+            _assert_cells_agree(make)
+            checked += 1
+            non_regular += mod.act_array is not mod.ring.mul_array
+    assert checked >= 40 and non_regular >= 20

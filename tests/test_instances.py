@@ -226,6 +226,34 @@ def test_table_entry_beyond_int32_rejected():
         }).build()
 
 
+@pytest.mark.parametrize("name", [True, 1, 2**40, ["a"], {"a": 1}, None])
+def test_names_must_be_strings(name):
+    # a name ends up in report keys and labels; a non-string one made verify
+    # raise TypeError while it joined a report line
+    z2 = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    with pytest.raises(SpecError, match=r"^name: expected a string$"):
+        InstanceSpec.from_dict({"ring": {"zn": 2}, "ideal_generators": [],
+                                "module": "regular", "name": name})
+    with pytest.raises(SpecError, match=r"^ring.tables.name: expected a string$"):
+        InstanceSpec.from_dict({"ring": {"tables": {**z2, "name": name}},
+                                "ideal_generators": [], "module": "regular"}).build()
+    with pytest.raises(SpecError, match=r"^module.tables.name: expected a string$"):
+        InstanceSpec.from_dict({
+            "ring": {"zn": 2}, "ideal_generators": [],
+            "module": {"tables": {"add": z2["add"], "act": [[0, 0], [0, 1]], "name": name}},
+        }).build()
+
+
+@pytest.mark.parametrize("field", ["zero", "one"])
+def test_bools_are_not_carrier_indices(field):
+    # True == 1 passed the integer check, and numpy read table[True] as a
+    # boolean mask, so the table was refused for a wrong reason
+    z2 = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    with pytest.raises(SpecError, match=rf"^ring.tables.{field}: expected a carrier index$"):
+        InstanceSpec.from_dict({"ring": {"tables": {**z2, field: True}},
+                                "ideal_generators": [], "module": "regular"}).build()
+
+
 def test_seed_corpus_contents():
     assert set(SEEDS) == {
         "z6-weakly-prime", "z6-remark", "z12-prime",
