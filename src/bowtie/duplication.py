@@ -53,7 +53,7 @@ def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
 def _products_closure(module: TableModule, scalars: Sequence[int]) -> int:
     """The additive closure of the products s*m, s among the scalars, as a mask."""
     hits = np.zeros((1, module.size), dtype=bool)
-    hits[0, module.act_array[list(scalars)]] = True
+    hits[0, module.act_array.take(list(scalars), axis=0)] = True
     return closure_mask(module.add_array, pack_rows(hits)[0], module.zero)
 
 
@@ -83,10 +83,10 @@ def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: n
     """
     t = op.astype(np.int64)
     # codes are built in place: they are a build's largest temporaries
-    codes = t[rows[:, :1], cols[:, 0]]
+    codes = t.take(rows[:, 0], axis=0).take(cols[:, 0], axis=1)
     codes *= width
-    codes += t[rows[:, 1:], cols[:, 1]]
-    table = lookup[codes]
+    codes += t.take(rows[:, 1], axis=0).take(cols[:, 1], axis=1)
+    table = lookup.take(codes)
     if (table < 0).any():
         i, j = (int(v) for v in np.argwhere(table < 0)[0])
         (a, b), (x, y) = rows[i].tolist(), cols[j].tolist()
@@ -118,7 +118,7 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     n = ring.size
     # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted
     ring_codes = np.sort(
-        (np.arange(n)[:, None] * n + ring.add_array[:, list(ideal.members)]).ravel()
+        (np.arange(n)[:, None] * n + ring.add_array.take(ideal.members, axis=1)).ravel()
     )
     rp, ring_index, ring_pairs = _pairs(ring_codes, n)
     bowtie_ring = TableRing(
@@ -139,8 +139,8 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
         # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
         inside = np.zeros(k, dtype=bool)
         inside[list(im.members)] = True
-        diff = module.add_array[:, list(module.neg)]  # diff[m, m'] = m - m'
-        mp, module_index, module_pairs = _pairs(np.flatnonzero(inside[diff]), k)
+        diff = module.add_array.take(module.neg, axis=1)  # diff[m, m'] = m - m'
+        mp, module_index, module_pairs = _pairs(np.flatnonzero(inside.take(diff)), k)
         add = _componentwise(module.add_array, mp, mp, module_index, k, "add")
         act = _componentwise(module.act_array, rp, mp, module_index, k, "act")
     labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels
@@ -225,7 +225,7 @@ def restrict_scalars(
     comp = 0 if which == "first" else 1
     # every row of the base appears among the gathered ones, so they keep
     # the dtype table_array would choose
-    act = m0.act_array[[pair[comp] for pair in inst.ring_pairs]]
+    act = m0.act_array.take([pair[comp] for pair in inst.ring_pairs], axis=0)
     act.setflags(write=False)
     return TableModule(
         ring=inst.bowtie_ring,

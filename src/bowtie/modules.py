@@ -33,6 +33,7 @@ from .rings import (
     ideal_of,
     lowest_bit,
     mask_of,
+    narrow_dtype,
     pack_rows,
     store_tables,
     subset_classes,
@@ -128,19 +129,21 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
     points = [module.zero, *_additive_generators(module.add, module.zero)]
     if not _associative_at(add, points):
         raise RingAxiomError("module add is not associative")
+    code = narrow_dtype(0, k * k - 1)  # holds the flat index x*k + y of add[x, y]
     for g in points:
         # r(m+g) == rm + rg
-        if not np.array_equal(act[:, add[:, g]], add[act, act[:, g, None]]):
+        if not np.array_equal(act.take(add[:, g], axis=1),
+                              add.ravel().take(act.astype(code) * k + act[:, g, None])):
             raise RingAxiomError("action is not additive in the module argument")
     for g in points:
         # (r+s)g == rg + sg
         col = act[:, g]
-        if not np.array_equal(col[radd], add[col[:, None], col[None, :]]):
+        if not np.array_equal(col.take(radd), add.take(col, axis=0).take(col, axis=1)):
             raise RingAxiomError("action is not additive in the scalar argument")
     for g in points:
         # (rs)g == r(sg)
         col = act[:, g]
-        if not np.array_equal(col[rmul], act[:, col]):
+        if not np.array_equal(col.take(rmul), act.take(col, axis=1)):
             raise RingAxiomError("action does not respect ring multiplication")
 
 
@@ -346,9 +349,9 @@ def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
     """The cosets m + N: each element's coset index, numbered by least
     member, and those least members, ascending; computed once per N."""
     if n._cosets is None:
-        rep_of = n.module.add_array[:, list(n.members)].min(axis=1)
+        rep_of = n.module.add_array.take(n.members, axis=1).min(axis=1)
         is_rep = rep_of == np.arange(n.module.size)
-        n._cosets = (np.cumsum(is_rep) - 1)[rep_of], np.flatnonzero(is_rep)
+        n._cosets = (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
     return n._cosets
 
 
@@ -365,8 +368,8 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
     quo = TableModule(
         ring=module.ring,
         size=size,
-        add=carrier_table(proj[module.add_array[reps][:, reps]], size),
-        act=carrier_table(proj[module.act_array[:, reps]], size),
+        add=carrier_table(proj.take(module.add_array.take(reps, axis=0).take(reps, axis=1)), size),
+        act=carrier_table(proj.take(module.act_array.take(reps, axis=1)), size),
         zero=int(proj[module.zero]),
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps.tolist()),
         name=f"{module.name}/N",
@@ -388,8 +391,8 @@ def check_module_map(f: ModuleMap) -> bool:
     t = table_array(f.table)  # narrow, so that the gathered tables stay small
     # both sides of each comparison have the shape of the source's table
     return bool(
-        (t[src.add_array] == tgt.add_array[t[:, None], t[None, :]]).all()
-        and (t[src.act_array] == tgt.act_array[:, t]).all()
+        (t.take(src.add_array) == tgt.add_array.take(t, axis=0).take(t, axis=1)).all()
+        and (t.take(src.act_array) == tgt.act_array.take(t, axis=1)).all()
     )
 
 

@@ -139,7 +139,7 @@ def preimage_classes(
     inside = np.zeros(size, dtype=bool)
     inside[list(members)] = True
     classes: dict = {}
-    for a, key in enumerate(_row_keys(inside[table])):
+    for a, key in enumerate(_row_keys(inside.take(table))):
         classes[key] = classes.get(key, 0) | 1 << a
     return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
@@ -289,7 +289,8 @@ def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
 
 def _associative_at(op: np.ndarray, points: Sequence[int]) -> bool:
     """(x.g).y == x.(g.y) for all x, y and every g in points."""
-    return all(np.array_equal(op[op[:, g]], op[:, op[g]]) for g in points)
+    return all(np.array_equal(op.take(op[:, g], axis=0), op.take(op[g], axis=1))
+               for g in points)
 
 
 def validate_ring(ring: TableRing, limit: int | None = None) -> None:
@@ -333,9 +334,11 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
     # holds everywhere only once distributivity holds too
     if not _associative_at(mul, points):
         raise RingAxiomError("mul is not associative")
+    code = narrow_dtype(0, k * k - 1)  # holds the flat index x*k + y of add[x, y]
     for g in points:
         # a*(b+g) == a*b + a*g
-        if not np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]]):
+        if not np.array_equal(mul.take(add[:, g], axis=1),
+                              add.ravel().take(mul.astype(code) * k + mul[:, g, None])):
             raise RingAxiomError("mul does not distribute over add")
 
 
@@ -397,8 +400,8 @@ def subring_from_subset(
     index = np.full(ring.size, -1, dtype=np.int64)  # ambient -> new index
     index[d] = np.arange(len(d))
     neg = index[np.asarray(ring.neg)[d]]
-    add = index[ring.add_array[d][:, d]]
-    mul = index[ring.mul_array[d][:, d]]
+    add = index.take(ring.add_array.take(d, axis=0).take(d, axis=1))
+    mul = index.take(ring.mul_array.take(d, axis=0).take(d, axis=1))
     # the first a whose negation, or some sum or product with a b, leaves
     # the subset; at that a, negation is reported first, then b ascending
     outside = (add < 0) | (mul < 0)
@@ -583,7 +586,7 @@ def radical(j: Ideal) -> Ideal:
     ring = j.ring
     inside = np.zeros(ring.size, dtype=bool)
     inside[list(j.members)] = True
-    return ideal_of(ring, pack_rows(inside[_top_powers(ring)][None, :])[0])
+    return ideal_of(ring, pack_rows(inside.take(_top_powers(ring))[None, :])[0])
 
 
 def _top_powers(ring: TableRing) -> np.ndarray:

@@ -27,6 +27,7 @@ from .rings import (
     ideal_radical,
     lowest_bit,
     make_zn,
+    narrow_dtype,
     pack_rows,
 )
 from .modules import (
@@ -215,25 +216,31 @@ class Instance:
         that id. col_ids[x]: id of the element colon {a : a x in N><I};
         col_masks[id]: its members; col_members[id]: the x with that id.
         bad_y[id]: the y whose sum meets sum id ``id`` in more than N><I.
+        Both maps are constant on each coset x + N><I (a(x + n) lies in
+        ax + N><I), so they are computed once per coset; ascending x meets
+        the cosets in id order, so the numbering is the one over all x.
         """
         key = nb.mask
         if key in self._npack:
             return self._npack[key]
         mod = self.inst.bowtie_module
-        k = mod.size
-        act = mod.act_array
-        # N + Ax is the union of the cosets of N that meet Ax
         coset, reps = cosets(nb)
-        meets = np.zeros((k, len(reps)), dtype=bool)
-        meets[np.arange(k), coset[act]] = True
+        r = len(reps)
+        ids = coset.tolist()
+        cos = coset.take(mod.act_array.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
+        # N + Ax is the union of the cosets of N that meet Ax
+        meets = np.zeros((r, r), dtype=bool)
+        meets[np.arange(r), cos] = True
         sum_index: dict[int, int] = {}
-        sum_ids = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets[:, coset])]
-        sum_masks = list(sum_index)
-        # element colons are the columns of the preimage table
-        inside = np.zeros(k, dtype=bool)
-        inside[list(nb.members)] = True
+        rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets)]
+        sum_ids = [rep_sum[c] for c in ids]
+        members = _members_by_id(ids, r)  # each coset's members
+        sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
+        # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
         col_index: dict[int, int] = {}
-        col_ids = [col_index.setdefault(c, len(col_index)) for c in pack_rows(inside[act].T)]
+        rep_col = [col_index.setdefault(c, len(col_index))
+                   for c in pack_rows((cos == ids[mod.zero]).T)]
+        col_ids = [rep_col[c] for c in ids]
         sum_members = _members_by_id(sum_ids, len(sum_masks))
         n_mask = nb.mask
         bad_y = []
@@ -576,10 +583,11 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     """Witness of the first scalars s, t with (N><I : st) equal to neither
     (N><I : s) nor (N><I : t); "" when there are none."""
     ring = ctx.inst.bowtie_ring
-    cid = np.empty(ring.size, dtype=np.intp)  # each scalar's class
-    for i, (_p, scalars) in enumerate(nb.classes):
+    classes = nb.classes
+    cid = np.empty(ring.size, dtype=narrow_dtype(0, len(classes) - 1))  # each scalar's class
+    for i, (_p, scalars) in enumerate(classes):
         cid[bits(scalars)] = i
-    prod = cid[ring.mul_array]
+    prod = cid.take(ring.mul_array)
     bad = (prod != cid[:, None]) & (prod != cid[None, :])
     if not bad.any():
         return ""

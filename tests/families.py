@@ -5,7 +5,8 @@
   those products, for every proper nonzero ideal J.
 
 ``duplications`` builds M><I over such a module for every ideal I small
-enough for the O(k^3) oracles, or below a smaller cap.
+enough for the O(k^3) oracles, or below a smaller cap, and ``relabel``
+renames a module's elements.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ def direct_sum(m1: TableModule, m2: TableModule) -> TableModule:
     )
 
 
+def relabel(module: TableModule, perm: list[int]) -> TableModule:
+    """The same module with element x renamed perm[x]."""
+    old = sorted(range(module.size), key=perm.__getitem__)  # old[perm[x]] = x
+
+    def table(rows):
+        return tuple(tuple(perm[row[x]] for x in old) for row in rows)
+
+    return TableModule(
+        ring=module.ring, size=module.size,
+        add=table(module.add[x] for x in old), act=table(module.act),
+        zero=perm[module.zero], labels=tuple(module.labels[x] for x in old),
+        name=f"{module.name}-relabelled",
+    )
+
+
 def products() -> list[TableRing]:
     """Z2xZ2, Z2xZ4 and Z3xZ4, where the greedy search finds two generators."""
     z2, z3, z4 = make_zn(2), make_zn(3), make_zn(4)
@@ -59,7 +75,10 @@ def quotients_and_sums(ring: TableRing) -> list[TableModule]:
     out = []
     for j in enumerate_ideals(ring)[1:-1]:
         quo, _ = quotient_module(regular, Submodule(regular, j.members))
-        quo = replace(quo, name=f"{ring.name}/{j.label_set()}")
+        # replace() would read the tables through rings.Table, deriving tuple
+        # rows and new arrays; passing the arrays shares them
+        quo = replace(quo, name=f"{ring.name}/{j.label_set()}",
+                      add=quo.add_array, act=quo.act_array)
         out.append(quo)
         if ring.size * quo.size <= 32:
             out.append(direct_sum(regular, quo))

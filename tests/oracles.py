@@ -4,8 +4,8 @@ Everything here recomputes results from first principles with no shared
 code paths: substructure enumeration by powerset filtering, primality by
 direct quantifier evaluation, primary-ness by the literal exists-k
 definition. Intended for carriers of at most 16 elements; the axiom
-sweeps, the frozenset kernels, and the library's earlier per-scalar
-preimage kernel and pairwise lattice edges at the end take larger
+sweeps, the frozenset kernels, and the library's earlier element-wise
+npack, per-scalar preimage kernel and pairwise lattice edges take larger
 carriers.
 """
 
@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from bowtie.classify import Verdict, is_weakly_prime_module
-from bowtie.modules import ModuleMap, Submodule, TableModule, quotient_module
+from bowtie.modules import ModuleMap, Submodule, TableModule, cosets, quotient_module
 from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
 
 
@@ -610,6 +610,51 @@ def _sum_and_colon_ids(ctx, nb: Submodule):
         return cache[(s, t)]
 
     return sum_ids, sum_sets, col_ids, meets
+
+
+def npack(ctx, nb: Submodule) -> dict:
+    """Instance.npack element by element (the library's before it worked on
+    the cosets of N): the sum N + Ax and the colon {a : a x in N} of every
+    x, numbered by first appearance, and bad_y for each sum by a loop over
+    every pair of sums."""
+    mod = ctx.inst.bowtie_module
+    k = mod.size
+    act = mod.act_array
+    coset, reps = cosets(nb)
+    meets = np.zeros((k, len(reps)), dtype=bool)
+    meets[np.arange(k), coset[act]] = True
+    sum_index: dict[int, int] = {}
+    sum_ids = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets[:, coset])]
+    sum_masks = list(sum_index)
+    inside = np.zeros(k, dtype=bool)
+    inside[list(nb.members)] = True
+    col_index: dict[int, int] = {}
+    col_ids = [col_index.setdefault(c, len(col_index)) for c in pack_rows(inside[act].T)]
+    sum_members = _members_by_id(sum_ids, len(sum_masks))
+    bad_y = []
+    for s in sum_masks:
+        bad = 0
+        for t, other in enumerate(sum_masks):
+            if s & other != nb.mask:
+                bad |= sum_members[t]
+        bad_y.append(bad)
+    return {
+        "sum_ids": sum_ids,
+        "sum_masks": sum_masks,
+        "sum_members": sum_members,
+        "col_ids": col_ids,
+        "col_masks": list(col_index),
+        "col_members": _members_by_id(col_ids, len(col_index)),
+        "bad_y": bad_y,
+        "n_mask": nb.mask,
+    }
+
+
+def _members_by_id(ids: list[int], count: int) -> list[int]:
+    out = [0] * count
+    for x, i in enumerate(ids):
+        out[i] |= 1 << x
+    return out
 
 
 def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:

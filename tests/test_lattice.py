@@ -30,7 +30,7 @@ from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import CorpusSpec, hunt
 
 import oracles
-from families import direct_sum, duplications, family_modules
+from families import direct_sum, duplications, family_modules, relabel
 
 
 def _members(module):
@@ -108,21 +108,6 @@ def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count):
         assert [s.members for s in subs] == oracles.join_submodules(module)
 
 
-def _relabel(module: TableModule, perm: list[int]) -> TableModule:
-    """The same module with element x renamed perm[x]."""
-    old = sorted(range(module.size), key=perm.__getitem__)  # old[perm[x]] = x
-
-    def table(rows):
-        return tuple(tuple(perm[row[x]] for x in old) for row in rows)
-
-    return TableModule(
-        ring=module.ring, size=module.size,
-        add=table(module.add[x] for x in old), act=table(module.act),
-        zero=perm[module.zero], labels=tuple(module.labels[x] for x in old),
-        name=f"{module.name}-relabelled",
-    )
-
-
 def _shuffled(size: int, seed: int) -> list[int]:
     perm = list(range(size))
     random.Random(seed).shuffle(perm)
@@ -144,7 +129,7 @@ RELABELLED = [
 
 @pytest.mark.parametrize("module,perm", RELABELLED, ids=[m.name for m, _perm in RELABELLED])
 def test_relabelled_lattices_match_the_powerset(module, perm):
-    relabelled = _relabel(module, perm)
+    relabelled = relabel(module, perm)
     validate_module(relabelled)
     assert relabelled.zero != 0
     brute = [tuple(sorted(s)) for s in oracles.brute_submodules(relabelled)]

@@ -1,0 +1,89 @@
+"""Instance.npack on the cosets of N><I, against the element-wise pack.
+
+``npack`` computes the sums N><I + Ax and the element colons
+(N><I : x) once per coset x + N><I and numbers them by first appearance
+over ascending x. ``oracles.npack`` computes both for every element, as
+the library did before; every field of the two packs must be equal on
+every submodule of M><I over Z_n, n <= 12, over the family duplications
+up to 64 elements (non-regular modules among them) and over relabelled
+modules whose zero is not element 0. The numbering agrees only because
+``cosets`` numbers the cosets by least member, so ascending x meets them
+in id order; that premise is tested on its own.
+"""
+
+import numpy as np
+import pytest
+
+from bowtie.duplication import predicted_sizes
+from bowtie.modules import cosets, enumerate_submodules, ring_as_module
+from bowtie.rings import enumerate_ideals, make_zn
+from bowtie.theorems import Instance
+
+import oracles
+from families import family_modules, relabel
+
+CAP = 64
+
+
+def _instances(module):
+    """An Instance for every ideal I with |A><I| and |M><I| at most CAP."""
+    ring = module.ring
+    for ideal in enumerate_ideals(ring):
+        if max(predicted_sizes(ring, ideal, module)) <= CAP:
+            yield Instance(ring, ideal, module)
+
+
+def _assert_packs_agree(module) -> int:
+    checked = 0
+    for ctx in _instances(module):
+        for nb in ctx.bowtie_submodules:
+            assert ctx.npack(nb) == oracles.npack(ctx, nb), (ctx.base_key, nb)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_npack_matches_the_element_wise_pack_on_zn(n):
+    assert _assert_packs_agree(ring_as_module(make_zn(n))) > 0
+
+
+def test_npack_matches_the_element_wise_pack_on_families():
+    checked = non_regular = 0
+    for module in family_modules():
+        count = _assert_packs_agree(module)
+        checked += count
+        if module.act_array is not module.ring.mul_array:
+            non_regular += count
+    assert checked >= 1000 and non_regular >= 500
+
+
+@pytest.mark.parametrize("module,perm", [
+    (ring_as_module(make_zn(6)), list(range(5, -1, -1))),
+    (ring_as_module(make_zn(8)), [3, 0, 1, 2, 7, 4, 5, 6]),
+], ids=["Z6-reversed", "Z8-rotated"])
+def test_npack_matches_the_element_wise_pack_off_zero_index(module, perm):
+    relabelled = relabel(module, perm)
+    assert relabelled.zero != 0
+    assert _assert_packs_agree(relabelled) > 0
+
+
+def _assert_cosets_numbered_by_least_member(module) -> None:
+    for sub in enumerate_submodules(module):
+        coset, reps = cosets(sub)
+        ids = coset.tolist()
+        first_seen = list(dict.fromkeys(ids))
+        assert first_seen == list(range(len(reps)))
+        # each coset's least member is its representative, ascending
+        assert [ids.index(c) for c in range(len(reps))] == reps.tolist()
+        assert coset.dtype == np.int32
+
+
+def test_cosets_are_numbered_by_least_member():
+    for n in range(1, 13):
+        for ideal in enumerate_ideals(make_zn(n)):
+            ctx = Instance(ideal.ring, ideal, ring_as_module(ideal.ring))
+            _assert_cosets_numbered_by_least_member(ctx.inst.bowtie_module)
+    for module in family_modules():
+        _assert_cosets_numbered_by_least_member(module)
+    reversed_z6 = relabel(ring_as_module(make_zn(6)), [5, 4, 3, 2, 1, 0])
+    _assert_cosets_numbered_by_least_member(reversed_z6)

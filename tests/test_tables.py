@@ -33,6 +33,7 @@ from bowtie.rings import (
 )
 from bowtie.theorems import CorpusSpec, hunt
 
+import families
 from constructions import _additive_closure
 from families import duplications, family_modules, products
 
@@ -161,6 +162,28 @@ def test_regular_duplication_equals_the_general_path(ring, ideal):
         if nb_shared.is_proper:
             assert (classify_submodule(nb_shared, shared_subs)
                     == classify_submodule(nb_general, general_subs)), n
+
+
+def test_renamed_family_quotients_share_their_arrays(monkeypatch):
+    """dataclasses.replace reads every field it is not given, and reading a
+    table field derives tuple rows (rings.Table), which the copy's
+    constructor turns into new arrays; families passes the arrays, so each
+    renamed quotient shares them and neither side derives tuple rows."""
+    renamed = []
+    real = families.replace
+
+    def recording(obj, **changes):
+        copy = real(obj, **changes)
+        renamed.append((obj, copy, {"add", "act"} & (vars(obj).keys() | vars(copy).keys())))
+        return copy
+
+    monkeypatch.setattr(families, "replace", recording)
+    modules = family_modules()
+    assert len(renamed) >= 20
+    assert {id(copy) for _obj, copy, _rows in renamed} <= {id(m) for m in modules}
+    for obj, copy, derived in renamed:
+        assert copy.add_array is obj.add_array and copy.act_array is obj.act_array, copy
+        assert not derived, copy
 
 
 def _duplication_name(obj) -> bool:
