@@ -113,7 +113,7 @@ def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> V
         return Verdict(holds=True)
     r = j.ring
     a, b = hit
-    ab = r.labels[int(r.mul_array[a, b])]
+    ab = r.labels[int(r.mul[a, b])]
     return Verdict(holds=False, witness=(a, b),
                    witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={ab}{suffix}")
 
@@ -163,7 +163,7 @@ def _submodule_verdict(
         return Verdict(holds=True, variant=variant)
     mod = n.module
     a, x = hit
-    ax = mod.labels[int(mod.act_array[a, x])]
+    ax = mod.labels[int(mod.act[a, x])]
     return Verdict(holds=False, variant=variant, witness=(a, x),
                    witness_text=f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={ax}{suffix}")
 
@@ -220,7 +220,7 @@ def is_weakly_prime_submodule_azizi(
     if not hits:
         return Verdict(holds=True, variant="azizi")
     a, b = min(hits)
-    ab = int(ring.mul_array[a, b])
+    ab = int(ring.mul[a, b])
     t = next(t for t, c in enumerate(colons) if c >> ab & 1 and not (c >> a | c >> b) & 1)
     return Verdict(
         holds=False,

@@ -53,8 +53,8 @@ def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
 def _products_closure(module: TableModule, scalars: Sequence[int]) -> int:
     """The additive closure of the products s*m, s among the scalars, as a mask."""
     hits = np.zeros((1, module.size), dtype=bool)
-    hits[0, module.act_array.take(list(scalars), axis=0)] = True
-    return closure_mask(module.add_array, pack_rows(hits)[0], module.zero)
+    hits[0, module.act.take(list(scalars), axis=0)] = True
+    return closure_mask(module.add, pack_rows(hits)[0], module.zero)
 
 
 def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple[int, int]:
@@ -118,13 +118,13 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     n = ring.size
     # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted
     ring_codes = np.sort(
-        (np.arange(n)[:, None] * n + ring.add_array.take(ideal.members, axis=1)).ravel()
+        (np.arange(n)[:, None] * n + ring.add.take(ideal.members, axis=1)).ravel()
     )
     rp, ring_index, ring_pairs = _pairs(ring_codes, n)
     bowtie_ring = TableRing(
         size=len(ring_pairs),
-        add=_componentwise(ring.add_array, rp, rp, ring_index, n, "add"),
-        mul=_componentwise(ring.mul_array, rp, rp, ring_index, n, "mul"),
+        add=_componentwise(ring.add, rp, rp, ring_index, n, "add"),
+        mul=_componentwise(ring.mul, rp, rp, ring_index, n, "mul"),
         zero=int(ring_index[ring.zero * n + ring.zero]),
         one=int(ring_index[ring.one * n + ring.one]),
         labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
@@ -132,17 +132,17 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     )
 
     k = module.size
-    if module.add_array is ring.add_array and module.act_array is ring.mul_array:
+    if module.add is ring.add and module.act is ring.mul:
         module_pairs, module_index = ring_pairs, ring_index
-        add, act = bowtie_ring.add_array, bowtie_ring.mul_array
+        add, act = bowtie_ring.add, bowtie_ring.mul
     else:
         # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
         inside = np.zeros(k, dtype=bool)
         inside[list(im.members)] = True
-        diff = module.add_array.take(module.neg, axis=1)  # diff[m, m'] = m - m'
+        diff = module.add.take(module.neg, axis=1)  # diff[m, m'] = m - m'
         mp, module_index, module_pairs = _pairs(np.flatnonzero(inside.take(diff)), k)
-        add = _componentwise(module.add_array, mp, mp, module_index, k, "add")
-        act = _componentwise(module.act_array, rp, mp, module_index, k, "act")
+        add = _componentwise(module.add, mp, mp, module_index, k, "add")
+        act = _componentwise(module.act, rp, mp, module_index, k, "act")
     labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels
               else tuple(f"({module.labels[m]},{module.labels[mp]})" for m, mp in module_pairs))
     bowtie_module = TableModule(
@@ -225,12 +225,12 @@ def restrict_scalars(
     comp = 0 if which == "first" else 1
     # every row of the base appears among the gathered ones, so they keep
     # the dtype table_array would choose
-    act = m0.act_array.take([pair[comp] for pair in inst.ring_pairs], axis=0)
+    act = m0.act.take([pair[comp] for pair in inst.ring_pairs], axis=0)
     act.setflags(write=False)
     return TableModule(
         ring=inst.bowtie_ring,
         size=m0.size,
-        add=m0.add_array,
+        add=m0.add,
         act=act,
         zero=m0.zero,
         labels=m0.labels,

@@ -25,7 +25,6 @@ from .rings import (
     Ideal,
     RingAxiomError,
     Subset,
-    Table,
     TableRing,
     bits,
     carrier_table,
@@ -35,7 +34,6 @@ from .rings import (
     mask_of,
     narrow_dtype,
     pack_rows,
-    store_tables,
     subset_classes,
     table_array,
 )
@@ -45,29 +43,30 @@ from .rings import (
 class TableModule:
     """A finite unital module on the carrier 0..size-1.
 
-    Its tables are stored as ``add_array`` and ``act_array`` (act[r][m], r
-    a ring index; see rings.Table); the regular module stores the ring's.
+    ``add`` and ``act`` (act[r, m], r a ring index) are stored as their
+    table_array, like a TableRing's; the regular module stores the ring's.
     """
 
     ring: TableRing
     size: int
-    add: tuple[tuple[int, ...], ...] = Table()
-    act: tuple[tuple[int, ...], ...] = Table()
+    add: np.ndarray
+    act: np.ndarray
     zero: int
     labels: tuple[str, ...]
     name: str = "module"
     derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        store_tables(self, "add", "act")
+        object.__setattr__(self, "add", table_array(self.add))
+        object.__setattr__(self, "act", table_array(self.act))
 
     def classes(self, mask: int, members: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """The scalar classes of pre[a] = {m : a*m in S} for the subset S with
         this mask and these members, computed once per action table: a module
         acting by its ring's multiplication (the regular module, M><I of a
         regular M) shares the ring's memo."""
-        owner = self.ring if self.act_array is self.ring.mul_array else self
-        return subset_classes(owner, self.act_array, mask, members)
+        owner = self.ring if self.act is self.ring.mul else self
+        return subset_classes(owner, self.act, mask, members)
 
     @property
     def zero_classes(self) -> tuple[tuple[int, int], ...]:
@@ -77,14 +76,14 @@ class TableModule:
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan."""
-        return derived(self, "zero_pre", lambda: pack_rows(self.act_array == self.zero))
+        return derived(self, "zero_pre", lambda: pack_rows(self.act == self.zero))
 
     @property
     def neg(self) -> tuple[int, ...]:
-        return derived(self, "neg", lambda: _negatives(self.add_array, self.zero))
+        return derived(self, "neg", lambda: _negatives(self.add, self.zero))
 
     def sub(self, m: int, n: int) -> int:
-        return int(self.add_array[m, self.neg[n]])
+        return int(self.add[m, self.neg[n]])
 
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
@@ -109,10 +108,10 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
         raise RingAxiomError("empty module carrier")
     if max(k, r) > limit:
         return
-    add = module.add_array
-    act = module.act_array
-    radd = module.ring.add_array
-    rmul = module.ring.mul_array
+    add = module.add
+    act = module.act
+    radd = module.ring.add
+    rmul = module.ring.mul
     idx = np.arange(k, dtype=np.int32)
     if add.shape != (k, k) or add.min() < 0 or add.max() >= k:
         raise RingAxiomError("module add is not a total operation")
@@ -198,8 +197,8 @@ def ring_as_module(ring: TableRing) -> TableModule:
     return TableModule(
         ring=ring,
         size=ring.size,
-        add=ring.add_array,
-        act=ring.mul_array,
+        add=ring.add,
+        act=ring.mul,
         zero=ring.zero,
         labels=ring.labels,
         name=f"{ring.name}-reg",
@@ -218,7 +217,7 @@ def cyclic_masks(module: TableModule) -> tuple[int, ...]:
     """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once."""
 
     def compute() -> tuple[int, ...]:
-        act = module.act_array
+        act = module.act
         hits = np.zeros((module.size, module.size), dtype=bool)
         hits[np.arange(module.size), act] = True  # hits[g, s*g]
         return pack_rows(hits)
@@ -227,7 +226,7 @@ def cyclic_masks(module: TableModule) -> tuple[int, ...]:
 
 
 def _join(
-    add: Sequence[Sequence[int]], k_mask: int, k_members: Sequence[int], other: int,
+    add: np.ndarray, k_mask: int, k_members: Sequence[int], other: int,
     cosets: dict[int, int],
 ) -> int:
     """K + S for a submodule K and a subset S, as a mask.
@@ -243,11 +242,7 @@ def _join(
         y = lowest_bit(rest)
         coset = cosets.get(y)
         if coset is None:
-            row = add[y]
-            coset = 0
-            for m in k_members:
-                coset |= 1 << row[m]
-            cosets[y] = coset
+            coset = cosets[y] = mask_of(add[y].take(k_members).tolist())
         joined |= coset
         rest &= ~joined
     return joined
@@ -349,7 +344,7 @@ def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
     """The cosets m + N: each element's coset index, numbered by least
     member, and those least members, ascending; computed once per N."""
     if n._cosets is None:
-        rep_of = n.module.add_array.take(n.members, axis=1).min(axis=1)
+        rep_of = n.module.add.take(n.members, axis=1).min(axis=1)
         is_rep = rep_of == np.arange(n.module.size)
         n._cosets = (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
     return n._cosets
@@ -368,8 +363,8 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
     quo = TableModule(
         ring=module.ring,
         size=size,
-        add=carrier_table(proj.take(module.add_array.take(reps, axis=0).take(reps, axis=1)), size),
-        act=carrier_table(proj.take(module.act_array.take(reps, axis=1)), size),
+        add=carrier_table(proj.take(module.add.take(reps, axis=0).take(reps, axis=1)), size),
+        act=carrier_table(proj.take(module.act.take(reps, axis=1)), size),
         zero=int(proj[module.zero]),
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps.tolist()),
         name=f"{module.name}/N",
@@ -391,8 +386,8 @@ def check_module_map(f: ModuleMap) -> bool:
     t = table_array(f.table)  # narrow, so that the gathered tables stay small
     # both sides of each comparison have the shape of the source's table
     return bool(
-        (t.take(src.add_array) == tgt.add_array.take(t, axis=0).take(t, axis=1)).all()
-        and (t.take(src.act_array) == tgt.act_array.take(t, axis=1)).all()
+        (t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
+        and (t.take(src.act) == tgt.act.take(t, axis=1)).all()
     )
 
 

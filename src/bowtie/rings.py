@@ -179,44 +179,17 @@ def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
     return arr
 
 
-class Table:
-    """An operation-table field of TableRing and TableModule.
-
-    __post_init__ (store_tables) replaces what the constructor was given by
-    its table_array, ``<field>_array``, the one stored form. The first read
-    of the field derives tuple rows of Python ints from it, for the loops
-    that index entry by entry, and keeps them as an instance attribute,
-    which later reads find before this descriptor.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: Any, owner: type | None = None) -> tuple[tuple[int, ...], ...]:
-        if obj is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
-        rows = tuple(map(tuple, getattr(obj, f"{self.name}_array").tolist()))
-        object.__setattr__(obj, self.name, rows)
-        return rows
-
-
-def store_tables(obj: Any, *names: str) -> None:
-    for name in names:
-        table = object.__getattribute__(obj, name)
-        object.__delattr__(obj, name)
-        object.__setattr__(obj, f"{name}_array", table_array(table))
-
-
 @dataclass(frozen=True, eq=False)
 class TableRing:
     """A finite commutative ring with identity on the carrier 0..size-1.
 
-    Its tables are stored as ``add_array`` and ``mul_array`` (see Table).
+    ``add`` and ``mul`` are stored as their table_array, whatever the
+    constructor was given.
     """
 
     size: int
-    add: tuple[tuple[int, ...], ...] = Table()
-    mul: tuple[tuple[int, ...], ...] = Table()
+    add: np.ndarray
+    mul: np.ndarray
     zero: int
     one: int
     labels: tuple[str, ...]
@@ -224,26 +197,27 @@ class TableRing:
     derived_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        store_tables(self, "add", "mul")
+        object.__setattr__(self, "add", table_array(self.add))
+        object.__setattr__(self, "mul", table_array(self.mul))
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {b : a*b = 0}, as masks."""
-        return derived(self, "zero_pre", lambda: pack_rows(self.mul_array == self.zero))
+        return derived(self, "zero_pre", lambda: pack_rows(self.mul == self.zero))
 
     @property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse of every element."""
-        return derived(self, "neg", lambda: _negatives(self.add_array, self.zero))
+        return derived(self, "neg", lambda: _negatives(self.add, self.zero))
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.add_array[a, self.neg[b]])
+        return int(self.add[a, self.neg[b]])
 
     def power(self, a: int, n: int) -> int:
         """a**n for n >= 1 by repeated multiplication."""
         if n < 1:
             raise ValueError("exponent must be positive")
-        mul = self.mul_array
+        mul = self.mul
         acc = a
         for _ in range(n - 1):
             acc = int(mul[acc, a])
@@ -261,7 +235,7 @@ def _negatives(add: np.ndarray, zero: int) -> tuple[int, ...]:
     return tuple((add == zero).argmax(axis=1).tolist())
 
 
-def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
+def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
     """Greedy generators, lowest index first: with zero they generate the
     carrier under the table ``add``.
 
@@ -278,7 +252,7 @@ def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
             members.add(x)
             work.append(x)
         while work:
-            row = add[work.pop()]
+            row = add[work.pop()].tolist()
             for z in tuple(members):
                 s = row[z]
                 if s not in members:
@@ -311,8 +285,8 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
         raise RingAxiomError("empty carrier")
     if k > limit:
         return
-    add = ring.add_array
-    mul = ring.mul_array
+    add = ring.add
+    mul = ring.mul
     for tbl, op in ((add, "add"), (mul, "mul")):
         if tbl.shape != (k, k) or tbl.min() < 0 or tbl.max() >= k:
             raise RingAxiomError(f"{op} table is not a total operation on the carrier")
@@ -373,8 +347,8 @@ def direct_product(r1: TableRing, r2: TableRing) -> TableRing:
     )
     return TableRing(
         size=size,
-        add=combine(r1.add_array, r2.add_array),
-        mul=combine(r1.mul_array, r2.mul_array),
+        add=combine(r1.add, r2.add),
+        mul=combine(r1.mul, r2.mul),
         zero=r1.zero * k2 + r2.zero,
         one=r1.one * k2 + r2.one,
         labels=labels,
@@ -400,8 +374,8 @@ def subring_from_subset(
     index = np.full(ring.size, -1, dtype=np.int64)  # ambient -> new index
     index[d] = np.arange(len(d))
     neg = index[np.asarray(ring.neg)[d]]
-    add = index.take(ring.add_array.take(d, axis=0).take(d, axis=1))
-    mul = index.take(ring.mul_array.take(d, axis=0).take(d, axis=1))
+    add = index.take(ring.add.take(d, axis=0).take(d, axis=1))
+    mul = index.take(ring.mul.take(d, axis=0).take(d, axis=1))
     # the first a whose negation, or some sum or product with a b, leaves
     # the subset; at that a, negation is reported first, then b ascending
     outside = (add < 0) | (mul < 0)
@@ -434,20 +408,31 @@ class Subset:
 
     __slots__ = ()
 
-    def _validate(self, act: Sequence[Sequence[int]], scalars: Sequence[str], closed: str) -> None:
+    def _validate(self, act: np.ndarray, scalars: Sequence[str], closed: str) -> None:
         """Contains zero and is closed under + and under the action table
-        ``act``, whose scalars have these labels; ValueError otherwise."""
-        over, mset = self.over, self.member_set
-        if over.zero not in mset:
+        ``act``, whose scalars have these labels; ValueError otherwise.
+
+        The violation reported is the first at the least member a: a sum
+        a+b, b ascending, before a product s*a, s ascending.
+        """
+        over, members = self.over, self.members
+        if over.zero not in self.member_set:
             raise ValueError(f"{type(self).__name__.lower()} must contain zero")
-        add, labels = over.add, over.labels
-        for a in self.members:
-            for b in self.members:
-                if add[a][b] not in mset:
-                    raise ValueError(f"not add-closed at ({labels[a]},{labels[b]})")
-            for s, row in enumerate(act):
-                if row[a] not in mset:
-                    raise ValueError(f"not {closed} at {scalars[s]}*{labels[a]}")
+        idx = np.array(members)
+        outside = np.ones(over.size, dtype=bool)
+        outside[idx] = False
+        sums = outside.take(over.add.take(idx, axis=0).take(idx, axis=1))
+        products = outside.take(act.take(idx, axis=1).T)  # products[i, s]: s*members[i]
+        bad = sums.any(axis=1) | products.any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            labels = over.labels
+            a = labels[members[i]]
+            if sums[i].any():
+                b = labels[members[int(sums[i].argmax())]]
+                raise ValueError(f"not add-closed at ({a},{b})")
+            s = scalars[int(products[i].argmax())]
+            raise ValueError(f"not {closed} at {s}*{a}")
 
     @property
     def is_proper(self) -> bool:
@@ -505,7 +490,7 @@ class Ideal(Subset):
     def classes(self) -> tuple[tuple[int, int], ...]:
         """The scalar classes of pre[a] = {b : a*b in J}, computed once per
         distinct J in the ring's memo, which the regular module shares."""
-        return subset_classes(self.ring, self.ring.mul_array, self.mask, self.members)
+        return subset_classes(self.ring, self.ring.mul, self.mask, self.members)
 
 
 # ----------------------------------------------------------- ideal memo
@@ -565,8 +550,8 @@ def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
         g = int(g)
         if not 0 <= g < ring.size:
             raise ValueError(f"generator index {g} out of range")
-        multiples |= mask_of(ring.mul_array[:, g].tolist())
-    return ideal_of(ring, closure_mask(ring.add_array, multiples, ring.zero))
+        multiples |= mask_of(ring.mul[:, g].tolist())
+    return ideal_of(ring, closure_mask(ring.add, multiples, ring.zero))
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:
@@ -593,7 +578,7 @@ def _top_powers(ring: TableRing) -> np.ndarray:
     """a**size for every a, by repeated squaring on the multiplication table."""
 
     def compute() -> np.ndarray:
-        mul = ring.mul_array
+        mul = ring.mul
         base = np.arange(ring.size)
         acc = None
         e = ring.size

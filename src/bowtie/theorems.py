@@ -169,7 +169,7 @@ class Instance:
     def bowtie_images(self) -> tuple[int, ...]:
         """images[a] = a*(M><I), as masks."""
         mod = self.inst.bowtie_module
-        act = mod.act_array
+        act = mod.act
         hits = np.zeros(act.shape, dtype=bool)
         hits[np.arange(act.shape[0])[:, None], act] = True
         return pack_rows(hits)
@@ -227,7 +227,7 @@ class Instance:
         coset, reps = cosets(nb)
         r = len(reps)
         ids = coset.tolist()
-        cos = coset.take(mod.act_array.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
+        cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
         # N + Ax is the union of the cosets of N that meet Ax
         meets = np.zeros((r, r), dtype=bool)
         meets[np.arange(r), cos] = True
@@ -288,8 +288,9 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
     nb = ctx.bowtie(n)
     lhs = ctx.colon(nb)
     base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
-    add, index = inst.base_ring.add, inst.ring_pair_index
-    rhs = {index[(a, add[a][i])] for a in base_colon.members for i in inst.ideal.members}
+    index = inst.ring_pair_index
+    sums = inst.base_ring.add.take(base_colon.members, axis=0).take(inst.ideal.members, axis=1)
+    rhs = {index[(a, s)] for a, row in zip(base_colon.members, sums.tolist()) for s in row}
     key = ctx.key_for(n)
     if lhs.member_set == rhs:
         return TheoremReport(key, "L1", notes=f"both sides = {lhs.label_set()}")
@@ -533,7 +534,7 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
         bad_x &= xs
         if bad_x:
             x = lowest_bit(bad_x)
-            row = inst.bowtie_module.act_array[a].tolist()
+            row = inst.bowtie_module.act[a].tolist()
             targets = bad_y[sum_ids[x]]
             y = next(y for y, ay in enumerate(row) if targets >> ay & 1)
             labels = inst.bowtie_module.labels
@@ -587,7 +588,7 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     cid = np.empty(ring.size, dtype=narrow_dtype(0, len(classes) - 1))  # each scalar's class
     for i, (_p, scalars) in enumerate(classes):
         cid[bits(scalars)] = i
-    prod = cid.take(ring.mul_array)
+    prod = cid.take(ring.mul)
     bad = (prod != cid[:, None]) & (prod != cid[None, :])
     if not bad.any():
         return ""

@@ -14,6 +14,7 @@ from bowtie.rings import Ideal, TableRing
 
 def _additive_closure(add, seed, zero: int) -> frozenset[int]:
     """The closure of a subset holding zero under the addition table ``add``."""
+    add = add.tolist()
     members = set(seed)
     members.add(zero)
     work = list(members)
@@ -41,7 +42,7 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     ring = _same_ring(a, b)
-    prods = {ring.mul[x][y] for x in a.members for y in b.members}
+    prods = set(ring.mul.take(a.members, axis=0).take(b.members, axis=1).ravel().tolist())
     closed = _additive_closure(ring.add, prods, ring.zero)
     return Ideal(ring, closed, _checked=True)
 
@@ -64,12 +65,13 @@ def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]
     """Cosets of an ideal, indexed by minimal member; returns (ring, projection)."""
     if j.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
+    add, mul = ring.add.tolist(), ring.mul.tolist()
     rep_of = [-1] * ring.size
     reps: list[int] = []
     for a in range(ring.size):
         if rep_of[a] >= 0:
             continue
-        coset = sorted(ring.add[a][m] for m in j.members)
+        coset = sorted(add[a][m] for m in j.members)
         rep = coset[0]
         reps.append(rep)
         for c in coset:
@@ -77,12 +79,10 @@ def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]
     reps.sort()
     index = {rep: i for i, rep in enumerate(reps)}
     projection = tuple(index[rep_of[a]] for a in range(ring.size))
-    add = tuple(tuple(index[rep_of[ring.add[x][y]]] for y in reps) for x in reps)
-    mul = tuple(tuple(index[rep_of[ring.mul[x][y]]] for y in reps) for x in reps)
     q = TableRing(
         size=len(reps),
-        add=add,
-        mul=mul,
+        add=[[index[rep_of[add[x][y]]] for y in reps] for x in reps],
+        mul=[[index[rep_of[mul[x][y]]] for y in reps] for x in reps],
         zero=index[rep_of[ring.zero]],
         one=index[rep_of[ring.one]],
         labels=tuple(f"[{ring.labels[rep]}]" for rep in reps),

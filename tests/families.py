@@ -27,10 +27,9 @@ def direct_sum(m1: TableModule, m2: TableModule) -> TableModule:
     k1, k2 = m1.size, m2.size
 
     def combine(op1, op2, rows):
-        return tuple(
-            tuple(op1[a][c] * k2 + op2[b][d] for c in range(k1) for d in range(k2))
-            for a, b in rows
-        )
+        op1, op2 = op1.tolist(), op2.tolist()
+        return [[op1[a][c] * k2 + op2[b][d] for c in range(k1) for d in range(k2)]
+                for a, b in rows]
 
     elements = [(x, y) for x in range(k1) for y in range(k2)]
     scalars = [(s, s) for s in range(m1.ring.size)]
@@ -49,11 +48,12 @@ def relabel(module: TableModule, perm: list[int]) -> TableModule:
     old = sorted(range(module.size), key=perm.__getitem__)  # old[perm[x]] = x
 
     def table(rows):
-        return tuple(tuple(perm[row[x]] for x in old) for row in rows)
+        return [[perm[row[x]] for x in old] for row in rows]
 
+    add = module.add.tolist()
     return TableModule(
         ring=module.ring, size=module.size,
-        add=table(module.add[x] for x in old), act=table(module.act),
+        add=table(add[x] for x in old), act=table(module.act.tolist()),
         zero=perm[module.zero], labels=tuple(module.labels[x] for x in old),
         name=f"{module.name}-relabelled",
     )
@@ -75,10 +75,7 @@ def quotients_and_sums(ring: TableRing) -> list[TableModule]:
     out = []
     for j in enumerate_ideals(ring)[1:-1]:
         quo, _ = quotient_module(regular, Submodule(regular, j.members))
-        # replace() would read the tables through rings.Table, deriving tuple
-        # rows and new arrays; passing the arrays shares them
-        quo = replace(quo, name=f"{ring.name}/{j.label_set()}",
-                      add=quo.add_array, act=quo.act_array)
+        quo = replace(quo, name=f"{ring.name}/{j.label_set()}")
         out.append(quo)
         if ring.size * quo.size <= 32:
             out.append(direct_sum(regular, quo))

@@ -6,7 +6,8 @@ direct quantifier evaluation, primary-ness by the literal exists-k
 definition. Intended for carriers of at most 16 elements; the axiom
 sweeps, the frozenset kernels, and the library's earlier element-wise
 npack, per-scalar preimage kernel and pairwise lattice edges take larger
-carriers.
+carriers. Loops read a table through one ``.tolist()`` per call, so they
+index Python ints, not numpy scalars.
 """
 
 from itertools import combinations
@@ -28,11 +29,11 @@ def _subsets_with_zero(size: int, zero: int):
 def brute_submodules(module: TableModule) -> list[frozenset[int]]:
     """Every action- and addition-closed subset containing zero."""
     out = []
-    rsize = module.ring.size
+    add, act = module.add.tolist(), module.act.tolist()
     for s in _subsets_with_zero(module.size, module.zero):
-        if not all(module.add[a][b] in s for a in s for b in s):
+        if not all(add[a][b] in s for a in s for b in s):
             continue
-        if not all(module.act[r][m] in s for r in range(rsize) for m in s):
+        if not all(row[m] in s for row in act for m in s):
             continue
         out.append(s)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
@@ -45,16 +46,16 @@ def join_submodules(module: TableModule) -> list[tuple[int, ...]]:
     and sorts by (size, members); takes carriers far beyond
     ``brute_submodules``.
     """
+    add, act = module.add.tolist(), module.act.tolist()
     cyclics = [frozenset((module.zero,))]
     seen = set(cyclics)
     for g in range(module.size):
-        c = frozenset(module.act[s][g] for s in range(module.ring.size))
+        c = frozenset(row[g] for row in act)
         if c not in seen:
             seen.add(c)
             cyclics.append(c)
     found = set(cyclics)
     work = list(cyclics)
-    add = module.add
     while work:
         cur = work.pop()
         for c in cyclics:
@@ -71,38 +72,43 @@ def module_map_holds(f: ModuleMap) -> bool:
     """f(x+y) = f(x)+f(y) for every pair and f(sx) = s f(x) for every (s, x)."""
     src, tgt = f.source, f.target
     t = f.table
+    src_add, tgt_add = src.add.tolist(), tgt.add.tolist()
+    src_act, tgt_act = src.act.tolist(), tgt.act.tolist()
     for x in range(src.size):
         for y in range(src.size):
-            if t[src.add[x][y]] != tgt.add[t[x]][t[y]]:
+            if t[src_add[x][y]] != tgt_add[t[x]][t[y]]:
                 return False
     for s in range(src.ring.size):
         for x in range(src.size):
-            if t[src.act[s][x]] != tgt.act[s][t[x]]:
+            if t[src_act[s][x]] != tgt_act[s][t[x]]:
                 return False
     return True
 
 
 def brute_ideals(ring: TableRing) -> list[frozenset[int]]:
     out = []
+    add, mul = ring.add.tolist(), ring.mul.tolist()
     for s in _subsets_with_zero(ring.size, ring.zero):
-        if not all(ring.add[a][b] in s for a in s for b in s):
+        if not all(add[a][b] in s for a in s for b in s):
             continue
-        if not all(ring.mul[r][m] in s for r in range(ring.size) for m in s):
+        if not all(row[m] in s for row in mul for m in s):
             continue
         out.append(s)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _powers(ring: TableRing, a: int):
+def _powers(mul: list[list[int]], a: int):
+    """a, a**2, ..., a**k for the k x k multiplication table ``mul``."""
     p = a
-    for _ in range(ring.size):
+    for _ in range(len(mul)):
         yield p
-        p = ring.mul[p][a]
+        p = mul[p][a]
 
 
 def brute_radical(ring: TableRing, members: frozenset[int]) -> frozenset[int]:
+    mul = ring.mul.tolist()
     return frozenset(
-        a for a in range(ring.size) if any(p in members for p in _powers(ring, a))
+        a for a in range(ring.size) if any(p in members for p in _powers(mul, a))
     )
 
 
@@ -110,13 +116,14 @@ def brute_primary_ideal(ring: TableRing, members: frozenset[int]) -> bool:
     """Literal definition: ab in J forces a in J or some power of b in J."""
     if len(members) == ring.size:
         raise ValueError("improper")
+    mul = ring.mul.tolist()
     for a in range(ring.size):
         for b in range(ring.size):
-            if ring.mul[a][b] not in members:
+            if mul[a][b] not in members:
                 continue
             if a in members:
                 continue
-            if not any(p in members for p in _powers(ring, b)):
+            if not any(p in members for p in _powers(mul, b)):
                 return False
     return True
 
@@ -128,13 +135,14 @@ def brute_primary_submodule(n: Submodule) -> bool:
     if len(n) == module.size:
         raise ValueError("improper")
     everything = range(module.size)
+    act, mul = module.act.tolist(), ring.mul.tolist()
     for a in range(ring.size):
         for x in everything:
-            if module.act[a][x] not in n.member_set or x in n.member_set:
+            if act[a][x] not in n.member_set or x in n.member_set:
                 continue
             if not any(
-                all(module.act[p][m] in n.member_set for m in everything)
-                for p in _powers(ring, a)
+                all(act[p][m] in n.member_set for m in everything)
+                for p in _powers(mul, a)
             ):
                 return False
     return True
@@ -145,7 +153,8 @@ def brute_prime_ideal(ring: TableRing, members: frozenset[int]) -> bool:
     if len(members) == ring.size:
         raise ValueError("improper")
     outside = [a for a in range(ring.size) if a not in members]
-    return all(ring.mul[a][b] not in members for a in outside for b in outside)
+    mul = ring.mul.tolist()
+    return all(mul[a][b] not in members for a in outside for b in outside)
 
 
 def brute_prime_submodule(n: Submodule) -> bool:
@@ -153,16 +162,17 @@ def brute_prime_submodule(n: Submodule) -> bool:
     ring = module.ring
     if len(n) == module.size:
         raise ValueError("improper")
+    act = module.act.tolist()
     for a in range(ring.size):
         sends_all_in = all(
-            module.act[a][m] in n.member_set for m in range(module.size)
+            act[a][m] in n.member_set for m in range(module.size)
         )
         if sends_all_in:
             continue
         for x in range(module.size):
             if x in n.member_set:
                 continue
-            if module.act[a][x] in n.member_set:
+            if act[a][x] in n.member_set:
                 return False
     return True
 
@@ -184,19 +194,39 @@ def brute_weakly_prime_af(n: Submodule) -> bool:
     ring = module.ring
     if len(n) == module.size:
         raise ValueError("improper")
+    act = module.act.tolist()
     for a in range(ring.size):
         sends_all_in = all(
-            module.act[a][m] in n.member_set for m in range(module.size)
+            act[a][m] in n.member_set for m in range(module.size)
         )
         if sends_all_in:
             continue
         for x in range(module.size):
             if x in n.member_set:
                 continue
-            ax = module.act[a][x]
+            ax = act[a][x]
             if ax in n.member_set and ax != module.zero:
                 return False
     return True
+
+
+def closure_violation(noun: str, over, members, act: np.ndarray, scalars, closed: str):
+    """The message Subset._validate raises for this subset of ``over``, or
+    None: its loop over tuple rows before it moved onto arrays. At each
+    member a, ascending, the sums a+b come first, then the products s*a,
+    b and s ascending."""
+    mset = frozenset(members)
+    if over.zero not in mset:
+        return f"{noun} must contain zero"
+    add, act, labels = over.add.tolist(), act.tolist(), over.labels
+    for a in sorted(mset):
+        for b in sorted(mset):
+            if add[a][b] not in mset:
+                return f"not add-closed at ({labels[a]},{labels[b]})"
+        for s, row in enumerate(act):
+            if row[a] not in mset:
+                return f"not {closed} at {scalars[s]}*{labels[a]}"
+    return None
 
 
 # ------------------------------------------------------- axiom sweeps
@@ -230,8 +260,8 @@ def ring_axiom_violations(ring: TableRing) -> list[str]:
     if k == 0:
         return ["empty carrier"]
     found = []
-    add = np.asarray(ring.add, dtype=np.int32)
-    mul = np.asarray(ring.mul, dtype=np.int32)
+    add = ring.add.astype(np.int32)
+    mul = ring.mul.astype(np.int32)
     for tbl, op in ((add, "add"), (mul, "mul")):
         if tbl.shape != (k, k) or tbl.min() < 0 or tbl.max() >= k:
             return found + [f"{op} table is not a total operation on the carrier"]
@@ -267,10 +297,10 @@ def module_axiom_violations(module: TableModule) -> list[str]:
     if k == 0:
         return ["empty module carrier"]
     found = []
-    add = np.asarray(module.add, dtype=np.int32)
-    act = np.asarray(module.act, dtype=np.int32)
-    radd = np.asarray(module.ring.add, dtype=np.int32)
-    rmul = np.asarray(module.ring.mul, dtype=np.int32)
+    add = module.add.astype(np.int32)
+    act = module.act.astype(np.int32)
+    radd = module.ring.add.astype(np.int32)
+    rmul = module.ring.mul.astype(np.int32)
     idx = np.arange(k, dtype=np.int32)
     if add.shape != (k, k) or add.min() < 0 or add.max() >= k:
         return ["module add is not a total operation"]
@@ -319,24 +349,21 @@ def module_axiom_violations(module: TableModule) -> list[str]:
 
 def colon_members(n: Submodule, k: Submodule) -> frozenset[int]:
     """{a : a*K inside N}."""
-    mod = n.module
     return frozenset(
-        a for a in range(mod.ring.size)
-        if all(mod.act[a][x] in n.member_set for x in k.members)
+        a for a, row in enumerate(n.module.act.tolist())
+        if all(row[x] in n.member_set for x in k.members)
     )
 
 
 def scalar_colon_members(n: Submodule, a: int) -> frozenset[int]:
     """{m : a*m in N}."""
-    mod = n.module
-    return frozenset(m for m in range(mod.size) if mod.act[a][m] in n.member_set)
+    return frozenset(m for m, am in enumerate(n.module.act[a].tolist()) if am in n.member_set)
 
 
 def _whole_colon(n: Submodule) -> frozenset[int]:
-    mod = n.module
     return frozenset(
-        a for a in range(mod.ring.size)
-        if all(mod.act[a][x] in n.member_set for x in range(mod.size))
+        a for a, row in enumerate(n.module.act.tolist())
+        if all(ax in n.member_set for ax in row)
     )
 
 
@@ -348,11 +375,12 @@ def _proper(members, size: int) -> None:
 def prime_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
+    mul = r.mul.tolist()
     for a in range(r.size):
         if a in j.member_set:
             continue
         for b in range(r.size):
-            ab = r.mul[a][b]
+            ab = mul[a][b]
             if b not in j.member_set and ab in j.member_set:
                 return Verdict(
                     holds=False, witness=(a, b),
@@ -364,11 +392,12 @@ def prime_ideal(j: Ideal) -> Verdict:
 def weakly_prime_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
+    mul = r.mul.tolist()
     for a in range(r.size):
         if a in j.member_set:
             continue
         for b in range(r.size):
-            ab = r.mul[a][b]
+            ab = mul[a][b]
             if b not in j.member_set and ab != r.zero and ab in j.member_set:
                 return Verdict(
                     holds=False, witness=(a, b),
@@ -381,11 +410,12 @@ def primary_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
     rad = brute_radical(r, j.member_set)
+    mul = r.mul.tolist()
     for a in range(r.size):
         if a in j.member_set:
             continue
         for b in range(r.size):
-            ab = r.mul[a][b]
+            ab = mul[a][b]
             if b not in rad and ab in j.member_set:
                 return Verdict(
                     holds=False, witness=(a, b),
@@ -400,11 +430,12 @@ def primary_ideal(j: Ideal) -> Verdict:
 def _submodule_scan(n: Submodule, exempt, nonzero: bool, variant: str, suffix: str) -> Verdict:
     mod = n.module
     _proper(n.members, mod.size)
+    act = mod.act.tolist()
     for a in range(mod.ring.size):
         if a in exempt:
             continue
         for x in range(mod.size):
-            ax = mod.act[a][x]
+            ax = act[a][x]
             if x in n.member_set or ax not in n.member_set:
                 continue
             if nonzero and ax == mod.zero:
@@ -438,13 +469,14 @@ def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
     mod = n.module
     _proper(n.members, mod.size)
     rsize = mod.ring.size
+    mul = mod.ring.mul.tolist()
     in_n = [
-        [all(mod.act[c][x] in n.member_set for x in t.members) for t in subs]
-        for c in range(rsize)
+        [all(row[x] in n.member_set for x in t.members) for t in subs]
+        for row in mod.act.tolist()
     ]
     for a in range(rsize):
         for b in range(rsize):
-            ab = mod.ring.mul[a][b]
+            ab = mul[a][b]
             for t in range(len(subs)):
                 if in_n[ab][t] and not in_n[a][t] and not in_n[b][t]:
                     return Verdict(
@@ -468,11 +500,11 @@ def azizi_pair_loop(n: Submodule, subs: list[Submodule]) -> Verdict:
     _proper(n.members, mod.size)
     by_pre: dict[int, int] = {}
     sends = []
-    for p in preimage_masks(n.module.act_array, n.members, n.module.size):
+    for p in preimage_masks(n.module.act, n.members, n.module.size):
         if p not in by_pre:
             by_pre[p] = mask_of(t for t, sub in enumerate(subs) if sub.mask & p == sub.mask)
         sends.append(by_pre[p])
-    mul = mod.ring.mul
+    mul = mod.ring.mul.tolist()
     for a, sa in enumerate(sends):
         row = mul[a]
         for b, sb in enumerate(sends):
@@ -527,55 +559,51 @@ def irreducible_submodule(n: Submodule, subs: list[Submodule]) -> Verdict:
 
 
 def violates_prime_ideal(j: Ideal, a: int, b: int) -> bool:
-    r = j.ring
-    return a not in j.member_set and b not in j.member_set and r.mul[a][b] in j.member_set
+    return (a not in j.member_set and b not in j.member_set
+            and int(j.ring.mul[a, b]) in j.member_set)
 
 
 def violates_weakly_prime_ideal(j: Ideal, a: int, b: int) -> bool:
-    ab = j.ring.mul[a][b]
-    return violates_prime_ideal(j, a, b) and ab != j.ring.zero
+    return violates_prime_ideal(j, a, b) and int(j.ring.mul[a, b]) != j.ring.zero
 
 
 def violates_primary_ideal(j: Ideal, a: int, b: int) -> bool:
-    r = j.ring
     return (
         a not in j.member_set
-        and b not in brute_radical(r, j.member_set)
-        and r.mul[a][b] in j.member_set
+        and b not in brute_radical(j.ring, j.member_set)
+        and int(j.ring.mul[a, b]) in j.member_set
     )
 
 
 def violates_prime_submodule(n: Submodule, a: int, x: int) -> bool:
-    mod = n.module
     return (
         a not in _whole_colon(n)
         and x not in n.member_set
-        and mod.act[a][x] in n.member_set
+        and int(n.module.act[a, x]) in n.member_set
     )
 
 
 def violates_weakly_prime_submodule_af(n: Submodule, a: int, x: int) -> bool:
-    return violates_prime_submodule(n, a, x) and n.module.act[a][x] != n.module.zero
+    return violates_prime_submodule(n, a, x) and int(n.module.act[a, x]) != n.module.zero
 
 
 def violates_primary_submodule(n: Submodule, a: int, x: int) -> bool:
-    mod = n.module
     return (
-        a not in brute_radical(mod.ring, _whole_colon(n))
+        a not in brute_radical(n.module.ring, _whole_colon(n))
         and x not in n.member_set
-        and mod.act[a][x] in n.member_set
+        and int(n.module.act[a, x]) in n.member_set
     )
 
 
 def violates_weakly_prime_submodule_azizi(
     n: Submodule, a: int, b: int, t: Submodule
 ) -> bool:
-    mod = n.module
+    act = n.module.act.tolist()
 
     def sends(c: int) -> bool:
-        return all(mod.act[c][x] in n.member_set for x in t.members)
+        return all(act[c][x] in n.member_set for x in t.members)
 
-    return sends(mod.ring.mul[a][b]) and not sends(a) and not sends(b)
+    return sends(int(n.module.ring.mul[a, b])) and not sends(a) and not sends(b)
 
 
 # ------------------------------------------------ checker conditions
@@ -592,14 +620,15 @@ def _sum_and_colon_ids(ctx, nb: Submodule):
     cached per pair of ids.
     """
     mod = ctx.inst.bowtie_module
+    add, act = mod.add.tolist(), mod.act.tolist()
     sums: dict[frozenset[int], int] = {}
     cols: dict[frozenset[int], int] = {}
     sum_ids, col_ids = [], []
     for x in range(mod.size):
-        cyc = {mod.act[s][x] for s in range(mod.ring.size)}
-        s = frozenset(mod.add[p][q] for p in nb.members for q in cyc)
+        cyc = {row[x] for row in act}
+        s = frozenset(add[p][q] for p in nb.members for q in cyc)
         sum_ids.append(sums.setdefault(s, len(sums)))
-        col = frozenset(a for a in range(mod.ring.size) if mod.act[a][x] in nb.member_set)
+        col = frozenset(a for a, row in enumerate(act) if row[x] in nb.member_set)
         col_ids.append(cols.setdefault(col, len(cols)))
     sum_sets = list(sums)
     cache: dict[tuple[int, int], bool] = {}
@@ -619,7 +648,7 @@ def npack(ctx, nb: Submodule) -> dict:
     every pair of sums."""
     mod = ctx.inst.bowtie_module
     k = mod.size
-    act = mod.act_array
+    act = mod.act
     coset, reps = cosets(nb)
     meets = np.zeros((k, len(reps)), dtype=bool)
     meets[np.arange(k), coset[act]] = True
@@ -679,8 +708,7 @@ def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
                 f" intersection keeps {mod.labels[extra]} outside N><I"
             )
             break
-    for a in range(mod.ring.size):
-        row = mod.act[a]
+    for a, row in enumerate(mod.act.tolist()):
         right = {sum_ids[row[y]] for y in range(mod.size)}
         x = next(
             (x for x in range(mod.size)
@@ -702,10 +730,11 @@ def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
 def colon_product_violation(ctx, nb: Submodule) -> str:
     """(N : st) equals (N : s) or (N : t), for every pair of scalars."""
     ring = ctx.inst.bowtie_ring
+    mul = ring.mul.tolist()
     cols = [scalar_colon_members(nb, s) for s in range(ring.size)]
     for s in range(ring.size):
         for t in range(ring.size):
-            cp = cols[ring.mul[s][t]]
+            cp = cols[mul[s][t]]
             if cp != cols[s] and cp != cols[t]:
                 return (
                     f"s={ring.labels[s]} t={ring.labels[t]}: (N><I : st) matches neither"
@@ -715,26 +744,25 @@ def colon_product_violation(ctx, nb: Submodule) -> str:
 
 
 def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
-    """M/N entry by entry through dicts, on tuple tables: each coset is
+    """M/N entry by entry through dicts, on the tables as lists: each coset is
     indexed by its least member, in ascending order (the library's
     quotient_module before it moved onto arrays)."""
+    add, act = module.add.tolist(), module.act.tolist()
     rep_of = [-1] * module.size
     reps: list[int] = []
     for m in range(module.size):
         if rep_of[m] >= 0:
             continue
-        coset = sorted(module.add[m][x] for x in n.members)
+        coset = sorted(add[m][x] for x in n.members)
         reps.append(coset[0])
         for c in coset:
             rep_of[c] = coset[0]
     reps.sort()
     index = {rep: i for i, rep in enumerate(reps)}
-    add = tuple(tuple(index[rep_of[module.add[x][y]]] for y in reps) for x in reps)
-    act = tuple(
-        tuple(index[rep_of[module.act[s][x]]] for x in reps) for s in range(module.ring.size)
-    )
     quo = TableModule(
-        ring=module.ring, size=len(reps), add=add, act=act,
+        ring=module.ring, size=len(reps),
+        add=[[index[rep_of[add[x][y]]] for y in reps] for x in reps],
+        act=[[index[rep_of[row[x]]] for x in reps] for row in act],
         zero=index[rep_of[module.zero]],
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps), name=f"{module.name}/N",
     )

@@ -20,6 +20,11 @@ HUNT_MAX12_SHA256 = "1a097192b73711ff4e51bef7e89fbdb14d6d1053340c6ad38fe068a4311
 # with I = Z_n are skip rows)
 HUNT_L8_MAX20_SHA256 = "19ee1fe2bf59feda9262cf457854ddb78b715e5574caf07c81c3a53efbc5ee7c"
 
+# SHA-256 of the stdout of `bowtie hunt --max 24 --budget 576`: carriers
+# up to 576 elements, so M><I's tables are uint16 and every mask built from
+# one of their entries must come from a Python int
+HUNT_MAX24_BUDGET576_SHA256 = "e4de70f6eb33abbcc5d92aac8c75c2debe35074be910ac6d6e29aadd08a1e8d6"
+
 # (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
 SEED_STDOUT_SHA256 = {
     ("verify", "z12-prime"):
@@ -225,6 +230,12 @@ def test_hunt_l8_max20_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "20", "--theorem", "L8"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_L8_MAX20_SHA256
+
+
+def test_hunt_max24_budget576_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "24", "--budget", "576"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX24_BUDGET576_SHA256
 
 
 def test_hunt_budget_skip_report_is_byte_identical(capsys):

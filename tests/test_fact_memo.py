@@ -14,6 +14,7 @@ reading or the variant shows up as a changed row.
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bowtie import rings, theorems
@@ -114,14 +115,14 @@ def test_bowtie_of_a_regular_module_shares_the_rings_memo():
 
 
 def test_a_non_regular_module_keeps_its_own_memo():
-    modules = [m for m in family_modules() if m.act_array is not m.ring.mul_array]
+    modules = [m for m in family_modules() if m.act is not m.ring.mul]
     assert len(modules) >= 10
     for mod in modules:
         for n in enumerate_submodules(mod):
-            assert n.classes == preimage_classes(mod.act_array, n.members, mod.size)
+            assert n.classes == preimage_classes(mod.act, n.members, mod.size)
             assert n.classes is _memo(mod)[n.mask]
         assert mod.zero_classes is _memo(mod)[1 << mod.zero]
-        assert mod.zero_classes == preimage_classes(mod.act_array, (mod.zero,), mod.size)
+        assert mod.zero_classes == preimage_classes(mod.act, (mod.zero,), mod.size)
 
 
 # ------------------------------------------------------ per-cell oracle
@@ -156,11 +157,21 @@ def test_shared_instance_rows_equal_fresh_cells_on_zn(n):
 
 
 def _copy(mod: TableModule) -> TableModule:
-    """The module over a copy of its ring, with fresh tables and empty memos."""
-    ring = replace(mod.ring)
-    if mod.act_array is mod.ring.mul_array:
-        return ring_as_module(ring)
-    return replace(mod, ring=ring)
+    """The module over a copy of its ring, with fresh tables and empty memos.
+
+    replace() shares the arrays it is not given, so each table is passed as
+    a writable copy, which the constructor narrows again and freezes.
+    """
+    source = mod.ring
+    ring = replace(source, add=source.add.copy(), mul=source.mul.copy())
+    if mod.act is source.mul:
+        copy = ring_as_module(ring)
+    else:
+        copy = replace(mod, ring=ring, add=mod.add.copy(), act=mod.act.copy())
+    tables = [(source.add, ring.add), (source.mul, ring.mul), (mod.add, copy.add),
+              (mod.act, copy.act)]
+    assert not any(np.shares_memory(old, new) for old, new in tables), mod
+    return copy
 
 
 def test_shared_instance_rows_equal_fresh_cells_on_families():
@@ -176,5 +187,5 @@ def test_shared_instance_rows_equal_fresh_cells_on_families():
 
             _assert_cells_agree(make)
             checked += 1
-            non_regular += mod.act_array is not mod.ring.mul_array
+            non_regular += mod.act is not mod.ring.mul
     assert checked >= 40 and non_regular >= 20

@@ -34,14 +34,14 @@ from oracles import brute_submodules, module_map_holds
 def test_regular_module_shape():
     m = ring_as_module(make_zn(6))
     assert m.size == 6
-    assert m.act[2][5] == 4
+    assert m.act[2, 5] == 4
     assert m.sub(1, 4) == 3
 
 
 def test_validate_rejects_nonunital_action():
     r = make_zn(3)
     m0 = ring_as_module(r)
-    act = list(map(tuple, m0.act))
+    act = m0.act.tolist()
     act[1] = (0, 2, 1)  # 1*x no longer the identity row
     bad = TableModule(ring=r, size=3, add=m0.add, act=tuple(act),
                       zero=0, labels=m0.labels)
@@ -52,7 +52,7 @@ def test_validate_rejects_nonunital_action():
 def test_validate_rejects_scalar_additivity_break():
     r = make_zn(4)
     m0 = ring_as_module(r)
-    act = list(map(list, m0.act))
+    act = m0.act.tolist()
     act[2][1] = 3  # 2*1 = 3 while (1+1)*1 must equal 1*1 + 1*1 = 2
     bad = TableModule(ring=r, size=4, add=m0.add,
                       act=tuple(map(tuple, act)), zero=0, labels=m0.labels)
@@ -122,14 +122,15 @@ def _assert_same_submodule(got: Submodule, members) -> None:
 @pytest.mark.parametrize("module", [m for m in family_modules() if m.size <= 8], ids=lambda m: m.name)
 def test_mask_built_submodules_equal_checked_ones(module):
     subs = enumerate_submodules(module)
+    add, act = module.add.tolist(), module.act.tolist()
     for a in subs:
         _assert_same_submodule(a, a.members)
         _assert_same_submodule(submodule_generated(module, a.members[::-1]), a.members)
-        for s in range(module.ring.size):
-            colon = [x for x in range(module.size) if module.act[s][x] in a]
+        for s, row in enumerate(act):
+            colon = [x for x in range(module.size) if row[x] in a]
             _assert_same_submodule(colon_by_scalar(a, s), colon)
         for b in subs:
-            total = {module.add[x][y] for x in a.members for y in b.members}
+            total = {add[x][y] for x in a.members for y in b.members}
             _assert_same_submodule(submodule_sum(a, b), total)
             _assert_same_submodule(submodule_intersection(a, b), a.member_set & b.member_set)
 
@@ -257,7 +258,7 @@ def test_colon_contains_annihilator(m_ab):
     # and the colon actually multiplies b into a
     for r in col.members:
         for x in b.members:
-            assert m.act[r][x] in a.member_set
+            assert m.act[r, x] in a.member_set
 
 
 @given(zn_module_with_two_submodules())

@@ -90,11 +90,11 @@ def _scans_agree(classes, pre, exempts, outside, zero_pre, zero_pre_old) -> None
 
 
 def _agree_on_ring(ring: TableRing) -> None:
-    zero_old = oracles.preimage_masks(ring.mul_array, (ring.zero,), ring.size)
+    zero_old = oracles.preimage_masks(ring.mul, (ring.zero,), ring.size)
     assert ring.zero_pre == zero_old
     every_third = sum(1 << a for a in range(0, ring.size, 3))
     for j in enumerate_ideals(ring):
-        pre = oracles.preimage_masks(ring.mul_array, j.members, ring.size)
+        pre = oracles.preimage_masks(ring.mul, j.members, ring.size)
         assert j.classes == _grouped(pre)
         if not j.is_proper:
             continue
@@ -106,7 +106,7 @@ def _agree_on_ring(ring: TableRing) -> None:
 def _agree_on_module(module: TableModule) -> int:
     """Classes, colons and scans of every submodule; the number of submodules."""
     ring = module.ring
-    zero_old = oracles.preimage_masks(module.act_array, (module.zero,), module.size)
+    zero_old = oracles.preimage_masks(module.act, (module.zero,), module.size)
     assert module.zero_classes == _grouped(zero_old)
     assert module.zero_pre == zero_old
     subs = enumerate_submodules(module)
@@ -118,7 +118,7 @@ def _agree_on_module(module: TableModule) -> int:
     # ones and M on the largest lattices
     ks = subs[::-(-len(subs) // 100)] + subs[-1:]
     for n in subs:
-        pre = oracles.preimage_masks(module.act_array, n.members, module.size)
+        pre = oracles.preimage_masks(module.act, n.members, module.size)
         assert n.classes == _grouped(pre)
         for k in ks:
             assert colon_mask(n.classes, k.mask) == oracles.colon_mask(pre, k.mask)

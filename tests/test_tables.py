@@ -1,11 +1,13 @@
-"""Tables are stored as read-only narrow arrays; tuple rows are derived.
+"""Tables are stored once, as read-only narrow arrays.
 
-Every construction stores its tables as arrays, and the tuple rows read
-off them must be those arrays. The regular module's duplication shares the
-duplicated ring's arrays, and must equal what the general construction
-builds from a copy of the same tables. The hunts must derive no tuple
-table of a duplication that no loop reads.
+Every construction stores each table as a read-only array in the dtype
+narrow_dtype gives its carrier, and ``dataclasses.replace`` shares those
+arrays. The regular module's duplication shares the duplicated ring's
+arrays, and must equal what the general construction builds from a copy
+of the same tables.
 """
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import oracles
 from bowtie.classify import classify_submodule
 from bowtie.duplication import build_bowtie, product_submodule, restrict_scalars
+from bowtie.instances import InstanceSpec
 from bowtie.modules import (
     Submodule,
     TableModule,
@@ -21,15 +24,15 @@ from bowtie.modules import (
     ring_as_module,
 )
 from bowtie.rings import (
-    Table,
+    Ideal,
     TableRing,
     bits,
     closure_mask,
     direct_product,
     enumerate_ideals,
     make_zn,
+    narrow_dtype,
     subring_from_subset,
-    table_array,
 )
 from bowtie.theorems import CorpusSpec, hunt
 
@@ -40,38 +43,39 @@ from families import duplications, family_modules, products
 TABLES = {TableRing: ("add", "mul"), TableModule: ("add", "act")}
 
 
-def assert_rows_are_the_arrays(obj):
+def assert_tables_stored(obj):
+    """Each table of obj is a read-only array in its carrier's narrow dtype,
+    and obj holds nothing beyond its fields."""
     for name in TABLES[type(obj)]:
-        arr = getattr(obj, f"{name}_array")
-        rows = getattr(obj, name)
+        arr = getattr(obj, name)
+        assert type(arr) is np.ndarray, (obj, name)
         assert not arr.flags.writeable, (obj, name)
-        assert arr.dtype == table_array(rows).dtype, (obj, name)
-        assert isinstance(rows, tuple) and all(type(row) is tuple for row in rows)
-        assert all(type(v) is int for row in rows for v in row), (obj, name)
-        assert rows == tuple(map(tuple, arr.tolist())), (obj, name)
-        assert getattr(obj, name) is rows  # derived once, then kept
+        assert arr.dtype == narrow_dtype(0, obj.size - 1), (obj, name)
+    assert vars(obj).keys() == {f.name for f in fields(obj)}, obj
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 16, 255, 256, 257])
 def test_make_zn_rows(n):
     ring = make_zn(n)
-    assert_rows_are_the_arrays(ring)
-    assert ring.add == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    assert ring.mul == tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
+    assert_tables_stored(ring)
+    assert ring.add.tolist() == [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert ring.mul.tolist() == [[(a * b) % n for b in range(n)] for a in range(n)]
 
 
 @pytest.mark.parametrize("k1,k2", [(1, 3), (2, 2), (2, 4), (3, 4), (16, 17)])
 def test_direct_product_rows(k1, k2):
     r1, r2 = make_zn(k1), make_zn(k2)
     ring = direct_product(r1, r2)
-    assert_rows_are_the_arrays(ring)
+    assert_tables_stored(ring)
+    tables = [(ring.add.tolist(), r1.add.tolist(), r2.add.tolist()),
+              (ring.mul.tolist(), r1.mul.tolist(), r2.mul.tolist())]
     for a in range(k1):
         for b in range(k2):
             for c in range(k1):
                 for d in range(k2):
                     x, y = a * k2 + b, c * k2 + d
-                    assert ring.add[x][y] == r1.add[a][c] * k2 + r2.add[b][d]
-                    assert ring.mul[x][y] == r1.mul[a][c] * k2 + r2.mul[b][d]
+                    for op, op1, op2 in tables:
+                        assert op[x][y] == op1[a][c] * k2 + op2[b][d]
 
 
 def test_subring_rows():
@@ -79,12 +83,12 @@ def test_subring_rows():
     z6 = make_zn(6)
     square = direct_product(z6, z6)
     sub, decode = subring_from_subset(square, [a * 6 + a for a in range(6)])
-    assert_rows_are_the_arrays(sub)
-    assert sub.add == z6.add and sub.mul == z6.mul
+    assert_tables_stored(sub)
+    assert np.array_equal(sub.add, z6.add) and np.array_equal(sub.mul, z6.mul)
     whole = products()[1]
     sub, decode = subring_from_subset(whole, range(whole.size))
-    assert_rows_are_the_arrays(sub)
-    assert decode == tuple(range(whole.size)) and sub.add == whole.add
+    assert_tables_stored(sub)
+    assert decode == tuple(range(whole.size)) and np.array_equal(sub.add, whole.add)
 
 
 def _modules():
@@ -93,13 +97,14 @@ def _modules():
 
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.name)
 def test_quotients_match_the_dict_oracle(module):
+    assert_tables_stored(module)
     for n in enumerate_submodules(module):
         quo, proj = quotient_module(module, n)
         expected, expected_proj = oracles.quotient_module_by_dicts(module, n)
-        assert_rows_are_the_arrays(quo)
+        assert_tables_stored(quo)
         assert (quo.size, quo.zero, quo.labels, quo.name) == (
             expected.size, expected.zero, expected.labels, expected.name)
-        assert quo.add == expected.add and quo.act == expected.act
+        assert np.array_equal(quo.add, expected.add) and np.array_equal(quo.act, expected.act)
         assert proj.table == expected_proj.table
         assert all(type(c) is int for c in proj.table)
 
@@ -107,24 +112,37 @@ def test_quotients_match_the_dict_oracle(module):
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.name)
 def test_closures_on_masks_match_the_tuple_closure(module):
     # closure_mask reads one table row per generator; the reference closes
-    # a set under the tuple table entry by entry
-    add = module.add
+    # a set under the table entry by entry
     for seed in range(0, 1 << module.size, max(1, (1 << module.size) // 97)):
-        expected = _additive_closure(add, bits(seed), module.zero)
-        assert bits(closure_mask(module.add_array, seed, module.zero)) == sorted(expected)
+        expected = _additive_closure(module.add, bits(seed), module.zero)
+        assert bits(closure_mask(module.add, seed, module.zero)) == sorted(expected)
     for ideal in enumerate_ideals(module.ring):
-        prods = {module.act[i][m] for i in ideal.members for m in range(module.size)}
-        expected = _additive_closure(add, prods, module.zero)
+        prods = set(module.act.take(ideal.members, axis=0).ravel().tolist())
+        expected = _additive_closure(module.add, prods, module.zero)
         assert product_submodule(ideal, module).members == tuple(sorted(expected))
 
 
 @pytest.mark.parametrize("module", family_modules()[:12], ids=lambda m: m.name)
 def test_duplication_and_restriction_rows(module):
     for inst in duplications(module, cap=64):
-        assert_rows_are_the_arrays(inst.bowtie_ring)
-        assert_rows_are_the_arrays(inst.bowtie_module)
+        assert_tables_stored(inst.bowtie_ring)
+        assert_tables_stored(inst.bowtie_module)
         for which in ("first", "second"):
-            assert_rows_are_the_arrays(restrict_scalars(inst, which))
+            assert_tables_stored(restrict_scalars(inst, which))
+
+
+def test_parsed_document_tables():
+    ring = products()[1]
+    doc = {
+        "ring": {"tables": {"add": ring.add.tolist(), "mul": ring.mul.tolist()}},
+        "ideal_generators": ["2"],
+        "module": {"tables": {"add": ring.add.tolist(), "act": ring.mul.tolist()}},
+    }
+    q = InstanceSpec.from_dict(doc).build()
+    for obj in (q.ring, q.module):
+        assert_tables_stored(obj)
+    assert np.array_equal(q.ring.add, ring.add) and np.array_equal(q.ring.mul, ring.mul)
+    assert np.array_equal(q.module.act, ring.mul)
 
 
 def _regular_cases():
@@ -137,20 +155,20 @@ def _regular_cases():
 def test_regular_duplication_equals_the_general_path(ring, ideal):
     regular = ring_as_module(ring)
     # the same tables in arrays of their own, so build_bowtie takes the general path
-    copy = TableModule(ring=ring, size=ring.size, add=np.array(ring.add_array),
-                       act=np.array(ring.mul_array), zero=ring.zero,
+    copy = TableModule(ring=ring, size=ring.size, add=ring.add.copy(),
+                       act=ring.mul.copy(), zero=ring.zero,
                        labels=regular.labels, name=regular.name)
-    assert copy.add_array is not ring.add_array
+    assert copy.add is not ring.add
     shared, general = build_bowtie(ring, ideal, regular), build_bowtie(ring, ideal, copy)
     sm, gm = shared.bowtie_module, general.bowtie_module
-    assert sm.add_array is shared.bowtie_ring.add_array
-    assert sm.act_array is shared.bowtie_ring.mul_array
-    assert gm.add_array is not general.bowtie_ring.add_array
+    assert sm.add is shared.bowtie_ring.add
+    assert sm.act is shared.bowtie_ring.mul
+    assert gm.add is not general.bowtie_ring.add
     assert (shared.ring_pairs, shared.module_pairs) == (general.ring_pairs, general.module_pairs)
     assert shared.bowtie_ring.labels == general.bowtie_ring.labels
     for one, other in ((shared.bowtie_ring, general.bowtie_ring), (sm, gm)):
         for name in TABLES[type(one)]:
-            a, b = getattr(one, f"{name}_array"), getattr(other, f"{name}_array")
+            a, b = getattr(one, name), getattr(other, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
     assert (sm.size, sm.zero, sm.labels, sm.name) == (gm.size, gm.zero, gm.labels, gm.name)
     assert shared.im.members == general.im.members
@@ -165,53 +183,45 @@ def test_regular_duplication_equals_the_general_path(ring, ideal):
 
 
 def test_renamed_family_quotients_share_their_arrays(monkeypatch):
-    """dataclasses.replace reads every field it is not given, and reading a
-    table field derives tuple rows (rings.Table), which the copy's
-    constructor turns into new arrays; families passes the arrays, so each
-    renamed quotient shares them and neither side derives tuple rows."""
     renamed = []
     real = families.replace
 
     def recording(obj, **changes):
         copy = real(obj, **changes)
-        renamed.append((obj, copy, {"add", "act"} & (vars(obj).keys() | vars(copy).keys())))
+        renamed.append((obj, copy))
         return copy
 
     monkeypatch.setattr(families, "replace", recording)
     modules = family_modules()
     assert len(renamed) >= 20
-    assert {id(copy) for _obj, copy, _rows in renamed} <= {id(m) for m in modules}
-    for obj, copy, derived in renamed:
-        assert copy.add_array is obj.add_array and copy.act_array is obj.act_array, copy
-        assert not derived, copy
+    assert {id(copy) for _obj, copy in renamed} <= {id(m) for m in modules}
+    for obj, copy in renamed:
+        assert copy.add is obj.add and copy.act is obj.act, copy
+        assert_tables_stored(copy)
 
 
-def _duplication_name(obj) -> bool:
-    """A><I is named sub((AxA)) and M><I ends in ><I; the quotients of
-    M><I (named .../N) and the restrictions of M do not count."""
-    return obj.name.startswith("sub((") or ("><" in obj.name and not obj.name.endswith("/N"))
+def test_replace_shares_the_arrays():
+    ring = make_zn(6)
+    assert replace(ring, name="x").add is ring.add
+    assert replace(ring, name="x").mul is ring.mul
+    renamed = replace(ring_as_module(ring), name="x")
+    assert renamed.act is ring.mul and renamed.add is ring.add
+    # so its M><I still takes build_bowtie's shared-array path
+    inst = build_bowtie(ring, Ideal(ring, [0, 3]), renamed)
+    assert inst.bowtie_module.add is inst.bowtie_ring.add
+    assert inst.bowtie_module.act is inst.bowtie_ring.mul
 
 
-@pytest.fixture
-def derived_rows(monkeypatch):
-    """The (class, table) of every tuple table a duplication derives."""
-    seen = set()
-    get = Table.__get__
+def test_hunts_store_each_table_as_one_array(monkeypatch):
+    built = []
+    for cls in (TableRing, TableModule):
+        def recording(obj, post=cls.__post_init__):
+            post(obj)
+            built.append(obj)
 
-    def recording_get(self, obj, owner=None):
-        if obj is not None and _duplication_name(obj):
-            seen.add((type(obj).__name__, self.name))
-        return get(self, obj, owner)
-
-    monkeypatch.setattr(Table, "__get__", recording_get)
-    return seen
-
-
-def test_l8_hunt_derives_no_tuple_table_of_a_duplication(derived_rows):
+        monkeypatch.setattr(cls, "__post_init__", recording)
     hunt(CorpusSpec(max_n=20), theorems=["L8"])
-    assert derived_rows == set()
-
-
-def test_full_hunt_derives_only_the_module_addition(derived_rows):
     hunt(CorpusSpec(max_n=10))
-    assert derived_rows == {("TableModule", "add")}
+    assert len(built) > 500
+    for obj in built:
+        assert_tables_stored(obj)
