@@ -212,7 +212,9 @@ def test_replace_shares_the_arrays():
     assert inst.bowtie_module.act is inst.bowtie_ring.mul
 
 
-def test_hunts_store_each_table_as_one_array(monkeypatch):
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every TableRing and TableModule constructed while the test runs."""
     built = []
     for cls in (TableRing, TableModule):
         def recording(obj, post=cls.__post_init__):
@@ -220,8 +222,18 @@ def test_hunts_store_each_table_as_one_array(monkeypatch):
             built.append(obj)
 
         monkeypatch.setattr(cls, "__post_init__", recording)
+    return built
+
+
+def test_l8_hunt_derives_no_tuple_table_of_a_duplication(built_tables):
     hunt(CorpusSpec(max_n=20), theorems=["L8"])
+    assert len(built_tables) > 200
+    for obj in built_tables:
+        assert_tables_stored(obj)
+
+
+def test_full_hunt_stores_each_table_as_one_array(built_tables):
     hunt(CorpusSpec(max_n=10))
-    assert len(built) > 500
-    for obj in built:
+    assert len(built_tables) > 200
+    for obj in built_tables:
         assert_tables_stored(obj)
