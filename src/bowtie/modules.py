@@ -7,7 +7,9 @@ scalar classes of the preimage masks pre[a] = {x : a*x in N} are computed
 once per distinct N and action table, and colons are read off them. The
 lattice is enumerated on masks too: the cyclic submodules come from one
 packed table, and each distinct one is joined onto the lattice found so
-far, a join being an OR of cosets.
+far, a join being an OR of cosets. A small lattice is joined pair by pair
+in Python; from WIDE nodes on, each cyclic is joined onto all of them in
+one numpy gather.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .rings import (
     DEFAULT_VALIDATION_LIMIT,
     _additive_generators,
     _associative_at,
+    _mask,
     _negatives,
+    _row_keys,
     Ideal,
     RingAxiomError,
     Subset,
@@ -265,18 +269,35 @@ class LatticeLimitError(ValueError):
     """A submodule lattice has more nodes than the enumeration may find."""
 
 
+# From this many submodules found on, each cyclic is joined onto all of them
+# in one gather. The switch follows the number of nodes found, since that
+# is what the gather's fixed cost is spread over: on the small lattices of
+# the Z_n hunts, gathering from the first node on more than doubles the
+# lattice time and from 8 or 16 nodes on costs 10-25% more, while 32, 64
+# and never measure alike; on the wide lattices of the table documents,
+# gathering from the first node on or never costs 40-70% more than from
+# 16, 32 or 64 nodes on.
+WIDE = 32
+
+
 def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[Submodule]:
     """All submodules, in (size, members) order.
 
     Each distinct cyclic C, by size, is joined onto every K found so far, so
     the found set holds the joins of every subset of the cyclics taken; a C
-    already found is such a join. A join ORs the cosets y + C, cached across
-    the K, or the cosets y + K when C is small against K. Finding more than
-    ``limit`` submodules raises LatticeLimitError.
+    already found is such a join. While fewer than WIDE submodules are
+    found, a join ORs the cosets y + C, cached across the K, or the cosets
+    y + K when C is small against K; from then on _join_wide joins C onto
+    every K at once. Finding more than ``limit`` submodules raises
+    LatticeLimitError.
     """
     found = {1 << module.zero: [module.zero]}  # mask -> sorted members
     add = module.add
-    for c in sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count):
+    cyclics = sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count)
+    for i, c in enumerate(cyclics):
+        if len(found) >= WIDE:
+            _join_wide(module, found, cyclics[i:], limit)
+            break
         if c in found:
             continue
         c_members, translates = bits(c), {}
@@ -291,6 +312,59 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
                         raise LatticeLimitError(f"more than {limit} submodules")
     ordered = sorted(found.items(), key=lambda item: (len(item[1]), item[1]))
     return [Submodule.from_mask(module, mask, members) for mask, members in ordered]
+
+
+def _join_wide(
+    module: TableModule, found: dict[int, list[int]], cyclics: Sequence[int],
+    limit: int | None,
+) -> None:
+    """Join each cyclic onto every submodule found, adding the new joins to
+    ``found`` (mask -> sorted members).
+
+    The found set is one boolean matrix, a row per submodule. For each C not
+    yet found, K + C is the union of the cosets y + C over y in K, so the
+    rows K that do not contain C mark each coset they meet (one gather of
+    the elements by coset and one OR) and read the marks back onto the
+    elements (one gather); the new rows are kept by their row keys. Only
+    boolean matrices are built, none with an entry per member of each K.
+    """
+    add = module.add
+    count = len(found)
+    rows = np.zeros((2 * count, module.size), dtype=bool)
+    for i, members in enumerate(found.values()):
+        rows[i, members] = True
+    # the found rows by row key, so that only new rows become int masks
+    seen = set(_row_keys(rows[:count]))
+    for c in cyclics:
+        if c in found:
+            continue
+        held = rows[:count]
+        c_members = bits(c)
+        outside = held[~held.take(c_members, axis=1).all(axis=1)]
+        # x + C is named by its least member, and every coset has |C|
+        # members. by_coset lists the elements coset by coset; grid lists
+        # the j-th member of every coset for each j, so the OR runs over |C|
+        # whole slabs: along a short last axis it measured up to 4x slower.
+        width = len(c_members)
+        by_coset = np.argsort(add.take(c_members, axis=1).min(axis=1))
+        coset = np.empty_like(by_coset)
+        coset[by_coset] = np.arange(module.size) // width
+        grid = by_coset.reshape(-1, width).T.ravel()
+        marked = outside.take(grid, axis=1).reshape(len(outside), width, -1).any(axis=1)
+        joined = marked.take(coset, axis=1)
+        new = []
+        for i, key in enumerate(_row_keys(joined)):
+            if key not in seen:
+                seen.add(key)
+                mask = _mask(key)
+                found[mask] = bits(mask)
+                new.append(i)
+                if limit is not None and len(found) > limit:
+                    raise LatticeLimitError(f"more than {limit} submodules")
+        if len(found) > len(rows):
+            rows = np.concatenate([rows, np.zeros_like(rows)])
+        rows[count:len(found)] = joined.take(new, axis=0)
+        count = len(found)
 
 
 def _same_module(n: Submodule, k: Submodule) -> TableModule:

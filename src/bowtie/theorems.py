@@ -382,12 +382,20 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> Theore
 
 def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
     """Witness of the first K, L of the domain, neither inside N><I, whose
-    colons are incomparable; "" when the colons form a chain."""
+    colons are incomparable; "" when the colons form a chain.
+
+    The colons form a chain when their distinct masks, sorted by size, each
+    lie inside the next; only a violation pays for the search over pairs
+    that names the lex-first one.
+    """
     domain = [
         k for k in _quantifier_domain(ctx, reading)
         if k.mask & nb.mask != k.mask
     ]
     colons = [ctx.colon(nb, k).mask for k in domain]
+    chain = sorted(set(colons), key=int.bit_count)
+    if all(a & ~b == 0 for a, b in zip(chain, chain[1:])):
+        return ""
     for i in range(len(domain)):
         for j in range(i + 1, len(domain)):
             a, b = colons[i], colons[j]

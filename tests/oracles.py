@@ -5,8 +5,8 @@ code paths: substructure enumeration by powerset filtering, primality by
 direct quantifier evaluation, primary-ness by the literal exists-k
 definition. Intended for carriers of at most 16 elements; the axiom
 sweeps, the frozenset kernels, and the library's earlier element-wise
-npack, per-scalar preimage kernel and pairwise lattice edges take larger
-carriers. Loops read a table through one ``.tolist()`` per call, so they
+npack, per-scalar preimage kernel, pairwise lattice edges and pairwise
+colon chain take larger carriers. Loops read a table through one ``.tolist()`` per call, so they
 index Python ints, not numpy scalars.
 """
 
@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from bowtie import theorems
 from bowtie.classify import Verdict, is_weakly_prime_module
 from bowtie.modules import ModuleMap, Submodule, TableModule, cosets, quotient_module
 from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
@@ -739,6 +740,30 @@ def colon_product_violation(ctx, nb: Submodule) -> str:
                 return (
                     f"s={ring.labels[s]} t={ring.labels[t]}: (N><I : st) matches neither"
                     f" (N><I : s) nor (N><I : t)"
+                )
+    return ""
+
+
+def colon_chain_pairs(ctx, nb: Submodule, reading: str) -> str:
+    """L3ii's condition over every pair (K, L) of the quantifier domain,
+    neither inside N><I, in domain order: the library's loop before it
+    sorted the distinct colons first."""
+    domain = [
+        k for k in theorems._quantifier_domain(ctx, reading)
+        if k.mask & nb.mask != k.mask
+    ]
+    colons = [ctx.colon(nb, k).mask for k in domain]
+    for i in range(len(domain)):
+        for j in range(i + 1, len(domain)):
+            a, b = colons[i], colons[j]
+            if a & ~b and b & ~a:
+                ring = ctx.inst.bowtie_ring
+                onlya = ring.labels[lowest_bit(a & ~b)]
+                onlyb = ring.labels[lowest_bit(b & ~a)]
+                return (
+                    f"K={domain[i].label_set()} L={domain[j].label_set()}:"
+                    f" colon(K) has {onlya} outside colon(L),"
+                    f" colon(L) has {onlyb} outside colon(K)"
                 )
     return ""
 

@@ -25,6 +25,10 @@ HUNT_L8_MAX20_SHA256 = "19ee1fe2bf59feda9262cf457854ddb78b715e5574caf07c81c3a53e
 # one of their entries must come from a Python int
 HUNT_MAX24_BUDGET576_SHA256 = "e4de70f6eb33abbcc5d92aac8c75c2debe35074be910ac6d6e29aadd08a1e8d6"
 
+# SHA-256 of the stdout of `bowtie hunt --max 32 --budget 1024`: 15 of its
+# 237 lattices have 32 or more nodes, so they are joined by the wide pass
+HUNT_MAX32_BUDGET1024_SHA256 = "f7e79e12a04f653b685871975b6a403e2509945cbbbf9418b813f0e6670eb884"
+
 # (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
 SEED_STDOUT_SHA256 = {
     ("verify", "z12-prime"):
@@ -236,6 +240,12 @@ def test_hunt_max24_budget576_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "24", "--budget", "576"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX24_BUDGET576_SHA256
+
+
+def test_hunt_max32_budget1024_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "32", "--budget", "1024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX32_BUDGET1024_SHA256
 
 
 def test_hunt_budget_skip_report_is_byte_identical(capsys):

@@ -8,6 +8,11 @@ and condition witnesses must be identical on every submodule N of every
 duplication over Z_n, n <= 12, and of the non-cyclic families of
 ``families.py``.
 
+L3ii's colon chain sorts the distinct colons (N><I : K) by size before it
+searches pairs for a witness; ``oracles.colon_chain_pairs`` searches every
+pair. Their witnesses must be identical on every proper N of M, under both
+readings, over Z_n, n <= 16, and the family duplications.
+
 Behboodi reads the colons (N : K) of the lattice of M; its oracle builds
 M/N and enumerates the quotient's own lattice. Their verdicts must be
 identical on every proper submodule of M and M><I over Z_n, n <= 20, and
@@ -33,14 +38,16 @@ from bowtie.modules import (
 )
 from bowtie.rings import TableRing, enumerate_ideals, make_zn
 from bowtie.theorems import (
+    READINGS,
     Instance,
     c_irr_identity_violation,
+    colon_chain_violation,
     colon_product_violation,
     t4_violation,
 )
 
 import oracles
-from families import direct_sum, duplications, family_modules, products
+from families import DUPLICATION_CAP, direct_sum, duplications, family_modules, products
 
 # duplications of the non-cyclic families are checked up to this |M><I|
 FAMILY_BUDGET = 32
@@ -129,6 +136,40 @@ def test_kernel_matches_oracles_beyond_cyclic(ring, module):
 def test_families_are_not_all_cyclic():
     # the family test reaches modules that one element does not generate
     assert sum(not is_cyclic(m).holds for _, _, m in FAMILIES) >= 3
+
+
+def _chains_agree(module: TableModule) -> tuple[int, int, int]:
+    """L3ii's chain test against the pair loop on every proper N of M and
+    both readings, for every duplication of the module up to
+    DUPLICATION_CAP elements; (checked, violations, violations where N><I
+    is weakly prime (af), which are failing L3ii af rows)."""
+    checked = violations = af_rows = 0
+    ring = module.ring
+    for ideal in enumerate_ideals(ring):
+        if max(predicted_sizes(ring, ideal, module)) > DUPLICATION_CAP:
+            continue
+        ctx = Instance(ring, ideal, module)
+        for n in ctx.base_submodules:
+            if not n.is_proper:
+                continue
+            nb = ctx.bowtie(n)
+            for reading in READINGS:
+                got = colon_chain_violation(ctx, nb, reading)
+                assert got == oracles.colon_chain_pairs(ctx, nb, reading), (ctx.key_for(n), reading)
+                checked += 1
+                violations += bool(got)
+                af_rows += bool(got) and ctx.weakly_prime(nb, "af").holds
+    return checked, violations, af_rows
+
+
+def test_colon_chain_matches_the_pair_loop_on_zn():
+    counts = [_chains_agree(ring_as_module(make_zn(n))) for n in range(1, 17)]
+    assert tuple(map(sum, zip(*counts))) == (268, 56, 10)
+
+
+def test_colon_chain_matches_the_pair_loop_on_families():
+    counts = [_chains_agree(module) for module in family_modules()]
+    assert tuple(map(sum, zip(*counts))) == (2300, 930, 38)
 
 
 def _behboodi_agrees(module: TableModule) -> tuple[int, int]:

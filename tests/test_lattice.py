@@ -1,9 +1,17 @@
 """The submodule lattice against its references.
 
 ``enumerate_submodules`` joins each distinct cyclic submodule onto the
-lattice found so far, as ORs of coset masks. ``oracles.join_submodules``
-joins cyclics as pointwise frozenset sums and ``oracles.brute_submodules``
-filters the powerset; the lists must be identical, in identical order.
+lattice found so far, as ORs of coset masks. It has two passes: below
+``modules.WIDE`` nodes found it joins pair by pair, from there on it joins
+a cyclic onto every node in one gather, since per-pair Python wins on
+small lattices and numpy's fixed cost is repaid only on wide ones. Both
+passes are run on their own by setting WIDE to 1 (wide from the first
+node) and beyond any lattice (never wide): on the Z_n and family
+duplications and on F_p^k they must list the same lattice, and raise
+LatticeLimitError at a limit of |Lat| - 1 and not at |Lat|.
+``oracles.join_submodules`` joins cyclics as pointwise frozenset sums and
+``oracles.brute_submodules`` filters the powerset; the lists must be
+identical, in identical order.
 The lattices of F_p^k over F_p must have the sizes the Gaussian binomials
 give, and relabelling a carrier, with zero moved off index 0, must not
 change what is enumerated. Every Instance enumerates its base module and
@@ -24,7 +32,8 @@ from bowtie.duplication import build_bowtie
 from bowtie.cli import _hasse_edges, main
 from bowtie.instances import SEEDS
 from bowtie.modules import (
-    TableModule, enumerate_submodules, is_cyclic, ring_as_module, validate_module,
+    LatticeLimitError, TableModule, enumerate_submodules, is_cyclic, ring_as_module,
+    validate_module,
 )
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import CorpusSpec, hunt
@@ -37,22 +46,51 @@ def _members(module):
     return [s.members for s in enumerate_submodules(module)]
 
 
+def _by_both_passes(module, monkeypatch):
+    """The lattice's members as the narrow pass lists it, after checking
+    that the wide pass lists the same, and that each pass raises
+    LatticeLimitError at a limit of |Lat| - 1 and not at |Lat|.
+
+    A one-node lattice is the zero module's, which no limit stops: the
+    enumeration counts only the nodes it adds to zero.
+    """
+    lists = []
+    for wide in (10**9, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "WIDE", wide)
+            members = _members(module)
+            count = len(members)
+            assert [s.members for s in enumerate_submodules(module, count)] == members
+            if count > 1:
+                with pytest.raises(LatticeLimitError, match=f"^more than {count - 1} submodules$"):
+                    enumerate_submodules(module, count - 1)
+            lists.append(members)
+    assert lists[0] == lists[1], module.name
+    return lists[0]
+
+
 @pytest.mark.parametrize("n", range(1, 25))
-def test_zn_duplication_lattices_match_the_join_oracle(n):
+def test_zn_duplication_lattices_match_the_join_oracle(n, monkeypatch):
     ring = make_zn(n)
     module = ring_as_module(ring)
     assert _members(module) == oracles.join_submodules(module)
     for ideal in enumerate_ideals(ring):
         dup = build_bowtie(ring, ideal, module).bowtie_module
-        assert _members(dup) == oracles.join_submodules(dup)
+        oracle = oracles.join_submodules(dup)
+        assert _members(dup) == oracle
+        assert _by_both_passes(dup, monkeypatch) == oracle
 
 
 @pytest.mark.parametrize("module", family_modules(), ids=lambda m: m.name)
-def test_family_duplication_lattices_match_the_join_oracle(module):
-    assert _members(module) == oracles.join_submodules(module)
+def test_family_duplication_lattices_match_the_join_oracle(module, monkeypatch):
+    oracle = oracles.join_submodules(module)
+    assert _members(module) == oracle
+    assert _by_both_passes(module, monkeypatch) == oracle
     for inst in duplications(module):
         dup = inst.bowtie_module
-        assert _members(dup) == oracles.join_submodules(dup)
+        oracle = oracles.join_submodules(dup)
+        assert _members(dup) == oracle
+        assert _by_both_passes(dup, monkeypatch) == oracle
 
 
 # the family modules of at most 16 elements, and Z2 + Z2 over Z2: Z2xZ2 and
@@ -96,7 +134,7 @@ SPACES = [(2, k, n) for k, n in enumerate((2, 5, 16, 67, 374, 2825), 1)] + [
 
 
 @pytest.mark.parametrize("p,k,count", SPACES)
-def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count):
+def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count, monkeypatch):
     assert sum(_gaussian_binomial(k, j, p) for j in range(k + 1)) == count
     module = _power(p, k)
     subs = enumerate_submodules(module)
@@ -104,6 +142,7 @@ def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count):
     assert len(subs) == count
     assert keys == sorted(set(keys))  # (size, members) order, no repeats
     assert all(s.mask.bit_count() == len(s) and s.member_set == set(s.members) for s in subs)
+    assert _by_both_passes(module, monkeypatch) == [s.members for s in subs]
     if module.size <= 32:
         assert [s.members for s in subs] == oracles.join_submodules(module)
 
