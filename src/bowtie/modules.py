@@ -292,6 +292,8 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
     LatticeLimitError.
     """
     found = {1 << module.zero: [module.zero]}  # mask -> sorted members
+    if limit is not None and len(found) > limit:
+        raise LatticeLimitError(f"more than {limit} submodules")
     add = module.add
     cyclics = sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count)
     for i, c in enumerate(cyclics):

@@ -1,10 +1,10 @@
 """Executable checkers for the duplication transfer and structure statements.
 
 Each checker evaluates one numbered claim on one finite instance, as a
-biconditional where the claim is stated as one, and returns a TheoremReport
-whose failure rows carry replayable witnesses. The hunter sweeps a corpus
-of Z_n instances deterministically, so report files are byte-stable across
-worker counts.
+biconditional where the claim is stated as one, and returns its outcome
+(pass, fail or na) and a detail: a failure's replayable witness, or else a
+note. run_checker builds the report row. The hunter sweeps a corpus of Z_n instances
+deterministically, so report files are byte-stable across worker counts.
 
 The checkers, and how each one is run, are the entries of CHECKERS, in
 report order.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Sequence
 
@@ -90,8 +90,9 @@ class TheoremReport:
     """One checker outcome on one instance.
 
     Serialized as six tab-separated columns: instance key, theorem id,
-    variant, reading, outcome, witness (or note). Witnesses use pair
-    notation via element labels, so every failure replays by hand.
+    variant, reading, outcome, detail. A failure's detail is its witness,
+    in pair notation via element labels, so every failure replays by hand;
+    any other row's detail is a note.
     """
 
     instance_key: str
@@ -99,15 +100,12 @@ class TheoremReport:
     variant: str = "-"
     reading: str = "-"
     outcome: str = "pass"  # pass | fail | na | skip
-    witness_text: str = ""
-    notes: str = ""
-    stats: dict = field(default_factory=dict, compare=False)
+    detail: str = ""
 
     def line(self) -> str:
-        detail = self.witness_text or self.notes or "-"
         return "\t".join(
             (self.instance_key, self.theorem_id, self.variant, self.reading,
-             self.outcome, detail)
+             self.outcome, self.detail or "-")
         )
 
 
@@ -282,7 +280,7 @@ def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
 # -------------------------------------------------------------- checkers
 
 
-def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """(N><I : M><I) must decode to {(a, a+i) : a in (N:M), i in I}."""
     inst = ctx.inst
     nb = ctx.bowtie(n)
@@ -291,49 +289,51 @@ def check_L1(ctx: Instance, n: Submodule) -> TheoremReport:
     index = inst.ring_pair_index
     sums = inst.base_ring.add.take(base_colon.members, axis=0).take(inst.ideal.members, axis=1)
     rhs = {index[(a, s)] for a, row in zip(base_colon.members, sums.tolist()) for s in row}
-    key = ctx.key_for(n)
     if lhs.member_set == rhs:
-        return TheoremReport(key, "L1", notes=f"both sides = {lhs.label_set()}")
+        return "pass", f"both sides = {lhs.label_set()}"
     first_diff = min(lhs.member_set ^ rhs)
     side = "left only" if first_diff in lhs.member_set else "right only"
-    return TheoremReport(
-        key,
-        "L1",
-        outcome="fail",
-        witness_text=(
-            f"{inst.bowtie_ring.labels[first_diff]} is on one side only ({side});"
-            f" colon={lhs.label_set()}"
-        ),
-    )
+    return "fail", (f"{inst.bowtie_ring.labels[first_diff]} is on one side only ({side});"
+                    f" colon={lhs.label_set()}")
 
 
-def check_transfer(ctx: Instance, n: Submodule, notion: str) -> TheoremReport:
+def check_transfer(ctx: Instance, n: Submodule, notion: str) -> tuple[str, str]:
     """notion(N) must agree with notion(N><I), in both directions."""
     # predicates are called by their module-level names, so a wrapper on those
     # names (perfbench/tracer.py) sees every call; N><I's go through the memos
     nb = ctx.bowtie(n)
     if notion == "prime":
-        theorem_id, noun = "L2", "prime"
+        noun = "prime"
         vb, vd = is_prime_submodule(n), ctx.prime(nb)
     elif notion == "weakly_prime_af":
-        theorem_id, noun = "C_WP", "weakly prime (af)"
+        noun = "weakly prime (af)"
         vb, vd = is_weakly_prime_submodule_af(n), ctx.weakly_prime(nb, "af")
     elif notion == "primary":
-        theorem_id, noun = "P_PRIMARY", "primary"
+        noun = "primary"
         vb, vd = is_primary_submodule(n), ctx.primary(nb)
     else:
         raise ValueError(f"unknown transfer notion {notion!r}")
-    key = ctx.key_for(n)
-    stats = {"base": vb.holds, "duplicate": vd.holds}
     if vb.holds == vd.holds:
-        return TheoremReport(
-            key, theorem_id, notes=f"base={vb.holds} duplicate={vd.holds}", stats=stats
-        )
+        return "pass", f"base={vb.holds} duplicate={vd.holds}"
     if vb.holds:
-        text = f"statement gap (base to duplicate): N is {noun} but N><I is not; {vd.witness_text}"
-    else:
-        text = f"statement gap (duplicate to base): N><I is {noun} but N is not; {vb.witness_text}"
-    return TheoremReport(key, theorem_id, outcome="fail", witness_text=text, stats=stats)
+        return "fail", (f"statement gap (base to duplicate): N is {noun} but N><I is not;"
+                        f" {vd.witness_text}")
+    return "fail", (f"statement gap (duplicate to base): N><I is {noun} but N is not;"
+                    f" {vb.witness_text}")
+
+
+def _iff(
+    lhs: Verdict, lhs_name: str, noun: str, violation: str, cond_name: str, cond_holds: str,
+) -> tuple[str, str]:
+    """The outcome of "N><I is <noun> <=> a condition", from N><I's verdict
+    and the condition's violation ("" when the condition holds)."""
+    cond = not violation
+    if lhs.holds == cond:
+        return "pass", f"{lhs_name}={lhs.holds} {cond_name}={cond}"
+    if lhs.holds:
+        return "fail", f"statement gap (forward): N><I is {noun} but {violation}"
+    return "fail", (f"statement gap (backward): {cond_holds} but N><I is not {noun}:"
+                    f" {lhs.witness_text}")
 
 
 def _quantifier_domain(ctx: Instance, reading: str) -> list[Submodule]:
@@ -358,26 +358,12 @@ def non_prime_colon(ctx: Instance, nb: Submodule, reading: str) -> str:
     return ""
 
 
-def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
+def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple[str, str]:
     """Weakly prime <=> every colon into a non-contained K is a prime ideal."""
     nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    rhs_witness = ctx.fact("L3i", nb, lambda: non_prime_colon(ctx, nb, reading), reading)
-    rhs_holds = not rhs_witness
-    key = ctx.key_for(n)
-    if wp.holds == rhs_holds:
-        return TheoremReport(
-            key, "L3i", variant, reading,
-            notes=f"weakly_prime={wp.holds} all-colons-prime={rhs_holds}",
-        )
-    if wp.holds:
-        text = f"statement gap (forward): N><I is weakly prime ({variant}) but {rhs_witness}"
-    else:
-        text = (
-            "statement gap (backward): every eligible colon is prime but N><I"
-            f" is not weakly prime ({variant}): {wp.witness_text}"
-        )
-    return TheoremReport(key, "L3i", variant, reading, outcome="fail", witness_text=text)
+    return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
+                ctx.fact("L3i", nb, lambda: non_prime_colon(ctx, nb, reading), reading),
+                "all-colons-prime", "every eligible colon is prime")
 
 
 def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
@@ -411,45 +397,32 @@ def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
     return ""
 
 
-def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> TheoremReport:
+def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple[str, str]:
     """Weakly prime => colons into non-contained submodules form a chain."""
     nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    key = ctx.key_for(n)
-    if not wp.holds:
-        return TheoremReport(
-            key, "L3ii", variant, reading, outcome="na",
-            notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
-        )
+    if not ctx.weakly_prime(nb, variant).holds:
+        return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
     witness = ctx.fact("L3ii", nb, lambda: colon_chain_violation(ctx, nb, reading), reading)
     if witness:
-        return TheoremReport(key, "L3ii", variant, reading, outcome="fail", witness_text=witness)
-    return TheoremReport(key, "L3ii", variant, reading, notes="colons form a chain")
+        return "fail", witness
+    return "pass", "colons form a chain"
 
 
-def check_C_PPW(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+def check_C_PPW(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Prime <=> primary and weakly prime."""
     nb = ctx.bowtie(n)
     p = ctx.prime(nb)
     pr = ctx.primary(nb)
     wp = ctx.weakly_prime(nb, variant)
-    key = ctx.key_for(n)
     lhs, rhs = p.holds, pr.holds and wp.holds
     if lhs == rhs:
-        return TheoremReport(
-            key, "C_PPW", variant,
-            notes=f"prime={p.holds} primary={pr.holds} weakly_prime={wp.holds}",
-        )
+        return "pass", f"prime={p.holds} primary={pr.holds} weakly_prime={wp.holds}"
     if lhs:
         missing = "primary" if not pr.holds else f"weakly prime ({variant})"
         inner = pr.witness_text if not pr.holds else wp.witness_text
-        text = f"statement gap (forward): N><I is prime but not {missing}; {inner}"
-    else:
-        text = (
-            f"statement gap (backward): N><I is primary and weakly prime ({variant})"
-            f" but not prime; {p.witness_text}"
-        )
-    return TheoremReport(key, "C_PPW", variant, outcome="fail", witness_text=text)
+        return "fail", f"statement gap (forward): N><I is prime but not {missing}; {inner}"
+    return "fail", (f"statement gap (backward): N><I is primary and weakly prime ({variant})"
+                    f" but not prime; {p.witness_text}")
 
 
 def t4_violation(ctx: Instance, nb: Submodule) -> str:
@@ -470,57 +443,27 @@ def t4_violation(ctx: Instance, nb: Submodule) -> str:
     return ""
 
 
-def _weakly_prime_iff(
-    ctx: Instance, n: Submodule, variant: str, theorem_id: str, note: str, noun: str,
-    violation: Callable[[Instance, Submodule], str],
-) -> TheoremReport:
-    """The row of "N><I is weakly prime <=> a condition", given the function
-    that finds the condition's violation ("" when it holds); no variant
-    changes that, so it runs once per N><I."""
-    nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    cond_witness = ctx.fact(theorem_id, nb, lambda: violation(ctx, nb))
-    cond = not cond_witness
-    key = ctx.key_for(n)
-    if wp.holds == cond:
-        return TheoremReport(key, theorem_id, variant,
-                             notes=f"weakly_prime={wp.holds} {note}={cond}")
-    if wp.holds:
-        text = f"statement gap (forward): N><I is weakly prime ({variant}) but {cond_witness}"
-    else:
-        text = (f"statement gap (backward): the {noun} holds but N><I is not weakly prime"
-                f" ({variant}): {wp.witness_text}")
-    return TheoremReport(key, theorem_id, variant, outcome="fail", witness_text=text)
-
-
-def check_T4(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+def check_T4(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Weakly prime <=> unequal element colons force the two-sum identity."""
-    return _weakly_prime_iff(ctx, n, variant, "T4", "intersection-condition",
-                             "intersection condition", t4_violation)
+    nb = ctx.bowtie(n)
+    return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
+                ctx.fact("T4", nb, lambda: t4_violation(ctx, nb)),
+                "intersection-condition", "the intersection condition holds")
 
 
-def check_R_T4(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_R_T4(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """For prime N><I: a(x,x') in N><I forces x in N><I or a(y,y') in N><I."""
     nb = ctx.bowtie(n)
-    p = ctx.prime(nb)
-    key = ctx.key_for(n)
-    if not p.holds:
-        return TheoremReport(
-            key, "R_T4", outcome="na", notes="hypothesis fails: N><I is not prime",
-        )
+    if not ctx.prime(nb).holds:
+        return "na", "hypothesis fails: N><I is not prime"
     mod = ctx.inst.bowtie_module
     colon = ctx.colon(nb).mask  # a union of N><I's scalar classes
     for p, scalars in nb.classes:
         if not scalars & colon and p & ~nb.mask:
             a, x, y = lowest_bit(scalars), lowest_bit(p & ~nb.mask), lowest_bit(~p)
-            return TheoremReport(
-                key, "R_T4", outcome="fail",
-                witness_text=(
-                    f"a={ctx.inst.bowtie_ring.labels[a]} x={mod.labels[x]}"
-                    f" y={mod.labels[y]}: ax in N><I but x is outside and ay is outside"
-                ),
-            )
-    return TheoremReport(key, "R_T4", notes="disjunction holds for all triples")
+            return "fail", (f"a={ctx.inst.bowtie_ring.labels[a]} x={mod.labels[x]}"
+                            f" y={mod.labels[y]}: ax in N><I but x is outside and ay is outside")
+    return "pass", "disjunction holds for all triples"
 
 
 def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
@@ -554,38 +497,23 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
     return ""
 
 
-def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Under weakly prime N><I: the intersection identity, and irreducible => prime."""
     nb = ctx.bowtie(n)
-    wp = ctx.weakly_prime(nb, variant)
-    key = ctx.key_for(n)
-    if not wp.holds:
-        return TheoremReport(
-            key, "C_IRR", variant, outcome="na",
-            notes=f"hypothesis fails: N><I is not weakly prime ({variant})",
-        )
+    if not ctx.weakly_prime(nb, variant).holds:
+        return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
     part1_witness = ctx.fact("C_IRR", nb, lambda: c_irr_identity_violation(ctx, nb))
     irr = ctx.fact("irreducible", nb,
                    lambda: is_irreducible_submodule(nb, ctx.bowtie_submodules))
     p = ctx.prime(nb)
-    part2_witness = ""
-    if irr.holds and not p.holds:
-        part2_witness = (
-            f"N><I is irreducible yet not prime: {p.witness_text}"
-        )
-    if not part1_witness and not part2_witness:
-        return TheoremReport(
-            key, "C_IRR", variant,
-            notes=f"identity holds; irreducible={irr.holds} prime={p.holds}",
-        )
     pieces = []
     if part1_witness:
         pieces.append(f"part 1: {part1_witness}")
-    if part2_witness:
-        pieces.append(f"part 2: {part2_witness}")
-    return TheoremReport(
-        key, "C_IRR", variant, outcome="fail", witness_text="; ".join(pieces)
-    )
+    if irr.holds and not p.holds:
+        pieces.append(f"part 2: N><I is irreducible yet not prime: {p.witness_text}")
+    if pieces:
+        return "fail", "; ".join(pieces)
+    return "pass", f"identity holds; irreducible={irr.holds} prime={p.holds}"
 
 
 def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
@@ -607,34 +535,29 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     )
 
 
-def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
-    return _weakly_prime_iff(ctx, n, variant, "L_COLON_PROD", "colon-product-condition",
-                             "colon condition", colon_product_violation)
+    nb = ctx.bowtie(n)
+    return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
+                ctx.fact("L_COLON_PROD", nb, lambda: colon_product_violation(ctx, nb)),
+                "colon-product-condition", "the colon condition holds")
 
 
-def check_R_CEX(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_R_CEX(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """Probe: fail exactly when (N><I : M><I) is not a weakly prime ideal."""
     nb = ctx.bowtie(n)
     col = ctx.colon(nb)
     v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(col))
-    key = ctx.key_for(n)
     if v.holds:
-        return TheoremReport(
-            key, "R_CEX", notes=f"colon {col.label_set()} is a weakly prime ideal"
-        )
-    return TheoremReport(
-        key, "R_CEX", outcome="fail",
-        witness_text=f"colon {col.label_set()} is not weakly prime: {v.witness_text}",
-    )
+        return "pass", f"colon {col.label_set()} is a weakly prime ideal"
+    return "fail", f"colon {col.label_set()} is not weakly prime: {v.witness_text}"
 
 
-def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> TheoremReport:
+def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Faithful cyclic M><I with weakly prime N><I: colon is weakly prime."""
     nb = ctx.bowtie(n)
     faithful, cyclic = ctx.faithful_cyclic
     wp = ctx.weakly_prime(nb, variant)
-    key = ctx.key_for(n)
     missing = []
     if not faithful:
         missing.append("M><I is not faithful")
@@ -643,107 +566,61 @@ def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> TheoremReport
     if not wp.holds:
         missing.append(f"N><I is not weakly prime ({variant})")
     if missing:
-        return TheoremReport(
-            key, "P_FAITHFUL", variant, outcome="na",
-            notes="hypothesis fails: " + "; ".join(missing),
-        )
+        return "na", "hypothesis fails: " + "; ".join(missing)
     v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(ctx.colon(nb)))
     if v.holds:
-        return TheoremReport(
-            key, "P_FAITHFUL", variant, notes="colon is a weakly prime ideal"
-        )
-    return TheoremReport(
-        key, "P_FAITHFUL", variant, outcome="fail",
-        witness_text=f"colon is not a weakly prime ideal: {v.witness_text}",
-    )
+        return "pass", "colon is a weakly prime ideal"
+    return "fail", f"colon is not a weakly prime ideal: {v.witness_text}"
 
 
-def check_L_radical(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_L_radical(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """Primary <=> every element colon outside N><I sits inside the radical."""
     nb = ctx.bowtie(n)
     lhs = ctx.primary(nb)
     mod = ctx.inst.bowtie_module
     rad = ideal_radical(ctx.colon(nb)).mask
     pack = ctx.npack(nb)
-    rhs_holds = True
-    rhs_witness = ""
+    violation = ""
     for b, cb in enumerate(pack["col_ids"]):
         bad = pack["col_masks"][cb] & ~rad
         if nb.mask >> b & 1 or not bad:
             continue
-        rhs_holds = False
-        rhs_witness = (
+        violation = (
             f"b={mod.labels[b]}: a={ctx.inst.bowtie_ring.labels[lowest_bit(bad)]} sends b"
             " into N><I but no power of a lands in the colon"
         )
         break
-    key = ctx.key_for(n)
-    if lhs.holds == rhs_holds:
-        return TheoremReport(
-            key, "L_RADICAL",
-            notes=f"primary={lhs.holds} radical-condition={rhs_holds}",
-        )
-    if lhs.holds:
-        text = f"statement gap (forward): N><I is primary but {rhs_witness}"
-    else:
-        text = (
-            "statement gap (backward): the radical condition holds but N><I is"
-            f" not primary: {lhs.witness_text}"
-        )
-    return TheoremReport(key, "L_RADICAL", outcome="fail", witness_text=text)
+    return _iff(lhs, "primary", "primary", violation,
+                "radical-condition", "the radical condition holds")
 
 
-def check_P_colon_primary(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_P_colon_primary(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """For primary N><I: colon = Ann(M><I / N><I) and it is a primary ideal."""
     nb = ctx.bowtie(n)
     col = ctx.colon(nb)
     quo, _ = quotient_module(ctx.inst.bowtie_module, nb)
     ann = annihilator(whole_submodule(quo))
-    key = ctx.key_for(n)
     if ann.member_set != col.member_set:
-        return TheoremReport(
-            key, "P_COLON_PRIMARY", outcome="fail",
-            witness_text=(
-                f"colon {col.label_set()} differs from the quotient annihilator"
-                f" {ann.label_set()}"
-            ),
-        )
+        return "fail", (f"colon {col.label_set()} differs from the quotient annihilator"
+                        f" {ann.label_set()}")
     if not ctx.primary(nb).holds:
-        return TheoremReport(
-            key, "P_COLON_PRIMARY", outcome="na",
-            notes="hypothesis fails: N><I is not primary (annihilator identity verified)",
-        )
+        return "na", "hypothesis fails: N><I is not primary (annihilator identity verified)"
     v = is_primary_ideal(col)
     if v.holds:
-        return TheoremReport(
-            key, "P_COLON_PRIMARY",
-            notes=f"colon = quotient annihilator = {col.label_set()}, primary",
-        )
-    return TheoremReport(
-        key, "P_COLON_PRIMARY", outcome="fail",
-        witness_text=f"colon is not a primary ideal: {v.witness_text}",
-    )
+        return "pass", f"colon = quotient annihilator = {col.label_set()}, primary"
+    return "fail", f"colon is not a primary ideal: {v.witness_text}"
 
 
-def check_C_radical_prime(ctx: Instance, n: Submodule) -> TheoremReport:
+def check_C_radical_prime(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """For primary N><I: the radical of the colon is a prime ideal."""
     nb = ctx.bowtie(n)
-    key = ctx.key_for(n)
     if not ctx.primary(nb).holds:
-        return TheoremReport(
-            key, "C_RADICAL_PRIME", outcome="na",
-            notes="hypothesis fails: N><I is not primary",
-        )
+        return "na", "hypothesis fails: N><I is not primary"
     rad = ideal_radical(ctx.colon(nb))
     v = ideal_is_prime(rad.ring, rad.mask)
     if v.holds:
-        return TheoremReport(
-            key, "C_RADICAL_PRIME", notes=f"radical {rad.label_set()} is prime"
-        )
-    return TheoremReport(
-        key, "C_RADICAL_PRIME", outcome="fail",
-        witness_text=f"radical {rad.label_set()} is not prime: {v.witness_text}",
-    )
+        return "pass", f"radical {rad.label_set()} is prime"
+    return "fail", f"radical {rad.label_set()} is not prime: {v.witness_text}"
 
 
 def _induced_map(
@@ -760,118 +637,86 @@ def _induced_map(
     return ModuleMap(source=source_quotient, target=f.target, table=tuple(table))
 
 
-def check_L8(ctx: Instance) -> TheoremReport:
+def _quotient_iso(
+    f: ModuleMap, name: str, k: Submodule, k_name: str, target_name: str,
+) -> tuple[list[str], int]:
+    """The reasons f: M><I -> T fails to be a surjective module map with
+    kernel K that induces M><I / K = T (none when it is one), and |M><I / K|."""
+    problems = []
+    if not check_module_map(f):
+        problems.append(f"{name} is not a module map")
+    if len(image(f)) != f.target.size:
+        problems.append(f"{name} is not surjective")
+    if kernel(f).members != k.members:
+        problems.append(f"kernel of the {name} is not {k_name}")
+    q, proj = quotient_module(f.source, k)
+    g = _induced_map(q, proj, f)
+    if not check_module_map(g) or len(set(g.table)) != q.size or q.size != f.target.size:
+        problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
+    return problems, q.size
+
+
+def check_L8(ctx: Instance) -> tuple[str, str]:
     """Both canonical quotient isomorphisms of M><I, by explicit maps."""
     inst = ctx.inst
     mod = inst.bowtie_module
     zero_cross_im, im_cross_im = distinguished_submodules(inst)
-    problems: list[str] = []
-
-    # first projection onto M (scalars through the first component)
-    t1 = restrict_scalars(inst, "first")
-    f1 = ModuleMap(mod, t1, tuple(m for (m, _mp) in inst.module_pairs))
-    if not check_module_map(f1):
-        problems.append("first projection is not a module map")
-    if len(image(f1)) != t1.size:
-        problems.append("first projection is not surjective")
-    k1 = kernel(f1)
-    if k1.members != zero_cross_im.members:
-        problems.append("kernel of the first projection is not 0 x IM")
-    q1, proj1 = quotient_module(mod, zero_cross_im)
-    g1 = _induced_map(q1, proj1, f1)
-    if not check_module_map(g1) or len(set(g1.table)) != q1.size or q1.size != t1.size:
-        problems.append("induced map M><I / (0 x IM) -> M is not bijective")
-
-    # coset projection onto M / IM
+    # the first projection onto M and the coset projection onto M / IM, both
+    # with scalars acting through the first component
+    first = ModuleMap(mod, restrict_scalars(inst, "first"),
+                      tuple(m for (m, _mp) in inst.module_pairs))
+    problems1, q1 = _quotient_iso(first, "first projection", zero_cross_im, "0 x IM", "M")
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
-    t2 = restrict_scalars(inst, "first", base_quo)
-    f2 = ModuleMap(mod, t2, tuple(bproj.table[m] for (m, _mp) in inst.module_pairs))
-    if not check_module_map(f2):
-        problems.append("coset projection is not a module map")
-    if len(image(f2)) != t2.size:
-        problems.append("coset projection is not surjective")
-    k2 = kernel(f2)
-    if k2.members != im_cross_im.members:
-        problems.append("kernel of the coset projection is not IM x IM")
-    q2, proj2 = quotient_module(mod, im_cross_im)
-    g2 = _induced_map(q2, proj2, f2)
-    if not check_module_map(g2) or len(set(g2.table)) != q2.size or q2.size != t2.size:
-        problems.append("induced map M><I / (IM x IM) -> M/IM is not bijective")
-
-    key = ctx.key_for(None)
-    if problems:
-        return TheoremReport(
-            key, "L8", outcome="fail", witness_text="; ".join(problems)
-        )
-    return TheoremReport(
-        key, "L8", notes=f"quotient sizes {q1.size} and {q2.size}",
-        stats={"q1": q1.size, "q2": q2.size},
-    )
+    coset = ModuleMap(mod, restrict_scalars(inst, "first", base_quo),
+                      tuple(bproj.table[m] for (m, _mp) in inst.module_pairs))
+    problems2, q2 = _quotient_iso(coset, "coset projection", im_cross_im, "IM x IM", "M/IM")
+    if problems1 or problems2:
+        return "fail", "; ".join(problems1 + problems2)
+    return "pass", f"quotient sizes {q1} and {q2}"
 
 
-def check_T_final(ctx: Instance) -> TheoremReport:
+def check_T_final(ctx: Instance) -> tuple[str, str]:
     """Weakly-prime-module characterization of M><I and of 0 x IM."""
     inst = ctx.inst
-    key = ctx.key_for(None)
     if inst.base_module.size == 1:
-        return TheoremReport(
-            key, "T_FINAL", variant="behboodi", outcome="na",
-            notes="hypothesis fails: M is the zero module",
-        )
+        return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
     wp_base = is_weakly_prime_module(inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = distinguished_submodules(inst)
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
-    part1 = wp_dup.holds == (im_zero and wp_base.holds)
-    part2 = wp_sub.holds == wp_base.holds
     note = (
         f"M><I wp-module={wp_dup.holds} IM=0:{im_zero} M wp-module={wp_base.holds}"
         f" 0xIM wp-submodule={wp_sub.holds}"
     )
-    if part1 and part2:
-        return TheoremReport(key, "T_FINAL", variant="behboodi", notes=note)
     pieces = []
-    if not part1:
+    if wp_dup.holds != (im_zero and wp_base.holds):
         inner = wp_dup.witness_text or wp_base.witness_text
         pieces.append(f"part 1 biconditional breaks ({note}); {inner}")
-    if not part2:
+    if wp_sub.holds != wp_base.holds:
         inner = wp_sub.witness_text or wp_base.witness_text
         pieces.append(f"part 2 biconditional breaks ({note}); {inner}")
-    return TheoremReport(
-        key, "T_FINAL", variant="behboodi", outcome="fail",
-        witness_text="; ".join(pieces),
-    )
+    if pieces:
+        return "fail", "; ".join(pieces)
+    return "pass", note
 
 
-def check_divergence(ctx: Instance) -> TheoremReport:
+def check_divergence(ctx: Instance) -> tuple[str, str]:
     """Probe: af versus behboodi on the zero submodule of the base module.
 
     A fail outcome means the two definitions disagree there, which is the
     phenomenon this probe exists to surface.
     """
-    inst = ctx.inst
-    key = ctx.key_for(zero_submodule(inst.base_module)) if inst.base_module.size > 1 else ctx.key_for(None)
-    if inst.base_module.size == 1:
-        return TheoremReport(
-            key, "DIVERGENCE", outcome="na",
-            notes="zero module has no proper zero submodule",
-        )
-    zn = zero_submodule(inst.base_module)
+    base = ctx.inst.base_module
+    if base.size == 1:
+        return "na", "zero module has no proper zero submodule"
+    zn = zero_submodule(base)
     af = is_weakly_prime_submodule_af(zn)
     bb = is_weakly_prime_submodule_behboodi(zn, ctx.base_submodules)
     if af.holds == bb.holds:
-        return TheoremReport(
-            key, "DIVERGENCE", notes=f"af={af.holds} behboodi={bb.holds}: agree"
-        )
+        return "pass", f"af={af.holds} behboodi={bb.holds}: agree"
     loser = bb if not bb.holds else af
-    return TheoremReport(
-        key, "DIVERGENCE", outcome="fail",
-        witness_text=(
-            f"af={af.holds} behboodi={bb.holds}: definitions disagree;"
-            f" {loser.witness_text}"
-        ),
-    )
+    return "fail", f"af={af.holds} behboodi={bb.holds}: definitions disagree; {loser.witness_text}"
 
 
 # -------------------------------------------------------------- registry
@@ -880,13 +725,16 @@ def check_divergence(ctx: Instance) -> TheoremReport:
 @dataclass(frozen=True)
 class Checker:
     """How one checker runs. fn takes (ctx) when per_instance, otherwise
-    (ctx, n), then a variant if varianted and a reading if readable."""
+    (ctx, n), then a variant if varianted and a reading if readable, and
+    returns (outcome, detail)."""
 
-    fn: Callable[..., TheoremReport]
+    fn: Callable[..., tuple[str, str]]
     per_instance: bool = False  # once per (ring, ideal), independent of N
     varianted: bool = False  # once per weakly-prime definition variant
     readable: bool = False  # once per reading of the submodule quantifier
     improper_n: bool = False  # also run on N = M
+    variant_column: str = "-"  # the rows' variant column when not varianted
+    zero_n_key: bool = False  # per-instance, but keyed by N = 0 when M != 0
 
     def cells(self, variants: Sequence[str], readings: Sequence[str]) -> list[tuple[str, str]]:
         """The (variant, reading) pairs this checker reports a row for."""
@@ -935,11 +783,12 @@ CHECKERS: dict[str, Checker] = {
     "C_RADICAL_PRIME": Checker(check_C_radical_prime),
     # the two canonical quotient isomorphisms of M><I
     "L8": Checker(check_L8, per_instance=True),
-    # weakly-prime-module characterization of M><I and the 0 x IM submodule
-    "T_FINAL": Checker(check_T_final, per_instance=True),
+    # weakly-prime-module characterization of M><I and the 0 x IM submodule,
+    # whose "weakly prime" is Behboodi's
+    "T_FINAL": Checker(check_T_final, per_instance=True, variant_column="behboodi"),
     # probe: do the af and behboodi readings of "weakly prime" agree on the
     # zero submodule of M
-    "DIVERGENCE": Checker(check_divergence, per_instance=True),
+    "DIVERGENCE": Checker(check_divergence, per_instance=True, zero_n_key=True),
 }
 
 THEOREM_IDS = tuple(CHECKERS)
@@ -987,19 +836,27 @@ def run_checker(
     variant: str = "-",
     reading: str = "-",
 ) -> TheoremReport:
-    """Run a single checker; n is ignored for per-instance checkers."""
+    """Run a single checker and build its row; n is ignored for per-instance
+    checkers, and variant and reading for checkers that do not take them."""
     checker = CHECKERS.get(theorem)
     if checker is None:
         raise ValueError(f"unknown theorem {theorem!r}")
     if checker.per_instance:
-        return checker.fn(ctx)
-    assert n is not None
-    args = [ctx, n]
-    if checker.varianted:
-        args.append(variant)
-    if checker.readable:
-        args.append(reading)
-    return checker.fn(*args)
+        outcome, detail = checker.fn(ctx)
+        base = ctx.inst.base_module
+        n = zero_submodule(base) if checker.zero_n_key and base.size > 1 else None
+    else:
+        assert n is not None
+        args = [ctx, n]
+        if checker.varianted:
+            args.append(variant)
+        if checker.readable:
+            args.append(reading)
+        outcome, detail = checker.fn(*args)
+    return TheoremReport(
+        ctx.key_for(n), theorem, variant if checker.varianted else checker.variant_column,
+        reading if checker.readable else "-", outcome, detail,
+    )
 
 
 def rows_for_submodule(
@@ -1064,9 +921,9 @@ def _hunt_task(
     key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
     module_size = n * len(ideal_members)
     if module_size > budget:
-        notes = f"budget exceeded: |M><I| = {module_size} > {budget}"
+        detail = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
-            TheoremReport(key, theorem, variant, reading, outcome="skip", notes=notes)
+            TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
             for theorem in theorems
             for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
@@ -1143,7 +1000,7 @@ def summarize(reports: Sequence[TheoremReport]) -> str:
         None,
     )
     if first_div is not None:
-        lines.append(f"first divergence: {first_div.instance_key}: {first_div.witness_text}")
+        lines.append(f"first divergence: {first_div.instance_key}: {first_div.detail}")
     skips = sum(1 for r in reports if r.outcome == "skip")
     if skips:
         lines.append(f"budget skips: {skips} (raise BOWTIE_BUDGET to cover them)")

@@ -27,9 +27,8 @@ from bowtie.modules import (
 from bowtie.rings import enumerate_ideals, ideal_generated, make_zn
 from bowtie.theorems import (
     CorpusSpec,
-    check_L3i,
-    check_transfer,
     hunt,
+    run_checker,
     summarize,
 )
 
@@ -41,7 +40,7 @@ from oracles import (
     violates_weakly_prime_submodule_af,
 )
 
-TRANSFER_NOTIONS = ("prime", "weakly_prime_af", "primary")
+TRANSFER_CHECKERS = ("L2", "C_WP", "P_PRIMARY")  # prime, weakly prime (af), primary
 
 
 def _ring_index(ctx, label: str) -> int:
@@ -141,18 +140,16 @@ def test_c03_colon_identity_sweep_n_le_12():
 
 def test_c04a_prime_instance_transfers(z12):
     n = submodule_generated(z12.inst.base_module, [3])
-    for notion in TRANSFER_NOTIONS:
-        rep = check_transfer(z12, n, notion)
-        assert rep.outcome == "pass", notion
-    assert check_transfer(z12, n, "prime").stats == {
-        "base": True, "duplicate": True,
-    }
+    for theorem in TRANSFER_CHECKERS:
+        rep = run_checker(z12, theorem, n)
+        assert rep.outcome == "pass", theorem
+    assert run_checker(z12, "L2", n).detail == "base=True duplicate=True"
 
 
 def test_c04b_primary_instance_transfers(z20):
     n = submodule_generated(z20.inst.base_module, [5])
-    for notion in TRANSFER_NOTIONS:
-        assert check_transfer(z20, n, notion).outcome == "pass", notion
+    for theorem in TRANSFER_CHECKERS:
+        assert run_checker(z20, theorem, n).outcome == "pass", theorem
     assert is_primary_submodule(n).holds
 
 
@@ -171,8 +168,8 @@ def test_c04c_transfer_sweep_claimed_clean(z6):
 
 def test_c04d_primary_not_prime_instance(z16):
     n = submodule_generated(z16.inst.base_module, [8])
-    for notion in TRANSFER_NOTIONS:
-        assert check_transfer(z16, n, notion).outcome == "pass", notion
+    for theorem in TRANSFER_CHECKERS:
+        assert run_checker(z16, theorem, n).outcome == "pass", theorem
     nb = z16.bowtie(n)
     assert is_primary_submodule(nb).holds is True
     assert is_prime_submodule(nb).holds is False
@@ -198,8 +195,7 @@ def test_c05_quotient_isomorphisms_across_corpus():
     assert checked and all(r.outcome == "pass" for r in checked)
     for r in checked:
         n = _modulus(r.instance_key)
-        assert r.stats["q1"] == n
-        assert r.stats["q2"] == n // _ideal_size(r.instance_key)
+        assert r.detail == f"quotient sizes {n} and {n // _ideal_size(r.instance_key)}"
 
 
 # criterion 6: weakly-prime module characterization sweep --------------------
@@ -227,7 +223,7 @@ def test_c07_first_definitional_divergence_at_4():
     assert failures
     assert min(_modulus(r.instance_key) for r in failures) == 4
     assert "first divergence: Z4" in summarize(reports)
-    assert "af=True behboodi=False" in failures[0].witness_text
+    assert "af=True behboodi=False" in failures[0].detail
 
 
 # criterion 8: variant sensitivity of the colon characterization -------------
@@ -238,14 +234,14 @@ def test_c08a_af_variant_claimed_counterexample(z6):
     # instance; computed: both sides of the biconditional are false (0><I
     # is not AF-weakly-prime), so the check passes and this stays red
     zero = zero_submodule(z6.inst.base_module)
-    row = check_L3i(z6, zero, "af", "bowtie")
+    row = run_checker(z6, "L3i", zero, "af", "bowtie")
     assert row.outcome == "fail"
-    assert row.witness_text != ""
+    assert row.detail != ""
 
 
 def test_c08b_azizi_variant_not_a_counterexample(z6):
     zero = zero_submodule(z6.inst.base_module)
-    row = check_L3i(z6, zero, "azizi", "bowtie")
+    row = run_checker(z6, "L3i", zero, "azizi", "bowtie")
     assert row.outcome == "pass"
     nb = z6.bowtie(zero)
     assert z6.weakly_prime(nb, "azizi").holds is False

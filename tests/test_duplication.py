@@ -11,6 +11,7 @@ from bowtie.duplication import (
     zero_cross_i,
 )
 from bowtie.classify import (
+    classify_submodule,
     is_weakly_prime_submodule_af,
     is_weakly_prime_submodule_azizi,
 )
@@ -24,6 +25,7 @@ from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, table_a
 from bowtie.theorems import make_zn_instance
 
 from constructions import diagonal_embed
+from families import duplications, family_modules
 
 Z6_PAIRS = (
     (0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 5),
@@ -190,3 +192,28 @@ def test_im_recorded_on_instance(z6):
     assert z6.inst.im.members == (0, 3)
     ctx = make_zn_instance(12, [0, 4, 8])
     assert ctx.inst.im.members == (0, 4, 8)
+
+
+def test_swap_is_a_lattice_automorphism_that_keeps_every_classification():
+    # sigma(m, m') = (m', m) maps M><I onto itself, semilinearly along the
+    # swap (a, a') -> (a', a) of A><I, so it must permute Lat(M><I) and keep
+    # each of the six notions of every proper S
+    modules = [ring_as_module(make_zn(n)) for n in range(1, 13)] + family_modules()
+    checked = 0
+    for module in modules:
+        for inst in duplications(module, 64):
+            mod = inst.bowtie_module
+            index = {pair: x for x, pair in enumerate(inst.module_pairs)}
+            swap = [index[(mp, m)] for m, mp in inst.module_pairs]
+            subs = enumerate_submodules(mod)
+            by_mask = {s.mask: s for s in subs}
+            for s in subs:
+                if not s.is_proper:
+                    continue
+                image = by_mask.get(sum(1 << swap[x] for x in s.members))
+                assert image is not None, (mod.name, s.label_set())
+                assert ({k: v.holds for k, v in classify_submodule(s, subs).items()}
+                        == {k: v.holds for k, v in classify_submodule(image, subs).items()}), (
+                    mod.name, s.label_set())
+                checked += 1
+    assert checked == 1976

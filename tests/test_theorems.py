@@ -1,23 +1,21 @@
+import hashlib
 import os
 
 import pytest
 
 from bowtie import theorems
+from bowtie.classify import VARIANTS
+from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
     Submodule, is_cyclic, is_faithful, whole_submodule, zero_submodule,
 )
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import (
+    READINGS,
     THEOREM_IDS,
     CorpusSpec,
+    Instance,
     TheoremReport,
-    check_L1,
-    check_L3i,
-    check_L8,
-    check_T4,
-    check_T_final,
-    check_divergence,
-    check_transfer,
     default_budget,
     hunt,
     make_zn_instance,
@@ -28,13 +26,20 @@ from bowtie.theorems import (
     summarize,
 )
 
+from families import family_modules
+
 ALL_VARIANTS = ("af", "azizi", "behboodi")
 BOTH_READINGS = ("bowtie", "all-submodules")
+
+# SHA-256 of the serialized rows of every checker, variant and reading on
+# each family module M and ideal I with |A><I|, |M><I| <= 256: 176
+# instances and 41965 rows, none of them over a regular Z_n module
+FAMILY_REPORT_SHA256 = "7be0eba972a974b9d59f49a3df20244fe4b5ded40953a4bc9abd3c42f41b0b0d"
 
 
 def test_report_line_has_six_columns(z6):
     n = zero_submodule(z6.inst.base_module)
-    row = check_L1(z6, n)
+    row = run_checker(z6, "L1", n)
     cols = row.line().split("\t")
     assert len(cols) == 6
     assert cols[1] == "L1" and cols[4] == "pass"
@@ -42,37 +47,37 @@ def test_report_line_has_six_columns(z6):
 
 def test_L1_z6_zero(z6):
     n = zero_submodule(z6.inst.base_module)
-    row = check_L1(z6, n)
+    row = run_checker(z6, "L1", n)
     assert row.outcome == "pass"
-    assert "{(0,0),(0,3)}" in row.notes
+    assert "{(0,0),(0,3)}" in row.detail
 
 
 def test_L1_accepts_improper_n(z6):
     whole = z6.base_submodules[-1]
     assert not whole.is_proper
-    assert check_L1(z6, whole).outcome == "pass"
+    assert run_checker(z6, "L1", whole).outcome == "pass"
 
 
 def test_transfer_prime_holds_z12(z12):
     n = Submodule(z12.inst.base_module, [0, 3, 6, 9])
-    row = check_transfer(z12, n, "prime")
+    row = run_checker(z12, "L2", n)
     assert row.outcome == "pass"
-    assert row.stats == {"base": True, "duplicate": True}
+    assert row.detail == "base=True duplicate=True"
 
 
 def test_transfer_weakly_prime_fails_z6_zero(z6):
     n = zero_submodule(z6.inst.base_module)
-    row = check_transfer(z6, n, "weakly_prime_af")
+    row = run_checker(z6, "C_WP", n)
     assert row.outcome == "fail"
-    assert "base to duplicate" in row.witness_text
-    assert "(2,5)" in row.witness_text and "(3,3)" in row.witness_text
+    assert "base to duplicate" in row.detail
+    assert "(2,5)" in row.detail and "(3,3)" in row.detail
 
 
 def test_transfer_primary_z16(z16):
     n = Submodule(z16.inst.base_module, [0, 8])
-    row = check_transfer(z16, n, "primary")
+    row = run_checker(z16, "P_PRIMARY", n)
     assert row.outcome == "pass"
-    assert row.stats == {"base": True, "duplicate": True}
+    assert row.detail == "base=True duplicate=True"
 
 
 def test_L3i_passes_on_z6_for_all_variants(z6):
@@ -81,9 +86,9 @@ def test_L3i_passes_on_z6_for_all_variants(z6):
     n = zero_submodule(z6.inst.base_module)
     for variant in ALL_VARIANTS:
         for reading in BOTH_READINGS:
-            row = check_L3i(z6, n, variant, reading)
+            row = run_checker(z6, "L3i", n, variant, reading)
             assert row.outcome == "pass", (variant, reading)
-            assert "weakly_prime=False all-colons-prime=False" in row.notes
+            assert "weakly_prime=False all-colons-prime=False" in row.detail
 
 
 def test_L3i_af_fails_on_diagonal_duplication():
@@ -91,27 +96,26 @@ def test_L3i_af_fails_on_diagonal_duplication():
     # colon into the diagonal copy of the module is not prime
     ctx = make_zn_instance(4, [0])
     n = zero_submodule(ctx.inst.base_module)
-    row = check_L3i(ctx, n, "af", "bowtie")
+    row = run_checker(ctx, "L3i", n, "af", "bowtie")
     assert row.outcome == "fail"
-    assert "statement gap (forward)" in row.witness_text
-    row_az = check_L3i(ctx, n, "azizi", "bowtie")
+    assert "statement gap (forward)" in row.detail
+    row_az = run_checker(ctx, "L3i", n, "azizi", "bowtie")
     assert row_az.outcome == "pass"
 
 
 def test_T4_direction_reporting():
     ctx = make_zn_instance(6, [0])
     n = zero_submodule(ctx.inst.base_module)
-    row = check_T4(ctx, n, "af")
+    row = run_checker(ctx, "T4", n, "af")
     assert row.outcome == "fail"
-    assert "statement gap (forward)" in row.witness_text
-    assert check_T4(ctx, n, "azizi").outcome == "pass"
+    assert "statement gap (forward)" in row.detail
+    assert run_checker(ctx, "T4", n, "azizi").outcome == "pass"
 
 
 def test_L8_quotient_sizes(z6):
-    row = check_L8(z6)
+    row = run_checker(z6, "L8", None)
     assert row.outcome == "pass"
-    assert row.stats == {"q1": 6, "q2": 3}
-    assert "quotient sizes 6 and 3" in row.notes
+    assert row.detail == "quotient sizes 6 and 3"
 
 
 def test_L8_across_small_corpus():
@@ -120,28 +124,27 @@ def test_L8_across_small_corpus():
 
         for ideal in enumerate_ideals(make_zn(n)):
             ctx = make_zn_instance(n, ideal.members)
-            row = check_L8(ctx)
+            row = run_checker(ctx, "L8", None)
             assert row.outcome == "pass", (n, ideal.members)
-            assert row.stats["q1"] == n
-            assert row.stats["q2"] == n // len(ctx.inst.im)
+            assert row.detail == f"quotient sizes {n} and {n // len(ctx.inst.im)}"
 
 
 def test_T_final_z6(z6):
-    row = check_T_final(z6)
+    row = run_checker(z6, "T_FINAL", None)
     assert row.outcome == "pass"
     assert row.variant == "behboodi"
 
 
 def test_divergence_z4_fails():
     ctx = make_zn_instance(4, [0])
-    row = check_divergence(ctx)
+    row = run_checker(ctx, "DIVERGENCE", None)
     assert row.outcome == "fail"
-    assert "af=True behboodi=False" in row.witness_text
+    assert "af=True behboodi=False" in row.detail
 
 
 def test_divergence_z5_passes():
     ctx = make_zn_instance(5, [0])
-    assert check_divergence(ctx).outcome == "pass"
+    assert run_checker(ctx, "DIVERGENCE", None).outcome == "pass"
 
 
 def test_run_checker_rejects_unknown(z6):
@@ -187,7 +190,7 @@ def test_hunt_budget_skip_rows():
     reports = hunt(CorpusSpec(max_n=6), theorems=["L1"], budget=10)
     skipped = [r for r in reports if r.outcome == "skip"]
     assert skipped  # Z_4 with the full ideal already exceeds 10
-    assert all("budget exceeded" in r.notes for r in skipped)
+    assert all("budget exceeded" in r.detail for r in skipped)
     # skip keys name the instance, not a submodule
     assert all("|N=" not in r.instance_key for r in skipped)
     checked = [r for r in reports if r.outcome != "skip"]
@@ -384,6 +387,19 @@ def test_divergence_first_at_n4(corpus6_reports):
              if r.theorem_id == "DIVERGENCE" and r.outcome == "fail"]
     assert fails and fails[0].instance_key.startswith("Z4|")
     assert "first divergence: Z4" in summarize(corpus6_reports)
+
+
+def test_family_report_is_byte_identical():
+    rows = []
+    for m in family_modules():
+        for ideal in enumerate_ideals(m.ring):
+            if max(predicted_sizes(m.ring, ideal, m)) > 256:
+                continue
+            ctx = Instance(m.ring, ideal, m, key=f"{m.name}|I={ideal.label_set()}")
+            rows += run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS,
+                                 zero_ideal_probe=ideal.is_zero)
+    text = serialize_reports(rows)
+    assert (len(rows), hashlib.sha256(text.encode()).hexdigest()) == (41965, FAMILY_REPORT_SHA256)
 
 
 def test_serialize_header():
