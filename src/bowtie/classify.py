@@ -57,10 +57,8 @@ class Verdict:
     """
 
     holds: bool
-    variant: str = "n/a"
     witness: tuple[Any, ...] | None = None
     witness_text: str = ""
-    notes: str = ""
 
     def __post_init__(self) -> None:
         if self.holds and self.witness is not None:
@@ -156,15 +154,13 @@ def _whole_colon(n: Submodule) -> int:
     return colon_mask(n.classes, (1 << n.module.size) - 1)
 
 
-def _submodule_verdict(
-    n: Submodule, hit: tuple[int, int] | None, variant: str = "n/a", suffix: str = ""
-) -> Verdict:
+def _submodule_verdict(n: Submodule, hit: tuple[int, int] | None, suffix: str = "") -> Verdict:
     if hit is None:
-        return Verdict(holds=True, variant=variant)
+        return Verdict(holds=True)
     mod = n.module
     a, x = hit
     ax = mod.labels[int(mod.act[a, x])]
-    return Verdict(holds=False, variant=variant, witness=(a, x),
+    return Verdict(holds=False, witness=(a, x),
                    witness_text=f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={ax}{suffix}")
 
 
@@ -178,7 +174,7 @@ def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
     """0 != a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
     hit = _first_violation(n.classes, _whole_colon(n), ~n.mask, n.module.zero_pre)
-    return _submodule_verdict(n, hit, "af")
+    return _submodule_verdict(n, hit)
 
 
 def is_primary_submodule(n: Submodule) -> Verdict:
@@ -218,13 +214,12 @@ def is_weakly_prime_submodule_azizi(
             if not v.holds:
                 hits.append(v.witness)
     if not hits:
-        return Verdict(holds=True, variant="azizi")
+        return Verdict(holds=True)
     a, b = min(hits)
     ab = int(ring.mul[a, b])
     t = next(t for t, c in enumerate(colons) if c >> ab & 1 and not (c >> a | c >> b) & 1)
     return Verdict(
         holds=False,
-        variant="azizi",
         witness=(a, b, t),
         witness_text=f"a={ring.labels[a]} b={ring.labels[b]} T={subs[t].label_set()}",
     )
@@ -250,14 +245,13 @@ def _first_non_prime_annihilator(
         a, b = sub_verdict.witness
         return Verdict(
             holds=False,
-            variant="behboodi",
             witness=(s_index, a, b),
             witness_text=(
                 f"{prefix}S={label(s_index)} has non-prime annihilator"
                 f" {ring.label_set(bits(mask))}: {sub_verdict.witness_text}"
             ),
         )
-    return Verdict(holds=True, variant="behboodi")
+    return Verdict(holds=True)
 
 
 def is_weakly_prime_module(

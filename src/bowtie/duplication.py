@@ -10,18 +10,22 @@ pair notation end to end: witnesses decode to pairs of base elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, carrier_table, closure_mask, pack_rows
+from .rings import ClosureError, Ideal, TableRing, carrier_table, closure_mask, mask_of, pack_rows
 from .modules import Submodule, TableModule
 
 
 @dataclass(frozen=True, eq=False)
 class BowtieInstance:
-    """A built duplication: base data, duplicated ring and module, decodes."""
+    """A built duplication: base data, duplicated ring and module, decodes.
+
+    ``ring_pairs`` and ``module_pairs`` are read-only (k, 2) arrays: row x
+    holds the base indices of the pair at index x, (a, a+i) for the ring,
+    (m, m') for the module. For a regular M they are one array.
+    """
 
     base_ring: TableRing
     ideal: Ideal
@@ -29,12 +33,8 @@ class BowtieInstance:
     im: Submodule  # the submodule I*M of the base module
     bowtie_ring: TableRing
     bowtie_module: TableModule
-    ring_pairs: tuple[tuple[int, int], ...]  # ring index -> (a, a+i) base indices
-    module_pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def ring_pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.ring_pairs)}
+    ring_pairs: np.ndarray
+    module_pairs: np.ndarray
 
     def __repr__(self) -> str:
         return (
@@ -63,14 +63,23 @@ def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple
     return ring.size * len(ideal), module.size * len(im)
 
 
-def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """For sorted pair codes a*width + b: the pairs as a (count, 2) array,
-    the pair index by code (-1 for a pair outside the carrier), and the
-    pairs as tuples."""
-    pairs = np.stack(np.divmod(codes, width), axis=1)
+def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted pair codes a*width + b: the pairs as a read-only
+    (count, 2) array, and the pair index by code (-1 for a pair outside
+    the carrier)."""
+    pairs = carrier_table(np.stack(np.divmod(codes, width), axis=1), width)
     lookup = np.full(width * width, -1, dtype=np.int64)
     lookup[codes] = np.arange(len(codes))
-    return pairs, lookup, tuple(map(tuple, pairs.tolist()))
+    return pairs, lookup
+
+
+def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
+    """The mask of the pairs whose component (0 the first, 1 the second)
+    lies in the subset with this mask of a base carrier of this size."""
+    inside = np.unpackbits(np.frombuffer(mask.to_bytes(size // 8 + 1, "little"), np.uint8),
+                           bitorder="little")  # bit x of the mask, for every x
+    hits = np.packbits(inside.take(pairs[:, component]), bitorder="little")
+    return int.from_bytes(hits.tobytes(), "little")
 
 
 def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
@@ -120,14 +129,15 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     ring_codes = np.sort(
         (np.arange(n)[:, None] * n + ring.add.take(ideal.members, axis=1)).ravel()
     )
-    rp, ring_index, ring_pairs = _pairs(ring_codes, n)
+    ring_pairs, ring_index = _pairs(ring_codes, n)
+    rp = ring_pairs.tolist()
     bowtie_ring = TableRing(
-        size=len(ring_pairs),
-        add=_componentwise(ring.add, rp, rp, ring_index, n, "add"),
-        mul=_componentwise(ring.mul, rp, rp, ring_index, n, "mul"),
+        size=len(rp),
+        add=_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"),
+        mul=_componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul"),
         zero=int(ring_index[ring.zero * n + ring.zero]),
         one=int(ring_index[ring.one * n + ring.one]),
-        labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in ring_pairs),
+        labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in rp),
         name=f"sub(({ring.name}x{ring.name}))",
     )
 
@@ -140,11 +150,12 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
         inside = np.zeros(k, dtype=bool)
         inside[list(im.members)] = True
         diff = module.add.take(module.neg, axis=1)  # diff[m, m'] = m - m'
-        mp, module_index, module_pairs = _pairs(np.flatnonzero(inside.take(diff)), k)
-        add = _componentwise(module.add, mp, mp, module_index, k, "add")
-        act = _componentwise(module.act, rp, mp, module_index, k, "act")
+        module_pairs, module_index = _pairs(np.flatnonzero(inside.take(diff)), k)
+        add = _componentwise(module.add, module_pairs, module_pairs, module_index, k, "add")
+        act = _componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act")
     labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels
-              else tuple(f"({module.labels[m]},{module.labels[mp]})" for m, mp in module_pairs))
+              else tuple(f"({module.labels[m]},{module.labels[mp]})"
+                         for m, mp in module_pairs.tolist()))
     bowtie_module = TableModule(
         ring=bowtie_ring,
         size=len(module_pairs),
@@ -170,39 +181,27 @@ def bowtie_submodule(inst: BowtieInstance, n: Submodule) -> Submodule:
     """N join I: the pairs whose first component lies in N."""
     if n.module is not inst.base_module:
         raise ValueError("submodule belongs to a different module")
-    members = [
-        idx for idx, (m, _mp) in enumerate(inst.module_pairs) if m in n.member_set
-    ]
-    return Submodule(inst.bowtie_module, members, _checked=True)
+    return Submodule.from_mask(inst.bowtie_module,
+                               pairs_in(inst.module_pairs, 0, n.mask, n.module.size))
 
 
 def zero_cross_i(inst: BowtieInstance) -> Ideal:
-    """The ideal 0 x I of the duplicated ring."""
-    zero = inst.base_ring.zero
-    members = [
-        idx for idx, (a, _b) in enumerate(inst.ring_pairs) if a == zero
-    ]
-    return Ideal(inst.bowtie_ring, members, _checked=True)
+    """The ideal 0 x I of the duplicated ring: the pairs whose first component is zero."""
+    zero, size = inst.base_ring.zero, inst.base_ring.size
+    return Ideal.from_mask(inst.bowtie_ring, pairs_in(inst.ring_pairs, 0, 1 << zero, size))
 
 
 def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule]:
     """The submodules 0 x IM and IM x IM, with the product identity checked.
 
+    Every pair (m, m') has m - m' in IM, so m' lies in IM exactly when m
+    does: the two are the pairs whose first component lies in 0 and in IM.
     The ideal product (0 x I) * (M join I) must equal 0 x IM exactly.
     """
-    mod = inst.bowtie_module
-    zero = inst.base_module.zero
-    zero_cross_im = Submodule(
-        mod,
-        [i for i, (m, mp) in enumerate(inst.module_pairs)
-         if m == zero and mp in inst.im.member_set],
-        _checked=True,
-    )
-    im_cross_im = Submodule(
-        mod,
-        [i for i, (m, mp) in enumerate(inst.module_pairs)
-         if m in inst.im.member_set and mp in inst.im.member_set],
-        _checked=True,
+    mod, base = inst.bowtie_module, inst.base_module
+    zero_cross_im, im_cross_im = (
+        Submodule.from_mask(mod, pairs_in(inst.module_pairs, 0, mask, base.size))
+        for mask in (1 << base.zero, inst.im.mask)
     )
     if _products_closure(mod, zero_cross_i(inst).members) != zero_cross_im.mask:
         raise AssertionError("(0 x I)(M join I) differs from 0 x IM")
@@ -225,7 +224,7 @@ def restrict_scalars(
     comp = 0 if which == "first" else 1
     # every row of the base appears among the gathered ones, so they keep
     # the dtype table_array would choose
-    act = m0.act.take([pair[comp] for pair in inst.ring_pairs], axis=0)
+    act = m0.act.take(inst.ring_pairs[:, comp], axis=0)
     act.setflags(write=False)
     return TableModule(
         ring=inst.bowtie_ring,
@@ -247,9 +246,6 @@ def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:
     """
     if s.module is not inst.bowtie_module:
         raise ValueError("submodule belongs to a different module")
-    firsts = {inst.module_pairs[idx][0] for idx in s.members}
-    n = Submodule(inst.base_module, firsts, _checked=True)
-    rebuilt = bowtie_submodule(inst, n)
-    if rebuilt.members == s.members:
-        return n
-    return None
+    n = Submodule.from_mask(inst.base_module,
+                            mask_of(inst.module_pairs[:, 0].take(s.members).tolist()))
+    return n if bowtie_submodule(inst, n).mask == s.mask else None

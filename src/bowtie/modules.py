@@ -1,15 +1,15 @@
 """Finite unital modules over a TableRing.
 
 A module is an addition table plus a scalar-action table (ring index x
-module index). Submodules are canonically stored as sorted index tuples
-and as bitmasks, so every enumeration and witness is reproducible; the
-scalar classes of the preimage masks pre[a] = {x : a*x in N} are computed
-once per distinct N and action table, and colons are read off them. The
-lattice is enumerated on masks too: the cyclic submodules come from one
-packed table, and each distinct one is joined onto the lattice found so
-far, a join being an OR of cosets. A small lattice is joined pair by pair
-in Python; from WIDE nodes on, each cyclic is joined onto all of them in
-one numpy gather.
+module index). A submodule is stored as its bitmask, with its members
+read off it in ascending order, so every enumeration and witness is
+reproducible; the scalar classes of the preimage masks
+pre[a] = {x : a*x in N} are computed once per distinct N and action
+table, and colons are read off them. The lattice is enumerated on masks
+too: the cyclic submodules come from one packed table, and each distinct
+one is joined onto the lattice found so far, a join being an OR of
+cosets. A small lattice is joined pair by pair in Python; from WIDE
+nodes on, each cyclic is joined onto all of them in one numpy gather.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class TableModule:
     def neg(self) -> tuple[int, ...]:
         return derived(self, "neg", lambda: _negatives(self.add, self.zero))
 
-    def sub(self, m: int, n: int) -> int:
-        return int(self.add[m, self.neg[n]])
-
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
 
@@ -153,26 +150,14 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule(Subset):
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "over", "members", "member_set", "mask", "_cosets")
+    __slots__ = ("module", "over", "members", "mask", "_cosets")
 
-    def __init__(self, module: TableModule, members: Iterable[int], _checked: bool = False):
-        mset = frozenset(int(m) for m in members)
+    def __init__(self, module: TableModule, members: Iterable[int]):
+        self._check(module, members, module.act, module.ring.labels, "action-closed")
+
+    def _store(self, module: TableModule, mask: int, members: tuple[int, ...]) -> None:
         self.module = self.over = module
-        self.member_set, self.mask = mset, mask_of(mset)
-        self._cosets = None
-        self.members: tuple[int, ...] = tuple(sorted(mset))
-        if not _checked:
-            self._validate(module.act, module.ring.labels, "action-closed")
-
-    @classmethod
-    def from_mask(cls, module: TableModule, mask: int, members: Sequence[int] = ()) -> Submodule:
-        """A submodule known to be closed, from its mask (and sorted members, if at hand)."""
-        sub = cls.__new__(cls)
-        sub.module = sub.over = module
-        sub.mask, sub._cosets = mask, None
-        sub.members = tuple(members or bits(mask))
-        sub.member_set = frozenset(sub.members)
-        return sub
+        self.mask, self.members, self._cosets = mask, members, None
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
@@ -210,7 +195,7 @@ def ring_as_module(ring: TableRing) -> TableModule:
 
 
 def zero_submodule(module: TableModule) -> Submodule:
-    return Submodule(module, (module.zero,), _checked=True)
+    return Submodule.from_mask(module, 1 << module.zero, (module.zero,))
 
 
 def whole_submodule(module: TableModule) -> Submodule:
@@ -470,9 +455,9 @@ def check_module_map(f: ModuleMap) -> bool:
 def kernel(f: ModuleMap) -> Submodule:
     """The preimage of zero; a submodule when f is a module map."""
     members = [m for m in range(f.source.size) if f.table[m] == f.target.zero]
-    return Submodule(f.source, members, _checked=True)
+    return Submodule.from_mask(f.source, mask_of(members), members)
 
 
 def image(f: ModuleMap) -> Submodule:
     """The image of f; a submodule when f is a module map."""
-    return Submodule(f.target, set(f.table), _checked=True)
+    return Submodule.from_mask(f.target, mask_of(f.table))

@@ -9,6 +9,7 @@ and the tests check the constructions against the axioms.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -210,19 +211,6 @@ class TableRing:
         """Additive inverse of every element."""
         return derived(self, "neg", lambda: _negatives(self.add, self.zero))
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
-
-    def power(self, a: int, n: int) -> int:
-        """a**n for n >= 1 by repeated multiplication."""
-        if n < 1:
-            raise ValueError("exponent must be positive")
-        mul = self.mul
-        acc = a
-        for _ in range(n - 1):
-            acc = int(mul[acc, a])
-        return acc
-
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
 
@@ -403,20 +391,40 @@ def subring_from_subset(
 
 
 class Subset:
-    """What an Ideal or a Submodule reads off its members alone; its slot
-    ``over`` holds the ring or the module it lives in."""
+    """What an Ideal or a Submodule reads off its mask alone; its slot
+    ``over`` holds the ring or the module it lives in.
+
+    A subset is stored once, as its mask, with its members ascending read
+    off it. Calling the class validates the members (the trust boundary);
+    constructions, which build subsets closed by theorem, call from_mask.
+    """
 
     __slots__ = ()
 
-    def _validate(self, act: np.ndarray, scalars: Sequence[str], closed: str) -> None:
-        """Contains zero and is closed under + and under the action table
+    @classmethod
+    def from_mask(cls, over: Any, mask: int, members: Sequence[int] = ()) -> Subset:
+        """A subset known to be closed, from its mask (and sorted members, if at hand)."""
+        sub = cls.__new__(cls)
+        sub._store(over, mask, tuple(members or bits(mask)))
+        return sub
+
+    def _check(self, over: Any, members: Iterable[int], act: np.ndarray,
+               scalars: Sequence[str], closed: str) -> None:
+        """Store the given members of ``over`` after checking that they
+        contain zero and are closed under + and under the action table
         ``act``, whose scalars have these labels; ValueError otherwise.
 
         The violation reported is the first at the least member a: a sum
         a+b, b ascending, before a product s*a, s ascending.
         """
-        over, members = self.over, self.members
-        if over.zero not in self.member_set:
+        mask = 0
+        for x in members:
+            x = operator.index(x)
+            if not 0 <= x < over.size:
+                raise ValueError(f"element index {x} out of range")
+            mask |= 1 << x
+        members = bits(mask)
+        if not mask >> over.zero & 1:
             raise ValueError(f"{type(self).__name__.lower()} must contain zero")
         idx = np.array(members)
         outside = np.ones(over.size, dtype=bool)
@@ -433,6 +441,7 @@ class Subset:
                 raise ValueError(f"not add-closed at ({a},{b})")
             s = scalars[int(products[i].argmax())]
             raise ValueError(f"not {closed} at {s}*{a}")
+        self._store(over, mask, tuple(members))
 
     @property
     def is_proper(self) -> bool:
@@ -440,20 +449,21 @@ class Subset:
 
     @property
     def is_zero(self) -> bool:
-        return self.members == (self.over.zero,)
+        return self.mask == 1 << self.over.zero
 
     def __contains__(self, x: int) -> bool:
-        return x in self.member_set
+        x = operator.index(x)
+        return x >= 0 and self.mask >> x & 1 == 1
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __eq__(self, other: object) -> bool:
         return (type(other) is type(self) and other.over is self.over
-                and other.members == self.members)
+                and other.mask == self.mask)
 
     def __hash__(self) -> int:
-        return hash((id(self.over), self.members))
+        return hash((id(self.over), self.mask))
 
     def label_set(self) -> str:
         return self.over.label_set(self.members)
@@ -465,26 +475,14 @@ class Subset:
 class Ideal(Subset):
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "over", "members", "member_set", "mask", "__weakref__")
+    __slots__ = ("ring", "over", "members", "mask", "__weakref__")
 
-    def __init__(self, ring: TableRing, members: Iterable[int], _checked: bool = False):
-        mset = frozenset(int(m) for m in members)
+    def __init__(self, ring: TableRing, members: Iterable[int]):
+        self._check(ring, members, ring.mul, ring.labels, "absorbing")
+
+    def _store(self, ring: TableRing, mask: int, members: tuple[int, ...]) -> None:
         self.ring = self.over = ring
-        self.members: tuple[int, ...] = tuple(sorted(mset))
-        self.member_set: frozenset[int] = mset
-        self.mask: int = mask_of(self.members)
-        if not _checked:
-            self._validate(ring.mul, ring.labels, "absorbing")
-
-    @classmethod
-    def from_mask(cls, ring: TableRing, mask: int) -> Ideal:
-        """An ideal known to be closed, from its mask."""
-        j = cls.__new__(cls)
-        j.ring = j.over = ring
-        j.mask = mask
-        j.members = tuple(bits(mask))
-        j.member_set = frozenset(j.members)
-        return j
+        self.mask, self.members = mask, members
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:

@@ -27,6 +27,7 @@ from .rings import (
     ideal_radical,
     lowest_bit,
     make_zn,
+    mask_of,
     narrow_dtype,
     pack_rows,
 )
@@ -66,6 +67,7 @@ from .duplication import (
     build_bowtie,
     bowtie_submodule,
     distinguished_submodules,
+    pairs_in,
     restrict_scalars,
 )
 
@@ -286,13 +288,12 @@ def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
     nb = ctx.bowtie(n)
     lhs = ctx.colon(nb)
     base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
-    index = inst.ring_pair_index
-    sums = inst.base_ring.add.take(base_colon.members, axis=0).take(inst.ideal.members, axis=1)
-    rhs = {index[(a, s)] for a, row in zip(base_colon.members, sums.tolist()) for s in row}
-    if lhs.member_set == rhs:
+    # (N:M)><I: the pairs (a, a+i) whose first component lies in (N:M)
+    rhs = pairs_in(inst.ring_pairs, 0, base_colon.mask, inst.base_ring.size)
+    if lhs.mask == rhs:
         return "pass", f"both sides = {lhs.label_set()}"
-    first_diff = min(lhs.member_set ^ rhs)
-    side = "left only" if first_diff in lhs.member_set else "right only"
+    first_diff = lowest_bit(lhs.mask ^ rhs)
+    side = "left only" if lhs.mask >> first_diff & 1 else "right only"
     return "fail", (f"{inst.bowtie_ring.labels[first_diff]} is on one side only ({side});"
                     f" colon={lhs.label_set()}")
 
@@ -600,7 +601,7 @@ def check_P_colon_primary(ctx: Instance, n: Submodule) -> tuple[str, str]:
     col = ctx.colon(nb)
     quo, _ = quotient_module(ctx.inst.bowtie_module, nb)
     ann = annihilator(whole_submodule(quo))
-    if ann.member_set != col.member_set:
+    if ann.mask != col.mask:
         return "fail", (f"colon {col.label_set()} differs from the quotient annihilator"
                         f" {ann.label_set()}")
     if not ctx.primary(nb).holds:
@@ -663,12 +664,12 @@ def check_L8(ctx: Instance) -> tuple[str, str]:
     zero_cross_im, im_cross_im = distinguished_submodules(inst)
     # the first projection onto M and the coset projection onto M / IM, both
     # with scalars acting through the first component
-    first = ModuleMap(mod, restrict_scalars(inst, "first"),
-                      tuple(m for (m, _mp) in inst.module_pairs))
+    firsts = inst.module_pairs[:, 0]
+    first = ModuleMap(mod, restrict_scalars(inst, "first"), tuple(firsts.tolist()))
     problems1, q1 = _quotient_iso(first, "first projection", zero_cross_im, "0 x IM", "M")
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
     coset = ModuleMap(mod, restrict_scalars(inst, "first", base_quo),
-                      tuple(bproj.table[m] for (m, _mp) in inst.module_pairs))
+                      tuple(np.take(bproj.table, firsts).tolist()))
     problems2, q2 = _quotient_iso(coset, "coset projection", im_cross_im, "IM x IM", "M/IM")
     if problems1 or problems2:
         return "fail", "; ".join(problems1 + problems2)
@@ -928,7 +929,7 @@ def _hunt_task(
             for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
     ring = make_zn(n)
-    ideal = Ideal(ring, ideal_members, _checked=True)  # dZ_n, from hunt
+    ideal = Ideal.from_mask(ring, mask_of(ideal_members))  # dZ_n, from hunt
     module = ring_as_module(ring)
     ctx = Instance(ring, ideal, module, key=key)
     zero_probe = ideal.is_zero

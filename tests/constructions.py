@@ -36,15 +36,15 @@ def _same_ring(a: Ideal, b: Ideal) -> TableRing:
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     ring = _same_ring(a, b)
-    closed = _additive_closure(ring.add, a.member_set | b.member_set, ring.zero)
-    return Ideal(ring, closed, _checked=True)
+    closed = _additive_closure(ring.add, set(a.members) | set(b.members), ring.zero)
+    return Ideal(ring, closed)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     ring = _same_ring(a, b)
     prods = set(ring.mul.take(a.members, axis=0).take(b.members, axis=1).ravel().tolist())
     closed = _additive_closure(ring.add, prods, ring.zero)
-    return Ideal(ring, closed, _checked=True)
+    return Ideal(ring, closed)
 
 
 def ideal_power(a: Ideal, n: int) -> Ideal:
@@ -58,7 +58,7 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     ring = _same_ring(a, b)
-    return Ideal(ring, a.member_set & b.member_set, _checked=True)
+    return Ideal(ring, set(a.members) & set(b.members))
 
 
 def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]]:
@@ -103,4 +103,4 @@ def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
 
 def diagonal_embed(inst: BowtieInstance, a: int) -> int:
     """The duplicated-ring index of (a, a)."""
-    return inst.ring_pair_index[(a, a)]
+    return inst.ring_pairs.tolist().index([a, a])

@@ -137,12 +137,13 @@ def brute_primary_submodule(n: Submodule) -> bool:
         raise ValueError("improper")
     everything = range(module.size)
     act, mul = module.act.tolist(), ring.mul.tolist()
+    members = set(n.members)
     for a in range(ring.size):
         for x in everything:
-            if act[a][x] not in n.member_set or x in n.member_set:
+            if act[a][x] not in members or x in members:
                 continue
             if not any(
-                all(act[p][m] in n.member_set for m in everything)
+                all(act[p][m] in members for m in everything)
                 for p in _powers(mul, a)
             ):
                 return False
@@ -164,16 +165,17 @@ def brute_prime_submodule(n: Submodule) -> bool:
     if len(n) == module.size:
         raise ValueError("improper")
     act = module.act.tolist()
+    members = set(n.members)
     for a in range(ring.size):
         sends_all_in = all(
-            act[a][m] in n.member_set for m in range(module.size)
+            act[a][m] in members for m in range(module.size)
         )
         if sends_all_in:
             continue
         for x in range(module.size):
-            if x in n.member_set:
+            if x in members:
                 continue
-            if act[a][x] in n.member_set:
+            if act[a][x] in members:
                 return False
     return True
 
@@ -184,8 +186,9 @@ def brute_irreducible(n: Submodule, subs: list[frozenset[int]] | None = None) ->
     K and L range over ``brute_submodules(M)``, or over ``subs`` if given.
     """
     subs = brute_submodules(n.module) if subs is None else subs
+    members = set(n.members)
     return not any(
-        k & l == n.member_set and k != n.member_set and l != n.member_set
+        k & l == members and k != members and l != members
         for k in subs for l in subs
     )
 
@@ -196,23 +199,24 @@ def brute_weakly_prime_af(n: Submodule) -> bool:
     if len(n) == module.size:
         raise ValueError("improper")
     act = module.act.tolist()
+    members = set(n.members)
     for a in range(ring.size):
         sends_all_in = all(
-            act[a][m] in n.member_set for m in range(module.size)
+            act[a][m] in members for m in range(module.size)
         )
         if sends_all_in:
             continue
         for x in range(module.size):
-            if x in n.member_set:
+            if x in members:
                 continue
             ax = act[a][x]
-            if ax in n.member_set and ax != module.zero:
+            if ax in members and ax != module.zero:
                 return False
     return True
 
 
 def closure_violation(noun: str, over, members, act: np.ndarray, scalars, closed: str):
-    """The message Subset._validate raises for this subset of ``over``, or
+    """The message Subset._check raises for this subset of ``over``, or
     None: its loop over tuple rows before it moved onto arrays. At each
     member a, ascending, the sums a+b come first, then the products s*a,
     b and s ascending."""
@@ -350,21 +354,24 @@ def module_axiom_violations(module: TableModule) -> list[str]:
 
 def colon_members(n: Submodule, k: Submodule) -> frozenset[int]:
     """{a : a*K inside N}."""
+    members = set(n.members)
     return frozenset(
         a for a, row in enumerate(n.module.act.tolist())
-        if all(row[x] in n.member_set for x in k.members)
+        if all(row[x] in members for x in k.members)
     )
 
 
 def scalar_colon_members(n: Submodule, a: int) -> frozenset[int]:
     """{m : a*m in N}."""
-    return frozenset(m for m, am in enumerate(n.module.act[a].tolist()) if am in n.member_set)
+    members = set(n.members)
+    return frozenset(m for m, am in enumerate(n.module.act[a].tolist()) if am in members)
 
 
 def _whole_colon(n: Submodule) -> frozenset[int]:
+    members = set(n.members)
     return frozenset(
         a for a, row in enumerate(n.module.act.tolist())
-        if all(ax in n.member_set for ax in row)
+        if all(ax in members for ax in row)
     )
 
 
@@ -377,12 +384,13 @@ def prime_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
     mul = r.mul.tolist()
+    members = set(j.members)
     for a in range(r.size):
-        if a in j.member_set:
+        if a in members:
             continue
         for b in range(r.size):
             ab = mul[a][b]
-            if b not in j.member_set and ab in j.member_set:
+            if b not in members and ab in members:
                 return Verdict(
                     holds=False, witness=(a, b),
                     witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}",
@@ -394,12 +402,13 @@ def weakly_prime_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
     mul = r.mul.tolist()
+    members = set(j.members)
     for a in range(r.size):
-        if a in j.member_set:
+        if a in members:
             continue
         for b in range(r.size):
             ab = mul[a][b]
-            if b not in j.member_set and ab != r.zero and ab in j.member_set:
+            if b not in members and ab != r.zero and ab in members:
                 return Verdict(
                     holds=False, witness=(a, b),
                     witness_text=f"a={r.labels[a]} b={r.labels[b]} ab={r.labels[ab]}",
@@ -410,14 +419,15 @@ def weakly_prime_ideal(j: Ideal) -> Verdict:
 def primary_ideal(j: Ideal) -> Verdict:
     r = j.ring
     _proper(j.members, r.size)
-    rad = brute_radical(r, j.member_set)
+    members = set(j.members)
+    rad = brute_radical(r, members)
     mul = r.mul.tolist()
     for a in range(r.size):
-        if a in j.member_set:
+        if a in members:
             continue
         for b in range(r.size):
             ab = mul[a][b]
-            if b not in rad and ab in j.member_set:
+            if b not in rad and ab in members:
                 return Verdict(
                     holds=False, witness=(a, b),
                     witness_text=(
@@ -428,41 +438,40 @@ def primary_ideal(j: Ideal) -> Verdict:
     return Verdict(holds=True)
 
 
-def _submodule_scan(n: Submodule, exempt, nonzero: bool, variant: str, suffix: str) -> Verdict:
+def _submodule_scan(n: Submodule, exempt, nonzero: bool, suffix: str) -> Verdict:
     mod = n.module
     _proper(n.members, mod.size)
     act = mod.act.tolist()
+    members = set(n.members)
     for a in range(mod.ring.size):
         if a in exempt:
             continue
         for x in range(mod.size):
             ax = act[a][x]
-            if x in n.member_set or ax not in n.member_set:
+            if x in members or ax not in members:
                 continue
             if nonzero and ax == mod.zero:
                 continue
             return Verdict(
-                holds=False, variant=variant, witness=(a, x),
+                holds=False, witness=(a, x),
                 witness_text=(
                     f"a={mod.ring.labels[a]} x={mod.labels[x]} ax={mod.labels[ax]}{suffix}"
                 ),
             )
-    return Verdict(holds=True, variant=variant)
+    return Verdict(holds=True)
 
 
 def prime_submodule(n: Submodule) -> Verdict:
-    return _submodule_scan(n, _whole_colon(n), False, "n/a", "")
+    return _submodule_scan(n, _whole_colon(n), False, "")
 
 
 def weakly_prime_af(n: Submodule) -> Verdict:
-    return _submodule_scan(n, _whole_colon(n), True, "af", "")
+    return _submodule_scan(n, _whole_colon(n), True, "")
 
 
 def primary_submodule(n: Submodule) -> Verdict:
     rad = brute_radical(n.module.ring, _whole_colon(n))
-    return _submodule_scan(
-        n, rad, False, "n/a", " and no power of a multiplies M into N"
-    )
+    return _submodule_scan(n, rad, False, " and no power of a multiplies M into N")
 
 
 def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
@@ -471,8 +480,9 @@ def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
     _proper(n.members, mod.size)
     rsize = mod.ring.size
     mul = mod.ring.mul.tolist()
+    members = set(n.members)
     in_n = [
-        [all(row[x] in n.member_set for x in t.members) for t in subs]
+        [all(row[x] in members for x in t.members) for t in subs]
         for row in mod.act.tolist()
     ]
     for a in range(rsize):
@@ -481,13 +491,13 @@ def weakly_prime_azizi(n: Submodule, subs: list[Submodule]) -> Verdict:
             for t in range(len(subs)):
                 if in_n[ab][t] and not in_n[a][t] and not in_n[b][t]:
                     return Verdict(
-                        holds=False, variant="azizi", witness=(a, b, t),
+                        holds=False, witness=(a, b, t),
                         witness_text=(
                             f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
                             f" T={subs[t].label_set()}"
                         ),
                     )
-    return Verdict(holds=True, variant="azizi")
+    return Verdict(holds=True)
 
 
 def azizi_pair_loop(n: Submodule, subs: list[Submodule]) -> Verdict:
@@ -513,13 +523,13 @@ def azizi_pair_loop(n: Submodule, subs: list[Submodule]) -> Verdict:
             if bad:
                 t = lowest_bit(bad)
                 return Verdict(
-                    holds=False, variant="azizi", witness=(a, b, t),
+                    holds=False, witness=(a, b, t),
                     witness_text=(
                         f"a={mod.ring.labels[a]} b={mod.ring.labels[b]}"
                         f" T={subs[t].label_set()}"
                     ),
                 )
-    return Verdict(holds=True, variant="azizi")
+    return Verdict(holds=True)
 
 
 def weakly_prime_behboodi(n: Submodule) -> Verdict:
@@ -534,7 +544,7 @@ def weakly_prime_behboodi(n: Submodule) -> Verdict:
     if inner.holds:
         return inner
     return Verdict(
-        holds=False, variant="behboodi", witness=inner.witness,
+        holds=False, witness=inner.witness,
         witness_text=f"in M/N: {inner.witness_text}",
     )
 
@@ -542,13 +552,11 @@ def weakly_prime_behboodi(n: Submodule) -> Verdict:
 def irreducible_submodule(n: Submodule, subs: list[Submodule]) -> Verdict:
     """No two strictly larger submodules meet exactly in N."""
     _proper(n.members, n.module.size)
-    above = [
-        (i, s) for i, s in enumerate(subs)
-        if s.member_set != n.member_set and n.member_set <= s.member_set
-    ]
-    for pos, (i, k) in enumerate(above):
-        for j, l in above[pos + 1:]:
-            if k.member_set & l.member_set == n.member_set:
+    members = set(n.members)
+    above = [(i, s, k) for i, s in enumerate(subs) if members < (k := set(s.members))]
+    for pos, (i, k, k_members) in enumerate(above):
+        for j, l, l_members in above[pos + 1:]:
+            if k_members & l_members == members:
                 return Verdict(
                     holds=False, witness=(i, j),
                     witness_text=f"K={k.label_set()} L={l.label_set()}",
@@ -560,8 +568,8 @@ def irreducible_submodule(n: Submodule, subs: list[Submodule]) -> Verdict:
 
 
 def violates_prime_ideal(j: Ideal, a: int, b: int) -> bool:
-    return (a not in j.member_set and b not in j.member_set
-            and int(j.ring.mul[a, b]) in j.member_set)
+    members = set(j.members)
+    return a not in members and b not in members and int(j.ring.mul[a, b]) in members
 
 
 def violates_weakly_prime_ideal(j: Ideal, a: int, b: int) -> bool:
@@ -569,18 +577,20 @@ def violates_weakly_prime_ideal(j: Ideal, a: int, b: int) -> bool:
 
 
 def violates_primary_ideal(j: Ideal, a: int, b: int) -> bool:
+    members = set(j.members)
     return (
-        a not in j.member_set
-        and b not in brute_radical(j.ring, j.member_set)
-        and int(j.ring.mul[a, b]) in j.member_set
+        a not in members
+        and b not in brute_radical(j.ring, members)
+        and int(j.ring.mul[a, b]) in members
     )
 
 
 def violates_prime_submodule(n: Submodule, a: int, x: int) -> bool:
+    members = set(n.members)
     return (
         a not in _whole_colon(n)
-        and x not in n.member_set
-        and int(n.module.act[a, x]) in n.member_set
+        and x not in members
+        and int(n.module.act[a, x]) in members
     )
 
 
@@ -589,10 +599,11 @@ def violates_weakly_prime_submodule_af(n: Submodule, a: int, x: int) -> bool:
 
 
 def violates_primary_submodule(n: Submodule, a: int, x: int) -> bool:
+    members = set(n.members)
     return (
         a not in brute_radical(n.module.ring, _whole_colon(n))
-        and x not in n.member_set
-        and int(n.module.act[a, x]) in n.member_set
+        and x not in members
+        and int(n.module.act[a, x]) in members
     )
 
 
@@ -600,9 +611,10 @@ def violates_weakly_prime_submodule_azizi(
     n: Submodule, a: int, b: int, t: Submodule
 ) -> bool:
     act = n.module.act.tolist()
+    members = set(n.members)
 
     def sends(c: int) -> bool:
-        return all(act[c][x] in n.member_set for x in t.members)
+        return all(act[c][x] in members for x in t.members)
 
     return sends(int(n.module.ring.mul[a, b])) and not sends(a) and not sends(b)
 
@@ -622,6 +634,7 @@ def _sum_and_colon_ids(ctx, nb: Submodule):
     """
     mod = ctx.inst.bowtie_module
     add, act = mod.add.tolist(), mod.act.tolist()
+    members = set(nb.members)
     sums: dict[frozenset[int], int] = {}
     cols: dict[frozenset[int], int] = {}
     sum_ids, col_ids = [], []
@@ -629,14 +642,14 @@ def _sum_and_colon_ids(ctx, nb: Submodule):
         cyc = {row[x] for row in act}
         s = frozenset(add[p][q] for p in nb.members for q in cyc)
         sum_ids.append(sums.setdefault(s, len(sums)))
-        col = frozenset(a for a, row in enumerate(act) if row[x] in nb.member_set)
+        col = frozenset(a for a, row in enumerate(act) if row[x] in members)
         col_ids.append(cols.setdefault(col, len(cols)))
     sum_sets = list(sums)
     cache: dict[tuple[int, int], bool] = {}
 
     def meets(s: int, t: int) -> bool:
         if (s, t) not in cache:
-            cache[(s, t)] = sum_sets[s] & sum_sets[t] == nb.member_set
+            cache[(s, t)] = sum_sets[s] & sum_sets[t] == members
         return cache[(s, t)]
 
     return sum_ids, sum_sets, col_ids, meets
@@ -695,6 +708,7 @@ def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
     """
     mod = ctx.inst.bowtie_module
     sum_ids, sum_sets, col_ids, meets = _sum_and_colon_ids(ctx, nb)
+    members = set(nb.members)
     t4 = c_irr = ""
     for x in range(mod.size):
         y = next(
@@ -703,7 +717,7 @@ def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
             None,
         )
         if y is not None:
-            extra = min(sum_sets[sum_ids[x]] & sum_sets[sum_ids[y]] - nb.member_set)
+            extra = min(sum_sets[sum_ids[x]] & sum_sets[sum_ids[y]] - members)
             t4 = (
                 f"x={mod.labels[x]} y={mod.labels[y]}: colons differ but the"
                 f" intersection keeps {mod.labels[extra]} outside N><I"
@@ -713,7 +727,7 @@ def sum_condition_violations(ctx, nb: Submodule) -> tuple[str, str]:
         right = {sum_ids[row[y]] for y in range(mod.size)}
         x = next(
             (x for x in range(mod.size)
-             if row[x] in nb.member_set
+             if row[x] in members
              and not all(meets(sum_ids[x], t) for t in right)),
             None,
         )
@@ -843,9 +857,9 @@ def first_violation(pre, exempt: int, outside: int, zero_pre=None):
 def hasse_edges(subs: list[Submodule]) -> list[tuple[int, int]]:
     """The covering pairs (i, j), S_i < S_j with nothing strictly between,
     by pairwise frozenset comparison (the lattice command's earlier edges)."""
+    sets = [set(s.members) for s in subs]
     below = [
-        [j for j in range(len(subs))
-         if i != j and subs[i].member_set < subs[j].member_set]
+        [j for j in range(len(subs)) if i != j and sets[i] < sets[j]]
         for i in range(len(subs))
     ]
     edges = []

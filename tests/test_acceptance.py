@@ -80,7 +80,7 @@ def test_c01b_stated_witness_replays(z6):
     mod = z6.inst.bowtie_module
     ax = mod.act[a][x]
     assert mod.labels[ax] == "(0,3)"
-    assert ax in nb.member_set and ax != mod.zero
+    assert ax in set(nb.members) and ax != mod.zero
     assert violates_prime_submodule(nb, a, x)
     # nonzero product makes it an AF violation as well
     assert violates_weakly_prime_submodule_af(nb, a, x)
@@ -261,7 +261,7 @@ def test_c09_oracle_equivalences():
                                 ring_as_module(z4)).bowtie_module)
     for mod in modules:
         subs = enumerate_submodules(mod)
-        assert [s.member_set for s in subs] == [set(s) for s in
+        assert [set(s.members) for s in subs] == [set(s) for s in
                                                 brute_submodules(mod)]
         for s in subs:
             if s.is_proper:

@@ -153,13 +153,13 @@ def _all_proper_ideals(n):
 @pytest.mark.parametrize("n", range(2, 17))
 def test_prime_ideal_matches_oracle(n):
     for j in _all_proper_ideals(n):
-        assert is_prime_ideal(j).holds == brute_prime_ideal(j.ring, j.member_set)
+        assert is_prime_ideal(j).holds == brute_prime_ideal(j.ring, set(j.members))
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_primary_ideal_matches_oracle(n):
     for j in _all_proper_ideals(n):
-        assert is_primary_ideal(j).holds == brute_primary_ideal(j.ring, j.member_set)
+        assert is_primary_ideal(j).holds == brute_primary_ideal(j.ring, set(j.members))
 
 
 @pytest.mark.parametrize("n", range(2, 17))

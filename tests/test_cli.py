@@ -29,6 +29,10 @@ HUNT_MAX24_BUDGET576_SHA256 = "e4de70f6eb33abbcc5d92aac8c75c2debe35074be910ac6d6
 # 237 lattices have 32 or more nodes, so they are joined by the wide pass
 HUNT_MAX32_BUDGET1024_SHA256 = "f7e79e12a04f653b685871975b6a403e2509945cbbbf9418b813f0e6670eb884"
 
+# SHA-256 of the stdout of `bowtie hunt --max 48 --budget 2304`, the
+# frontier hunt (about 10 s, so marked slow: run it with `pytest -m slow`)
+HUNT_MAX48_BUDGET2304_SHA256 = "a296525cb67e06e09d667feecf5fef8aa43bcc66b306cfb8777f0dbf7d2d7ff1"
+
 # (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
 SEED_STDOUT_SHA256 = {
     ("verify", "z12-prime"):
@@ -246,6 +250,13 @@ def test_hunt_max32_budget1024_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "32", "--budget", "1024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX32_BUDGET1024_SHA256
+
+
+@pytest.mark.slow
+def test_hunt_max48_budget2304_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "48", "--budget", "2304"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX48_BUDGET2304_SHA256
 
 
 def test_hunt_budget_skip_report_is_byte_identical(capsys):

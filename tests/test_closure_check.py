@@ -1,6 +1,6 @@
 """Ideal and Submodule check their members against the reference loop.
 
-Subset._validate tests closure with whole-array gathers; it must raise the
+Subset._check tests closure with whole-array gathers; it must raise the
 message of the first violation that ``oracles.closure_violation``, the
 loop over tuple rows it replaced, finds, or raise nothing when that finds
 none.

@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+
+import oracles
 
 from bowtie.duplication import (
     bowtie_submodule,
@@ -18,14 +22,15 @@ from bowtie.classify import (
 from bowtie.modules import (
     Submodule,
     enumerate_submodules,
+    quotient_module,
     ring_as_module,
     zero_submodule,
 )
-from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, table_array
+from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, mask_of, table_array
 from bowtie.theorems import make_zn_instance
 
 from constructions import diagonal_embed
-from families import duplications, family_modules
+from families import duplications, family_modules, relabel
 
 Z6_PAIRS = (
     (0, 0), (0, 3), (1, 1), (1, 4), (2, 2), (2, 5),
@@ -35,8 +40,9 @@ Z6_PAIRS = (
 
 def test_z6_carrier_frozen(z6):
     inst = z6.inst
-    assert inst.ring_pairs == Z6_PAIRS
-    assert inst.module_pairs == Z6_PAIRS
+    assert inst.ring_pairs.tolist() == [list(p) for p in Z6_PAIRS]
+    assert inst.module_pairs is inst.ring_pairs  # M is regular
+    assert inst.ring_pairs.shape == (12, 2) and not inst.ring_pairs.flags.writeable
     assert inst.bowtie_ring.size == 12
     assert inst.bowtie_ring.labels[1] == "(0,3)"
 
@@ -59,7 +65,7 @@ def test_predicted_sizes_match_construction():
 
 def test_pairs_of_a_non_ideal_raise_closure_error():
     ring = make_zn(6)
-    fake = Ideal(ring, [0, 1], _checked=True)  # (0,1) + (0,1) = (0,2) is no pair
+    fake = Ideal.from_mask(ring, 0b11)  # (0,1) + (0,1) = (0,2) is no pair
     with pytest.raises(ClosureError, match=r"under add at \(\(0,1\),\(0,1\)\)") as exc:
         build_bowtie(ring, fake, ring_as_module(ring))
     assert exc.value.pair == (1, 1)  # (0,1) in A x A, at index 0*6 + 1
@@ -68,7 +74,7 @@ def test_pairs_of_a_non_ideal_raise_closure_error():
 def test_arithmetic_is_componentwise(z6):
     inst = z6.inst
     ring = inst.bowtie_ring
-    idx = inst.ring_pair_index
+    idx = {pair: x for x, pair in enumerate(map(tuple, inst.ring_pairs.tolist()))}
     # (2,5) * (3,3) = (0,3): the pair product that breaks weak primality
     assert ring.mul[idx[(2, 5)], idx[(3, 3)]] == idx[(0, 3)]
     # (1,4) + (1,1) = (2,5)
@@ -79,7 +85,7 @@ def test_diagonal_embedding(z6):
     inst = z6.inst
     for a in range(6):
         e = diagonal_embed(inst, a)
-        assert inst.ring_pairs[e] == (a, a)
+        assert inst.ring_pairs[e].tolist() == [a, a]
     assert diagonal_embed(inst, 0) == inst.bowtie_ring.zero
     assert diagonal_embed(inst, 1) == inst.bowtie_ring.one
 
@@ -98,7 +104,7 @@ def test_distinguished_submodules(z6):
 def test_bowtie_submodule_first_components(z6):
     n = Submodule(z6.inst.base_module, [0, 2, 4])
     nb = bowtie_submodule(z6.inst, n)
-    firsts = {z6.inst.module_pairs[i][0] for i in nb.members}
+    firsts = {z6.inst.module_pairs[i, 0] for i in nb.members}
     assert firsts == {0, 2, 4}
     assert len(nb) == 6
 
@@ -123,7 +129,7 @@ def test_restrict_scalars_first_and_second(z6):
     inst = z6.inst
     t1 = restrict_scalars(inst, "first")
     t2 = restrict_scalars(inst, "second")
-    i14 = inst.ring_pair_index[(1, 4)]
+    i14 = Z6_PAIRS.index((1, 4))
     assert t1.act[i14, 1] == 1
     assert t2.act[i14, 1] == 4
     with pytest.raises(ValueError):
@@ -164,7 +170,7 @@ def test_zero_ideal_duplication_is_diagonal():
     ctx = make_zn_instance(5, [0])
     inst = ctx.inst
     assert inst.bowtie_ring.size == 5
-    assert all(a == b for a, b in inst.ring_pairs)
+    assert all(a == b for a, b in inst.ring_pairs.tolist())
 
 
 def test_whole_ideal_duplication_is_full_product():
@@ -203,8 +209,9 @@ def test_swap_is_a_lattice_automorphism_that_keeps_every_classification():
     for module in modules:
         for inst in duplications(module, 64):
             mod = inst.bowtie_module
-            index = {pair: x for x, pair in enumerate(inst.module_pairs)}
-            swap = [index[(mp, m)] for m, mp in inst.module_pairs]
+            pairs = list(map(tuple, inst.module_pairs.tolist()))
+            index = {pair: x for x, pair in enumerate(pairs)}
+            swap = [index[(mp, m)] for m, mp in pairs]
             subs = enumerate_submodules(mod)
             by_mask = {s.mask: s for s in subs}
             for s in subs:
@@ -217,3 +224,99 @@ def test_swap_is_a_lattice_automorphism_that_keeps_every_classification():
                     mod.name, s.label_set())
                 checked += 1
     assert checked == 1976
+
+
+def _witness_objects(notion: str, s: Submodule, subs: list[Submodule], witness: tuple) -> tuple:
+    """A witness of classify_submodule with each lattice position replaced
+    by the members of the submodule it names, so that it can be renamed."""
+    if notion in ("prime", "weakly_prime_af", "primary"):
+        return witness  # a scalar a and an element x
+    if notion == "weakly_prime_azizi":
+        a, b, t = witness
+        return a, b, frozenset(subs[t].members)
+    if notion == "weakly_prime_behboodi":
+        # s_index counts the submodules K/N of M/N in M/N's own order
+        s_index, a, b = witness
+        quo, proj = quotient_module(s.module, s)
+        k_bar = enumerate_submodules(quo)[s_index]
+        return frozenset(x for x, c in enumerate(proj.table) if c in k_bar), a, b
+    i, j = witness  # irreducible
+    return frozenset(subs[i].members), frozenset(subs[j].members)
+
+
+def _renamed(notion: str, objs: tuple, perm: list[int]) -> tuple:
+    """The witness objects with element x renamed perm[x]; scalars stay."""
+    def move(ms):
+        return frozenset(perm[x] for x in ms)
+
+    if notion in ("prime", "weakly_prime_af", "primary"):
+        return objs[0], perm[objs[1]]
+    if notion == "weakly_prime_azizi":
+        return objs[0], objs[1], move(objs[2])
+    if notion == "weakly_prime_behboodi":
+        return move(objs[0]), objs[1], objs[2]
+    return move(objs[0]), move(objs[1])
+
+
+def _refutes(notion: str, s: Submodule, objs: tuple) -> bool:
+    """Whether the witness, replayed on S by the definition, shows that S
+    lacks the notion."""
+    if notion == "prime":
+        return oracles.violates_prime_submodule(s, *objs)
+    if notion == "weakly_prime_af":
+        return oracles.violates_weakly_prime_submodule_af(s, *objs)
+    if notion == "primary":
+        return oracles.violates_primary_submodule(s, *objs)
+    if notion == "weakly_prime_azizi":
+        a, b, t = objs
+        return oracles.violates_weakly_prime_submodule_azizi(s, a, b, Submodule(s.module, t))
+    members = set(s.members)
+    if notion == "weakly_prime_behboodi":
+        # K/N is nonzero and its annihilator (N : K) is not prime at (a, b)
+        k, a, b = objs
+        colon = oracles.colon_members(s, Submodule(s.module, k))
+        ab = int(s.module.ring.mul[a, b])
+        return members < k and a not in colon and b not in colon and ab in colon
+    k, l = objs  # irreducible: K and L strictly above N meet in N
+    return members < k and members < l and k & l == members
+
+
+def test_relabelled_carriers_keep_every_verdict_and_carry_every_witness():
+    # renaming the elements of M><I, zero off index 0, is an isomorphism that
+    # moves every lex-first witness: each classify_submodule bit of a proper S
+    # must equal that of its image, each witness renamed must refute the
+    # image, and the image's own witness must refute it too
+    rng = random.Random(5)
+    checked = 0
+    for module in family_modules():
+        for inst in duplications(module, 64):
+            mod = inst.bowtie_module
+            perm = list(range(mod.size))
+            rng.shuffle(perm)
+            if perm[mod.zero] == 0:
+                other = (mod.zero + 1) % mod.size
+                perm[mod.zero], perm[other] = perm[other], perm[mod.zero]
+            renamed = relabel(mod, perm)
+            assert renamed.zero != 0
+            subs, renamed_subs = enumerate_submodules(mod), enumerate_submodules(renamed)
+            by_mask = {t.mask: t for t in renamed_subs}
+            assert sorted(by_mask) == sorted(mask_of(perm[x] for x in t.members) for t in subs)
+            for s in subs:
+                if not s.is_proper:
+                    continue
+                image = by_mask[mask_of(perm[x] for x in s.members)]
+                verdicts = classify_submodule(s, subs)
+                images = classify_submodule(image, renamed_subs)
+                for notion, v in verdicts.items():
+                    w = images[notion]
+                    assert v.holds == w.holds, (mod.name, s.label_set(), notion)
+                    if v.holds:
+                        continue
+                    objs = _witness_objects(notion, s, subs, v.witness)
+                    assert _refutes(notion, s, objs), (mod.name, s.label_set(), notion)
+                    assert _refutes(notion, image, _renamed(notion, objs, perm)), (
+                        mod.name, s.label_set(), notion)
+                    assert _refutes(notion, image,
+                                    _witness_objects(notion, image, renamed_subs, w.witness))
+                checked += 1
+    assert checked == 1804

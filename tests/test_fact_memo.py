@@ -183,7 +183,7 @@ def test_shared_instance_rows_equal_fresh_cells_on_families():
 
             def make(mod=mod, members=ideal.members):
                 copy = _copy(mod)
-                return Instance(copy.ring, Ideal(copy.ring, members, _checked=True), copy)
+                return Instance(copy.ring, Ideal(copy.ring, members), copy)
 
             _assert_cells_agree(make)
             checked += 1

@@ -110,7 +110,7 @@ def _memo_agrees(ring) -> int:
         assert fresh is not j and fresh == j
         rad = ideal_radical(fresh)
         assert rad is ideal_radical(j) is radical(fresh)
-        assert rad.member_set == oracles.brute_radical(ring, j.member_set)
+        assert set(rad.members) == oracles.brute_radical(ring, set(j.members))
         if j.is_proper:
             assert ideal_is_prime(ring, j.mask) is ideal_is_prime(ring, j.mask)
             assert ideal_is_prime(ring, j.mask) == is_prime_ideal(fresh)

@@ -66,12 +66,12 @@ def _agree_on_module(module: TableModule) -> list[Submodule]:
     subs = enumerate_submodules(module)
     zero = zero_submodule(module)
     for k in subs:
-        assert annihilator(k).member_set == oracles.colon_members(zero, k)
+        assert set(annihilator(k).members) == oracles.colon_members(zero, k)
     for n in subs:
         for k in subs:
-            assert colon_into_ring(n, k).member_set == oracles.colon_members(n, k)
+            assert set(colon_into_ring(n, k).members) == oracles.colon_members(n, k)
         for a in range(module.ring.size):
-            assert colon_by_scalar(n, a).member_set == oracles.scalar_colon_members(n, a)
+            assert set(colon_by_scalar(n, a).members) == oracles.scalar_colon_members(n, a)
         if not n.is_proper:
             continue
         assert classify.is_prime_submodule(n) == oracles.prime_submodule(n)

@@ -35,7 +35,7 @@ from bowtie.modules import (
     LatticeLimitError, TableModule, enumerate_submodules, is_cyclic, ring_as_module,
     validate_module,
 )
-from bowtie.rings import enumerate_ideals, make_zn
+from bowtie.rings import enumerate_ideals, make_zn, mask_of
 from bowtie.theorems import CorpusSpec, hunt
 
 import oracles
@@ -137,7 +137,7 @@ def test_vector_space_lattices_have_the_gaussian_binomial_sizes(p, k, count, mon
     keys = [(len(s), s.members) for s in subs]
     assert len(subs) == count
     assert keys == sorted(set(keys))  # (size, members) order, no repeats
-    assert all(s.mask.bit_count() == len(s) and s.member_set == set(s.members) for s in subs)
+    assert all(s.mask.bit_count() == len(s) and s.mask == mask_of(s.members) for s in subs)
     assert _by_both_passes(module, monkeypatch) == [s.members for s in subs]
     if module.size <= 32:
         assert [s.members for s in subs] == oracles.join_submodules(module)

@@ -33,8 +33,6 @@ def test_make_zn_basic():
     assert r.add[2, 5] == 1
     assert r.mul[2, 5] == 4
     assert r.neg[2] == 4
-    assert r.sub(1, 4) == 3
-    assert r.power(2, 3) == 2  # 8 mod 6
     assert r.labels == ("0", "1", "2", "3", "4", "5")
     assert r.label_set([3, 0]) == "{0,3}"
 
@@ -173,7 +171,7 @@ def test_radical_frozen_value_z16():
 def test_radical_matches_brute(n):
     ring = make_zn(n)
     for j in enumerate_ideals(ring):
-        assert radical(j).member_set == brute_radical(ring, j.member_set)
+        assert set(radical(j).members) == brute_radical(ring, set(j.members))
 
 
 @st.composite
@@ -195,7 +193,7 @@ def test_ideal_generated_idempotent(ring_ideal):
 def test_radical_idempotent_and_contains(ring_ideal):
     _, j = ring_ideal
     r1 = radical(j)
-    assert j.member_set <= r1.member_set
+    assert set(j.members) <= set(r1.members)
     assert radical(r1).members == r1.members
 
 
@@ -206,9 +204,10 @@ def test_ideal_lattice_laws(ring_ideal, data):
     s = ideal_sum(a, b)
     p = ideal_product(a, b)
     i = ideal_intersection(a, b)
-    assert a.member_set <= s.member_set and b.member_set <= s.member_set
-    assert p.member_set <= i.member_set
-    assert i.member_set <= a.member_set and i.member_set <= b.member_set
+    a_set, b_set, s_set, p_set, i_set = (set(x.members) for x in (a, b, s, p, i))
+    assert a_set <= s_set and b_set <= s_set
+    assert p_set <= i_set
+    assert i_set <= a_set and i_set <= b_set
 
 
 @given(zn_with_ideal())

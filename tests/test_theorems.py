@@ -272,7 +272,7 @@ def test_whole_submodule_equals_the_checked_one(n):
         mod = make_zn_instance(n, ideal.members).inst.bowtie_module
         whole, checked = whole_submodule(mod), Submodule(mod, range(mod.size))
         assert whole == checked
-        assert (whole.mask, whole.member_set) == (checked.mask, checked.member_set)
+        assert (whole.mask, whole.members) == (checked.mask, checked.members)
 
 
 def test_hunt_deterministic_across_workers():

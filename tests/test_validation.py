@@ -25,6 +25,7 @@ from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
     distinguished_submodules,
+    pairs_in,
     restrict_scalars,
     zero_cross_i,
 )
@@ -33,12 +34,15 @@ from bowtie.modules import (
     Submodule,
     TableModule,
     check_module_map,
+    colon_into_ring,
     enumerate_submodules,
     image,
     kernel,
     quotient_module,
     ring_as_module,
     validate_module,
+    whole_submodule,
+    zero_submodule,
 )
 from bowtie.rings import (
     Ideal,
@@ -47,6 +51,7 @@ from bowtie.rings import (
     direct_product,
     enumerate_ideals,
     make_zn,
+    mask_of,
     subring_from_subset,
     validate_ring,
 )
@@ -84,7 +89,8 @@ def _revalidates(s: Submodule | Ideal) -> None:
 def _assert_diagonal_embeds(inst) -> None:
     """a -> (a, a) is an injective unital ring homomorphism A -> A><I."""
     base, dup = inst.base_ring, inst.bowtie_ring
-    emb = np.array([inst.ring_pair_index[(a, a)] for a in range(base.size)])
+    pairs = inst.ring_pairs.tolist()
+    emb = np.array([pairs.index([a, a]) for a in range(base.size)])
     assert len(set(emb.tolist())) == base.size
     assert (emb[base.zero], emb[base.one]) == (dup.zero, dup.one)
     assert np.array_equal(dup.add[emb[:, None], emb], emb[base.add])
@@ -102,7 +108,7 @@ def _assert_constructions_sound(inst) -> None:
     # A><I again, as the subring of A x A on its pairs
     base = inst.base_ring
     if base.size ** 2 <= 256:
-        codes = [a * base.size + b for a, b in inst.ring_pairs]
+        codes = [a * base.size + b for a, b in inst.ring_pairs.tolist()]
         sub, decode = subring_from_subset(direct_product(base, base), codes)
         assert np.array_equal(sub.add, ring.add) and np.array_equal(sub.mul, ring.mul)
         assert (sub.zero, sub.one) == (ring.zero, ring.one)
@@ -114,10 +120,15 @@ def _assert_constructions_sound(inst) -> None:
         quo, _ = quotient_ring(r, j)
         assert ring_axiom_violations(quo) == []
 
-    # the submodules a duplication builds unchecked
+    # the submodules and ideals a duplication builds unchecked: N><I and
+    # L1's (N : M)><I for every N, the zero submodule, 0 x IM and IM x IM
     zero_cross_im, im_cross_im = distinguished_submodules(inst)
+    whole = whole_submodule(inst.base_module)
     for n in enumerate_submodules(inst.base_module):
         _revalidates(bowtie_submodule(inst, n))
+        colon = colon_into_ring(n, whole)
+        _revalidates(Ideal.from_mask(ring, pairs_in(inst.ring_pairs, 0, colon.mask, base.size)))
+    _revalidates(zero_submodule(mod))
     for s in (zero_cross_im, im_cross_im):
         _revalidates(s)
         quo, _ = quotient_module(mod, s)  # the two L8 quotients
@@ -127,7 +138,7 @@ def _assert_constructions_sound(inst) -> None:
     # L8 projections onto them with their kernels and images
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
     assert module_axiom_violations(base_quo) == []
-    firsts = [m for m, _ in inst.module_pairs]
+    firsts = inst.module_pairs[:, 0].tolist()
     for target, table in ((None, firsts), (base_quo, [bproj.table[m] for m in firsts])):
         for which in ("first", "second"):
             assert module_axiom_violations(restrict_scalars(inst, which, target)) == []
@@ -160,11 +171,15 @@ def test_constructed_rings_pass_the_oracle():
 def test_first_components_of_a_bowtie_submodule_form_a_submodule():
     # detect_bowtie_form builds N from the first components unchecked; they
     # are the image of S under the first projection (456 S over Z_n, n <= 16)
+    checked = 0
     for n in range(1, 17):
         for inst in duplications(ring_as_module(make_zn(n))):
+            firsts = inst.module_pairs[:, 0]
             for s in enumerate_submodules(inst.bowtie_module):
-                firsts = {inst.module_pairs[i][0] for i in s.members}
-                _revalidates(Submodule(inst.base_module, firsts, _checked=True))
+                mask = mask_of(firsts.take(s.members).tolist())
+                _revalidates(Submodule.from_mask(inst.base_module, mask))
+                checked += 1
+    assert checked == 456
 
 
 def _replace_validators(monkeypatch, make) -> None:
