@@ -15,7 +15,7 @@ import sys
 sys.path.insert(0, "src")
 
 from bowtie.classify import VARIANTS, weakly_prime_submodule
-from bowtie.modules import ring_as_module, zero_submodule
+from bowtie.modules import enumerate_submodules, ring_as_module, zero_submodule
 from bowtie.rings import make_zn
 
 
@@ -31,8 +31,8 @@ def main() -> int:
     first = None
     for n in range(2, args.max + 1):
         module = ring_as_module(make_zn(n))
-        zero = zero_submodule(module)
-        verdicts = {v: weakly_prime_submodule(zero, v).holds for v in VARIANTS}
+        zero, subs = zero_submodule(module), enumerate_submodules(module)
+        verdicts = {v: weakly_prime_submodule(zero, v, subs).holds for v in VARIANTS}
         agree = len(set(verdicts.values())) == 1
         if not agree and first is None:
             first = n

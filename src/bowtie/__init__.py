@@ -31,7 +31,6 @@ from .modules import (
     annihilator,
     quotient_module,
     is_cyclic,
-    is_faithful,
 )
 from .classify import (
     Verdict,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .rings import Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit, mask_of
-from .modules import Submodule, TableModule, colon_mask, cosets, enumerate_submodules
+from .modules import Submodule, TableModule, colon_mask, cosets
 
 VARIANTS = ("af", "azizi", "behboodi")
 
@@ -67,14 +67,9 @@ class Verdict:
             raise ValueError("a negative verdict needs a witness")
 
 
-def _require_proper_ideal(j: Ideal) -> None:
-    if not j.is_proper:
-        raise ImproperError("predicate requires a proper ideal")
-
-
-def _require_proper(n: Submodule) -> None:
-    if not n.is_proper:
-        raise ImproperError("predicate requires a proper submodule")
+def _require_proper(s: Ideal | Submodule) -> None:
+    if not s.is_proper:
+        raise ImproperError(f"predicate requires a proper {type(s).__name__.lower()}")
 
 
 def _first_violation(
@@ -118,7 +113,7 @@ def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> V
 
 def is_prime_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or b in J."""
-    _require_proper_ideal(j)
+    _require_proper(j)
     return _ideal_verdict(j, _first_violation(j.classes, j.mask, ~j.mask))
 
 
@@ -134,14 +129,14 @@ def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
 
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:
     """0 != ab in J implies a in J or b in J."""
-    _require_proper_ideal(j)
+    _require_proper(j)
     hit = _first_violation(j.classes, j.mask, ~j.mask, j.ring.zero_pre)
     return _ideal_verdict(j, hit)
 
 
 def is_primary_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or some power of b lands in J."""
-    _require_proper_ideal(j)
+    _require_proper(j)
     hit = _first_violation(j.classes, j.mask, ~ideal_radical(j).mask)
     return _ideal_verdict(j, hit, f" and no power of b enters {j.label_set()}")
 
@@ -185,27 +180,19 @@ def is_primary_submodule(n: Submodule) -> Verdict:
     return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 
 
-def is_weakly_prime_submodule_azizi(
-    n: Submodule, submodules: list[Submodule] | None = None
-) -> Verdict:
+def is_weakly_prime_submodule_azizi(n: Submodule, submodules: list[Submodule]) -> Verdict:
     """a*b*T in N implies a*T in N or b*T in N, over every submodule T.
 
-    T ranges over the full submodule lattice in enumeration order; pass a
-    precomputed list to avoid re-enumerating. For one T the condition says
-    that (N : T) is prime or the whole ring, so each distinct proper colon
-    is tested once; the witness (a, b, t) is the lexicographically first
-    violation, t the first T whose colon (a, b) violates.
+    T ranges over the module's lattice ``submodules`` in enumeration order.
+    For one T the condition says that (N : T) is prime or the whole ring,
+    so each distinct proper colon is tested once; the witness (a, b, t) is
+    the lexicographically first violation, t the first T whose colon (a, b)
+    violates.
     """
     _require_proper(n)
-    mod = n.module
-    ring = mod.ring
-    subs = enumerate_submodules(mod) if submodules is None else submodules
-    # (N : T) is the union of the scalar classes whose row contains T
-    colons = [0] * len(subs)
-    for p, scalars in n.classes:
-        for t, sub in enumerate(subs):
-            if sub.mask & p == sub.mask:
-                colons[t] |= scalars
+    ring = n.module.ring
+    classes = n.classes
+    colons = [colon_mask(classes, t.mask) for t in submodules]
     whole = (1 << ring.size) - 1
     hits = []
     for c in dict.fromkeys(colons):
@@ -221,7 +208,7 @@ def is_weakly_prime_submodule_azizi(
     return Verdict(
         holds=False,
         witness=(a, b, t),
-        witness_text=f"a={ring.labels[a]} b={ring.labels[b]} T={subs[t].label_set()}",
+        witness_text=f"a={ring.labels[a]} b={ring.labels[b]} T={submodules[t].label_set()}",
     )
 
 
@@ -254,40 +241,32 @@ def _first_non_prime_annihilator(
     return Verdict(holds=True)
 
 
-def is_weakly_prime_module(
-    module: TableModule, submodules: list[Submodule] | None = None
-) -> Verdict:
-    """Every nonzero submodule has a prime annihilator.
-
-    Pass the module's precomputed lattice to avoid re-enumerating.
-    """
+def is_weakly_prime_module(module: TableModule, submodules: list[Submodule]) -> Verdict:
+    """Every nonzero submodule, of the module's lattice ``submodules``, has
+    a prime annihilator."""
     if module.size == 1:
         raise ImproperError("the zero module has no nonzero submodules")
-    subs = enumerate_submodules(module) if submodules is None else submodules
     zero = module.zero_classes
-    anns = ((i, colon_mask(zero, s.mask)) for i, s in enumerate(subs) if not s.is_zero)
-    return _first_non_prime_annihilator(module.ring, anns, lambda i: subs[i].label_set())
+    anns = ((i, colon_mask(zero, s.mask)) for i, s in enumerate(submodules) if not s.is_zero)
+    return _first_non_prime_annihilator(module.ring, anns, lambda i: submodules[i].label_set())
 
 
-def is_weakly_prime_submodule_behboodi(
-    n: Submodule, submodules: list[Submodule] | None = None
-) -> Verdict:
+def is_weakly_prime_submodule_behboodi(n: Submodule, submodules: list[Submodule]) -> Verdict:
     """N is weakly prime when M/N is a weakly prime module.
 
     M/N is never built: its submodules are the K/N for the K containing N
     in the lattice of M, with Ann(K/N) = (N : K). They are visited in the
     order M/N's own enumeration lists them, by (|K|, the least coset
     representatives in K), so s_index counts N itself as 0 and S prints
-    as the classes [rep] of those representatives. Pass M's precomputed
-    lattice to avoid re-enumerating.
+    as the classes [rep] of those representatives. ``submodules`` is the
+    lattice of M.
     """
     _require_proper(n)
     mod = n.module
-    subs = enumerate_submodules(mod) if submodules is None else submodules
     reps = mask_of(cosets(n)[1].tolist())  # the least member of each coset
     nm = n.mask
     above = sorted(
-        (k.mask for k in subs if k.mask & nm == nm),
+        (k.mask for k in submodules if k.mask & nm == nm),
         key=lambda k: (k.bit_count(), bits(k & reps)),
     )
     anns = ((i, colon_mask(n.classes, k)) for i, k in enumerate(above) if i)
@@ -298,16 +277,13 @@ def is_weakly_prime_submodule_behboodi(
     return _first_non_prime_annihilator(mod.ring, anns, label, prefix="in M/N: ")
 
 
-def is_irreducible_submodule(
-    n: Submodule, submodules: list[Submodule] | None = None
-) -> Verdict:
-    """No two strictly larger submodules intersect exactly in N."""
+def is_irreducible_submodule(n: Submodule, submodules: list[Submodule]) -> Verdict:
+    """No two strictly larger submodules, of the module's lattice
+    ``submodules``, intersect exactly in N."""
     _require_proper(n)
-    mod = n.module
-    subs = enumerate_submodules(mod) if submodules is None else submodules
     nm = n.mask
     candidates = [
-        (i, s) for i, s in enumerate(subs) if s.mask != nm and s.mask & nm == nm
+        (i, s) for i, s in enumerate(submodules) if s.mask != nm and s.mask & nm == nm
     ]
     for pos_k, (i, k) in enumerate(candidates):
         for j, l in candidates[pos_k + 1:]:
@@ -323,7 +299,8 @@ def is_irreducible_submodule(
 def weakly_prime_submodule(
     n: Submodule, variant: str, submodules: list[Submodule] | None = None
 ) -> Verdict:
-    """Dispatch on the definitional variant tag."""
+    """Dispatch on the definitional variant tag; ``submodules``, the
+    module's lattice, may be None for af, which reads none."""
     if variant == "af":
         return is_weakly_prime_submodule_af(n)
     if variant == "azizi":
@@ -342,16 +319,13 @@ def classify_ideal(j: Ideal) -> dict[str, Verdict]:
     }
 
 
-def classify_submodule(
-    n: Submodule, submodules: list[Submodule] | None = None
-) -> dict[str, Verdict]:
-    """All submodule predicates at once (shared submodule list optional)."""
-    subs = enumerate_submodules(n.module) if submodules is None else submodules
+def classify_submodule(n: Submodule, submodules: list[Submodule]) -> dict[str, Verdict]:
+    """All submodule predicates at once, over the module's lattice ``submodules``."""
     return {
         "prime": is_prime_submodule(n),
         "weakly_prime_af": is_weakly_prime_submodule_af(n),
-        "weakly_prime_azizi": is_weakly_prime_submodule_azizi(n, subs),
-        "weakly_prime_behboodi": is_weakly_prime_submodule_behboodi(n, subs),
+        "weakly_prime_azizi": is_weakly_prime_submodule_azizi(n, submodules),
+        "weakly_prime_behboodi": is_weakly_prime_submodule_behboodi(n, submodules),
         "primary": is_primary_submodule(n),
-        "irreducible": is_irreducible_submodule(n, subs),
+        "irreducible": is_irreducible_submodule(n, submodules),
     }

@@ -229,15 +229,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
+    budget = _budget(args.budget)
+    if budget is None:
+        return EXIT_BAD_INPUT
     tokens = _theorem_tokens(args.theorem)
     try:
         chosen = normalize_theorems(tokens)
         corpus = CorpusSpec(family=args.family, max_n=args.max)
+        corpus.check_budget(budget)
     except ValueError as exc:
         _err(str(exc))
-        return EXIT_BAD_INPUT
-    budget = _budget(args.budget)
-    if budget is None:
         return EXIT_BAD_INPUT
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)

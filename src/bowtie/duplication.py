@@ -10,11 +10,10 @@ pair notation end to end: witnesses decode to pairs of base elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, carrier_table, closure_mask, mask_of, pack_rows
+from .rings import ClosureError, Ideal, TableRing, carrier_table, mask_of, row_images, subgroup_sum
 from .modules import Submodule, TableModule
 
 
@@ -44,17 +43,11 @@ class BowtieInstance:
 
 
 def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
-    """The submodule I*M: the additive closure of the products i*m."""
+    """The submodule I*M: the sum of the submodules s*M, s in I."""
     if ideal.ring is not module.ring:
         raise ValueError("ideal and module are over different rings")
-    return Submodule.from_mask(module, _products_closure(module, ideal.members))
-
-
-def _products_closure(module: TableModule, scalars: Sequence[int]) -> int:
-    """The additive closure of the products s*m, s among the scalars, as a mask."""
-    hits = np.zeros((1, module.size), dtype=bool)
-    hits[0, module.act.take(list(scalars), axis=0)] = True
-    return closure_mask(module.add, pack_rows(hits)[0], module.zero)
+    pieces = row_images(module.act.take(ideal.members, axis=0), module.size)
+    return Submodule.from_mask(module, subgroup_sum(module.add, module.zero, pieces))
 
 
 def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple[int, int]:
@@ -203,7 +196,7 @@ def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule
         Submodule.from_mask(mod, pairs_in(inst.module_pairs, 0, mask, base.size))
         for mask in (1 << base.zero, inst.im.mask)
     )
-    if _products_closure(mod, zero_cross_i(inst).members) != zero_cross_im.mask:
+    if product_submodule(zero_cross_i(inst), mod).mask != zero_cross_im.mask:
         raise AssertionError("(0 x I)(M join I) differs from 0 x IM")
     return zero_cross_im, im_cross_im
 

@@ -23,9 +23,10 @@ from .rings import (
     DEFAULT_VALIDATION_LIMIT,
     _additive_generators,
     _associative_at,
+    _join,
     _mask,
-    _negatives,
     _row_keys,
+    Carrier,
     Ideal,
     RingAxiomError,
     Subset,
@@ -34,17 +35,18 @@ from .rings import (
     carrier_table,
     derived,
     ideal_of,
-    lowest_bit,
     mask_of,
     narrow_dtype,
     pack_rows,
+    row_images,
+    subgroup_sum,
     subset_classes,
     table_array,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class TableModule:
+class TableModule(Carrier):
     """A finite unital module on the carrier 0..size-1.
 
     ``add`` and ``act`` (act[r, m], r a ring index) are stored as their
@@ -81,13 +83,6 @@ class TableModule:
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan."""
         return derived(self, "zero_pre", lambda: pack_rows(self.act == self.zero))
-
-    @property
-    def neg(self) -> tuple[int, ...]:
-        return derived(self, "neg", lambda: _negatives(self.add, self.zero))
-
-    def label_set(self, members: Iterable[int]) -> str:
-        return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
 
     def __repr__(self) -> str:
         return f"TableModule({self.name}, size={self.size}, over={self.ring.name})"
@@ -150,7 +145,7 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule(Subset):
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "over", "members", "mask", "_cosets")
+    __slots__ = ("module", "_cosets")
 
     def __init__(self, module: TableModule, members: Iterable[int]):
         self._check(module, members, module.act, module.ring.labels, "action-closed")
@@ -204,50 +199,19 @@ def whole_submodule(module: TableModule) -> Submodule:
 
 def cyclic_masks(module: TableModule) -> tuple[int, ...]:
     """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once."""
-
-    def compute() -> tuple[int, ...]:
-        act = module.act
-        hits = np.zeros((module.size, module.size), dtype=bool)
-        hits[np.arange(module.size), act] = True  # hits[g, s*g]
-        return pack_rows(hits)
-
-    return derived(module, "cyclic_masks", compute)
-
-
-def _join(
-    add: np.ndarray, k_mask: int, k_members: Sequence[int], other: int,
-    cosets: dict[int, int],
-) -> int:
-    """K + S for a submodule K and a subset S, as a mask.
-
-    K + S is the union of the cosets y + K over y in S, and a union of
-    cosets of K that contains y contains y + K, so only the y of S not yet
-    covered add a coset. ``cosets`` caches y + K by y, and may be shared by
-    every join onto the same K.
-    """
-    joined = k_mask
-    rest = other & ~joined
-    while rest:
-        y = lowest_bit(rest)
-        coset = cosets.get(y)
-        if coset is None:
-            coset = cosets[y] = mask_of(add[y].take(k_members).tolist())
-        joined |= coset
-        rest &= ~joined
-    return joined
+    return derived(module, "cyclic_masks", lambda: row_images(module.act.T, module.size))
 
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
     """The sum of the cyclic submodules of the generators."""
     cyclic = cyclic_masks(module)
-    add = module.add
-    k = 1 << module.zero
+    pieces = []
     for g in gens:
         g = int(g)
         if not 0 <= g < module.size:
             raise ValueError(f"generator index {g} out of range")
-        k = _join(add, k, bits(k), cyclic[g], {})
-    return Submodule.from_mask(module, k)
+        pieces.append(cyclic[g])
+    return Submodule.from_mask(module, subgroup_sum(module.add, module.zero, pieces))
 
 
 class LatticeLimitError(ValueError):
@@ -361,9 +325,14 @@ def _same_module(n: Submodule, k: Submodule) -> TableModule:
 
 
 def colon_mask(classes: tuple[tuple[int, int], ...], k_mask: int) -> int:
-    """{a : pre[a] contains K}, as a mask over the scalars: the union (here
-    a sum) of the disjoint scalar classes whose row contains K."""
-    return sum(scalars for p, scalars in classes if p & k_mask == k_mask)
+    """{a : pre[a] contains K}, as a mask over the scalars: the union of the
+    scalar classes whose row contains K. A plain loop: Azizi calls this once
+    per submodule T, and a generator costs it half as much again."""
+    colon = 0
+    for p, scalars in classes:
+        if p & k_mask == k_mask:
+            colon |= scalars
+    return colon
 
 
 def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
@@ -381,10 +350,6 @@ def annihilator(k: Submodule) -> Ideal:
     """(0 : K), from the zero submodule's preimage table, interned on the ring."""
     mod = k.module
     return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
-
-
-def is_faithful(module: TableModule) -> bool:
-    return annihilator(whole_submodule(module)).is_zero
 
 
 class CyclicResult(NamedTuple):

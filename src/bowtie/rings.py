@@ -180,8 +180,22 @@ def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
     return arr
 
 
+class Carrier:
+    """What a TableRing and a TableModule read off their addition table and
+    labels alone."""
+
+    @property
+    def neg(self) -> tuple[int, ...]:
+        """Additive inverse of every element: neg[x] is the y with x + y = zero."""
+        return derived(self, "neg",
+                       lambda: tuple((self.add == self.zero).argmax(axis=1).tolist()))
+
+    def label_set(self, members: Iterable[int]) -> str:
+        return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
+
+
 @dataclass(frozen=True, eq=False)
-class TableRing:
+class TableRing(Carrier):
     """A finite commutative ring with identity on the carrier 0..size-1.
 
     ``add`` and ``mul`` are stored as their table_array, whatever the
@@ -206,21 +220,8 @@ class TableRing:
         """zero_pre[a] = {b : a*b = 0}, as masks."""
         return derived(self, "zero_pre", lambda: pack_rows(self.mul == self.zero))
 
-    @property
-    def neg(self) -> tuple[int, ...]:
-        """Additive inverse of every element."""
-        return derived(self, "neg", lambda: _negatives(self.add, self.zero))
-
-    def label_set(self, members: Iterable[int]) -> str:
-        return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
-
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"TableRing({self.name}, size={self.size})"
-
-
-def _negatives(add: np.ndarray, zero: int) -> tuple[int, ...]:
-    """neg[x]: the y with x + y = zero."""
-    return tuple((add == zero).argmax(axis=1).tolist())
 
 
 def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
@@ -399,7 +400,7 @@ class Subset:
     constructions, which build subsets closed by theorem, call from_mask.
     """
 
-    __slots__ = ()
+    __slots__ = ("over", "members", "mask")
 
     @classmethod
     def from_mask(cls, over: Any, mask: int, members: Sequence[int] = ()) -> Subset:
@@ -475,7 +476,7 @@ class Subset:
 class Ideal(Subset):
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "over", "members", "mask", "__weakref__")
+    __slots__ = ("ring", "__weakref__")
 
     def __init__(self, ring: TableRing, members: Iterable[int]):
         self._check(ring, members, ring.mul, ring.labels, "absorbing")
@@ -519,37 +520,61 @@ def ideal_radical(j: Ideal) -> Ideal:
     return ideal_of(j.ring, radicals[j.mask])
 
 
-def closure_mask(add: np.ndarray, seed: int, zero: int) -> int:
-    """The additive subgroup a subset generates, as a mask, from a group's
-    addition table.
+def _join(
+    add: np.ndarray, k_mask: int, k_members: Sequence[int], other: int,
+    cosets: dict[int, int],
+) -> int:
+    """K + S for an additive subgroup K and a subset S, as a mask, from the
+    group's addition table.
 
-    Each generator y outside the subgroup C found so far adds the cosets
-    C + y, C + 2y, ..., each translated from the last by one table row,
-    until one meets C again; their union is C + <y>.
+    K + S is the union of the cosets y + K over y in S, and a union of
+    cosets of K that contains y contains y + K, so only the y of S not yet
+    covered add a coset. ``cosets`` caches y + K by y, and may be shared by
+    every join onto the same K.
     """
-    closed = 1 << zero
-    rest = seed & ~closed
+    joined = k_mask
+    rest = other & ~joined
     while rest:
-        row = add[lowest_bit(rest)].tolist()
-        coset = closed
-        while True:
-            coset = mask_of(row[c] for c in bits(coset))
-            if coset & closed:
-                break
-            closed |= coset
-        rest &= ~closed
-    return closed
+        y = lowest_bit(rest)
+        coset = cosets.get(y)
+        if coset is None:
+            coset = cosets[y] = mask_of(add[y].take(k_members).tolist())
+        joined |= coset
+        rest &= ~joined
+    return joined
+
+
+def subgroup_sum(add: np.ndarray, zero: int, pieces: Iterable[int]) -> int:
+    """The sum of additive subgroups, given by their masks, as a mask: each
+    piece not yet inside and the sum so far are joined, the smaller onto
+    the larger, so that a join adds few cosets.
+
+    The one sum of ideals and submodules: submodule_generated (and through
+    it ideal_generated) and duplication.product_submodule build theirs here.
+    """
+    total = 1 << zero
+    for piece in pieces:
+        if piece & ~total:
+            if piece.bit_count() > total.bit_count():
+                total, piece = piece, total
+            total = _join(add, total, bits(total), piece, {})
+    return total
+
+
+def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
+    """The entries of each row, indices into a carrier of this size, as
+    masks: sM from row s of an action table, Rg from its column g."""
+    hits = np.zeros((len(rows), size), dtype=bool)
+    hits[np.arange(len(rows))[:, None], rows] = True
+    return pack_rows(hits)
 
 
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
-    """Smallest ideal containing the generators: multiples, then sums."""
-    multiples = 0
-    for g in gens:
-        g = int(g)
-        if not 0 <= g < ring.size:
-            raise ValueError(f"generator index {g} out of range")
-        multiples |= mask_of(ring.mul[:, g].tolist())
-    return ideal_of(ring, closure_mask(ring.add, multiples, ring.zero))
+    """Smallest ideal containing the generators: the sum of the principal
+    ideals gA, which are the cyclic submodules of the regular module."""
+    from .modules import ring_as_module, submodule_generated  # modules imports rings
+
+    return ideal_of(ring, submodule_generated(ring_as_module(ring), gens).mask)
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:

@@ -30,6 +30,7 @@ from .rings import (
     mask_of,
     narrow_dtype,
     pack_rows,
+    row_images,
 )
 from .modules import (
     ModuleMap,
@@ -169,10 +170,7 @@ class Instance:
     def bowtie_images(self) -> tuple[int, ...]:
         """images[a] = a*(M><I), as masks."""
         mod = self.inst.bowtie_module
-        act = mod.act
-        hits = np.zeros(act.shape, dtype=bool)
-        hits[np.arange(act.shape[0])[:, None], act] = True
-        return pack_rows(hits)
+        return row_images(mod.act, mod.size)
 
     def bowtie(self, n: Submodule) -> Submodule:
         key = n.mask
@@ -228,11 +226,9 @@ class Instance:
         r = len(reps)
         ids = coset.tolist()
         cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
-        # N + Ax is the union of the cosets of N that meet Ax
-        meets = np.zeros((r, r), dtype=bool)
-        meets[np.arange(r), cos] = True
+        # N + Ax is the union of the cosets of N that meet Ax: column x of cos
         sum_index: dict[int, int] = {}
-        rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in pack_rows(meets)]
+        rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
         sum_ids = [rep_sum[c] for c in ids]
         members = _members_by_id(ids, r)  # each coset's members
         sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
@@ -811,6 +807,14 @@ class CorpusSpec:
         if self.max_n < 0:
             raise ValueError("max_n must be nonnegative")
 
+    def check_budget(self, budget: int) -> None:
+        """Refuse a max_n above the budget. Every Z_n with n > budget is a
+        skip, since |M><I| = n*|I| >= n, yet its tasks are listed in time
+        quadratic in max_n and each holds a skip row per checker cell."""
+        if self.max_n > budget:
+            raise ValueError(f"max_n {self.max_n} exceeds the budget {budget};"
+                             f" every Z_n with n > {budget} has |M><I| > {budget}")
+
 
 def normalize_theorems(theorems: Iterable[str] | None) -> tuple[str, ...]:
     if theorems is None:
@@ -949,12 +953,14 @@ def hunt(
     The report order is a function of the corpus alone: instances ascend
     by (n, ideal enumeration index), and rows within an instance follow
     submodule enumeration and registry order. Worker count never changes
-    the output.
+    the output. A max_n above the budget raises ValueError
+    (CorpusSpec.check_budget).
     """
     chosen = normalize_theorems(theorems)
     variants = tuple(variants) if variants else VARIANTS
     readings = tuple(readings) if readings else READINGS
     budget = default_budget() if budget is None else budget
+    corpus.check_budget(budget)
     # the ideals of Z_n are the dZ_n for the divisors d of n, listed as
     # enumerate_ideals orders them: ascending size, so descending d
     tasks = [

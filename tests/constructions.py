@@ -1,15 +1,15 @@
 """Constructions the tests use and the library itself never calls.
 
 Sums, products, intersections and powers of ideals and submodules, the quotient
-ring A/J and the diagonal embedding a -> (a, a) of A into A><I. They live
+ring A/J, faithfulness and the diagonal embedding a -> (a, a) of A into A><I. They live
 here, next to the tests that exercise them, rather than in ``src/``.
 """
 
 from __future__ import annotations
 
 from bowtie.duplication import BowtieInstance
-from bowtie.modules import Submodule, _join, _same_module
-from bowtie.rings import Ideal, TableRing
+from bowtie.modules import Submodule, TableModule, _same_module, annihilator, whole_submodule
+from bowtie.rings import Ideal, TableRing, subgroup_sum
 
 
 def _additive_closure(add, seed, zero: int) -> frozenset[int]:
@@ -93,12 +93,17 @@ def quotient_ring(ring: TableRing, j: Ideal) -> tuple[TableRing, tuple[int, ...]
 
 def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
-    return Submodule.from_mask(mod, _join(mod.add, n.mask, n.members, k.mask, {}))
+    return Submodule.from_mask(mod, subgroup_sum(mod.add, mod.zero, (n.mask, k.mask)))
 
 
 def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     mod = _same_module(n, k)
     return Submodule.from_mask(mod, n.mask & k.mask)
+
+
+def is_faithful(module: TableModule) -> bool:
+    """Whether only zero annihilates the module."""
+    return annihilator(whole_submodule(module)).is_zero
 
 
 def diagonal_embed(inst: BowtieInstance, a: int) -> int:

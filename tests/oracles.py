@@ -16,7 +16,9 @@ import numpy as np
 
 from bowtie import theorems
 from bowtie.classify import Verdict, is_weakly_prime_module
-from bowtie.modules import ModuleMap, Submodule, TableModule, cosets, quotient_module
+from bowtie.modules import (
+    ModuleMap, Submodule, TableModule, cosets, enumerate_submodules, quotient_module,
+)
 from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
 
 
@@ -540,7 +542,7 @@ def weakly_prime_behboodi(n: Submodule) -> Verdict:
     """
     _proper(n.members, n.module.size)
     quo, _ = quotient_module(n.module, n)
-    inner = is_weakly_prime_module(quo)
+    inner = is_weakly_prime_module(quo, enumerate_submodules(quo))
     if inner.holds:
         return inner
     return Verdict(

@@ -50,8 +50,9 @@ def test_improper_inputs_rejected():
         is_prime_ideal(Ideal(ring, range(6)))
     with pytest.raises(ImproperError):
         is_prime_submodule(whole_submodule(m))
+    z1 = ring_as_module(make_zn(1))
     with pytest.raises(ImproperError):
-        is_weakly_prime_module(ring_as_module(make_zn(1)))
+        is_weakly_prime_module(z1, enumerate_submodules(z1))
 
 
 def test_prime_ideal_z6():
@@ -92,20 +93,20 @@ def test_af_weakly_prime_zero_submodule_vacuous():
 
 def test_azizi_z6_zero_fails():
     m = ring_as_module(make_zn(6))
-    v = is_weakly_prime_submodule_azizi(zero_submodule(m))
+    subs = enumerate_submodules(m)
+    v = is_weakly_prime_submodule_azizi(zero_submodule(m), subs)
     assert not v.holds
     a, b, t = v.witness
-    assert violates_weakly_prime_submodule_azizi(
-        zero_submodule(m), a, b, enumerate_submodules(m)[t]
-    )
+    assert violates_weakly_prime_submodule_azizi(zero_submodule(m), a, b, subs[t])
 
 
 def test_behboodi_equals_quotient_module_condition():
     m = ring_as_module(make_zn(12))
-    for n in enumerate_submodules(m):
+    subs = enumerate_submodules(m)
+    for n in subs:
         if not n.is_proper:
             continue
-        got = is_weakly_prime_submodule_behboodi(n)
+        got = is_weakly_prime_submodule_behboodi(n, subs)
         # independent restatement: Ann(S) prime for every nonzero
         # submodule S of M/N
         from bowtie.modules import annihilator, quotient_module
@@ -122,16 +123,17 @@ def test_behboodi_equals_quotient_module_condition():
 def test_variant_dispatcher():
     m = ring_as_module(make_zn(6))
     n = zero_submodule(m)
+    subs = enumerate_submodules(m)
     assert weakly_prime_submodule(n, "af").holds
-    assert not weakly_prime_submodule(n, "azizi").holds
-    assert not weakly_prime_submodule(n, "behboodi").holds
+    assert not weakly_prime_submodule(n, "azizi", subs).holds
+    assert not weakly_prime_submodule(n, "behboodi", subs).holds
     with pytest.raises(ValueError):
         weakly_prime_submodule(n, "nope")
 
 
 def test_irreducible_z6_zero():
     m = ring_as_module(make_zn(6))
-    v = is_irreducible_submodule(zero_submodule(m))
+    v = is_irreducible_submodule(zero_submodule(m), enumerate_submodules(m))
     assert not v.holds
     # the two proper overlapping supersets intersect back to {0}
     assert "{0,3}" in v.witness_text and "{0,2,4}" in v.witness_text
@@ -139,7 +141,7 @@ def test_irreducible_z6_zero():
 
 def test_irreducible_prime_power():
     m = ring_as_module(make_zn(16))
-    assert is_irreducible_submodule(Submodule(m, [0, 8])).holds
+    assert is_irreducible_submodule(Submodule(m, [0, 8]), enumerate_submodules(m)).holds
 
 
 # ------------------------------------------------- oracle battery
@@ -221,7 +223,7 @@ def test_implication_chain(sub):
     primary = is_primary_submodule(sub).holds
     af = is_weakly_prime_submodule_af(sub).holds
     azizi = is_weakly_prime_submodule_azizi(sub, subs).holds
-    behboodi = is_weakly_prime_submodule_behboodi(sub).holds
+    behboodi = is_weakly_prime_submodule_behboodi(sub, subs).holds
     if prime:
         assert primary and af and azizi and behboodi
     if azizi:
@@ -230,7 +232,7 @@ def test_implication_chain(sub):
 
 def test_classify_dicts_have_all_keys(z6):
     n = zero_submodule(z6.inst.base_module)
-    d = classify_submodule(n)
+    d = classify_submodule(n, z6.base_submodules)
     assert set(d) == {
         "prime", "weakly_prime_af", "weakly_prime_azizi",
         "weakly_prime_behboodi", "primary", "irreducible",

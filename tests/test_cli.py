@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,9 @@ SEED_STDOUT_SHA256 = {
 
 # SHA-256 of the stdout of scripts/replay_examples.py without its timing line
 REPLAY_SHA256 = "946b45d3c4b8df2f38d9eab3c303600867832632896415c74aa273dc78e2681c"
+
+# SHA-256 of the stdout of scripts/divergence_scan.py --max 12
+DIVERGENCE_SCAN_SHA256 = "fcbcf22b1a16c0d4033ee19771dd01872cb533c3eb814b80791b5696cfe7b611"
 
 # SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip
 # rows, one per (variant, reading) cell of each checker
@@ -270,6 +274,18 @@ def test_hunt_negative_max_exit_2(capsys):
     assert capsys.readouterr().err == "bowtie: error: max_n must be nonnegative\n"
 
 
+def test_hunt_max_above_budget_exit_2(capsys):
+    # every Z_n with n > budget could only be a skip row, so the hunt is
+    # refused before any task is listed
+    start = time.perf_counter()
+    assert main(["hunt", "--max", "1000000", "--budget", "256"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("bowtie: error: max_n 1000000 exceeds the budget 256;"
+                   " every Z_n with n > 256 has |M><I| > 256\n")
+
+
 def test_hunt_divergence_summary(capsys):
     assert main(["hunt", "--max", "4", "--theorem", "divergence"]) == 0
     err = capsys.readouterr().err
@@ -295,6 +311,15 @@ def test_replay_examples_output_is_byte_identical():
     assert proc.returncode == 1  # the seeds carry known statement gaps
     kept = [l for l in proc.stdout.splitlines(True) if "instances replayed in" not in l]
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == REPLAY_SHA256
+
+
+def test_divergence_scan_output_is_byte_identical():
+    proc = subprocess.run(
+        [sys.executable, "scripts/divergence_scan.py", "--max", "12"], cwd=REPO,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DIVERGENCE_SCAN_SHA256
 
 
 def test_lattice_dot_output(z6_path, capsys, tmp_path):

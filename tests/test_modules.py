@@ -14,7 +14,6 @@ from bowtie.modules import (
     enumerate_submodules,
     image,
     is_cyclic,
-    is_faithful,
     kernel,
     quotient_module,
     ring_as_module,
@@ -28,7 +27,7 @@ from bowtie.duplication import restrict_scalars
 from bowtie.rings import Ideal, RingAxiomError, enumerate_ideals, make_zn, mask_of
 
 from families import duplications, family_modules
-from constructions import submodule_intersection, submodule_sum
+from constructions import is_faithful, submodule_intersection, submodule_sum
 from oracles import brute_submodules, module_map_holds
 
 

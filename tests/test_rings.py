@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,12 +20,14 @@ from bowtie.rings import (
 )
 
 from constructions import (
+    _additive_closure,
     ideal_intersection,
     ideal_power,
     ideal_product,
     ideal_sum,
     quotient_ring,
 )
+from families import products
 from oracles import brute_ideals, brute_radical
 
 
@@ -187,6 +191,21 @@ def zn_with_ideal(draw):
 def test_ideal_generated_idempotent(ring_ideal):
     ring, j = ring_ideal
     assert ideal_generated(ring, j.members).members == j.members
+
+
+@pytest.mark.parametrize("ring", [make_zn(n) for n in range(1, 17)] + products(),
+                         ids=lambda r: r.name)
+def test_ideal_generated_is_the_closure_of_the_products(ring):
+    # the sum of the principal ideals gA, against the additive closure of
+    # every product a*g taken element by element; each set of at most two
+    # generators is given descending and repeated
+    mul = ring.mul.tolist()
+    for count in range(3):
+        for chosen in itertools.combinations(range(ring.size), count):
+            gens = sorted(chosen, reverse=True) * 2
+            prods = {mul[a][g] for a in range(ring.size) for g in gens}
+            expected = _additive_closure(ring.add, prods, ring.zero)
+            assert ideal_generated(ring, gens).members == tuple(sorted(expected)), gens
 
 
 @given(zn_with_ideal())

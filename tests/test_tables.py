@@ -7,6 +7,7 @@ arrays, and must equal what the general construction builds from a copy
 of the same tables.
 """
 
+import random
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from bowtie.instances import InstanceSpec
 from bowtie.modules import (
     Submodule,
     TableModule,
+    cyclic_masks,
     enumerate_submodules,
     quotient_module,
     ring_as_module,
@@ -27,11 +29,11 @@ from bowtie.rings import (
     Ideal,
     TableRing,
     bits,
-    closure_mask,
     direct_product,
     enumerate_ideals,
     make_zn,
     narrow_dtype,
+    subgroup_sum,
     subring_from_subset,
 )
 from bowtie.theorems import CorpusSpec, hunt
@@ -111,11 +113,15 @@ def test_quotients_match_the_dict_oracle(module):
 
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.name)
 def test_closures_on_masks_match_the_tuple_closure(module):
-    # closure_mask reads one table row per generator; the reference closes
-    # a set under the table entry by entry
-    for seed in range(0, 1 << module.size, max(1, (1 << module.size) // 97)):
-        expected = _additive_closure(module.add, bits(seed), module.zero)
-        assert bits(closure_mask(module.add, seed, module.zero)) == sorted(expected)
+    # subgroup_sum joins its pieces by cosets; the reference closes their
+    # union under the table entry by entry
+    cyclic = cyclic_masks(module)
+    rng = random.Random(module.size)
+    for _ in range(97):
+        pieces = [cyclic[g] for g in rng.choices(range(module.size), k=rng.randint(0, 4))]
+        union = [x for piece in pieces for x in bits(piece)]
+        expected = _additive_closure(module.add, union, module.zero)
+        assert bits(subgroup_sum(module.add, module.zero, pieces)) == sorted(expected)
     for ideal in enumerate_ideals(module.ring):
         prods = set(module.act.take(ideal.members, axis=0).ravel().tolist())
         expected = _additive_closure(module.add, prods, module.zero)

@@ -6,9 +6,7 @@ import pytest
 from bowtie import theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
-from bowtie.modules import (
-    Submodule, is_cyclic, is_faithful, whole_submodule, zero_submodule,
-)
+from bowtie.modules import Submodule, is_cyclic, whole_submodule, zero_submodule
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import (
     READINGS,
@@ -26,6 +24,7 @@ from bowtie.theorems import (
     summarize,
 )
 
+from constructions import is_faithful
 from families import family_modules
 
 ALL_VARIANTS = ("af", "azizi", "behboodi")
@@ -195,6 +194,12 @@ def test_hunt_budget_skip_rows():
     assert all("|N=" not in r.instance_key for r in skipped)
     checked = [r for r in reports if r.outcome != "skip"]
     assert all(r.outcome == "pass" for r in checked)
+
+
+def test_hunt_refuses_max_n_above_the_budget():
+    with pytest.raises(ValueError, match="max_n 11 exceeds the budget 10"):
+        hunt(CorpusSpec(max_n=11), theorems=["L1"], budget=10)
+    assert hunt(CorpusSpec(max_n=10), theorems=["L1"], budget=10)  # at the budget: runs
 
 
 def test_hunt_budget_skip_rows_fill_the_checker_cells():
