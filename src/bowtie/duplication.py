@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import ClosureError, Ideal, TableRing, carrier_table, mask_of, row_images, subgroup_sum
+from .rings import (
+    ClosureError, Ideal, TableRing, carrier_table, mask_of, narrow_dtype, row_images, subgroup_sum,
+)
 from .modules import Submodule, TableModule
 
 
@@ -58,11 +60,12 @@ def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple
 
 def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """For sorted pair codes a*width + b: the pairs as a read-only
-    (count, 2) array, and the pair index by code (-1 for a pair outside
-    the carrier)."""
+    (count, 2) array, and the pair index by code in the narrowest dtype
+    that holds count, which is the index of a pair outside the carrier."""
+    count = len(codes)
     pairs = carrier_table(np.stack(np.divmod(codes, width), axis=1), width)
-    lookup = np.full(width * width, -1, dtype=np.int64)
-    lookup[codes] = np.arange(len(codes))
+    lookup = np.full(width * width, count, dtype=narrow_dtype(0, count))
+    lookup[codes] = np.arange(count)
     return pairs, lookup
 
 
@@ -75,22 +78,34 @@ def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
     return int.from_bytes(hits.tobytes(), "little")
 
 
+# rows of codes looked up at a time hold about this many entries: np.take
+# widens its indices to int64, so a whole k x k lookup would set a build's peak
+_BLOCK = 1 << 18
+
+
 def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
                    width: int, what: str) -> np.ndarray:
     """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
 
     A result outside the carrier raises ClosureError at the first such
-    entry, with its two pairs as codes a*width + b. The table comes back
-    read-only in table_array's dtype, so no int64 copy outlives the call.
+    entry, with its two pairs as codes a*width + b. The codes are built in
+    the narrowest dtype that holds them, a block of rows at a time, and
+    looked up in the lookup's dtype, so the table is the one k x k array
+    of the call; it comes back read-only in table_array's dtype.
     """
-    t = op.astype(np.int64)
-    # codes are built in place: they are a build's largest temporaries
-    codes = t.take(rows[:, 0], axis=0).take(cols[:, 0], axis=1)
-    codes *= width
-    codes += t.take(rows[:, 1], axis=0).take(cols[:, 1], axis=1)
-    table = lookup.take(codes)
-    if (table < 0).any():
-        i, j = (int(v) for v in np.argwhere(table < 0)[0])
+    t = op.astype(narrow_dtype(0, width * width - 1))
+    # firsts[a, c] = a op c for the first component c of each column pair
+    firsts, seconds = t.take(cols[:, 0], axis=1), t.take(cols[:, 1], axis=1)
+    table = np.empty((len(rows), len(cols)), dtype=lookup.dtype)
+    step = max(1, _BLOCK // len(cols))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        codes = firsts.take(block[:, 0], axis=0)
+        codes *= width
+        codes += seconds.take(block[:, 1], axis=0)
+        table[start:start + step] = lookup.take(codes)
+    if table.max() == len(cols):  # the lookup's index for a pair outside
+        i, j = (int(v) for v in np.argwhere(table == len(cols))[0])
         (a, b), (x, y) = rows[i].tolist(), cols[j].tolist()
         raise ClosureError(
             f"subset not closed under {what} at (({a},{b}),({x},{y}))",

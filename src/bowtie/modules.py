@@ -26,6 +26,7 @@ from .rings import (
     _join,
     _mask,
     _row_keys,
+    _sums_at,
     Carrier,
     Ideal,
     RingAxiomError,
@@ -36,7 +37,6 @@ from .rings import (
     derived,
     ideal_of,
     mask_of,
-    narrow_dtype,
     pack_rows,
     row_images,
     subgroup_sum,
@@ -124,22 +124,20 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
     points = [module.zero, *_additive_generators(module.add, module.zero)]
     if not _associative_at(add, points):
         raise RingAxiomError("module add is not associative")
-    code = narrow_dtype(0, k * k - 1)  # holds the flat index x*k + y of add[x, y]
-    for g in points:
-        # r(m+g) == rm + rg
-        if not np.array_equal(act.take(add[:, g], axis=1),
-                              add.ravel().take(act.astype(code) * k + act[:, g, None])):
-            raise RingAxiomError("action is not additive in the module argument")
-    for g in points:
-        # (r+s)g == rg + sg
-        col = act[:, g]
-        if not np.array_equal(col.take(radd), add.take(col, axis=0).take(col, axis=1)):
-            raise RingAxiomError("action is not additive in the scalar argument")
-    for g in points:
-        # (rs)g == r(sg)
-        col = act[:, g]
-        if not np.array_equal(col.take(rmul), act.take(col, axis=1)):
-            raise RingAxiomError("action does not respect ring multiplication")
+    # each axiom compared at every point g at once, as (g, m, r) and
+    # (g, r, s) arrays, gathered as whole rows where the tables allow
+    by_element = np.ascontiguousarray(act.T)  # by_element[m, r] = rm
+    # (m+g)r == mr + gr
+    if not np.array_equal(by_element.take(add[points], axis=0),
+                          _sums_at(add, by_element[None], by_element[points][:, None])):
+        raise RingAxiomError("action is not additive in the module argument")
+    cols = by_element[points]  # cols[g, r] = rg
+    # (r+s)g == rg + sg
+    if not np.array_equal(cols.take(radd, axis=1), _sums_at(add, cols[:, :, None], cols[:, None])):
+        raise RingAxiomError("action is not additive in the scalar argument")
+    # (rs)g == r(sg), as (g, s, r) arrays
+    if not np.array_equal(cols.take(rmul.T, axis=1), by_element.take(cols, axis=0)):
+        raise RingAxiomError("action does not respect ring multiplication")
 
 
 class Submodule(Subset):

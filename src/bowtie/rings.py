@@ -251,9 +251,19 @@ def _additive_generators(add: np.ndarray, zero: int) -> list[int]:
 
 
 def _associative_at(op: np.ndarray, points: Sequence[int]) -> bool:
-    """(x.g).y == x.(g.y) for all x, y and every g in points."""
-    return all(np.array_equal(op.take(op[:, g], axis=0), op.take(op[g], axis=1))
-               for g in points)
+    """(x.g).y == x.(g.y) for all x, y and every g in points, in one
+    comparison. For a commutative op both sides are entries of the
+    (g, x, y) array t = (g.x).y, read off whole rows of op: (x.g).y is
+    t[g, x, y] and x.(g.y) = (g.y).x is t[g, y, x]."""
+    t = op.take(op[points], axis=0)
+    return np.array_equal(t, t.transpose(0, 2, 1))
+
+
+def _sums_at(add: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """add[left, right] entrywise, for index arrays that broadcast
+    together, through one narrow flat index."""
+    k = len(add)
+    return add.ravel().take(left.astype(narrow_dtype(0, k * k - 1)) * k + right)
 
 
 def validate_ring(ring: TableRing, limit: int | None = None) -> None:
@@ -297,12 +307,10 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
     # holds everywhere only once distributivity holds too
     if not _associative_at(mul, points):
         raise RingAxiomError("mul is not associative")
-    code = narrow_dtype(0, k * k - 1)  # holds the flat index x*k + y of add[x, y]
-    for g in points:
-        # a*(b+g) == a*b + a*g
-        if not np.array_equal(mul.take(add[:, g], axis=1),
-                              add.ravel().take(mul.astype(code) * k + mul[:, g, None])):
-            raise RingAxiomError("mul does not distribute over add")
+    # (b+g)*a == b*a + g*a, as (g, b, a) arrays of whole rows
+    if not np.array_equal(mul.take(add[points], axis=0),
+                          _sums_at(add, mul[None], mul[points][:, None])):
+        raise RingAxiomError("mul does not distribute over add")
 
 
 def make_zn(n: int) -> TableRing:
@@ -327,8 +335,10 @@ def direct_product(r1: TableRing, r2: TableRing) -> TableRing:
     size = k1 * k2
 
     def combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # entry ((a, b), (c, d)) is t1[a, c]*k2 + t2[b, d]
-        t = t1.astype(np.int64)[:, None, :, None] * k2 + t2[None, :, None, :]
+        # entry ((a, b), (c, d)) is t1[a, c]*k2 + t2[b, d], summed in the
+        # table's own dtype: only the k1 x k1 products are int64
+        high = (t1.astype(np.int64) * k2).astype(narrow_dtype(0, size - 1))
+        t = high[:, None, :, None] + t2[None, :, None, :]
         return carrier_table(t.reshape(size, size), size)
 
     labels = tuple(

@@ -13,7 +13,6 @@ report order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Sequence
@@ -160,6 +159,11 @@ class Instance:
     @cached_property
     def bowtie_whole(self) -> Submodule:
         return whole_submodule(self.inst.bowtie_module)
+
+    @cached_property
+    def distinguished(self) -> tuple[Submodule, Submodule]:
+        """0 x IM and IM x IM, shared by L8 and T_final."""
+        return distinguished_submodules(self.inst)
 
     @cached_property
     def faithful_cyclic(self) -> tuple[bool, bool]:
@@ -657,7 +661,7 @@ def check_L8(ctx: Instance) -> tuple[str, str]:
     """Both canonical quotient isomorphisms of M><I, by explicit maps."""
     inst = ctx.inst
     mod = inst.bowtie_module
-    zero_cross_im, im_cross_im = distinguished_submodules(inst)
+    zero_cross_im, im_cross_im = ctx.distinguished
     # the first projection onto M and the coset projection onto M / IM, both
     # with scalars acting through the first component
     firsts = inst.module_pairs[:, 0]
@@ -680,7 +684,7 @@ def check_T_final(ctx: Instance) -> tuple[str, str]:
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
     wp_base = is_weakly_prime_module(inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
-    zero_cross_im, _ = distinguished_submodules(inst)
+    zero_cross_im, _ = ctx.distinguished
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
     note = (
         f"M><I wp-module={wp_dup.holds} IM=0:{im_zero} M wp-module={wp_base.holds}"
@@ -972,6 +976,9 @@ def hunt(
     # more processes than tasks or cores buy nothing, and all start at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's import stack is for multi-worker hunts only
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_hunt_task, tasks))
     else:

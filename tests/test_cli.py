@@ -107,6 +107,19 @@ def _run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_imports_load_no_process_pool():
+    """Only hunt --workers above 1 imports the pool: importing the package,
+    its CLI, the spec loader and the checkers loads neither
+    concurrent.futures nor multiprocessing."""
+    code = ("import sys, bowtie, bowtie.cli, bowtie.instances, bowtie.theorems; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.fixture()
 def z6_path(tmp_path):
     p = tmp_path / "z6.json"

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 
+from bowtie import duplication
 from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
@@ -177,6 +179,53 @@ def test_whole_ideal_duplication_is_full_product():
     ctx = make_zn_instance(4, range(4))
     assert ctx.inst.bowtie_ring.size == 16
     assert ctx.inst.bowtie_module.size == 16
+
+
+def test_build_keeps_its_traced_peak_narrow():
+    """build_bowtie(Z32, I=Z32), 1024 pairs, stays below 12 MB of traced
+    allocations. Its two tables hold 2 MB each; int64 pair codes and
+    lookups of all 1024 x 1024 entries at once took 21 MB."""
+    ring = make_zn(32)
+    ideal, module = Ideal.from_mask(ring, (1 << 32) - 1), ring_as_module(ring)
+    tracemalloc.start()
+    try:
+        inst = build_bowtie(ring, ideal, module)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.bowtie_ring.size == 1024
+    assert peak < 12_000_000, peak
+
+
+@pytest.mark.parametrize("n", [24, 30, 32])
+def test_tables_over_several_row_blocks_are_componentwise(n):
+    """Tables of more rows than one lookup block holds equal the
+    componentwise operations on the pairs, entry by entry."""
+    ring = make_zn(n)
+    inst = build_bowtie(ring, Ideal.from_mask(ring, (1 << n) - 1), ring_as_module(ring))
+    pairs = inst.ring_pairs.astype(np.int64)
+    assert len(pairs) ** 2 > duplication._BLOCK
+    a, b = pairs[:, 0], pairs[:, 1]
+    codes = a * n + b
+    for mine, base in ((inst.bowtie_ring.add, ring.add), (inst.bowtie_ring.mul, ring.mul)):
+        want = base[a[:, None], a[None]].astype(np.int64) * n + base[b[:, None], b[None]]
+        assert np.array_equal(codes[mine], want)
+
+
+def test_closure_error_names_the_first_entry_outside_in_a_late_row_block():
+    """A result outside the carrier is reported at its first entry in row
+    order, however many row blocks come before it. Under min, the pair
+    (31, 31) of all 32 x 32 pairs is only the product of itself with
+    itself, the last entry of the table."""
+    pairs = np.stack(np.divmod(np.arange(1024), 32), axis=1).astype(np.uint8)
+    op = np.minimum.outer(np.arange(32), np.arange(32)).astype(np.uint8)
+    lookup = np.arange(1024)
+    lookup[1023] = 1024  # the index of a pair outside
+    assert 1023 * 1024 > duplication._BLOCK
+    with pytest.raises(ClosureError) as err:
+        duplication._componentwise(op, pairs, pairs, lookup, 32, "min")
+    assert err.value.pair == (1023, 1023)
+    assert str(err.value) == "subset not closed under min at ((31,31),(31,31))"
 
 
 def test_azizi_implies_af_on_bowtie_corpus():

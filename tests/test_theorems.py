@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 
@@ -304,7 +305,7 @@ def test_hunt_clamps_workers(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     corpus = CorpusSpec(max_n=3)  # 5 (Z_n, I) tasks
     serial = serialize_reports(hunt(corpus, ["L8"], workers=1))
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 4)
