@@ -18,6 +18,13 @@ from task to task and from round to round, and each side keeps its
 median time per task. The script prints the ratio change/parent of the
 sums of those medians and of the median task.
 
+A hunt shares one base context per Z_n among that ring's tasks, inside
+``theorems.hunt_scope``. So each side runs its tasks of one pass (the
+check, then each round) inside its own hunt scope, opened for that pass
+and closed after it: the tool times what ``hunt()`` does, and no ring
+outlives a round. A checkout without ``hunt_scope`` runs its tasks
+without one, as its ``hunt()`` does.
+
 Whole perfbench passes spread by several percent from run to run on a
 shared host, while the per-task medians of one process drift together,
 so small gains show here before a ten-pair perfbench run. The script
@@ -86,6 +93,14 @@ def make_tasks(pkg, workload: str, paths: list[str]):
     return doc_tasks(pkg, paths)
 
 
+def hunt_scopes(pkgs) -> contextlib.ExitStack:
+    """Each side's hunt scope, open until the returned stack closes."""
+    stack = contextlib.ExitStack()
+    for pkg in pkgs:
+        stack.enter_context(getattr(pkg["theorems"], "hunt_scope", contextlib.nullcontext)())
+    return stack
+
+
 def timed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -116,18 +131,21 @@ def main(argv: list[str] | None = None) -> int:
                 path.write_text(json.dumps(doc))
                 paths.append(str(path))
         sys.path.insert(0, tmp)
-        sides = [make_tasks(load(checkout.resolve(), name, tmp_path), args.workload, paths)
-                 for checkout, name in ((args.parent, "bowtie_a"), (args.change, "bowtie_b"))]
-        for i, (a, b) in enumerate(zip(*sides)):
-            if a() != b():
-                print(f"task {i}: report lines differ", file=sys.stderr)
-                return 1
+        pkgs = [load(checkout.resolve(), name, tmp_path)
+                for checkout, name in ((args.parent, "bowtie_a"), (args.change, "bowtie_b"))]
+        sides = [make_tasks(pkg, args.workload, paths) for pkg in pkgs]
+        with hunt_scopes(pkgs):
+            for i, (a, b) in enumerate(zip(*sides)):
+                if a() != b():
+                    print(f"task {i}: report lines differ", file=sys.stderr)
+                    return 1
         times: list[list[list[float]]] = [[[] for _ in sides[0]] for _ in sides]
         for rnd in range(args.rounds):
-            for i, pair in enumerate(zip(*sides)):
-                first = (i + rnd) % 2
-                for side in (first, 1 - first):
-                    times[side][i].append(timed(pair[side]))
+            with hunt_scopes(pkgs):
+                for i, pair in enumerate(zip(*sides)):
+                    first = (i + rnd) % 2
+                    for side in (first, 1 - first):
+                        times[side][i].append(timed(pair[side]))
 
     medians = [[statistics.median(t) for t in side] for side in times]
     total = [sum(m) for m in medians]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
-    ClosureError, Ideal, TableRing, carrier_table, mask_of, narrow_dtype, row_images, subgroup_sum,
+    ClosureError, Ideal, TableRing, carrier_table, mask_of, narrow_dtype, row_block, row_images,
+    subgroup_sum,
 )
 from .modules import Submodule, TableModule
 
@@ -78,11 +79,6 @@ def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
     return int.from_bytes(hits.tobytes(), "little")
 
 
-# rows of codes looked up at a time hold about this many entries: np.take
-# widens its indices to int64, so a whole k x k lookup would set a build's peak
-_BLOCK = 1 << 18
-
-
 def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
                    width: int, what: str) -> np.ndarray:
     """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
@@ -97,7 +93,7 @@ def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: n
     # firsts[a, c] = a op c for the first component c of each column pair
     firsts, seconds = t.take(cols[:, 0], axis=1), t.take(cols[:, 1], axis=1)
     table = np.empty((len(rows), len(cols)), dtype=lookup.dtype)
-    step = max(1, _BLOCK // len(cols))
+    step = row_block(len(cols))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         codes = firsts.take(block[:, 0], axis=0)

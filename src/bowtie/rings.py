@@ -99,6 +99,17 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+# a gather through a table reads about this many entries at a time: np.take
+# widens its indices to int64, so a whole k x k gather would hold 8 bytes
+# per entry; a table of at most this many entries is one block
+GATHER_BLOCK = 1 << 18
+
+
+def row_block(width: int) -> int:
+    """How many rows of a table this wide one gather reads."""
+    return max(1, GATHER_BLOCK // width)
+
+
 def bits(mask: int) -> list[int]:
     """The set bits of a mask, ascending."""
     out = []
@@ -140,8 +151,10 @@ def preimage_classes(
     inside = np.zeros(size, dtype=bool)
     inside[list(members)] = True
     classes: dict = {}
-    for a, key in enumerate(_row_keys(inside.take(table))):
-        classes[key] = classes.get(key, 0) | 1 << a
+    step = row_block(table.shape[1])
+    for start in range(0, len(table), step):
+        for a, key in enumerate(_row_keys(inside.take(table[start:start + step])), start):
+            classes[key] = classes.get(key, 0) | 1 << a
     return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
 

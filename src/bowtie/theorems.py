@@ -13,9 +13,10 @@ report order.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +88,7 @@ def default_budget() -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """One checker outcome on one instance.
 
     Serialized as six tab-separated columns: instance key, theorem id,
@@ -111,9 +111,41 @@ class TheoremReport:
         )
 
 
+class BaseContext:
+    """What every duplication of one (A, M) shares, whatever the ideal:
+    A, M, Lat(M) for each lattice limit, and M's own verdicts.
+
+    It refers to A and M but stores nothing on them, and nothing refers
+    back to it but the Instances built over it, so it forms no reference
+    cycle.
+    """
+
+    def __init__(self, ring: TableRing, module: TableModule):
+        self.ring = ring
+        self.module = module
+        self._lattices: dict[int | None, list[Submodule]] = {}
+        self._verdicts: dict[tuple[str, Any], Verdict] = {}
+
+    def submodules(self, limit: int | None) -> list[Submodule]:
+        """Lat(M), at most ``limit`` submodules, enumerated once per limit."""
+        if limit not in self._lattices:
+            self._lattices[limit] = enumerate_submodules(self.module, limit)
+        return self._lattices[limit]
+
+    def verdict(self, what: str, key: Any, compute: Callable[[], Verdict]) -> Verdict:
+        """compute(), a verdict on M or one of its submodules, computed once
+        per (what, key); callers pass a submodule's mask or a lattice limit."""
+        memo_key = (what, key)
+        if memo_key not in self._verdicts:
+            self._verdicts[memo_key] = compute()
+        return self._verdicts[memo_key]
+
+
 class Instance:
     """A built duplication plus memoized enumerations shared by checkers;
-    each lattice may hold at most ``lattice_limit`` submodules."""
+    each lattice may hold at most ``lattice_limit`` submodules. The base
+    side comes from ``base``, shared with other ideals over the same A and
+    M, or from a BaseContext of its own."""
 
     def __init__(
         self,
@@ -122,7 +154,13 @@ class Instance:
         module: TableModule,
         key: str | None = None,
         lattice_limit: int | None = None,
+        base: BaseContext | None = None,
     ):
+        if base is None:
+            base = BaseContext(ring, module)
+        elif base.ring is not ring or base.module is not module:
+            raise ValueError("base context is over a different ring or module")
+        self.base = base
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self.lattice_limit = lattice_limit
@@ -150,7 +188,7 @@ class Instance:
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
-        return enumerate_submodules(self.inst.base_module, self.lattice_limit)
+        return self.base.submodules(self.lattice_limit)
 
     @cached_property
     def bowtie_submodules(self) -> list[Submodule]:
@@ -301,17 +339,22 @@ def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
 def check_transfer(ctx: Instance, n: Submodule, notion: str) -> tuple[str, str]:
     """notion(N) must agree with notion(N><I), in both directions."""
     # predicates are called by their module-level names, so a wrapper on those
-    # names (perfbench/tracer.py) sees every call; N><I's go through the memos
+    # names (perfbench/tracer.py) sees every call; N's verdicts go through the
+    # base context's memo, N><I's through the instance's
     nb = ctx.bowtie(n)
+    base = ctx.base
     if notion == "prime":
         noun = "prime"
-        vb, vd = is_prime_submodule(n), ctx.prime(nb)
+        vb = base.verdict(notion, n.mask, lambda: is_prime_submodule(n))
+        vd = ctx.prime(nb)
     elif notion == "weakly_prime_af":
         noun = "weakly prime (af)"
-        vb, vd = is_weakly_prime_submodule_af(n), ctx.weakly_prime(nb, "af")
+        vb = base.verdict(notion, n.mask, lambda: is_weakly_prime_submodule_af(n))
+        vd = ctx.weakly_prime(nb, "af")
     elif notion == "primary":
         noun = "primary"
-        vb, vd = is_primary_submodule(n), ctx.primary(nb)
+        vb = base.verdict(notion, n.mask, lambda: is_primary_submodule(n))
+        vd = ctx.primary(nb)
     else:
         raise ValueError(f"unknown transfer notion {notion!r}")
     if vb.holds == vd.holds:
@@ -682,7 +725,9 @@ def check_T_final(ctx: Instance) -> tuple[str, str]:
     if inst.base_module.size == 1:
         return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
-    wp_base = is_weakly_prime_module(inst.base_module, ctx.base_submodules)
+    wp_base = ctx.base.verdict(
+        "weakly_prime_module", ctx.lattice_limit,
+        lambda: is_weakly_prime_module(inst.base_module, ctx.base_submodules))
     im_zero = inst.im.is_zero
     zero_cross_im, _ = ctx.distinguished
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
@@ -868,6 +913,27 @@ def run_checker(
     )
 
 
+# (theorem, its registry entry, the (variant, reading) cells it reports)
+Cells = list[tuple[str, Checker, list[tuple[str, str]]]]
+
+
+def _checker_cells(
+    theorems: Sequence[str], variants: Sequence[str], readings: Sequence[str]
+) -> Cells:
+    """Each selected checker, in the order of theorems, with its cells."""
+    return [(t, CHECKERS[t], CHECKERS[t].cells(variants, readings)) for t in theorems]
+
+
+def _submodule_rows(ctx: Instance, n: Submodule, cells: Cells) -> list[TheoremReport]:
+    proper = n.is_proper
+    return [
+        run_checker(ctx, theorem, n, variant, reading)
+        for theorem, checker, pairs in cells
+        if not checker.per_instance and (proper or checker.improper_n)
+        for variant, reading in pairs
+    ]
+
+
 def rows_for_submodule(
     ctx: Instance,
     n: Submodule,
@@ -877,14 +943,7 @@ def rows_for_submodule(
 ) -> list[TheoremReport]:
     """Rows of every selected per-submodule checker on one N, in the order
     of theorems."""
-    rows: list[TheoremReport] = []
-    for theorem in theorems:
-        checker = CHECKERS[theorem]
-        if checker.per_instance or not (n.is_proper or checker.improper_n):
-            continue
-        for variant, reading in checker.cells(variants, readings):
-            rows.append(run_checker(ctx, theorem, n, variant, reading))
-    return rows
+    return _submodule_rows(ctx, n, _checker_cells(theorems, variants, readings))
 
 
 def instance_rows(
@@ -902,6 +961,20 @@ def instance_rows(
     ]
 
 
+def _run_instance(
+    ctx: Instance, theorems: Sequence[str], cells: Cells, zero_ideal_probe: bool
+) -> list[TheoremReport]:
+    rows = instance_rows(ctx, theorems, zero_ideal_probe)
+    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
+        raise RuntimeError(
+            "construction bug: the canonical quotient maps failed on " + ctx.base_key
+        )
+    if any(not checker.per_instance for _t, checker, _c in cells):
+        for n in ctx.base_submodules:
+            rows.extend(_submodule_rows(ctx, n, cells))
+    return rows
+
+
 def run_instance(
     ctx: Instance,
     theorems: Sequence[str],
@@ -910,21 +983,58 @@ def run_instance(
     zero_ideal_probe: bool = True,
 ) -> list[TheoremReport]:
     """All selected checker rows for one instance, in canonical order."""
-    rows = instance_rows(ctx, theorems, zero_ideal_probe)
-    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
-        raise RuntimeError(
-            "construction bug: the canonical quotient maps failed on " + ctx.base_key
-        )
-    if any(not CHECKERS[t].per_instance for t in theorems):
-        for n in ctx.base_submodules:
-            rows.extend(rows_for_submodule(ctx, n, theorems, variants, readings))
-    return rows
+    return _run_instance(ctx, theorems, _checker_cells(theorems, variants, readings),
+                         zero_ideal_probe)
+
+
+class _HuntScope:
+    """What the tasks of one hunt share in one process: the checker cells of
+    their selection, and the base context of the Z_n they are on. Tasks
+    ascend by n, so it holds one ring at a time."""
+
+    def __init__(self):
+        self._cells: dict[tuple, Cells] = {}
+        self._base: BaseContext | None = None
+
+    def cells(self, theorems: tuple[str, ...], variants: tuple[str, ...],
+              readings: tuple[str, ...]) -> Cells:
+        key = (theorems, variants, readings)
+        if key not in self._cells:
+            self._cells[key] = _checker_cells(theorems, variants, readings)
+        return self._cells[key]
+
+    def zn_base(self, n: int) -> BaseContext:
+        """Z_n with its regular module, built when the sweep reaches n."""
+        if self._base is None or self._base.ring.size != n:
+            ring = make_zn(n)
+            self._base = BaseContext(ring, ring_as_module(ring))
+        return self._base
+
+
+# the scope of the hunt running in this process, if any (hunt_scope)
+_scope: _HuntScope | None = None
+
+
+@contextmanager
+def hunt_scope() -> Iterator[None]:
+    """Let the _hunt_task calls inside share one base context per Z_n and
+    one list of checker cells; all of it is dropped on exit, also when a
+    task raises, so nothing outlives the hunt."""
+    global _scope
+    _scope = _HuntScope()
+    try:
+        yield
+    finally:
+        _scope = None
 
 
 def _hunt_task(
     args: tuple[int, tuple[int, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...], int]
 ) -> list[TheoremReport]:
     n, ideal_members, theorems, variants, readings, budget = args
+    # outside a hunt scope the task builds everything for itself
+    scope = _scope or _HuntScope()
+    cells = scope.cells(theorems, variants, readings)
     # Z_n is labeled 0..n-1, and its regular module has IM = I, so the key
     # and |M><I| = n*|I| are known before any table is built
     key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
@@ -933,15 +1043,13 @@ def _hunt_task(
         detail = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
             TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
-            for theorem in theorems
-            for variant, reading in CHECKERS[theorem].cells(variants, readings)
+            for theorem, _checker, pairs in cells
+            for variant, reading in pairs
         ]
-    ring = make_zn(n)
-    ideal = Ideal.from_mask(ring, mask_of(ideal_members))  # dZ_n, from hunt
-    module = ring_as_module(ring)
-    ctx = Instance(ring, ideal, module, key=key)
-    zero_probe = ideal.is_zero
-    return run_instance(ctx, theorems, variants, readings, zero_ideal_probe=zero_probe)
+    base = scope.zn_base(n)
+    ideal = Ideal.from_mask(base.ring, mask_of(ideal_members))  # dZ_n, from hunt
+    ctx = Instance(base.ring, ideal, base.module, key=key, base=base)
+    return _run_instance(ctx, theorems, cells, zero_ideal_probe=ideal.is_zero)
 
 
 def hunt(
@@ -958,7 +1066,8 @@ def hunt(
     by (n, ideal enumeration index), and rows within an instance follow
     submodule enumeration and registry order. Worker count never changes
     the output. A max_n above the budget raises ValueError
-    (CorpusSpec.check_budget).
+    (CorpusSpec.check_budget). With one worker the tasks run in a
+    hunt_scope, so the ideals of each Z_n share its base context.
     """
     chosen = normalize_theorems(theorems)
     variants = tuple(variants) if variants else VARIANTS
@@ -982,7 +1091,8 @@ def hunt(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_hunt_task, tasks))
     else:
-        chunks = [_hunt_task(t) for t in tasks]
+        with hunt_scope():
+            chunks = [_hunt_task(t) for t in tasks]
     return [row for chunk in chunks for row in chunk]
 
 

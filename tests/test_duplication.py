@@ -28,7 +28,9 @@ from bowtie.modules import (
     ring_as_module,
     zero_submodule,
 )
-from bowtie.rings import ClosureError, Ideal, enumerate_ideals, make_zn, mask_of, table_array
+from bowtie.rings import (
+    GATHER_BLOCK, ClosureError, Ideal, enumerate_ideals, make_zn, mask_of, table_array,
+)
 from bowtie.theorems import make_zn_instance
 
 from constructions import diagonal_embed
@@ -204,7 +206,7 @@ def test_tables_over_several_row_blocks_are_componentwise(n):
     ring = make_zn(n)
     inst = build_bowtie(ring, Ideal.from_mask(ring, (1 << n) - 1), ring_as_module(ring))
     pairs = inst.ring_pairs.astype(np.int64)
-    assert len(pairs) ** 2 > duplication._BLOCK
+    assert len(pairs) ** 2 > GATHER_BLOCK
     a, b = pairs[:, 0], pairs[:, 1]
     codes = a * n + b
     for mine, base in ((inst.bowtie_ring.add, ring.add), (inst.bowtie_ring.mul, ring.mul)):
@@ -221,7 +223,7 @@ def test_closure_error_names_the_first_entry_outside_in_a_late_row_block():
     op = np.minimum.outer(np.arange(32), np.arange(32)).astype(np.uint8)
     lookup = np.arange(1024)
     lookup[1023] = 1024  # the index of a pair outside
-    assert 1023 * 1024 > duplication._BLOCK
+    assert 1023 * 1024 > GATHER_BLOCK
     with pytest.raises(ClosureError) as err:
         duplication._componentwise(op, pairs, pairs, lookup, 32, "min")
     assert err.value.pair == (1023, 1023)

@@ -26,6 +26,7 @@ from bowtie.theorems import (
     CHECKERS,
     READINGS,
     THEOREM_IDS,
+    BaseContext,
     CorpusSpec,
     Instance,
     hunt,
@@ -80,10 +81,13 @@ def test_each_row_key_is_built_once_per_n(monkeypatch):
                        lambda n: (id(n.module), n.module.name, n.mask))
     rows = hunt(CorpusSpec(max_n=8), theorems=["T4", "C_IRR"])
     # T4 and C_IRR print a base N (a submodule of Z_n-reg) only in the key
-    # of its 2 x 3 rows
-    base = [c for (_id, name, _mask), c in labels.items() if name.endswith("-reg")]
-    assert len(base) * 2 * len(VARIANTS) == len(rows) > 100
-    assert max(base) == 1
+    # of its 2 x 3 rows; the ideals of Z_n share one Z_n-reg, and each of
+    # them labels N once
+    base = {(name, mask): c for (_id, name, mask), c in labels.items() if name.endswith("-reg")}
+    assert sum(base.values()) * 2 * len(VARIANTS) == len(rows) > 100
+    for (name, _mask), count in base.items():
+        ring = make_zn(int(name[1:-len("-reg")]))
+        assert count == len(enumerate_ideals(ring)), name
 
 
 # ------------------------------------------------------- classes sharing
@@ -189,3 +193,37 @@ def test_shared_instance_rows_equal_fresh_cells_on_families():
             checked += 1
             non_regular += mod.act is not mod.ring.mul
     assert checked >= 40 and non_regular >= 20
+
+
+def test_instances_over_one_base_context_equal_their_own_on_families():
+    """Every ideal of a family module, checked over one BaseContext of the
+    module, gives the rows of an Instance over fresh tables with a base
+    context of its own."""
+    checked, non_regular = 0, set()
+    for mod in family_modules():
+        base = BaseContext(mod.ring, mod)
+        for ideal in enumerate_ideals(mod.ring):
+            if max(predicted_sizes(mod.ring, ideal, mod)) > 64:
+                continue
+            shared = Instance(mod.ring, ideal, mod, base=base)
+            copy = _copy(mod)
+            own = Instance(copy.ring, Ideal(copy.ring, ideal.members), copy)
+            assert shared.base_submodules is base.submodules(None)
+            assert own.base is not base
+            lines = [
+                [r.line() for r in run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS,
+                                                zero_ideal_probe=ideal.is_zero)]
+                for ctx in (shared, own)
+            ]
+            assert lines[0] == lines[1]
+            checked += 1
+            if mod.act is not mod.ring.mul:
+                non_regular.add(mod.name)
+    assert checked >= 40 and len(non_regular) >= 20
+
+
+def test_base_context_refuses_another_module():
+    ring = make_zn(6)
+    base = BaseContext(ring, ring_as_module(ring))
+    with pytest.raises(ValueError, match="different ring or module"):
+        Instance(ring, Ideal(ring, [0]), ring_as_module(ring), base=base)
