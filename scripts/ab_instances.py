@@ -18,12 +18,14 @@ from task to task and from round to round, and each side keeps its
 median time per task. The script prints the ratio change/parent of the
 sums of those medians and of the median task.
 
-A hunt shares one base context per Z_n among that ring's tasks, inside
-``theorems.hunt_scope``. So each side runs its tasks of one pass (the
-check, then each round) inside its own hunt scope, opened for that pass
-and closed after it: the tool times what ``hunt()`` does, and no ring
-outlives a round. A checkout without ``hunt_scope`` runs its tasks
-without one, as its ``hunt()`` does.
+Within a hunt the tasks on one Z_n share the memos kept on its regular
+module. The tasks here run in hunt's order, n ascending, so each pass
+(the check, then each round) shares them as ``hunt()`` does: a checkout
+that takes Z_n from a one-entry cache (``theorems._zn``) builds Z_n again
+when a pass climbs back from n = 1, and an older checkout that shares
+through ``theorems.hunt_scope`` gets that scope opened around each pass
+and closed after it, so on neither side does a pass reuse a ring built
+by the one before.
 
 Whole perfbench passes spread by several percent from run to run on a
 shared host, while the per-task medians of one process drift together,
@@ -94,7 +96,8 @@ def make_tasks(pkg, workload: str, paths: list[str]):
 
 
 def hunt_scopes(pkgs) -> contextlib.ExitStack:
-    """Each side's hunt scope, open until the returned stack closes."""
+    """Each side's hunt scope, where it has one, open until the returned
+    stack closes."""
     stack = contextlib.ExitStack()
     for pkg in pkgs:
         stack.enter_context(getattr(pkg["theorems"], "hunt_scope", contextlib.nullcontext)())

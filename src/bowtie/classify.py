@@ -119,7 +119,9 @@ def is_prime_ideal(j: Ideal) -> Verdict:
 
 def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
     """is_prime_ideal of the ring's ideal with this mask, computed once per
-    distinct ideal; a hit builds no Ideal."""
+    distinct ideal; a hit builds no Ideal. Written out rather than through
+    rings.memo: hits run thousands of times per pass, and memo's closure
+    and extra call would about double the cost of each."""
     verdicts = derived(ring, "prime_verdicts", dict)
     v = verdicts.get(mask)
     if v is None:

@@ -4,7 +4,8 @@ Exit codes
   0  success (verify: every applicable check passed)
   1  verify found at least one failing check
   2  unusable input: spec parse error, unknown theorem id, negative
-     hunt --max or a BOWTIE_BUDGET that is not an integer
+     hunt --max, a BOWTIE_BUDGET that is not an integer, or an output
+     path that cannot be written
   3  improper submodule where a proper one is required
   4  instance exceeds the size budget (see BOWTIE_BUDGET)
 """
@@ -45,6 +46,16 @@ EXIT_BUDGET = 4
 
 def _err(msg: str) -> None:
     print(f"bowtie: error: {msg}", file=sys.stderr)
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to the path; False, after a message, when it cannot."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _err(f"cannot write {path}: {exc.strerror or exc}")
+        return False
+    return True
 
 
 def _add_spec_args(sp: argparse.ArgumentParser) -> None:
@@ -252,7 +263,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     text = serialize_reports(reports, header)
     summary = summarize(reports)
     if args.out:
-        Path(args.out).write_text(text)
+        if not _write(args.out, text):
+            return EXIT_BAD_INPUT
         print(f"wrote {len(reports)} report lines to {args.out}")
         print(summary)
     else:
@@ -312,7 +324,9 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             badge = "M><I"
         shape = detect_bowtie_form(ctx.inst, s)
         extra = ", peripheries=2" if shape is not None else ""
-        label = f"{s.label_set()}\\n{badge}"
+        # DOT strings end at " and escape with \, so labels escape both
+        members = s.label_set().replace("\\", "\\\\").replace('"', '\\"')
+        label = f"{members}\\n{badge}"
         lines.append(f'  s{i} [label="{label}"{extra}];')
     edges = _hasse_edges(subs)
     for i, j in edges:
@@ -320,7 +334,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.dot:
-        Path(args.dot).write_text(text)
+        if not _write(args.dot, text):
+            return EXIT_BAD_INPUT
         print(f"wrote {args.dot}")
     else:
         sys.stdout.write(text)

@@ -239,12 +239,16 @@ class InstanceSpec:
             _require(isinstance(sub, list) and all(isinstance(g, str) for g in sub),
                      "submodule_generators", "expected a list of element labels")
             sub = tuple(sub)
+        # the name is the first column of a report row, so it may not split one
+        name = data.get("name", name) or name
+        _require(not set(name) & set("\t\r\n"), "name" if data.get("name") else "file name",
+                 f"{name!r} holds a tab or a line break")
         return InstanceSpec(
             ring_desc=data["ring"],
             ideal_generators=tuple(gens),
             module_desc=data["module"],
             submodule_generators=sub,
-            name=data.get("name", name) or name,
+            name=name,
         )
 
     @staticmethod

@@ -172,16 +172,24 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
     return cache[key]
 
 
+def memo(owner: Any, what: str, key: Any, compute: Callable[[], Any]) -> Any:
+    """compute(), a value derived from a table object and a key, computed
+    once per (what, key) in the object's ``derived_cache``. A value that
+    referred back to the object would make a reference cycle, so callers
+    store masks, ints and verdicts."""
+    values = derived(owner, what, dict)
+    if key not in values:
+        values[key] = compute()
+    return values[key]
+
+
 def subset_classes(
     owner: Any, table: np.ndarray, mask: int, members: Iterable[int]
 ) -> tuple[tuple[int, int], ...]:
     """preimage_classes of the subset with this mask and these members under
-    ``table``, owner's multiplication or action table, once per (owner, mask).
-    The memo holds only ints, so it makes no reference cycle."""
-    memo = derived(owner, "classes", dict)
-    if mask not in memo:
-        memo[mask] = preimage_classes(table, members, table.shape[1])
-    return memo[mask]
+    ``table``, owner's multiplication or action table, once per (owner, mask)."""
+    return memo(owner, "classes", mask,
+                lambda: preimage_classes(table, members, table.shape[1]))
 
 
 def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
@@ -537,10 +545,7 @@ def ideal_of(ring: TableRing, mask: int) -> Ideal:
 
 def ideal_radical(j: Ideal) -> Ideal:
     """radical(j), computed once per distinct ideal of the ring."""
-    radicals = derived(j.ring, "radicals", dict)
-    if j.mask not in radicals:
-        radicals[j.mask] = radical(j).mask
-    return ideal_of(j.ring, radicals[j.mask])
+    return ideal_of(j.ring, memo(j.ring, "radicals", j.mask, lambda: radical(j).mask))
 
 
 def _join(

@@ -13,10 +13,9 @@ report order.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .rings import (
     lowest_bit,
     make_zn,
     mask_of,
+    memo,
     narrow_dtype,
     pack_rows,
     row_images,
@@ -111,41 +111,11 @@ class TheoremReport(NamedTuple):
         )
 
 
-class BaseContext:
-    """What every duplication of one (A, M) shares, whatever the ideal:
-    A, M, Lat(M) for each lattice limit, and M's own verdicts.
-
-    It refers to A and M but stores nothing on them, and nothing refers
-    back to it but the Instances built over it, so it forms no reference
-    cycle.
-    """
-
-    def __init__(self, ring: TableRing, module: TableModule):
-        self.ring = ring
-        self.module = module
-        self._lattices: dict[int | None, list[Submodule]] = {}
-        self._verdicts: dict[tuple[str, Any], Verdict] = {}
-
-    def submodules(self, limit: int | None) -> list[Submodule]:
-        """Lat(M), at most ``limit`` submodules, enumerated once per limit."""
-        if limit not in self._lattices:
-            self._lattices[limit] = enumerate_submodules(self.module, limit)
-        return self._lattices[limit]
-
-    def verdict(self, what: str, key: Any, compute: Callable[[], Verdict]) -> Verdict:
-        """compute(), a verdict on M or one of its submodules, computed once
-        per (what, key); callers pass a submodule's mask or a lattice limit."""
-        memo_key = (what, key)
-        if memo_key not in self._verdicts:
-            self._verdicts[memo_key] = compute()
-        return self._verdicts[memo_key]
-
-
 class Instance:
     """A built duplication plus memoized enumerations shared by checkers;
-    each lattice may hold at most ``lattice_limit`` submodules. The base
-    side comes from ``base``, shared with other ideals over the same A and
-    M, or from a BaseContext of its own."""
+    each lattice may hold at most ``lattice_limit`` submodules. What does
+    not depend on I (Lat(M), N's verdicts, the colon (N : M)) is kept on M
+    (rings.memo), so every Instance over one module object shares it."""
 
     def __init__(
         self,
@@ -154,13 +124,7 @@ class Instance:
         module: TableModule,
         key: str | None = None,
         lattice_limit: int | None = None,
-        base: BaseContext | None = None,
     ):
-        if base is None:
-            base = BaseContext(ring, module)
-        elif base.ring is not ring or base.module is not module:
-            raise ValueError("base context is over a different ring or module")
-        self.base = base
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self.lattice_limit = lattice_limit
@@ -188,7 +152,11 @@ class Instance:
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
-        return self.base.submodules(self.lattice_limit)
+        module, limit = self.inst.base_module, self.lattice_limit
+        # kept on M as (mask, members) pairs, which refer to no module
+        lattice = memo(module, "lattice", limit, lambda: [
+            (n.mask, n.members) for n in enumerate_submodules(module, limit)])
+        return [Submodule.from_mask(module, mask, members) for mask, members in lattice]
 
     @cached_property
     def bowtie_submodules(self) -> list[Submodule]:
@@ -325,9 +293,10 @@ def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
     inst = ctx.inst
     nb = ctx.bowtie(n)
     lhs = ctx.colon(nb)
-    base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
+    base_colon = memo(n.module, "colon", n.mask,
+                      lambda: colon_into_ring(n, whole_submodule(n.module)).mask)
     # (N:M)><I: the pairs (a, a+i) whose first component lies in (N:M)
-    rhs = pairs_in(inst.ring_pairs, 0, base_colon.mask, inst.base_ring.size)
+    rhs = pairs_in(inst.ring_pairs, 0, base_colon, inst.base_ring.size)
     if lhs.mask == rhs:
         return "pass", f"both sides = {lhs.label_set()}"
     first_diff = lowest_bit(lhs.mask ^ rhs)
@@ -339,21 +308,20 @@ def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
 def check_transfer(ctx: Instance, n: Submodule, notion: str) -> tuple[str, str]:
     """notion(N) must agree with notion(N><I), in both directions."""
     # predicates are called by their module-level names, so a wrapper on those
-    # names (perfbench/tracer.py) sees every call; N's verdicts go through the
-    # base context's memo, N><I's through the instance's
+    # names (perfbench/tracer.py) sees every call; N's verdicts are kept on M,
+    # N><I's on the instance
     nb = ctx.bowtie(n)
-    base = ctx.base
     if notion == "prime":
         noun = "prime"
-        vb = base.verdict(notion, n.mask, lambda: is_prime_submodule(n))
+        vb = memo(n.module, notion, n.mask, lambda: is_prime_submodule(n))
         vd = ctx.prime(nb)
     elif notion == "weakly_prime_af":
         noun = "weakly prime (af)"
-        vb = base.verdict(notion, n.mask, lambda: is_weakly_prime_submodule_af(n))
+        vb = memo(n.module, notion, n.mask, lambda: is_weakly_prime_submodule_af(n))
         vd = ctx.weakly_prime(nb, "af")
     elif notion == "primary":
         noun = "primary"
-        vb = base.verdict(notion, n.mask, lambda: is_primary_submodule(n))
+        vb = memo(n.module, notion, n.mask, lambda: is_primary_submodule(n))
         vd = ctx.primary(nb)
     else:
         raise ValueError(f"unknown transfer notion {notion!r}")
@@ -725,9 +693,8 @@ def check_T_final(ctx: Instance) -> tuple[str, str]:
     if inst.base_module.size == 1:
         return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
-    wp_base = ctx.base.verdict(
-        "weakly_prime_module", ctx.lattice_limit,
-        lambda: is_weakly_prime_module(inst.base_module, ctx.base_submodules))
+    wp_base = memo(inst.base_module, "weakly_prime_module", ctx.lattice_limit,
+                   lambda: is_weakly_prime_module(inst.base_module, ctx.base_submodules))
     im_zero = inst.im.is_zero
     zero_cross_im, _ = ctx.distinguished
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
@@ -961,20 +928,6 @@ def instance_rows(
     ]
 
 
-def _run_instance(
-    ctx: Instance, theorems: Sequence[str], cells: Cells, zero_ideal_probe: bool
-) -> list[TheoremReport]:
-    rows = instance_rows(ctx, theorems, zero_ideal_probe)
-    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
-        raise RuntimeError(
-            "construction bug: the canonical quotient maps failed on " + ctx.base_key
-        )
-    if any(not checker.per_instance for _t, checker, _c in cells):
-        for n in ctx.base_submodules:
-            rows.extend(_submodule_rows(ctx, n, cells))
-    return rows
-
-
 def run_instance(
     ctx: Instance,
     theorems: Sequence[str],
@@ -983,58 +936,31 @@ def run_instance(
     zero_ideal_probe: bool = True,
 ) -> list[TheoremReport]:
     """All selected checker rows for one instance, in canonical order."""
-    return _run_instance(ctx, theorems, _checker_cells(theorems, variants, readings),
-                         zero_ideal_probe)
+    rows = instance_rows(ctx, theorems, zero_ideal_probe)
+    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
+        raise RuntimeError(
+            "construction bug: the canonical quotient maps failed on " + ctx.base_key
+        )
+    cells = _checker_cells(theorems, variants, readings)
+    if any(not checker.per_instance for _t, checker, _c in cells):
+        for n in ctx.base_submodules:
+            rows.extend(_submodule_rows(ctx, n, cells))
+    return rows
 
 
-class _HuntScope:
-    """What the tasks of one hunt share in one process: the checker cells of
-    their selection, and the base context of the Z_n they are on. Tasks
-    ascend by n, so it holds one ring at a time."""
-
-    def __init__(self):
-        self._cells: dict[tuple, Cells] = {}
-        self._base: BaseContext | None = None
-
-    def cells(self, theorems: tuple[str, ...], variants: tuple[str, ...],
-              readings: tuple[str, ...]) -> Cells:
-        key = (theorems, variants, readings)
-        if key not in self._cells:
-            self._cells[key] = _checker_cells(theorems, variants, readings)
-        return self._cells[key]
-
-    def zn_base(self, n: int) -> BaseContext:
-        """Z_n with its regular module, built when the sweep reaches n."""
-        if self._base is None or self._base.ring.size != n:
-            ring = make_zn(n)
-            self._base = BaseContext(ring, ring_as_module(ring))
-        return self._base
-
-
-# the scope of the hunt running in this process, if any (hunt_scope)
-_scope: _HuntScope | None = None
-
-
-@contextmanager
-def hunt_scope() -> Iterator[None]:
-    """Let the _hunt_task calls inside share one base context per Z_n and
-    one list of checker cells; all of it is dropped on exit, also when a
-    task raises, so nothing outlives the hunt."""
-    global _scope
-    _scope = _HuntScope()
-    try:
-        yield
-    finally:
-        _scope = None
+@lru_cache(maxsize=1)
+def _zn(n: int) -> tuple[TableRing, TableModule]:
+    """Z_n and its regular module. A hunt's tasks ascend by n, so the ideals
+    of one Z_n share the memos kept on its module; hunt() clears this cache
+    when it ends."""
+    ring = make_zn(n)
+    return ring, ring_as_module(ring)
 
 
 def _hunt_task(
     args: tuple[int, tuple[int, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...], int]
 ) -> list[TheoremReport]:
     n, ideal_members, theorems, variants, readings, budget = args
-    # outside a hunt scope the task builds everything for itself
-    scope = _scope or _HuntScope()
-    cells = scope.cells(theorems, variants, readings)
     # Z_n is labeled 0..n-1, and its regular module has IM = I, so the key
     # and |M><I| = n*|I| are known before any table is built
     key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
@@ -1043,13 +969,13 @@ def _hunt_task(
         detail = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
             TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
-            for theorem, _checker, pairs in cells
+            for theorem, _checker, pairs in _checker_cells(theorems, variants, readings)
             for variant, reading in pairs
         ]
-    base = scope.zn_base(n)
-    ideal = Ideal.from_mask(base.ring, mask_of(ideal_members))  # dZ_n, from hunt
-    ctx = Instance(base.ring, ideal, base.module, key=key, base=base)
-    return _run_instance(ctx, theorems, cells, zero_ideal_probe=ideal.is_zero)
+    ring, module = _zn(n)
+    ideal = Ideal.from_mask(ring, mask_of(ideal_members))  # dZ_n, from hunt
+    ctx = Instance(ring, ideal, module, key=key)
+    return run_instance(ctx, theorems, variants, readings, zero_ideal_probe=ideal.is_zero)
 
 
 def hunt(
@@ -1066,8 +992,8 @@ def hunt(
     by (n, ideal enumeration index), and rows within an instance follow
     submodule enumeration and registry order. Worker count never changes
     the output. A max_n above the budget raises ValueError
-    (CorpusSpec.check_budget). With one worker the tasks run in a
-    hunt_scope, so the ideals of each Z_n share its base context.
+    (CorpusSpec.check_budget). The tasks on one Z_n share its module's
+    memos in each process (_zn).
     """
     chosen = normalize_theorems(theorems)
     variants = tuple(variants) if variants else VARIANTS
@@ -1084,15 +1010,17 @@ def hunt(
     ]
     # more processes than tasks or cores buy nothing, and all start at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the pool's import stack is for multi-worker hunts only
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers > 1:
+            # imported here: the pool's import stack is for multi-worker hunts only
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_hunt_task, tasks))
-    else:
-        with hunt_scope():
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(_hunt_task, tasks))
+        else:
             chunks = [_hunt_task(t) for t in tasks]
+    finally:
+        _zn.cache_clear()  # nothing outlives the hunt
     return [row for chunk in chunks for row in chunk]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -355,6 +356,51 @@ def test_lattice_stdout(z6_path, capsys):
 
 def test_lattice_budget(z6_path):
     assert main(["lattice", z6_path, "--budget", "4"]) == 4
+
+
+def test_lattice_dot_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
+    labels = ['z"0', "o\\"]
+    p = tmp_path / "odd.json"
+    p.write_text(json.dumps({
+        "ring": {"tables": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                            "labels": labels}},
+        "ideal_generators": [labels[1]], "module": "regular"}))
+    assert main(["lattice", str(p)]) == 0
+    out = capsys.readouterr().out
+    # every node line is one DOT string followed by the rest of the attributes
+    node = re.compile(r'  s\d+ \[label="((?:[^"\\]|\\.)*)"(?:, peripheries=2)?\];')
+    lines = [line for line in out.splitlines() if "[label=" in line]
+    assert len(lines) == 4 and all(node.fullmatch(line) for line in lines)
+    texts = [re.sub(r"\\(.)", r"\1", node.fullmatch(line)[1]) for line in lines]
+    assert texts[-1] == '{(z"0,z"0),(z"0,o\\),(o\\,z"0),(o\\,o\\)}nM><I'
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("hunt", "--out", ["--max", "2"]),
+    ("lattice", "--dot", None),
+])
+def test_unwritable_output_path_exits_2(command, flag, extra, z6_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    args = [command, *(extra if extra is not None else [z6_path]), flag, str(target)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert err == f"bowtie: error: cannot write {target}: No such file or directory\n"
+    assert "wrote" not in out and not target.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_instance_name_with_a_tab_or_line_break_exits_2(command, tmp_path, capsys):
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({**Z6_SPEC, "name": "bad\tname\nsecond"}))
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr() == (
+        "", "bowtie: error: name: 'bad\\tname\\nsecond' holds a tab or a line break\n")
+    # a name taken from the file stem is refused the same way
+    q = tmp_path / "bad\rstem.json"
+    q.write_text(json.dumps(Z6_SPEC))
+    assert main([command, str(q)]) == 2
+    assert capsys.readouterr().err == (
+        "bowtie: error: file name: 'bad\\rstem' holds a tab or a line break\n")
 
 
 def _vector_space_doc(k: int) -> dict:

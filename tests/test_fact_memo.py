@@ -26,7 +26,6 @@ from bowtie.theorems import (
     CHECKERS,
     READINGS,
     THEOREM_IDS,
-    BaseContext,
     CorpusSpec,
     Instance,
     hunt,
@@ -195,25 +194,23 @@ def test_shared_instance_rows_equal_fresh_cells_on_families():
     assert checked >= 40 and non_regular >= 20
 
 
-def test_instances_over_one_base_context_equal_their_own_on_families():
-    """Every ideal of a family module, checked over one BaseContext of the
-    module, gives the rows of an Instance over fresh tables with a base
-    context of its own."""
+def test_instances_over_one_module_equal_instances_over_fresh_copies_on_families():
+    """Every ideal of a family module, checked on Instances over that one
+    module object, which share the memos kept on it (Lat(M), N's verdicts,
+    L1's base colon), gives the rows of an Instance over fresh tables; a
+    memo on M that keeps something depending on I shows up as a changed
+    row."""
     checked, non_regular = 0, set()
     for mod in family_modules():
-        base = BaseContext(mod.ring, mod)
         for ideal in enumerate_ideals(mod.ring):
             if max(predicted_sizes(mod.ring, ideal, mod)) > 64:
                 continue
-            shared = Instance(mod.ring, ideal, mod, base=base)
             copy = _copy(mod)
-            own = Instance(copy.ring, Ideal(copy.ring, ideal.members), copy)
-            assert shared.base_submodules is base.submodules(None)
-            assert own.base is not base
             lines = [
                 [r.line() for r in run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS,
                                                 zero_ideal_probe=ideal.is_zero)]
-                for ctx in (shared, own)
+                for ctx in (Instance(mod.ring, ideal, mod),
+                            Instance(copy.ring, Ideal(copy.ring, ideal.members), copy))
             ]
             assert lines[0] == lines[1]
             checked += 1
@@ -222,8 +219,23 @@ def test_instances_over_one_base_context_equal_their_own_on_families():
     assert checked >= 40 and len(non_regular) >= 20
 
 
-def test_base_context_refuses_another_module():
-    ring = make_zn(6)
-    base = BaseContext(ring, ring_as_module(ring))
-    with pytest.raises(ValueError, match="different ring or module"):
-        Instance(ring, Ideal(ring, [0]), ring_as_module(ring), base=base)
+def test_two_ideals_over_one_module_enumerate_its_lattice_once(monkeypatch):
+    lattices = _counting(monkeypatch, theorems, "enumerate_submodules",
+                         lambda module, limit: (id(module), limit))
+    primes = _counting(monkeypatch, theorems, "is_prime_submodule",
+                       lambda n: (id(n.module), n.mask))
+    ring = make_zn(12)
+    module = ring_as_module(ring)
+    ideals = enumerate_ideals(ring)[:2]
+    ctxs = [Instance(ring, ideal, module) for ideal in ideals]
+    for ctx in ctxs:
+        run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS)
+    # Lat(M) once, Lat(M><I) once per ideal
+    assert lattices[(id(module), None)] == 1
+    assert sum(lattices.values()) == 1 + len(ideals)
+    # each N's prime verdict once, whatever the ideal
+    base = {mask: c for (mid, mask), c in primes.items() if mid == id(module)}
+    assert len(base) == len(ctxs[0].base_submodules) - 1 and set(base.values()) == {1}
+    # M keeps its lattice as masks and members, which refer to no module
+    assert module.derived_cache["lattice"][None] == [
+        (n.mask, n.members) for n in ctxs[1].base_submodules]

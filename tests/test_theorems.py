@@ -237,14 +237,13 @@ def test_budget_skipped_task_builds_no_table(monkeypatch):
         assert rows and all(r.outcome == "skip" for r in rows)
     assert built == []
     # hunt lists its tasks from the divisors of n, and its tasks on one Z_n
-    # share one base context, so each ring with an in-budget task
+    # share one ring and module, so each ring with an in-budget task
     # (n*|I| <= 10) is built once per hunt
     assert hunt(CorpusSpec(max_n=6), theorems=["L1", "T4"], budget=10) == expected
     assert built == [1, 2, 3, 4, 5, 6]
     # nothing outlives a hunt: a second one builds its rings again
     assert hunt(CorpusSpec(max_n=6), theorems=["L1", "T4"], budget=10) == expected
     assert built == [1, 2, 3, 4, 5, 6] * 2
-    assert theorems._scope is None
 
 
 def test_hunt_that_raises_leaves_no_scope(monkeypatch):
@@ -253,21 +252,21 @@ def test_hunt_that_raises_leaves_no_scope(monkeypatch):
             raise ZeroDivisionError("checker raised")
         return "pass", ""
 
-    bases = []
+    rings = []
+    real = theorems.make_zn
 
-    class Recorded(theorems.BaseContext):
-        def __init__(self, ring, module):
-            super().__init__(ring, module)
-            bases.append(weakref.ref(self))
+    def recorded(n):
+        ring = real(n)
+        rings.append(weakref.ref(ring))
+        return ring
 
-    monkeypatch.setattr(theorems, "BaseContext", Recorded)
+    monkeypatch.setattr(theorems, "make_zn", recorded)
     monkeypatch.setitem(theorems.CHECKERS, "L1", theorems.Checker(failing, improper_n=True))
     with pytest.raises(ZeroDivisionError, match="checker raised"):
         hunt(CorpusSpec(max_n=6), theorems=["L1"])
-    assert theorems._scope is None
-    # Z1..Z4 got a base context each, and none outlives the hunt
+    # Z1..Z4 were built, and none outlives the hunt, nor the memos on its module
     gc.collect()
-    assert len(bases) == 4 and all(ref() is None for ref in bases)
+    assert len(rings) == 4 and all(ref() is None for ref in rings)
 
 
 def test_hunt_lists_the_ideals_of_zn_in_enumeration_order(monkeypatch):

@@ -19,12 +19,12 @@ from bowtie import theorems
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the counters of a traced hunt(CorpusSpec(max_n=6)); Lat(Z_n) is
-# enumerated once per ring, Lat(M><I) once per ideal
+# the counters of a traced hunt(CorpusSpec(max_n=6)); Lat(Z_n) and L1's
+# base colon (N : M) are computed once per ring, Lat(M><I) once per ideal
 HUNT6_COUNTS = {
     "theorems.memo_calls": 2459,
     "theorems.memo_misses": 281,
-    "modules.colon_calls": 137,
+    "modules.colon_calls": 113,
     "modules.lattice_nodes": 86,
 }
 
