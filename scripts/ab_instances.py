@@ -20,12 +20,10 @@ sums of those medians and of the median task.
 
 Within a hunt the tasks on one Z_n share the memos kept on its regular
 module. The tasks here run in hunt's order, n ascending, so each pass
-(the check, then each round) shares them as ``hunt()`` does: a checkout
-that takes Z_n from a one-entry cache (``theorems._zn``) builds Z_n again
-when a pass climbs back from n = 1, and an older checkout that shares
-through ``theorems.hunt_scope`` gets that scope opened around each pass
-and closed after it, so on neither side does a pass reuse a ring built
-by the one before.
+(the check, then each round) shares them as ``hunt()`` does: Z_n comes
+from a one-entry cache (``theorems._zn``), which builds it again when a
+pass climbs back from n = 1, so no pass reuses a ring built by the one
+before.
 
 Whole perfbench passes spread by several percent from run to run on a
 shared host, while the per-task medians of one process drift together,
@@ -95,15 +93,6 @@ def make_tasks(pkg, workload: str, paths: list[str]):
     return doc_tasks(pkg, paths)
 
 
-def hunt_scopes(pkgs) -> contextlib.ExitStack:
-    """Each side's hunt scope, where it has one, open until the returned
-    stack closes."""
-    stack = contextlib.ExitStack()
-    for pkg in pkgs:
-        stack.enter_context(getattr(pkg["theorems"], "hunt_scope", contextlib.nullcontext)())
-    return stack
-
-
 def timed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -137,18 +126,16 @@ def main(argv: list[str] | None = None) -> int:
         pkgs = [load(checkout.resolve(), name, tmp_path)
                 for checkout, name in ((args.parent, "bowtie_a"), (args.change, "bowtie_b"))]
         sides = [make_tasks(pkg, args.workload, paths) for pkg in pkgs]
-        with hunt_scopes(pkgs):
-            for i, (a, b) in enumerate(zip(*sides)):
-                if a() != b():
-                    print(f"task {i}: report lines differ", file=sys.stderr)
-                    return 1
+        for i, (a, b) in enumerate(zip(*sides)):
+            if a() != b():
+                print(f"task {i}: report lines differ", file=sys.stderr)
+                return 1
         times: list[list[list[float]]] = [[[] for _ in sides[0]] for _ in sides]
         for rnd in range(args.rounds):
-            with hunt_scopes(pkgs):
-                for i, pair in enumerate(zip(*sides)):
-                    first = (i + rnd) % 2
-                    for side in (first, 1 - first):
-                        times[side][i].append(timed(pair[side]))
+            for i, pair in enumerate(zip(*sides)):
+                first = (i + rnd) % 2
+                for side in (first, 1 - first):
+                    times[side][i].append(timed(pair[side]))
 
     medians = [[statistics.median(t) for t in side] for side in times]
     total = [sum(m) for m in medians]

@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 from operator import and_, or_
-from pathlib import Path
+from typing import TextIO
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
@@ -32,7 +32,6 @@ from .theorems import (
     hunt,
     instance_rows,
     normalize_theorems,
-    rows_for_submodule,
     serialize_reports,
     summarize,
 )
@@ -48,14 +47,13 @@ def _err(msg: str) -> None:
     print(f"bowtie: error: {msg}", file=sys.stderr)
 
 
-def _write(path: str, text: str) -> bool:
-    """Write text to the path; False, after a message, when it cannot."""
+def _open(path: str) -> TextIO | None:
+    """The path, opened for writing; None, after a message, when it cannot be."""
     try:
-        Path(path).write_text(text)
+        return open(path, "w")
     except OSError as exc:
         _err(f"cannot write {path}: {exc.strerror or exc}")
-        return False
-    return True
+        return None
 
 
 def _add_spec_args(sp: argparse.ArgumentParser) -> None:
@@ -224,8 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx, n = built
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
-    rows = instance_rows(ctx, chosen)
-    rows.extend(rows_for_submodule(ctx, n, chosen, variants, readings))
+    rows = instance_rows(ctx, chosen, variants, readings, [n])
     for row in rows:
         print(row.line())
     failed = sum(1 for r in rows if r.outcome == "fail")
@@ -253,22 +250,27 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
-    reports = hunt(corpus, chosen, variants, readings,
-                   workers=args.workers, budget=budget)
+    # opened before the sweep, so an unwritable path costs no hunt
+    out = _open(args.out) if args.out else sys.stdout
+    if out is None:
+        return EXIT_BAD_INPUT
     header = (
         f"hunt family={corpus.family} max={corpus.max_n}"
         f" theorems={','.join(chosen)} variants={','.join(variants)}"
         f" readings={','.join(readings)} budget={budget}"
     )
-    text = serialize_reports(reports, header)
+    try:
+        reports = hunt(corpus, chosen, variants, readings,
+                       workers=args.workers, budget=budget)
+        out.write(serialize_reports(reports, header))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     summary = summarize(reports)
     if args.out:
-        if not _write(args.out, text):
-            return EXIT_BAD_INPUT
         print(f"wrote {len(reports)} report lines to {args.out}")
         print(summary)
     else:
-        sys.stdout.write(text)
         print(summary, file=sys.stderr)
     return EXIT_OK
 
@@ -334,8 +336,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.dot:
-        if not _write(args.dot, text):
+        out = _open(args.dot)
+        if out is None:
             return EXIT_BAD_INPUT
+        with out:
+            out.write(text)
         print(f"wrote {args.dot}")
     else:
         sys.stdout.write(text)

@@ -38,6 +38,7 @@ from .rings import (
     ideal_of,
     mask_of,
     pack_rows,
+    row_block,
     row_images,
     subgroup_sum,
     subset_classes,
@@ -400,7 +401,7 @@ def check_module_map(f: ModuleMap) -> bool:
     """Additivity at every pair (x, y) and action compatibility at every (s, x).
 
     Both are whole-table comparisons: f(x+y) against f(x)+f(y), and f(sx)
-    against s f(x).
+    against s f(x), a block of rows of each table at a time.
     """
     src, tgt = f.source, f.target
     if src.ring is not tgt.ring:
@@ -408,11 +409,14 @@ def check_module_map(f: ModuleMap) -> bool:
     if len(f.table) != src.size:
         raise ValueError("map table length differs from the source size")
     t = table_array(f.table)  # narrow, so that the gathered tables stay small
-    # both sides of each comparison have the shape of the source's table
-    return bool(
-        (t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
-        and (t.take(src.act) == tgt.act.take(t, axis=1)).all()
-    )
+    # both sides of each comparison have the shape of the block of rows
+    step = row_block(src.size)
+    for start in range(0, max(src.size, src.ring.size), step):
+        rows = slice(start, start + step)
+        if not ((t.take(src.add[rows]) == tgt.add.take(t[rows], axis=0).take(t, axis=1)).all()
+                and (t.take(src.act[rows]) == tgt.act[rows].take(t, axis=1)).all()):
+            return False
+    return True
 
 
 def kernel(f: ModuleMap) -> Submodule:

@@ -3,8 +3,9 @@
 Each checker evaluates one numbered claim on one finite instance, as a
 biconditional where the claim is stated as one, and returns its outcome
 (pass, fail or na) and a detail: a failure's replayable witness, or else a
-note. run_checker builds the report row. The hunter sweeps a corpus of Z_n instances
-deterministically, so report files are byte-stable across worker counts.
+note. run_checker builds the report row, and instance_rows every row of one
+instance. The hunter sweeps a corpus of Z_n instances deterministically, so
+report files are byte-stable across worker counts.
 
 The checkers, and how each one is run, are the entries of CHECKERS, in
 report order.
@@ -30,6 +31,7 @@ from .rings import (
     memo,
     narrow_dtype,
     pack_rows,
+    row_block,
     row_images,
 )
 from .modules import (
@@ -536,15 +538,17 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     cid = np.empty(ring.size, dtype=narrow_dtype(0, len(classes) - 1))  # each scalar's class
     for i, (_p, scalars) in enumerate(classes):
         cid[bits(scalars)] = i
-    prod = cid.take(ring.mul)
-    bad = (prod != cid[:, None]) & (prod != cid[None, :])
-    if not bad.any():
-        return ""
-    s1, s2 = divmod(int(bad.argmax()), ring.size)
-    return (
-        f"s={ring.labels[s1]} t={ring.labels[s2]}: (N><I : st) matches neither"
-        f" (N><I : s) nor (N><I : t)"
-    )
+    step = row_block(ring.size)  # rows s ascend, so the first hit is lex-first
+    for start in range(0, ring.size, step):
+        prod = cid.take(ring.mul[start:start + step])
+        bad = (prod != cid[start:start + step, None]) & (prod != cid[None, :])
+        if bad.any():
+            s1, s2 = divmod(int(bad.argmax()), ring.size)
+            return (
+                f"s={ring.labels[start + s1]} t={ring.labels[s2]}: (N><I : st) matches"
+                " neither (N><I : s) nor (N><I : t)"
+            )
+    return ""
 
 
 def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
@@ -747,7 +751,7 @@ class Checker:
     readable: bool = False  # once per reading of the submodule quantifier
     improper_n: bool = False  # also run on N = M
     variant_column: str = "-"  # the rows' variant column when not varianted
-    zero_n_key: bool = False  # per-instance, but keyed by N = 0 when M != 0
+    about_m: bool = False  # per-instance, about M alone: keyed by N = 0 when M != 0
 
     def cells(self, variants: Sequence[str], readings: Sequence[str]) -> list[tuple[str, str]]:
         """The (variant, reading) pairs this checker reports a row for."""
@@ -801,7 +805,7 @@ CHECKERS: dict[str, Checker] = {
     "T_FINAL": Checker(check_T_final, per_instance=True, variant_column="behboodi"),
     # probe: do the af and behboodi readings of "weakly prime" agree on the
     # zero submodule of M
-    "DIVERGENCE": Checker(check_divergence, per_instance=True, zero_n_key=True),
+    "DIVERGENCE": Checker(check_divergence, per_instance=True, about_m=True),
 }
 
 THEOREM_IDS = tuple(CHECKERS)
@@ -865,7 +869,7 @@ def run_checker(
     if checker.per_instance:
         outcome, detail = checker.fn(ctx)
         base = ctx.inst.base_module
-        n = zero_submodule(base) if checker.zero_n_key and base.size > 1 else None
+        n = zero_submodule(base) if checker.about_m and base.size > 1 else None
     else:
         assert n is not None
         args = [ctx, n]
@@ -880,71 +884,26 @@ def run_checker(
     )
 
 
-# (theorem, its registry entry, the (variant, reading) cells it reports)
-Cells = list[tuple[str, Checker, list[tuple[str, str]]]]
-
-
-def _checker_cells(
-    theorems: Sequence[str], variants: Sequence[str], readings: Sequence[str]
-) -> Cells:
-    """Each selected checker, in the order of theorems, with its cells."""
-    return [(t, CHECKERS[t], CHECKERS[t].cells(variants, readings)) for t in theorems]
-
-
-def _submodule_rows(ctx: Instance, n: Submodule, cells: Cells) -> list[TheoremReport]:
-    proper = n.is_proper
-    return [
-        run_checker(ctx, theorem, n, variant, reading)
-        for theorem, checker, pairs in cells
-        if not checker.per_instance and (proper or checker.improper_n)
-        for variant, reading in pairs
-    ]
-
-
-def rows_for_submodule(
-    ctx: Instance,
-    n: Submodule,
-    theorems: Sequence[str],
-    variants: Sequence[str],
-    readings: Sequence[str],
-) -> list[TheoremReport]:
-    """Rows of every selected per-submodule checker on one N, in the order
-    of theorems."""
-    return _submodule_rows(ctx, n, _checker_cells(theorems, variants, readings))
-
-
 def instance_rows(
-    ctx: Instance, theorems: Sequence[str], zero_ideal_probe: bool = True
-) -> list[TheoremReport]:
-    """Rows of every selected per-instance checker, in registry order.
-
-    DIVERGENCE looks only at M, not at I; zero_ideal_probe=False leaves it out.
-    """
-    return [
-        run_checker(ctx, theorem, None)
-        for theorem, checker in CHECKERS.items()
-        if checker.per_instance and theorem in theorems
-        and (zero_ideal_probe or theorem != "DIVERGENCE")
-    ]
-
-
-def run_instance(
     ctx: Instance,
     theorems: Sequence[str],
     variants: Sequence[str],
     readings: Sequence[str],
-    zero_ideal_probe: bool = True,
+    submodules: Iterable[Submodule] | None = None,
 ) -> list[TheoremReport]:
-    """All selected checker rows for one instance, in canonical order."""
-    rows = instance_rows(ctx, theorems, zero_ideal_probe)
-    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
-        raise RuntimeError(
-            "construction bug: the canonical quotient maps failed on " + ctx.base_key
-        )
-    cells = _checker_cells(theorems, variants, readings)
-    if any(not checker.per_instance for _t, checker, _c in cells):
-        for n in ctx.base_submodules:
-            rows.extend(_submodule_rows(ctx, n, cells))
+    """The rows of the selected checkers on one instance, in registry order:
+    the per-instance checkers, then the per-submodule ones on each N of
+    submodules, by default Lat(M)."""
+    chosen = [(t, checker) for t, checker in CHECKERS.items() if t in theorems]
+    rows = [run_checker(ctx, t, None) for t, checker in chosen if checker.per_instance]
+    per_n = [(t, checker, checker.cells(variants, readings))
+             for t, checker in chosen if not checker.per_instance]
+    if per_n:  # per-instance checkers alone build no Lat(M)
+        for n in ctx.base_submodules if submodules is None else submodules:
+            proper = n.is_proper
+            rows += [run_checker(ctx, t, n, variant, reading)
+                     for t, checker, cells in per_n if proper or checker.improper_n
+                     for variant, reading in cells]
     return rows
 
 
@@ -969,13 +928,17 @@ def _hunt_task(
         detail = f"budget exceeded: |M><I| = {module_size} > {budget}"
         return [
             TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
-            for theorem, _checker, pairs in _checker_cells(theorems, variants, readings)
-            for variant, reading in pairs
+            for theorem in theorems
+            for variant, reading in CHECKERS[theorem].cells(variants, readings)
         ]
     ring, module = _zn(n)
     ideal = Ideal.from_mask(ring, mask_of(ideal_members))  # dZ_n, from hunt
-    ctx = Instance(ring, ideal, module, key=key)
-    return run_instance(ctx, theorems, variants, readings, zero_ideal_probe=ideal.is_zero)
+    if not ideal.is_zero:  # a checker about M alone reports once per Z_n, at I = 0
+        theorems = tuple(t for t in theorems if not CHECKERS[t].about_m)
+    rows = instance_rows(Instance(ring, ideal, module, key=key), theorems, variants, readings)
+    if any(r.theorem_id == "L8" and r.outcome == "fail" for r in rows):
+        raise RuntimeError("construction bug: the canonical quotient maps failed on " + key)
+    return rows
 
 
 def hunt(

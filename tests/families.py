@@ -6,7 +6,8 @@
 
 ``duplications`` builds M><I over such a module for every ideal I small
 enough for the O(k^3) oracles, or below a smaller cap, and ``relabel``
-renames a module's elements.
+renames a module's elements. ``swept_theorems`` is the checker battery
+a sweep over the ideals of one module runs at one ideal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterator
 
 from bowtie.duplication import BowtieInstance, build_bowtie, predicted_sizes
 from bowtie.modules import Submodule, TableModule, quotient_module, ring_as_module
-from bowtie.rings import TableRing, direct_product, enumerate_ideals, make_zn
+from bowtie.rings import Ideal, TableRing, direct_product, enumerate_ideals, make_zn
+from bowtie.theorems import CHECKERS, THEOREM_IDS
 
 # largest |A><I| and |M><I| that duplications() builds
 DUPLICATION_CAP = 256
@@ -87,6 +89,12 @@ def family_modules() -> list[TableModule]:
     return [ring_as_module(r) for r in products()] + [
         m for ring in quotient_bases() for m in quotients_and_sums(ring)
     ]
+
+
+def swept_theorems(ideal: Ideal) -> tuple[str, ...]:
+    """Every checker id, less those about M alone where I != 0: a sweep over
+    the ideals of one M reports those once, at I = 0, as hunt does."""
+    return tuple(t for t in THEOREM_IDS if ideal.is_zero or not CHECKERS[t].about_m)
 
 
 def duplications(module: TableModule, cap: int = DUPLICATION_CAP) -> Iterator[BowtieInstance]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bowtie
-from bowtie import modules
+from bowtie import cli, modules, theorems
 from bowtie.cli import main
 
 # SHA-256 of the stdout of `bowtie hunt --max 12` (every checker, variant
@@ -203,6 +203,21 @@ def test_verify_theorem_comma_list(z6_path, capsys):
     assert "\tL8\t" in out and "\tL1\t" in out
 
 
+def test_a_failing_L8_stops_a_hunt_and_is_a_fail_row_in_verify(z6_path, monkeypatch, capsys):
+    # L8 checks the construction itself: a hunt refuses to go on past a
+    # failure, while verify reports it as one more row
+    broken = theorems.Checker(lambda ctx: ("fail", "forced"), per_instance=True)
+    monkeypatch.setitem(theorems.CHECKERS, "L8", broken)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "construction bug: the canonical quotient maps failed on Z1|I={0}")):
+        main(["hunt", "--max", "2", "--theorem", "L8"])
+    capsys.readouterr()
+    assert main(["verify", z6_path, "--theorem", "L8,L1"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "z6\tL8\t-\t-\tfail\tforced"
+    assert len(rows) == 2 and "\tL1\t-\t-\tpass\t" in rows[1]
+
+
 def test_verify_unknown_theorem_exit_2(z6_path):
     assert main(["verify", z6_path, "--theorem", "NOPE"]) == 2
 
@@ -379,7 +394,10 @@ def test_lattice_dot_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
     ("hunt", "--out", ["--max", "2"]),
     ("lattice", "--dot", None),
 ])
-def test_unwritable_output_path_exits_2(command, flag, extra, z6_path, tmp_path, capsys):
+def test_unwritable_output_path_exits_2(command, flag, extra, z6_path, tmp_path, capsys,
+                                       monkeypatch):
+    # the path is opened before any work is done for it: no hunt runs first
+    monkeypatch.setattr(cli, "hunt", lambda *a, **k: pytest.fail("the hunt ran"))
     target = tmp_path / "missing" / "report.txt"
     args = [command, *(extra if extra is not None else [z6_path]), flag, str(target)]
     assert main(args) == 2

@@ -29,12 +29,12 @@ from bowtie.theorems import (
     CorpusSpec,
     Instance,
     hunt,
+    instance_rows,
     make_zn_instance,
     run_checker,
-    run_instance,
 )
 
-from families import family_modules, products
+from families import family_modules, products, swept_theorems
 
 
 # ------------------------------------------------------------ counting
@@ -132,7 +132,7 @@ def test_a_non_regular_module_keeps_its_own_memo():
 
 
 def _cell_by_cell(make) -> list:
-    """The rows of run_instance, each cell computed on an Instance of its own
+    """The rows of instance_rows, each cell computed on an Instance of its own
     from make(), which builds every table afresh, so no memo is shared."""
     ctx = make()
     rows = [run_checker(make(), t, None) for t in THEOREM_IDS if CHECKERS[t].per_instance]
@@ -149,7 +149,7 @@ def _cell_by_cell(make) -> list:
 
 
 def _assert_cells_agree(make) -> None:
-    shared = run_instance(make(), THEOREM_IDS, VARIANTS, READINGS)
+    shared = instance_rows(make(), THEOREM_IDS, VARIANTS, READINGS)
     assert [r.line() for r in shared] == [r.line() for r in _cell_by_cell(make)]
 
 
@@ -207,8 +207,7 @@ def test_instances_over_one_module_equal_instances_over_fresh_copies_on_families
                 continue
             copy = _copy(mod)
             lines = [
-                [r.line() for r in run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS,
-                                                zero_ideal_probe=ideal.is_zero)]
+                [r.line() for r in instance_rows(ctx, swept_theorems(ideal), VARIANTS, READINGS)]
                 for ctx in (Instance(mod.ring, ideal, mod),
                             Instance(copy.ring, Ideal(copy.ring, ideal.members), copy))
             ]
@@ -229,7 +228,7 @@ def test_two_ideals_over_one_module_enumerate_its_lattice_once(monkeypatch):
     ideals = enumerate_ideals(ring)[:2]
     ctxs = [Instance(ring, ideal, module) for ideal in ideals]
     for ctx in ctxs:
-        run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS)
+        instance_rows(ctx, THEOREM_IDS, VARIANTS, READINGS)
     # Lat(M) once, Lat(M><I) once per ideal
     assert lattices[(id(module), None)] == 1
     assert sum(lattices.values()) == 1 + len(ideals)

@@ -9,7 +9,9 @@ must equal the row-by-row conversion at every width from 1 to 1100
 columns and on non-contiguous inputs; the classes must equal the
 per-scalar rows grouped by value; and the class colons and scans must
 return exactly what the per-scalar ones return, on every submodule of M
-and M><I over Z_n, n <= 16, and of the family duplications.
+and M><I over Z_n, n <= 16, and of the family duplications. Every gather
+through a large table (the classes, L8's module-map check, the colon
+product scan) reads a block of rows at a time, under a tracemalloc bound.
 """
 
 import tracemalloc
@@ -17,13 +19,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bowtie import classify
-from bowtie.duplication import build_bowtie
-from bowtie.modules import TableModule, colon_mask, enumerate_submodules, ring_as_module
+from bowtie import classify, rings
+from bowtie.duplication import build_bowtie, restrict_scalars
+from bowtie.modules import (
+    ModuleMap,
+    TableModule,
+    check_module_map,
+    colon_mask,
+    enumerate_submodules,
+    ring_as_module,
+    whole_submodule,
+    zero_submodule,
+)
 from bowtie.rings import (
     GATHER_BLOCK,
     Ideal,
     TableRing,
+    bits,
     enumerate_ideals,
     ideal_radical,
     ideal_of,
@@ -31,6 +43,7 @@ from bowtie.rings import (
     pack_rows,
     preimage_classes,
 )
+from bowtie.theorems import Instance, colon_product_violation
 
 import oracles
 from families import duplications, family_modules
@@ -185,3 +198,71 @@ def test_classes_of_a_large_table_gather_a_block_of_rows_at_a_time():
             tracemalloc.stop()
         assert peak < 6_000_000, peak
         assert classes == _grouped(oracles.preimage_masks(table, members, size))
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def z48_full():
+    """Z48><Z48 over the regular module: 2304 scalars and elements."""
+    ring = make_zn(48)
+    return Instance(ring, Ideal.from_mask(ring, (1 << 48) - 1), ring_as_module(ring))
+
+
+def test_module_maps_of_a_large_module_are_checked_a_block_of_rows_at_a_time(
+        z48_full, monkeypatch):
+    """L8's first projection of Z48><Z48 onto Z48 checks below 6 MB of traced
+    allocations, and a copy with one value changed fails, also when each
+    block is 10 rows. One gather of the whole 2304 x 2304 addition table
+    peaked at 47.8 MB."""
+    inst = z48_full.inst
+    table = inst.module_pairs[:, 0].tolist()
+    assert inst.bowtie_module.add.size > 16 * GATHER_BLOCK
+    scalars = restrict_scalars(inst, "first")
+    good = ModuleMap(inst.bowtie_module, scalars, tuple(table))
+    table[-1] = (table[-1] + 1) % 48
+    bad = ModuleMap(inst.bowtie_module, scalars, tuple(table))
+    holds, peak = _traced_peak(lambda: check_module_map(good))
+    assert holds and peak < 6_000_000, peak
+    assert not check_module_map(bad)
+    monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * len(table))
+    assert check_module_map(good) and not check_module_map(bad)
+
+
+def _colon_product_witness(ring: TableRing, classes) -> str:
+    """The lex-first (s, t) of colon_product_violation, from one whole-table gather."""
+    cid = np.empty(ring.size, dtype=np.int64)
+    for i, (_p, scalars) in enumerate(classes):
+        cid[bits(scalars)] = i
+    prod = cid[ring.mul]
+    bad = np.argwhere((prod != cid[:, None]) & (prod != cid[None, :]))
+    if not len(bad):
+        return ""
+    s, t = (ring.labels[x] for x in bad[0])
+    return f"s={s} t={t}: (N><I : st) matches neither (N><I : s) nor (N><I : t)"
+
+
+def test_the_colon_product_scan_of_a_large_ring_reads_a_block_of_rows_at_a_time(
+        z48_full, monkeypatch):
+    """colon_product_violation on Z48><Z48 stays below 6 MB of traced
+    allocations and names the lex-first (s, t) of the whole-table scan, also
+    when each block is 10 rows, so that the witness row 96 lies in a later
+    block. One gather of the whole multiplication table peaked at 47.8 MB."""
+    ring = z48_full.inst.bowtie_ring
+    base = z48_full.inst.base_module
+    nbs = [z48_full.bowtie(n) for n in (zero_submodule(base), whole_submodule(base))]
+    expected = [_colon_product_witness(ring, nb.classes) for nb in nbs]
+    assert expected[0].startswith("s=(2,0) ") and expected[1] == ""
+    for nb, witness in zip(nbs, expected):
+        found, peak = _traced_peak(lambda: colon_product_violation(z48_full, nb))
+        assert found == witness and peak < 6_000_000, peak
+    monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * ring.size)
+    assert [colon_product_violation(z48_full, nb) for nb in nbs] == expected

@@ -9,7 +9,13 @@ import pytest
 from bowtie import theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
-from bowtie.modules import Submodule, is_cyclic, whole_submodule, zero_submodule
+from bowtie.modules import (
+    Submodule,
+    is_cyclic,
+    ring_as_module,
+    whole_submodule,
+    zero_submodule,
+)
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import (
     READINGS,
@@ -19,16 +25,16 @@ from bowtie.theorems import (
     TheoremReport,
     default_budget,
     hunt,
+    instance_rows,
     make_zn_instance,
     normalize_theorems,
     run_checker,
-    run_instance,
     serialize_reports,
     summarize,
 )
 
 from constructions import is_faithful
-from families import family_modules
+from families import family_modules, swept_theorems
 
 ALL_VARIANTS = ("af", "azizi", "behboodi")
 BOTH_READINGS = ("bowtie", "all-submodules")
@@ -181,11 +187,38 @@ def test_default_budget_env(monkeypatch):
         default_budget()
 
 
-def test_run_instance_row_order(z6):
-    rows = run_instance(z6, ("L8", "L1", "T_FINAL"), ALL_VARIANTS, BOTH_READINGS)
+def test_instance_rows_order(z6):
+    rows = instance_rows(z6, ("L8", "L1", "T_FINAL"), ALL_VARIANTS, BOTH_READINGS)
     assert [r.theorem_id for r in rows[:2]] == ["L8", "T_FINAL"]
     assert all(r.theorem_id == "L1" for r in rows[2:])
     assert len(rows) == 2 + len(z6.base_submodules)
+
+
+def _small_instances():
+    """(A, I, M) for every ideal of Z_n, n <= 8, over its regular module, and
+    every family module and ideal with |A><I|, |M><I| <= 64."""
+    for n in range(1, 9):
+        ring = make_zn(n)
+        module = ring_as_module(ring)
+        yield from ((ring, ideal, module) for ideal in enumerate_ideals(ring))
+    for m in family_modules():
+        yield from ((m.ring, ideal, m) for ideal in enumerate_ideals(m.ring)
+                    if max(predicted_sizes(m.ring, ideal, m)) <= 64)
+
+
+def test_verify_and_hunt_give_each_n_the_same_rows():
+    # verify asks instance_rows for one N, a hunt for every N of Lat(M) at once
+    checked = 0
+    for ring, ideal, module in _small_instances():
+        swept = instance_rows(Instance(ring, ideal, module), THEOREM_IDS, VARIANTS, READINGS)
+        head = [r for r in swept if theorems.CHECKERS[r.theorem_id].per_instance]
+        ctx = Instance(ring, ideal, module)
+        for n in ctx.base_submodules:
+            key = ctx.key_for(n)
+            own = [r for r in swept[len(head):] if r.instance_key == key]
+            assert instance_rows(ctx, THEOREM_IDS, VARIANTS, READINGS, [n]) == head + own
+            checked += 1
+    assert checked > 300
 
 
 def test_hunt_budget_skip_rows():
@@ -431,8 +464,7 @@ def test_family_report_is_byte_identical():
             if max(predicted_sizes(m.ring, ideal, m)) > 256:
                 continue
             ctx = Instance(m.ring, ideal, m, key=f"{m.name}|I={ideal.label_set()}")
-            rows += run_instance(ctx, THEOREM_IDS, VARIANTS, READINGS,
-                                 zero_ideal_probe=ideal.is_zero)
+            rows += instance_rows(ctx, swept_theorems(ideal), VARIANTS, READINGS)
     text = serialize_reports(rows)
     assert (len(rows), hashlib.sha256(text.encode()).hexdigest()) == (41965, FAMILY_REPORT_SHA256)
 
