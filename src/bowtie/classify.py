@@ -29,7 +29,8 @@ least coset representatives in K, so its witnesses are the quotient's.
 All scans read the preimage masks pre[a] = {x : a*x in N} of their input
 by scalar class (``Submodule.classes``, ``Ideal.classes``) and take the
 lowest scalar and lowest set bit, so a returned witness is always the
-lexicographically first violation.
+lexicographically first violation. The prime test of an ideal reads the
+principal ideals instead (is_prime_ideal), and returns the same witness.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .rings import Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit, mask_of
+import numpy as np
+
+from .rings import (
+    Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit, mask_of, principal_masks,
+)
 from .modules import Submodule, TableModule, colon_mask, cosets
 
 VARIANTS = ("af", "azizi", "behboodi")
@@ -112,9 +117,29 @@ def _ideal_verdict(j: Ideal, hit: tuple[int, int] | None, suffix: str = "") -> V
 
 
 def is_prime_ideal(j: Ideal) -> Verdict:
-    """ab in J implies a in J or b in J."""
+    """ab in J implies a in J or b in J.
+
+    Read off units: in the finite ring A/J an element is a zero divisor
+    exactly when it is not a unit, and a outside J is a unit of A/J when
+    its principal ideal aA meets the coset 1 + J. So the a outside J are
+    scanned upwards against rings.principal_masks, and the first whose aA
+    misses 1 + J is the least a of a violation; its least b outside J with
+    ab in J comes from row a of ``mul``. No scalar classes are packed.
+    """
     _require_proper(j)
-    return _ideal_verdict(j, _first_violation(j.classes, j.mask, ~j.mask))
+    ring = j.ring
+    one_coset = mask_of(ring.add[ring.one].take(j.members).tolist())
+    principal = principal_masks(ring)
+    outside = ~j.mask & ((1 << ring.size) - 1)
+    while outside:
+        a = lowest_bit(outside)
+        if not principal[a] & one_coset:
+            inside = np.zeros(ring.size, dtype=bool)
+            inside[list(j.members)] = True
+            b = int((inside.take(ring.mul[a]) & ~inside).argmax())
+            return _ideal_verdict(j, (a, b))
+        outside &= outside - 1
+    return Verdict(holds=True)
 
 
 def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:

@@ -13,10 +13,12 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
+import tempfile
 from operator import and_, or_
-from typing import TextIO
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
 from .duplication import detect_bowtie_form, predicted_sizes
@@ -47,10 +49,47 @@ def _err(msg: str) -> None:
     print(f"bowtie: error: {msg}", file=sys.stderr)
 
 
-def _open(path: str) -> TextIO | None:
-    """The path, opened for writing; None, after a message, when it cannot be."""
+class _Output:
+    """Where a command's text goes, written whole: stdout when the path is
+    None, else a temporary file beside the path, created at once so that
+    an unwritable directory is reported before any work. commit() renames
+    the file over the path; leaving the block without a commit, by an early
+    return or an error, removes it, so the path keeps its previous bytes."""
+
+    def __init__(self, path: str | None):
+        self.path = path
+        if path is None:
+            return
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+        self.file = os.fdopen(fd, "w")
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.path is not None:
+            self.file.close()
+            if os.path.exists(self.tmp):  # not committed
+                os.unlink(self.tmp)
+
+    def commit(self, text: str) -> None:
+        if self.path is None:
+            sys.stdout.write(text)
+            return
+        self.file.write(text)
+        self.file.close()
+        os.replace(self.tmp, self.path)
+
+
+def _open(path: str | None) -> _Output | None:
+    """The output for the path; None, after a message, when it cannot be written."""
     try:
-        return open(path, "w")
+        return _Output(path)
     except OSError as exc:
         _err(f"cannot write {path}: {exc.strerror or exc}")
         return None
@@ -251,7 +290,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
     # opened before the sweep, so an unwritable path costs no hunt
-    out = _open(args.out) if args.out else sys.stdout
+    out = _open(args.out)
     if out is None:
         return EXIT_BAD_INPUT
     header = (
@@ -259,13 +298,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         f" theorems={','.join(chosen)} variants={','.join(variants)}"
         f" readings={','.join(readings)} budget={budget}"
     )
-    try:
+    with out:
         reports = hunt(corpus, chosen, variants, readings,
                        workers=args.workers, budget=budget)
-        out.write(serialize_reports(reports, header))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        out.commit(serialize_reports(reports, header))
     summary = summarize(reports)
     if args.out:
         print(f"wrote {len(reports)} report lines to {args.out}")
@@ -305,14 +341,8 @@ def _badges(verdicts: dict) -> str:
     return " ".join(out) if out else "-"
 
 
-def cmd_lattice(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if isinstance(spec, int):
-        return spec
-    built = _build(spec, args.budget)
-    if isinstance(built, int):
-        return built
-    ctx, _n = built
+def _lattice_dot(ctx: Instance) -> tuple[str, int]:
+    """The lattice of M><I as DOT text, and its number of edges."""
     subs = ctx.bowtie_submodules
     lines = [
         "digraph submodule_lattice {",
@@ -334,18 +364,28 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     for i, j in edges:
         lines.append(f"  s{i} -> s{j};")
     lines.append("}")
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", len(edges)
+
+
+def cmd_lattice(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    if isinstance(spec, int):
+        return spec
+    # opened before the lattice is built, so an unwritable path costs nothing
+    out = _open(args.dot)
+    if out is None:
+        return EXIT_BAD_INPUT
+    with out:
+        built = _build(spec, args.budget)
+        if isinstance(built, int):
+            return built
+        ctx, _n = built
+        text, edges = _lattice_dot(ctx)
+        out.commit(text)
     if args.dot:
-        out = _open(args.dot)
-        if out is None:
-            return EXIT_BAD_INPUT
-        with out:
-            out.write(text)
         print(f"wrote {args.dot}")
-    else:
-        sys.stdout.write(text)
-    print(f"nodes\t{len(subs)}", file=sys.stderr)
-    print(f"edges\t{len(edges)}", file=sys.stderr)
+    print(f"nodes\t{len(ctx.bowtie_submodules)}", file=sys.stderr)
+    print(f"edges\t{edges}", file=sys.stderr)
     print("bowtie-form nodes have doubled borders", file=sys.stderr)
     return EXIT_OK
 

@@ -37,7 +37,9 @@ from .rings import (
     derived,
     ideal_of,
     mask_of,
+    memo,
     pack_rows,
+    principal_masks,
     row_block,
     row_images,
     subgroup_sum,
@@ -144,14 +146,14 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
 class Submodule(Subset):
     """A subset closed under addition and the full scalar action."""
 
-    __slots__ = ("module", "_cosets")
+    __slots__ = ("module",)
 
     def __init__(self, module: TableModule, members: Iterable[int]):
         self._check(module, members, module.act, module.ring.labels, "action-closed")
 
     def _store(self, module: TableModule, mask: int, members: tuple[int, ...]) -> None:
         self.module = self.over = module
-        self.mask, self.members, self._cosets = mask, members, None
+        self.mask, self.members = mask, members
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
@@ -197,7 +199,11 @@ def whole_submodule(module: TableModule) -> Submodule:
 
 
 def cyclic_masks(module: TableModule) -> tuple[int, ...]:
-    """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once."""
+    """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once.
+    A module acting by its ring's ``mul`` reads the ring's principal ideals:
+    the ring is commutative, so Rg = gR."""
+    if module.act is module.ring.mul:
+        return principal_masks(module.ring)
     return derived(module, "cyclic_masks", lambda: row_images(module.act.T, module.size))
 
 
@@ -367,12 +373,15 @@ def is_cyclic(module: TableModule) -> CyclicResult:
 
 def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
     """The cosets m + N: each element's coset index, numbered by least
-    member, and those least members, ascending; computed once per N."""
-    if n._cosets is None:
+    member, and those least members, ascending; computed once per
+    (module, mask), so two objects for one N share them."""
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
         rep_of = n.module.add.take(n.members, axis=1).min(axis=1)
         is_rep = rep_of == np.arange(n.module.size)
-        n._cosets = (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
-    return n._cosets
+        return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
+
+    return memo(n.module, "cosets", n.mask, compute)
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:

@@ -597,6 +597,12 @@ def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
     return pack_rows(hits)
 
 
+def principal_masks(ring: TableRing) -> tuple[int, ...]:
+    """principal[a] = aA, the principal ideal of a, as a mask; computed once.
+    It is also the cyclic submodule of a in every module acting by ``mul``."""
+    return derived(ring, "principal_masks", lambda: row_images(ring.mul, ring.size))
+
+
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators: the sum of the principal
     ideals gA, which are the cyclic submodules of the regular module."""

@@ -31,6 +31,7 @@ from .rings import (
     memo,
     narrow_dtype,
     pack_rows,
+    principal_masks,
     row_block,
     row_images,
 )
@@ -137,6 +138,7 @@ class Instance:
         self._primary: dict[int, Verdict] = {}
         self._wp: dict[tuple[int, str], Verdict] = {}
         self._npack: dict[int, dict] = {}
+        self._quotient: dict[int, tuple[TableModule, ModuleMap]] = {}
         self._facts: dict[tuple[str, int, str], Any] = {}
 
     def fact(self, what: str, n: Submodule, compute: Callable[[], Any], reading: str = "-") -> Any:
@@ -180,8 +182,11 @@ class Instance:
 
     @cached_property
     def bowtie_images(self) -> tuple[int, ...]:
-        """images[a] = a*(M><I), as masks."""
+        """images[a] = a*(M><I), as masks: the principal ideals of A><I
+        when M><I is its regular module."""
         mod = self.inst.bowtie_module
+        if mod.act is mod.ring.mul:
+            return principal_masks(mod.ring)
         return row_images(mod.act, mod.size)
 
     def bowtie(self, n: Submodule) -> Submodule:
@@ -221,14 +226,17 @@ class Instance:
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
 
-        sum_ids[x]: id of the submodule N><I + Ax, numbered by first
-        appearance; sum_masks[id]: its members; sum_members[id]: the x with
-        that id. col_ids[x]: id of the element colon {a : a x in N><I};
+        coset[x]: the index of x + N><I, numbered by least member, and
+        reps[c]: that least member. rep_sum[c]: the id of the submodule
+        N><I + Ax for x in coset c, numbered by first appearance;
+        sum_masks[id]: its members; sum_members[id]: the x with that id.
+        rep_col[c]: the id of the element colon {a : a x in N><I};
         col_masks[id]: its members; col_members[id]: the x with that id.
         bad_y[id]: the y whose sum meets sum id ``id`` in more than N><I.
-        Both maps are constant on each coset x + N><I (a(x + n) lies in
-        ax + N><I), so they are computed once per coset; ascending x meets
-        the cosets in id order, so the numbering is the one over all x.
+        Both ids are constant on each coset x + N><I (a(x + n) lies in
+        ax + N><I), so they are kept once per coset; ascending x meets the
+        cosets in index order, so the numbering is the one over all x, and
+        the first x of a condition is the least member of its first coset.
         """
         key = nb.mask
         if key in self._npack:
@@ -241,15 +249,18 @@ class Instance:
         # N + Ax is the union of the cosets of N that meet Ax: column x of cos
         sum_index: dict[int, int] = {}
         rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
-        sum_ids = [rep_sum[c] for c in ids]
-        members = _members_by_id(ids, r)  # each coset's members
-        sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
         # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
         col_index: dict[int, int] = {}
         rep_col = [col_index.setdefault(c, len(col_index))
                    for c in pack_rows((cos == ids[mod.zero]).T)]
-        col_ids = [rep_col[c] for c in ids]
-        sum_members = _members_by_id(sum_ids, len(sum_masks))
+        members = [0] * r  # each coset's members, in one pass over the elements
+        for x, c in enumerate(ids):
+            members[c] |= 1 << x
+        sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
+        sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
+        for c, part in enumerate(members):
+            sum_members[rep_sum[c]] |= part
+            col_members[rep_col[c]] |= part
         n_mask = nb.mask
         bad_y = []
         for s in sum_masks:
@@ -259,25 +270,26 @@ class Instance:
                     bad |= sum_members[t]
             bad_y.append(bad)
         pack = {
-            "sum_ids": sum_ids,
+            "coset": ids,
+            "reps": reps.tolist(),
+            "rep_sum": rep_sum,
             "sum_masks": sum_masks,
             "sum_members": sum_members,
-            "col_ids": col_ids,
+            "rep_col": rep_col,
             "col_masks": list(col_index),
-            "col_members": _members_by_id(col_ids, len(col_index)),
+            "col_members": col_members,
             "bad_y": bad_y,
             "n_mask": n_mask,
         }
         self._npack[key] = pack
         return pack
 
-
-def _members_by_id(ids: list[int], count: int) -> list[int]:
-    """For each id, the mask of the positions that carry it."""
-    out = [0] * count
-    for x, i in enumerate(ids):
-        out[i] |= 1 << x
-    return out
+    def quotient(self, s: Submodule) -> tuple[TableModule, ModuleMap]:
+        """M><I / S and its projection, built once per S."""
+        key = s.mask
+        if key not in self._quotient:
+            self._quotient[key] = quotient_module(self.inst.bowtie_module, s)
+        return self._quotient[key]
 
 
 def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
@@ -443,12 +455,13 @@ def t4_violation(ctx: Instance, nb: Submodule) -> str:
     """Witness of the first x, y with unequal element colons whose sums
     N><I + Ax and N><I + Ay meet in more than N><I; "" when there is none."""
     pack = ctx.npack(nb)
-    sum_ids, sum_masks, col_ids = pack["sum_ids"], pack["sum_masks"], pack["col_ids"]
-    for x, sx in enumerate(sum_ids):
-        bad = pack["bad_y"][sx] & ~pack["col_members"][col_ids[x]]
+    rep_sum, sum_masks, rep_col = pack["rep_sum"], pack["sum_masks"], pack["rep_col"]
+    for x, sx, cx in zip(pack["reps"], rep_sum, rep_col):
+        bad = pack["bad_y"][sx] & ~pack["col_members"][cx]
         if bad:
             y = lowest_bit(bad)
-            extra = lowest_bit(sum_masks[sx] & sum_masks[sum_ids[y]] & ~pack["n_mask"])
+            sy = rep_sum[pack["coset"][y]]
+            extra = lowest_bit(sum_masks[sx] & sum_masks[sy] & ~pack["n_mask"])
             labels = ctx.inst.bowtie_module.labels
             return (
                 f"x={labels[x]} y={labels[y]}: colons differ but the"
@@ -484,7 +497,7 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
     """Witness of the first a, x, y with a x in N><I whose sums N><I + Ax
     and N><I + A(ay) meet in more than N><I; "" when there is none."""
     pack = ctx.npack(nb)
-    sum_ids, bad_y, sum_members = pack["sum_ids"], pack["bad_y"], pack["sum_members"]
+    bad_y, sum_members = pack["bad_y"], pack["sum_members"]
     inst = ctx.inst
     pre = [0] * inst.bowtie_ring.size  # pre[a], from N><I's scalar classes
     for p, scalars in nb.classes:
@@ -500,7 +513,7 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
         if bad_x:
             x = lowest_bit(bad_x)
             row = inst.bowtie_module.act[a].tolist()
-            targets = bad_y[sum_ids[x]]
+            targets = bad_y[pack["rep_sum"][pack["coset"][x]]]
             y = next(y for y, ay in enumerate(row) if targets >> ay & 1)
             labels = inst.bowtie_module.labels
             return (
@@ -597,7 +610,7 @@ def check_L_radical(ctx: Instance, n: Submodule) -> tuple[str, str]:
     rad = ideal_radical(ctx.colon(nb)).mask
     pack = ctx.npack(nb)
     violation = ""
-    for b, cb in enumerate(pack["col_ids"]):
+    for b, cb in zip(pack["reps"], pack["rep_col"]):
         bad = pack["col_masks"][cb] & ~rad
         if nb.mask >> b & 1 or not bad:
             continue
@@ -614,7 +627,7 @@ def check_P_colon_primary(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """For primary N><I: colon = Ann(M><I / N><I) and it is a primary ideal."""
     nb = ctx.bowtie(n)
     col = ctx.colon(nb)
-    quo, _ = quotient_module(ctx.inst.bowtie_module, nb)
+    quo, _ = ctx.quotient(nb)
     ann = annihilator(whole_submodule(quo))
     if ann.mask != col.mask:
         return "fail", (f"colon {col.label_set()} differs from the quotient annihilator"
@@ -654,7 +667,7 @@ def _induced_map(
 
 
 def _quotient_iso(
-    f: ModuleMap, name: str, k: Submodule, k_name: str, target_name: str,
+    ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: str, target_name: str,
 ) -> tuple[list[str], int]:
     """The reasons f: M><I -> T fails to be a surjective module map with
     kernel K that induces M><I / K = T (none when it is one), and |M><I / K|."""
@@ -665,7 +678,7 @@ def _quotient_iso(
         problems.append(f"{name} is not surjective")
     if kernel(f).members != k.members:
         problems.append(f"kernel of the {name} is not {k_name}")
-    q, proj = quotient_module(f.source, k)
+    q, proj = ctx.quotient(k)
     g = _induced_map(q, proj, f)
     if not check_module_map(g) or len(set(g.table)) != q.size or q.size != f.target.size:
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
@@ -681,11 +694,12 @@ def check_L8(ctx: Instance) -> tuple[str, str]:
     # with scalars acting through the first component
     firsts = inst.module_pairs[:, 0]
     first = ModuleMap(mod, restrict_scalars(inst, "first"), tuple(firsts.tolist()))
-    problems1, q1 = _quotient_iso(first, "first projection", zero_cross_im, "0 x IM", "M")
+    problems1, q1 = _quotient_iso(ctx, first, "first projection", zero_cross_im, "0 x IM", "M")
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
     coset = ModuleMap(mod, restrict_scalars(inst, "first", base_quo),
                       tuple(np.take(bproj.table, firsts).tolist()))
-    problems2, q2 = _quotient_iso(coset, "coset projection", im_cross_im, "IM x IM", "M/IM")
+    problems2, q2 = _quotient_iso(ctx, coset, "coset projection", im_cross_im, "IM x IM",
+                                  "M/IM")
     if problems1 or problems2:
         return "fail", "; ".join(problems1 + problems2)
     return "pass", f"quotient sizes {q1} and {q2}"

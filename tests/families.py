@@ -6,7 +6,7 @@
 
 ``duplications`` builds M><I over such a module for every ideal I small
 enough for the O(k^3) oracles, or below a smaller cap, and ``relabel``
-renames a module's elements. ``swept_theorems`` is the checker battery
+and ``relabel_ring`` rename a module's or a ring's elements. ``swept_theorems`` is the checker battery
 a sweep over the ideals of one module runs at one ideal.
 """
 
@@ -58,6 +58,18 @@ def relabel(module: TableModule, perm: list[int]) -> TableModule:
         add=table(add[x] for x in old), act=table(module.act.tolist()),
         zero=perm[module.zero], labels=tuple(module.labels[x] for x in old),
         name=f"{module.name}-relabelled",
+    )
+
+
+def relabel_ring(ring: TableRing, perm: list[int]) -> TableRing:
+    """The same ring with element x renamed perm[x]: the relabelled regular
+    module, with the rows of its action renamed too."""
+    regular = relabel(ring_as_module(ring), perm)
+    old = sorted(range(ring.size), key=perm.__getitem__)
+    return TableRing(
+        size=ring.size, add=regular.add, mul=regular.act.take(old, axis=0),
+        zero=regular.zero, one=perm[ring.one], labels=regular.labels,
+        name=f"{ring.name}-relabelled",
     )
 
 

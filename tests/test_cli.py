@@ -35,6 +35,12 @@ HUNT_MAX32_BUDGET1024_SHA256 = "f7e79e12a04f653b685871975b6a403e2509945cbbbf9418
 # frontier hunt (about 10 s, so marked slow: run it with `pytest -m slow`)
 HUNT_MAX48_BUDGET2304_SHA256 = "a296525cb67e06e09d667feecf5fef8aa43bcc66b306cfb8777f0dbf7d2d7ff1"
 
+# SHA-256 and line count of the stdout of `bowtie hunt --max 64 --budget
+# 4096`, the next frontier (about 20 s, marked slow); taken before the
+# principal-mask, unit-scan and per-coset changes to the kernels
+HUNT_MAX64_BUDGET4096_SHA256 = "10d74b0d531b88904c8db070ba57e6cd29ee7e90212b3569635f43c18bdf2425"
+HUNT_MAX64_BUDGET4096_LINES = 47417
+
 # (exit code, stdout SHA-256) of `bowtie verify|classify --seed-corpus NAME`
 SEED_STDOUT_SHA256 = {
     ("verify", "z12-prime"):
@@ -251,6 +257,43 @@ def test_hunt_writes_deterministic_file(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_hunt_that_raises_leaves_the_previous_report(tmp_path, monkeypatch, capsys):
+    # the report is written to a temporary file beside --out, which replaces
+    # it only after the hunt succeeds
+    report = tmp_path / "report.tsv"
+    assert main(["hunt", "--max", "3", "--out", str(report)]) == 0
+    before = report.read_bytes()
+
+    def failing(*args, **kwargs):
+        assert len(list(tmp_path.iterdir())) == 2  # the temporary file is there
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "hunt", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["hunt", "--max", "4", "--out", str(report)])
+    assert report.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [report]
+
+
+def test_a_refused_lattice_leaves_the_previous_dot_file(z6_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    dot = out_dir / "z6.dot"
+    assert main(["lattice", z6_path, "--dot", str(dot)]) == 0
+    before = dot.read_bytes()
+    assert main(["lattice", z6_path, "--dot", str(dot), "--budget", "4"]) == 4
+    assert dot.read_bytes() == before
+    assert list(out_dir.iterdir()) == [dot]
+
+
+def test_a_written_report_gets_the_mode_of_a_new_file(tmp_path, capsys):
+    report = tmp_path / "report.tsv"
+    assert main(["hunt", "--max", "2", "--out", str(report)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert report.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_hunt_stdout_report(capsys):
     assert main(["hunt", "--max", "3", "--theorem", "L1"]) == 0
     out = capsys.readouterr().out
@@ -290,6 +333,14 @@ def test_hunt_max48_budget2304_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "48", "--budget", "2304"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX48_BUDGET2304_SHA256
+
+
+@pytest.mark.slow
+def test_hunt_max64_budget4096_report_is_byte_identical(capsys):
+    assert main(["hunt", "--max", "64", "--budget", "4096"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == HUNT_MAX64_BUDGET4096_LINES
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_MAX64_BUDGET4096_SHA256
 
 
 def test_hunt_budget_skip_report_is_byte_identical(capsys):
@@ -404,6 +455,22 @@ def test_unwritable_output_path_exits_2(command, flag, extra, z6_path, tmp_path,
     out, err = capsys.readouterr()
     assert err == f"bowtie: error: cannot write {target}: No such file or directory\n"
     assert "wrote" not in out and not target.exists()
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("hunt", "--out", ["--max", "2"]),
+    ("lattice", "--dot", None),
+])
+def test_output_path_that_is_a_directory_exits_2(command, flag, extra, z6_path, tmp_path,
+                                                 capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hunt", lambda *a, **k: pytest.fail("the hunt ran"))
+    target = tmp_path / "reports"
+    target.mkdir()
+    args = [command, *(extra if extra is not None else [z6_path]), flag, str(target)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"bowtie: error: cannot write {target}: Is a directory\n"
+    assert list(target.iterdir()) == [] and sorted(tmp_path.iterdir()) == sorted(
+        [target, Path(z6_path)])
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])

@@ -3,7 +3,8 @@
 Scalar classes live in one memo per action table, keyed by mask: an ideal of
 A and the same subset as a submodule of the regular module share one entry,
 and so do the submodules of M><I of a regular M and the ideals of A><I. The
-checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
+cosets of a submodule are kept on its module by mask, and each quotient of
+M><I on its ``Instance``. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
 C_IRR, the weakly-prime test of the colon, the report key) are computed once
 per N><I and reading on ``Instance``. Here the calls are counted over a hunt,
 and every row is compared with the row of the same cell computed on a fresh
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bowtie import rings, theorems
+from bowtie import modules, rings, theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import Submodule, TableModule, enumerate_submodules, ring_as_module
@@ -55,9 +56,33 @@ def _counting(monkeypatch, owner, name, key):
     return counts
 
 
+def _counting_memo(monkeypatch, owner, what):
+    """Count the computations owner.memo runs for ``what``, by (owner, key)."""
+    counts: Counter = Counter()
+    kept = []
+    real = owner.memo
+
+    def counted(obj, name, key, compute):
+        if name != what:
+            return real(obj, name, key, compute)
+
+        def tallied():
+            kept.append(obj)
+            counts[(id(obj), key)] += 1
+            return compute()
+
+        return real(obj, name, key, tallied)
+
+    monkeypatch.setattr(owner, "memo", counted)
+    return counts
+
+
 def test_each_fact_is_computed_once_over_zn(monkeypatch):
     classes = _counting(monkeypatch, rings, "preimage_classes",
                         lambda table, members, size: (id(table), tuple(members)))
+    quotients = _counting(monkeypatch, theorems, "quotient_module",
+                          lambda module, n: (id(module), n.mask))
+    cosets = _counting_memo(monkeypatch, modules, "cosets")
     per_n = [_counting(monkeypatch, theorems, name, lambda ctx, nb: (id(ctx), nb.mask))
              for name in ("t4_violation", "c_irr_identity_violation")]
     irreducible = _counting(monkeypatch, theorems, "is_irreducible_submodule",
@@ -66,9 +91,13 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
                        lambda ctx, nb, reading: (id(ctx), nb.mask, reading))
              for name in ("non_prime_colon", "colon_chain_violation")]
     rows = hunt(CorpusSpec(max_n=12))
-    # one pack per distinct (action table, mask)
-    assert len(classes) > 300 and max(classes.values()) == 1
-    for counts in (*per_n, irreducible, *scans):
+    # one pack per distinct (action table, mask); a prime test of an ideal
+    # packs none, since it reads the principal ideals
+    assert len(classes) == 269 and max(classes.values()) == 1
+    # one quotient per (Instance or M, mask) and one coset table per (module,
+    # mask): P_COLON_PRIMARY at N = 0 and N = IM reads L8's quotients
+    assert len(quotients) == len(cosets) == 135
+    for counts in (*per_n, irreducible, *scans, quotients, cosets):
         assert counts and max(counts.values()) == 1
     # L3i's colon scan runs for every (N><I, reading), once for the three variants
     l3i = [r for r in rows if r.theorem_id == "L3i"]

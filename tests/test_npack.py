@@ -1,14 +1,16 @@
 """Instance.npack on the cosets of N><I, against the element-wise pack.
 
 ``npack`` computes the sums N><I + Ax and the element colons
-(N><I : x) once per coset x + N><I and numbers them by first appearance
-over ascending x. ``oracles.npack`` computes both for every element, as
-the library did before; every field of the two packs must be equal on
-every submodule of M><I over Z_n, n <= 12, over the family duplications
-up to 64 elements (non-regular modules among them) and over relabelled
-modules whose zero is not element 0. The numbering agrees only because
-``cosets`` numbers the cosets by least member, so ascending x meets them
-in id order; that premise is tested on its own.
+(N><I : x) once per coset x + N><I, keeps their ids per coset, and
+numbers them by first appearance over ascending x. ``oracles.npack``
+computes both for every element, as the library once did; read through
+the coset index, the ids of every element must be the oracle's, and every
+mask field of the two packs must be equal, on every submodule of M><I
+over Z_n, n <= 12, over the family duplications up to 64 elements
+(non-regular modules among them) and over relabelled modules whose zero
+is not element 0. The numbering agrees only because ``cosets`` numbers
+the cosets by least member, so ascending x meets them in id order; that
+premise is tested on its own.
 """
 
 import numpy as np
@@ -37,7 +39,14 @@ def _assert_packs_agree(module) -> int:
     checked = 0
     for ctx in _instances(module):
         for nb in ctx.bowtie_submodules:
-            assert ctx.npack(nb) == oracles.npack(ctx, nb), (ctx.base_key, nb)
+            pack, element_wise = ctx.npack(nb), oracles.npack(ctx, nb)
+            coset, reps = cosets(nb)
+            assert pack["coset"] == coset.tolist() and pack["reps"] == reps.tolist()
+            assert [pack["rep_sum"][c] for c in pack["coset"]] == element_wise["sum_ids"]
+            assert [pack["rep_col"][c] for c in pack["coset"]] == element_wise["col_ids"]
+            for field in ("sum_masks", "sum_members", "col_masks", "col_members", "bad_y",
+                          "n_mask"):
+                assert pack[field] == element_wise[field], (ctx.base_key, nb, field)
             checked += 1
     return checked
 

@@ -1,0 +1,73 @@
+"""Primes read off units, against the literal definition.
+
+``is_prime_ideal`` scans the a outside J upwards against the principal
+ideals aA (``rings.principal_masks``): in the finite ring A/J, a is a zero
+divisor exactly when it is not a unit, that is, when aA misses the coset
+1 + J. Its verdict and lex-first witness must be those of
+``oracles.prime_ideal``, which reads the definition pair by pair, on every
+ideal of Z_n and of every Z_n><I for n <= 12, of the family product rings
+and their duplications, and of relabelled rings whose zero is not element
+0 and whose one is not element 1. On the same rings the principal ideals
+must be the columns of ``mul`` packed as masks, the cyclic submodules Rg
+of the regular module, which read them.
+"""
+
+import pytest
+
+from bowtie.classify import is_prime_ideal
+from bowtie.duplication import build_bowtie
+from bowtie.modules import cyclic_masks, ring_as_module
+from bowtie.rings import Ideal, enumerate_ideals, make_zn, principal_masks, row_images
+from bowtie.theorems import Instance
+
+import oracles
+from families import products, relabel_ring
+
+RELABELLED = [
+    relabel_ring(make_zn(6), [5, 4, 3, 2, 1, 0]),
+    relabel_ring(make_zn(8), [3, 0, 1, 2, 7, 4, 5, 6]),
+    relabel_ring(make_zn(12), [11 - x for x in range(12)]),
+    relabel_ring(products()[1], [(3 * x + 5) % 8 for x in range(8)]),
+]
+
+
+def _with_duplications(ring):
+    """The ring, then A><I for every ideal I."""
+    yield ring
+    for ideal in enumerate_ideals(ring):
+        yield build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_ring
+
+
+def _assert_primes_match_the_oracle(base) -> int:
+    checked = 0
+    for ring in _with_duplications(base):
+        assert principal_masks(ring) == row_images(ring.mul.T, ring.size)
+        assert cyclic_masks(ring_as_module(ring)) is principal_masks(ring)
+        for j in enumerate_ideals(ring)[:-1]:
+            fresh = Ideal(ring, j.members)  # unshared, so no memo answers for it
+            assert is_prime_ideal(fresh) == oracles.prime_ideal(fresh), (ring.name, j)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_prime_ideals_match_the_oracle_on_zn(n):
+    assert _assert_primes_match_the_oracle(make_zn(n)) > 0
+
+
+@pytest.mark.parametrize("ring", products(), ids=lambda r: r.name)
+def test_prime_ideals_match_the_oracle_on_products(ring):
+    assert _assert_primes_match_the_oracle(ring) > 0
+
+
+@pytest.mark.parametrize("ring", RELABELLED, ids=lambda r: r.name)
+def test_prime_ideals_match_the_oracle_off_zero_and_one_index(ring):
+    assert ring.zero != 0 and ring.one != 1
+    assert _assert_primes_match_the_oracle(ring) > 0
+
+
+def test_regular_duplications_read_the_principal_ideals():
+    ring = make_zn(12)
+    for ideal in enumerate_ideals(ring):
+        ctx = Instance(ring, ideal, ring_as_module(ring))
+        assert ctx.bowtie_images is principal_masks(ctx.inst.bowtie_ring)
