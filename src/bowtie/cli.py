@@ -7,7 +7,8 @@ Exit codes
      hunt --max, a BOWTIE_BUDGET that is not an integer, or an output
      path that cannot be written
   3  improper submodule where a proper one is required
-  4  instance exceeds the size budget (see BOWTIE_BUDGET)
+  4  instance exceeds the size budget (see BOWTIE_BUDGET), or the run
+     ran out of memory within it
 """
 
 from __future__ import annotations
@@ -456,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
     except ImproperError as exc:
         _err(str(exc))
         return EXIT_IMPROPER
+    except MemoryError:
+        # a budget too large for this machine: say so, with no traceback
+        _err("out of memory; lower --budget or BOWTIE_BUDGET")
+        return EXIT_BUDGET
 
 
 def console_main() -> None:

@@ -17,7 +17,7 @@ from .rings import (
     ClosureError, Ideal, TableRing, carrier_table, mask_of, narrow_dtype, row_block, row_images,
     subgroup_sum,
 )
-from .modules import Submodule, TableModule
+from .modules import Submodule, TableModule, zero_submodule
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +199,12 @@ def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule
     """The submodules 0 x IM and IM x IM, with the product identity checked.
 
     Every pair (m, m') has m - m' in IM, so m' lies in IM exactly when m
-    does: the two are the pairs whose first component lies in 0 and in IM.
+    does: the two are 0 join I and (IM) join I.
     The ideal product (0 x I) * (M join I) must equal 0 x IM exactly.
     """
-    mod, base = inst.bowtie_module, inst.base_module
-    zero_cross_im, im_cross_im = (
-        Submodule.from_mask(mod, pairs_in(inst.module_pairs, 0, mask, base.size))
-        for mask in (1 << base.zero, inst.im.mask)
-    )
-    if product_submodule(zero_cross_i(inst), mod).mask != zero_cross_im.mask:
+    zero_cross_im = bowtie_submodule(inst, zero_submodule(inst.base_module))
+    im_cross_im = bowtie_submodule(inst, inst.im)
+    if product_submodule(zero_cross_i(inst), inst.bowtie_module).mask != zero_cross_im.mask:
         raise AssertionError("(0 x I)(M join I) differs from 0 x IM")
     return zero_cross_im, im_cross_im
 

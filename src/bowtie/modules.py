@@ -69,13 +69,17 @@ class TableModule(Carrier):
         object.__setattr__(self, "add", table_array(self.add))
         object.__setattr__(self, "act", table_array(self.act))
 
+    @property
+    def table_owner(self) -> TableRing | TableModule:
+        """Where the facts of the action table are kept: the ring when the
+        module acts by its multiplication (the regular module, M><I of a
+        regular M), whose zero is then the ring's, else the module itself."""
+        return self.ring if self.act is self.ring.mul else self
+
     def classes(self, mask: int, members: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """The scalar classes of pre[a] = {m : a*m in S} for the subset S with
-        this mask and these members, computed once per action table: a module
-        acting by its ring's multiplication (the regular module, M><I of a
-        regular M) shares the ring's memo."""
-        owner = self.ring if self.act is self.ring.mul else self
-        return subset_classes(owner, self.act, mask, members)
+        this mask and these members, computed once per action table."""
+        return subset_classes(self.table_owner, self.act, mask, members)
 
     @property
     def zero_classes(self) -> tuple[tuple[int, int], ...]:
@@ -84,8 +88,9 @@ class TableModule(Carrier):
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
-        """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan."""
-        return derived(self, "zero_pre", lambda: pack_rows(self.act == self.zero))
+        """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan; kept on
+        table_owner, so the regular module reads its ring's."""
+        return derived(self.table_owner, "zero_pre", lambda: pack_rows(self.act == self.zero))
 
     def __repr__(self) -> str:
         return f"TableModule({self.name}, size={self.size}, over={self.ring.name})"

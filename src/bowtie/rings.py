@@ -173,11 +173,15 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
 
 
 def memo(owner: Any, what: str, key: Any, compute: Callable[[], Any]) -> Any:
-    """compute(), a value derived from a table object and a key, computed
-    once per (what, key) in the object's ``derived_cache``. A value that
+    """compute(), a value derived from an object and a key, computed once
+    per (what, key) in the object's ``derived_cache``. A value that
     referred back to the object would make a reference cycle, so callers
-    store masks, ints and verdicts."""
-    values = derived(owner, what, dict)
+    store masks, ints, verdicts and objects that do not refer to it. The
+    cache is read here, not through derived: a hunt makes tens of
+    thousands of lookups, nearly all hits."""
+    values = owner.derived_cache.get(what)
+    if values is None:
+        values = owner.derived_cache[what] = {}
     if key not in values:
         values[key] = compute()
     return values[key]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .rings import (
     Ideal,
     TableRing,
     bits,
+    derived,
     ideal_radical,
     lowest_bit,
     make_zn,
@@ -115,10 +116,16 @@ class TheoremReport(NamedTuple):
 
 
 class Instance:
-    """A built duplication plus memoized enumerations shared by checkers;
-    each lattice may hold at most ``lattice_limit`` submodules. What does
-    not depend on I (Lat(M), N's verdicts, the colon (N : M)) is kept on M
-    (rings.memo), so every Instance over one module object shares it."""
+    """A built duplication plus the facts its checkers share; each lattice
+    may hold at most ``lattice_limit`` submodules.
+
+    Every fact keyed by a submodule of M><I (N><I, its verdicts, colons,
+    npack, quotients, the checkers' conditions, each row key) is kept with
+    rings.memo in the instance's ``derived_cache``, as M and the tables
+    keep theirs; the facts of the whole instance (Lat(M><I), the
+    distinguished submodules) are cached properties. What does not depend
+    on I (Lat(M), N's verdicts, the colon (N : M)) is kept on M, so every
+    Instance over one module object shares it."""
 
     def __init__(
         self,
@@ -131,28 +138,18 @@ class Instance:
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self.lattice_limit = lattice_limit
-        # every memo is keyed by mask: a tuple of members rehashes on each lookup
-        self._bowtie_n: dict[int, Submodule] = {}
-        self._colon: dict[tuple[int, int], Ideal] = {}
-        self._prime: dict[int, Verdict] = {}
-        self._primary: dict[int, Verdict] = {}
-        self._wp: dict[tuple[int, str], Verdict] = {}
-        self._npack: dict[int, dict] = {}
-        self._quotient: dict[int, tuple[TableModule, ModuleMap]] = {}
-        self._facts: dict[tuple[str, int, str], Any] = {}
-
-    def fact(self, what: str, n: Submodule, compute: Callable[[], Any], reading: str = "-") -> Any:
-        """compute(), a fact about one submodule n that no variant changes,
-        computed once per (what, n, reading)."""
-        key = (what, n.mask, reading)
-        if key not in self._facts:
-            self._facts[key] = compute()
-        return self._facts[key]
+        self.derived_cache: dict = {}
+        # every memo is keyed by mask: a tuple of members rehashes on each
+        # lookup. The six memo methods' dicts are bound by name too, since a
+        # profiler counts a miss as growth of the dict it reads by that name
+        self._bowtie_n, self._colon, self._prime, self._primary, self._wp, self._npack = (
+            derived(self, what, dict)
+            for what in ("bowtie", "colon", "prime", "primary", "weakly_prime", "npack"))
 
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
             return self.base_key
-        return self.fact("key", n, lambda: f"{self.base_key}|N={n.label_set()}")
+        return memo(self, "key", n.mask, lambda: f"{self.base_key}|N={n.label_set()}")
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
@@ -190,38 +187,24 @@ class Instance:
         return row_images(mod.act, mod.size)
 
     def bowtie(self, n: Submodule) -> Submodule:
-        key = n.mask
-        if key not in self._bowtie_n:
-            self._bowtie_n[key] = bowtie_submodule(self.inst, n)
-        return self._bowtie_n[key]
+        return memo(self, "bowtie", n.mask, lambda: bowtie_submodule(self.inst, n))
 
     def colon(self, nb: Submodule, k: Submodule | None = None) -> Ideal:
         """(N><I : K) for a submodule K of M><I, by default M><I itself;
         built once per (N><I, K) and shared by L1, L3i, L3ii and the rest."""
         k = self.bowtie_whole if k is None else k
-        key = (nb.mask, k.mask)
-        if key not in self._colon:
-            self._colon[key] = colon_into_ring(nb, k)
-        return self._colon[key]
+        return memo(self, "colon", (nb.mask, k.mask), lambda: colon_into_ring(nb, k))
 
     def prime(self, nb: Submodule) -> Verdict:
-        key = nb.mask
-        if key not in self._prime:
-            self._prime[key] = is_prime_submodule(nb)
-        return self._prime[key]
+        return memo(self, "prime", nb.mask, lambda: is_prime_submodule(nb))
 
     def primary(self, nb: Submodule) -> Verdict:
-        key = nb.mask
-        if key not in self._primary:
-            self._primary[key] = is_primary_submodule(nb)
-        return self._primary[key]
+        return memo(self, "primary", nb.mask, lambda: is_primary_submodule(nb))
 
     def weakly_prime(self, nb: Submodule, variant: str) -> Verdict:
-        key = (nb.mask, variant)
-        if key not in self._wp:
-            subs = None if variant == "af" else self.bowtie_submodules  # af reads no lattice
-            self._wp[key] = weakly_prime_submodule(nb, variant, subs)
-        return self._wp[key]
+        # af reads no lattice
+        return memo(self, "weakly_prime", (nb.mask, variant), lambda: weakly_prime_submodule(
+            nb, variant, None if variant == "af" else self.bowtie_submodules))
 
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
@@ -238,58 +221,54 @@ class Instance:
         cosets in index order, so the numbering is the one over all x, and
         the first x of a condition is the least member of its first coset.
         """
-        key = nb.mask
-        if key in self._npack:
-            return self._npack[key]
-        mod = self.inst.bowtie_module
-        coset, reps = cosets(nb)
-        r = len(reps)
-        ids = coset.tolist()
-        cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
-        # N + Ax is the union of the cosets of N that meet Ax: column x of cos
-        sum_index: dict[int, int] = {}
-        rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
-        # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
-        col_index: dict[int, int] = {}
-        rep_col = [col_index.setdefault(c, len(col_index))
-                   for c in pack_rows((cos == ids[mod.zero]).T)]
-        members = [0] * r  # each coset's members, in one pass over the elements
-        for x, c in enumerate(ids):
-            members[c] |= 1 << x
-        sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
-        sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
-        for c, part in enumerate(members):
-            sum_members[rep_sum[c]] |= part
-            col_members[rep_col[c]] |= part
-        n_mask = nb.mask
-        bad_y = []
-        for s in sum_masks:
-            bad = 0
-            for t, other in enumerate(sum_masks):
-                if s & other != n_mask:
-                    bad |= sum_members[t]
-            bad_y.append(bad)
-        pack = {
-            "coset": ids,
-            "reps": reps.tolist(),
-            "rep_sum": rep_sum,
-            "sum_masks": sum_masks,
-            "sum_members": sum_members,
-            "rep_col": rep_col,
-            "col_masks": list(col_index),
-            "col_members": col_members,
-            "bad_y": bad_y,
-            "n_mask": n_mask,
-        }
-        self._npack[key] = pack
-        return pack
+        def compute() -> dict:
+            mod = self.inst.bowtie_module
+            coset, reps = cosets(nb)
+            r = len(reps)
+            ids = coset.tolist()
+            cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
+            # N + Ax is the union of the cosets of N that meet Ax: column x of cos
+            sum_index: dict[int, int] = {}
+            rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
+            # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
+            col_index: dict[int, int] = {}
+            rep_col = [col_index.setdefault(c, len(col_index))
+                       for c in pack_rows((cos == ids[mod.zero]).T)]
+            members = [0] * r  # each coset's members, in one pass over the elements
+            for x, c in enumerate(ids):
+                members[c] |= 1 << x
+            sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
+            sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
+            for c, part in enumerate(members):
+                sum_members[rep_sum[c]] |= part
+                col_members[rep_col[c]] |= part
+            n_mask = nb.mask
+            bad_y = []
+            for s in sum_masks:
+                bad = 0
+                for t, other in enumerate(sum_masks):
+                    if s & other != n_mask:
+                        bad |= sum_members[t]
+                bad_y.append(bad)
+            return {
+                "coset": ids,
+                "reps": reps.tolist(),
+                "rep_sum": rep_sum,
+                "sum_masks": sum_masks,
+                "sum_members": sum_members,
+                "rep_col": rep_col,
+                "col_masks": list(col_index),
+                "col_members": col_members,
+                "bad_y": bad_y,
+                "n_mask": n_mask,
+            }
+
+        return memo(self, "npack", nb.mask, compute)
 
     def quotient(self, s: Submodule) -> tuple[TableModule, ModuleMap]:
         """M><I / S and its projection, built once per S."""
-        key = s.mask
-        if key not in self._quotient:
-            self._quotient[key] = quotient_module(self.inst.bowtie_module, s)
-        return self._quotient[key]
+        return memo(self, "quotient", s.mask,
+                    lambda: quotient_module(self.inst.bowtie_module, s))
 
 
 def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
@@ -388,7 +367,7 @@ def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple[
     """Weakly prime <=> every colon into a non-contained K is a prime ideal."""
     nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                ctx.fact("L3i", nb, lambda: non_prime_colon(ctx, nb, reading), reading),
+                memo(ctx, "L3i", (nb.mask, reading), lambda: non_prime_colon(ctx, nb, reading)),
                 "all-colons-prime", "every eligible colon is prime")
 
 
@@ -428,7 +407,8 @@ def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple
     nb = ctx.bowtie(n)
     if not ctx.weakly_prime(nb, variant).holds:
         return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
-    witness = ctx.fact("L3ii", nb, lambda: colon_chain_violation(ctx, nb, reading), reading)
+    witness = memo(ctx, "L3ii", (nb.mask, reading),
+                   lambda: colon_chain_violation(ctx, nb, reading))
     if witness:
         return "fail", witness
     return "pass", "colons form a chain"
@@ -474,7 +454,7 @@ def check_T4(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     """Weakly prime <=> unequal element colons force the two-sum identity."""
     nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                ctx.fact("T4", nb, lambda: t4_violation(ctx, nb)),
+                memo(ctx, "T4", nb.mask, lambda: t4_violation(ctx, nb)),
                 "intersection-condition", "the intersection condition holds")
 
 
@@ -529,9 +509,9 @@ def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
     nb = ctx.bowtie(n)
     if not ctx.weakly_prime(nb, variant).holds:
         return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
-    part1_witness = ctx.fact("C_IRR", nb, lambda: c_irr_identity_violation(ctx, nb))
-    irr = ctx.fact("irreducible", nb,
-                   lambda: is_irreducible_submodule(nb, ctx.bowtie_submodules))
+    part1_witness = memo(ctx, "C_IRR", nb.mask, lambda: c_irr_identity_violation(ctx, nb))
+    irr = memo(ctx, "irreducible", nb.mask,
+               lambda: is_irreducible_submodule(nb, ctx.bowtie_submodules))
     p = ctx.prime(nb)
     pieces = []
     if part1_witness:
@@ -568,7 +548,7 @@ def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> tuple[str, 
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
     nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                ctx.fact("L_COLON_PROD", nb, lambda: colon_product_violation(ctx, nb)),
+                memo(ctx, "L_COLON_PROD", nb.mask, lambda: colon_product_violation(ctx, nb)),
                 "colon-product-condition", "the colon condition holds")
 
 
@@ -576,7 +556,7 @@ def check_R_CEX(ctx: Instance, n: Submodule) -> tuple[str, str]:
     """Probe: fail exactly when (N><I : M><I) is not a weakly prime ideal."""
     nb = ctx.bowtie(n)
     col = ctx.colon(nb)
-    v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(col))
+    v = memo(ctx, "wp_colon", nb.mask, lambda: is_weakly_prime_ideal(col))
     if v.holds:
         return "pass", f"colon {col.label_set()} is a weakly prime ideal"
     return "fail", f"colon {col.label_set()} is not weakly prime: {v.witness_text}"
@@ -596,7 +576,7 @@ def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> tuple[str, st
         missing.append(f"N><I is not weakly prime ({variant})")
     if missing:
         return "na", "hypothesis fails: " + "; ".join(missing)
-    v = ctx.fact("wp_colon", nb, lambda: is_weakly_prime_ideal(ctx.colon(nb)))
+    v = memo(ctx, "wp_colon", nb.mask, lambda: is_weakly_prime_ideal(ctx.colon(nb)))
     if v.holds:
         return "pass", "colon is a weakly prime ideal"
     return "fail", f"colon is not a weakly prime ideal: {v.witness_text}"

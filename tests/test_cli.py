@@ -686,3 +686,25 @@ def test_budget_env_var_not_an_integer(z6_path):
     proc = _run_cli("classify", z6_path, BOWTIE_BUDGET="abc")
     assert (proc.returncode, proc.stderr) == (
         2, "bowtie: error: BOWTIE_BUDGET must be an integer, got 'abc'\n")
+
+
+def _cap_address_space() -> None:
+    """Run in the child before exec: cap its address space at 1 GB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_out_of_memory_exits_4_without_a_traceback(tmp_path):
+    # Z200 with I = Z200 fits --budget 40000, but A><I's 40000 x 40000
+    # tables (3 GB each) do not fit a child capped at 1 GB
+    p = tmp_path / "z200.json"
+    p.write_text(json.dumps({"ring": {"zn": 200}, "ideal_generators": ["1"],
+                             "module": "regular"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bowtie.cli", "verify", str(p), "--budget", "40000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+        env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        4, "", "bowtie: error: out of memory; lower --budget or BOWTIE_BUDGET\n")

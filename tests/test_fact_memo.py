@@ -12,6 +12,7 @@ and every row is compared with the row of the same cell computed on a fresh
 reading or the variant shows up as a changed row.
 """
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -20,9 +21,9 @@ import pytest
 
 from bowtie import modules, rings, theorems
 from bowtie.classify import VARIANTS
-from bowtie.duplication import predicted_sizes
+from bowtie.duplication import build_bowtie, predicted_sizes
 from bowtie.modules import Submodule, TableModule, enumerate_submodules, ring_as_module
-from bowtie.rings import Ideal, enumerate_ideals, ideal_of, make_zn, preimage_classes
+from bowtie.rings import Ideal, enumerate_ideals, ideal_of, make_zn, pack_rows, preimage_classes
 from bowtie.theorems import (
     CHECKERS,
     READINGS,
@@ -102,6 +103,70 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
     # L3i's colon scan runs for every (N><I, reading), once for the three variants
     l3i = [r for r in rows if r.theorem_id == "L3i"]
     assert len(scans[0]) * len(VARIANTS) == len(l3i)
+
+
+# every fact an Instance keeps, by the ``what`` of its memo
+INSTANCE_FACTS = {"bowtie", "colon", "prime", "primary", "weakly_prime", "npack", "quotient",
+                  "key", "L3i", "L3ii", "T4", "C_IRR", "irreducible", "L_COLON_PROD", "wp_colon"}
+
+
+def test_every_memo_computes_each_fact_once_over_zn(monkeypatch):
+    """rings.memo, wrapped in every bowtie namespace that binds it, over a
+    hunt: no (owner, what, key) is computed twice, and every fact an
+    Instance keeps goes through it and is read again."""
+    real = rings.memo
+    computed: Counter = Counter()
+    hits: Counter = Counter()
+    kept = []  # every owner stays alive, so no id in a key is reused
+
+    def counted(owner, what, key, compute):
+        fresh = []
+
+        def tallied():
+            kept.append(owner)
+            fresh.append(what)
+            computed[(id(owner), what, key)] += 1
+            return compute()
+
+        value = real(owner, what, key, tallied)
+        if not fresh:
+            hits[type(owner).__name__, what] += 1
+        return value
+
+    bound = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("bowtie") and vars(m).get("memo") is real]
+    assert {m.__name__ for m in bound} >= {"bowtie.rings", "bowtie.modules", "bowtie.theorems"}
+    for namespace in bound:
+        monkeypatch.setattr(namespace, "memo", counted)
+    hunt(CorpusSpec(max_n=12))
+    assert computed and max(computed.values()) == 1
+    owners = {id(owner): type(owner).__name__ for owner in kept}
+    on_instances = {what for (oid, what, _key) in computed if owners[oid] == "Instance"}
+    assert on_instances == INSTANCE_FACTS
+    assert {what for (owner, what) in hits if owner == "Instance"} == INSTANCE_FACTS
+    assert sum(c for (owner, _what), c in hits.items() if owner == "Instance") > 1000
+
+
+def test_the_regular_modules_zero_pre_is_its_rings():
+    for ring in [make_zn(n) for n in range(1, 13)] + products():
+        regular = ring_as_module(ring)
+        assert regular.table_owner is ring
+        assert regular.zero_pre is ring.zero_pre  # the module's read first
+        assert "zero_pre" not in regular.derived_cache
+        for ideal in enumerate_ideals(ring):
+            inst = build_bowtie(ring, ideal, regular)
+            mod = inst.bowtie_module
+            assert mod.table_owner is inst.bowtie_ring
+            assert inst.bowtie_ring.zero_pre is mod.zero_pre  # the ring's read first
+            assert "zero_pre" not in mod.derived_cache
+
+
+def test_every_family_modules_zero_pre_is_read_off_its_action():
+    mods = family_modules()
+    assert sum(m.act is not m.ring.mul for m in mods) >= 10
+    for mod in mods:
+        assert mod.table_owner is (mod.ring if mod.act is mod.ring.mul else mod)
+        assert mod.zero_pre == pack_rows(mod.act == mod.zero)
 
 
 def test_each_row_key_is_built_once_per_n(monkeypatch):
