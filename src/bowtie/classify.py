@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .rings import (
-    Ideal, TableRing, bits, derived, ideal_of, ideal_radical, lowest_bit, mask_of, principal_masks,
+    Ideal, TableRing, bits, ideal_of, ideal_radical, lowest_bit, mask_of, memo, principal_masks,
 )
 from .modules import Submodule, TableModule, colon_mask, cosets
 
@@ -144,14 +144,8 @@ def is_prime_ideal(j: Ideal) -> Verdict:
 
 def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
     """is_prime_ideal of the ring's ideal with this mask, computed once per
-    distinct ideal; a hit builds no Ideal. Written out rather than through
-    rings.memo: hits run thousands of times per pass, and through memo
-    hunt-zn read up to 3% slower (0-2% once memo read its cache inline)."""
-    verdicts = derived(ring, "prime_verdicts", dict)
-    v = verdicts.get(mask)
-    if v is None:
-        v = verdicts[mask] = is_prime_ideal(ideal_of(ring, mask))
-    return v
+    distinct ideal; a hit builds no Ideal."""
+    return memo(ring, "prime_verdicts", mask, lambda: is_prime_ideal(ideal_of(ring, mask)))
 
 
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:

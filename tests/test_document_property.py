@@ -8,7 +8,10 @@ on each under a low budget, and each run must end with one of the
 
 The whole loop runs in one child process whose address space is capped
 with RLIMIT_AS, so that a document that makes bowtie allocate without
-bound fails the test instead of the machine. Run the child alone with
+bound fails the test instead of the machine. ``cli.main`` reports running
+out of memory as exit 4 with an "out of memory" line, not a traceback, so
+that line fails a run too: under the low budget no valid run comes near
+the cap. Run the child alone with
 
     PYTHONPATH=src python tests/test_document_property.py [MAX_EXAMPLES]
 """
@@ -129,22 +132,37 @@ def documents():
     return mutated()
 
 
-def run_examples(max_examples: int) -> None:
-    """Check every drawn document; hypothesis reports the first failure."""
+def check_run(path: Path, command: str, budget: int = BUDGET) -> None:
+    """Run ``command`` on the document at path under ``budget``; fail on an
+    exit code outside cli.EXIT_*, a traceback, running out of memory or
+    overrunning the wall bound."""
     import contextlib
     import io
-    import json
-    import resource
-    import tempfile
     import time
-
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
-    from hypothesis import HealthCheck, given, settings
 
     from bowtie import cli
 
     codes = {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_BAD_INPUT, cli.EXIT_IMPROPER,
              cli.EXIT_BUDGET}
+    err = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), "--budget", str(budget)])
+    elapsed = time.monotonic() - start
+    assert code in codes, (command, code)
+    assert "Traceback" not in err.getvalue(), (command, err.getvalue())
+    assert "out of memory" not in err.getvalue(), (command, err.getvalue())
+    assert elapsed < WALL_BOUND_S, (command, elapsed)
+
+
+def run_examples(max_examples: int) -> None:
+    """Check every drawn document; hypothesis reports the first failure."""
+    import json
+    import resource
+    import tempfile
+
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    from hypothesis import HealthCheck, given, settings
 
     @settings(max_examples=max_examples, deadline=None, database=None, derandomize=True,
               suppress_health_check=list(HealthCheck))
@@ -152,29 +170,50 @@ def run_examples(max_examples: int) -> None:
     def check(path, doc):
         path.write_text(json.dumps(doc))
         for command in ("classify", "verify"):
-            err = io.StringIO()
-            start = time.monotonic()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main([command, str(path), "--budget", str(BUDGET)])
-            elapsed = time.monotonic() - start
-            assert code in codes, (command, code)
-            assert "Traceback" not in err.getvalue(), (command, err.getvalue())
-            assert elapsed < WALL_BOUND_S, (command, elapsed)
+            check_run(path, command)
 
     with tempfile.TemporaryDirectory() as tmp:
         check(Path(tmp) / "doc.json")
 
 
-def test_no_document_crashes_classify_or_verify():
+def run_out_of_memory() -> None:
+    """check_run on a document that allocates past the cap: Z200 with
+    I = Z200 under a budget it fits, whose 40000 x 40000 tables (3 GB
+    each) do not fit MEMORY_CAP. check_run must fail it."""
+    import json
+    import resource
+    import tempfile
+
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps({"ring": {"zn": 200}, "ideal_generators": ["1"],
+                                    "module": "regular"}))
+        check_run(path, "verify", budget=40000)
+
+
+def _run_child(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     src = str(Path(bowtie.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, __file__, str(MAX_EXAMPLES)],
-        capture_output=True, text=True, timeout=600, env=env,
-    )
+    return subprocess.run([sys.executable, __file__, *args],
+                          capture_output=True, text=True, timeout=600, env=env)
+
+
+def test_no_document_crashes_classify_or_verify():
+    proc = _run_child(str(MAX_EXAMPLES))
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
 
 
+def test_running_out_of_memory_fails_the_check():
+    proc = _run_child("--out-of-memory")
+    assert proc.returncode != 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    assert "AssertionError" in proc.stderr, proc.stderr[-4000:]
+    assert "out of memory" in proc.stderr, proc.stderr[-4000:]
+
+
 if __name__ == "__main__":
-    run_examples(int(sys.argv[1]) if len(sys.argv) > 1 else MAX_EXAMPLES)
+    if sys.argv[1:] == ["--out-of-memory"]:
+        run_out_of_memory()
+    else:
+        run_examples(int(sys.argv[1]) if len(sys.argv) > 1 else MAX_EXAMPLES)
