@@ -145,7 +145,11 @@ def is_prime_ideal(j: Ideal) -> Verdict:
 def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
     """is_prime_ideal of the ring's ideal with this mask, computed once per
     distinct ideal; a hit builds no Ideal."""
-    return memo(ring, "prime_verdicts", mask, lambda: is_prime_ideal(ideal_of(ring, mask)))
+    return memo(ring, "prime_verdicts", mask, _prime_verdict, ring, mask)
+
+
+def _prime_verdict(ring: TableRing, mask: int) -> Verdict:
+    return is_prime_ideal(ideal_of(ring, mask))
 
 
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:

@@ -22,7 +22,7 @@ import tempfile
 from operator import and_, or_
 
 from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
-from .duplication import detect_bowtie_form, predicted_sizes
+from .duplication import detect_bowtie_form, predicted_sizes, table_bytes
 from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
                         declared_ring_size, seed_spec)
 from .modules import LatticeLimitError, Submodule, colon_into_ring, whole_submodule
@@ -139,9 +139,9 @@ def _budget(flag: int | None) -> int | None:
         return None
 
 
-def _over_budget(what: str, size: int | None, cap: int) -> bool:
+def _over_budget(what: str, size: int | None, cap: int, note: str = "") -> bool:
     if size is not None and size > cap:
-        _err(f"{what} = {size} exceeds the budget {cap}; raise --budget or BOWTIE_BUDGET")
+        _err(f"{what} = {size} exceeds the budget {cap}; raise --budget or BOWTIE_BUDGET{note}")
         return True
     return False
 
@@ -162,7 +162,10 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
         _err(str(exc))
         return EXIT_BAD_INPUT
     ring_size, module_size = predicted_sizes(ring, ideal, module)
-    if _over_budget("|M><I|", module_size, cap) or _over_budget("|A><I|", ring_size, cap):
+    note = (" (the tables of A><I and M><I would hold"
+            f" {table_bytes(ring, module, ring_size, module_size)} bytes)")
+    if (_over_budget("|M><I|", module_size, cap, note)
+            or _over_budget("|A><I|", ring_size, cap, note)):
         return EXIT_BUDGET
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
     # the per-N quantifiers cost |Lat| each, so the lattices are capped too

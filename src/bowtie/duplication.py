@@ -59,6 +59,16 @@ def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple
     return ring.size * len(ideal), module.size * len(im)
 
 
+def table_bytes(ring: TableRing, module: TableModule, ring_size: int, module_size: int) -> int:
+    """The bytes of A><I's add and mul and, unless M is regular and M><I
+    shares them, of M><I's add and act, at these sizes in table_array's
+    dtypes (int32 past its range, where no table can be built)."""
+    def held(rows: int, size: int) -> int:  # rows of entries indexing a carrier of this size
+        return rows * size * np.dtype(narrow_dtype(0, min(size, 1 << 31) - 1)).itemsize
+    rows = 0 if module.add is ring.add and module.act is ring.mul else ring_size + module_size
+    return held(2 * ring_size, ring_size) + held(rows, module_size)
+
+
 def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """For sorted pair codes a*width + b: the pairs as a read-only
     (count, 2) array, and the pair index by code in the narrowest dtype

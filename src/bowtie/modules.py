@@ -209,7 +209,7 @@ def cyclic_masks(module: TableModule) -> tuple[int, ...]:
     the ring is commutative, so Rg = gR."""
     if module.act is module.ring.mul:
         return principal_masks(module.ring)
-    return derived(module, "cyclic_masks", lambda: row_images(module.act.T, module.size))
+    return derived(module, "cyclic_masks", row_images, module.act.T, module.size)
 
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
@@ -357,9 +357,12 @@ def colon_by_scalar(n: Submodule, a: int) -> Submodule:
 
 
 def annihilator(k: Submodule) -> Ideal:
-    """(0 : K), from the zero submodule's preimage table, interned on the ring."""
+    """(0 : K), interned on the ring: from the zero submodule's preimage
+    table, or for K = M the scalars whose action row is all zero."""
     mod = k.module
-    return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
+    if k.is_proper:
+        return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
+    return ideal_of(mod.ring, pack_rows((mod.act == mod.zero).all(axis=1)[None])[0])
 
 
 class CyclicResult(NamedTuple):
@@ -380,13 +383,13 @@ def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
     """The cosets m + N: each element's coset index, numbered by least
     member, and those least members, ascending; computed once per
     (module, mask), so two objects for one N share them."""
+    return memo(n.module, "cosets", n.mask, _cosets, n.module.add, n.members)
 
-    def compute() -> tuple[np.ndarray, np.ndarray]:
-        rep_of = n.module.add.take(n.members, axis=1).min(axis=1)
-        is_rep = rep_of == np.arange(n.module.size)
-        return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
 
-    return memo(n.module, "cosets", n.mask, compute)
+def _cosets(add: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    rep_of = add.take(members, axis=1).min(axis=1)
+    is_rep = rep_of == np.arange(len(add))
+    return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
@@ -423,8 +426,11 @@ def check_module_map(f: ModuleMap) -> bool:
     if len(f.table) != src.size:
         raise ValueError("map table length differs from the source size")
     t = table_array(f.table)  # narrow, so that the gathered tables stay small
-    # both sides of each comparison have the shape of the block of rows
     step = row_block(src.size)
+    if step >= max(src.size, src.ring.size):  # one block: the whole tables, unsliced
+        return bool((t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
+                    and (t.take(src.act) == tgt.act.take(t, axis=1)).all())
+    # both sides of each comparison have the shape of the block of rows
     for start in range(0, max(src.size, src.ring.size), step):
         rows = slice(start, start + step)
         if not ((t.take(src.add[rows]) == tgt.add.take(t[rows], axis=0).take(t, axis=1)).all()

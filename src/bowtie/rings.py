@@ -158,8 +158,8 @@ def preimage_classes(
     return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
 
-def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
-    """A value derived from a table object, computed on first use.
+def derived(obj: Any, key: str, compute: Callable[..., Any], *args: Any) -> Any:
+    """compute(*args), a value derived from a table object on first use.
 
     Kept in the object's ``derived_cache`` field rather than with
     functools.cached_property: a write into an instance's ``__dict__``
@@ -168,23 +168,25 @@ def derived(obj: Any, key: str, compute: Callable[[], Any]) -> Any:
     """
     cache = obj.derived_cache
     if key not in cache:
-        cache[key] = compute()
+        cache[key] = compute(*args)
     return cache[key]
 
 
-def memo(owner: Any, what: str, key: Any, compute: Callable[[], Any]) -> Any:
-    """compute(), a value derived from an object and a key, computed once
-    per (what, key) in the object's ``derived_cache``. A value that
+def memo(owner: Any, what: str, key: Any, compute: Callable[..., Any], *args: Any) -> Any:
+    """compute(*args), a value derived from an object and a key, computed
+    once per (what, key) in the object's ``derived_cache``. A value that
     referred back to the object would make a reference cycle, so callers
-    store masks, ints, verdicts and objects that do not refer to it. The
-    cache is read here, not through derived: a hunt makes tens of
-    thousands of lookups, nearly all hits."""
-    values = owner.derived_cache.get(what)
-    if values is None:
+    store masks, ints, verdicts and objects that do not refer to it. Nearly
+    every lookup hits, so callers pass the function and its arguments, not
+    a closure that a hit would build for nothing."""
+    try:
+        values = owner.derived_cache[what]
+    except KeyError:  # once per owner and what
         values = owner.derived_cache[what] = {}
-    if key not in values:
-        values[key] = compute()
-    return values[key]
+    if key in values:
+        return values[key]
+    value = values[key] = compute(*args)
+    return value
 
 
 def subset_classes(
@@ -192,8 +194,7 @@ def subset_classes(
 ) -> tuple[tuple[int, int], ...]:
     """preimage_classes of the subset with this mask and these members under
     ``table``, owner's multiplication or action table, once per (owner, mask)."""
-    return memo(owner, "classes", mask,
-                lambda: preimage_classes(table, members, table.shape[1]))
+    return memo(owner, "classes", mask, preimage_classes, table, members, table.shape[1])
 
 
 def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
@@ -549,7 +550,7 @@ def ideal_of(ring: TableRing, mask: int) -> Ideal:
 
 def ideal_radical(j: Ideal) -> Ideal:
     """radical(j), computed once per distinct ideal of the ring."""
-    return ideal_of(j.ring, memo(j.ring, "radicals", j.mask, lambda: radical(j).mask))
+    return ideal_of(j.ring, memo(j.ring, "radicals", j.mask, _radical_mask, j))
 
 
 def _join(
@@ -604,7 +605,7 @@ def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
 def principal_masks(ring: TableRing) -> tuple[int, ...]:
     """principal[a] = aA, the principal ideal of a, as a mask; computed once.
     It is also the cyclic submodule of a in every module acting by ``mul``."""
-    return derived(ring, "principal_masks", lambda: row_images(ring.mul, ring.size))
+    return derived(ring, "principal_masks", row_images, ring.mul, ring.size)
 
 
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
@@ -633,6 +634,10 @@ def radical(j: Ideal) -> Ideal:
     inside = np.zeros(ring.size, dtype=bool)
     inside[list(j.members)] = True
     return ideal_of(ring, pack_rows(inside.take(_top_powers(ring))[None, :])[0])
+
+
+def _radical_mask(j: Ideal) -> int:
+    return radical(j).mask
 
 
 def _top_powers(ring: TableRing) -> np.ndarray:

@@ -80,6 +80,8 @@ READINGS = ("bowtie", "all-submodules")
 
 DEFAULT_BUDGET = 256
 
+Outcome = tuple[str, str]  # a checker's outcome (pass, fail or na) and detail
+
 
 def default_budget() -> int:
     """The |M><I| cap, overridable through the BOWTIE_BUDGET variable."""
@@ -149,14 +151,12 @@ class Instance:
     def key_for(self, n: Submodule | None) -> str:
         if n is None:
             return self.base_key
-        return memo(self, "key", n.mask, lambda: f"{self.base_key}|N={n.label_set()}")
+        return memo(self, "key", n.mask, _row_key, self.base_key, n)
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
         module, limit = self.inst.base_module, self.lattice_limit
-        # kept on M as (mask, members) pairs, which refer to no module
-        lattice = memo(module, "lattice", limit, lambda: [
-            (n.mask, n.members) for n in enumerate_submodules(module, limit)])
+        lattice = memo(module, "lattice", limit, _lattice_pairs, module, limit)
         return [Submodule.from_mask(module, mask, members) for mask, members in lattice]
 
     @cached_property
@@ -187,24 +187,24 @@ class Instance:
         return row_images(mod.act, mod.size)
 
     def bowtie(self, n: Submodule) -> Submodule:
-        return memo(self, "bowtie", n.mask, lambda: bowtie_submodule(self.inst, n))
+        return memo(self, "bowtie", n.mask, bowtie_submodule, self.inst, n)
 
     def colon(self, nb: Submodule, k: Submodule | None = None) -> Ideal:
         """(N><I : K) for a submodule K of M><I, by default M><I itself;
         built once per (N><I, K) and shared by L1, L3i, L3ii and the rest."""
         k = self.bowtie_whole if k is None else k
-        return memo(self, "colon", (nb.mask, k.mask), lambda: colon_into_ring(nb, k))
+        return memo(self, "colon", (nb.mask, k.mask), colon_into_ring, nb, k)
 
     def prime(self, nb: Submodule) -> Verdict:
-        return memo(self, "prime", nb.mask, lambda: is_prime_submodule(nb))
+        return memo(self, "prime", nb.mask, is_prime_submodule, nb)
 
     def primary(self, nb: Submodule) -> Verdict:
-        return memo(self, "primary", nb.mask, lambda: is_primary_submodule(nb))
+        return memo(self, "primary", nb.mask, is_primary_submodule, nb)
 
     def weakly_prime(self, nb: Submodule, variant: str) -> Verdict:
         # af reads no lattice
-        return memo(self, "weakly_prime", (nb.mask, variant), lambda: weakly_prime_submodule(
-            nb, variant, None if variant == "af" else self.bowtie_submodules))
+        return memo(self, "weakly_prime", (nb.mask, variant), weakly_prime_submodule,
+                    nb, variant, None if variant == "af" else self.bowtie_submodules)
 
     def npack(self, nb: Submodule) -> dict:
         """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
@@ -221,54 +221,63 @@ class Instance:
         cosets in index order, so the numbering is the one over all x, and
         the first x of a condition is the least member of its first coset.
         """
-        def compute() -> dict:
-            mod = self.inst.bowtie_module
-            coset, reps = cosets(nb)
-            r = len(reps)
-            ids = coset.tolist()
-            cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
-            # N + Ax is the union of the cosets of N that meet Ax: column x of cos
-            sum_index: dict[int, int] = {}
-            rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
-            # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
-            col_index: dict[int, int] = {}
-            rep_col = [col_index.setdefault(c, len(col_index))
-                       for c in pack_rows((cos == ids[mod.zero]).T)]
-            members = [0] * r  # each coset's members, in one pass over the elements
-            for x, c in enumerate(ids):
-                members[c] |= 1 << x
-            sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
-            sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
-            for c, part in enumerate(members):
-                sum_members[rep_sum[c]] |= part
-                col_members[rep_col[c]] |= part
-            n_mask = nb.mask
-            bad_y = []
-            for s in sum_masks:
-                bad = 0
-                for t, other in enumerate(sum_masks):
-                    if s & other != n_mask:
-                        bad |= sum_members[t]
-                bad_y.append(bad)
-            return {
-                "coset": ids,
-                "reps": reps.tolist(),
-                "rep_sum": rep_sum,
-                "sum_masks": sum_masks,
-                "sum_members": sum_members,
-                "rep_col": rep_col,
-                "col_masks": list(col_index),
-                "col_members": col_members,
-                "bad_y": bad_y,
-                "n_mask": n_mask,
-            }
-
-        return memo(self, "npack", nb.mask, compute)
+        return memo(self, "npack", nb.mask, _npack, self.inst.bowtie_module, nb)
 
     def quotient(self, s: Submodule) -> tuple[TableModule, ModuleMap]:
         """M><I / S and its projection, built once per S."""
-        return memo(self, "quotient", s.mask,
-                    lambda: quotient_module(self.inst.bowtie_module, s))
+        return memo(self, "quotient", s.mask, quotient_module, self.inst.bowtie_module, s)
+
+
+def _row_key(base_key: str, n: Submodule) -> str:
+    return f"{base_key}|N={n.label_set()}"
+
+
+def _lattice_pairs(module: TableModule, limit: int | None) -> list[tuple[int, tuple[int, ...]]]:
+    """Lat(M) as (mask, members) pairs, which refer to no module."""
+    return [(n.mask, n.members) for n in enumerate_submodules(module, limit)]
+
+
+def _npack(mod: TableModule, nb: Submodule) -> dict:
+    """The pack Instance.npack keeps once per N><I."""
+    coset, reps = cosets(nb)
+    r = len(reps)
+    ids = coset.tolist()
+    cos = coset.take(mod.act.take(reps, axis=1))  # cos[a, c]: coset of a*reps[c]
+    # N + Ax is the union of the cosets of N that meet Ax: column x of cos
+    sum_index: dict[int, int] = {}
+    rep_sum = [sum_index.setdefault(m, len(sum_index)) for m in row_images(cos.T, r)]
+    # the colon of reps[c] is column c of the preimage table: a*reps[c] in N
+    col_index: dict[int, int] = {}
+    rep_col = [col_index.setdefault(c, len(col_index))
+               for c in pack_rows((cos == ids[mod.zero]).T)]
+    members = [0] * r  # each coset's members, in one pass over the elements
+    for x, c in enumerate(ids):
+        members[c] |= 1 << x
+    sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
+    sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
+    for c, part in enumerate(members):
+        sum_members[rep_sum[c]] |= part
+        col_members[rep_col[c]] |= part
+    n_mask = nb.mask
+    bad_y = []
+    for s in sum_masks:
+        bad = 0
+        for t, other in enumerate(sum_masks):
+            if s & other != n_mask:
+                bad |= sum_members[t]
+        bad_y.append(bad)
+    return {
+        "coset": ids,
+        "reps": reps.tolist(),
+        "rep_sum": rep_sum,
+        "sum_masks": sum_masks,
+        "sum_members": sum_members,
+        "rep_col": rep_col,
+        "col_masks": list(col_index),
+        "col_members": col_members,
+        "bad_y": bad_y,
+        "n_mask": n_mask,
+    }
 
 
 def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
@@ -281,13 +290,11 @@ def make_zn_instance(n: int, ideal_members: Iterable[int]) -> Instance:
 # -------------------------------------------------------------- checkers
 
 
-def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_L1(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """(N><I : M><I) must decode to {(a, a+i) : a in (N:M), i in I}."""
     inst = ctx.inst
-    nb = ctx.bowtie(n)
     lhs = ctx.colon(nb)
-    base_colon = memo(n.module, "colon", n.mask,
-                      lambda: colon_into_ring(n, whole_submodule(n.module)).mask)
+    base_colon = memo(n.module, "colon", n.mask, _base_colon, n)
     # (N:M)><I: the pairs (a, a+i) whose first component lies in (N:M)
     rhs = pairs_in(inst.ring_pairs, 0, base_colon, inst.base_ring.size)
     if lhs.mask == rhs:
@@ -298,26 +305,26 @@ def check_L1(ctx: Instance, n: Submodule) -> tuple[str, str]:
                     f" colon={lhs.label_set()}")
 
 
-def check_transfer(ctx: Instance, n: Submodule, notion: str) -> tuple[str, str]:
+def _base_colon(n: Submodule) -> int:
+    """(N : M), as a mask."""
+    return colon_into_ring(n, whole_submodule(n.module)).mask
+
+
+def check_transfer(ctx: Instance, n: Submodule, nb: Submodule, *_, notion: str) -> Outcome:
     """notion(N) must agree with notion(N><I), in both directions."""
     # predicates are called by their module-level names, so a wrapper on those
     # names (perfbench/tracer.py) sees every call; N's verdicts are kept on M,
     # N><I's on the instance
-    nb = ctx.bowtie(n)
     if notion == "prime":
-        noun = "prime"
-        vb = memo(n.module, notion, n.mask, lambda: is_prime_submodule(n))
-        vd = ctx.prime(nb)
+        noun, predicate, vd = "prime", is_prime_submodule, ctx.prime(nb)
     elif notion == "weakly_prime_af":
-        noun = "weakly prime (af)"
-        vb = memo(n.module, notion, n.mask, lambda: is_weakly_prime_submodule_af(n))
+        noun, predicate = "weakly prime (af)", is_weakly_prime_submodule_af
         vd = ctx.weakly_prime(nb, "af")
     elif notion == "primary":
-        noun = "primary"
-        vb = memo(n.module, notion, n.mask, lambda: is_primary_submodule(n))
-        vd = ctx.primary(nb)
+        noun, predicate, vd = "primary", is_primary_submodule, ctx.primary(nb)
     else:
         raise ValueError(f"unknown transfer notion {notion!r}")
+    vb = memo(n.module, notion, n.mask, predicate, n)
     if vb.holds == vd.holds:
         return "pass", f"base={vb.holds} duplicate={vd.holds}"
     if vb.holds:
@@ -329,7 +336,7 @@ def check_transfer(ctx: Instance, n: Submodule, notion: str) -> tuple[str, str]:
 
 def _iff(
     lhs: Verdict, lhs_name: str, noun: str, violation: str, cond_name: str, cond_holds: str,
-) -> tuple[str, str]:
+) -> Outcome:
     """The outcome of "N><I is <noun> <=> a condition", from N><I's verdict
     and the condition's violation ("" when the condition holds)."""
     cond = not violation
@@ -363,11 +370,10 @@ def non_prime_colon(ctx: Instance, nb: Submodule, reading: str) -> str:
     return ""
 
 
-def check_L3i(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple[str, str]:
+def check_L3i(ctx: Instance, n: Submodule, nb: Submodule, variant: str, reading: str) -> Outcome:
     """Weakly prime <=> every colon into a non-contained K is a prime ideal."""
-    nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                memo(ctx, "L3i", (nb.mask, reading), lambda: non_prime_colon(ctx, nb, reading)),
+                memo(ctx, "L3i", (nb.mask, reading), non_prime_colon, ctx, nb, reading),
                 "all-colons-prime", "every eligible colon is prime")
 
 
@@ -379,10 +385,7 @@ def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
     lie inside the next; only a violation pays for the search over pairs
     that names the lex-first one.
     """
-    domain = [
-        k for k in _quantifier_domain(ctx, reading)
-        if k.mask & nb.mask != k.mask
-    ]
+    domain = [k for k in _quantifier_domain(ctx, reading) if k.mask & nb.mask != k.mask]
     colons = [ctx.colon(nb, k).mask for k in domain]
     chain = sorted(set(colons), key=int.bit_count)
     if all(a & ~b == 0 for a, b in zip(chain, chain[1:])):
@@ -394,29 +397,24 @@ def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
                 ring = ctx.inst.bowtie_ring
                 onlya = ring.labels[lowest_bit(a & ~b)]
                 onlyb = ring.labels[lowest_bit(b & ~a)]
-                return (
-                    f"K={domain[i].label_set()} L={domain[j].label_set()}:"
-                    f" colon(K) has {onlya} outside colon(L),"
-                    f" colon(L) has {onlyb} outside colon(K)"
-                )
+                return (f"K={domain[i].label_set()} L={domain[j].label_set()}:"
+                        f" colon(K) has {onlya} outside colon(L),"
+                        f" colon(L) has {onlyb} outside colon(K)")
     return ""
 
 
-def check_L3ii(ctx: Instance, n: Submodule, variant: str, reading: str) -> tuple[str, str]:
+def check_L3ii(ctx: Instance, n: Submodule, nb: Submodule, variant: str, reading: str) -> Outcome:
     """Weakly prime => colons into non-contained submodules form a chain."""
-    nb = ctx.bowtie(n)
     if not ctx.weakly_prime(nb, variant).holds:
         return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
-    witness = memo(ctx, "L3ii", (nb.mask, reading),
-                   lambda: colon_chain_violation(ctx, nb, reading))
+    witness = memo(ctx, "L3ii", (nb.mask, reading), colon_chain_violation, ctx, nb, reading)
     if witness:
         return "fail", witness
     return "pass", "colons form a chain"
 
 
-def check_C_PPW(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
+def check_C_PPW(ctx: Instance, n: Submodule, nb: Submodule, variant: str, *_) -> Outcome:
     """Prime <=> primary and weakly prime."""
-    nb = ctx.bowtie(n)
     p = ctx.prime(nb)
     pr = ctx.primary(nb)
     wp = ctx.weakly_prime(nb, variant)
@@ -443,24 +441,20 @@ def t4_violation(ctx: Instance, nb: Submodule) -> str:
             sy = rep_sum[pack["coset"][y]]
             extra = lowest_bit(sum_masks[sx] & sum_masks[sy] & ~pack["n_mask"])
             labels = ctx.inst.bowtie_module.labels
-            return (
-                f"x={labels[x]} y={labels[y]}: colons differ but the"
-                f" intersection keeps {labels[extra]} outside N><I"
-            )
+            return (f"x={labels[x]} y={labels[y]}: colons differ but the"
+                    f" intersection keeps {labels[extra]} outside N><I")
     return ""
 
 
-def check_T4(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
+def check_T4(ctx: Instance, n: Submodule, nb: Submodule, variant: str, *_) -> Outcome:
     """Weakly prime <=> unequal element colons force the two-sum identity."""
-    nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                memo(ctx, "T4", nb.mask, lambda: t4_violation(ctx, nb)),
+                memo(ctx, "T4", nb.mask, t4_violation, ctx, nb),
                 "intersection-condition", "the intersection condition holds")
 
 
-def check_R_T4(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_R_T4(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """For prime N><I: a(x,x') in N><I forces x in N><I or a(y,y') in N><I."""
-    nb = ctx.bowtie(n)
     if not ctx.prime(nb).holds:
         return "na", "hypothesis fails: N><I is not prime"
     mod = ctx.inst.bowtie_module
@@ -496,22 +490,17 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
             targets = bad_y[pack["rep_sum"][pack["coset"][x]]]
             y = next(y for y, ay in enumerate(row) if targets >> ay & 1)
             labels = inst.bowtie_module.labels
-            return (
-                f"a={inst.bowtie_ring.labels[a]} x={labels[x]}"
-                f" y={labels[y]}: ax in N><I but the intersection"
-                " identity fails"
-            )
+            return (f"a={inst.bowtie_ring.labels[a]} x={labels[x]}"
+                    f" y={labels[y]}: ax in N><I but the intersection identity fails")
     return ""
 
 
-def check_C_IRR(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
+def check_C_IRR(ctx: Instance, n: Submodule, nb: Submodule, variant: str, *_) -> Outcome:
     """Under weakly prime N><I: the intersection identity, and irreducible => prime."""
-    nb = ctx.bowtie(n)
     if not ctx.weakly_prime(nb, variant).holds:
         return "na", f"hypothesis fails: N><I is not weakly prime ({variant})"
-    part1_witness = memo(ctx, "C_IRR", nb.mask, lambda: c_irr_identity_violation(ctx, nb))
-    irr = memo(ctx, "irreducible", nb.mask,
-               lambda: is_irreducible_submodule(nb, ctx.bowtie_submodules))
+    part1_witness = memo(ctx, "C_IRR", nb.mask, c_irr_identity_violation, ctx, nb)
+    irr = memo(ctx, "irreducible", nb.mask, is_irreducible_submodule, nb, ctx.bowtie_submodules)
     p = ctx.prime(nb)
     pieces = []
     if part1_witness:
@@ -537,34 +526,29 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
         bad = (prod != cid[start:start + step, None]) & (prod != cid[None, :])
         if bad.any():
             s1, s2 = divmod(int(bad.argmax()), ring.size)
-            return (
-                f"s={ring.labels[start + s1]} t={ring.labels[s2]}: (N><I : st) matches"
-                " neither (N><I : s) nor (N><I : t)"
-            )
+            return (f"s={ring.labels[start + s1]} t={ring.labels[s2]}: (N><I : st) matches"
+                    " neither (N><I : s) nor (N><I : t)")
     return ""
 
 
-def check_L_colon_prod(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
+def check_L_colon_prod(ctx: Instance, n: Submodule, nb: Submodule, variant: str, *_) -> Outcome:
     """Weakly prime <=> colon by a scalar product equals a factor colon."""
-    nb = ctx.bowtie(n)
     return _iff(ctx.weakly_prime(nb, variant), "weakly_prime", f"weakly prime ({variant})",
-                memo(ctx, "L_COLON_PROD", nb.mask, lambda: colon_product_violation(ctx, nb)),
+                memo(ctx, "L_COLON_PROD", nb.mask, colon_product_violation, ctx, nb),
                 "colon-product-condition", "the colon condition holds")
 
 
-def check_R_CEX(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_R_CEX(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """Probe: fail exactly when (N><I : M><I) is not a weakly prime ideal."""
-    nb = ctx.bowtie(n)
     col = ctx.colon(nb)
-    v = memo(ctx, "wp_colon", nb.mask, lambda: is_weakly_prime_ideal(col))
+    v = memo(ctx, "wp_colon", nb.mask, is_weakly_prime_ideal, col)
     if v.holds:
         return "pass", f"colon {col.label_set()} is a weakly prime ideal"
     return "fail", f"colon {col.label_set()} is not weakly prime: {v.witness_text}"
 
 
-def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> tuple[str, str]:
+def check_P_faithful(ctx: Instance, n: Submodule, nb: Submodule, variant: str, *_) -> Outcome:
     """Faithful cyclic M><I with weakly prime N><I: colon is weakly prime."""
-    nb = ctx.bowtie(n)
     faithful, cyclic = ctx.faithful_cyclic
     wp = ctx.weakly_prime(nb, variant)
     missing = []
@@ -576,15 +560,14 @@ def check_P_faithful(ctx: Instance, n: Submodule, variant: str) -> tuple[str, st
         missing.append(f"N><I is not weakly prime ({variant})")
     if missing:
         return "na", "hypothesis fails: " + "; ".join(missing)
-    v = memo(ctx, "wp_colon", nb.mask, lambda: is_weakly_prime_ideal(ctx.colon(nb)))
+    v = memo(ctx, "wp_colon", nb.mask, is_weakly_prime_ideal, ctx.colon(nb))
     if v.holds:
         return "pass", "colon is a weakly prime ideal"
     return "fail", f"colon is not a weakly prime ideal: {v.witness_text}"
 
 
-def check_L_radical(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_L_radical(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """Primary <=> every element colon outside N><I sits inside the radical."""
-    nb = ctx.bowtie(n)
     lhs = ctx.primary(nb)
     mod = ctx.inst.bowtie_module
     rad = ideal_radical(ctx.colon(nb)).mask
@@ -603,9 +586,8 @@ def check_L_radical(ctx: Instance, n: Submodule) -> tuple[str, str]:
                 "radical-condition", "the radical condition holds")
 
 
-def check_P_colon_primary(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_P_colon_primary(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """For primary N><I: colon = Ann(M><I / N><I) and it is a primary ideal."""
-    nb = ctx.bowtie(n)
     col = ctx.colon(nb)
     quo, _ = ctx.quotient(nb)
     ann = annihilator(whole_submodule(quo))
@@ -620,9 +602,8 @@ def check_P_colon_primary(ctx: Instance, n: Submodule) -> tuple[str, str]:
     return "fail", f"colon is not a primary ideal: {v.witness_text}"
 
 
-def check_C_radical_prime(ctx: Instance, n: Submodule) -> tuple[str, str]:
+def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """For primary N><I: the radical of the colon is a prime ideal."""
-    nb = ctx.bowtie(n)
     if not ctx.primary(nb).holds:
         return "na", "hypothesis fails: N><I is not primary"
     rad = ideal_radical(ctx.colon(nb))
@@ -665,7 +646,7 @@ def _quotient_iso(
     return problems, q.size
 
 
-def check_L8(ctx: Instance) -> tuple[str, str]:
+def check_L8(ctx: Instance) -> Outcome:
     """Both canonical quotient isomorphisms of M><I, by explicit maps."""
     inst = ctx.inst
     mod = inst.bowtie_module
@@ -685,14 +666,14 @@ def check_L8(ctx: Instance) -> tuple[str, str]:
     return "pass", f"quotient sizes {q1} and {q2}"
 
 
-def check_T_final(ctx: Instance) -> tuple[str, str]:
+def check_T_final(ctx: Instance) -> Outcome:
     """Weakly-prime-module characterization of M><I and of 0 x IM."""
     inst = ctx.inst
     if inst.base_module.size == 1:
         return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
     wp_base = memo(inst.base_module, "weakly_prime_module", ctx.lattice_limit,
-                   lambda: is_weakly_prime_module(inst.base_module, ctx.base_submodules))
+                   is_weakly_prime_module, inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = ctx.distinguished
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
@@ -712,7 +693,7 @@ def check_T_final(ctx: Instance) -> tuple[str, str]:
     return "pass", note
 
 
-def check_divergence(ctx: Instance) -> tuple[str, str]:
+def check_divergence(ctx: Instance) -> Outcome:
     """Probe: af versus behboodi on the zero submodule of the base module.
 
     A fail outcome means the two definitions disagree there, which is the
@@ -736,10 +717,11 @@ def check_divergence(ctx: Instance) -> tuple[str, str]:
 @dataclass(frozen=True)
 class Checker:
     """How one checker runs. fn takes (ctx) when per_instance, otherwise
-    (ctx, n), then a variant if varianted and a reading if readable, and
-    returns (outcome, detail)."""
+    (ctx, n, nb, variant, reading): N, the N><I that instance_rows derives
+    once per N, and the row's cell, whose variant and reading are "-"
+    unless varianted and readable. It returns (outcome, detail)."""
 
-    fn: Callable[..., tuple[str, str]]
+    fn: Callable[..., Outcome]
     per_instance: bool = False  # once per (ring, ideal), independent of N
     varianted: bool = False  # once per weakly-prime definition variant
     readable: bool = False  # once per reading of the submodule quantifier
@@ -848,15 +830,12 @@ def normalize_theorems(theorems: Iterable[str] | None) -> tuple[str, ...]:
     return tuple(t for t in THEOREM_IDS if t in chosen)
 
 
-def run_checker(
-    ctx: Instance,
-    theorem: str,
-    n: Submodule | None,
-    variant: str = "-",
-    reading: str = "-",
-) -> TheoremReport:
+def run_checker(ctx: Instance, theorem: str, n: Submodule | None, variant: str = "-",
+                reading: str = "-", nb: Submodule | None = None, key: str | None = None,
+                ) -> TheoremReport:
     """Run a single checker and build its row; n is ignored for per-instance
-    checkers, and variant and reading for checkers that do not take them."""
+    checkers, and variant and reading for checkers that do not take them.
+    N><I and the row key are derived here unless given as nb and key."""
     checker = CHECKERS.get(theorem)
     if checker is None:
         raise ValueError(f"unknown theorem {theorem!r}")
@@ -866,16 +845,10 @@ def run_checker(
         n = zero_submodule(base) if checker.about_m and base.size > 1 else None
     else:
         assert n is not None
-        args = [ctx, n]
-        if checker.varianted:
-            args.append(variant)
-        if checker.readable:
-            args.append(reading)
-        outcome, detail = checker.fn(*args)
-    return TheoremReport(
-        ctx.key_for(n), theorem, variant if checker.varianted else checker.variant_column,
-        reading if checker.readable else "-", outcome, detail,
-    )
+        outcome, detail = checker.fn(ctx, n, ctx.bowtie(n) if nb is None else nb, variant, reading)
+    return TheoremReport(ctx.key_for(n) if key is None else key, theorem,
+                         variant if checker.varianted else checker.variant_column,
+                         reading if checker.readable else "-", outcome, detail)
 
 
 def instance_rows(
@@ -887,17 +860,20 @@ def instance_rows(
 ) -> list[TheoremReport]:
     """The rows of the selected checkers on one instance, in registry order:
     the per-instance checkers, then the per-submodule ones on each N of
-    submodules, by default Lat(M)."""
+    submodules, by default Lat(M). N><I and the row key are derived once
+    per N that gets a row, and handed to every checker of that N."""
     chosen = [(t, checker) for t, checker in CHECKERS.items() if t in theorems]
     rows = [run_checker(ctx, t, None) for t, checker in chosen if checker.per_instance]
-    per_n = [(t, checker, checker.cells(variants, readings))
+    per_n = [(t, checker.cells(variants, readings))
              for t, checker in chosen if not checker.per_instance]
+    improper = [(t, cells) for t, cells in per_n if CHECKERS[t].improper_n]
     if per_n:  # per-instance checkers alone build no Lat(M)
         for n in ctx.base_submodules if submodules is None else submodules:
-            proper = n.is_proper
-            rows += [run_checker(ctx, t, n, variant, reading)
-                     for t, checker, cells in per_n if proper or checker.improper_n
-                     for variant, reading in cells]
+            todo = per_n if n.is_proper else improper
+            if todo:
+                nb, key = ctx.bowtie(n), ctx.key_for(n)
+                rows += [run_checker(ctx, t, n, variant, reading, nb, key)
+                         for t, cells in todo for variant, reading in cells]
     return rows
 
 
@@ -959,12 +935,8 @@ def hunt(
     corpus.check_budget(budget)
     # the ideals of Z_n are the dZ_n for the divisors d of n, listed as
     # enumerate_ideals orders them: ascending size, so descending d
-    tasks = [
-        (n, tuple(range(0, n, d)), chosen, variants, readings, budget)
-        for n in range(1, corpus.max_n + 1)
-        for d in range(n, 0, -1)
-        if n % d == 0
-    ]
+    tasks = [(n, tuple(range(0, n, d)), chosen, variants, readings, budget)
+             for n in range(1, corpus.max_n + 1) for d in range(n, 0, -1) if n % d == 0]
     # more processes than tasks or cores buy nothing, and all start at once
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     try:
@@ -997,17 +969,11 @@ def summarize(reports: Sequence[TheoremReport]) -> str:
                                  {"pass": 0, "fail": 0, "na": 0, "skip": 0})
         cell[r.outcome] += 1
     lines = ["theorem\tvariant\tpass\tfail\tna\tskip"]
-    for theorem in THEOREM_IDS:
-        for (tid, variant), cell in sorted(counts.items()):
-            if tid != theorem:
-                continue
-            lines.append(
-                f"{tid}\t{variant}\t{cell['pass']}\t{cell['fail']}\t{cell['na']}\t{cell['skip']}"
-            )
-    first_div = next(
-        (r for r in reports if r.theorem_id == "DIVERGENCE" and r.outcome == "fail"),
-        None,
-    )
+    order = {theorem: i for i, theorem in enumerate(THEOREM_IDS)}
+    for (tid, variant), c in sorted(counts.items(), key=lambda item: (order[item[0][0]], item[0])):
+        lines.append(f"{tid}\t{variant}\t{c['pass']}\t{c['fail']}\t{c['na']}\t{c['skip']}")
+    first_div = next((r for r in reports if r.theorem_id == "DIVERGENCE" and r.outcome == "fail"),
+                     None)
     if first_div is not None:
         lines.append(f"first divergence: {first_div.instance_key}: {first_div.detail}")
     skips = sum(1 for r in reports if r.outcome == "skip")

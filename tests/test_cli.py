@@ -402,6 +402,24 @@ def test_divergence_scan_output_is_byte_identical():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DIVERGENCE_SCAN_SHA256
 
 
+@pytest.mark.parametrize("workload", ["l8-sweep", "spec-docs"])
+def test_ab_instances_runs_with_one_checkout_on_both_sides(workload):
+    proc = subprocess.run(
+        [sys.executable, "scripts/ab_instances.py", str(REPO), str(REPO),
+         "--workload", workload, "--rounds", "1"], cwd=REPO,
+        capture_output=True, text=True, timeout=300,
+        env=_child_env(PYTHONDONTWRITEBYTECODE="1"),  # spec-docs imports perfbench/specgen.py
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(rf"{workload}: \d+ tasks, 1 rounds, report lines identical", lines[0])
+    assert re.fullmatch(r"sum of per-task medians: parent [\d.]+ s, change [\d.]+ s,"
+                        r" ratio [\d.]+", lines[1])
+    assert re.fullmatch(r"median task: parent [\d.]+ ms, change [\d.]+ ms, ratio [\d.]+",
+                        lines[2])
+
+
 def test_lattice_dot_output(z6_path, capsys, tmp_path):
     dot = tmp_path / "z6.dot"
     assert main(["lattice", z6_path, "--dot", str(dot)]) == 0
@@ -579,6 +597,27 @@ def test_budget_covers_the_duplicated_ring(tmp_path, capsys):
     assert main(["verify", str(p), "--budget", "256"]) == 4
     assert ("|A><I| = 576 exceeds the budget 256; raise --budget or BOWTIE_BUDGET"
             in capsys.readouterr().err)
+
+
+# Z200 with I = Z200 on itself: A><I has 200 * 200 = 40000 elements, so
+# its add and mul hold uint16 entries, and the regular M><I shares them.
+# Z24 with I = Z24 on Z2: A><I has 576 elements (uint16 entries), and M><I
+# has 4, with uint8 entries in its 4 x 4 add and its 576 x 4 act.
+@pytest.mark.parametrize("doc,budget,refused,held", [
+    ({"ring": {"zn": 200}, "ideal_generators": ["1"], "module": "regular"},
+     1000, "|M><I| = 40000", 2 * 40000 * 40000 * 2),
+    ({"ring": {"zn": 24}, "ideal_generators": ["1"],
+      "module": {"tables": {"add": [[0, 1], [1, 0]], "act": [[0, a % 2] for a in range(24)]}}},
+     256, "|A><I| = 576", 2 * 576 * 576 * 2 + (4 * 4 + 576 * 4) * 1),
+], ids=["z200-regular", "z24-on-z2"])
+def test_budget_refusal_names_the_bytes_of_the_tables(doc, budget, refused, held, tmp_path,
+                                                      capsys):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", str(p), "--budget", str(budget)]) == 4
+    assert capsys.readouterr().err == (
+        f"bowtie: error: {refused} exceeds the budget {budget}; raise --budget or BOWTIE_BUDGET"
+        f" (the tables of A><I and M><I would hold {held} bytes)\n")
 
 
 @pytest.mark.parametrize("ring,size", [

@@ -63,16 +63,16 @@ def _counting_memo(monkeypatch, owner, what):
     kept = []
     real = owner.memo
 
-    def counted(obj, name, key, compute):
+    def counted(obj, name, key, compute, *args):
         if name != what:
-            return real(obj, name, key, compute)
+            return real(obj, name, key, compute, *args)
 
-        def tallied():
+        def tallied(*args):
             kept.append(obj)
             counts[(id(obj), key)] += 1
-            return compute()
+            return compute(*args)
 
-        return real(obj, name, key, tallied)
+        return real(obj, name, key, tallied, *args)
 
     monkeypatch.setattr(owner, "memo", counted)
     return counts
@@ -93,8 +93,9 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
              for name in ("non_prime_colon", "colon_chain_violation")]
     rows = hunt(CorpusSpec(max_n=12))
     # one pack per distinct (action table, mask); a prime test of an ideal
-    # packs none, since it reads the principal ideals
-    assert len(classes) == 269 and max(classes.values()) == 1
+    # packs none, since it reads the principal ideals, and the annihilator
+    # of a whole module none, since it reads the action rows
+    assert len(classes) == 181 and max(classes.values()) == 1
     # one quotient per (Instance or M, mask) and one coset table per (module,
     # mask): P_COLON_PRIMARY at N = 0 and N = IM reads L8's quotients
     assert len(quotients) == len(cosets) == 135
@@ -119,16 +120,16 @@ def test_every_memo_computes_each_fact_once_over_zn(monkeypatch):
     hits: Counter = Counter()
     kept = []  # every owner stays alive, so no id in a key is reused
 
-    def counted(owner, what, key, compute):
+    def counted(owner, what, key, compute, *args):
         fresh = []
 
-        def tallied():
+        def tallied(*args):
             kept.append(owner)
             fresh.append(what)
             computed[(id(owner), what, key)] += 1
-            return compute()
+            return compute(*args)
 
-        value = real(owner, what, key, tallied)
+        value = real(owner, what, key, tallied, *args)
         if not fresh:
             hits[type(owner).__name__, what] += 1
         return value

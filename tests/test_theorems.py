@@ -280,7 +280,7 @@ def test_budget_skipped_task_builds_no_table(monkeypatch):
 
 
 def test_hunt_that_raises_leaves_no_scope(monkeypatch):
-    def failing(ctx, n):
+    def failing(ctx, n, nb, variant, reading):
         if ctx.inst.base_ring.size == 4:
             raise ZeroDivisionError("checker raised")
         return "pass", ""
