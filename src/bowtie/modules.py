@@ -418,7 +418,8 @@ def check_module_map(f: ModuleMap) -> bool:
     """Additivity at every pair (x, y) and action compatibility at every (s, x).
 
     Both are whole-table comparisons: f(x+y) against f(x)+f(y), and f(sx)
-    against s f(x), a block of rows of each table at a time.
+    against s f(x), a block of rows of each table at a time, or the whole
+    tables at once when one block covers them.
     """
     src, tgt = f.source, f.target
     if src.ring is not tgt.ring:
@@ -427,7 +428,7 @@ def check_module_map(f: ModuleMap) -> bool:
         raise ValueError("map table length differs from the source size")
     t = table_array(f.table)  # narrow, so that the gathered tables stay small
     step = row_block(src.size)
-    if step >= max(src.size, src.ring.size):  # one block: the whole tables, unsliced
+    if step >= max(src.size, src.ring.size):  # one block: no loop and no slice views
         return bool((t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
                     and (t.take(src.act) == tgt.act.take(t, axis=1)).all())
     # both sides of each comparison have the shape of the block of rows
