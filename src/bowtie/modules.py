@@ -45,6 +45,7 @@ from .rings import (
     subgroup_sum,
     subset_classes,
     table_array,
+    zero_rows,
 )
 
 
@@ -90,7 +91,7 @@ class TableModule(Carrier):
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan; kept on
         table_owner, so the regular module reads its ring's."""
-        return derived(self.table_owner, "zero_pre", lambda: pack_rows(self.act == self.zero))
+        return derived(self.table_owner, "zero_pre", zero_rows, self.act, self.zero)
 
     def __repr__(self) -> str:
         return f"TableModule({self.name}, size={self.size}, over={self.ring.name})"
@@ -172,14 +173,14 @@ class Submodule(Subset):
 
 @dataclass(frozen=True, eq=False)
 class ModuleMap:
-    """A total map between modules over the same ring, as an index table."""
+    """A total map between modules over the same ring, as its table_array."""
 
     source: TableModule
     target: TableModule
-    table: tuple[int, ...]
+    table: np.ndarray
 
-    def __call__(self, m: int) -> int:
-        return self.table[m]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", table_array(self.table))
 
 
 def ring_as_module(ring: TableRing) -> TableModule:
@@ -411,7 +412,7 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps.tolist()),
         name=f"{module.name}/N",
     )
-    return quo, ModuleMap(source=module, target=quo, table=tuple(proj.tolist()))
+    return quo, ModuleMap(source=module, target=quo, table=proj)
 
 
 def check_module_map(f: ModuleMap) -> bool:
@@ -426,7 +427,7 @@ def check_module_map(f: ModuleMap) -> bool:
         raise ValueError("source and target are over different rings")
     if len(f.table) != src.size:
         raise ValueError("map table length differs from the source size")
-    t = table_array(f.table)  # narrow, so that the gathered tables stay small
+    t = f.table
     step = row_block(src.size)
     if step >= max(src.size, src.ring.size):  # one block: no loop and no slice views
         return bool((t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
@@ -442,10 +443,10 @@ def check_module_map(f: ModuleMap) -> bool:
 
 def kernel(f: ModuleMap) -> Submodule:
     """The preimage of zero; a submodule when f is a module map."""
-    members = [m for m in range(f.source.size) if f.table[m] == f.target.zero]
+    members = np.flatnonzero(f.table == f.target.zero).tolist()
     return Submodule.from_mask(f.source, mask_of(members), members)
 
 
 def image(f: ModuleMap) -> Submodule:
     """The image of f; a submodule when f is a module map."""
-    return Submodule.from_mask(f.target, mask_of(f.table))
+    return Submodule.from_mask(f.target, mask_of(set(f.table.tolist())))

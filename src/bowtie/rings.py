@@ -206,15 +206,23 @@ def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
     return arr
 
 
+def _neg(add: np.ndarray, zero: int) -> np.ndarray:
+    return table_array((add == zero).argmax(axis=1))
+
+
+def zero_rows(table: np.ndarray, zero: int) -> tuple[int, ...]:
+    """Row a of a table as the mask of the x with table[a, x] = zero."""
+    return pack_rows(table == zero)
+
+
 class Carrier:
     """What a TableRing and a TableModule read off their addition table and
     labels alone."""
 
     @property
-    def neg(self) -> tuple[int, ...]:
-        """Additive inverse of every element: neg[x] is the y with x + y = zero."""
-        return derived(self, "neg",
-                       lambda: tuple((self.add == self.zero).argmax(axis=1).tolist()))
+    def neg(self) -> np.ndarray:
+        """Additive inverses as a table_array: neg[x] is the y with x + y = zero."""
+        return derived(self, "neg", _neg, self.add, self.zero)
 
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
@@ -244,7 +252,7 @@ class TableRing(Carrier):
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {b : a*b = 0}, as masks."""
-        return derived(self, "zero_pre", lambda: pack_rows(self.mul == self.zero))
+        return derived(self, "zero_pre", zero_rows, self.mul, self.zero)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"TableRing({self.name}, size={self.size})"
@@ -398,7 +406,7 @@ def subring_from_subset(
     d = np.asarray(decode)
     index = np.full(ring.size, -1, dtype=np.int64)  # ambient -> new index
     index[d] = np.arange(len(d))
-    neg = index[np.asarray(ring.neg)[d]]
+    neg = index[ring.neg[d]]
     add = index.take(ring.add.take(d, axis=0).take(d, axis=1))
     mul = index.take(ring.mul.take(d, axis=0).take(d, axis=1))
     # the first a whose negation, or some sum or product with a b, leaves
@@ -633,26 +641,21 @@ def radical(j: Ideal) -> Ideal:
     ring = j.ring
     inside = np.zeros(ring.size, dtype=bool)
     inside[list(j.members)] = True
-    return ideal_of(ring, pack_rows(inside.take(_top_powers(ring))[None, :])[0])
+    powers = derived(ring, "top_powers", _top_powers, ring.mul, ring.size)
+    return ideal_of(ring, pack_rows(inside.take(powers)[None, :])[0])
 
 
 def _radical_mask(j: Ideal) -> int:
     return radical(j).mask
 
 
-def _top_powers(ring: TableRing) -> np.ndarray:
-    """a**size for every a, by repeated squaring on the multiplication table."""
-
-    def compute() -> np.ndarray:
-        mul = ring.mul
-        base = np.arange(ring.size)
-        acc = None
-        e = ring.size
-        while e:
-            if e & 1:
-                acc = base if acc is None else mul[acc, base]
-            base = mul[base, base]
-            e >>= 1
-        return acc
-
-    return derived(ring, "top_powers", compute)
+def _top_powers(mul: np.ndarray, e: int) -> np.ndarray:
+    """a**e for every a, by repeated squaring on the multiplication table."""
+    base = np.arange(len(mul))
+    acc = None
+    while e:
+        if e & 1:
+            acc = base if acc is None else mul[acc, base]
+        base = mul[base, base]
+        e >>= 1
+    return acc

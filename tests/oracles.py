@@ -74,7 +74,7 @@ def join_submodules(module: TableModule) -> list[tuple[int, ...]]:
 def module_map_holds(f: ModuleMap) -> bool:
     """f(x+y) = f(x)+f(y) for every pair and f(sx) = s f(x) for every (s, x)."""
     src, tgt = f.source, f.target
-    t = f.table
+    t = f.table.tolist()
     src_add, tgt_add = src.add.tolist(), tgt.add.tolist()
     src_act, tgt_act = src.act.tolist(), tgt.act.tolist()
     for x in range(src.size):
@@ -86,6 +86,19 @@ def module_map_holds(f: ModuleMap) -> bool:
             if t[src_act[s][x]] != tgt_act[s][t[x]]:
                 return False
     return True
+
+
+def induced_map(source_quotient: TableModule, projection: ModuleMap, f: ModuleMap) -> ModuleMap:
+    """The map the quotient inherits from f along the projection, entry by
+    entry: f at the first x of each coset (the library's loop before L8
+    read it off the projection with np.unique)."""
+    proj, values = projection.table.tolist(), f.table.tolist()
+    table = [-1] * source_quotient.size
+    for x in range(f.source.size):
+        c = proj[x]
+        if table[c] < 0:
+            table[c] = values[x]
+    return ModuleMap(source=source_quotient, target=f.target, table=table)
 
 
 def brute_ideals(ring: TableRing) -> list[frozenset[int]]:

@@ -28,7 +28,7 @@ from bowtie.rings import Ideal, RingAxiomError, enumerate_ideals, make_zn, mask_
 
 from families import duplications, family_modules
 from constructions import is_faithful, submodule_intersection, submodule_sum
-from oracles import brute_submodules, module_map_holds
+from oracles import brute_submodules, induced_map, module_map_holds
 
 
 def test_regular_module_shape():
@@ -221,6 +221,35 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
         for inst in duplications(module):
             ctx = theorems.Instance(inst.base_ring, inst.ideal, module)
             _assert_maps_agree_with_oracle(ctx, monkeypatch)
+            count += 1
+    assert count == 176
+
+
+def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
+    # L8 reads each induced map off the quotient's projection with
+    # np.unique; the oracle walks the projection entry by entry
+    f1, g1, f2, g2 = _l8_maps(ctx, monkeypatch)
+    for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
+        q, proj = ctx.quotient(k)
+        expected = induced_map(q, proj, f)
+        assert g.source is q and g.target is f.target
+        assert g.table.tolist() == expected.table.tolist(), ctx.base_key
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_induced_maps_match_oracle_on_zn(n, monkeypatch):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        _assert_induced_maps_match_oracle(
+            theorems.Instance(ring, ideal, ring_as_module(ring)), monkeypatch)
+
+
+def test_induced_maps_match_oracle_on_families(monkeypatch):
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            _assert_induced_maps_match_oracle(
+                theorems.Instance(inst.base_ring, inst.ideal, module), monkeypatch)
             count += 1
     assert count == 176
 

@@ -18,6 +18,7 @@ from bowtie.classify import classify_submodule
 from bowtie.duplication import build_bowtie, product_submodule, restrict_scalars
 from bowtie.instances import InstanceSpec
 from bowtie.modules import (
+    ModuleMap,
     Submodule,
     TableModule,
     cyclic_masks,
@@ -42,17 +43,19 @@ import families
 from constructions import _additive_closure
 from families import duplications, family_modules, products
 
-TABLES = {TableRing: ("add", "mul"), TableModule: ("add", "act")}
+TABLES = {TableRing: ("add", "mul", "neg"), TableModule: ("add", "act", "neg"),
+          ModuleMap: ("table",)}
 
 
 def assert_tables_stored(obj):
-    """Each table of obj is a read-only array in its carrier's narrow dtype,
-    and obj holds nothing beyond its fields."""
+    """Each table of obj is a read-only array in its carrier's narrow dtype
+    (a map's target's), and obj holds nothing beyond its fields."""
+    size = obj.target.size if type(obj) is ModuleMap else obj.size
     for name in TABLES[type(obj)]:
         arr = getattr(obj, name)
         assert type(arr) is np.ndarray, (obj, name)
         assert not arr.flags.writeable, (obj, name)
-        assert arr.dtype == narrow_dtype(0, obj.size - 1), (obj, name)
+        assert arr.dtype == narrow_dtype(0, size - 1), (obj, name)
     assert vars(obj).keys() == {f.name for f in fields(obj)}, obj
 
 
@@ -107,8 +110,8 @@ def test_quotients_match_the_dict_oracle(module):
         assert (quo.size, quo.zero, quo.labels, quo.name) == (
             expected.size, expected.zero, expected.labels, expected.name)
         assert np.array_equal(quo.add, expected.add) and np.array_equal(quo.act, expected.act)
-        assert proj.table == expected_proj.table
-        assert all(type(c) is int for c in proj.table)
+        assert np.array_equal(proj.table, expected_proj.table)
+        assert_tables_stored(proj)
 
 
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.name)

@@ -3,13 +3,16 @@ import gc
 import hashlib
 import os
 import weakref
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bowtie import theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
+    ModuleMap,
     Submodule,
     is_cyclic,
     ring_as_module,
@@ -135,6 +138,49 @@ def test_L8_across_small_corpus():
             row = run_checker(ctx, "L8", None)
             assert row.outcome == "pass", (n, ideal.members)
             assert row.detail == f"quotient sizes {n} and {n // len(ctx.inst.im)}"
+
+
+def _broken_quotients(monkeypatch, breaks) -> None:
+    """Make Instance.quotient hand L8 what breaks(quotient, projection) returns."""
+    real = Instance.quotient
+    monkeypatch.setattr(Instance, "quotient", lambda self, s: breaks(*real(self, s)))
+
+
+def test_L8_fails_on_swapped_kernels(monkeypatch):
+    # Z4 with I = {0,2} has IM = I, so 0 x IM and IM x IM differ
+    ctx = make_zn_instance(4, [0, 2])
+    zero_cross_im, im_cross_im = ctx.distinguished
+    monkeypatch.setitem(vars(ctx), "distinguished", (im_cross_im, zero_cross_im))
+    row = run_checker(ctx, "L8", None)
+    assert row.outcome == "fail"
+    problems = row.detail.split("; ")
+    assert "kernel of the first projection is not 0 x IM" in problems
+    assert "kernel of the coset projection is not IM x IM" in problems
+    assert "induced map M><I / (0 x IM) -> M is not bijective" in problems
+
+
+def test_L8_fails_on_a_quotient_with_two_sums_swapped(monkeypatch):
+    def swap_sums(q, proj):
+        add = q.add.copy()
+        add[1, [0, 1]] = add[1, [1, 0]]  # 1 + 0 is no longer 1
+        return replace(q, add=add), proj
+
+    _broken_quotients(monkeypatch, swap_sums)
+    row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
+    assert (row.outcome, row.detail) == ("fail", (
+        "induced map M><I / (0 x IM) -> M is not bijective;"
+        " induced map M><I / (IM x IM) -> M/IM is not bijective"))
+
+
+def test_L8_fails_on_a_projection_that_misses_a_coset(monkeypatch):
+    def merge_cosets(q, proj):  # coset 1 joins coset 0
+        return q, ModuleMap(proj.source, q, np.where(proj.table == 1, 0, proj.table))
+
+    _broken_quotients(monkeypatch, merge_cosets)
+    row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
+    assert (row.outcome, row.detail) == ("fail", (
+        "induced map M><I / (0 x IM) -> M is not bijective;"
+        " induced map M><I / (IM x IM) -> M/IM is not bijective"))
 
 
 def test_T_final_z6(z6):
