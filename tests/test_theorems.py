@@ -140,12 +140,6 @@ def test_L8_across_small_corpus():
             assert row.detail == f"quotient sizes {n} and {n // len(ctx.inst.im)}"
 
 
-def _broken_quotients(monkeypatch, breaks) -> None:
-    """Make Instance.quotient hand L8 what breaks(quotient, projection) returns."""
-    real = Instance.quotient
-    monkeypatch.setattr(Instance, "quotient", lambda self, s: breaks(*real(self, s)))
-
-
 def test_L8_fails_on_swapped_kernels(monkeypatch):
     # Z4 with I = {0,2} has IM = I, so 0 x IM and IM x IM differ
     ctx = make_zn_instance(4, [0, 2])
@@ -159,24 +153,21 @@ def test_L8_fails_on_swapped_kernels(monkeypatch):
     assert "induced map M><I / (0 x IM) -> M is not bijective" in problems
 
 
-def test_L8_fails_on_a_quotient_with_two_sums_swapped(monkeypatch):
-    def swap_sums(q, proj):
-        add = q.add.copy()
-        add[1, [0, 1]] = add[1, [1, 0]]  # 1 + 0 is no longer 1
-        return replace(q, add=add), proj
-
-    _broken_quotients(monkeypatch, swap_sums)
-    row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
-    assert (row.outcome, row.detail) == ("fail", (
-        "induced map M><I / (0 x IM) -> M is not bijective;"
-        " induced map M><I / (IM x IM) -> M/IM is not bijective"))
+def _swap_two_sums(q, proj):
+    add = q.add.copy()
+    add[1, [0, 1]] = add[1, [1, 0]]  # 1 + 0 is no longer 1
+    return replace(q, add=add), proj
 
 
-def test_L8_fails_on_a_projection_that_misses_a_coset(monkeypatch):
-    def merge_cosets(q, proj):  # coset 1 joins coset 0
-        return q, ModuleMap(proj.source, q, np.where(proj.table == 1, 0, proj.table))
+def _miss_a_coset(q, proj):  # coset 1 joins coset 0
+    return q, ModuleMap(proj.source, q, np.where(proj.table == 1, 0, proj.table))
 
-    _broken_quotients(monkeypatch, merge_cosets)
+
+@pytest.mark.parametrize("breaks", [_swap_two_sums, _miss_a_coset])
+def test_L8_fails_on_a_broken_quotient(breaks, monkeypatch):
+    # L8 reads each quotient and its projection through Instance.quotient
+    real = Instance.quotient
+    monkeypatch.setattr(Instance, "quotient", lambda self, s: breaks(*real(self, s)))
     row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
     assert (row.outcome, row.detail) == ("fail", (
         "induced map M><I / (0 x IM) -> M is not bijective;"
