@@ -162,22 +162,26 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
         _err(str(exc))
         return EXIT_BAD_INPUT
     ring_size, module_size = predicted_sizes(ring, ideal, module)
-    note = (" (the tables of A><I and M><I would hold"
-            f" {table_bytes(ring, module, ring_size, module_size)} bytes)")
-    if (_over_budget("|M><I|", module_size, cap, note)
-            or _over_budget("|A><I|", ring_size, cap, note)):
+    tables = ("the tables of A><I and M><I would hold"
+              f" {table_bytes(ring, module, ring_size, module_size)} bytes")
+    if (_over_budget("|M><I|", module_size, cap, f" ({tables})")
+            or _over_budget("|A><I|", ring_size, cap, f" ({tables})")):
         return EXIT_BUDGET
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
     # the per-N quantifiers cost |Lat| each, so the lattices are capped too
     limit = 16 * cap
-    ctx = Instance(ring, ideal, module, key=name, lattice_limit=limit)
-    for what, lattice in (("M", "base_submodules"), ("M><I", "bowtie_submodules")):
-        try:
-            getattr(ctx, lattice)
-        except LatticeLimitError:
-            _err(f"lattice of {what} exceeds {limit} submodules (16 x budget {cap});"
-                 " raise --budget or BOWTIE_BUDGET")
-            return EXIT_BUDGET
+    try:
+        ctx = Instance(ring, ideal, module, key=name, lattice_limit=limit)
+        for what, lattice in (("M", "base_submodules"), ("M><I", "bowtie_submodules")):
+            try:
+                getattr(ctx, lattice)
+            except LatticeLimitError:
+                _err(f"lattice of {what} exceeds {limit} submodules (16 x budget {cap});"
+                     " raise --budget or BOWTIE_BUDGET")
+                return EXIT_BUDGET
+    except MemoryError:
+        _err(f"out of memory building {name}: {tables}; lower --budget or BOWTIE_BUDGET")
+        return EXIT_BUDGET
     return ctx, sub
 
 
@@ -461,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         _err(str(exc))
         return EXIT_IMPROPER
     except MemoryError:
-        # a budget too large for this machine: say so, with no traceback
+        # a budget too large for this machine, past _build: say so, with no traceback
         _err("out of memory; lower --budget or BOWTIE_BUDGET")
         return EXIT_BUDGET
 

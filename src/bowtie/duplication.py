@@ -89,6 +89,11 @@ def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
     return int.from_bytes(hits.tobytes(), "little")
 
 
+def pair_generators(pairs: np.ndarray, zero: int) -> np.ndarray:
+    """Indices of the additive generators (x, x) and (0, t): (x, x') = (x, x) + (0, x' - x)."""
+    return np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | (pairs[:, 0] == zero))
+
+
 def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
                    width: int, what: str) -> np.ndarray:
     """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.

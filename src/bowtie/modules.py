@@ -40,7 +40,6 @@ from .rings import (
     memo,
     pack_rows,
     principal_masks,
-    row_block,
     row_images,
     subgroup_sum,
     subset_classes,
@@ -415,30 +414,22 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
     return quo, ModuleMap(source=module, target=quo, table=proj)
 
 
-def check_module_map(f: ModuleMap) -> bool:
-    """Additivity at every pair (x, y) and action compatibility at every (s, x).
-
-    Both are whole-table comparisons: f(x+y) against f(x)+f(y), and f(sx)
-    against s f(x), a block of rows of each table at a time, or the whole
-    tables at once when one block covers them.
-    """
+def check_module_map(f: ModuleMap, gens: np.ndarray, scalars: np.ndarray) -> bool:
+    """f(x+g) = f(x)+f(g) and f(sg) = s f(g) for every x of the source, g of
+    gens and s of scalars. If source and target are modules, gens generates the
+    source additively and scalars the ring, f is then a module map. Proof: x = 0
+    gives f(0) = 0; the y additive at every x are closed under +, so are all of
+    the source; both sides of f(sg) = s f(g) are additive in s and in g."""
     src, tgt = f.source, f.target
     if src.ring is not tgt.ring:
         raise ValueError("source and target are over different rings")
     if len(f.table) != src.size:
         raise ValueError("map table length differs from the source size")
-    t = f.table
-    step = row_block(src.size)
-    if step >= max(src.size, src.ring.size):  # one block: no loop and no slice views
-        return bool((t.take(src.add) == tgt.add.take(t, axis=0).take(t, axis=1)).all()
-                    and (t.take(src.act) == tgt.act.take(t, axis=1)).all())
-    # both sides of each comparison have the shape of the block of rows
-    for start in range(0, max(src.size, src.ring.size), step):
-        rows = slice(start, start + step)
-        if not ((t.take(src.add[rows]) == tgt.add.take(t[rows], axis=0).take(t, axis=1)).all()
-                and (t.take(src.act[rows]) == tgt.act[rows].take(t, axis=1)).all()):
-            return False
-    return True
+    t, at = f.table, f.table.take(gens)  # at: f(g) for each g of gens
+    return bool((t.take(src.add.take(gens, axis=1))
+                 == tgt.add.take(at, axis=1).take(t, axis=0)).all()
+                and (t.take(src.act.take(scalars, axis=0).take(gens, axis=1))
+                     == tgt.act.take(scalars, axis=0).take(at, axis=1)).all())
 
 
 def kernel(f: ModuleMap) -> Submodule:

@@ -73,6 +73,7 @@ from .duplication import (
     build_bowtie,
     bowtie_submodule,
     distinguished_submodules,
+    pair_generators,
     pairs_in,
     restrict_scalars,
 )
@@ -614,15 +615,15 @@ def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Out
     return "fail", f"radical {rad.label_set()} is not prime: {v.witness_text}"
 
 
-def _quotient_iso(
-    ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: str, target_name: str,
-) -> tuple[list[str], int]:
-    """The reasons f: M><I -> T fails to be a surjective module map with
-    kernel K that induces M><I / K = T (none when it is one), and |M><I / K|.
+def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: str,
+                  target_name: str, gens: np.ndarray, scalars: np.ndarray,
+                  ) -> tuple[list[str], int]:
+    """The reasons f: M><I -> T, checked at gens and scalars, fails to be a
+    surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
     The induced map is f at the first x of each coset of the quotient's own
     projection, so a projection that misses a coset induces no bijection."""
     problems = []
-    if not check_module_map(f):
+    if not check_module_map(f, gens, scalars):
         problems.append(f"{name} is not a module map")
     if len(image(f)) != f.target.size:
         problems.append(f"{name} is not surjective")
@@ -632,26 +633,28 @@ def _quotient_iso(
     hit, firsts = np.unique(proj.table, return_index=True)
     g = ModuleMap(q, f.target, carrier_table(f.table.take(firsts), f.target.size))
     if (hit.tolist() != list(range(q.size)) or q.size != f.target.size
-            or not check_module_map(g) or len(set(g.table.tolist())) != q.size):
+            or not check_module_map(g, proj.table.take(gens), scalars)
+            or len(set(g.table.tolist())) != q.size):
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
     return problems, q.size
 
 
 def check_L8(ctx: Instance) -> Outcome:
-    """Both canonical quotient isomorphisms of M><I, by explicit maps."""
+    """Both canonical quotient isomorphisms of M><I: the first projection onto
+    M and the coset projection onto M / IM, scalars acting through the first."""
     inst = ctx.inst
-    mod = inst.bowtie_module
     zero_cross_im, im_cross_im = ctx.distinguished
-    # the first projection onto M and the coset projection onto M / IM, both
-    # with scalars acting through the first component
+    gens = pair_generators(inst.module_pairs, inst.base_module.zero)
+    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
     firsts = inst.module_pairs[:, 0]
-    first = ModuleMap(mod, restrict_scalars(inst, "first"), firsts)
-    problems1, q1 = _quotient_iso(ctx, first, "first projection", zero_cross_im, "0 x IM", "M")
+    first = ModuleMap(inst.bowtie_module, restrict_scalars(inst, "first"), firsts)
+    problems1, q1 = _quotient_iso(ctx, first, "first projection", zero_cross_im, "0 x IM", "M",
+                                  gens, scalars)
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
-    coset = ModuleMap(mod, restrict_scalars(inst, "first", base_quo),
+    coset = ModuleMap(inst.bowtie_module, restrict_scalars(inst, "first", base_quo),
                       carrier_table(bproj.table.take(firsts), base_quo.size))
     problems2, q2 = _quotient_iso(ctx, coset, "coset projection", im_cross_im, "IM x IM",
-                                  "M/IM")
+                                  "M/IM", gens, scalars)
     if problems1 or problems2:
         return "fail", "; ".join(problems1 + problems2)
     return "pass", f"quotient sizes {q1} and {q2}"

@@ -88,6 +88,18 @@ def module_map_holds(f: ModuleMap) -> bool:
     return True
 
 
+def additive_closure(add: np.ndarray, gens) -> frozenset[int]:
+    """Every sum of one or more elements of gens, added one generator at a
+    time until nothing new appears: in a finite group, the subgroup they
+    generate."""
+    add, gens = add.tolist(), list(gens)
+    found, frontier = set(gens), set(gens)
+    while frontier:
+        frontier = {add[x][g] for x in frontier for g in gens} - found
+        found |= frontier
+    return frozenset(found)
+
+
 def induced_map(source_quotient: TableModule, projection: ModuleMap, f: ModuleMap) -> ModuleMap:
     """The map the quotient inherits from f along the projection, entry by
     entry: f at the first x of each coset (the library's loop before L8

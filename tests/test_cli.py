@@ -746,4 +746,5 @@ def test_out_of_memory_exits_4_without_a_traceback(tmp_path):
         env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        4, "", "bowtie: error: out of memory; lower --budget or BOWTIE_BUDGET\n")
+        4, "", "bowtie: error: out of memory building z200: the tables of A><I and M><I"
+        " would hold 6400000000 bytes; lower --budget or BOWTIE_BUDGET\n")

@@ -12,6 +12,7 @@ from bowtie.duplication import (
     build_bowtie,
     detect_bowtie_form,
     distinguished_submodules,
+    pair_generators,
     predicted_sizes,
     restrict_scalars,
     zero_cross_i,
@@ -54,6 +55,31 @@ def test_z6_carrier_frozen(z6):
 def test_z6_submodule_census(z6):
     sizes = [len(s) for s in z6.bowtie_submodules]
     assert sizes == [1, 2, 2, 3, 4, 6, 6, 12]
+
+
+def _assert_pair_generators_span(inst) -> None:
+    for pairs, zero, carrier in (
+            (inst.ring_pairs, inst.base_ring.zero, inst.bowtie_ring),
+            (inst.module_pairs, inst.base_module.zero, inst.bowtie_module)):
+        gens = pair_generators(pairs, zero)
+        assert all(a == b or a == zero for a, b in pairs[gens].tolist())
+        assert oracles.additive_closure(carrier.add, gens) == frozenset(range(carrier.size))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_pair_generators_span_every_zn_duplication(n):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        _assert_pair_generators_span(build_bowtie(ring, ideal, ring_as_module(ring)))
+
+
+def test_pair_generators_span_every_family_duplication():
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            _assert_pair_generators_span(inst)
+            count += 1
+    assert count == 176
 
 
 def test_predicted_sizes_match_construction():

@@ -157,7 +157,7 @@ def test_quotient_module_projection_is_map():
     n = Submodule(m, [0, 4, 8])
     q, proj = quotient_module(m, n)
     assert q.size == 4
-    assert check_module_map(proj)
+    assert check_module_map(proj, np.arange(m.size), np.arange(m.ring.size))
     assert kernel(proj).members == n.members
     assert image(proj).members == tuple(range(q.size))
 
@@ -165,16 +165,17 @@ def test_quotient_module_projection_is_map():
 def test_module_map_rejects_non_hom():
     m = ring_as_module(make_zn(4))
     f = ModuleMap(source=m, target=m, table=(0, 2, 1, 3))
-    assert not check_module_map(f)
+    assert not check_module_map(f, np.arange(m.size), np.arange(m.ring.size))
 
 
-def _l8_maps(ctx, monkeypatch) -> list[ModuleMap]:
-    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them."""
+def _l8_maps(ctx, monkeypatch) -> list[tuple[ModuleMap, np.ndarray, np.ndarray]]:
+    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them,
+    each with the generators and scalars L8 checks it at."""
     seen = []
 
-    def recording(f):
-        seen.append(f)
-        return check_module_map(f)
+    def recording(f, gens, scalars):
+        seen.append((f, gens, scalars))
+        return check_module_map(f, gens, scalars)
 
     monkeypatch.setattr(theorems, "check_module_map", recording)
     assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
@@ -183,10 +184,13 @@ def _l8_maps(ctx, monkeypatch) -> list[ModuleMap]:
     return seen
 
 
-def _mutations(f: ModuleMap) -> list[ModuleMap]:
-    """f with its first, then its last, entry moved to the next target element."""
+def _mutations(f: ModuleMap, gens: np.ndarray) -> list[ModuleMap]:
+    """f with one entry moved to the next target element: its first entry,
+    its last, and the first whose index is not in gens, if there is one.
+    On M><I the first two are (0,0) and the last (x,x), both generators."""
+    others = np.setdiff1d(np.arange(len(f.table)), gens)[:1].tolist()
     out = []
-    for i in (0, len(f.table) - 1):
+    for i in (0, len(f.table) - 1, *others):
         table = list(f.table)
         table[i] = (table[i] + 1) % f.target.size
         out.append(ModuleMap(f.source, f.target, tuple(table)))
@@ -197,14 +201,16 @@ def _assert_maps_agree_with_oracle(ctx, monkeypatch) -> None:
     inst = ctx.inst
     maps = _l8_maps(ctx, monkeypatch)
     # the first projection with scalars through the second component is
-    # additive, but linear only when IM = 0
+    # additive, but linear only when IM = 0; it has f1's source and ring
+    _, gens, scalars = maps[0]
     second = restrict_scalars(inst, "second")
     proj = ModuleMap(inst.bowtie_module, second, tuple(inst.module_pairs[:, 0].tolist()))
-    assert check_module_map(proj) == inst.im.is_zero
-    maps.append(proj)
-    for f in maps:
-        for g in [f, *_mutations(f)]:
-            assert check_module_map(g) == module_map_holds(g), (ctx.base_key, g.table[:8])
+    assert check_module_map(proj, gens, scalars) == inst.im.is_zero
+    maps.append((proj, gens, scalars))
+    for f, gens, scalars in maps:
+        for g in [f, *_mutations(f, gens)]:
+            assert check_module_map(g, gens, scalars) == module_map_holds(g), (
+                ctx.base_key, g.table[:8])
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -228,7 +234,7 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
     # L8 reads each induced map off the quotient's projection with
     # np.unique; the oracle walks the projection entry by entry
-    f1, g1, f2, g2 = _l8_maps(ctx, monkeypatch)
+    f1, g1, f2, g2 = (f for f, _, _ in _l8_maps(ctx, monkeypatch))
     for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
         q, proj = ctx.quotient(k)
         expected = induced_map(q, proj, f)
@@ -257,7 +263,8 @@ def test_induced_maps_match_oracle_on_families(monkeypatch):
 def test_module_map_rejects_a_table_of_the_wrong_length():
     m = ring_as_module(make_zn(4))
     with pytest.raises(ValueError):
-        check_module_map(ModuleMap(source=m, target=m, table=(0, 1, 2)))
+        check_module_map(ModuleMap(source=m, target=m, table=(0, 1, 2)),
+                         np.arange(m.size), np.arange(m.ring.size))
 
 
 def test_sum_and_intersection_z12():

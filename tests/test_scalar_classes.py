@@ -9,9 +9,10 @@ must equal the row-by-row conversion at every width from 1 to 1100
 columns and on non-contiguous inputs; the classes must equal the
 per-scalar rows grouped by value; and the class colons and scans must
 return exactly what the per-scalar ones return, on every submodule of M
-and M><I over Z_n, n <= 16, and of the family duplications. Every gather
-through a large table (the classes, L8's module-map check, the colon
-product scan) reads a block of rows at a time, under a tracemalloc bound.
+and M><I over Z_n, n <= 16, and of the family duplications. The gathers
+through a large table (the classes, the colon product scan) read a block
+of rows at a time, and L8's module-map check reads only its generators'
+columns, each under a tracemalloc bound.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from bowtie import classify, rings
-from bowtie.duplication import build_bowtie, restrict_scalars
+from bowtie.duplication import build_bowtie, pair_generators, restrict_scalars
 from bowtie.modules import (
     ModuleMap,
     TableModule,
@@ -219,22 +220,26 @@ def z48_full():
 
 def test_module_maps_of_a_large_module_are_checked_a_block_of_rows_at_a_time(
         z48_full, monkeypatch):
-    """L8's first projection of Z48><Z48 onto Z48 checks below 6 MB of traced
-    allocations, and a copy with one value changed fails, also when each
-    block is 10 rows. One gather of the whole 2304 x 2304 addition table
-    peaked at 47.8 MB."""
+    """L8's first projection of Z48><Z48 onto Z48, checked at the pair
+    generators L8 passes (95 of the 2304 elements, and 95 scalars), stays
+    below 6 MB of traced allocations, and a copy with one value changed
+    fails, also with GATHER_BLOCK at 10 rows, which the check no longer
+    reads. One gather of the whole 2304 x 2304 addition table peaked at
+    47.8 MB."""
     inst = z48_full.inst
+    gens = pair_generators(inst.module_pairs, inst.base_module.zero)
+    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
     table = inst.module_pairs[:, 0].tolist()
     assert inst.bowtie_module.add.size > 16 * GATHER_BLOCK
-    scalars = restrict_scalars(inst, "first")
-    good = ModuleMap(inst.bowtie_module, scalars, tuple(table))
+    first = restrict_scalars(inst, "first")
+    good = ModuleMap(inst.bowtie_module, first, tuple(table))
     table[-1] = (table[-1] + 1) % 48
-    bad = ModuleMap(inst.bowtie_module, scalars, tuple(table))
-    holds, peak = _traced_peak(lambda: check_module_map(good))
+    bad = ModuleMap(inst.bowtie_module, first, tuple(table))
+    holds, peak = _traced_peak(lambda: check_module_map(good, gens, scalars))
     assert holds and peak < 6_000_000, peak
-    assert not check_module_map(bad)
+    assert not check_module_map(bad, gens, scalars)
     monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * len(table))
-    assert check_module_map(good) and not check_module_map(bad)
+    assert check_module_map(good, gens, scalars) and not check_module_map(bad, gens, scalars)
 
 
 def _colon_product_witness(ring: TableRing, classes) -> str:

@@ -143,7 +143,7 @@ def _assert_constructions_sound(inst) -> None:
         for which in ("first", "second"):
             assert module_axiom_violations(restrict_scalars(inst, which, target)) == []
         f = ModuleMap(mod, restrict_scalars(inst, "first", target), tuple(table))
-        assert check_module_map(f)
+        assert check_module_map(f, np.arange(mod.size), np.arange(mod.ring.size))
         _revalidates(kernel(f))
         _revalidates(image(f))
 
