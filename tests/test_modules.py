@@ -187,7 +187,8 @@ def _l8_maps(ctx, monkeypatch) -> list[tuple[ModuleMap, np.ndarray, np.ndarray]]
 def _mutations(f: ModuleMap, gens: np.ndarray) -> list[ModuleMap]:
     """f with one entry moved to the next target element: its first entry,
     its last, and the first whose index is not in gens, if there is one.
-    On M><I the first two are (0,0) and the last (x,x), both generators."""
+    On M><I the first entry is at (0,0) and the last at some (x,x), both
+    generators, so only the third flip lands away from them."""
     others = np.setdiff1d(np.arange(len(f.table)), gens)[:1].tolist()
     out = []
     for i in (0, len(f.table) - 1, *others):
