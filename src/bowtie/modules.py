@@ -38,8 +38,8 @@ from .rings import (
     ideal_of,
     mask_of,
     memo,
-    pack_rows,
     principal_masks,
+    row_block,
     row_images,
     subgroup_sum,
     subset_classes,
@@ -300,18 +300,15 @@ def _join_wide(
         if c in found:
             continue
         held = rows[:count]
-        c_members = bits(c)
+        c_members = np.array(bits(c))
         outside = held[~held.take(c_members, axis=1).all(axis=1)]
-        # x + C is named by its least member, and every coset has |C|
-        # members. by_coset lists the elements coset by coset; grid lists
-        # the j-th member of every coset for each j, so the OR runs over |C|
-        # whole slabs: along a short last axis it measured up to 4x slower.
-        width = len(c_members)
-        by_coset = np.argsort(add.take(c_members, axis=1).min(axis=1))
-        coset = np.empty_like(by_coset)
-        coset[by_coset] = np.arange(module.size) // width
-        grid = by_coset.reshape(-1, width).T.ravel()
-        marked = outside.take(grid, axis=1).reshape(len(outside), width, -1).any(axis=1)
+        # _cosets names each coset of C by its least member r, and its members
+        # are the r + C[j]. grid lists the j-th member of every coset for each
+        # j, so the OR runs over |C| whole slabs: along a short last axis it
+        # measured up to 4x slower.
+        coset, reps = _cosets(add, c_members)
+        grid = add[c_members[:, None], reps].ravel()
+        marked = outside.take(grid, axis=1).reshape(len(outside), len(c_members), -1).any(axis=1)
         joined = marked.take(coset, axis=1)
         new = []
         for i, key in enumerate(_row_keys(joined)):
@@ -357,12 +354,9 @@ def colon_by_scalar(n: Submodule, a: int) -> Submodule:
 
 
 def annihilator(k: Submodule) -> Ideal:
-    """(0 : K), interned on the ring: from the zero submodule's preimage
-    table, or for K = M the scalars whose action row is all zero."""
+    """(0 : K), interned on the ring, from the zero submodule's preimage table."""
     mod = k.module
-    if k.is_proper:
-        return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
-    return ideal_of(mod.ring, pack_rows((mod.act == mod.zero).all(axis=1)[None])[0])
+    return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
 
 
 class CyclicResult(NamedTuple):
@@ -387,7 +381,13 @@ def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cosets(add: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    rep_of = add.take(members, axis=1).min(axis=1)
+    """The cosets as ``cosets`` returns them, the least member of each x + N
+    read off a block of rows of add at a time."""
+    members = np.asarray(members)
+    rep_of = np.empty(len(add), dtype=add.dtype)
+    step = row_block(len(members))
+    for start in range(0, len(add), step):
+        add[start:start + step].take(members, axis=1).min(axis=1, out=rep_of[start:start + step])
     is_rep = rep_of == np.arange(len(add))
     return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
 

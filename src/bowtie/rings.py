@@ -211,8 +211,13 @@ def _neg(add: np.ndarray, zero: int) -> np.ndarray:
 
 
 def zero_rows(table: np.ndarray, zero: int) -> tuple[int, ...]:
-    """Row a of a table as the mask of the x with table[a, x] = zero."""
-    return pack_rows(table == zero)
+    """Row a of a table as the mask of the x with table[a, x] = zero, a
+    block of rows at a time."""
+    masks: list[int] = []
+    step = row_block(table.shape[1])
+    for start in range(0, len(table), step):
+        masks.extend(pack_rows(table[start:start + step] == zero))
+    return tuple(masks)
 
 
 class Carrier:
@@ -604,10 +609,16 @@ def subgroup_sum(add: np.ndarray, zero: int, pieces: Iterable[int]) -> int:
 
 def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
     """The entries of each row, indices into a carrier of this size, as
-    masks: sM from row s of an action table, Rg from its column g."""
-    hits = np.zeros((len(rows), size), dtype=bool)
-    hits[np.arange(len(rows))[:, None], rows] = True
-    return pack_rows(hits)
+    masks: sM from row s of an action table, Rg from its column g. A block
+    of rows at a time."""
+    masks: list[int] = []
+    step = row_block(max(size, rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        hits = np.zeros((len(block), size), dtype=bool)
+        hits[np.arange(len(block))[:, None], block] = True
+        masks.extend(pack_rows(hits))
+    return tuple(masks)
 
 
 def principal_masks(ring: TableRing) -> tuple[int, ...]:

@@ -124,7 +124,7 @@ class Instance:
     may hold at most ``lattice_limit`` submodules.
 
     Every fact keyed by a submodule of M><I (N><I, its verdicts, colons,
-    npack, quotients, the checkers' conditions, each row key) is kept with
+    npack, L8's quotients, the checkers' conditions) is kept with
     rings.memo in the instance's ``derived_cache``, as M and the tables
     keep theirs; the facts of the whole instance (Lat(M><I), the
     distinguished submodules) are cached properties. What does not depend
@@ -151,9 +151,7 @@ class Instance:
             for what in ("bowtie", "colon", "prime", "primary", "weakly_prime", "npack"))
 
     def key_for(self, n: Submodule | None) -> str:
-        if n is None:
-            return self.base_key
-        return memo(self, "key", n.mask, _row_key, self.base_key, n)
+        return self.base_key if n is None else f"{self.base_key}|N={n.label_set()}"
 
     @cached_property
     def base_submodules(self) -> list[Submodule]:
@@ -209,7 +207,7 @@ class Instance:
                     nb, variant, None if variant == "af" else self.bowtie_submodules)
 
     def npack(self, nb: Submodule) -> dict:
-        """Per-N geometry shared by T4, C_IRR and L_RADICAL, as masks.
+        """Per-N geometry for T4, C_IRR, L_RADICAL and P_COLON_PRIMARY, as masks.
 
         coset[x]: the index of x + N><I, numbered by least member, and
         reps[c]: that least member. rep_sum[c]: the id of the submodule
@@ -217,6 +215,7 @@ class Instance:
         sum_masks[id]: its members; sum_members[id]: the x with that id.
         rep_col[c]: the id of the element colon {a : a x in N><I};
         col_masks[id]: its members; col_members[id]: the x with that id.
+        ann: the AND of col_masks, Ann(M><I / N><I).
         bad_y[id]: the y whose sum meets sum id ``id`` in more than N><I.
         Both ids are constant on each coset x + N><I (a(x + n) lies in
         ax + N><I), so they are kept once per coset; ascending x meets the
@@ -226,12 +225,9 @@ class Instance:
         return memo(self, "npack", nb.mask, _npack, self.inst.bowtie_module, nb)
 
     def quotient(self, s: Submodule) -> tuple[TableModule, ModuleMap]:
-        """M><I / S and its projection, built once per S."""
+        """M><I / S and its projection, built once per S: L8 reads the
+        quotients by 0 x IM and IM x IM, which coincide when IM = 0."""
         return memo(self, "quotient", s.mask, quotient_module, self.inst.bowtie_module, s)
-
-
-def _row_key(base_key: str, n: Submodule) -> str:
-    return f"{base_key}|N={n.label_set()}"
 
 
 def _lattice_pairs(module: TableModule, limit: int | None) -> list[tuple[int, tuple[int, ...]]]:
@@ -252,9 +248,10 @@ def _npack(mod: TableModule, nb: Submodule) -> dict:
     col_index: dict[int, int] = {}
     rep_col = [col_index.setdefault(c, len(col_index))
                for c in pack_rows((cos == ids[mod.zero]).T)]
-    members = [0] * r  # each coset's members, in one pass over the elements
-    for x, c in enumerate(ids):
-        members[c] |= 1 << x
+    ann = -1  # Ann(M><I / N><I): the scalars that send every coset into N><I
+    for c in col_index:
+        ann &= c
+    members = pack_rows(np.arange(r)[:, None] == coset)  # each coset's members
     sum_masks = [sum(members[c] for c in bits(m)) for m in sum_index]  # disjoint unions
     sum_members, col_members = [0] * len(sum_index), [0] * len(col_index)
     for c, part in enumerate(members):
@@ -277,6 +274,7 @@ def _npack(mod: TableModule, nb: Submodule) -> dict:
         "rep_col": rep_col,
         "col_masks": list(col_index),
         "col_members": col_members,
+        "ann": ann,
         "bad_y": bad_y,
         "n_mask": n_mask,
     }
@@ -591,11 +589,10 @@ def check_L_radical(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
 def check_P_colon_primary(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """For primary N><I: colon = Ann(M><I / N><I) and it is a primary ideal."""
     col = ctx.colon(nb)
-    quo, _ = ctx.quotient(nb)
-    ann = annihilator(whole_submodule(quo))
-    if ann.mask != col.mask:
+    ann = ctx.npack(nb)["ann"]
+    if ann != col.mask:
         return "fail", (f"colon {col.label_set()} differs from the quotient annihilator"
-                        f" {ann.label_set()}")
+                        f" {ctx.inst.bowtie_ring.label_set(bits(ann))}")
     if not ctx.primary(nb).holds:
         return "na", "hypothesis fails: N><I is not primary (annihilator identity verified)"
     v = is_primary_ideal(col)

@@ -5,7 +5,7 @@ A and the same subset as a submodule of the regular module share one entry,
 and so do the submodules of M><I of a regular M and the ideals of A><I. The
 cosets of a submodule are kept on its module by mask, and each quotient of
 M><I on its ``Instance``. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
-C_IRR, the weakly-prime test of the colon, the report key) are computed once
+C_IRR, the weakly-prime test of the colon) are computed once
 per N><I and reading on ``Instance``. Here the calls are counted over a hunt,
 and every row is compared with the row of the same cell computed on a fresh
 ``Instance`` over fresh tables, so that a memo key that leaves out the
@@ -94,11 +94,11 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
     rows = hunt(CorpusSpec(max_n=12))
     # one pack per distinct (action table, mask); a prime test of an ideal
     # packs none, since it reads the principal ideals, and the annihilator
-    # of a whole module none, since it reads the action rows
+    # of a whole module reads the zero classes, which T_FINAL packs anyway
     assert len(classes) == 181 and max(classes.values()) == 1
-    # one quotient per (Instance or M, mask) and one coset table per (module,
-    # mask): P_COLON_PRIMARY at N = 0 and N = IM reads L8's quotients
-    assert len(quotients) == len(cosets) == 135
+    # one quotient per (Instance or M, mask), L8's alone, and one coset table
+    # per (module, mask), which npack and the quotients share
+    assert len(quotients) == 93 and len(cosets) == 135
     for counts in (*per_n, irreducible, *scans, quotients, cosets):
         assert counts and max(counts.values()) == 1
     # L3i's colon scan runs for every (N><I, reading), once for the three variants
@@ -108,7 +108,7 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
 
 # every fact an Instance keeps, by the ``what`` of its memo
 INSTANCE_FACTS = {"bowtie", "colon", "prime", "primary", "weakly_prime", "npack", "quotient",
-                  "key", "L3i", "L3ii", "T4", "C_IRR", "irreducible", "L_COLON_PROD", "wp_colon"}
+                  "L3i", "L3ii", "T4", "C_IRR", "irreducible", "L_COLON_PROD", "wp_colon"}
 
 
 def test_every_memo_computes_each_fact_once_over_zn(monkeypatch):

@@ -65,6 +65,7 @@ def _agree_on_ideals(ring: TableRing) -> None:
 def _agree_on_module(module: TableModule) -> list[Submodule]:
     subs = enumerate_submodules(module)
     zero = zero_submodule(module)
+    assert subs[-1] == whole_submodule(module)  # so (0 : M) is checked with the proper K
     for k in subs:
         assert set(annihilator(k).members) == oracles.colon_members(zero, k)
     for n in subs:

@@ -11,18 +11,31 @@ over Z_n, n <= 12, over the family duplications up to 64 elements
 is not element 0. The numbering agrees only because ``cosets`` numbers
 the cosets by least member, so ascending x meets them in id order; that
 premise is tested on its own.
+
+The pack's ``ann``, the AND of its element colons, is Ann(M><I / N><I),
+which P_COLON_PRIMARY compares with the colon. It must equal the
+annihilator of the whole quotient module M><I / N><I, built as the checker
+once built it, for every N of M over Z_n, n <= 20, and over the 176 family
+duplications up to 256 elements.
 """
 
 import numpy as np
 import pytest
 
 from bowtie.duplication import predicted_sizes
-from bowtie.modules import cosets, enumerate_submodules, ring_as_module
+from bowtie.modules import (
+    annihilator,
+    cosets,
+    enumerate_submodules,
+    quotient_module,
+    ring_as_module,
+    whole_submodule,
+)
 from bowtie.rings import enumerate_ideals, make_zn
 from bowtie.theorems import Instance
 
 import oracles
-from families import family_modules, relabel
+from families import DUPLICATION_CAP, family_modules, relabel
 
 CAP = 64
 
@@ -96,3 +109,27 @@ def test_cosets_are_numbered_by_least_member():
         _assert_cosets_numbered_by_least_member(module)
     reversed_z6 = relabel(ring_as_module(make_zn(6)), [5, 4, 3, 2, 1, 0])
     _assert_cosets_numbered_by_least_member(reversed_z6)
+
+
+def _assert_ann_is_the_quotients(ctx: Instance) -> None:
+    for n in ctx.base_submodules:
+        nb = ctx.bowtie(n)
+        quo, _ = quotient_module(ctx.inst.bowtie_module, nb)
+        assert ctx.npack(nb)["ann"] == annihilator(whole_submodule(quo)).mask, (ctx.base_key, n)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_npack_ann_is_the_quotient_annihilator_on_zn(n):
+    ring = make_zn(n)
+    module = ring_as_module(ring)
+    for ideal in enumerate_ideals(ring):
+        _assert_ann_is_the_quotients(Instance(ring, ideal, module))
+
+
+def test_npack_ann_is_the_quotient_annihilator_on_family_duplications():
+    instances = [Instance(m.ring, ideal, m) for m in family_modules()
+                 for ideal in enumerate_ideals(m.ring)
+                 if max(predicted_sizes(m.ring, ideal, m)) <= DUPLICATION_CAP]
+    assert len(instances) == 176
+    for ctx in instances:
+        _assert_ann_is_the_quotients(ctx)

@@ -12,7 +12,9 @@ return exactly what the per-scalar ones return, on every submodule of M
 and M><I over Z_n, n <= 16, and of the family duplications. The gathers
 through a large table (the classes, the colon product scan) read a block
 of rows at a time, and L8's module-map check reads only its generators'
-columns, each under a tracemalloc bound.
+columns, each under a tracemalloc bound. So do the coset numbering and the
+packing of a table's row images and zero entries, whose blocked passes must
+equal their one-block results.
 """
 
 import tracemalloc
@@ -25,6 +27,7 @@ from bowtie.duplication import build_bowtie, pair_generators, restrict_scalars
 from bowtie.modules import (
     ModuleMap,
     TableModule,
+    _cosets,
     check_module_map,
     colon_mask,
     enumerate_submodules,
@@ -43,6 +46,8 @@ from bowtie.rings import (
     make_zn,
     pack_rows,
     preimage_classes,
+    row_images,
+    zero_rows,
 )
 from bowtie.theorems import Instance, colon_product_violation
 
@@ -271,3 +276,42 @@ def test_the_colon_product_scan_of_a_large_ring_reads_a_block_of_rows_at_a_time(
         assert found == witness and peak < 6_000_000, peak
     monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * ring.size)
     assert [colon_product_violation(z48_full, nb) for nb in nbs] == expected
+
+
+def _blocked_passes(module: TableModule) -> tuple:
+    """The coset numbering of every submodule (as lists, with its dtype), the
+    row images of the action table and of its columns, and its zero entries."""
+    cosets = []
+    for n in enumerate_submodules(module):
+        coset, reps = _cosets(module.add, n.members)
+        cosets.append((coset.tolist(), coset.dtype, reps.tolist()))
+    return (cosets, row_images(module.act, module.size),
+            row_images(module.act.T, module.size), zero_rows(module.act, module.zero))
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_cosets_row_images_and_zero_rows_equal_their_one_block_results(block, monkeypatch):
+    ring = make_zn(12)
+    mods = [build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_module
+            for ideal in enumerate_ideals(ring)]
+    mods += [m for m in family_modules() if m.act is not m.ring.mul][:4]
+    assert max(m.size for m in mods) ** 2 <= GATHER_BLOCK  # each is one block
+    whole = [_blocked_passes(m) for m in mods]
+    monkeypatch.setattr(rings, "GATHER_BLOCK", block)
+    assert [_blocked_passes(m) for m in mods] == whole
+
+
+def test_cosets_row_images_and_zero_rows_of_a_large_module_read_blocks(z48_full):
+    """The cosets of all of Z48><Z48 (the quotient by IM x IM when I = A),
+    and the row images and zero entries of its 2304 x 2304 action table,
+    stay below 6 MB of traced allocations. One gather of the whole table
+    held 10.6 MB of uint16 entries and its boolean compares 5.3 MB each."""
+    mod = z48_full.inst.bowtie_module
+    assert mod.act.size > 16 * GATHER_BLOCK
+    for fn in (lambda: _cosets(mod.add, range(mod.size)),
+               lambda: row_images(mod.act, mod.size),
+               lambda: zero_rows(mod.act, mod.zero)):
+        _, peak = _traced_peak(fn)
+        assert peak < 6_000_000, peak
+    coset, reps = _cosets(mod.add, range(mod.size))
+    assert not coset.any() and reps.tolist() == [mod.zero]

@@ -247,6 +247,6 @@ def test_l8_hunt_derives_no_tuple_table_of_a_duplication(built_tables):
 
 def test_full_hunt_stores_each_table_as_one_array(built_tables):
     hunt(CorpusSpec(max_n=10))
-    assert len(built_tables) > 200
+    assert len(built_tables) > 150
     for obj in built_tables:
         assert_tables_stored(obj)

@@ -19,7 +19,7 @@ from bowtie.modules import (
     whole_submodule,
     zero_submodule,
 )
-from bowtie.rings import enumerate_ideals, make_zn
+from bowtie.rings import enumerate_ideals, lowest_bit, make_zn
 from bowtie.theorems import (
     READINGS,
     THEOREM_IDS,
@@ -131,7 +131,7 @@ def test_L8_quotient_sizes(z6):
 
 def test_L8_across_small_corpus():
     for n in range(1, 9):
-        from bowtie.rings import enumerate_ideals, make_zn
+        from bowtie.rings import enumerate_ideals, lowest_bit, make_zn
 
         for ideal in enumerate_ideals(make_zn(n)):
             ctx = make_zn_instance(n, ideal.members)
@@ -172,6 +172,27 @@ def test_L8_fails_on_a_broken_quotient(breaks, monkeypatch):
     assert (row.outcome, row.detail) == ("fail", (
         "induced map M><I / (0 x IM) -> M is not bijective;"
         " induced map M><I / (IM x IM) -> M/IM is not bijective"))
+
+
+def test_P_colon_primary_fails_on_a_flipped_coset_action(monkeypatch):
+    # npack reads the action at the coset representatives; zero times the
+    # least element outside N><I, a representative, now stays outside
+    ctx = make_zn_instance(4, [0, 2])
+    n = zero_submodule(ctx.inst.base_module)
+    assert run_checker(ctx, "P_COLON_PRIMARY", n).outcome == "pass"
+    real = theorems._npack
+
+    def flipped(mod, nb):
+        act = mod.act.copy()
+        rep = lowest_bit(~nb.mask)
+        act[mod.ring.zero, rep] = rep
+        return real(replace(mod, act=act), nb)
+
+    monkeypatch.setattr(theorems, "_npack", flipped)
+    ctx = make_zn_instance(4, [0, 2])  # no npack kept yet
+    row = run_checker(ctx, "P_COLON_PRIMARY", zero_submodule(ctx.inst.base_module))
+    assert (row.outcome, row.detail) == (
+        "fail", "colon {(0,0),(0,2)} differs from the quotient annihilator {(0,2)}")
 
 
 def test_T_final_z6(z6):
