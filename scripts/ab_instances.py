@@ -16,7 +16,10 @@ report lines; the script stops at the first task that differs. Then each
 round times every task on both sides, alternating which side goes first
 from task to task and from round to round, and each side keeps its
 median time per task. The script prints the ratio change/parent of the
-sums of those medians and of the median task.
+sums of those medians, of the median task and of the tail task: perfbench's
+``verdict_tail_ms`` statistic (``tail`` in ``perfbench/run.py``, the highest
+whole percentile with at least ten tasks above it, by nearest rank) over
+each side's per-task medians.
 
 Within a hunt the tasks on one Z_n share the memos kept on its regular
 module. The tasks here run in hunt's order, n ascending, so each pass
@@ -110,12 +113,14 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    sys.path.insert(0, str(REPO / "perfbench"))  # specgen, and run's tail statistic
+    sys.dont_write_bytecode = True  # so that importing them writes nothing there
+    from run import tail
 
     with tempfile.TemporaryDirectory(prefix="ab_instances_", dir="/tmp") as tmp:
         tmp_path = Path(tmp)
         paths: list[str] = []
         if args.workload == "spec-docs":
-            sys.path.insert(0, str(REPO / "perfbench"))
             import specgen
 
             for i, doc in enumerate(specgen.draw(args.seed)):
@@ -140,12 +145,15 @@ def main(argv: list[str] | None = None) -> int:
     medians = [[statistics.median(t) for t in side] for side in times]
     total = [sum(m) for m in medians]
     middle = [statistics.median(m) for m in medians]
+    tails = [tail(m) for m in medians]
     print(f"{args.workload}: {len(medians[0])} tasks, {args.rounds} rounds,"
           " report lines identical")
     print(f"sum of per-task medians: parent {total[0]:.4f} s, change {total[1]:.4f} s,"
           f" ratio {total[1] / total[0]:.3f}")
     print(f"median task: parent {middle[0] * 1e3:.3f} ms, change {middle[1] * 1e3:.3f} ms,"
           f" ratio {middle[1] / middle[0]:.3f}")
+    print(f"p{tails[0][0]} task: parent {tails[0][1] * 1e3:.3f} ms,"
+          f" change {tails[1][1] * 1e3:.3f} ms, ratio {tails[1][1] / tails[0][1]:.3f}")
     return 0
 
 

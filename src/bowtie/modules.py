@@ -34,6 +34,7 @@ from .rings import (
     TableRing,
     bits,
     carrier_table,
+    class_rows,
     derived,
     ideal_of,
     mask_of,
@@ -44,7 +45,6 @@ from .rings import (
     subgroup_sum,
     subset_classes,
     table_array,
-    zero_rows,
 )
 
 
@@ -88,9 +88,8 @@ class TableModule(Carrier):
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
-        """zero_pre[a] = {m : a*m = 0}, by scalar, for the af scan; kept on
-        table_owner, so the regular module reads its ring's."""
-        return derived(self.table_owner, "zero_pre", zero_rows, self.act, self.zero)
+        """zero_pre[a] = {m : a*m = 0} for the af scan, read off zero_classes on table_owner."""
+        return derived(self.table_owner, "zero_pre", class_rows, self.zero_classes, self.ring.size)
 
     def __repr__(self) -> str:
         return f"TableModule({self.name}, size={self.size}, over={self.ring.name})"

@@ -197,6 +197,20 @@ def subset_classes(
     return memo(owner, "classes", mask, preimage_classes, table, members, table.shape[1])
 
 
+def class_ids(classes: tuple[tuple[int, int], ...], size: int) -> np.ndarray:
+    """Each scalar's index in its classes, the one expansion of classes into per-scalar
+    values: the row of the set bit in each column of their scalar masks, unpacked."""
+    width = (size + 7) // 8
+    masks = b"".join([scalars.to_bytes(width, "little") for _p, scalars in classes])
+    member = np.frombuffer(masks, np.uint8).reshape(len(classes), width)
+    return np.unpackbits(member, axis=1, count=size, bitorder="little").argmax(axis=0)
+
+
+def class_rows(classes: tuple[tuple[int, int], ...], size: int) -> tuple[int, ...]:
+    """pre[a] for each scalar a, read off its class."""
+    return tuple([classes[i][0] for i in class_ids(classes, size).tolist()])
+
+
 def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
     """A computed table whose entries index a carrier of the given size,
     read-only in table_array's dtype for it (the row of zero or of one
@@ -208,16 +222,6 @@ def carrier_table(values: np.ndarray, size: int) -> np.ndarray:
 
 def _neg(add: np.ndarray, zero: int) -> np.ndarray:
     return table_array((add == zero).argmax(axis=1))
-
-
-def zero_rows(table: np.ndarray, zero: int) -> tuple[int, ...]:
-    """Row a of a table as the mask of the x with table[a, x] = zero, a
-    block of rows at a time."""
-    masks: list[int] = []
-    step = row_block(table.shape[1])
-    for start in range(0, len(table), step):
-        masks.extend(pack_rows(table[start:start + step] == zero))
-    return tuple(masks)
 
 
 class Carrier:
@@ -256,8 +260,9 @@ class TableRing(Carrier):
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
-        """zero_pre[a] = {b : a*b = 0}, as masks."""
-        return derived(self, "zero_pre", zero_rows, self.mul, self.zero)
+        """zero_pre[a] = {b : a*b = 0}, as masks, read off the zero ideal's classes."""
+        zero = subset_classes(self, self.mul, 1 << self.zero, (self.zero,))
+        return derived(self, "zero_pre", class_rows, zero, self.size)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"TableRing({self.name}, size={self.size})"

@@ -25,16 +25,16 @@ from .rings import (
     TableRing,
     bits,
     carrier_table,
+    class_ids,
+    class_rows,
     derived,
     ideal_radical,
     lowest_bit,
     make_zn,
     mask_of,
     memo,
-    narrow_dtype,
     pack_rows,
     principal_masks,
-    row_block,
     row_images,
 )
 from .modules import (
@@ -473,11 +473,7 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
     pack = ctx.npack(nb)
     bad_y, sum_members = pack["bad_y"], pack["sum_members"]
     inst = ctx.inst
-    pre = [0] * inst.bowtie_ring.size  # pre[a], from N><I's scalar classes
-    for p, scalars in nb.classes:
-        for a in bits(scalars):
-            pre[a] = p
-    for a, xs in enumerate(pre):
+    for a, xs in enumerate(class_rows(nb.classes, inst.bowtie_ring.size)):
         image = ctx.bowtie_images[a]
         bad_x = 0
         for s, bad in enumerate(bad_y):
@@ -517,17 +513,16 @@ def colon_product_violation(ctx: Instance, nb: Submodule) -> str:
     (N><I : s) nor (N><I : t); "" when there are none."""
     ring = ctx.inst.bowtie_ring
     classes = nb.classes
-    cid = np.empty(ring.size, dtype=narrow_dtype(0, len(classes) - 1))  # each scalar's class
-    for i, (_p, scalars) in enumerate(classes):
-        cid[bits(scalars)] = i
-    step = row_block(ring.size)  # rows s ascend, so the first hit is lex-first
-    for start in range(0, ring.size, step):
-        prod = cid.take(ring.mul[start:start + step])
-        bad = (prod != cid[start:start + step, None]) & (prod != cid[None, :])
-        if bad.any():
-            s1, s2 = divmod(int(bad.argmax()), ring.size)
-            return (f"s={ring.labels[start + s1]} t={ring.labels[s2]}: (N><I : st) matches"
-                    " neither (N><I : s) nor (N><I : t)")
+    # pre[st] = {x : s(tx) in N><I} = {x : t(sx) in N><I} depends only on the classes of
+    # s and t: their least scalars, which ascend, stand for them, so the first hit is lex-first
+    reps = [lowest_bit(scalars) for _p, scalars in classes]
+    prod = class_ids(classes, ring.size)[ring.mul[np.ix_(reps, reps)]]
+    own = np.arange(len(classes))
+    bad = (prod != own[:, None]) & (prod != own[None, :])
+    if bad.any():
+        s, t = divmod(int(bad.argmax()), len(classes))
+        return (f"s={ring.labels[reps[s]]} t={ring.labels[reps[t]]}: (N><I : st) matches"
+                " neither (N><I : s) nor (N><I : t)")
     return ""
 
 

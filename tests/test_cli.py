@@ -412,12 +412,16 @@ def test_ab_instances_runs_with_one_checkout_on_both_sides(workload):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert re.fullmatch(rf"{workload}: \d+ tasks, 1 rounds, report lines identical", lines[0])
     assert re.fullmatch(r"sum of per-task medians: parent [\d.]+ s, change [\d.]+ s,"
                         r" ratio [\d.]+", lines[1])
     assert re.fullmatch(r"median task: parent [\d.]+ ms, change [\d.]+ ms, ratio [\d.]+",
                         lines[2])
+    # perfbench's tail statistic over the 66 and 84 tasks: p84 and p88
+    p = {"l8-sweep": 84, "spec-docs": 88}[workload]
+    assert re.fullmatch(rf"p{p} task: parent [\d.]+ ms, change [\d.]+ ms, ratio [\d.]+",
+                        lines[3])
 
 
 def test_lattice_dot_output(z6_path, capsys, tmp_path):

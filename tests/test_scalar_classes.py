@@ -9,11 +9,13 @@ must equal the row-by-row conversion at every width from 1 to 1100
 columns and on non-contiguous inputs; the classes must equal the
 per-scalar rows grouped by value; and the class colons and scans must
 return exactly what the per-scalar ones return, on every submodule of M
-and M><I over Z_n, n <= 16, and of the family duplications. The gathers
-through a large table (the classes, the colon product scan) read a block
-of rows at a time, and L8's module-map check reads only its generators'
-columns, each under a tracemalloc bound. So do the coset numbering and the
-packing of a table's row images and zero entries, whose blocked passes must
+and M><I over Z_n, n <= 16, and of the family duplications. Each per-scalar
+fact read off the classes (zero_pre, the colon product's class of st at the
+classes' least scalars) must equal the one read off the whole table. The
+gathers through a large table (the classes, the coset numbering and the
+packing of a table's row images) read a block of rows at a time, and L8's
+module-map check and the colon product scan read only generators and class
+representatives, each under a tracemalloc bound; the blocked passes must
 equal their one-block results.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from bowtie import classify, rings
-from bowtie.duplication import build_bowtie, pair_generators, restrict_scalars
+from bowtie.duplication import build_bowtie, bowtie_submodule, pair_generators, restrict_scalars
 from bowtie.modules import (
     ModuleMap,
     TableModule,
@@ -40,6 +42,8 @@ from bowtie.rings import (
     Ideal,
     TableRing,
     bits,
+    class_ids,
+    class_rows,
     enumerate_ideals,
     ideal_radical,
     ideal_of,
@@ -47,7 +51,6 @@ from bowtie.rings import (
     pack_rows,
     preimage_classes,
     row_images,
-    zero_rows,
 )
 from bowtie.theorems import Instance, colon_product_violation
 
@@ -176,6 +179,39 @@ def test_classes_colons_and_scans_match_the_per_scalar_kernel_on_families():
     assert checked > 2000
 
 
+def _colon_product_classes_agree(inst) -> int:
+    """For every N><I of the instance: each scalar's class, from the classes
+    and from the per-scalar rows, and the class of st read off the whole mul
+    table against the class read at the least scalars of the classes of s
+    and t. The number of N checked."""
+    ring, module = inst.bowtie_ring, inst.bowtie_module
+    subs = enumerate_submodules(inst.base_module)
+    for n in subs:
+        nb = bowtie_submodule(inst, n)
+        pre = oracles.preimage_masks(module.act, nb.members, module.size)
+        assert class_rows(nb.classes, ring.size) == pre
+        index = {p: i for i, (p, _scalars) in enumerate(nb.classes)}
+        cid = np.array([index[p] for p in pre])
+        assert class_ids(nb.classes, ring.size).tolist() == cid.tolist()
+        reps = np.array([bits(scalars)[0] for _p, scalars in nb.classes])
+        rep = reps[cid]  # the least scalar of each scalar's class
+        assert np.array_equal(cid[ring.mul], cid[ring.mul[rep[:, None], rep[None, :]]])
+    return len(subs)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_colon_product_class_of_st_is_read_at_class_representatives_on_zn(n):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        assert _colon_product_classes_agree(build_bowtie(ring, ideal, ring_as_module(ring)))
+
+
+def test_colon_product_class_of_st_is_read_at_class_representatives_on_families():
+    checked = sum(_colon_product_classes_agree(inst)
+                  for module in family_modules() for inst in duplications(module))
+    assert checked > 100
+
+
 def test_large_duplications_collapse_into_few_classes():
     # Z16 with I = Z16: 256 scalars, and every preimage table far fewer rows
     ring = make_zn(16)
@@ -260,12 +296,11 @@ def _colon_product_witness(ring: TableRing, classes) -> str:
     return f"s={s} t={t}: (N><I : st) matches neither (N><I : s) nor (N><I : t)"
 
 
-def test_the_colon_product_scan_of_a_large_ring_reads_a_block_of_rows_at_a_time(
-        z48_full, monkeypatch):
+def test_the_colon_product_scan_of_a_large_ring_reads_the_class_table(z48_full):
     """colon_product_violation on Z48><Z48 stays below 6 MB of traced
-    allocations and names the lex-first (s, t) of the whole-table scan, also
-    when each block is 10 rows, so that the witness row 96 lies in a later
-    block. One gather of the whole multiplication table peaked at 47.8 MB."""
+    allocations and names the lex-first (s, t) of the whole-table scan,
+    whose witness row is 96. One gather of the whole multiplication table
+    peaked at 47.8 MB."""
     ring = z48_full.inst.bowtie_ring
     base = z48_full.inst.base_module
     nbs = [z48_full.bowtie(n) for n in (zero_submodule(base), whole_submodule(base))]
@@ -274,44 +309,54 @@ def test_the_colon_product_scan_of_a_large_ring_reads_a_block_of_rows_at_a_time(
     for nb, witness in zip(nbs, expected):
         found, peak = _traced_peak(lambda: colon_product_violation(z48_full, nb))
         assert found == witness and peak < 6_000_000, peak
-    monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * ring.size)
-    assert [colon_product_violation(z48_full, nb) for nb in nbs] == expected
 
 
 def _blocked_passes(module: TableModule) -> tuple:
     """The coset numbering of every submodule (as lists, with its dtype), the
-    row images of the action table and of its columns, and its zero entries."""
+    row images of the action table and of its columns, and its zero_pre,
+    which must be the action table's zero entries."""
     cosets = []
     for n in enumerate_submodules(module):
         coset, reps = _cosets(module.add, n.members)
         cosets.append((coset.tolist(), coset.dtype, reps.tolist()))
+    assert module.zero_pre == pack_rows(module.act == module.zero)
     return (cosets, row_images(module.act, module.size),
-            row_images(module.act.T, module.size), zero_rows(module.act, module.zero))
+            row_images(module.act.T, module.size), module.zero_pre)
+
+
+def _one_block_modules() -> list[TableModule]:
+    """Z12's duplications and four family modules not acting by their ring's
+    mul, built afresh, so that nothing is read from an earlier memo."""
+    ring = make_zn(12)
+    mods = [build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_module
+            for ideal in enumerate_ideals(ring)]
+    return mods + [m for m in family_modules() if m.act is not m.ring.mul][:4]
 
 
 @pytest.mark.parametrize("block", [1, 100, 1000])
 def test_cosets_row_images_and_zero_rows_equal_their_one_block_results(block, monkeypatch):
-    ring = make_zn(12)
-    mods = [build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_module
-            for ideal in enumerate_ideals(ring)]
-    mods += [m for m in family_modules() if m.act is not m.ring.mul][:4]
+    mods = _one_block_modules()
     assert max(m.size for m in mods) ** 2 <= GATHER_BLOCK  # each is one block
     whole = [_blocked_passes(m) for m in mods]
     monkeypatch.setattr(rings, "GATHER_BLOCK", block)
-    assert [_blocked_passes(m) for m in mods] == whole
+    assert [_blocked_passes(m) for m in _one_block_modules()] == whole
 
 
 def test_cosets_row_images_and_zero_rows_of_a_large_module_read_blocks(z48_full):
     """The cosets of all of Z48><Z48 (the quotient by IM x IM when I = A),
-    and the row images and zero entries of its 2304 x 2304 action table,
-    stay below 6 MB of traced allocations. One gather of the whole table
-    held 10.6 MB of uint16 entries and its boolean compares 5.3 MB each."""
+    the row images of its 2304 x 2304 action table, and its zero_pre, read
+    off the zero classes, stay below 6 MB of traced allocations. One gather
+    of the whole table held 10.6 MB of uint16 entries and its boolean
+    compares 5.3 MB each."""
     mod = z48_full.inst.bowtie_module
     assert mod.act.size > 16 * GATHER_BLOCK
+    # the zero classes are packed under the bound, not read from a memo
+    assert 1 << mod.zero not in mod.table_owner.derived_cache.get("classes", {})
     for fn in (lambda: _cosets(mod.add, range(mod.size)),
                lambda: row_images(mod.act, mod.size),
-               lambda: zero_rows(mod.act, mod.zero)):
+               lambda: mod.zero_pre):
         _, peak = _traced_peak(fn)
         assert peak < 6_000_000, peak
+    assert mod.zero_pre == pack_rows(mod.act == mod.zero)
     coset, reps = _cosets(mod.add, range(mod.size))
     assert not coset.any() and reps.tolist() == [mod.zero]
