@@ -134,14 +134,16 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
     nothing is re-validated; a pair set that is not closed raises
     ClosureError. When M is the regular module of A (it stores the ring's
-    own arrays), IM = I, so M><I has the pairs of A><I and is its regular
-    module: it shares the ring's arrays instead of computing two more.
+    own arrays), IM = IA = I, so M><I has the pairs of A><I and is its
+    regular module: it shares the ring's arrays instead of computing two more.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if module.ring is not ring:
         raise ValueError("module is over a different ring")
-    im = product_submodule(ideal, module)
+    regular = module.add is ring.add and module.act is ring.mul
+    im = (Submodule.from_mask(module, ideal.mask, ideal.members) if regular
+          else product_submodule(ideal, module))
 
     n = ring.size
     # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted
@@ -161,7 +163,7 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     )
 
     k = module.size
-    if module.add is ring.add and module.act is ring.mul:
+    if regular:
         module_pairs, module_index = ring_pairs, ring_index
         add, act = bowtie_ring.add, bowtie_ring.mul
     else:

@@ -383,12 +383,17 @@ def _cosets(add: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.nda
     """The cosets as ``cosets`` returns them, the least member of each x + N
     read off a block of rows of add at a time."""
     members = np.asarray(members)
-    rep_of = np.empty(len(add), dtype=add.dtype)
     step = row_block(len(members))
-    for start in range(0, len(add), step):
-        add[start:start + step].take(members, axis=1).min(axis=1, out=rep_of[start:start + step])
-    is_rep = rep_of == np.arange(len(add))
-    return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
+    if step >= len(add):
+        rep_of = add.take(members, axis=1).min(axis=1)
+    else:
+        rep_of = np.empty(len(add), dtype=add.dtype)
+        for rows in (slice(start, start + step) for start in range(0, len(add), step)):
+            add[rows].take(members, axis=1).min(axis=1, out=rep_of[rows])
+    reps = (rep_of == np.arange(len(add))).nonzero()[0]
+    number = np.empty(len(add), dtype=np.int32)  # read only at the representatives
+    number[reps] = np.arange(len(reps), dtype=np.int32)
+    return number.take(rep_of), reps
 
 
 def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:

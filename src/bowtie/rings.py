@@ -620,6 +620,10 @@ def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
     step = row_block(max(size, rows.shape[1]))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
+        if size <= 64:  # a row's mask is the OR of its entries' bits
+            bit = np.left_shift(np.uint64(1), block.astype(np.uint64))
+            masks.extend(np.bitwise_or.reduce(bit, axis=1).tolist())
+            continue
         hits = np.zeros((len(block), size), dtype=bool)
         hits[np.arange(len(block))[:, None], block] = True
         masks.extend(pack_rows(hits))

@@ -613,7 +613,7 @@ def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: 
     """The reasons f: M><I -> T, checked at gens and scalars, fails to be a
     surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
     The induced map is f at the first x of each coset of the quotient's own
-    projection, so a projection that misses a coset induces no bijection."""
+    projection, and at x = 0 on a coset it misses, so that it repeats a value."""
     problems = []
     if not check_module_map(f, gens, scalars):
         problems.append(f"{name} is not a module map")
@@ -622,10 +622,13 @@ def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: 
     if kernel(f).members != k.members:
         problems.append(f"kernel of the {name} is not {k_name}")
     q, proj = ctx.quotient(k)
-    hit, firsts = np.unique(proj.table, return_index=True)
+    p = proj.table
+    inside = q.size == f.target.size and 0 <= p.min() and p.max() < q.size
+    firsts = np.zeros(q.size, dtype=np.intp)
+    if inside:
+        firsts[p[::-1]] = np.arange(len(p) - 1, -1, -1)  # the least x is written last
     g = ModuleMap(q, f.target, carrier_table(f.table.take(firsts), f.target.size))
-    if (hit.tolist() != list(range(q.size)) or q.size != f.target.size
-            or not check_module_map(g, proj.table.take(gens), scalars)
+    if (not inside or not check_module_map(g, p.take(gens), scalars)
             or len(set(g.table.tolist())) != q.size):
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
     return problems, q.size
@@ -637,7 +640,8 @@ def check_L8(ctx: Instance) -> Outcome:
     inst = ctx.inst
     zero_cross_im, im_cross_im = ctx.distinguished
     gens = pair_generators(inst.module_pairs, inst.base_module.zero)
-    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
+    scalars = (gens if inst.ring_pairs is inst.module_pairs
+               else pair_generators(inst.ring_pairs, inst.base_ring.zero))
     firsts = inst.module_pairs[:, 0]
     first = ModuleMap(inst.bowtie_module, restrict_scalars(inst, "first"), firsts)
     problems1, q1 = _quotient_iso(ctx, first, "first projection", zero_cross_im, "0 x IM", "M",

@@ -103,7 +103,7 @@ def additive_closure(add: np.ndarray, gens) -> frozenset[int]:
 def induced_map(source_quotient: TableModule, projection: ModuleMap, f: ModuleMap) -> ModuleMap:
     """The map the quotient inherits from f along the projection, entry by
     entry: f at the first x of each coset (the library's loop before L8
-    read it off the projection with np.unique)."""
+    read it off the projection in one call)."""
     proj, values = projection.table.tolist(), f.table.tolist()
     table = [-1] * source_quotient.size
     for x in range(f.source.size):
@@ -851,6 +851,24 @@ def pack_rows(hits: np.ndarray) -> tuple[int, ...]:
     return tuple(
         int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
     )
+
+
+def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
+    """The entries of each row, indices into a carrier of this size, as
+    masks: the library's form beyond 64 elements, one boolean row per row
+    filled at its entries and packed."""
+    hits = np.zeros((len(rows), size), dtype=bool)
+    hits[np.arange(len(rows))[:, None], rows] = True
+    return pack_rows(hits)
+
+
+def cumsum_cosets(add: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
+    """The coset numbering as the library once computed it, in one block:
+    the least member of each x + N, each coset numbered by the running count
+    of representatives up to its own; and the representatives."""
+    rep_of = add.take(np.asarray(members), axis=1).min(axis=1)
+    is_rep = rep_of == np.arange(len(add))
+    return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
 
 
 def preimage_masks(table: np.ndarray, members, size: int) -> tuple[int, ...]:

@@ -277,6 +277,45 @@ def test_im_recorded_on_instance(z6):
     assert ctx.inst.im.members == (0, 4, 8)
 
 
+def _spy_on_product_submodule(monkeypatch) -> list:
+    calls = []
+    real = duplication.product_submodule
+
+    def spy(ideal, module):
+        calls.append(module)
+        return real(ideal, module)
+
+    monkeypatch.setattr(duplication, "product_submodule", spy)
+    return calls
+
+
+def test_im_is_the_ideal_on_regular_modules(monkeypatch):
+    """IM = IA = I when M is the regular module, so build_bowtie reads IM off
+    the ideal; a module not acting by its ring's mul still sums the sM."""
+    calls = _spy_on_product_submodule(monkeypatch)
+    for n in range(1, 21):
+        ring = make_zn(n)
+        module = ring_as_module(ring)
+        for ideal in enumerate_ideals(ring):
+            im = build_bowtie(ring, ideal, module).im
+            assert im.mask == duplication.product_submodule(ideal, module).mask == ideal.mask
+            assert im.members == ideal.members and im.module is module
+    regular = other = differs = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            calls.clear()
+            assert inst.im == build_bowtie(inst.base_ring, inst.ideal, module).im
+            assert inst.im.mask == duplication.product_submodule(inst.ideal, module).mask
+            if module.act is module.ring.mul:
+                assert calls == [module]  # the spy's own call alone
+                regular += 1
+            else:
+                assert calls == [module, module]
+                other += 1
+                differs += inst.im.mask != inst.ideal.mask
+    assert regular >= 10 and other >= 100 and differs >= 50
+
+
 def test_swap_is_a_lattice_automorphism_that_keeps_every_classification():
     # sigma(m, m') = (m', m) maps M><I onto itself, semilinearly along the
     # swap (a, a') -> (a', a) of A><I, so it must permute Lat(M><I) and keep

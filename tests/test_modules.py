@@ -233,8 +233,8 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 
 
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
-    # L8 reads each induced map off the quotient's projection with
-    # np.unique; the oracle walks the projection entry by entry
+    # L8 reads each induced map off the quotient's projection with one
+    # reversed scatter; the oracle walks the projection entry by entry
     f1, g1, f2, g2 = (f for f, _, _ in _l8_maps(ctx, monkeypatch))
     for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
         q, proj = ctx.quotient(k)
@@ -259,6 +259,29 @@ def test_induced_maps_match_oracle_on_families(monkeypatch):
                 theorems.Instance(inst.base_ring, inst.ideal, module), monkeypatch)
             count += 1
     assert count == 176
+
+
+def test_induced_map_is_f_at_the_least_x_of_each_coset(monkeypatch):
+    """On a projection whose cosets f is not constant on, the induced map is
+    still f at the least x of each coset, as the oracle reads it."""
+    real = theorems.Instance.quotient
+
+    def traded(self, s):  # the last x of cosets 0 and 1 trade cosets
+        q, proj = real(self, s)
+        table = proj.table.copy()
+        table[[np.flatnonzero(table == 0)[-1], np.flatnonzero(table == 1)[-1]]] = 1, 0
+        return q, ModuleMap(proj.source, q, table)
+
+    seen = []
+    monkeypatch.setattr(theorems.Instance, "quotient", traded)
+    monkeypatch.setattr(theorems, "check_module_map",
+                        lambda f, gens, scalars: seen.append(f) or True)
+    ctx = theorems.make_zn_instance(4, [0, 2])
+    assert theorems.run_checker(ctx, "L8", None).outcome == "fail"
+    f1, g1, f2, g2 = seen
+    for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
+        q, proj = ctx.quotient(k)
+        assert g.table.tolist() == induced_map(q, proj, f).table.tolist()
 
 
 def test_module_map_rejects_a_table_of_the_wrong_length():

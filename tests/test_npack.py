@@ -10,7 +10,8 @@ over Z_n, n <= 12, over the family duplications up to 64 elements
 (non-regular modules among them) and over relabelled modules whose zero
 is not element 0. The numbering agrees only because ``cosets`` numbers
 the cosets by least member, so ascending x meets them in id order; that
-premise is tested on its own.
+premise is tested on its own, and the numbering, a scatter of 0..q-1 at the
+representatives, must equal the running count the library once took.
 
 The pack's ``ann``, the AND of its element colons, is Ann(M><I / N><I),
 which P_COLON_PRIMARY compares with the colon. It must equal the
@@ -24,6 +25,7 @@ import pytest
 
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
+    _cosets,
     annihilator,
     cosets,
     enumerate_submodules,
@@ -109,6 +111,19 @@ def test_cosets_are_numbered_by_least_member():
         _assert_cosets_numbered_by_least_member(module)
     reversed_z6 = relabel(ring_as_module(make_zn(6)), [5, 4, 3, 2, 1, 0])
     _assert_cosets_numbered_by_least_member(reversed_z6)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_cosets_equal_the_cumsum_numbering_on_zn(n):
+    """_cosets numbers each coset by scattering 0..q-1 at the representatives;
+    the library once took a running count of them instead."""
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        mod = Instance(ring, ideal, ring_as_module(ring)).inst.bowtie_module
+        for sub in enumerate_submodules(mod):
+            got, want = _cosets(mod.add, sub.members), oracles.cumsum_cosets(mod.add, sub.members)
+            for a, b in zip(got, want):
+                assert a.tolist() == b.tolist() and a.dtype == b.dtype
 
 
 def _assert_ann_is_the_quotients(ctx: Instance) -> None:

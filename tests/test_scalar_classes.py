@@ -16,7 +16,10 @@ gathers through a large table (the classes, the coset numbering and the
 packing of a table's row images) read a block of rows at a time, and L8's
 module-map check and the colon product scan read only generators and class
 representatives, each under a tracemalloc bound; the blocked passes must
-equal their one-block results.
+equal their one-block results. Up to 64 elements ``row_images`` ORs each
+row's entry bits instead of packing a boolean fill; the fill is kept in
+``oracles.py``, and the two must agree at every carrier size up to 65 and
+on the principal and cyclic masks of Z_n><I, n <= 20, and of the families.
 """
 
 import tracemalloc
@@ -32,6 +35,7 @@ from bowtie.modules import (
     _cosets,
     check_module_map,
     colon_mask,
+    cyclic_masks,
     enumerate_submodules,
     ring_as_module,
     whole_submodule,
@@ -42,6 +46,7 @@ from bowtie.rings import (
     Ideal,
     TableRing,
     bits,
+    carrier_table,
     class_ids,
     class_rows,
     enumerate_ideals,
@@ -50,6 +55,7 @@ from bowtie.rings import (
     make_zn,
     pack_rows,
     preimage_classes,
+    principal_masks,
     row_images,
 )
 from bowtie.theorems import Instance, colon_product_violation
@@ -99,6 +105,49 @@ def test_pack_rows_on_empty_transposed_and_sliced_inputs(width):
     for sliced in (wide[::2, 1:width + 1], wide[:, ::2], wide[1:, 3:]):
         assert not sliced.flags.c_contiguous
         _agree_on_matrix(sliced)
+
+
+def _agree_on_rows(rows: np.ndarray, size: int) -> None:
+    got = row_images(rows, size)
+    assert got == oracles.row_images(rows, size)
+    assert all(type(m) is int for m in got)
+
+
+@pytest.mark.parametrize("size", range(1, 66))
+def test_row_images_up_to_64_elements_match_the_packed_form(size, monkeypatch):
+    """Up to 64 elements a row's mask is the OR of its entries' bits; from 65
+    it is the packed boolean fill, which the oracle keeps for every size."""
+    rng = np.random.default_rng(size)
+    table = rng.integers(0, size, (size + 2, size))
+    table[0], table[1] = size - 1, 0  # the top bit alone, and bit 0 alone
+    act = carrier_table(table, size)
+    wide = carrier_table(rng.integers(0, size, (5, 2 * size + 1)), size)
+    inputs = [act, act.T, act[::2], act[:, 1:], wide, wide.T[:, :3], act[:0],
+              act.astype(np.uint16).T, act.astype(np.int32)]
+    for rows in inputs:
+        _agree_on_rows(rows, size)
+    monkeypatch.setattr(rings, "GATHER_BLOCK", 2 * size + 1)  # a few rows a block
+    for rows in inputs:
+        _agree_on_rows(rows, size)
+
+
+def test_principal_and_cyclic_masks_match_the_packed_form():
+    """aA on every Z_n and Z_n><I, n <= 20, and on the family rings and their
+    duplications; Rg on every family module and duplication not acting by
+    its ring's mul, whose rows are the columns of the action table."""
+    narrow = 0
+    for n in range(1, 21):
+        ring = make_zn(n)
+        for ideal in enumerate_ideals(ring):
+            for r in (ring, build_bowtie(ring, ideal, ring_as_module(ring)).bowtie_ring):
+                assert principal_masks(r) == oracles.row_images(r.mul, r.size)
+                narrow += r.size <= 64
+    for module in _family_modules():
+        ring = module.ring
+        assert principal_masks(ring) == oracles.row_images(ring.mul, ring.size)
+        assert cyclic_masks(module) == oracles.row_images(module.act.T, module.size)
+        narrow += module.act is not ring.mul and module.size <= 64
+    assert narrow >= 200
 
 
 def _family_modules():

@@ -163,7 +163,17 @@ def _miss_a_coset(q, proj):  # coset 1 joins coset 0
     return q, ModuleMap(proj.source, q, np.where(proj.table == 1, 0, proj.table))
 
 
-@pytest.mark.parametrize("breaks", [_swap_two_sums, _miss_a_coset])
+def _past_the_last_coset(q, proj):  # coset 1 is sent to q, which no coset is
+    return q, ModuleMap(proj.source, q, np.where(proj.table == 1, q.size, proj.table))
+
+
+def _below_coset_zero(q, proj):  # -1, which numpy would read as the last coset
+    table = proj.table.astype(np.int64)
+    return q, ModuleMap(proj.source, q, np.where(table == q.size - 1, -1, table))
+
+
+@pytest.mark.parametrize("breaks", [_swap_two_sums, _miss_a_coset, _past_the_last_coset,
+                                    _below_coset_zero])
 def test_L8_fails_on_a_broken_quotient(breaks, monkeypatch):
     # L8 reads each quotient and its projection through Instance.quotient
     real = Instance.quotient
