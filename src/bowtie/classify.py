@@ -38,10 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .rings import (
-    Ideal, TableRing, bits, ideal_of, ideal_radical, lowest_bit, mask_of, memo, principal_masks,
+    Ideal, TableRing, bits, ideal_of, inside, lowest_bit, mask_of, memo, principal_masks, radical,
 )
 from .modules import Submodule, TableModule, colon_mask, cosets
 
@@ -134,9 +132,8 @@ def is_prime_ideal(j: Ideal) -> Verdict:
     while outside:
         a = lowest_bit(outside)
         if not principal[a] & one_coset:
-            inside = np.zeros(ring.size, dtype=bool)
-            inside[list(j.members)] = True
-            b = int((inside.take(ring.mul[a]) & ~inside).argmax())
+            member = inside(j.mask, ring.size)
+            b = int((member.take(ring.mul[a]) & ~member).argmax())
             return _ideal_verdict(j, (a, b))
         outside &= outside - 1
     return Verdict(holds=True)
@@ -162,14 +159,14 @@ def is_weakly_prime_ideal(j: Ideal) -> Verdict:
 def is_primary_ideal(j: Ideal) -> Verdict:
     """ab in J implies a in J or some power of b lands in J."""
     _require_proper(j)
-    hit = _first_violation(j.classes, j.mask, ~ideal_radical(j).mask)
+    hit = _first_violation(j.classes, j.mask, ~radical(j).mask)
     return _ideal_verdict(j, hit, f" and no power of b enters {j.label_set()}")
 
 
 # ------------------------------------------------------------- submodules
 
 
-def _whole_colon(n: Submodule) -> int:
+def whole_colon(n: Submodule) -> int:
     """(N : M) as a mask: the scalars whose preimage is everything."""
     return colon_mask(n.classes, (1 << n.module.size) - 1)
 
@@ -187,21 +184,21 @@ def _submodule_verdict(n: Submodule, hit: tuple[int, int] | None, suffix: str = 
 def is_prime_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    return _submodule_verdict(n, _first_violation(n.classes, _whole_colon(n), ~n.mask))
+    return _submodule_verdict(n, _first_violation(n.classes, whole_colon(n), ~n.mask))
 
 
 def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
     """0 != a*x in N implies x in N or a in (N : M)."""
     _require_proper(n)
-    hit = _first_violation(n.classes, _whole_colon(n), ~n.mask, n.module.zero_pre)
+    hit = _first_violation(n.classes, whole_colon(n), ~n.mask, n.module.zero_pre)
     return _submodule_verdict(n, hit)
 
 
 def is_primary_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in radical((N : M))."""
     _require_proper(n)
-    colon = ideal_of(n.module.ring, _whole_colon(n))
-    hit = _first_violation(n.classes, ideal_radical(colon).mask, ~n.mask)
+    colon = ideal_of(n.module.ring, whole_colon(n))
+    hit = _first_violation(n.classes, radical(colon).mask, ~n.mask)
     return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 
 

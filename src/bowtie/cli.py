@@ -21,12 +21,12 @@ import sys
 import tempfile
 from operator import and_, or_
 
-from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule
+from .classify import VARIANTS, ImproperError, classify_ideal, classify_submodule, whole_colon
 from .duplication import detect_bowtie_form, predicted_sizes, table_bytes
 from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
                         declared_ring_size, seed_spec)
-from .modules import LatticeLimitError, Submodule, colon_into_ring, whole_submodule
-from .rings import bits
+from .modules import LatticeLimitError, Submodule
+from .rings import bits, ideal_of
 from .theorems import (
     READINGS,
     CorpusSpec,
@@ -228,7 +228,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     print(f"N\t{n.label_set()}")
     print(f"N><I\t{nb.label_set()}")
     _print_verdicts("N in M", classify_submodule(n, ctx.base_submodules), sub_keep)
-    base_colon = colon_into_ring(n, whole_submodule(inst.base_module))
+    base_colon = ideal_of(inst.base_module.ring, whole_colon(n))
     print(f"members\t{base_colon.label_set()}")
     _print_verdicts("colon (N : M)", classify_ideal(base_colon), ideal_keep)
     _print_verdicts(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
-    ClosureError, Ideal, TableRing, carrier_table, mask_of, narrow_dtype, row_block, row_images,
-    subgroup_sum,
+    ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, narrow_dtype, row_block,
+    row_images, subgroup_sum,
 )
 from .modules import Submodule, TableModule, zero_submodule
 
@@ -65,7 +65,7 @@ def table_bytes(ring: TableRing, module: TableModule, ring_size: int, module_siz
     dtypes (int32 past its range, where no table can be built)."""
     def held(rows: int, size: int) -> int:  # rows of entries indexing a carrier of this size
         return rows * size * np.dtype(narrow_dtype(0, min(size, 1 << 31) - 1)).itemsize
-    rows = 0 if module.add is ring.add and module.act is ring.mul else ring_size + module_size
+    rows = 0 if module.table_owner is ring else ring_size + module_size
     return held(2 * ring_size, ring_size) + held(rows, module_size)
 
 
@@ -83,9 +83,7 @@ def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
     """The mask of the pairs whose component (0 the first, 1 the second)
     lies in the subset with this mask of a base carrier of this size."""
-    inside = np.unpackbits(np.frombuffer(mask.to_bytes(size // 8 + 1, "little"), np.uint8),
-                           bitorder="little")  # bit x of the mask, for every x
-    hits = np.packbits(inside.take(pairs[:, component]), bitorder="little")
+    hits = np.packbits(inside(mask, size).take(pairs[:, component]), bitorder="little")
     return int.from_bytes(hits.tobytes(), "little")
 
 
@@ -133,15 +131,15 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     M x M, and both are operated on componentwise. They are a ring and a
     module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
     nothing is re-validated; a pair set that is not closed raises
-    ClosureError. When M is the regular module of A (it stores the ring's
-    own arrays), IM = IA = I, so M><I has the pairs of A><I and is its
+    ClosureError. When M is the regular module of A (it acts by the ring's
+    own ``mul``), IM = IA = I, so M><I has the pairs of A><I and is its
     regular module: it shares the ring's arrays instead of computing two more.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if module.ring is not ring:
         raise ValueError("module is over a different ring")
-    regular = module.add is ring.add and module.act is ring.mul
+    regular = module.table_owner is ring
     im = (Submodule.from_mask(module, ideal.mask, ideal.members) if regular
           else product_submodule(ideal, module))
 
@@ -168,10 +166,8 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
         add, act = bowtie_ring.add, bowtie_ring.mul
     else:
         # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
-        inside = np.zeros(k, dtype=bool)
-        inside[list(im.members)] = True
         diff = module.add.take(module.neg, axis=1)  # diff[m, m'] = m - m'
-        module_pairs, module_index = _pairs(np.flatnonzero(inside.take(diff)), k)
+        module_pairs, module_index = _pairs(np.flatnonzero(inside(im.mask, k).take(diff)), k)
         add = _componentwise(module.add, module_pairs, module_pairs, module_index, k, "add")
         act = _componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act")
     labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels

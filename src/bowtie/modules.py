@@ -76,15 +76,15 @@ class TableModule(Carrier):
         regular M), whose zero is then the ring's, else the module itself."""
         return self.ring if self.act is self.ring.mul else self
 
-    def classes(self, mask: int, members: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    def classes(self, mask: int) -> tuple[tuple[int, int], ...]:
         """The scalar classes of pre[a] = {m : a*m in S} for the subset S with
-        this mask and these members, computed once per action table."""
-        return subset_classes(self.table_owner, self.act, mask, members)
+        this mask, computed once per action table."""
+        return subset_classes(self.table_owner, self.act, mask)
 
     @property
     def zero_classes(self) -> tuple[tuple[int, int], ...]:
         """The scalar classes of zero_pre[a] = {m : a*m = 0}."""
-        return self.classes(1 << self.zero, (self.zero,))
+        return self.classes(1 << self.zero)
 
     @property
     def zero_pre(self) -> tuple[int, ...]:
@@ -166,7 +166,7 @@ class Submodule(Subset):
 
         Every colon and prime-type scan of N reads this one table.
         """
-        return self.module.classes(self.mask, self.members)
+        return self.module.classes(self.mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +206,16 @@ def cyclic_masks(module: TableModule) -> tuple[int, ...]:
     """cyclic[g] = Rg, the submodule generated by g, as a mask; computed once.
     A module acting by its ring's ``mul`` reads the ring's principal ideals:
     the ring is commutative, so Rg = gR."""
-    if module.act is module.ring.mul:
+    if module.table_owner is module.ring:
         return principal_masks(module.ring)
     return derived(module, "cyclic_masks", row_images, module.act.T, module.size)
+
+
+def scalar_images(module: TableModule) -> tuple[int, ...]:
+    """images[a] = a*M, as masks; computed once, as principal_masks on a regular M."""
+    if module.table_owner is module.ring:
+        return principal_masks(module.ring)
+    return derived(module, "images", row_images, module.act, module.size)
 
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:

@@ -141,19 +141,24 @@ def pack_rows(hits: np.ndarray) -> tuple[int, ...]:
     return tuple(map(_mask, _row_keys(hits)))
 
 
-def preimage_classes(
-    table: np.ndarray, members: Iterable[int], size: int
-) -> tuple[tuple[int, int], ...]:
-    """The scalar classes of pre[a] = {x : table[a][x] in members}, for a
-    carrier of the given size: each distinct row p with the mask of the
-    scalars a whose pre[a] is p, ordered by least scalar. Colons and scans
-    depend on a only through pre[a], so they loop over these classes."""
-    inside = np.zeros(size, dtype=bool)
-    inside[list(members)] = True
+def inside(mask: int, size: int) -> np.ndarray:
+    """Bit x of the mask for every x of a carrier of this size, as a boolean
+    vector: the one conversion of a subset into numpy."""
+    packed = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
+
+
+def preimage_classes(table: np.ndarray, mask: int, size: int) -> tuple[tuple[int, int], ...]:
+    """The scalar classes of pre[a] = {x : table[a][x] in S}, for the subset S
+    with this mask of a carrier of the given size: each distinct row p with
+    the mask of the scalars a whose pre[a] is p, ordered by least scalar.
+    Colons and scans depend on a only through pre[a], so they loop over
+    these classes."""
+    member = inside(mask, size)
     classes: dict = {}
     step = row_block(table.shape[1])
     for start in range(0, len(table), step):
-        for a, key in enumerate(_row_keys(inside.take(table[start:start + step])), start):
+        for a, key in enumerate(_row_keys(member.take(table[start:start + step])), start):
             classes[key] = classes.get(key, 0) | 1 << a
     return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
@@ -189,12 +194,10 @@ def memo(owner: Any, what: str, key: Any, compute: Callable[..., Any], *args: An
     return value
 
 
-def subset_classes(
-    owner: Any, table: np.ndarray, mask: int, members: Iterable[int]
-) -> tuple[tuple[int, int], ...]:
-    """preimage_classes of the subset with this mask and these members under
-    ``table``, owner's multiplication or action table, once per (owner, mask)."""
-    return memo(owner, "classes", mask, preimage_classes, table, members, table.shape[1])
+def subset_classes(owner: Any, table: np.ndarray, mask: int) -> tuple[tuple[int, int], ...]:
+    """preimage_classes of the subset with this mask under ``table``, owner's
+    multiplication or action table, once per (owner, mask)."""
+    return memo(owner, "classes", mask, preimage_classes, table, mask, table.shape[1])
 
 
 def class_ids(classes: tuple[tuple[int, int], ...], size: int) -> np.ndarray:
@@ -261,7 +264,7 @@ class TableRing(Carrier):
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {b : a*b = 0}, as masks, read off the zero ideal's classes."""
-        zero = subset_classes(self, self.mul, 1 << self.zero, (self.zero,))
+        zero = subset_classes(self, self.mul, 1 << self.zero)
         return derived(self, "zero_pre", class_rows, zero, self.size)
 
     def __repr__(self) -> str:  # keep reprs short in test output
@@ -482,8 +485,7 @@ class Subset:
         if not mask >> over.zero & 1:
             raise ValueError(f"{type(self).__name__.lower()} must contain zero")
         idx = np.array(members)
-        outside = np.ones(over.size, dtype=bool)
-        outside[idx] = False
+        outside = ~inside(mask, over.size)
         sums = outside.take(over.add.take(idx, axis=0).take(idx, axis=1))
         products = outside.take(act.take(idx, axis=1).T)  # products[i, s]: s*members[i]
         bad = sums.any(axis=1) | products.any(axis=1)
@@ -543,7 +545,7 @@ class Ideal(Subset):
     def classes(self) -> tuple[tuple[int, int], ...]:
         """The scalar classes of pre[a] = {b : a*b in J}, computed once per
         distinct J in the ring's memo, which the regular module shares."""
-        return subset_classes(self.ring, self.ring.mul, self.mask, self.members)
+        return subset_classes(self.ring, self.ring.mul, self.mask)
 
 
 # ----------------------------------------------------------- ideal memo
@@ -564,11 +566,6 @@ def ideal_of(ring: TableRing, mask: int) -> Ideal:
     if j is None:
         j = ideals[mask] = Ideal.from_mask(ring, mask)
     return j
-
-
-def ideal_radical(j: Ideal) -> Ideal:
-    """radical(j), computed once per distinct ideal of the ring."""
-    return ideal_of(j.ring, memo(j.ring, "radicals", j.mask, _radical_mask, j))
 
 
 def _join(
@@ -632,7 +629,8 @@ def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
 
 def principal_masks(ring: TableRing) -> tuple[int, ...]:
     """principal[a] = aA, the principal ideal of a, as a mask; computed once.
-    It is also the cyclic submodule of a in every module acting by ``mul``."""
+    It is also the cyclic submodule of a, and the image a*M, in every module
+    acting by ``mul``."""
     return derived(ring, "principal_masks", row_images, ring.mul, ring.size)
 
 
@@ -652,21 +650,18 @@ def enumerate_ideals(ring: TableRing) -> list[Ideal]:
 
 
 def radical(j: Ideal) -> Ideal:
-    """Elements with some power inside the ideal: the a with a**size in J.
-
-    In a finite ring the powers of a repeat from some exponent below the
-    carrier size on, and that cycle holds a**size; it lies inside J as soon
-    as any power of a does.
-    """
+    """Elements with some power inside the ideal, computed once per distinct
+    ideal of the ring."""
     ring = j.ring
-    inside = np.zeros(ring.size, dtype=bool)
-    inside[list(j.members)] = True
+    return ideal_of(ring, memo(ring, "radicals", j.mask, _radical_mask, ring, j.mask))
+
+
+def _radical_mask(ring: TableRing, mask: int) -> int:
+    """The a with a**size in the ideal with this mask. In a finite ring the
+    powers of a repeat from some exponent below the carrier size on, and
+    that cycle holds a**size; it lies inside J as soon as any power of a does."""
     powers = derived(ring, "top_powers", _top_powers, ring.mul, ring.size)
-    return ideal_of(ring, pack_rows(inside.take(powers)[None, :])[0])
-
-
-def _radical_mask(j: Ideal) -> int:
-    return radical(j).mask
+    return pack_rows(inside(mask, ring.size).take(powers)[None, :])[0]
 
 
 def _top_powers(mul: np.ndarray, e: int) -> np.ndarray:

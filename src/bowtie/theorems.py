@@ -28,13 +28,12 @@ from .rings import (
     class_ids,
     class_rows,
     derived,
-    ideal_radical,
     lowest_bit,
     make_zn,
     mask_of,
     memo,
     pack_rows,
-    principal_masks,
+    radical,
     row_images,
 )
 from .modules import (
@@ -51,6 +50,7 @@ from .modules import (
     kernel,
     quotient_module,
     ring_as_module,
+    scalar_images,
     whole_submodule,
     zero_submodule,
 )
@@ -67,6 +67,7 @@ from .classify import (
     is_weakly_prime_submodule_behboodi,
     is_irreducible_submodule,
     weakly_prime_submodule,
+    whole_colon,
 )
 from .duplication import (
     BowtieInstance,
@@ -128,7 +129,7 @@ class Instance:
     rings.memo in the instance's ``derived_cache``, as M and the tables
     keep theirs; the facts of the whole instance (Lat(M><I), the
     distinguished submodules) are cached properties. What does not depend
-    on I (Lat(M), N's verdicts, the colon (N : M)) is kept on M, so every
+    on I (Lat(M), N's verdicts and scalar classes) is kept on M, so every
     Instance over one module object shares it."""
 
     def __init__(
@@ -176,15 +177,6 @@ class Instance:
     def faithful_cyclic(self) -> tuple[bool, bool]:
         """Whether M><I is faithful, and whether it is cyclic."""
         return annihilator(self.bowtie_whole).is_zero, is_cyclic(self.inst.bowtie_module).holds
-
-    @cached_property
-    def bowtie_images(self) -> tuple[int, ...]:
-        """images[a] = a*(M><I), as masks: the principal ideals of A><I
-        when M><I is its regular module."""
-        mod = self.inst.bowtie_module
-        if mod.act is mod.ring.mul:
-            return principal_masks(mod.ring)
-        return row_images(mod.act, mod.size)
 
     def bowtie(self, n: Submodule) -> Submodule:
         return memo(self, "bowtie", n.mask, bowtie_submodule, self.inst, n)
@@ -294,20 +286,14 @@ def check_L1(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """(N><I : M><I) must decode to {(a, a+i) : a in (N:M), i in I}."""
     inst = ctx.inst
     lhs = ctx.colon(nb)
-    base_colon = memo(n.module, "colon", n.mask, _base_colon, n)
     # (N:M)><I: the pairs (a, a+i) whose first component lies in (N:M)
-    rhs = pairs_in(inst.ring_pairs, 0, base_colon, inst.base_ring.size)
+    rhs = pairs_in(inst.ring_pairs, 0, whole_colon(n), inst.base_ring.size)
     if lhs.mask == rhs:
         return "pass", f"both sides = {lhs.label_set()}"
     first_diff = lowest_bit(lhs.mask ^ rhs)
     side = "left only" if lhs.mask >> first_diff & 1 else "right only"
     return "fail", (f"{inst.bowtie_ring.labels[first_diff]} is on one side only ({side});"
                     f" colon={lhs.label_set()}")
-
-
-def _base_colon(n: Submodule) -> int:
-    """(N : M), as a mask."""
-    return colon_into_ring(n, whole_submodule(n.module)).mask
 
 
 def check_transfer(ctx: Instance, n: Submodule, nb: Submodule, *_, notion: str) -> Outcome:
@@ -473,8 +459,9 @@ def c_irr_identity_violation(ctx: Instance, nb: Submodule) -> str:
     pack = ctx.npack(nb)
     bad_y, sum_members = pack["bad_y"], pack["sum_members"]
     inst = ctx.inst
+    images = scalar_images(inst.bowtie_module)
     for a, xs in enumerate(class_rows(nb.classes, inst.bowtie_ring.size)):
-        image = ctx.bowtie_images[a]
+        image = images[a]
         bad_x = 0
         for s, bad in enumerate(bad_y):
             if image & bad:
@@ -565,7 +552,7 @@ def check_L_radical(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Outcome:
     """Primary <=> every element colon outside N><I sits inside the radical."""
     lhs = ctx.primary(nb)
     mod = ctx.inst.bowtie_module
-    rad = ideal_radical(ctx.colon(nb)).mask
+    rad = radical(ctx.colon(nb)).mask
     pack = ctx.npack(nb)
     violation = ""
     for b, cb in zip(pack["reps"], pack["rep_col"]):
@@ -600,7 +587,7 @@ def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Out
     """For primary N><I: the radical of the colon is a prime ideal."""
     if not ctx.primary(nb).holds:
         return "na", "hypothesis fails: N><I is not primary"
-    rad = ideal_radical(ctx.colon(nb))
+    rad = radical(ctx.colon(nb))
     v = ideal_is_prime(rad.ring, rad.mask)
     if v.holds:
         return "pass", f"radical {rad.label_set()} is prime"
@@ -612,8 +599,9 @@ def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: 
                   ) -> tuple[list[str], int]:
     """The reasons f: M><I -> T, checked at gens and scalars, fails to be a
     surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
-    The induced map is f at the first x of each coset of the quotient's own
-    projection, and at x = 0 on a coset it misses, so that it repeats a value."""
+    g is f scattered through the quotient's projection p; g(p(x)) = f(x) checks
+    that f factors through p, whichever x of a coset the scatter keeps. A coset
+    p misses keeps f(0), which g takes at p(0), so g has under q values."""
     problems = []
     if not check_module_map(f, gens, scalars):
         problems.append(f"{name} is not a module map")
@@ -624,11 +612,12 @@ def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: 
     q, proj = ctx.quotient(k)
     p = proj.table
     inside = q.size == f.target.size and 0 <= p.min() and p.max() < q.size
-    firsts = np.zeros(q.size, dtype=np.intp)
+    induced = np.full(q.size, f.table[0], dtype=f.table.dtype)
     if inside:
-        firsts[p[::-1]] = np.arange(len(p) - 1, -1, -1)  # the least x is written last
-    g = ModuleMap(q, f.target, carrier_table(f.table.take(firsts), f.target.size))
-    if (not inside or not check_module_map(g, p.take(gens), scalars)
+        induced[p] = f.table
+    g = ModuleMap(q, f.target, carrier_table(induced, f.target.size))
+    if (not inside or not (g.table.take(p) == f.table).all()
+            or not check_module_map(g, p.take(gens), scalars)
             or len(set(g.table.tolist())) != q.size):
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
     return problems, q.size

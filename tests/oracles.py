@@ -871,6 +871,13 @@ def cumsum_cosets(add: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(is_rep, dtype=np.int32) - 1).take(rep_of), np.flatnonzero(is_rep)
 
 
+def inside(mask: int, size: int) -> list[bool]:
+    """Bit x of the mask for every x below size, one bit at a time."""
+    return [mask >> x & 1 == 1 for x in range(size)]
+
+
+
+
 def preimage_masks(table: np.ndarray, members, size: int) -> tuple[int, ...]:
     """pre[a] = {x : table[a][x] in members}, for a carrier of the given size."""
     inside = np.zeros(size, dtype=bool)

@@ -16,6 +16,7 @@ from bowtie.classify import (
     is_weakly_prime_submodule_azizi,
     is_weakly_prime_submodule_behboodi,
     weakly_prime_submodule,
+    whole_colon,
 )
 from bowtie.modules import (
     Submodule,
@@ -24,10 +25,11 @@ from bowtie.modules import (
     whole_submodule,
     zero_submodule,
 )
-from bowtie.rings import Ideal, enumerate_ideals, make_zn
+from bowtie.rings import Ideal, enumerate_ideals, make_zn, mask_of
 
 from families import duplications, family_modules
 from oracles import (
+    _whole_colon,
     brute_primary_ideal,
     brute_primary_submodule,
     brute_prime_ideal,
@@ -270,3 +272,14 @@ def test_azizi_and_behboodi_are_prime_on_finite_rings(family, cap):
             checked += _prime_azizi_behboodi_agree(inst.base_module)
             checked += _prime_azizi_behboodi_agree(inst.bowtie_module)
     assert checked == {"zn": 540, "families": 6541}[family]
+
+
+def test_whole_colon_matches_the_brute_colon():
+    # (N : M) read off N's classes against the scalars a with aM inside N
+    modules = [ring_as_module(make_zn(n)) for n in range(1, 21)] + family_modules()
+    checked = 0
+    for module in modules:
+        for n in enumerate_submodules(module):
+            assert whole_colon(n) == mask_of(_whole_colon(n)), (module, n)
+            checked += 1
+    assert checked == 358

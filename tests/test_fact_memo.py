@@ -80,7 +80,7 @@ def _counting_memo(monkeypatch, owner, what):
 
 def test_each_fact_is_computed_once_over_zn(monkeypatch):
     classes = _counting(monkeypatch, rings, "preimage_classes",
-                        lambda table, members, size: (id(table), tuple(members)))
+                        lambda table, mask, size: (id(table), mask))
     quotients = _counting(monkeypatch, theorems, "quotient_module",
                           lambda module, n: (id(module), n.mask))
     cosets = _counting_memo(monkeypatch, modules, "cosets")
@@ -217,10 +217,10 @@ def test_a_non_regular_module_keeps_its_own_memo():
     assert len(modules) >= 10
     for mod in modules:
         for n in enumerate_submodules(mod):
-            assert n.classes == preimage_classes(mod.act, n.members, mod.size)
+            assert n.classes == preimage_classes(mod.act, n.mask, mod.size)
             assert n.classes is _memo(mod)[n.mask]
         assert mod.zero_classes is _memo(mod)[1 << mod.zero]
-        assert mod.zero_classes == preimage_classes(mod.act, (mod.zero,), mod.size)
+        assert mod.zero_classes == preimage_classes(mod.act, 1 << mod.zero, mod.size)
 
 
 # ------------------------------------------------------ per-cell oracle

@@ -34,7 +34,6 @@ from bowtie.rings import (
     Ideal,
     enumerate_ideals,
     ideal_of,
-    ideal_radical,
     make_zn,
     radical,
 )
@@ -108,8 +107,8 @@ def _memo_agrees(ring) -> int:
         assert ideal_of(ring, j.mask) is j
         fresh = Ideal(ring, j.members)
         assert fresh is not j and fresh == j
-        rad = ideal_radical(fresh)
-        assert rad is ideal_radical(j) is radical(fresh)
+        rad = radical(fresh)
+        assert rad is radical(j)
         assert set(rad.members) == oracles.brute_radical(ring, set(j.members))
         if j.is_proper:
             assert ideal_is_prime(ring, j.mask) is ideal_is_prime(ring, j.mask)
@@ -148,18 +147,18 @@ def test_colons_and_annihilators_are_interned():
 def test_a_hunt_tests_each_ideal_once(monkeypatch):
     primes: Counter = Counter()
     radicals: Counter = Counter()
-    real_prime, real_radical = classify.is_prime_ideal, rings.radical
+    real_prime, real_radical = classify.is_prime_ideal, rings._radical_mask
 
     def counted_prime(j):
         primes[j.ring, j.mask] += 1  # the key keeps the ring alive, so ids stay unique
         return real_prime(j)
 
-    def counted_radical(j):
-        radicals[j.ring, j.mask] += 1
-        return real_radical(j)
+    def counted_radical(ring, mask):
+        radicals[ring, mask] += 1
+        return real_radical(ring, mask)
 
     monkeypatch.setattr(classify, "is_prime_ideal", counted_prime)
-    monkeypatch.setattr(rings, "radical", counted_radical)
+    monkeypatch.setattr(rings, "_radical_mask", counted_radical)
     hunt(CorpusSpec(max_n=8))
     assert primes and radicals
     assert max(primes.values()) == max(radicals.values()) == 1

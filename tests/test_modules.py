@@ -17,6 +17,7 @@ from bowtie.modules import (
     kernel,
     quotient_module,
     ring_as_module,
+    scalar_images,
     submodule_generated,
     validate_module,
     whole_submodule,
@@ -28,6 +29,7 @@ from bowtie.rings import Ideal, RingAxiomError, enumerate_ideals, make_zn, mask_
 
 from families import duplications, family_modules
 from constructions import is_faithful, submodule_intersection, submodule_sum
+import oracles
 from oracles import brute_submodules, induced_map, module_map_holds
 
 
@@ -234,7 +236,7 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
     # L8 reads each induced map off the quotient's projection with one
-    # reversed scatter; the oracle walks the projection entry by entry
+    # forward scatter; the oracle walks the projection entry by entry
     f1, g1, f2, g2 = (f for f, _, _ in _l8_maps(ctx, monkeypatch))
     for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
         q, proj = ctx.quotient(k)
@@ -261,27 +263,13 @@ def test_induced_maps_match_oracle_on_families(monkeypatch):
     assert count == 176
 
 
-def test_induced_map_is_f_at_the_least_x_of_each_coset(monkeypatch):
-    """On a projection whose cosets f is not constant on, the induced map is
-    still f at the least x of each coset, as the oracle reads it."""
-    real = theorems.Instance.quotient
-
-    def traded(self, s):  # the last x of cosets 0 and 1 trade cosets
-        q, proj = real(self, s)
-        table = proj.table.copy()
-        table[[np.flatnonzero(table == 0)[-1], np.flatnonzero(table == 1)[-1]]] = 1, 0
-        return q, ModuleMap(proj.source, q, table)
-
-    seen = []
-    monkeypatch.setattr(theorems.Instance, "quotient", traded)
-    monkeypatch.setattr(theorems, "check_module_map",
-                        lambda f, gens, scalars: seen.append(f) or True)
-    ctx = theorems.make_zn_instance(4, [0, 2])
-    assert theorems.run_checker(ctx, "L8", None).outcome == "fail"
-    f1, g1, f2, g2 = seen
-    for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
-        q, proj = ctx.quotient(k)
-        assert g.table.tolist() == induced_map(q, proj, f).table.tolist()
+def test_scalar_images_of_a_non_regular_module_are_its_action_rows():
+    modules = [m for m in family_modules() if m.table_owner is m]
+    assert len(modules) >= 10
+    for module in modules:
+        images = scalar_images(module)
+        assert images == oracles.row_images(module.act, module.size)
+        assert images is scalar_images(module)
 
 
 def test_module_map_rejects_a_table_of_the_wrong_length():

@@ -16,7 +16,7 @@ import pytest
 
 from bowtie.classify import is_prime_ideal
 from bowtie.duplication import build_bowtie
-from bowtie.modules import cyclic_masks, ring_as_module
+from bowtie.modules import cyclic_masks, ring_as_module, scalar_images
 from bowtie.rings import Ideal, enumerate_ideals, make_zn, principal_masks, row_images
 from bowtie.theorems import Instance
 
@@ -68,6 +68,7 @@ def test_prime_ideals_match_the_oracle_off_zero_and_one_index(ring):
 
 def test_regular_duplications_read_the_principal_ideals():
     ring = make_zn(12)
+    assert scalar_images(ring_as_module(ring)) is principal_masks(ring)
     for ideal in enumerate_ideals(ring):
         ctx = Instance(ring, ideal, ring_as_module(ring))
-        assert ctx.bowtie_images is principal_masks(ctx.inst.bowtie_ring)
+        assert scalar_images(ctx.inst.bowtie_module) is principal_masks(ctx.inst.bowtie_ring)

@@ -12,7 +12,9 @@ from bowtie.rings import (
     direct_product,
     enumerate_ideals,
     ideal_generated,
+    inside,
     make_zn,
+    mask_of,
     radical,
     subring_from_subset,
     table_array,
@@ -28,6 +30,7 @@ from constructions import (
     quotient_ring,
 )
 from families import products
+import oracles
 from oracles import brute_ideals, brute_radical
 
 
@@ -240,3 +243,14 @@ def test_labels_render_in_reports():
     r = make_zn(12)
     j = Ideal(r, range(0, 12, 4))
     assert j.label_set() == "{0,4,8}"
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257])
+def test_inside_matches_the_per_bit_oracle(size):
+    masks = (0, (1 << size) - 1, mask_of(range(0, size, 2)), mask_of(range(1, size, 2)),
+             1 << size - 1)
+    for mask in masks:
+        got = inside(mask, size)
+        assert got.dtype == bool and got.shape == (size,)
+        assert got.tolist() == oracles.inside(mask, size)
+        assert (~got).tolist() == [not b for b in oracles.inside(mask, size)]

@@ -50,12 +50,13 @@ from bowtie.rings import (
     class_ids,
     class_rows,
     enumerate_ideals,
-    ideal_radical,
     ideal_of,
     make_zn,
+    mask_of,
     pack_rows,
     preimage_classes,
     principal_masks,
+    radical,
     row_images,
 )
 from bowtie.theorems import Instance, colon_product_violation
@@ -80,7 +81,7 @@ def _agree_on_matrix(hits: np.ndarray) -> None:
     size = hits.shape[1]
     # each row as a preimage row: table[a][x] = x where hits[a][x], else an outsider
     table = np.where(hits, np.arange(size), size)
-    assert preimage_classes(table, range(size), size + 1) == _grouped(want)
+    assert preimage_classes(table, (1 << size) - 1, size + 1) == _grouped(want)
 
 
 def test_pack_rows_matches_the_row_by_row_conversion_at_every_width():
@@ -173,7 +174,7 @@ def _agree_on_ring(ring: TableRing) -> None:
         assert j.classes == _grouped(pre)
         if not j.is_proper:
             continue
-        for outside in (~j.mask, ~ideal_radical(j).mask):
+        for outside in (~j.mask, ~radical(j).mask):
             _scans_agree(j.classes, pre, (j.mask, 0, every_third), outside,
                          ring.zero_pre, zero_old)
 
@@ -200,8 +201,8 @@ def _agree_on_module(module: TableModule) -> int:
         if not n.is_proper:
             continue
         colon = colon_mask(n.classes, whole)
-        radical = ideal_radical(ideal_of(ring, colon)).mask
-        _scans_agree(n.classes, pre, (colon, radical, 0, every_third), ~n.mask,
+        rad = radical(ideal_of(ring, colon)).mask
+        _scans_agree(n.classes, pre, (colon, rad, 0, every_third), ~n.mask,
                      module.zero_pre, zero_old)
     return len(subs)
 
@@ -283,7 +284,7 @@ def test_classes_of_a_large_table_gather_a_block_of_rows_at_a_time():
     for members in ((dup.bowtie_ring.zero,), range(0, size, 3)):
         tracemalloc.start()
         try:
-            classes = preimage_classes(table, members, size)
+            classes = preimage_classes(table, mask_of(members), size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

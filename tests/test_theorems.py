@@ -184,6 +184,26 @@ def test_L8_fails_on_a_broken_quotient(breaks, monkeypatch):
         " induced map M><I / (IM x IM) -> M/IM is not bijective"))
 
 
+def test_L8_fails_when_f_does_not_factor_through_the_projection(monkeypatch):
+    # the pair (1,3) of Z4><{0,2} moves from coset 1 to coset 0 of the 0 x IM
+    # projection; it is neither a pair generator nor the least member of a coset
+    real = Instance.quotient
+
+    def moved(self, s):
+        q, proj = real(self, s)
+        if s != self.distinguished[0]:
+            return q, proj
+        table = proj.table.copy()
+        assert self.inst.bowtie_module.labels[3] == "(1,3)" and table[3] == 1
+        table[3] = 0
+        return q, ModuleMap(proj.source, q, table)
+
+    monkeypatch.setattr(Instance, "quotient", moved)
+    row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
+    assert (row.outcome, row.detail) == (
+        "fail", "induced map M><I / (0 x IM) -> M is not bijective")
+
+
 def test_P_colon_primary_fails_on_a_flipped_coset_action(monkeypatch):
     # npack reads the action at the coset representatives; zero times the
     # least element outside N><I, a representative, now stays outside
