@@ -14,12 +14,14 @@ perfbench spec-docs draw for the seed (``verify`` then ``classify``).
 Every task first runs once on each side, and the two must give identical
 report lines; the script stops at the first task that differs. Then each
 round times every task on both sides, alternating which side goes first
-from task to task and from round to round, and each side keeps its
-median time per task. The script prints the ratio change/parent of the
-sums of those medians, of the median task and of the tail task: perfbench's
-``verdict_tail_ms`` statistic (``tail`` in ``perfbench/run.py``, the highest
-whole percentile with at least ten tasks above it, by nearest rank) over
-each side's per-task medians.
+from task to task and from round to round, with perfbench's speed probe
+(``probe`` in ``perfbench/workloads.py``, about 10 ms of Python loops and
+numpy gathers) run just before each timed task, as perfbench runs it before
+each operation; each side keeps its median time per task. The script prints
+the ratio change/parent of the sums of those medians, of the median task and
+of the tail task: perfbench's ``verdict_tail_ms`` statistic (``tail`` in
+``perfbench/run.py``, the highest whole percentile with at least ten tasks
+above it, by nearest rank) over each side's per-task medians.
 
 Within a hunt the tasks on one Z_n share the memos kept on its regular
 module. The tasks here run in hunt's order, n ascending, so each pass
@@ -28,16 +30,19 @@ from a one-entry cache (``theorems._zn``), which builds it again when a
 pass climbs back from n = 1, so no pass reuses a ring built by the one
 before.
 
-Whole perfbench passes spread by several percent from run to run on a
-shared host, while the per-task medians of one process drift together,
-so small gains show here before a ten-pair perfbench run. The script
-starts no process and writes only its temporary directory, which it
+The probe puts each timed task where perfbench times each operation: after
+about 10 ms of unrelated work, not straight after the task before. Ratios
+read without it can differ from perfbench's by several percent
+(BENCH_36.json records one change read both ways), so a small gain here is
+a lead to confirm with ten perfbench pairs, not a prediction of them. The
+script starts no process and writes only its temporary directory, which it
 removes.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -59,6 +64,22 @@ def load(checkout: Path, name: str, into: Path):
     shutil.copytree(checkout / "src" / "bowtie", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("theorems", "cli")}
+
+
+def load_probe():
+    """perfbench's speed probe, compiled from ``perfbench/workloads.py``
+    alone: that module imports bowtie, and a third bowtie, neither side's,
+    has no place in the process that times both."""
+    import numpy as np
+
+    path = REPO / "perfbench" / "workloads.py"
+    keep = [node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name == "probe"
+            or isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_PROBE_TABLE"]]
+    names = {"np": np, "time": time}
+    exec(compile(ast.Module(body=keep, type_ignores=[]), str(path), "exec"), names)
+    return names["probe"]
 
 
 def hunt_tasks(pkg, max_n: int, chosen):
@@ -116,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(REPO / "perfbench"))  # specgen, and run's tail statistic
     sys.dont_write_bytecode = True  # so that importing them writes nothing there
     from run import tail
+    probe = load_probe()
 
     with tempfile.TemporaryDirectory(prefix="ab_instances_", dir="/tmp") as tmp:
         tmp_path = Path(tmp)
@@ -140,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             for i, pair in enumerate(zip(*sides)):
                 first = (i + rnd) % 2
                 for side in (first, 1 - first):
+                    probe()
                     times[side][i].append(timed(pair[side]))
 
     medians = [[statistics.median(t) for t in side] for side in times]

@@ -13,9 +13,9 @@ import time
 
 sys.path.insert(0, "src")  # allow running from a source checkout
 
-from bowtie.classify import VARIANTS, classify_ideal, classify_submodule
+from bowtie.classify import VARIANTS, classify_ideal, classify_submodule, whole_colon
 from bowtie.instances import SEEDS, seed_spec
-from bowtie.modules import colon_into_ring, whole_submodule
+from bowtie.rings import ideal_of
 from bowtie.theorems import CHECKERS, READINGS, THEOREM_IDS, Instance, instance_rows
 
 # a seed is one (M, I, N): the checkers about M alone are left to the hunt
@@ -47,7 +47,7 @@ def replay(name: str) -> int:
         mark = "yes" if v.holds else f"no   [{v.witness_text}]"
         print(f"  {'colon ideal':14s} {pred:24s} {mark}")
 
-    base_colon = colon_into_ring(sub, whole_submodule(inst.base_module))
+    base_colon = ideal_of(inst.base_module.ring, whole_colon(sub))
     print(f"  colon (N : M)       = {base_colon.label_set()}")
 
     failures = 0

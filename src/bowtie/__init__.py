@@ -22,7 +22,6 @@ from .rings import (
 from .modules import (
     TableModule,
     Submodule,
-    ModuleMap,
     ring_as_module,
     submodule_generated,
     enumerate_submodules,
@@ -54,7 +53,6 @@ from .duplication import (
     bowtie_submodule,
     distinguished_submodules,
     zero_cross_i,
-    restrict_scalars,
     detect_bowtie_form,
 )
 

@@ -222,35 +222,6 @@ def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule
     return zero_cross_im, im_cross_im
 
 
-def restrict_scalars(
-    inst: BowtieInstance, which: str = "first", base: TableModule | None = None
-) -> TableModule:
-    """Turn a base-ring module into one over the duplicated ring.
-
-    The pair (a, a+i) acts through its first or second component. Defaults
-    to the base module of the instance.
-    """
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
-    m0 = inst.base_module if base is None else base
-    if m0.ring is not inst.base_ring:
-        raise ValueError("module is over a different base ring")
-    comp = 0 if which == "first" else 1
-    # every row of the base appears among the gathered ones, so they keep
-    # the dtype table_array would choose
-    act = m0.act.take(inst.ring_pairs[:, comp], axis=0)
-    act.setflags(write=False)
-    return TableModule(
-        ring=inst.bowtie_ring,
-        size=m0.size,
-        add=m0.add,
-        act=act,
-        zero=m0.zero,
-        labels=m0.labels,
-        name=f"{m0.name}|{which}",
-    )
-
-
 def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:
     """Recover N with (N join I) = S, when S has that shape.
 

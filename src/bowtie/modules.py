@@ -37,7 +37,6 @@ from .rings import (
     class_rows,
     derived,
     ideal_of,
-    mask_of,
     memo,
     principal_masks,
     row_block,
@@ -167,18 +166,6 @@ class Submodule(Subset):
         Every colon and prime-type scan of N reads this one table.
         """
         return self.module.classes(self.mask)
-
-
-@dataclass(frozen=True, eq=False)
-class ModuleMap:
-    """A total map between modules over the same ring, as its table_array."""
-
-    source: TableModule
-    target: TableModule
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", table_array(self.table))
 
 
 def ring_as_module(ring: TableRing) -> TableModule:
@@ -403,10 +390,10 @@ def _cosets(add: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.nda
     return number.take(rep_of), reps
 
 
-def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
+def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, np.ndarray]:
     """Cosets of a submodule, indexed by minimal member.
 
-    Returns the quotient and the projection map.
+    Returns the quotient and the projection, proj[x] the coset of x.
     """
     if n.module is not module:
         raise ValueError("submodule belongs to a different module")
@@ -422,33 +409,23 @@ def quotient_module(module: TableModule, n: Submodule) -> tuple[TableModule, Mod
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps.tolist()),
         name=f"{module.name}/N",
     )
-    return quo, ModuleMap(source=module, target=quo, table=proj)
+    return quo, proj
 
 
-def check_module_map(f: ModuleMap, gens: np.ndarray, scalars: np.ndarray) -> bool:
+def check_module_map(table: np.ndarray, sums: np.ndarray, products: np.ndarray,
+                     target_add: np.ndarray, target_act_rows: np.ndarray,
+                     gens: np.ndarray) -> bool:
     """f(x+g) = f(x)+f(g) and f(sg) = s f(g) for every x of the source, g of
-    gens and s of scalars. If source and target are modules, gens generates the
-    source additively and scalars the ring, f is then a module map. Proof: x = 0
-    gives f(0) = 0; the y additive at every x are closed under +, so are all of
-    the source; both sides of f(sg) = s f(g) are additive in s and in g."""
-    src, tgt = f.source, f.target
-    if src.ring is not tgt.ring:
-        raise ValueError("source and target are over different rings")
-    if len(f.table) != src.size:
+    gens and s of the scalars, f being ``table``. The source enters as its sums
+    at gens, sums[x, j] = x + gens[j], and its products at the scalars,
+    products[i, j] = s_i gens[j]; target_act_rows[i] is the target's row by
+    which s_i acts. If the source is a module, the target one over the same ring
+    through those rows, gens generates the source additively and the scalars
+    the ring, f is then a module map. Proof: x = 0 gives f(0) = 0; the y
+    additive at every x are closed under +, so are all of the source; both
+    sides of f(sg) = s f(g) are additive in s and in g."""
+    if len(table) != len(sums):
         raise ValueError("map table length differs from the source size")
-    t, at = f.table, f.table.take(gens)  # at: f(g) for each g of gens
-    return bool((t.take(src.add.take(gens, axis=1))
-                 == tgt.add.take(at, axis=1).take(t, axis=0)).all()
-                and (t.take(src.act.take(scalars, axis=0).take(gens, axis=1))
-                     == tgt.act.take(scalars, axis=0).take(at, axis=1)).all())
-
-
-def kernel(f: ModuleMap) -> Submodule:
-    """The preimage of zero; a submodule when f is a module map."""
-    members = np.flatnonzero(f.table == f.target.zero).tolist()
-    return Submodule.from_mask(f.source, mask_of(members), members)
-
-
-def image(f: ModuleMap) -> Submodule:
-    """The image of f; a submodule when f is a module map."""
-    return Submodule.from_mask(f.target, mask_of(set(f.table.tolist())))
+    at = table.take(gens)  # f(g) for each g of gens
+    return bool((table.take(sums) == target_add.take(at, axis=1).take(table, axis=0)).all()
+                and (table.take(products) == target_act_rows.take(at, axis=1)).all())

@@ -24,10 +24,10 @@ from .rings import (
     Ideal,
     TableRing,
     bits,
-    carrier_table,
     class_ids,
     class_rows,
     derived,
+    inside,
     lowest_bit,
     make_zn,
     mask_of,
@@ -37,7 +37,6 @@ from .rings import (
     row_images,
 )
 from .modules import (
-    ModuleMap,
     Submodule,
     TableModule,
     annihilator,
@@ -45,9 +44,7 @@ from .modules import (
     colon_into_ring,
     cosets,
     enumerate_submodules,
-    image,
     is_cyclic,
-    kernel,
     quotient_module,
     ring_as_module,
     scalar_images,
@@ -76,7 +73,6 @@ from .duplication import (
     distinguished_submodules,
     pair_generators,
     pairs_in,
-    restrict_scalars,
 )
 
 READINGS = ("bowtie", "all-submodules")
@@ -216,7 +212,7 @@ class Instance:
         """
         return memo(self, "npack", nb.mask, _npack, self.inst.bowtie_module, nb)
 
-    def quotient(self, s: Submodule) -> tuple[TableModule, ModuleMap]:
+    def quotient(self, s: Submodule) -> tuple[TableModule, np.ndarray]:
         """M><I / S and its projection, built once per S: L8 reads the
         quotients by 0 x IM and IM x IM, which coincide when IM = 0."""
         return memo(self, "quotient", s.mask, quotient_module, self.inst.bowtie_module, s)
@@ -594,31 +590,37 @@ def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Out
     return "fail", f"radical {rad.label_set()} is not prime: {v.witness_text}"
 
 
-def _quotient_iso(ctx: Instance, f: ModuleMap, name: str, k: Submodule, k_name: str,
-                  target_name: str, gens: np.ndarray, scalars: np.ndarray,
+def _quotient_iso(ctx: Instance, f: np.ndarray, target: TableModule, name: str,
+                  k: Submodule, k_name: str, target_name: str, at: tuple[np.ndarray, ...],
                   ) -> tuple[list[str], int]:
-    """The reasons f: M><I -> T, checked at gens and scalars, fails to be a
+    """The reasons f: M><I -> T, checked at the generators, fails to be a
     surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
+    ``at`` holds L8's gens and scalars, the base scalars through which those act
+    on T, and M><I's sums and products at them, as check_module_map reads them.
     g is f scattered through the quotient's projection p; g(p(x)) = f(x) checks
     that f factors through p, whichever x of a coset the scatter keeps. A coset
     p misses keeps f(0), which g takes at p(0), so g has under q values."""
+    gens, scalars, through, sums, products = at
+    rows = target.act.take(through, axis=0)  # rows[i]: how scalars[i] acts on T
     problems = []
-    if not check_module_map(f, gens, scalars):
+    if not check_module_map(f, sums, products, target.add, rows, gens):
         problems.append(f"{name} is not a module map")
-    if len(image(f)) != f.target.size:
+    if len(set(f.tolist())) != target.size:
         problems.append(f"{name} is not surjective")
-    if kernel(f).members != k.members:
+    if not np.array_equal(f == target.zero, inside(k.mask, len(f))):
         problems.append(f"kernel of the {name} is not {k_name}")
-    q, proj = ctx.quotient(k)
-    p = proj.table
-    inside = q.size == f.target.size and 0 <= p.min() and p.max() < q.size
-    induced = np.full(q.size, f.table[0], dtype=f.table.dtype)
-    if inside:
-        induced[p] = f.table
-    g = ModuleMap(q, f.target, carrier_table(induced, f.target.size))
-    if (not inside or not (g.table.take(p) == f.table).all()
-            or not check_module_map(g, p.take(gens), scalars)
-            or len(set(g.table.tolist())) != q.size):
+    q, p = ctx.quotient(k)
+    bijective = q.size == target.size and 0 <= p.min() and p.max() < q.size
+    if bijective:
+        g = np.full(q.size, f[0], dtype=f.dtype)
+        g[p] = f
+        at_q = p.take(gens)  # the generators' cosets
+        bijective = bool((g.take(p) == f).all()
+                         and check_module_map(g, q.add.take(at_q, axis=1),
+                                              q.act.take(scalars, axis=0).take(at_q, axis=1),
+                                              target.add, rows, at_q)
+                         and len(set(g.tolist())) == q.size)
+    if not bijective:
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
     return problems, q.size
 
@@ -627,19 +629,20 @@ def check_L8(ctx: Instance) -> Outcome:
     """Both canonical quotient isomorphisms of M><I: the first projection onto
     M and the coset projection onto M / IM, scalars acting through the first."""
     inst = ctx.inst
+    mod = inst.bowtie_module
     zero_cross_im, im_cross_im = ctx.distinguished
     gens = pair_generators(inst.module_pairs, inst.base_module.zero)
     scalars = (gens if inst.ring_pairs is inst.module_pairs
                else pair_generators(inst.ring_pairs, inst.base_ring.zero))
+    # gathered once for both projections
+    at = (gens, scalars, inst.ring_pairs[scalars, 0], mod.add.take(gens, axis=1),
+          mod.act.take(scalars, axis=0).take(gens, axis=1))
     firsts = inst.module_pairs[:, 0]
-    first = ModuleMap(inst.bowtie_module, restrict_scalars(inst, "first"), firsts)
-    problems1, q1 = _quotient_iso(ctx, first, "first projection", zero_cross_im, "0 x IM", "M",
-                                  gens, scalars)
+    problems1, q1 = _quotient_iso(ctx, firsts, inst.base_module, "first projection",
+                                  zero_cross_im, "0 x IM", "M", at)
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
-    coset = ModuleMap(inst.bowtie_module, restrict_scalars(inst, "first", base_quo),
-                      carrier_table(bproj.table.take(firsts), base_quo.size))
-    problems2, q2 = _quotient_iso(ctx, coset, "coset projection", im_cross_im, "IM x IM",
-                                  "M/IM", gens, scalars)
+    problems2, q2 = _quotient_iso(ctx, bproj.take(firsts), base_quo, "coset projection",
+                                  im_cross_im, "IM x IM", "M/IM", at)
     if problems1 or problems2:
         return "fail", "; ".join(problems1 + problems2)
     return "pass", f"quotient sizes {q1} and {q2}"

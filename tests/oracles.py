@@ -17,7 +17,7 @@ import numpy as np
 from bowtie import theorems
 from bowtie.classify import Verdict, is_weakly_prime_module
 from bowtie.modules import (
-    ModuleMap, Submodule, TableModule, cosets, enumerate_submodules, quotient_module,
+    Submodule, TableModule, cosets, enumerate_submodules, quotient_module,
 )
 from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
 
@@ -71,19 +71,21 @@ def join_submodules(module: TableModule) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
 
 
-def module_map_holds(f: ModuleMap) -> bool:
-    """f(x+y) = f(x)+f(y) for every pair and f(sx) = s f(x) for every (s, x)."""
-    src, tgt = f.source, f.target
-    t = f.table.tolist()
-    src_add, tgt_add = src.add.tolist(), tgt.add.tolist()
-    src_act, tgt_act = src.act.tolist(), tgt.act.tolist()
-    for x in range(src.size):
-        for y in range(src.size):
+def module_map_holds(table, source: TableModule, target: TableModule, through=None) -> bool:
+    """f(x+y) = f(x)+f(y) for every pair and f(sx) = s f(x) for every (s, x),
+    f being the table and each scalar s of the source acting on the target as
+    the target's scalar through[s] (s itself by default)."""
+    t = np.asarray(table).tolist()
+    through = range(source.ring.size) if through is None else np.asarray(through).tolist()
+    src_add, tgt_add = source.add.tolist(), target.add.tolist()
+    src_act, tgt_act = source.act.tolist(), target.act.tolist()
+    for x in range(source.size):
+        for y in range(source.size):
             if t[src_add[x][y]] != tgt_add[t[x]][t[y]]:
                 return False
-    for s in range(src.ring.size):
-        for x in range(src.size):
-            if t[src_act[s][x]] != tgt_act[s][t[x]]:
+    for s in range(source.ring.size):
+        for x in range(source.size):
+            if t[src_act[s][x]] != tgt_act[through[s]][t[x]]:
                 return False
     return True
 
@@ -100,17 +102,16 @@ def additive_closure(add: np.ndarray, gens) -> frozenset[int]:
     return frozenset(found)
 
 
-def induced_map(source_quotient: TableModule, projection: ModuleMap, f: ModuleMap) -> ModuleMap:
-    """The map the quotient inherits from f along the projection, entry by
-    entry: f at the first x of each coset (the library's loop before L8
-    read it off the projection in one call)."""
-    proj, values = projection.table.tolist(), f.table.tolist()
+def induced_map(source_quotient: TableModule, projection, f) -> list[int]:
+    """The table of the map the quotient inherits from f along the projection,
+    entry by entry: f at the first x of each coset (the library's loop before
+    L8 read it off the projection in one call)."""
+    proj, values = np.asarray(projection).tolist(), np.asarray(f).tolist()
     table = [-1] * source_quotient.size
-    for x in range(f.source.size):
-        c = proj[x]
+    for x, c in enumerate(proj):
         if table[c] < 0:
             table[c] = values[x]
-    return ModuleMap(source=source_quotient, target=f.target, table=table)
+    return table
 
 
 def brute_ideals(ring: TableRing) -> list[frozenset[int]]:
@@ -809,7 +810,7 @@ def colon_chain_pairs(ctx, nb: Submodule, reading: str) -> str:
     return ""
 
 
-def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableModule, ModuleMap]:
+def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableModule, tuple]:
     """M/N entry by entry through dicts, on the tables as lists: each coset is
     indexed by its least member, in ascending order (the library's
     quotient_module before it moved onto arrays)."""
@@ -832,8 +833,7 @@ def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableMo
         zero=index[rep_of[module.zero]],
         labels=tuple(f"[{module.labels[rep]}]" for rep in reps), name=f"{module.name}/N",
     )
-    table = tuple(index[rep_of[m]] for m in range(module.size))
-    return quo, ModuleMap(source=module, target=quo, table=table)
+    return quo, tuple(index[rep_of[m]] for m in range(module.size))
 
 
 # ------------------------------------------- per-scalar preimage kernel
@@ -876,6 +876,9 @@ def inside(mask: int, size: int) -> list[bool]:
     return [mask >> x & 1 == 1 for x in range(size)]
 
 
+def bits(mask: int, width: int) -> list[int]:
+    """The set bits of a mask below width, ascending, one bit at a time."""
+    return [i for i in range(width) if mask >> i & 1]
 
 
 def preimage_masks(table: np.ndarray, members, size: int) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ from bowtie.duplication import (
     distinguished_submodules,
     pair_generators,
     predicted_sizes,
-    restrict_scalars,
     zero_cross_i,
 )
 from bowtie.classify import (
@@ -155,30 +154,16 @@ def test_detect_bowtie_form_round_trip(z6):
             assert got is None
 
 
-def test_restrict_scalars_first_and_second(z6):
-    inst = z6.inst
-    t1 = restrict_scalars(inst, "first")
-    t2 = restrict_scalars(inst, "second")
-    i14 = Z6_PAIRS.index((1, 4))
-    assert t1.act[i14, 1] == 1
-    assert t2.act[i14, 1] == 4
-    with pytest.raises(ValueError):
-        restrict_scalars(inst, "third")
-
-
 @pytest.mark.parametrize("n,ideal_step", [(255, 255), (16, 1), (256, 256), (17, 1), (257, 257)],
                          ids=["255", "256-full", "256-zero", "289", "257"])
 def test_seeded_arrays_equal_table_array_of_the_tuples(n, ideal_step):
-    # the arrays build_bowtie and restrict_scalars store match what
-    # table_array builds from their entries as nested lists, across the
-    # uint8/uint16 boundary (|M><I| = 255, 256, 289 and 257)
+    # the arrays build_bowtie stores match what table_array builds from
+    # their entries as nested lists, across the uint8/uint16 boundary
+    # (|M><I| = 255, 256, 289 and 257)
     ring = make_zn(n)
     inst = build_bowtie(ring, Ideal(ring, range(0, n, ideal_step)), ring_as_module(ring))
     seeded = [(inst.bowtie_ring, "add"), (inst.bowtie_ring, "mul"),
               (inst.bowtie_module, "add"), (inst.bowtie_module, "act")]
-    for which in ("first", "second"):
-        t = restrict_scalars(inst, which)
-        seeded += [(t, "add"), (t, "act")]
     for obj, name in seeded:
         arr = getattr(obj, name)
         expected = table_array(arr.tolist())
@@ -355,7 +340,7 @@ def _witness_objects(notion: str, s: Submodule, subs: list[Submodule], witness: 
         s_index, a, b = witness
         quo, proj = quotient_module(s.module, s)
         k_bar = enumerate_submodules(quo)[s_index]
-        return frozenset(x for x, c in enumerate(proj.table) if c in k_bar), a, b
+        return frozenset(x for x, c in enumerate(proj.tolist()) if c in k_bar), a, b
     i, j = witness  # irreducible
     return frozenset(subs[i].members), frozenset(subs[j].members)
 

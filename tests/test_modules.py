@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bowtie.modules import (
-    ModuleMap,
     Submodule,
     TableModule,
     annihilator,
@@ -12,9 +11,7 @@ from bowtie.modules import (
     colon_into_ring,
     cyclic_masks,
     enumerate_submodules,
-    image,
     is_cyclic,
-    kernel,
     quotient_module,
     ring_as_module,
     scalar_images,
@@ -24,7 +21,7 @@ from bowtie.modules import (
     zero_submodule,
 )
 from bowtie import theorems
-from bowtie.duplication import restrict_scalars
+from bowtie.duplication import pair_generators
 from bowtie.rings import Ideal, RingAxiomError, enumerate_ideals, make_zn, mask_of
 
 from families import duplications, family_modules
@@ -154,49 +151,66 @@ def test_mask_built_submodules_equal_checked_ones(module):
             _assert_same_submodule(submodule_intersection(a, b), meet)
 
 
+def _whole_table_check(table, source: TableModule, target: TableModule) -> bool:
+    """check_module_map at every element and every scalar."""
+    return check_module_map(np.asarray(table), source.add, source.act,
+                            target.add, target.act, np.arange(source.size))
+
+
 def test_quotient_module_projection_is_map():
     m = ring_as_module(make_zn(12))
     n = Submodule(m, [0, 4, 8])
     q, proj = quotient_module(m, n)
     assert q.size == 4
-    assert check_module_map(proj, np.arange(m.size), np.arange(m.ring.size))
-    assert kernel(proj).members == n.members
-    assert image(proj).members == tuple(range(q.size))
+    assert _whole_table_check(proj, m, q)
+    assert np.flatnonzero(proj == q.zero).tolist() == list(n.members)  # the kernel
+    assert sorted(set(proj.tolist())) == list(range(q.size))  # the image
 
 
 def test_module_map_rejects_non_hom():
     m = ring_as_module(make_zn(4))
-    f = ModuleMap(source=m, target=m, table=(0, 2, 1, 3))
-    assert not check_module_map(f, np.arange(m.size), np.arange(m.ring.size))
+    assert not _whole_table_check((0, 2, 1, 3), m, m)
 
 
-def _l8_maps(ctx, monkeypatch) -> list[tuple[ModuleMap, np.ndarray, np.ndarray]]:
-    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them,
-    each with the generators and scalars L8 checks it at."""
+def _l8_maps(ctx, monkeypatch) -> list[tuple[tuple, TableModule, TableModule, np.ndarray]]:
+    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them:
+    each call's arguments, the map's source and target, and the base scalar
+    through which each scalar of A><I acts on the target (its first component)."""
     seen = []
 
-    def recording(f, gens, scalars):
-        seen.append((f, gens, scalars))
-        return check_module_map(f, gens, scalars)
+    def recording(*args):
+        seen.append(args)
+        return check_module_map(*args)
 
     monkeypatch.setattr(theorems, "check_module_map", recording)
     assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
     monkeypatch.undo()
     assert len(seen) == 4
-    return seen
+    inst = ctx.inst
+    base_quo, _ = quotient_module(inst.base_module, inst.im)
+    q1, q2 = (ctx.quotient(k)[0] for k in ctx.distinguished)
+    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
+    through = inst.ring_pairs[:, 0]
+    maps = list(zip(seen, (inst.bowtie_module, q1, inst.bowtie_module, q2),
+                    (inst.base_module, inst.base_module, base_quo, base_quo)))
+    for (table, _, _, target_add, rows, _), source, target in maps:
+        assert len(table) == source.size
+        assert np.array_equal(target_add, target.add)
+        assert np.array_equal(rows, target.act.take(through.take(scalars), axis=0))
+    return [(args, source, target, through) for args, source, target in maps]
 
 
-def _mutations(f: ModuleMap, gens: np.ndarray) -> list[ModuleMap]:
-    """f with one entry moved to the next target element: its first entry,
-    its last, and the first whose index is not in gens, if there is one.
-    On M><I the first entry is at (0,0) and the last at some (x,x), both
-    generators, so only the third flip lands away from them."""
-    others = np.setdiff1d(np.arange(len(f.table)), gens)[:1].tolist()
+def _mutations(table: np.ndarray, size: int, gens: np.ndarray) -> list[np.ndarray]:
+    """The table with one entry moved to the next of the size target elements:
+    its first entry, its last, and the first whose index is not in gens, if
+    there is one. On M><I the first entry is at (0,0) and the last at some
+    (x,x), both generators, so only the third flip lands away from them."""
+    others = np.setdiff1d(np.arange(len(table)), gens)[:1].tolist()
     out = []
-    for i in (0, len(f.table) - 1, *others):
-        table = list(f.table)
-        table[i] = (table[i] + 1) % f.target.size
-        out.append(ModuleMap(f.source, f.target, tuple(table)))
+    for i in (0, len(table) - 1, *others):
+        moved = table.copy()
+        moved[i] = (moved[i] + 1) % size
+        out.append(moved)
     return out
 
 
@@ -204,16 +218,17 @@ def _assert_maps_agree_with_oracle(ctx, monkeypatch) -> None:
     inst = ctx.inst
     maps = _l8_maps(ctx, monkeypatch)
     # the first projection with scalars through the second component is
-    # additive, but linear only when IM = 0; it has f1's source and ring
-    _, gens, scalars = maps[0]
-    second = restrict_scalars(inst, "second")
-    proj = ModuleMap(inst.bowtie_module, second, tuple(inst.module_pairs[:, 0].tolist()))
-    assert check_module_map(proj, gens, scalars) == inst.im.is_zero
-    maps.append((proj, gens, scalars))
-    for f, gens, scalars in maps:
-        for g in [f, *_mutations(f, gens)]:
-            assert check_module_map(g, gens, scalars) == module_map_holds(g), (
-                ctx.base_key, g.table[:8])
+    # additive, but linear only when IM = 0; it has f1's source and target
+    (f, sums, products, target_add, _, gens), source, target, _ = maps[0]
+    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
+    rows = target.act.take(inst.ring_pairs[scalars, 1], axis=0)
+    assert check_module_map(f, sums, products, target_add, rows, gens) == inst.im.is_zero
+    maps.append(((f, sums, products, target_add, rows, gens), source, target,
+                 inst.ring_pairs[:, 1]))
+    for (f, sums, products, target_add, rows, gens), source, target, through in maps:
+        for g in [f, *_mutations(f, target.size, gens)]:
+            assert (check_module_map(g, sums, products, target_add, rows, gens)
+                    == module_map_holds(g, source, target, through)), (ctx.base_key, g[:8])
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -237,12 +252,11 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
     # L8 reads each induced map off the quotient's projection with one
     # forward scatter; the oracle walks the projection entry by entry
-    f1, g1, f2, g2 = (f for f, _, _ in _l8_maps(ctx, monkeypatch))
+    f1, g1, f2, g2 = (args for args, *_ in _l8_maps(ctx, monkeypatch))
     for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
         q, proj = ctx.quotient(k)
-        expected = induced_map(q, proj, f)
-        assert g.source is q and g.target is f.target
-        assert g.table.tolist() == expected.table.tolist(), ctx.base_key
+        assert g[3] is f[3]  # g checked against f's target
+        assert g[0].tolist() == induced_map(q, proj, f[0]), ctx.base_key
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -275,8 +289,7 @@ def test_scalar_images_of_a_non_regular_module_are_its_action_rows():
 def test_module_map_rejects_a_table_of_the_wrong_length():
     m = ring_as_module(make_zn(4))
     with pytest.raises(ValueError):
-        check_module_map(ModuleMap(source=m, target=m, table=(0, 1, 2)),
-                         np.arange(m.size), np.arange(m.ring.size))
+        _whole_table_check((0, 1, 2), m, m)
 
 
 def test_sum_and_intersection_z12():
@@ -331,8 +344,8 @@ def test_colon_contains_annihilator(m_ab):
 @given(zn_module_with_two_submodules())
 def test_quotient_kernel_is_the_submodule(m_ab):
     m, a, _ = m_ab
-    _, proj = quotient_module(m, a)
-    assert kernel(proj).members == a.members
+    q, proj = quotient_module(m, a)
+    assert np.flatnonzero(proj == q.zero).tolist() == list(a.members)
 
 
 def test_zero_and_whole():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bowtie.rings import (
     Ideal,
     RingAxiomError,
     TableRing,
+    bits,
     direct_product,
     enumerate_ideals,
     ideal_generated,
@@ -254,3 +256,14 @@ def test_inside_matches_the_per_bit_oracle(size):
         assert got.dtype == bool and got.shape == (size,)
         assert got.tolist() == oracles.inside(mask, size)
         assert (~got).tolist() == [not b for b in oracles.inside(mask, size)]
+
+
+def test_bits_matches_the_per_bit_oracle():
+    # widths 1 to 4097, every one below 300 and then every 17th: the whole
+    # width set, its top and bottom bits alone, and a random fill below the top
+    rng = random.Random(4097)
+    assert bits(0) == []
+    for width in [*range(1, 300), *range(300, 4097, 17), 4097]:
+        top = 1 << width - 1
+        for mask in ((1 << width) - 1, top | 1, top | rng.getrandbits(width)):
+            assert bits(mask) == oracles.bits(mask, width), width

@@ -28,9 +28,8 @@ import numpy as np
 import pytest
 
 from bowtie import classify, rings
-from bowtie.duplication import build_bowtie, bowtie_submodule, pair_generators, restrict_scalars
+from bowtie.duplication import build_bowtie, bowtie_submodule, pair_generators
 from bowtie.modules import (
-    ModuleMap,
     TableModule,
     _cosets,
     check_module_map,
@@ -318,19 +317,26 @@ def test_module_maps_of_a_large_module_are_checked_a_block_of_rows_at_a_time(
     reads. One gather of the whole 2304 x 2304 addition table peaked at
     47.8 MB."""
     inst = z48_full.inst
-    gens = pair_generators(inst.module_pairs, inst.base_module.zero)
+    mod, base = inst.bowtie_module, inst.base_module
+    gens = pair_generators(inst.module_pairs, base.zero)
     scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
-    table = inst.module_pairs[:, 0].tolist()
-    assert inst.bowtie_module.add.size > 16 * GATHER_BLOCK
-    first = restrict_scalars(inst, "first")
-    good = ModuleMap(inst.bowtie_module, first, tuple(table))
-    table[-1] = (table[-1] + 1) % 48
-    bad = ModuleMap(inst.bowtie_module, first, tuple(table))
-    holds, peak = _traced_peak(lambda: check_module_map(good, gens, scalars))
+    good = inst.module_pairs[:, 0]
+    assert mod.add.size > 16 * GATHER_BLOCK
+    bad = good.copy()
+    bad[-1] = (bad[-1] + 1) % 48
+
+    def check(table):
+        # L8's arguments: M><I's sums and products at the generators, and the
+        # rows by which the scalars act on Z48 through their first component
+        return check_module_map(table, mod.add.take(gens, axis=1),
+                                mod.act.take(scalars, axis=0).take(gens, axis=1), base.add,
+                                base.act.take(inst.ring_pairs[scalars, 0], axis=0), gens)
+
+    holds, peak = _traced_peak(lambda: check(good))
     assert holds and peak < 6_000_000, peak
-    assert not check_module_map(bad, gens, scalars)
-    monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * len(table))
-    assert check_module_map(good, gens, scalars) and not check_module_map(bad, gens, scalars)
+    assert not check(bad)
+    monkeypatch.setattr(rings, "GATHER_BLOCK", 10 * len(good))
+    assert check(good) and not check(bad)
 
 
 def _colon_product_witness(ring: TableRing, classes) -> str:

@@ -15,10 +15,9 @@ import pytest
 
 import oracles
 from bowtie.classify import classify_submodule
-from bowtie.duplication import build_bowtie, product_submodule, restrict_scalars
+from bowtie.duplication import build_bowtie, product_submodule
 from bowtie.instances import InstanceSpec
 from bowtie.modules import (
-    ModuleMap,
     Submodule,
     TableModule,
     cyclic_masks,
@@ -43,19 +42,21 @@ import families
 from constructions import _additive_closure
 from families import duplications, family_modules, products
 
-TABLES = {TableRing: ("add", "mul", "neg"), TableModule: ("add", "act", "neg"),
-          ModuleMap: ("table",)}
+TABLES = {TableRing: ("add", "mul", "neg"), TableModule: ("add", "act", "neg")}
+
+
+def assert_table_stored(arr, size: int, what=None) -> None:
+    """arr is a read-only array in the narrow dtype of a carrier of this size."""
+    assert type(arr) is np.ndarray, what
+    assert not arr.flags.writeable, what
+    assert arr.dtype == narrow_dtype(0, size - 1), what
 
 
 def assert_tables_stored(obj):
-    """Each table of obj is a read-only array in its carrier's narrow dtype
-    (a map's target's), and obj holds nothing beyond its fields."""
-    size = obj.target.size if type(obj) is ModuleMap else obj.size
+    """Each table of obj is a read-only array in its carrier's narrow dtype,
+    and obj holds nothing beyond its fields."""
     for name in TABLES[type(obj)]:
-        arr = getattr(obj, name)
-        assert type(arr) is np.ndarray, (obj, name)
-        assert not arr.flags.writeable, (obj, name)
-        assert arr.dtype == narrow_dtype(0, size - 1), (obj, name)
+        assert_table_stored(getattr(obj, name), obj.size, (obj, name))
     assert vars(obj).keys() == {f.name for f in fields(obj)}, obj
 
 
@@ -110,8 +111,8 @@ def test_quotients_match_the_dict_oracle(module):
         assert (quo.size, quo.zero, quo.labels, quo.name) == (
             expected.size, expected.zero, expected.labels, expected.name)
         assert np.array_equal(quo.add, expected.add) and np.array_equal(quo.act, expected.act)
-        assert np.array_equal(proj.table, expected_proj.table)
-        assert_tables_stored(proj)
+        assert np.array_equal(proj, expected_proj)
+        assert_table_stored(proj, quo.size)
 
 
 @pytest.mark.parametrize("module", _modules(), ids=lambda m: m.name)
@@ -136,8 +137,9 @@ def test_duplication_and_restriction_rows(module):
     for inst in duplications(module, cap=64):
         assert_tables_stored(inst.bowtie_ring)
         assert_tables_stored(inst.bowtie_module)
-        for which in ("first", "second"):
-            assert_tables_stored(restrict_scalars(inst, which))
+        # the pair columns, through which the scalars of A><I act on M
+        assert_table_stored(inst.ring_pairs, module.ring.size)
+        assert_table_stored(inst.module_pairs, module.size)
 
 
 def test_parsed_document_tables():
@@ -247,6 +249,6 @@ def test_l8_hunt_derives_no_tuple_table_of_a_duplication(built_tables):
 
 def test_full_hunt_stores_each_table_as_one_array(built_tables):
     hunt(CorpusSpec(max_n=10))
-    assert len(built_tables) > 150
+    assert len(built_tables) > 120  # 145; 199 while L8 built two restricted modules each
     for obj in built_tables:
         assert_tables_stored(obj)

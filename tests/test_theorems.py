@@ -12,7 +12,6 @@ from bowtie import theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
-    ModuleMap,
     Submodule,
     is_cyclic,
     ring_as_module,
@@ -153,6 +152,43 @@ def test_L8_fails_on_swapped_kernels(monkeypatch):
     assert "induced map M><I / (0 x IM) -> M is not bijective" in problems
 
 
+def _swap_one_and_two(f, target):  # a bijection of the target fixing 0, not additive
+    perm = np.arange(target.size)
+    perm[[1, 2]] = [2, 1]
+    return perm.take(f)
+
+
+def _double(f, target):  # x -> 2x, a module map onto 2T, which is not T
+    return target.add[f, f]
+
+
+@pytest.mark.parametrize("which,mutate,detail", [
+    ("first projection", _swap_one_and_two,
+     "first projection is not a module map;"
+     " induced map M><I / (0 x IM) -> M is not bijective"),
+    ("first projection", _double,
+     "first projection is not surjective; kernel of the first projection is not 0 x IM;"
+     " induced map M><I / (0 x IM) -> M is not bijective"),
+    ("coset projection", _swap_one_and_two,
+     "coset projection is not a module map;"
+     " induced map M><I / (IM x IM) -> M/IM is not bijective"),
+    ("coset projection", _double,
+     "coset projection is not surjective; kernel of the coset projection is not IM x IM;"
+     " induced map M><I / (IM x IM) -> M/IM is not bijective"),
+], ids=["first-swap", "first-double", "coset-swap", "coset-double"])
+def test_L8_fails_on_a_broken_projection(which, mutate, detail, monkeypatch):
+    # Z8 with I = {0,4}: M = Z8 and M/IM = Z4, so both targets have a 1 and a 2
+    # and neither is its own double; the named map is composed with the mutation
+    real = theorems._quotient_iso
+
+    def mutated(ctx, f, target, name, *rest):
+        return real(ctx, mutate(f, target) if name == which else f, target, name, *rest)
+
+    monkeypatch.setattr(theorems, "_quotient_iso", mutated)
+    row = run_checker(make_zn_instance(8, [0, 4]), "L8", None)
+    assert (row.outcome, row.detail) == ("fail", detail)
+
+
 def _swap_two_sums(q, proj):
     add = q.add.copy()
     add[1, [0, 1]] = add[1, [1, 0]]  # 1 + 0 is no longer 1
@@ -160,16 +196,16 @@ def _swap_two_sums(q, proj):
 
 
 def _miss_a_coset(q, proj):  # coset 1 joins coset 0
-    return q, ModuleMap(proj.source, q, np.where(proj.table == 1, 0, proj.table))
+    return q, np.where(proj == 1, 0, proj)
 
 
 def _past_the_last_coset(q, proj):  # coset 1 is sent to q, which no coset is
-    return q, ModuleMap(proj.source, q, np.where(proj.table == 1, q.size, proj.table))
+    return q, np.where(proj == 1, q.size, proj)
 
 
 def _below_coset_zero(q, proj):  # -1, which numpy would read as the last coset
-    table = proj.table.astype(np.int64)
-    return q, ModuleMap(proj.source, q, np.where(table == q.size - 1, -1, table))
+    table = proj.astype(np.int64)
+    return q, np.where(table == q.size - 1, -1, table)
 
 
 @pytest.mark.parametrize("breaks", [_swap_two_sums, _miss_a_coset, _past_the_last_coset,
@@ -193,10 +229,10 @@ def test_L8_fails_when_f_does_not_factor_through_the_projection(monkeypatch):
         q, proj = real(self, s)
         if s != self.distinguished[0]:
             return q, proj
-        table = proj.table.copy()
+        table = proj.copy()
         assert self.inst.bowtie_module.labels[3] == "(1,3)" and table[3] == 1
         table[3] = 0
-        return q, ModuleMap(proj.source, q, table)
+        return q, table
 
     monkeypatch.setattr(Instance, "quotient", moved)
     row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
