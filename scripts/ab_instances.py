@@ -21,7 +21,16 @@ each operation; each side keeps its median time per task. The script prints
 the ratio change/parent of the sums of those medians, of the median task and
 of the tail task: perfbench's ``verdict_tail_ms`` statistic (``tail`` in
 ``perfbench/run.py``, the highest whole percentile with at least ten tasks
-above it, by nearest rank) over each side's per-task medians.
+above it, by nearest rank) over each side's per-task medians. Last it prints
+each side's per-round sums (the time of every task in one round) as their
+median and quartiles, and in how many rounds the change's sum was lower, so
+that the rule for claiming a gain (lower in nine pairs of ten, medians
+further apart than the parent's interquartile range) can be read here first.
+Each task's time in those sums is scaled by the median probe over the probe
+just before it, as perfbench scales an operation: unscaled, a shared
+machine's load moves whole rounds, and the parent's quartiles spread too
+wide for the rule to hold even for a gain that perfbench confirms
+(BENCH_39.json records one change read both ways).
 
 Within a hunt the tasks on one Z_n share the memos kept on its regular
 module. The tasks here run in hunt's order, n ascending, so each pass
@@ -117,6 +126,14 @@ def make_tasks(pkg, workload: str, paths: list[str]):
     return doc_tasks(pkg, paths)
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile; one value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def timed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -158,11 +175,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"task {i}: report lines differ", file=sys.stderr)
                 return 1
         times: list[list[list[float]]] = [[[] for _ in sides[0]] for _ in sides]
+        probes: list[list[list[float]]] = [[[] for _ in sides[0]] for _ in sides]
         for rnd in range(args.rounds):
             for i, pair in enumerate(zip(*sides)):
                 first = (i + rnd) % 2
                 for side in (first, 1 - first):
-                    probe()
+                    probes[side][i].append(probe())
                     times[side][i].append(timed(pair[side]))
 
     medians = [[statistics.median(t) for t in side] for side in times]
@@ -177,6 +195,15 @@ def main(argv: list[str] | None = None) -> int:
           f" ratio {middle[1] / middle[0]:.3f}")
     print(f"p{tails[0][0]} task: parent {tails[0][1] * 1e3:.3f} ms,"
           f" change {tails[1][1] * 1e3:.3f} ms, ratio {tails[1][1] / tails[0][1]:.3f}")
+    # each task's time at the median probe's speed, as perfbench scales it
+    speed = statistics.median(p for side in probes for task in side for p in task)
+    rounds = [[sum(t[rnd] * speed / p[rnd] for t, p in zip(*side)) for rnd in range(args.rounds)]
+              for side in zip(times, probes)]
+    (p1, p2, p3), (c1, c2, c3) = map(quartiles, rounds)
+    lower = sum(c < p for p, c in zip(*rounds))
+    print(f"per-round sums: parent {p2:.4f} s (q1 {p1:.4f}, q3 {p3:.4f}),"
+          f" change {c2:.4f} s (q1 {c1:.4f}, q3 {c3:.4f}),"
+          f" change lower in {lower} of {args.rounds} rounds")
     return 0
 
 

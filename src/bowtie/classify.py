@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .rings import (
-    Ideal, TableRing, bits, ideal_of, inside, lowest_bit, mask_of, memo, principal_masks, radical,
+    Ideal, TableRing, bits, ideal_of, inside, lex_key, lowest_bit, mask_of, memo, principal_masks,
+    radical,
 )
 from .modules import Submodule, TableModule, colon_mask, cosets
 
@@ -287,9 +288,10 @@ def is_weakly_prime_submodule_behboodi(n: Submodule, submodules: list[Submodule]
     mod = n.module
     reps = mask_of(cosets(n)[1].tolist())  # the least member of each coset
     nm = n.mask
+    width = (mod.size + 7) // 8
     above = sorted(
         (k.mask for k in submodules if k.mask & nm == nm),
-        key=lambda k: (k.bit_count(), bits(k & reps)),
+        key=lambda k: (k.bit_count(), lex_key(k & reps, width)),
     )
     anns = ((i, colon_mask(n.classes, k)) for i, k in enumerate(above) if i)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
-    ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, narrow_dtype, row_block,
-    row_images, subgroup_sum,
+    ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, memo, narrow_dtype,
+    row_block, row_images, subgroup_sum,
 )
 from .modules import Submodule, TableModule, zero_submodule
 
@@ -53,10 +53,24 @@ def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
     return Submodule.from_mask(module, subgroup_sum(module.add, module.zero, pieces))
 
 
+def im_submodule(ideal: Ideal, module: TableModule) -> Submodule:
+    """I*M as predicted_sizes and build_bowtie read it. When M is the regular
+    module of A (it acts by the ring's own ``mul``), IM = IA = I; else it is
+    product_submodule's, summed once per (M, I) and kept on M as its mask."""
+    if ideal.ring is not module.ring:
+        raise ValueError("ideal and module are over different rings")
+    if module.table_owner is ideal.ring:
+        return Submodule.from_mask(module, ideal.mask)
+    return Submodule.from_mask(module, memo(module, "im", ideal.mask, _im_mask, ideal, module))
+
+
+def _im_mask(ideal: Ideal, module: TableModule) -> int:
+    return product_submodule(ideal, module).mask
+
+
 def predicted_sizes(ring: TableRing, ideal: Ideal, module: TableModule) -> tuple[int, int]:
     """(|A join I|, |M join I|) without building anything large."""
-    im = product_submodule(ideal, module)
-    return ring.size * len(ideal), module.size * len(im)
+    return ring.size * len(ideal), module.size * len(im_submodule(ideal, module))
 
 
 def table_bytes(ring: TableRing, module: TableModule, ring_size: int, module_size: int) -> int:
@@ -140,8 +154,7 @@ def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieIn
     if module.ring is not ring:
         raise ValueError("module is over a different ring")
     regular = module.table_owner is ring
-    im = (Submodule.from_mask(module, ideal.mask, ideal.members) if regular
-          else product_submodule(ideal, module))
+    im = im_submodule(ideal, module)
 
     n = ring.size
     # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -54,7 +55,11 @@ def _require(cond: bool, where: str, msg: str) -> None:
 
 def _as_matrix(obj: Any, where: str) -> list[list[int]]:
     _require(isinstance(obj, list) and obj, where, "expected a nonempty matrix")
-    for r, row in enumerate(obj):
+    # the types of the rows, then of every entry, each in one pass in C; a
+    # bool, whose type is not int, fails as a float does
+    if set(map(type, obj)) == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
+        return obj
+    for r, row in enumerate(obj):  # name the first offending row or entry
         _require(isinstance(row, list), f"{where}[{r}]", "expected a list")
         if not all(type(v) is int for v in row):
             c = next(c for c, v in enumerate(row) if type(v) is not int)
@@ -65,12 +70,15 @@ def _as_matrix(obj: Any, where: str) -> list[list[int]]:
 def _table_labels(body: dict, k: int, where: str) -> tuple[str, ...]:
     labels = body.get("labels", [str(i) for i in range(k)])
     _require(isinstance(labels, list) and len(labels) == k
-             and all(isinstance(s, str) for s in labels),
+             and all(map(isinstance, labels, repeat(str))),
              f"{where}.labels", f"expected {k} strings")
     _require(len(set(labels)) == k, f"{where}.labels", "labels must be distinct")
-    # element references are read with their spaces removed
-    spaced = next((s for s in labels if any(c.isspace() for c in s)), None)
-    _require(spaced is None, f"{where}.labels", f"label {spaced!r} contains whitespace")
+    # element references are read with their spaces removed; str.split drops
+    # exactly the characters str.isspace names
+    joined = "".join(labels)
+    if "".join(joined.split()) != joined:
+        spaced = next(s for s in labels if any(c.isspace() for c in s))
+        raise SpecError(f"{where}.labels: label {spaced!r} contains whitespace")
     _require(isinstance(body.get("name", ""), str), f"{where}.name", "expected a string")
     return tuple(labels)
 
@@ -255,10 +263,10 @@ class InstanceSpec:
     def from_path(path: str | Path) -> "InstanceSpec":
         p = Path(path)
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(p.read_bytes().decode("utf-8-sig"))
         except OSError as exc:
             raise SpecError(f"cannot read {p}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError(f"{p}: not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SpecError(f"{p}: JSON nested too deeply to parse") from exc

@@ -1,9 +1,9 @@
 """Finite unital modules over a TableRing.
 
 A module is an addition table plus a scalar-action table (ring index x
-module index). A submodule is stored as its bitmask, with its members
-read off it in ascending order, so every enumeration and witness is
-reproducible; the scalar classes of the preimage masks
+module index). A submodule is stored as its bitmask, its members read
+off it in ascending order when first asked for, so every enumeration and
+witness is reproducible; the scalar classes of the preimage masks
 pre[a] = {x : a*x in N} are computed once per distinct N and action
 table, and colons are read off them. The lattice is enumerated on masks
 too: the cyclic submodules come from one packed table, and each distinct
@@ -36,12 +36,16 @@ from .rings import (
     carrier_table,
     class_rows,
     derived,
+    generated_mask,
     ideal_of,
+    in_range,
+    inside,
+    inside_rows,
+    lex_key,
     memo,
     principal_masks,
     row_block,
     row_images,
-    subgroup_sum,
     subset_classes,
     table_array,
 )
@@ -115,17 +119,17 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
     radd = module.ring.add
     rmul = module.ring.mul
     idx = np.arange(k, dtype=np.int32)
-    if add.shape != (k, k) or add.min() < 0 or add.max() >= k:
+    if add.shape != (k, k) or not in_range(add, k):
         raise RingAxiomError("module add is not a total operation")
-    if act.shape != (r, k) or act.min() < 0 or act.max() >= k:
+    if act.shape != (r, k) or not in_range(act, k):
         raise RingAxiomError("action table has the wrong shape")
-    if not np.array_equal(add, add.T):
+    if not (add == add.T).all():
         raise RingAxiomError("module add is not commutative")
-    if not np.array_equal(add[module.zero], idx):
+    if not (add[module.zero] == idx).all():
         raise RingAxiomError("module zero is not an identity")
-    if not np.all((add == module.zero).any(axis=1)):
+    if not (add == module.zero).any(axis=1).all():
         raise RingAxiomError("some module element has no additive inverse")
-    if not np.array_equal(act[module.ring.one], idx):
+    if not (act[module.ring.one] == idx).all():
         raise RingAxiomError("action is not unital")
     points = [module.zero, *_additive_generators(module.add, module.zero)]
     if not _associative_at(add, points):
@@ -134,15 +138,15 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
     # (g, r, s) arrays, gathered as whole rows where the tables allow
     by_element = np.ascontiguousarray(act.T)  # by_element[m, r] = rm
     # (m+g)r == mr + gr
-    if not np.array_equal(by_element.take(add[points], axis=0),
-                          _sums_at(add, by_element[None], by_element[points][:, None])):
+    if not (by_element.take(add[points], axis=0)
+            == _sums_at(add, by_element[None], by_element[points][:, None])).all():
         raise RingAxiomError("action is not additive in the module argument")
     cols = by_element[points]  # cols[g, r] = rg
     # (r+s)g == rg + sg
-    if not np.array_equal(cols.take(radd, axis=1), _sums_at(add, cols[:, :, None], cols[:, None])):
+    if not (cols.take(radd, axis=1) == _sums_at(add, cols[:, :, None], cols[:, None])).all():
         raise RingAxiomError("action is not additive in the scalar argument")
     # (rs)g == r(sg), as (g, s, r) arrays
-    if not np.array_equal(cols.take(rmul.T, axis=1), by_element.take(cols, axis=0)):
+    if not (cols.take(rmul.T, axis=1) == by_element.take(cols, axis=0)).all():
         raise RingAxiomError("action does not respect ring multiplication")
 
 
@@ -154,9 +158,9 @@ class Submodule(Subset):
     def __init__(self, module: TableModule, members: Iterable[int]):
         self._check(module, members, module.act, module.ring.labels, "action-closed")
 
-    def _store(self, module: TableModule, mask: int, members: tuple[int, ...]) -> None:
+    def _store(self, module: TableModule, mask: int, members: tuple[int, ...] | None) -> None:
         self.module = self.over = module
-        self.mask, self.members = mask, members
+        self.mask, self._members = mask, members
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
@@ -182,11 +186,11 @@ def ring_as_module(ring: TableRing) -> TableModule:
 
 
 def zero_submodule(module: TableModule) -> Submodule:
-    return Submodule.from_mask(module, 1 << module.zero, (module.zero,))
+    return Submodule.from_mask(module, 1 << module.zero)
 
 
 def whole_submodule(module: TableModule) -> Submodule:
-    return Submodule.from_mask(module, (1 << module.size) - 1, range(module.size))
+    return Submodule.from_mask(module, (1 << module.size) - 1)
 
 
 def cyclic_masks(module: TableModule) -> tuple[int, ...]:
@@ -207,14 +211,8 @@ def scalar_images(module: TableModule) -> tuple[int, ...]:
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:
     """The sum of the cyclic submodules of the generators."""
-    cyclic = cyclic_masks(module)
-    pieces = []
-    for g in gens:
-        g = int(g)
-        if not 0 <= g < module.size:
-            raise ValueError(f"generator index {g} out of range")
-        pieces.append(cyclic[g])
-    return Submodule.from_mask(module, subgroup_sum(module.add, module.zero, pieces))
+    return Submodule.from_mask(
+        module, generated_mask(module.add, module.zero, cyclic_masks(module), gens))
 
 
 class LatticeLimitError(ValueError):
@@ -241,11 +239,11 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
     found, a join ORs the cosets y + C, cached across the K, or the cosets
     y + K when C is small against K; from then on _join_wide joins C onto
     every K at once. Finding more than ``limit`` submodules raises
-    LatticeLimitError.
+    LatticeLimitError. The found set holds masks; a member list is decoded
+    only where a join reads one.
     """
-    found = {1 << module.zero: [module.zero]}  # mask -> sorted members
-    if limit is not None and len(found) > limit:
-        raise LatticeLimitError(f"more than {limit} submodules")
+    found: set[int] = set()
+    _found(found, 1 << module.zero, limit)
     add = module.add
     cyclics = sorted(dict.fromkeys(cyclic_masks(module)), key=int.bit_count)
     for i, c in enumerate(cyclics):
@@ -254,26 +252,32 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
             break
         if c in found:
             continue
-        c_members, translates = bits(c), {}
-        for k, k_members in list(found.items()):
+        c_members, c_size, translates = bits(c), c.bit_count(), {}
+        for k in list(found):
             if c & ~k:
-                joined = (_join(add, k, k_members, c, {})
-                          if len(c_members) * (c & k).bit_count() < len(k_members)
+                joined = (_join(add, k, bits(k), c, {})
+                          if c_size * (c & k).bit_count() < k.bit_count()
                           else _join(add, c, c_members, k, translates))
                 if joined not in found:
-                    found[joined] = bits(joined)
-                    if limit is not None and len(found) > limit:
-                        raise LatticeLimitError(f"more than {limit} submodules")
-    ordered = sorted(found.items(), key=lambda item: (len(item[1]), item[1]))
-    return [Submodule.from_mask(module, mask, members) for mask, members in ordered]
+                    _found(found, joined, limit)
+    width = (module.size + 7) // 8
+    ordered = sorted(found, key=lambda mask: (mask.bit_count(), lex_key(mask, width)))
+    return [Submodule.from_mask(module, mask) for mask in ordered]
+
+
+def _found(found: set[int], mask: int, limit: int | None) -> None:
+    """Add a new submodule's mask to the found set; LatticeLimitError once
+    that holds more than ``limit``."""
+    found.add(mask)
+    if limit is not None and len(found) > limit:
+        raise LatticeLimitError(f"more than {limit} submodules")
 
 
 def _join_wide(
-    module: TableModule, found: dict[int, list[int]], cyclics: Sequence[int],
-    limit: int | None,
+    module: TableModule, found: set[int], cyclics: Sequence[int], limit: int | None,
 ) -> None:
     """Join each cyclic onto every submodule found, adding the new joins to
-    ``found`` (mask -> sorted members).
+    ``found``.
 
     The found set is one boolean matrix, a row per submodule. For each C not
     yet found, K + C is the union of the cosets y + C over y in K, so the
@@ -284,16 +288,17 @@ def _join_wide(
     """
     add = module.add
     count = len(found)
-    rows = np.zeros((2 * count, module.size), dtype=bool)
-    for i, members in enumerate(found.values()):
-        rows[i, members] = True
+    # the found rows, unpacked straight into a matrix with room for as many
+    # again: a second count x size array held beside it raised the peak RSS
+    # of `hunt --max 64 --budget 4096` from 134 to 145 MB
+    rows = inside_rows([*found, *[0] * count], module.size)
     # the found rows by row key, so that only new rows become int masks
     seen = set(_row_keys(rows[:count]))
     for c in cyclics:
         if c in found:
             continue
         held = rows[:count]
-        c_members = np.array(bits(c))
+        c_members = inside(c, module.size).nonzero()[0]
         outside = held[~held.take(c_members, axis=1).all(axis=1)]
         # _cosets names each coset of C by its least member r, and its members
         # are the r + C[j]. grid lists the j-th member of every coset for each
@@ -307,11 +312,8 @@ def _join_wide(
         for i, key in enumerate(_row_keys(joined)):
             if key not in seen:
                 seen.add(key)
-                mask = _mask(key)
-                found[mask] = bits(mask)
                 new.append(i)
-                if limit is not None and len(found) > limit:
-                    raise LatticeLimitError(f"more than {limit} submodules")
+                _found(found, _mask(key), limit)
         if len(found) > len(rows):
             rows = np.concatenate([rows, np.zeros_like(rows)])
         rows[count:len(found)] = joined.take(new, axis=0)

@@ -120,6 +120,20 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+# Byte b with its bits reversed and complemented. Mapped through this, the
+# little-endian bytes of two masks with as many set bits compare as their
+# ascending member lists do: the lesser list holds the least element of the
+# symmetric difference, the lowest bit at which the two differ.
+_LEX_BYTES = bytes(0xFF ^ int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def lex_key(mask: int, width: int) -> bytes:
+    """A sort key, among masks with as many set bits, for the order of their
+    ascending member lists, read off the mask's ``width`` bytes without
+    listing its members."""
+    return mask.to_bytes(width, "little").translate(_LEX_BYTES)
+
+
 def _row_keys(hits: np.ndarray) -> list:
     """Row i of a boolean matrix, all rows in one conversion: the mask of its
     True columns up to 64 columns, its little-endian bytes beyond."""
@@ -146,6 +160,14 @@ def inside(mask: int, size: int) -> np.ndarray:
     vector: the one conversion of a subset into numpy."""
     packed = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), np.uint8)
     return np.unpackbits(packed, count=size, bitorder="little").view(bool)
+
+
+def inside_rows(masks: Sequence[int], size: int) -> np.ndarray:
+    """inside(mask, size) for each mask, as the rows of one boolean matrix."""
+    width = (size + 7) // 8
+    packed = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in masks]), np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=size,
+                         bitorder="little").view(bool)
 
 
 def preimage_classes(table: np.ndarray, mask: int, size: int) -> tuple[tuple[int, int], ...]:
@@ -203,10 +225,7 @@ def subset_classes(owner: Any, table: np.ndarray, mask: int) -> tuple[tuple[int,
 def class_ids(classes: tuple[tuple[int, int], ...], size: int) -> np.ndarray:
     """Each scalar's index in its classes, the one expansion of classes into per-scalar
     values: the row of the set bit in each column of their scalar masks, unpacked."""
-    width = (size + 7) // 8
-    masks = b"".join([scalars.to_bytes(width, "little") for _p, scalars in classes])
-    member = np.frombuffer(masks, np.uint8).reshape(len(classes), width)
-    return np.unpackbits(member, axis=1, count=size, bitorder="little").argmax(axis=0)
+    return inside_rows([scalars for _p, scalars in classes], size).argmax(axis=0)
 
 
 def class_rows(classes: tuple[tuple[int, int], ...], size: int) -> tuple[int, ...]:
@@ -303,7 +322,7 @@ def _associative_at(op: np.ndarray, points: Sequence[int]) -> bool:
     (g, x, y) array t = (g.x).y, read off whole rows of op: (x.g).y is
     t[g, x, y] and x.(g.y) = (g.y).x is t[g, y, x]."""
     t = op.take(op[points], axis=0)
-    return np.array_equal(t, t.transpose(0, 2, 1))
+    return bool((t == t.transpose(0, 2, 1)).all())
 
 
 def _sums_at(add: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -311,6 +330,12 @@ def _sums_at(add: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray
     together, through one narrow flat index."""
     k = len(add)
     return add.ravel().take(left.astype(narrow_dtype(0, k * k - 1)) * k + right)
+
+
+def in_range(table: np.ndarray, size: int) -> bool:
+    """Whether every entry indexes a carrier of this size; table_array's
+    unsigned dtypes hold no negative entry."""
+    return (table.dtype.kind == "u" or table.min() >= 0) and table.max() < size
 
 
 def validate_ring(ring: TableRing, limit: int | None = None) -> None:
@@ -334,19 +359,19 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
     add = ring.add
     mul = ring.mul
     for tbl, op in ((add, "add"), (mul, "mul")):
-        if tbl.shape != (k, k) or tbl.min() < 0 or tbl.max() >= k:
+        if tbl.shape != (k, k) or not in_range(tbl, k):
             raise RingAxiomError(f"{op} table is not a total operation on the carrier")
-        if not np.array_equal(tbl, tbl.T):
+        if not (tbl == tbl.T).all():
             raise RingAxiomError(f"{op} is not commutative")
     idx = np.arange(k, dtype=np.int32)
-    if not np.array_equal(add[ring.zero], idx):
+    if not (add[ring.zero] == idx).all():
         raise RingAxiomError("zero is not an additive identity")
-    if not np.array_equal(mul[ring.one], idx):
+    if not (mul[ring.one] == idx).all():
         raise RingAxiomError("one is not a multiplicative identity")
     if k > 1 and ring.one == ring.zero:
         raise RingAxiomError("one equals zero in a nontrivial ring")
     # every row of add must reach zero (additive inverses)
-    if not np.all((add == ring.zero).any(axis=1)):
+    if not (add == ring.zero).any(axis=1).all():
         raise RingAxiomError("some element has no additive inverse")
     points = [ring.zero, *_additive_generators(ring.add, ring.zero)]
     if not _associative_at(add, points):
@@ -355,8 +380,8 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
     if not _associative_at(mul, points):
         raise RingAxiomError("mul is not associative")
     # (b+g)*a == b*a + g*a, as (g, b, a) arrays of whole rows
-    if not np.array_equal(mul.take(add[points], axis=0),
-                          _sums_at(add, mul[None], mul[points][:, None])):
+    if not (mul.take(add[points], axis=0)
+            == _sums_at(add, mul[None], mul[points][:, None])).all():
         raise RingAxiomError("mul does not distribute over add")
 
 
@@ -452,19 +477,28 @@ class Subset:
     """What an Ideal or a Submodule reads off its mask alone; its slot
     ``over`` holds the ring or the module it lives in.
 
-    A subset is stored once, as its mask, with its members ascending read
-    off it. Calling the class validates the members (the trust boundary);
-    constructions, which build subsets closed by theorem, call from_mask.
+    A subset is stored once, as its mask; its members ascending are read
+    off it on first use. Calling the class validates the members (the
+    trust boundary); constructions, which build subsets closed by theorem,
+    call from_mask.
     """
 
-    __slots__ = ("over", "members", "mask")
+    __slots__ = ("over", "mask", "_members")
 
     @classmethod
-    def from_mask(cls, over: Any, mask: int, members: Sequence[int] = ()) -> Subset:
-        """A subset known to be closed, from its mask (and sorted members, if at hand)."""
+    def from_mask(cls, over: Any, mask: int) -> Subset:
+        """A subset known to be closed, from its mask."""
         sub = cls.__new__(cls)
-        sub._store(over, mask, tuple(members or bits(mask)))
+        sub._store(over, mask, None)
         return sub
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The members, ascending, read off the mask once."""
+        members = self._members
+        if members is None:
+            members = self._members = tuple(bits(self.mask))
+        return members
 
     def _check(self, over: Any, members: Iterable[int], act: np.ndarray,
                scalars: Sequence[str], closed: str) -> None:
@@ -481,28 +515,28 @@ class Subset:
             if not 0 <= x < over.size:
                 raise ValueError(f"element index {x} out of range")
             mask |= 1 << x
-        members = bits(mask)
         if not mask >> over.zero & 1:
             raise ValueError(f"{type(self).__name__.lower()} must contain zero")
-        idx = np.array(members)
-        outside = ~inside(mask, over.size)
+        member = inside(mask, over.size)
+        idx = member.nonzero()[0]
+        outside = ~member
         sums = outside.take(over.add.take(idx, axis=0).take(idx, axis=1))
-        products = outside.take(act.take(idx, axis=1).T)  # products[i, s]: s*members[i]
+        products = outside.take(act.take(idx, axis=1).T)  # products[i, s]: s*idx[i]
         bad = sums.any(axis=1) | products.any(axis=1)
         if bad.any():
             i = int(bad.argmax())
             labels = over.labels
-            a = labels[members[i]]
+            a = labels[idx[i]]
             if sums[i].any():
-                b = labels[members[int(sums[i].argmax())]]
+                b = labels[idx[int(sums[i].argmax())]]
                 raise ValueError(f"not add-closed at ({a},{b})")
             s = scalars[int(products[i].argmax())]
             raise ValueError(f"not {closed} at {s}*{a}")
-        self._store(over, mask, tuple(members))
+        self._store(over, mask, tuple(idx.tolist()))
 
     @property
     def is_proper(self) -> bool:
-        return len(self.members) < self.over.size
+        return self.mask.bit_count() < self.over.size
 
     @property
     def is_zero(self) -> bool:
@@ -513,7 +547,7 @@ class Subset:
         return x >= 0 and self.mask >> x & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __eq__(self, other: object) -> bool:
         return (type(other) is type(self) and other.over is self.over
@@ -537,9 +571,9 @@ class Ideal(Subset):
     def __init__(self, ring: TableRing, members: Iterable[int]):
         self._check(ring, members, ring.mul, ring.labels, "absorbing")
 
-    def _store(self, ring: TableRing, mask: int, members: tuple[int, ...]) -> None:
+    def _store(self, ring: TableRing, mask: int, members: tuple[int, ...] | None) -> None:
         self.ring = self.over = ring
-        self.mask, self.members = mask, members
+        self.mask, self._members = mask, members
 
     @property
     def classes(self) -> tuple[tuple[int, int], ...]:
@@ -634,12 +668,21 @@ def principal_masks(ring: TableRing) -> tuple[int, ...]:
     return derived(ring, "principal_masks", row_images, ring.mul, ring.size)
 
 
+def generated_mask(add: np.ndarray, zero: int, cyclic: Sequence[int], gens: Iterable[int]) -> int:
+    """The sum of the cyclic pieces cyclic[g] of the generators, as a mask."""
+    pieces = []
+    for g in gens:
+        g = int(g)
+        if not 0 <= g < len(cyclic):
+            raise ValueError(f"generator index {g} out of range")
+        pieces.append(cyclic[g])
+    return subgroup_sum(add, zero, pieces)
+
+
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators: the sum of the principal
-    ideals gA, which are the cyclic submodules of the regular module."""
-    from .modules import ring_as_module, submodule_generated  # modules imports rings
-
-    return ideal_of(ring, submodule_generated(ring_as_module(ring), gens).mask)
+    ideals gA."""
+    return ideal_of(ring, generated_mask(ring.add, ring.zero, principal_masks(ring), gens))
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:
@@ -657,20 +700,19 @@ def radical(j: Ideal) -> Ideal:
 
 
 def _radical_mask(ring: TableRing, mask: int) -> int:
-    """The a with a**size in the ideal with this mask. In a finite ring the
-    powers of a repeat from some exponent below the carrier size on, and
-    that cycle holds a**size; it lies inside J as soon as any power of a does."""
-    powers = derived(ring, "top_powers", _top_powers, ring.mul, ring.size)
+    """The a with a**(2**t) in the ideal with this mask, for the least t with
+    2**t >= size. Some power of a lies in J exactly when the class of a in
+    A/J is nilpotent; its index of nilpotency is then at most |A/J| <= size,
+    so a**(2**t) lies in J."""
+    powers = derived(ring, "top_powers", _top_powers, ring.mul)
     return pack_rows(inside(mask, ring.size).take(powers)[None, :])[0]
 
 
-def _top_powers(mul: np.ndarray, e: int) -> np.ndarray:
-    """a**e for every a, by repeated squaring on the multiplication table."""
-    base = np.arange(len(mul))
-    acc = None
-    while e:
-        if e & 1:
-            acc = base if acc is None else mul[acc, base]
-        base = mul[base, base]
-        e >>= 1
-    return acc
+def _top_powers(mul: np.ndarray) -> np.ndarray:
+    """a**(2**t) for every a, 2**t the least power of two >= the carrier
+    size: t squarings, each a gather along mul's diagonal."""
+    square = mul.diagonal()
+    powers = np.arange(len(mul))
+    for _ in range((len(mul) - 1).bit_length()):
+        powers = square.take(powers)
+    return powers

@@ -153,8 +153,8 @@ class Instance:
     @cached_property
     def base_submodules(self) -> list[Submodule]:
         module, limit = self.inst.base_module, self.lattice_limit
-        lattice = memo(module, "lattice", limit, _lattice_pairs, module, limit)
-        return [Submodule.from_mask(module, mask, members) for mask, members in lattice]
+        lattice = memo(module, "lattice", limit, _lattice_masks, module, limit)
+        return [Submodule.from_mask(module, mask) for mask in lattice]
 
     @cached_property
     def bowtie_submodules(self) -> list[Submodule]:
@@ -218,9 +218,9 @@ class Instance:
         return memo(self, "quotient", s.mask, quotient_module, self.inst.bowtie_module, s)
 
 
-def _lattice_pairs(module: TableModule, limit: int | None) -> list[tuple[int, tuple[int, ...]]]:
-    """Lat(M) as (mask, members) pairs, which refer to no module."""
-    return [(n.mask, n.members) for n in enumerate_submodules(module, limit)]
+def _lattice_masks(module: TableModule, limit: int | None) -> list[int]:
+    """Lat(M) as masks, which refer to no module."""
+    return [n.mask for n in enumerate_submodules(module, limit)]
 
 
 def _npack(mod: TableModule, nb: Submodule) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bowtie
-from bowtie import cli, modules, theorems
+from bowtie import cli, duplication, modules, theorems
 from bowtie.cli import main
 
 # SHA-256 of the stdout of `bowtie hunt --max 12` (every checker, variant
@@ -412,7 +412,7 @@ def test_ab_instances_runs_with_one_checkout_on_both_sides(workload):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert re.fullmatch(rf"{workload}: \d+ tasks, 1 rounds, report lines identical", lines[0])
     assert re.fullmatch(r"sum of per-task medians: parent [\d.]+ s, change [\d.]+ s,"
                         r" ratio [\d.]+", lines[1])
@@ -422,6 +422,12 @@ def test_ab_instances_runs_with_one_checkout_on_both_sides(workload):
     p = {"l8-sweep": 84, "spec-docs": 88}[workload]
     assert re.fullmatch(rf"p{p} task: parent [\d.]+ ms, change [\d.]+ ms, ratio [\d.]+",
                         lines[3])
+    # each side's per-round sums, scaled by the probe, as their median and
+    # quartiles: one round is all three
+    sums = re.fullmatch(r"per-round sums: parent ([\d.]+) s \(q1 \1, q3 \1\),"
+                        r" change ([\d.]+) s \(q1 \2, q3 \2\), change lower in [01] of 1 rounds",
+                        lines[4])
+    assert sums, lines[4]
 
 
 def test_lattice_dot_output(z6_path, capsys, tmp_path):
@@ -545,20 +551,44 @@ def test_lattice_over_16_nodes_per_budget_element_is_refused(command, tmp_path, 
     p = tmp_path / "f2_6.json"
     p.write_text(json.dumps(_vector_space_doc(6)))
     found = []
-    real_bits = modules.bits
+    real_found = modules._found
 
-    def counting(mask):
+    def counting(found_set, mask, limit):
         found.append(mask)
-        return real_bits(mask)
+        return real_found(found_set, mask, limit)
 
-    # enumerate_submodules lists the members of each submodule it finds once
-    monkeypatch.setattr(modules, "bits", counting)
+    # enumerate_submodules adds each submodule it finds to its found set once
+    monkeypatch.setattr(modules, "_found", counting)
     assert main([command, str(p), "--budget", "64"]) == 4
     assert capsys.readouterr().err == (
         "bowtie: error: lattice of M exceeds 1024 submodules (16 x budget 64);"
         " raise --budget or BOWTIE_BUDGET\n")
     # the enumeration stopped at the 1025th submodule, not after all 2825
-    assert 1025 <= len(found) <= 1025 + 64
+    assert len(found) == len(set(found)) == 1025
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_im_is_summed_once_per_document_over_a_non_regular_module(command, tmp_path,
+                                                                  monkeypatch):
+    # the budget check and the duplication both read IM of a module that does
+    # not act by its ring's mul; product_submodule sums it once for both.
+    # verify also sums (0 x I)(M><I) on M><I, for the distinguished submodules
+    calls = []
+    real = duplication.product_submodule
+
+    def spy(ideal, module):
+        calls.append(module)
+        return real(ideal, module)
+
+    monkeypatch.setattr(duplication, "product_submodule", spy)
+    doc = _vector_space_doc(2)
+    doc["ideal_generators"] = ["1"]
+    p = tmp_path / "f2_2.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) in (0, 1)
+    base = [m for m in calls if m.size == 4]
+    assert len(base) == 1 and base[0].act is not base[0].ring.mul
+    assert len(calls) == {"classify": 1, "verify": 2}[command]
 
 
 def test_lattice_within_16_nodes_per_budget_element_is_drawn(tmp_path, capsys):

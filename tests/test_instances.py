@@ -125,6 +125,22 @@ def test_located_errors():
         InstanceSpec.from_path("/dev/null")
 
 
+def test_documents_are_read_as_utf8(tmp_path):
+    # a document is UTF-8: a byte order mark is skipped, and bytes that are
+    # not UTF-8 (UTF-16 included) are a SpecError, not a UnicodeDecodeError
+    doc = json.dumps({"ring": {"zn": 6}, "ideal_generators": ["3"], "module": "regular"})
+    p = tmp_path / "doc.json"
+    p.write_bytes(b"\xef\xbb\xbf" + doc.encode())
+    assert InstanceSpec.from_path(p) == InstanceSpec.from_dict(json.loads(doc), name="doc")
+    p.write_bytes(doc.encode().replace(b'"3"', b'"\xff"'))
+    with pytest.raises(SpecError, match=r": not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        InstanceSpec.from_path(p)
+    for encoding in ("utf-16", "utf-16-le", "utf-32"):
+        p.write_bytes(doc.encode(encoding))
+        with pytest.raises(SpecError, match=": not valid JSON: "):
+            InstanceSpec.from_path(p)
+
+
 def test_invalid_tables_are_located():
     with pytest.raises(SpecError, match="ring.tables"):
         InstanceSpec.from_dict({
@@ -217,6 +233,42 @@ def test_labels_with_whitespace_rejected(label):
             "module": {"tables": {"add": z2["add"], "act": [[0, 0], [0, 1]],
                                   "labels": ["zero", label]}},
         }).build()
+
+
+_Z2 = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("table, error", [
+    ({**_Z2, "add": [[0, True], [1, 0]]}, "ring.tables.add[0][1]: expected an integer"),
+    ({**_Z2, "mul": [[0, 0], [0, 1.5]]}, "ring.tables.mul[1][1]: expected an integer"),
+    ({**_Z2, "add": [[0, 1], 1]}, "ring.tables.add[1]: expected a list"),
+    ({**_Z2, "mul": [[0, 0.0], "01"]}, "ring.tables.mul[0][1]: expected an integer"),
+    ({**_Z2, "mul": [[0, 0], [0, 1], [None]]}, "ring.tables.mul[2][0]: expected an integer"),
+    ({**_Z2, "labels": ["0", "1\u00a0"]},
+     "ring.tables.labels: label '1\\xa0' contains whitespace"),
+    ({**_Z2, "labels": ["a\u2003b", "c d"]},
+     "ring.tables.labels: label 'a\\u2003b' contains whitespace"),
+])
+def test_malformed_ring_tables_name_the_first_offender(table, error):
+    with pytest.raises(SpecError) as exc:
+        InstanceSpec.from_dict({"ring": {"tables": table}, "ideal_generators": [],
+                                "module": "regular"}).build()
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("table, error", [
+    ({"add": [[0, 1], [1, False]]}, "module.tables.add[1][1]: expected an integer"),
+    ({"act": [[0, 0], [0, 1.5]]}, "module.tables.act[1][1]: expected an integer"),
+    ({"act": [[0, 0], {"1": 1}]}, "module.tables.act[1]: expected a list"),
+    ({"labels": ["0", "\u00a0"]}, "module.tables.labels: label '\\xa0' contains whitespace"),
+    ({"labels": ["\u2003", "1"]}, "module.tables.labels: label '\\u2003' contains whitespace"),
+])
+def test_malformed_module_tables_name_the_first_offender(table, error):
+    z2 = {"add": _Z2["add"], "act": [[0, 0], [0, 1]]}
+    with pytest.raises(SpecError) as exc:
+        InstanceSpec.from_dict({"ring": {"zn": 2}, "ideal_generators": [],
+                                "module": {"tables": {**z2, **table}}}).build()
+    assert str(exc.value) == error
 
 
 def test_table_entry_beyond_int32_rejected():

@@ -22,6 +22,7 @@ from bowtie.rings import (
     table_array,
     validate_ring,
 )
+from bowtie.modules import Submodule, enumerate_submodules, ring_as_module
 
 from constructions import (
     _additive_closure,
@@ -31,7 +32,7 @@ from constructions import (
     ideal_sum,
     quotient_ring,
 )
-from families import products
+from families import duplications, family_modules, products
 import oracles
 from oracles import brute_ideals, brute_radical
 
@@ -176,11 +177,26 @@ def test_radical_frozen_value_z16():
     assert radical(j).members == (0, 2, 4, 6, 8, 10, 12, 14)
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 65))
 def test_radical_matches_brute(n):
     ring = make_zn(n)
     for j in enumerate_ideals(ring):
         assert set(radical(j).members) == brute_radical(ring, set(j.members))
+
+
+def test_radical_matches_brute_on_the_family_rings():
+    # the products and quotient bases, and the duplications of their
+    # modules: rings that are not Z_n, with nilpotents of several indices
+    rings = {id(m.ring): m.ring for m in family_modules()}
+    for module in family_modules():
+        for inst in duplications(module, cap=64):
+            rings[id(inst.bowtie_ring)] = inst.bowtie_ring
+    checked = 0
+    for ring in rings.values():
+        for j in enumerate_ideals(ring):
+            assert set(radical(j).members) == brute_radical(ring, set(j.members)), (ring, j)
+            checked += 1
+    assert len(rings) >= 100 and checked >= 500
 
 
 @st.composite
@@ -256,6 +272,28 @@ def test_inside_matches_the_per_bit_oracle(size):
         assert got.dtype == bool and got.shape == (size,)
         assert got.tolist() == oracles.inside(mask, size)
         assert (~got).tolist() == [not b for b in oracles.inside(mask, size)]
+
+
+def test_members_len_and_is_proper_read_off_the_mask():
+    # a subset built from its mask alone decodes its members on first use,
+    # once; its size and properness come from the mask, before and after that
+    rng = random.Random(7)
+    for module in [ring_as_module(make_zn(n)) for n in (1, 2, 12, 64)] + family_modules():
+        size = module.size
+        masks = [n.mask for n in enumerate_submodules(module)]
+        masks += [1 << size - 1 | rng.getrandbits(size) | 1 for _ in range(3)]
+        for mask in masks:
+            for cls, over in ((Submodule, module), (Ideal, module.ring)):
+                if over.size != size:
+                    continue
+                expected = tuple(oracles.bits(mask, size))
+                for members_first in (False, True):
+                    sub = cls.from_mask(over, mask)
+                    if members_first:
+                        assert sub.members == expected
+                    assert len(sub) == len(expected)
+                    assert sub.is_proper == (len(expected) < size)
+                    assert sub.members == expected and sub.members is sub.members
 
 
 def test_bits_matches_the_per_bit_oracle():
