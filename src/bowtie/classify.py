@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .rings import (
-    Ideal, TableRing, bits, ideal_of, inside, lex_key, lowest_bit, mask_of, memo, principal_masks,
-    radical,
+    Ideal, TableRing, bits, ideal_of, inside, lex_key, lowest_bit, mask_of, memo, pack,
+    principal_masks, radical,
 )
 from .modules import Submodule, TableModule, colon_mask, cosets
 
@@ -123,17 +123,18 @@ def is_prime_ideal(j: Ideal) -> Verdict:
     its principal ideal aA meets the coset 1 + J. So the a outside J are
     scanned upwards against rings.principal_masks, and the first whose aA
     misses 1 + J is the least a of a violation; its least b outside J with
-    ab in J comes from row a of ``mul``. No scalar classes are packed.
+    ab in J comes from row a of ``mul``. No scalar classes are packed, and
+    J's members are not listed: 1 + J is the preimage of J under x -> x - 1.
     """
     _require_proper(j)
     ring = j.ring
-    one_coset = mask_of(ring.add[ring.one].take(j.members).tolist())
+    member = inside(j.mask, ring.size)
+    one_coset = pack(member.take(ring.add[:, ring.neg[ring.one]]))
     principal = principal_masks(ring)
     outside = ~j.mask & ((1 << ring.size) - 1)
     while outside:
         a = lowest_bit(outside)
         if not principal[a] & one_coset:
-            member = inside(j.mask, ring.size)
             b = int((member.take(ring.mul[a]) & ~member).argmax())
             return _ideal_verdict(j, (a, b))
         outside &= outside - 1

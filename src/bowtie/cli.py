@@ -3,9 +3,9 @@
 Exit codes
   0  success (verify: every applicable check passed)
   1  verify found at least one failing check
-  2  unusable input: spec parse error, unknown theorem id, negative
-     hunt --max, a BOWTIE_BUDGET that is not an integer, or an output
-     path that cannot be written
+  2  unusable input: spec parse error, unknown theorem id, a hunt --max
+     that is negative or above the budget, a BOWTIE_BUDGET that is not an
+     integer, or an output path that cannot be written
   3  improper submodule where a proper one is required
   4  instance exceeds the size budget (see BOWTIE_BUDGET), or the run
      ran out of memory within it
@@ -14,6 +14,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -28,10 +29,10 @@ from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
 from .modules import LatticeLimitError, Submodule
 from .rings import bits, ideal_of
 from .theorems import (
+    DEFAULT_BUDGET,
     READINGS,
     CorpusSpec,
     Instance,
-    default_budget,
     hunt,
     instance_rows,
     normalize_theorems,
@@ -46,28 +47,41 @@ EXIT_IMPROPER = 3
 EXIT_BUDGET = 4
 
 
-def _err(msg: str) -> None:
-    print(f"bowtie: error: {msg}", file=sys.stderr)
+class _Refused(Exception):
+    """_Refused(code, message): a run refused where the reason was found;
+    main prints the message and exits with the code."""
+
+
+@contextlib.contextmanager
+def _bad_input():
+    """A ValueError the library raises about an argument refuses the run (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Refused(EXIT_BAD_INPUT, str(exc)) from None
 
 
 class _Output:
     """Where a command's text goes, written whole: stdout when the path is
     None, else a temporary file beside the path, created at once so that
-    an unwritable directory is reported before any work. commit() renames
-    the file over the path; leaving the block without a commit, by an early
-    return or an error, removes it, so the path keeps its previous bytes."""
+    an unwritable path is refused before any work. commit() renames the
+    file over the path; leaving the block without a commit, by a refusal
+    or an error, removes it, so the path keeps its previous bytes."""
 
     def __init__(self, path: str | None):
         self.path = path
         if path is None:
             return
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        self.file = os.fdopen(fd, "w")
+        try:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+            self.file = os.fdopen(fd, "w")
+        except OSError as exc:
+            raise _Refused(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}") from None
 
     def __enter__(self) -> _Output:
         return self
@@ -87,15 +101,6 @@ class _Output:
         os.replace(self.tmp, self.path)
 
 
-def _open(path: str | None) -> _Output | None:
-    """The output for the path; None, after a message, when it cannot be written."""
-    try:
-        return _Output(path)
-    except OSError as exc:
-        _err(f"cannot write {path}: {exc.strerror or exc}")
-        return None
-
-
 def _add_spec_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("spec", nargs="?", metavar="SPEC.json",
                     help="instance document (JSON)")
@@ -106,67 +111,49 @@ def _add_spec_args(sp: argparse.ArgumentParser) -> None:
                          " (default: BOWTIE_BUDGET or 256)")
 
 
-def _load_spec(args: argparse.Namespace) -> InstanceSpec | int:
-    """The chosen instance spec, or an exit code after printing a message."""
-    if args.seed_corpus == "list":
-        for name in sorted(SEEDS):
-            print(name)
-        return EXIT_OK
+def _load_spec(args: argparse.Namespace) -> InstanceSpec:
+    """The chosen instance spec; main answers --seed-corpus list first."""
     if args.seed_corpus is not None and args.spec is not None:
-        _err("give either a spec file or --seed-corpus, not both")
-        return EXIT_BAD_INPUT
-    try:
-        if args.seed_corpus is not None:
-            return seed_spec(args.seed_corpus)
-        if args.spec is None:
-            _err("no instance given; pass SPEC.json or --seed-corpus NAME")
-            return EXIT_BAD_INPUT
-        return InstanceSpec.from_path(args.spec)
-    except SpecError as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
+        raise _Refused(EXIT_BAD_INPUT, "give either a spec file or --seed-corpus, not both")
+    if args.seed_corpus is not None:
+        return seed_spec(args.seed_corpus)
+    if args.spec is None:
+        raise _Refused(EXIT_BAD_INPUT, "no instance given; pass SPEC.json or --seed-corpus NAME")
+    return InstanceSpec.from_path(args.spec)
 
 
-def _budget(flag: int | None) -> int | None:
-    """--budget if given, else BOWTIE_BUDGET or 256; None (reported) if the
-    variable is not an integer."""
+def _budget(flag: int | None) -> int:
+    """--budget if given, else BOWTIE_BUDGET or 256."""
     if flag is not None:
         return flag
+    raw = os.environ.get("BOWTIE_BUDGET", "")
+    if not raw.strip():
+        return DEFAULT_BUDGET
     try:
-        return default_budget()
-    except ValueError as exc:
-        _err(str(exc))
-        return None
+        return int(raw)
+    except ValueError:
+        raise _Refused(EXIT_BAD_INPUT, f"BOWTIE_BUDGET must be an integer, got {raw!r}") from None
 
 
-def _over_budget(what: str, size: int | None, cap: int, note: str = "") -> bool:
+def _check_size(what: str, size: int | None, cap: int, note: str = "") -> None:
     if size is not None and size > cap:
-        _err(f"{what} = {size} exceeds the budget {cap}; raise --budget or BOWTIE_BUDGET{note}")
-        return True
-    return False
+        raise _Refused(EXIT_BUDGET, f"{what} = {size} exceeds the budget {cap};"
+                                    f" raise --budget or BOWTIE_BUDGET{note}")
 
 
-def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule] | int:
-    """Build the duplication under the budget; exit code on refusal."""
+def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]:
+    """Build the duplication under the budget."""
     cap = _budget(budget)
-    if cap is None:
-        return EXIT_BAD_INPUT
     # |A><I| >= |A| and |M><I| >= |M|: refuse a large ring before its tables
     # are built, and a large module table before it is read
-    if (_over_budget("|A|", declared_ring_size(spec.ring_desc), cap)
-            or _over_budget("|M|", declared_module_size(spec.module_desc), cap)):
-        return EXIT_BUDGET
-    try:
-        ring, ideal, module, sub = spec.build()
-    except SpecError as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
+    _check_size("|A|", declared_ring_size(spec.ring_desc), cap)
+    _check_size("|M|", declared_module_size(spec.module_desc), cap)
+    ring, ideal, module, sub = spec.build()
     ring_size, module_size = predicted_sizes(ring, ideal, module)
     tables = ("the tables of A><I and M><I would hold"
               f" {table_bytes(ring, module, ring_size, module_size)} bytes")
-    if (_over_budget("|M><I|", module_size, cap, f" ({tables})")
-            or _over_budget("|A><I|", ring_size, cap, f" ({tables})")):
-        return EXIT_BUDGET
+    _check_size("|M><I|", module_size, cap, f" ({tables})")
+    _check_size("|A><I|", ring_size, cap, f" ({tables})")
     name = spec.name or f"{ring.name}|I={ideal.label_set()}"
     # the per-N quantifiers cost |Lat| each, so the lattices are capped too
     limit = 16 * cap
@@ -176,12 +163,12 @@ def _build(spec: InstanceSpec, budget: int | None) -> tuple[Instance, Submodule]
             try:
                 getattr(ctx, lattice)
             except LatticeLimitError:
-                _err(f"lattice of {what} exceeds {limit} submodules (16 x budget {cap});"
-                     " raise --budget or BOWTIE_BUDGET")
-                return EXIT_BUDGET
+                raise _Refused(EXIT_BUDGET, f"lattice of {what} exceeds {limit} submodules"
+                                            f" (16 x budget {cap}); raise --budget or"
+                                            " BOWTIE_BUDGET") from None
     except MemoryError:
-        _err(f"out of memory building {name}: {tables}; lower --budget or BOWTIE_BUDGET")
-        return EXIT_BUDGET
+        raise _Refused(EXIT_BUDGET, f"out of memory building {name}: {tables};"
+                                    " lower --budget or BOWTIE_BUDGET") from None
     return ctx, sub
 
 
@@ -206,16 +193,10 @@ def _print_verdicts(title: str, verdicts: dict, keep: tuple[str, ...]) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if isinstance(spec, int):
-        return spec
-    built = _build(spec, args.budget)
-    if isinstance(built, int):
-        return built
-    ctx, n = built
+    ctx, n = _build(_load_spec(args), args.budget)
     if not n.is_proper:
-        _err(f"N = {n.label_set()} is not a proper submodule; nothing to classify")
-        return EXIT_IMPROPER
+        raise _Refused(EXIT_IMPROPER,
+                       f"N = {n.label_set()} is not a proper submodule; nothing to classify")
     variants = _variant_list(args.variant)
     sub_keep = ("prime", "primary", "irreducible") + tuple(
         f"weakly_prime_{v}" for v in variants
@@ -255,18 +236,9 @@ def _theorem_tokens(raw: list[str] | None) -> list[str] | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    if isinstance(spec, int):
-        return spec
-    tokens = _theorem_tokens(args.theorem)
-    try:
-        chosen = normalize_theorems(tokens)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
-    built = _build(spec, args.budget)
-    if isinstance(built, int):
-        return built
-    ctx, n = built
+    with _bad_input():
+        chosen = normalize_theorems(_theorem_tokens(args.theorem))
+    ctx, n = _build(spec, args.budget)
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
     rows = instance_rows(ctx, chosen, variants, readings, [n])
@@ -285,28 +257,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hunt(args: argparse.Namespace) -> int:
     budget = _budget(args.budget)
-    if budget is None:
-        return EXIT_BAD_INPUT
-    tokens = _theorem_tokens(args.theorem)
-    try:
-        chosen = normalize_theorems(tokens)
+    with _bad_input():
+        chosen = normalize_theorems(_theorem_tokens(args.theorem))
         corpus = CorpusSpec(family=args.family, max_n=args.max)
         corpus.check_budget(budget)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_BAD_INPUT
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
-    # opened before the sweep, so an unwritable path costs no hunt
-    out = _open(args.out)
-    if out is None:
-        return EXIT_BAD_INPUT
     header = (
         f"hunt family={corpus.family} max={corpus.max_n}"
         f" theorems={','.join(chosen)} variants={','.join(variants)}"
         f" readings={','.join(readings)} budget={budget}"
     )
-    with out:
+    # opened before the sweep, so an unwritable path costs no hunt
+    with _Output(args.out) as out:
         reports = hunt(corpus, chosen, variants, readings,
                        workers=args.workers, budget=budget)
         out.commit(serialize_reports(reports, header))
@@ -377,17 +340,9 @@ def _lattice_dot(ctx: Instance) -> tuple[str, int]:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    if isinstance(spec, int):
-        return spec
     # opened before the lattice is built, so an unwritable path costs nothing
-    out = _open(args.dot)
-    if out is None:
-        return EXIT_BAD_INPUT
-    with out:
-        built = _build(spec, args.budget)
-        if isinstance(built, int):
-            return built
-        ctx, _n = built
+    with _Output(args.dot) as out:
+        ctx, _n = _build(spec, args.budget)
         text, edges = _lattice_dot(ctx)
         out.commit(text)
     if args.dot:
@@ -458,16 +413,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: the one place that reports a refusal and picks the
+    exit code. Any other exception is a bug, and keeps its traceback."""
     args = _parser().parse_args(argv)
+    if getattr(args, "seed_corpus", None) == "list":
+        print("\n".join(sorted(SEEDS)))
+        return EXIT_OK
     try:
         return args.func(args)
+    except _Refused as exc:
+        code, message = exc.args
+    except SpecError as exc:
+        code, message = EXIT_BAD_INPUT, str(exc)
     except ImproperError as exc:
-        _err(str(exc))
-        return EXIT_IMPROPER
+        code, message = EXIT_IMPROPER, str(exc)
     except MemoryError:
         # a budget too large for this machine, past _build: say so, with no traceback
-        _err("out of memory; lower --budget or BOWTIE_BUDGET")
-        return EXIT_BUDGET
+        code, message = EXIT_BUDGET, "out of memory; lower --budget or BOWTIE_BUDGET"
+    print(f"bowtie: error: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rings import (
-    ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, memo, narrow_dtype,
+    ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, memo, narrow_dtype, pack,
     row_block, row_images, subgroup_sum,
 )
 from .modules import Submodule, TableModule, zero_submodule
@@ -97,8 +97,7 @@ def _pairs(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 def pairs_in(pairs: np.ndarray, component: int, mask: int, size: int) -> int:
     """The mask of the pairs whose component (0 the first, 1 the second)
     lies in the subset with this mask of a base carrier of this size."""
-    hits = np.packbits(inside(mask, size).take(pairs[:, component]), bitorder="little")
-    return int.from_bytes(hits.tobytes(), "little")
+    return pack(inside(mask, size).take(pairs[:, component]))
 
 
 def pair_generators(pairs: np.ndarray, zero: int) -> np.ndarray:

@@ -162,6 +162,11 @@ def inside(mask: int, size: int) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
+def pack(hits: np.ndarray) -> int:
+    """The mask of a boolean vector's True entries: inside's inverse."""
+    return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+
+
 def inside_rows(masks: Sequence[int], size: int) -> np.ndarray:
     """inside(mask, size) for each mask, as the rows of one boolean matrix."""
     width = (size + 7) // 8
@@ -705,7 +710,7 @@ def _radical_mask(ring: TableRing, mask: int) -> int:
     A/J is nilpotent; its index of nilpotency is then at most |A/J| <= size,
     so a**(2**t) lies in J."""
     powers = derived(ring, "top_powers", _top_powers, ring.mul)
-    return pack_rows(inside(mask, ring.size).take(powers)[None, :])[0]
+    return pack(inside(mask, ring.size).take(powers))
 
 
 def _top_powers(mul: np.ndarray) -> np.ndarray:

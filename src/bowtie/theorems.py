@@ -82,17 +82,6 @@ DEFAULT_BUDGET = 256
 Outcome = tuple[str, str]  # a checker's outcome (pass, fail or na) and detail
 
 
-def default_budget() -> int:
-    """The |M><I| cap, overridable through the BOWTIE_BUDGET variable."""
-    raw = os.environ.get("BOWTIE_BUDGET", "")
-    if raw.strip():
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(f"BOWTIE_BUDGET must be an integer, got {raw!r}") from exc
-    return DEFAULT_BUDGET
-
-
 class TheoremReport(NamedTuple):
     """One checker outcome on one instance.
 
@@ -901,7 +890,7 @@ def hunt(
     variants: Sequence[str] | None = None,
     readings: Sequence[str] | None = None,
     workers: int = 0,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
     """Run the selected checkers over the whole corpus, deterministically.
 
@@ -915,7 +904,6 @@ def hunt(
     chosen = normalize_theorems(theorems)
     variants = tuple(variants) if variants else VARIANTS
     readings = tuple(readings) if readings else READINGS
-    budget = default_budget() if budget is None else budget
     corpus.check_budget(budget)
     # the ideals of Z_n are the dZ_n for the divisors d of n, listed as
     # enumerate_ideals orders them: ascending size, so descending d

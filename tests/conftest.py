@@ -17,10 +17,11 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session", autouse=True)
 def _ignore_shell_budget():
-    """Run every test as if BOWTIE_BUDGET were unset in the caller's shell.
+    """Run the CLI tests as if BOWTIE_BUDGET were unset in the caller's shell.
 
-    Session scope, so that module fixtures calling hunt() already see the
-    default; tests of the variable set it themselves.
+    Only the CLI reads the variable: cli.main in process, and the children
+    that test_cli.py starts, which inherit this environment. Tests of the
+    variable set it themselves.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("BOWTIE_BUDGET", raising=False)

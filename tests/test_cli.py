@@ -755,6 +755,18 @@ def test_budget_env_var(z6_path):
     assert "exceeds the budget" in proc.stderr
 
 
+def test_budget_variable_sets_the_hunt_budget(monkeypatch, capsys):
+    monkeypatch.setenv("BOWTIE_BUDGET", "64")
+    assert main(["hunt", "--max", "2", "--theorem", "L1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" budget=64")
+    assert main(["hunt", "--max", "2", "--theorem", "L1", "--budget", "32"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" budget=32")
+    monkeypatch.setenv("BOWTIE_BUDGET", "x")
+    assert main(["hunt", "--max", "2", "--theorem", "L1"]) == 2
+    assert capsys.readouterr() == (
+        "", "bowtie: error: BOWTIE_BUDGET must be an integer, got 'x'\n")
+
+
 def test_budget_env_var_not_an_integer(z6_path):
     proc = _run_cli("classify", z6_path, BOWTIE_BUDGET="abc")
     assert (proc.returncode, proc.stderr) == (
@@ -782,3 +794,126 @@ def test_out_of_memory_exits_4_without_a_traceback(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         4, "", "bowtie: error: out of memory building z200: the tables of A><I and M><I"
         " would hold 6400000000 bytes; lower --budget or BOWTIE_BUDGET\n")
+
+
+# ------------------------------------------------------------- refusals
+#
+# Every way the CLI refuses a run, one row each: the argv and BOWTIE_BUDGET,
+# then the exit code and the exact stdout and stderr. In argv and in the
+# expected text, "@name" is a path: of the document REFUSAL_DOCS[name],
+# "@out" of an output file that already holds KEPT, which no row may change,
+# and "@missing" of a file in a directory that does not exist. oom names a
+# function of the cli module that is replaced by one raising MemoryError.
+
+KEPT = b"the previous output\n"
+
+SEED_LIST = "z12-prime\nz16-primary-not-prime\nz20-primary\nz6-remark\nz6-weakly-prime\n"
+
+REFUSAL_DOCS = {
+    "z6": Z6_SPEC,
+    "bad": "{",
+    "improper": {**Z6_SPEC, "submodule_generators": ["1"]},
+    "z2000": {"ring": {"zn": 2000}, "ideal_generators": [], "module": "regular"},
+    "f2-cubed": {"ring": {"zn": 2}, "ideal_generators": [],
+                 "module": {"tables": {"add": [[a ^ b for b in range(8)] for a in range(8)],
+                                       "act": [[0] * 8, list(range(8))]}}},
+    "z24-on-z2": {"ring": {"zn": 24}, "ideal_generators": ["1"],
+                  "module": {"tables": {"add": [[0, 1], [1, 0]],
+                                        "act": [[0, a % 2] for a in range(24)]}}},
+    "f2-6": _vector_space_doc(6),
+    "f2-4-on-f2": {**_vector_space_doc(4), "ideal_generators": ["1"]},
+}
+
+NO_INSTANCE = "no instance given; pass SPEC.json or --seed-corpus NAME"
+BAD_VARIABLE = "BOWTIE_BUDGET must be an integer, got 'abc'"
+RAISE = "; raise --budget or BOWTIE_BUDGET"
+Z6_TABLES = "the tables of A><I and M><I would hold 288 bytes"
+
+# id, argv, BOWTIE_BUDGET, oom, exit code, stdout, stderr
+REFUSALS = [
+    ("seed-list", ["classify", "--seed-corpus", "list"], None, None, 0, SEED_LIST, ""),
+    ("seed-list-before-all-else",
+     ["verify", "@z6", "--seed-corpus", "list", "--theorem", "NOPE"], "abc", None,
+     0, SEED_LIST, ""),
+    ("seed-list-writes-no-dot", ["lattice", "--seed-corpus", "list", "--dot", "@out"], "abc",
+     None, 0, SEED_LIST, ""),
+    ("spec-and-seed", ["classify", "@z6", "--seed-corpus", "z6-remark"], None, None,
+     2, "", "give either a spec file or --seed-corpus, not both"),
+    ("no-instance", ["lattice", "--dot", "@out"], None, None, 2, "", NO_INSTANCE),
+    ("unknown-seed", ["verify", "--seed-corpus", "nope"], None, None, 2, "",
+     "unknown seed 'nope'; built-ins: z12-prime, z16-primary-not-prime, z20-primary,"
+     " z6-remark, z6-weakly-prime"),
+    ("bad-json", ["classify", "@bad"], None, None, 2, "",
+     "@bad: not valid JSON: Expecting property name enclosed in double quotes:"
+     " line 1 column 2 (char 1)"),
+    ("verify-unknown-theorem", ["verify", "@z6", "--theorem", "NOPE"], None, None, 2, "",
+     "unknown theorem id 'NOPE'"),
+    ("hunt-unknown-theorem", ["hunt", "--theorem", "bogus", "--out", "@out"], None, None,
+     2, "", "unknown theorem id 'bogus'"),
+    ("hunt-negative-max", ["hunt", "--max", "-1", "--out", "@out"], None, None, 2, "",
+     "max_n must be nonnegative"),
+    ("hunt-max-above-budget", ["hunt", "--max", "300", "--out", "@out"], None, None, 2, "",
+     "max_n 300 exceeds the budget 256; every Z_n with n > 256 has |M><I| > 256"),
+    ("hunt-max-above-variable", ["hunt", "--max", "100"], "64", None, 2, "",
+     "max_n 100 exceeds the budget 64; every Z_n with n > 64 has |M><I| > 64"),
+    ("variable-classify", ["classify", "@z6"], "abc", None, 2, "", BAD_VARIABLE),
+    ("variable-verify", ["verify", "@z6"], "abc", None, 2, "", BAD_VARIABLE),
+    ("variable-hunt", ["hunt", "--max", "2", "--out", "@out"], "abc", None, 2, "",
+     BAD_VARIABLE),
+    ("variable-lattice", ["lattice", "@z6", "--dot", "@out"], "abc", None, 2, "",
+     BAD_VARIABLE),
+    ("size-A", ["classify", "@z2000"], None, None, 4, "",
+     "|A| = 2000 exceeds the budget 256" + RAISE),
+    ("size-M", ["lattice", "@f2-cubed", "--budget", "7", "--dot", "@out"], None, None, 4, "",
+     "|M| = 8 exceeds the budget 7" + RAISE),
+    ("size-MI", ["classify", "@z6", "--budget", "10"], None, None, 4, "",
+     f"|M><I| = 12 exceeds the budget 10{RAISE} ({Z6_TABLES})"),
+    ("size-AI", ["verify", "@z24-on-z2"], None, None, 4, "",
+     f"|A><I| = 576 exceeds the budget 256{RAISE}"
+     " (the tables of A><I and M><I would hold 1329424 bytes)"),
+    ("lattice-of-M", ["verify", "@f2-6"], "64", None, 4, "",
+     "lattice of M exceeds 1024 submodules (16 x budget 64)" + RAISE),
+    ("lattice-of-MI", ["lattice", "@f2-4-on-f2", "--dot", "@out"], None, None, 4, "",
+     "lattice of M><I exceeds 4096 submodules (16 x budget 256)" + RAISE),
+    ("oom-building", ["classify", "@z6"], None, "Instance", 4, "",
+     f"out of memory building z6: {Z6_TABLES}; lower --budget or BOWTIE_BUDGET"),
+    ("oom-after-building", ["lattice", "@z6", "--dot", "@out"], None, "classify_submodule",
+     4, "", "out of memory; lower --budget or BOWTIE_BUDGET"),
+    ("improper", ["classify", "@improper"], None, None, 3, "",
+     "N = {0,1,2,3,4,5} is not a proper submodule; nothing to classify"),
+    ("unwritable-out", ["hunt", "--max", "2", "--out", "@missing"], None, None, 2, "",
+     "cannot write @missing: No such file or directory"),
+    ("unwritable-dot", ["lattice", "@z6", "--dot", "@missing"], "abc", None, 2, "",
+     "cannot write @missing: No such file or directory"),
+    ("verify-instance-before-theorem", ["verify", "--theorem", "NOPE"], None, None, 2, "",
+     NO_INSTANCE),
+    ("verify-theorem-before-variable", ["verify", "@z6", "--theorem", "NOPE"], "abc", None,
+     2, "", "unknown theorem id 'NOPE'"),
+    ("hunt-variable-before-theorem", ["hunt", "--theorem", "bogus"], "abc", None, 2, "",
+     BAD_VARIABLE),
+    ("hunt-theorem-before-out", ["hunt", "--theorem", "bogus", "--out", "@missing"], None,
+     None, 2, "", "unknown theorem id 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("argv,variable,oom,code,out,err", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusals(argv, variable, oom, code, out, err, tmp_path, capsys, monkeypatch):
+    paths = {"out": tmp_path / "out" / "kept.txt", "missing": tmp_path / "missing" / "x.txt"}
+    paths["out"].parent.mkdir()
+    paths["out"].write_bytes(KEPT)
+    for name, doc in REFUSAL_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if variable is not None:
+        monkeypatch.setenv("BOWTIE_BUDGET", variable)
+    if oom is not None:
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, oom, out_of_memory)
+    at = lambda text: re.sub(r"@([\w-]+)", lambda m: str(paths[m[1]]), text)
+    assert main([at(a) for a in argv]) == code
+    assert capsys.readouterr() == (out, f"bowtie: error: {at(err)}\n" if err else "")
+    assert paths["out"].read_bytes() == KEPT
+    assert list(paths["out"].parent.iterdir()) == [paths["out"]]
+    assert not paths["missing"].parent.exists()

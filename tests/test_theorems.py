@@ -25,7 +25,6 @@ from bowtie.theorems import (
     CorpusSpec,
     Instance,
     TheoremReport,
-    default_budget,
     hunt,
     instance_rows,
     make_zn_instance,
@@ -301,14 +300,11 @@ def test_normalize_theorems():
         normalize_theorems(["nope"])
 
 
-def test_default_budget_env(monkeypatch):
-    monkeypatch.delenv("BOWTIE_BUDGET", raising=False)
-    assert default_budget() == 256
-    monkeypatch.setenv("BOWTIE_BUDGET", "64")
-    assert default_budget() == 64
-    monkeypatch.setenv("BOWTIE_BUDGET", "x")
-    with pytest.raises(ValueError):
-        default_budget()
+def test_hunt_does_not_read_the_budget_variable(monkeypatch):
+    # only the CLI reads BOWTIE_BUDGET; hunt's budget is its argument, 256 by default
+    expected = hunt(CorpusSpec(max_n=4))
+    monkeypatch.setenv("BOWTIE_BUDGET", "1")
+    assert hunt(CorpusSpec(max_n=4)) == expected
 
 
 def test_instance_rows_order(z6):
