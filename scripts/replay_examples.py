@@ -15,7 +15,7 @@ sys.path.insert(0, "src")  # allow running from a source checkout
 
 from bowtie.classify import VARIANTS, classify_ideal, classify_submodule, whole_colon
 from bowtie.instances import SEEDS, seed_spec
-from bowtie.rings import ideal_of
+from bowtie.rings import Ideal
 from bowtie.theorems import CHECKERS, READINGS, THEOREM_IDS, Instance, instance_rows
 
 # a seed is one (M, I, N): the checkers about M alone are left to the hunt
@@ -47,7 +47,7 @@ def replay(name: str) -> int:
         mark = "yes" if v.holds else f"no   [{v.witness_text}]"
         print(f"  {'colon ideal':14s} {pred:24s} {mark}")
 
-    base_colon = ideal_of(inst.base_module.ring, whole_colon(sub))
+    base_colon = Ideal.from_mask(inst.base_module.ring, whole_colon(sub))
     print(f"  colon (N : M)       = {base_colon.label_set()}")
 
     failures = 0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .rings import (
-    Ideal, TableRing, bits, ideal_of, inside, lex_key, lowest_bit, mask_of, memo, pack,
+    Ideal, TableRing, bits, inside, lex_key, lowest_bit, mask_of, memo, pack,
     principal_masks, radical,
 )
 from .modules import Submodule, TableModule, colon_mask, cosets
@@ -148,7 +148,7 @@ def ideal_is_prime(ring: TableRing, mask: int) -> Verdict:
 
 
 def _prime_verdict(ring: TableRing, mask: int) -> Verdict:
-    return is_prime_ideal(ideal_of(ring, mask))
+    return is_prime_ideal(Ideal.from_mask(ring, mask))
 
 
 def is_weakly_prime_ideal(j: Ideal) -> Verdict:
@@ -199,7 +199,7 @@ def is_weakly_prime_submodule_af(n: Submodule) -> Verdict:
 def is_primary_submodule(n: Submodule) -> Verdict:
     """a*x in N implies x in N or a in radical((N : M))."""
     _require_proper(n)
-    colon = ideal_of(n.module.ring, whole_colon(n))
+    colon = Ideal.from_mask(n.module.ring, whole_colon(n))
     hit = _first_violation(n.classes, radical(colon).mask, ~n.mask)
     return _submodule_verdict(n, hit, suffix=" and no power of a multiplies M into N")
 

@@ -27,7 +27,7 @@ from .duplication import detect_bowtie_form, predicted_sizes, table_bytes
 from .instances import (SEEDS, InstanceSpec, SpecError, declared_module_size,
                         declared_ring_size, seed_spec)
 from .modules import LatticeLimitError, Submodule
-from .rings import bits, ideal_of
+from .rings import Ideal, bits
 from .theorems import (
     DEFAULT_BUDGET,
     READINGS,
@@ -209,7 +209,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     print(f"N\t{n.label_set()}")
     print(f"N><I\t{nb.label_set()}")
     _print_verdicts("N in M", classify_submodule(n, ctx.base_submodules), sub_keep)
-    base_colon = ideal_of(inst.base_module.ring, whole_colon(n))
+    base_colon = Ideal.from_mask(inst.base_module.ring, whole_colon(n))
     print(f"members\t{base_colon.label_set()}")
     _print_verdicts("colon (N : M)", classify_ideal(base_colon), ideal_keep)
     _print_verdicts(

@@ -216,11 +216,7 @@ def _build_module(desc: Any, ring: TableRing, where: str = "module") -> TableMod
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """A parsed instance document in canonical form.
-
-    Round-trip contract: to_dict() of a parsed spec re-parses to a spec
-    that builds an identical quadruple.
-    """
+    """A parsed instance document in canonical form."""
 
     ring_desc: Any
     ideal_generators: tuple[str, ...]
@@ -271,18 +267,6 @@ class InstanceSpec:
         except RecursionError as exc:
             raise SpecError(f"{p}: JSON nested too deeply to parse") from exc
         return InstanceSpec.from_dict(data, name=p.stem)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "ring": self.ring_desc,
-            "ideal_generators": list(self.ideal_generators),
-            "module": self.module_desc,
-        }
-        if self.submodule_generators is not None:
-            out["submodule_generators"] = list(self.submodule_generators)
-        if self.name:
-            out["name"] = self.name
-        return out
 
     def build(self) -> Quadruple:
         ring = _build_ring(self.ring_desc)

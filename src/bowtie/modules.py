@@ -15,7 +15,7 @@ nodes on, each cyclic is joined onto all of them in one numpy gather.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .rings import (
     class_rows,
     derived,
     generated_mask,
-    ideal_of,
     in_range,
     inside,
     inside_rows,
@@ -338,9 +337,9 @@ def colon_mask(classes: tuple[tuple[int, int], ...], k_mask: int) -> int:
 
 
 def colon_into_ring(n: Submodule, k: Submodule) -> Ideal:
-    """The ideal {a in ring : a*K inside N}, interned on the ring."""
+    """The ideal {a in ring : a*K inside N}."""
     mod = _same_module(n, k)
-    return ideal_of(mod.ring, colon_mask(n.classes, k.mask))
+    return Ideal.from_mask(mod.ring, colon_mask(n.classes, k.mask))
 
 
 def colon_by_scalar(n: Submodule, a: int) -> Submodule:
@@ -349,23 +348,14 @@ def colon_by_scalar(n: Submodule, a: int) -> Submodule:
 
 
 def annihilator(k: Submodule) -> Ideal:
-    """(0 : K), interned on the ring, from the zero submodule's preimage table."""
+    """(0 : K), from the zero submodule's preimage table."""
     mod = k.module
-    return ideal_of(mod.ring, colon_mask(mod.zero_classes, k.mask))
+    return Ideal.from_mask(mod.ring, colon_mask(mod.zero_classes, k.mask))
 
 
-class CyclicResult(NamedTuple):
-    holds: bool
-    generator: int | None
-
-
-def is_cyclic(module: TableModule) -> CyclicResult:
-    """Whether one element generates everything; first generator if so."""
-    whole = (1 << module.size) - 1
-    for g, c in enumerate(cyclic_masks(module)):
-        if c == whole:
-            return CyclicResult(True, g)
-    return CyclicResult(False, None)
+def is_cyclic(module: TableModule) -> bool:
+    """Whether one element generates everything."""
+    return (1 << module.size) - 1 in cyclic_masks(module)
 
 
 def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ and the tests check the constructions against the axioms.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -571,7 +570,7 @@ class Subset:
 class Ideal(Subset):
     """A closed subset of a ring: contains zero, add-closed, absorbs mul."""
 
-    __slots__ = ("ring", "__weakref__")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: TableRing, members: Iterable[int]):
         self._check(ring, members, ring.mul, ring.labels, "absorbing")
@@ -585,26 +584,6 @@ class Ideal(Subset):
         """The scalar classes of pre[a] = {b : a*b in J}, computed once per
         distinct J in the ring's memo, which the regular module shares."""
         return subset_classes(self.ring, self.ring.mul, self.mask)
-
-
-# ----------------------------------------------------------- ideal memo
-#
-# Each ring keeps in its derived_cache one Ideal per mask in use, and the
-# radical and prime verdict (classify.ideal_is_prime) of each distinct
-# ideal, computed once however many submodules N lead to it. The verdicts
-# and radical masks refer to no ring, and the ideals are held weakly, so
-# the memo makes no reference cycle and a ring no longer in use is freed
-# at once, not by the cycle collector.
-
-
-def ideal_of(ring: TableRing, mask: int) -> Ideal:
-    """The ring's ideal with this member mask (a known ideal): one object per
-    mask while it is in use, so its scalar classes are packed once."""
-    ideals = derived(ring, "ideals", weakref.WeakValueDictionary)
-    j = ideals.get(mask)
-    if j is None:
-        j = ideals[mask] = Ideal.from_mask(ring, mask)
-    return j
 
 
 def _join(
@@ -687,21 +666,21 @@ def generated_mask(add: np.ndarray, zero: int, cyclic: Sequence[int], gens: Iter
 def ideal_generated(ring: TableRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators: the sum of the principal
     ideals gA."""
-    return ideal_of(ring, generated_mask(ring.add, ring.zero, principal_masks(ring), gens))
+    return Ideal.from_mask(ring, generated_mask(ring.add, ring.zero, principal_masks(ring), gens))
 
 
 def enumerate_ideals(ring: TableRing) -> list[Ideal]:
     """Every ideal: the submodules of the regular module, in (size, members) order."""
     from .modules import enumerate_submodules, ring_as_module  # modules imports rings
 
-    return [ideal_of(ring, n.mask) for n in enumerate_submodules(ring_as_module(ring))]
+    return [Ideal.from_mask(ring, n.mask) for n in enumerate_submodules(ring_as_module(ring))]
 
 
 def radical(j: Ideal) -> Ideal:
     """Elements with some power inside the ideal, computed once per distinct
     ideal of the ring."""
     ring = j.ring
-    return ideal_of(ring, memo(ring, "radicals", j.mask, _radical_mask, ring, j.mask))
+    return Ideal.from_mask(ring, memo(ring, "radicals", j.mask, _radical_mask, ring, j.mask))
 
 
 def _radical_mask(ring: TableRing, mask: int) -> int:

@@ -161,7 +161,7 @@ class Instance:
     @cached_property
     def faithful_cyclic(self) -> tuple[bool, bool]:
         """Whether M><I is faithful, and whether it is cyclic."""
-        return annihilator(self.bowtie_whole).is_zero, is_cyclic(self.inst.bowtie_module).holds
+        return annihilator(self.bowtie_whole).is_zero, is_cyclic(self.inst.bowtie_module)
 
     def bowtie(self, n: Submodule) -> Submodule:
         return memo(self, "bowtie", n.mask, bowtie_submodule, self.inst, n)
@@ -643,8 +643,9 @@ def check_T_final(ctx: Instance) -> Outcome:
     if inst.base_module.size == 1:
         return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
-    wp_base = memo(inst.base_module, "weakly_prime_module", ctx.lattice_limit,
-                   is_weakly_prime_module, inst.base_module, ctx.base_submodules)
+    # a fact of M alone; Lat(M) is built first, so a bounded Instance still refuses
+    wp_base = derived(inst.base_module, "weakly_prime_module", is_weakly_prime_module,
+                      inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = ctx.distinguished
     wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)

@@ -23,7 +23,7 @@ from bowtie import modules, rings, theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import build_bowtie, predicted_sizes
 from bowtie.modules import Submodule, TableModule, enumerate_submodules, ring_as_module
-from bowtie.rings import Ideal, enumerate_ideals, ideal_of, make_zn, pack_rows, preimage_classes
+from bowtie.rings import Ideal, enumerate_ideals, make_zn, pack_rows, preimage_classes
 from bowtie.theorems import (
     CHECKERS,
     READINGS,
@@ -207,7 +207,7 @@ def test_bowtie_of_a_regular_module_shares_the_rings_memo():
             ctx = make_zn_instance(n, ideal.members)
             mod, ring = ctx.inst.bowtie_module, ctx.inst.bowtie_ring
             for nb in ctx.bowtie_submodules:
-                assert nb.classes is ideal_of(ring, nb.mask).classes is _memo(ring)[nb.mask]
+                assert nb.classes is Ideal.from_mask(ring, nb.mask).classes is _memo(ring)[nb.mask]
             assert mod.zero_classes is _memo(ring)[1 << mod.zero]
             assert "classes" not in mod.derived_cache
 

@@ -1,10 +1,10 @@
 """The ring's ideal memo, the Azizi kernel that reads it, and irreducible.
 
-Every colon, annihilator and radical is the ring's interned ideal of its
-mask, and that ideal carries its prime verdict and its radical. Each must
-equal what ``is_prime_ideal`` and ``radical`` give on a fresh, unshared
-``Ideal`` of the same members, and a hunt computes each once per
-distinct ideal.
+Every colon, annihilator and radical is the ring's ideal of its mask, and
+the ring keeps that ideal's scalar classes, prime verdict and radical by
+mask, so every object for one mask shares them. Each must equal what
+``is_prime_ideal`` and ``radical`` give on a fresh ``Ideal`` of the same
+members, and a hunt computes each once per distinct ideal.
 
 Azizi tests each distinct proper colon (N : T) once. Its Verdicts, witness
 text included, must equal those of the pair loop over every scalar pair
@@ -16,12 +16,14 @@ Irreducible is checked against the literal quantifier over the powerset
 lattice (``oracles.brute_irreducible``) on modules of at most 16 elements.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from bowtie import classify, rings
-from bowtie.classify import ideal_is_prime, is_irreducible_submodule, is_prime_ideal
+from bowtie.classify import VARIANTS, ideal_is_prime, is_irreducible_submodule, is_prime_ideal
 from bowtie.duplication import build_bowtie
 from bowtie.modules import (
     annihilator,
@@ -33,11 +35,10 @@ from bowtie.modules import (
 from bowtie.rings import (
     Ideal,
     enumerate_ideals,
-    ideal_of,
     make_zn,
     radical,
 )
-from bowtie.theorems import CorpusSpec, hunt
+from bowtie.theorems import READINGS, THEOREM_IDS, CorpusSpec, Instance, hunt, instance_rows
 
 import oracles
 from families import duplications, family_modules
@@ -104,11 +105,13 @@ def _memo_agrees(ring) -> int:
     """Every ideal of the ring against fresh computations; the ideal count."""
     ideals = enumerate_ideals(ring)
     for j in ideals:
-        assert ideal_of(ring, j.mask) is j
+        assert Ideal.from_mask(ring, j.mask) == j
         fresh = Ideal(ring, j.members)
         assert fresh is not j and fresh == j
+        assert fresh.classes is j.classes
         rad = radical(fresh)
-        assert rad is radical(j)
+        assert rad == radical(j)
+        assert rad.mask is radical(j).mask is ring.derived_cache["radicals"][j.mask]
         assert set(rad.members) == oracles.brute_radical(ring, set(j.members))
         if j.is_proper:
             assert ideal_is_prime(ring, j.mask) is ideal_is_prime(ring, j.mask)
@@ -131,6 +134,8 @@ def test_ring_memo_on_family_duplications():
 
 
 def test_colons_and_annihilators_are_interned():
+    """Each colon and annihilator is the ring's ideal of its mask, and every
+    object for that mask shares its scalar classes."""
     z12 = make_zn(12)
     inst = build_bowtie(z12, Ideal(z12, [0, 4, 8]), ring_as_module(z12))
     mod = inst.bowtie_module
@@ -139,9 +144,38 @@ def test_colons_and_annihilators_are_interned():
     for n in subs:
         for k in subs:
             col = colon_into_ring(n, k)
-            assert col is ideal_of(ring, col.mask) is colon_into_ring(n, k)
-        assert annihilator(n) is ideal_of(ring, annihilator(n).mask)
-    assert colon_into_ring(subs[0], whole_submodule(mod)) is annihilator(whole_submodule(mod))
+            again = Ideal.from_mask(ring, col.mask)
+            assert col == again == colon_into_ring(n, k)
+            assert col.classes is again.classes
+        ann = annihilator(n)
+        again = Ideal.from_mask(ring, ann.mask)
+        assert ann == again and ann.classes is again.classes
+    assert colon_into_ring(subs[0], whole_submodule(mod)) == annihilator(whole_submodule(mod))
+
+
+def _every_fact(n: int, members: list[int]) -> list[weakref.ref]:
+    """Every checker's rows, and every ideal's radical in Z_n and A><I, on a
+    fresh Z_n><I; weak references to Z_n, A><I and the Instance."""
+    ring = make_zn(n)
+    ctx = Instance(ring, Ideal(ring, members), ring_as_module(ring))
+    assert instance_rows(ctx, THEOREM_IDS, VARIANTS, READINGS)
+    dup = ctx.inst.bowtie_ring
+    for r in (ring, dup):
+        for j in enumerate_ideals(r):
+            radical(j)
+    return [weakref.ref(ring), weakref.ref(dup), weakref.ref(ctx)]
+
+
+@pytest.mark.parametrize("n, members", [(12, [0, 4, 8]), (16, [0, 8]), (6, [0, 3])])
+def test_memos_leave_no_cycle_for_the_collector(n, members):
+    """Every memo refers to no ring, so the last strong reference frees the
+    rings and the Instance at once, with the cycle collector off."""
+    gc.disable()
+    try:
+        refs = _every_fact(n, members)
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_hunt_tests_each_ideal_once(monkeypatch):

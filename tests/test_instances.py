@@ -41,9 +41,8 @@ def test_submodule_generators():
 def test_round_trip_identical_quadruple(tmp_path):
     for name in SEEDS:
         spec = seed_spec(name)
-        data = spec.to_dict()
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(SEEDS[name]))
         reparsed = InstanceSpec.from_path(path)
         q1 = spec.build()
         q2 = reparsed.build()

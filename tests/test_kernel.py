@@ -136,7 +136,7 @@ def test_kernel_matches_oracles_beyond_cyclic(ring, module):
 
 def test_families_are_not_all_cyclic():
     # the family test reaches modules that one element does not generate
-    assert sum(not is_cyclic(m).holds for _, _, m in FAMILIES) >= 3
+    assert sum(not is_cyclic(m) for _, _, m in FAMILIES) >= 3
 
 
 def _chains_agree(module: TableModule) -> tuple[int, int, int]:

@@ -49,7 +49,6 @@ from bowtie.rings import (
     class_ids,
     class_rows,
     enumerate_ideals,
-    ideal_of,
     make_zn,
     mask_of,
     pack_rows,
@@ -200,7 +199,7 @@ def _agree_on_module(module: TableModule) -> int:
         if not n.is_proper:
             continue
         colon = colon_mask(n.classes, whole)
-        rad = radical(ideal_of(ring, colon)).mask
+        rad = radical(Ideal.from_mask(ring, colon)).mask
         _scans_agree(n.classes, pre, (colon, rad, 0, every_third), ~n.mask,
                      module.zero_pre, zero_old)
     return len(subs)

@@ -12,13 +12,15 @@ from bowtie import theorems
 from bowtie.classify import VARIANTS
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
+    LatticeLimitError,
     Submodule,
+    enumerate_submodules,
     is_cyclic,
     ring_as_module,
     whole_submodule,
     zero_submodule,
 )
-from bowtie.rings import enumerate_ideals, lowest_bit, make_zn
+from bowtie.rings import Ideal, enumerate_ideals, lowest_bit, make_zn
 from bowtie.theorems import (
     READINGS,
     THEOREM_IDS,
@@ -446,12 +448,28 @@ def test_p_faithful_hypotheses_once_per_instance(monkeypatch):
     assert len(asked) == len({id(m) for m in asked}) == 19
 
 
+def test_t_final_keys_the_verdict_on_m_by_m_alone():
+    """T_FINAL keeps M's weakly-prime-module verdict on M whatever the limit,
+    and reads Lat(M) first, so a bounded Instance over the same M refuses
+    rather than reading the verdict that an unbounded one left."""
+    ring = make_zn(12)
+    module = ring_as_module(ring)
+    ideal = Ideal(ring, [0, 6])
+    assert theorems.check_T_final(Instance(ring, ideal, module))[0] == "pass"
+    assert "weakly_prime_module" in module.derived_cache
+    bounded = Instance(ring, ideal, module, lattice_limit=3)
+    # Lat(M><I) as if it fit, so that only Lat(M), of 6 submodules, is over the limit
+    bounded.bowtie_submodules = enumerate_submodules(bounded.inst.bowtie_module)
+    with pytest.raises(LatticeLimitError):
+        theorems.check_T_final(bounded)
+
+
 def test_instance_keeps_the_facts_of_m_bowtie_i():
     for n in range(1, 13):
         for ideal in enumerate_ideals(make_zn(n)):
             ctx = make_zn_instance(n, ideal.members)
             mod = ctx.inst.bowtie_module
-            assert ctx.faithful_cyclic == (is_faithful(mod), is_cyclic(mod).holds)
+            assert ctx.faithful_cyclic == (is_faithful(mod), is_cyclic(mod))
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
