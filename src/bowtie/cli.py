@@ -3,9 +3,10 @@
 Exit codes
   0  success (verify: every applicable check passed)
   1  verify found at least one failing check
-  2  unusable input: spec parse error, unknown theorem id, a hunt --max
-     that is negative or above the budget, a BOWTIE_BUDGET that is not an
-     integer, or an output path that cannot be written
+  2  unusable input: spec parse error, unknown theorem id, a --theorem
+     selection that names no checker, a hunt --max that is negative or
+     above the budget, a BOWTIE_BUDGET that is not an integer, or an
+     output path that cannot be written
   3  improper submodule where a proper one is required
   4  instance exceeds the size budget (see BOWTIE_BUDGET), or the run
      ran out of memory within it
@@ -224,20 +225,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- verify
 
 
-def _theorem_tokens(raw: list[str] | None) -> list[str] | None:
-    """Flatten repeatable, comma-separable --theorem flags; None means all."""
-    if not raw:
-        return None
-    tokens = [t for arg in raw for t in arg.split(",") if t.strip()]
-    if any(t.lower() == "all" for t in tokens):
-        return None
-    return tokens
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     with _bad_input():
-        chosen = normalize_theorems(_theorem_tokens(args.theorem))
+        chosen = normalize_theorems(args.theorem)
     ctx, n = _build(spec, args.budget)
     variants = _variant_list(args.variant)
     readings = _reading_list(args.reading)
@@ -258,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hunt(args: argparse.Namespace) -> int:
     budget = _budget(args.budget)
     with _bad_input():
-        chosen = normalize_theorems(_theorem_tokens(args.theorem))
+        chosen = normalize_theorems(args.theorem)
         corpus = CorpusSpec(family=args.family, max_n=args.max)
         corpus.check_budget(budget)
     variants = _variant_list(args.variant)
@@ -373,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run theorem checkers on one instance")
     _add_spec_args(sp)
     sp.add_argument("--theorem", action="append", metavar="ID",
-                    help="theorem id, 'transfer-all', or 'all' (repeatable)")
+                    help="theorem ids, 'transfer-all' or 'all', comma-separated,"
+                         " in any case (repeatable; default all)")
     sp.add_argument("--variant", choices=VARIANTS + ("all",),
                     default="all")
     sp.add_argument("--reading", choices=READINGS + ("both",), default="both",
@@ -385,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=int, default=6, metavar="N",
                     help="largest modulus to sweep (default 6)")
     sp.add_argument("--theorem", action="append", metavar="ID",
-                    help="theorem id, 'transfer-all', or 'all' (repeatable)")
+                    help="theorem ids, 'transfer-all' or 'all', comma-separated,"
+                         " in any case (repeatable; default all)")
     sp.add_argument("--variant", choices=VARIANTS + ("all",),
                     default="all")
     sp.add_argument("--reading", choices=READINGS + ("both",), default="both")

@@ -690,20 +690,18 @@ def check_divergence(ctx: Instance) -> Outcome:
 class Checker:
     """How one checker runs. fn takes (ctx) when per_instance, otherwise
     (ctx, n, nb, variant, reading): N, the N><I that instance_rows derives
-    once per N, and the row's cell, whose variant and reading are "-"
-    unless varianted and readable. It returns (outcome, detail)."""
+    once per N, and the row's printed cell. It returns (outcome, detail)."""
 
     fn: Callable[..., Outcome]
     per_instance: bool = False  # once per (ring, ideal), independent of N
-    varianted: bool = False  # once per weakly-prime definition variant
+    variant: str | None = "-"  # the rows' variant column; None: once per selected variant
     readable: bool = False  # once per reading of the submodule quantifier
     improper_n: bool = False  # also run on N = M
-    variant_column: str = "-"  # the rows' variant column when not varianted
     about_m: bool = False  # per-instance, about M alone: keyed by N = 0 when M != 0
 
     def cells(self, variants: Sequence[str], readings: Sequence[str]) -> list[tuple[str, str]]:
-        """The (variant, reading) pairs this checker reports a row for."""
-        return [(v, r) for v in (variants if self.varianted else ("-",))
+        """The printed (variant, reading) of each row this checker reports."""
+        return [(v, r) for v in (variants if self.variant is None else (self.variant,))
                 for r in (readings if self.readable else ("-",))]
 
 
@@ -719,26 +717,26 @@ CHECKERS: dict[str, Checker] = {
     "P_PRIMARY": Checker(partial(check_transfer, notion="primary")),
     # weakly prime <=> every colon into a non-contained submodule is a prime
     # ideal; the reading selects the quantifier domain
-    "L3i": Checker(check_L3i, varianted=True, readable=True),
+    "L3i": Checker(check_L3i, variant=None, readable=True),
     # weakly prime => those colons form a chain
-    "L3ii": Checker(check_L3ii, varianted=True, readable=True),
+    "L3ii": Checker(check_L3ii, variant=None, readable=True),
     # prime <=> primary and weakly prime
-    "C_PPW": Checker(check_C_PPW, varianted=True),
+    "C_PPW": Checker(check_C_PPW, variant=None),
     # weakly prime <=> unequal element colons force the two-sum intersection
     # identity
-    "T4": Checker(check_T4, varianted=True),
+    "T4": Checker(check_T4, variant=None),
     # prime => (x in N><I or a(y,y') in N><I) whenever a(x,x') lands in N><I
     "R_T4": Checker(check_R_T4),
     # weakly prime => intersection identity, and irreducible => prime
-    "C_IRR": Checker(check_C_IRR, varianted=True),
+    "C_IRR": Checker(check_C_IRR, variant=None),
     # weakly prime <=> colon by a product of scalars equals the colon by one
     # factor
-    "L_COLON_PROD": Checker(check_L_colon_prod, varianted=True),
+    "L_COLON_PROD": Checker(check_L_colon_prod, variant=None),
     # probe: is (N><I : M><I) a weakly prime ideal (fail = counterexample)
     "R_CEX": Checker(check_R_CEX),
     # faithful cyclic M><I and weakly prime N><I => the colon is a weakly
     # prime ideal
-    "P_FAITHFUL": Checker(check_P_faithful, varianted=True),
+    "P_FAITHFUL": Checker(check_P_faithful, variant=None),
     # primary <=> every element colon outside N><I lies in the radical of the
     # big colon
     "L_RADICAL": Checker(check_L_radical),
@@ -750,7 +748,7 @@ CHECKERS: dict[str, Checker] = {
     "L8": Checker(check_L8, per_instance=True),
     # weakly-prime-module characterization of M><I and the 0 x IM submodule,
     # whose "weakly prime" is Behboodi's
-    "T_FINAL": Checker(check_T_final, per_instance=True, variant_column="behboodi"),
+    "T_FINAL": Checker(check_T_final, per_instance=True, variant="behboodi"),
     # probe: do the af and behboodi readings of "weakly prime" agree on the
     # zero submodule of M
     "DIVERGENCE": Checker(check_divergence, per_instance=True, about_m=True),
@@ -785,21 +783,33 @@ class CorpusSpec:
 
 
 def normalize_theorems(theorems: Iterable[str] | None) -> tuple[str, ...]:
+    """The checker ids a selection names, in registry order. Each value is
+    a comma list of ids, 'transfer-all' or 'all', in any case; blank items
+    are ignored. None selects every checker, and a selection that names
+    none raises ValueError."""
     if theorems is None:
         return THEOREM_IDS
-    by_lower = {t.lower(): t for t in THEOREM_IDS}
-    out = []
-    for t in theorems:
-        key = t.strip().lower()
-        if key == "transfer-all":
-            out.extend(["L2", "C_WP", "P_PRIMARY"])
-            continue
-        if key not in by_lower:
-            raise ValueError(f"unknown theorem id {t!r}")
-        out.append(by_lower[key])
-    # stable registry order, deduplicated
-    chosen = set(out)
+    names = {t.lower(): (t,) for t in THEOREM_IDS}
+    names.update({"all": THEOREM_IDS, "transfer-all": ("L2", "C_WP", "P_PRIMARY")})
+    chosen = set()
+    for token in (token for value in theorems for token in value.split(",")):
+        key = token.strip().lower()
+        if key and key not in names:
+            raise ValueError(f"unknown theorem id {token!r}")
+        chosen.update(names.get(key, ()))
+    if not chosen:
+        raise ValueError("no theorem id given")
     return tuple(t for t in THEOREM_IDS if t in chosen)
+
+
+def row_cells(theorems: Sequence[str], variants: Sequence[str], readings: Sequence[str],
+              ) -> list[tuple[str, str, str]]:
+    """The (theorem, variant, reading) of each row the selected checkers report,
+    in report order: the per-instance checkers, then the per-submodule ones,
+    which instance_rows repeats on each N and a budget skip lists once."""
+    chosen = sorted((t for t in THEOREM_IDS if t in theorems),
+                    key=lambda t: not CHECKERS[t].per_instance)
+    return [(t, v, r) for t in chosen for v, r in CHECKERS[t].cells(variants, readings)]
 
 
 def run_checker(ctx: Instance, theorem: str, n: Submodule | None, variant: str = "-",
@@ -819,7 +829,7 @@ def run_checker(ctx: Instance, theorem: str, n: Submodule | None, variant: str =
         assert n is not None
         outcome, detail = checker.fn(ctx, n, ctx.bowtie(n) if nb is None else nb, variant, reading)
     return TheoremReport(ctx.key_for(n) if key is None else key, theorem,
-                         variant if checker.varianted else checker.variant_column,
+                         variant if checker.variant is None else checker.variant,
                          reading if checker.readable else "-", outcome, detail)
 
 
@@ -830,22 +840,21 @@ def instance_rows(
     readings: Sequence[str],
     submodules: Iterable[Submodule] | None = None,
 ) -> list[TheoremReport]:
-    """The rows of the selected checkers on one instance, in registry order:
-    the per-instance checkers, then the per-submodule ones on each N of
-    submodules, by default Lat(M). N><I and the row key are derived once
+    """The rows of the selected checkers on one instance, in row_cells'
+    order: the per-instance checkers, then the per-submodule ones on each N
+    of submodules, by default Lat(M). N><I and the row key are derived once
     per N that gets a row, and handed to every checker of that N."""
-    chosen = [(t, checker) for t, checker in CHECKERS.items() if t in theorems]
-    rows = [run_checker(ctx, t, None) for t, checker in chosen if checker.per_instance]
-    per_n = [(t, checker.cells(variants, readings))
-             for t, checker in chosen if not checker.per_instance]
-    improper = [(t, cells) for t, cells in per_n if CHECKERS[t].improper_n]
+    cells = row_cells(theorems, variants, readings)
+    per_n = [cell for cell in cells if not CHECKERS[cell[0]].per_instance]
+    improper = [cell for cell in per_n if CHECKERS[cell[0]].improper_n]
+    rows = [run_checker(ctx, t, None) for t, _v, _r in cells if CHECKERS[t].per_instance]
     if per_n:  # per-instance checkers alone build no Lat(M)
         for n in ctx.base_submodules if submodules is None else submodules:
             todo = per_n if n.is_proper else improper
             if todo:
                 nb, key = ctx.bowtie(n), ctx.key_for(n)
                 rows += [run_checker(ctx, t, n, variant, reading, nb, key)
-                         for t, cells in todo for variant, reading in cells]
+                         for t, variant, reading in todo]
     return rows
 
 
@@ -865,18 +874,15 @@ def _hunt_task(
     # Z_n is labeled 0..n-1, and its regular module has IM = I, so the key
     # and |M><I| = n*|I| are known before any table is built
     key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
+    if len(ideal_members) > 1:  # a checker about M alone reports once per Z_n, at I = 0
+        theorems = tuple(t for t in theorems if not CHECKERS[t].about_m)
     module_size = n * len(ideal_members)
     if module_size > budget:
         detail = f"budget exceeded: |M><I| = {module_size} > {budget}"
-        return [
-            TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
-            for theorem in theorems
-            for variant, reading in CHECKERS[theorem].cells(variants, readings)
-        ]
+        return [TheoremReport(key, theorem, variant, reading, outcome="skip", detail=detail)
+                for theorem, variant, reading in row_cells(theorems, variants, readings)]
     ring, module = _zn(n)
     ideal = Ideal.from_mask(ring, mask_of(ideal_members))  # dZ_n, from hunt
-    if not ideal.is_zero:  # a checker about M alone reports once per Z_n, at I = 0
-        theorems = tuple(t for t in theorems if not CHECKERS[t].about_m)
     rows = instance_rows(Instance(ring, ideal, module, key=key), theorems, variants, readings)
     # the per-instance rows come first, one per checker, and L8 is one of them
     per_instance = sum(CHECKERS[t].per_instance for t in theorems)

@@ -72,8 +72,8 @@ REPLAY_SHA256 = "946b45d3c4b8df2f38d9eab3c303600867832632896415c74aa273dc78e2681
 DIVERGENCE_SCAN_SHA256 = "fcbcf22b1a16c0d4033ee19771dd01872cb533c3eb814b80791b5696cfe7b611"
 
 # SHA-256 of the stdout of `bowtie hunt --max 4 --budget 10`, which has skip
-# rows, one per (variant, reading) cell of each checker
-HUNT_BUDGET_SKIP_SHA256 = "9f280e9456cf3b4827433a2e872bfbfed78f4951c210d5c7d30225e23be84e78"
+# rows, one per cell that the instance's run rows would use
+HUNT_BUDGET_SKIP_SHA256 = "974329efa2b18dc2b9e59225bc2813746cd71eec59868d7623c0aeefcf2f764c"
 
 # SHA-256 of the stdout of `bowtie lattice` on each seed and on F_2^4 over
 # F_2 with I = 0 (``_vector_space_doc(4)``), as the pairwise edge search
@@ -890,6 +890,10 @@ REFUSALS = [
      BAD_VARIABLE),
     ("hunt-theorem-before-out", ["hunt", "--theorem", "bogus", "--out", "@missing"], None,
      None, 2, "", "unknown theorem id 'bogus'"),
+    ("verify-empty-theorem", ["verify", "@z6", "--theorem", ","], None, None, 2, "",
+     "no theorem id given"),
+    ("hunt-empty-theorem", ["hunt", "--theorem", " ", "--out", "@out"], None, None, 2, "",
+     "no theorem id given"),
 ]
 
 

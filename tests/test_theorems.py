@@ -298,8 +298,13 @@ def test_normalize_theorems():
     assert normalize_theorems(["l1", "L2"]) == ("L1", "L2")
     assert normalize_theorems(["transfer-all"]) == ("L2", "C_WP", "P_PRIMARY")
     assert normalize_theorems(["T4", "L1", "T4"]) == ("L1", "T4")
-    with pytest.raises(ValueError):
+    assert normalize_theorems(["L1,l8"]) == ("L1", "L8")
+    assert normalize_theorems(["L8"]) == ("L8",)
+    assert normalize_theorems([" All ", "L1"]) == THEOREM_IDS
+    with pytest.raises(ValueError, match="unknown theorem id 'nope'"):
         normalize_theorems(["nope"])
+    with pytest.raises(ValueError, match="no theorem id given"):
+        normalize_theorems([" ", ","])
 
 
 def test_hunt_does_not_read_the_budget_variable(monkeypatch):
@@ -361,16 +366,31 @@ def test_hunt_refuses_max_n_above_the_budget():
 
 
 def test_hunt_budget_skip_rows_fill_the_checker_cells():
-    # a skipped instance reports under each variant and reading its checker
-    # runs with, so the summary counts the skip in the same cells
-    reports = hunt(CorpusSpec(max_n=4), theorems=["T4", "L3i", "L1"], budget=10)
+    # a skipped instance reports the cells its run rows would use, in their
+    # order, so the summary counts the skip in the same cells: per-instance
+    # checkers first, T_FINAL under behboodi, and no DIVERGENCE at I != 0
+    reports = hunt(CorpusSpec(max_n=4), theorems=["T4", "L3i", "L1", "L8", "T_FINAL",
+                                                  "DIVERGENCE"], budget=10)
     cells = [(r.theorem_id, r.variant, r.reading) for r in reports if r.outcome == "skip"]
     assert cells == (
-        [("L1", "-", "-")]
+        [("L8", "-", "-"), ("T_FINAL", "behboodi", "-"), ("L1", "-", "-")]
         + [("L3i", v, g) for v in ALL_VARIANTS for g in BOTH_READINGS]
         + [("T4", v, "-") for v in ALL_VARIANTS]
     )
-    assert "T4\t-" not in summarize(reports)
+    summary = summarize(reports)
+    assert "T4\t-" not in summary and "T_FINAL\t-" not in summary
+    # across the two paths: each task skipped at budget 8 reports the cells
+    # of its rows at budget 36, where every task runs, in first-seen order
+    skipped, checked = hunt(CorpusSpec(max_n=6), budget=8), hunt(CorpusSpec(max_n=6), budget=36)
+    assert not any(r.outcome == "skip" for r in checked)
+    skipped_keys = list(dict.fromkeys(r.instance_key for r in skipped if r.outcome == "skip"))
+    assert len(skipped_keys) == 6
+    for key in skipped_keys:
+        skip_cells = [(r.theorem_id, r.variant, r.reading)
+                      for r in skipped if r.instance_key == key]
+        run_cells = [(r.theorem_id, r.variant, r.reading)
+                     for r in checked if r.instance_key.split("|N=")[0] == key]
+        assert skip_cells == list(dict.fromkeys(run_cells)), key
 
 
 def test_budget_skipped_task_builds_no_table(monkeypatch):
