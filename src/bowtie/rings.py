@@ -561,10 +561,16 @@ class Subset:
         return hash((id(self.over), self.mask))
 
     def label_set(self) -> str:
-        return self.over.label_set(self.members)
+        """The members' labels, rendered once per mask of ``over``: subsets
+        built afresh from one mask share the text, and decode no member."""
+        return memo(self.over, "label_set", self.mask, _label_text, self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.over.name}, {self.label_set()})"
+
+
+def _label_text(sub: Subset) -> str:
+    return sub.over.label_set(sub.members)
 
 
 class Ideal(Subset):

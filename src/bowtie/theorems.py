@@ -110,12 +110,13 @@ class Instance:
     may hold at most ``lattice_limit`` submodules.
 
     Every fact keyed by a submodule of M><I (N><I, its verdicts, colons,
-    npack, L8's quotients, the checkers' conditions) is kept with
-    rings.memo in the instance's ``derived_cache``, as M and the tables
-    keep theirs; the facts of the whole instance (Lat(M><I), the
-    distinguished submodules) are cached properties. What does not depend
-    on I (Lat(M), N's verdicts and scalar classes) is kept on M, so every
-    Instance over one module object shares it."""
+    npack, the checkers' conditions) is kept with rings.memo in the
+    instance's ``derived_cache``, as M and the tables keep theirs; the
+    facts of the whole instance (Lat(M><I), the distinguished submodules)
+    are cached properties. The cosets of a submodule are M><I's own, which
+    npack and L8's quotients read. What does not depend on I (Lat(M), N's
+    verdicts and scalar classes) is kept on M, so every Instance over one
+    module object shares it."""
 
     def __init__(
         self,
@@ -200,11 +201,6 @@ class Instance:
         the first x of a condition is the least member of its first coset.
         """
         return memo(self, "npack", nb.mask, _npack, self.inst.bowtie_module, nb)
-
-    def quotient(self, s: Submodule) -> tuple[TableModule, np.ndarray]:
-        """M><I / S and its projection, built once per S: L8 reads the
-        quotients by 0 x IM and IM x IM, which coincide when IM = 0."""
-        return memo(self, "quotient", s.mask, quotient_module, self.inst.bowtie_module, s)
 
 
 def _lattice_masks(module: TableModule, limit: int | None) -> list[int]:
@@ -579,39 +575,36 @@ def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Out
     return "fail", f"radical {rad.label_set()} is not prime: {v.witness_text}"
 
 
-def _quotient_iso(ctx: Instance, f: np.ndarray, target: TableModule, name: str,
-                  k: Submodule, k_name: str, target_name: str, at: tuple[np.ndarray, ...],
-                  ) -> tuple[list[str], int]:
+def _quotient_iso(f: np.ndarray, target: TableModule, name: str, k: Submodule, k_name: str,
+                  target_name: str, at: tuple[np.ndarray, ...]) -> tuple[list[str], int]:
     """The reasons f: M><I -> T, checked at the generators, fails to be a
     surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
-    ``at`` holds L8's gens and scalars, the base scalars through which those act
-    on T, and M><I's sums and products at them, as check_module_map reads them.
-    g is f scattered through the quotient's projection p; g(p(x)) = f(x) checks
-    that f factors through p, whichever x of a coset the scatter keeps. A coset
-    p misses keeps f(0), which g takes at p(0), so g has under q values."""
-    gens, scalars, through, sums, products = at
-    rows = target.act.take(through, axis=0)  # rows[i]: how scalars[i] acts on T
+    ``at`` holds L8's gens, the base scalars through which its scalars act on
+    T, and M><I's sums and products at them, as check_module_map reads them.
+    M><I / K is read off K's cosets, kept on M><I by mask: p sends x to its
+    coset, numbered by least member reps[c], and the induced map is
+    g = f.take(reps). g(p(x)) = f(x) checks that f factors through p; with g
+    injective it also gives p(reps[c]) = c, so p is onto. Then g is a module
+    map exactly when f is, and f's own check stands for g's: p is a module
+    map, so g(p(x) + p(y)) = g(p(x+y)) = f(x+y) and g(s p(x)) = g(p(sx)) =
+    f(sx), while g(p(x)) + g(p(y)) = f(x) + f(y) and s g(p(x)) = s f(x)."""
+    gens, through, sums, products = at
+    rows = target.act.take(through, axis=0)  # rows[i]: how the i-th scalar acts on T
     problems = []
-    if not check_module_map(f, sums, products, target.add, rows, gens):
+    is_map = check_module_map(f, sums, products, target.add, rows, gens)
+    if not is_map:
         problems.append(f"{name} is not a module map")
     if len(set(f.tolist())) != target.size:
         problems.append(f"{name} is not surjective")
     if not np.array_equal(f == target.zero, inside(k.mask, len(f))):
         problems.append(f"kernel of the {name} is not {k_name}")
-    q, p = ctx.quotient(k)
-    bijective = q.size == target.size and 0 <= p.min() and p.max() < q.size
-    if bijective:
-        g = np.full(q.size, f[0], dtype=f.dtype)
-        g[p] = f
-        at_q = p.take(gens)  # the generators' cosets
-        bijective = bool((g.take(p) == f).all()
-                         and check_module_map(g, q.add.take(at_q, axis=1),
-                                              q.act.take(scalars, axis=0).take(at_q, axis=1),
-                                              target.add, rows, at_q)
-                         and len(set(g.tolist())) == q.size)
-    if not bijective:
+    p, reps = cosets(k)
+    q = len(reps)
+    g = f.take(reps)
+    if not (is_map and q == target.size and 0 <= p.min() and p.max() < q
+            and (g.take(p) == f).all() and len(set(g.tolist())) == q):
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
-    return problems, q.size
+    return problems, q
 
 
 def check_L8(ctx: Instance) -> Outcome:
@@ -624,13 +617,13 @@ def check_L8(ctx: Instance) -> Outcome:
     scalars = (gens if inst.ring_pairs is inst.module_pairs
                else pair_generators(inst.ring_pairs, inst.base_ring.zero))
     # gathered once for both projections
-    at = (gens, scalars, inst.ring_pairs[scalars, 0], mod.add.take(gens, axis=1),
+    at = (gens, inst.ring_pairs[scalars, 0], mod.add.take(gens, axis=1),
           mod.act.take(scalars, axis=0).take(gens, axis=1))
     firsts = inst.module_pairs[:, 0]
-    problems1, q1 = _quotient_iso(ctx, firsts, inst.base_module, "first projection",
+    problems1, q1 = _quotient_iso(firsts, inst.base_module, "first projection",
                                   zero_cross_im, "0 x IM", "M", at)
     base_quo, bproj = quotient_module(inst.base_module, inst.im)
-    problems2, q2 = _quotient_iso(ctx, bproj.take(firsts), base_quo, "coset projection",
+    problems2, q2 = _quotient_iso(bproj.take(firsts), base_quo, "coset projection",
                                   im_cross_im, "IM x IM", "M/IM", at)
     if problems1 or problems2:
         return "fail", "; ".join(problems1 + problems2)

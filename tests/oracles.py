@@ -17,7 +17,7 @@ import numpy as np
 from bowtie import theorems
 from bowtie.classify import Verdict, is_weakly_prime_module
 from bowtie.modules import (
-    Submodule, TableModule, cosets, enumerate_submodules, quotient_module,
+    Submodule, TableModule, check_module_map, cosets, enumerate_submodules, quotient_module,
 )
 from bowtie.rings import Ideal, TableRing, lowest_bit, mask_of
 
@@ -808,6 +808,43 @@ def colon_chain_pairs(ctx, nb: Submodule, reading: str) -> str:
                     f" colon(L) has {onlyb} outside colon(K)"
                 )
     return ""
+
+
+def quotient_iso(module: TableModule, scalars: np.ndarray, f: np.ndarray, target: TableModule,
+                 name: str, k: Submodule, k_name: str, target_name: str,
+                 at: tuple[np.ndarray, ...]) -> tuple[list[str], int]:
+    """L8's (problems, |M><I / K|) for f: M><I -> T with kernel K, read off the
+    quotient module M><I / K (the library's check before it read the quotient
+    off K's cosets). ``scalars`` are L8's scalars of A><I, and ``at`` is as
+    theorems._quotient_iso takes it. The induced map g is f scattered through
+    the quotient's projection p, g[p] = f, into an array filled with f(0):
+    g(p(x)) = f(x) checks that f factors through p, whichever x of a coset
+    the scatter keeps, and a coset p misses keeps f(0), so g has under q
+    values. g is then checked as a module map of its own, at the generators'
+    cosets p.take(gens)."""
+    gens, through, sums, products = at
+    rows = target.act.take(through, axis=0)
+    problems = []
+    if not check_module_map(f, sums, products, target.add, rows, gens):
+        problems.append(f"{name} is not a module map")
+    if len(set(f.tolist())) != target.size:
+        problems.append(f"{name} is not surjective")
+    if not np.array_equal(f == target.zero, inside(k.mask, len(f))):
+        problems.append(f"kernel of the {name} is not {k_name}")
+    q, p = quotient_module(module, k)
+    bijective = q.size == target.size and 0 <= p.min() and p.max() < q.size
+    if bijective:
+        g = np.full(q.size, f[0], dtype=f.dtype)
+        g[p] = f
+        at_q = p.take(gens)
+        bijective = bool((g.take(p) == f).all()
+                         and check_module_map(g, q.add.take(at_q, axis=1),
+                                              q.act.take(scalars, axis=0).take(at_q, axis=1),
+                                              target.add, rows, at_q)
+                         and len(set(g.tolist())) == q.size)
+    if not bijective:
+        problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
+    return problems, q.size
 
 
 def quotient_module_by_dicts(module: TableModule, n: Submodule) -> tuple[TableModule, tuple]:

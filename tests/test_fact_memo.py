@@ -3,8 +3,8 @@
 Scalar classes live in one memo per action table, keyed by mask: an ideal of
 A and the same subset as a submodule of the regular module share one entry,
 and so do the submodules of M><I of a regular M and the ideals of A><I. The
-cosets of a submodule are kept on its module by mask, and each quotient of
-M><I on its ``Instance``. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
+cosets of a submodule are kept on its module by mask, and L8 reads each
+quotient of M><I off them. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
 C_IRR, the weakly-prime test of the colon) are computed once
 per N><I and reading on ``Instance``. Here the calls are counted over a hunt,
 and every row is compared with the row of the same cell computed on a fresh
@@ -36,7 +36,7 @@ from bowtie.theorems import (
     run_checker,
 )
 
-from families import family_modules, products, swept_theorems
+from families import duplications, family_modules, products, swept_theorems
 
 
 # ------------------------------------------------------------ counting
@@ -96,9 +96,9 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
     # packs none, since it reads the principal ideals, and the annihilator
     # of a whole module reads the zero classes, which T_FINAL packs anyway
     assert len(classes) == 181 and max(classes.values()) == 1
-    # one quotient per (Instance or M, mask), L8's alone, and one coset table
-    # per (module, mask), which npack and the quotients share
-    assert len(quotients) == 93 and len(cosets) == 135
+    # one quotient per instance, L8's M/IM, and one coset table per (module,
+    # mask), which npack and L8 share
+    assert len(quotients) == 35 and len(cosets) == 135
     for counts in (*per_n, irreducible, *scans, quotients, cosets):
         assert counts and max(counts.values()) == 1
     # L3i's colon scan runs for every (N><I, reading), once for the three variants
@@ -107,8 +107,8 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
 
 
 # every fact an Instance keeps, by the ``what`` of its memo
-INSTANCE_FACTS = {"bowtie", "colon", "prime", "primary", "weakly_prime", "npack", "quotient",
-                  "L3i", "L3ii", "T4", "C_IRR", "irreducible", "L_COLON_PROD", "wp_colon"}
+INSTANCE_FACTS = {"bowtie", "colon", "prime", "primary", "weakly_prime", "npack", "L3i",
+                  "L3ii", "T4", "C_IRR", "irreducible", "L_COLON_PROD", "wp_colon"}
 
 
 def test_every_memo_computes_each_fact_once_over_zn(monkeypatch):
@@ -168,6 +168,45 @@ def test_every_family_modules_zero_pre_is_read_off_its_action():
     for mod in mods:
         assert mod.table_owner is (mod.ring if mod.act is mod.ring.mul else mod)
         assert mod.zero_pre == pack_rows(mod.act == mod.zero)
+
+
+def _labelled_subsets():
+    """Every ideal and submodule of Z_n-reg, n <= 12, of each family module
+    and of each of their duplications."""
+    for module in [ring_as_module(make_zn(n)) for n in range(1, 13)] + family_modules():
+        yield from enumerate_ideals(module.ring)
+        yield from enumerate_submodules(module)
+        for inst in duplications(module):
+            yield from enumerate_ideals(inst.bowtie_ring)
+            yield from enumerate_submodules(inst.bowtie_module)
+
+
+def test_a_subsets_text_is_rendered_once_per_mask():
+    count = 0
+    for sub in _labelled_subsets():
+        over = sub.over
+        text = sub.label_set()
+        assert text == over.label_set(sub.members) == over.label_set(rings.bits(sub.mask))
+        assert type(sub).from_mask(over, sub.mask).label_set() is text
+        count += 1
+    assert count == 9222
+
+
+def test_a_second_label_of_one_mask_decodes_no_member(monkeypatch):
+    calls = []
+    real = rings.bits
+
+    def counted(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(rings, "bits", counted)
+    ctx = make_zn_instance(12, [0, 4, 8])
+    for nb in ctx.bowtie_submodules:
+        first = Submodule.from_mask(nb.module, nb.mask).label_set()
+        calls.clear()
+        assert Submodule.from_mask(nb.module, nb.mask).label_set() is first
+        assert calls == []
 
 
 def test_each_row_key_is_built_once_per_n(monkeypatch):

@@ -224,8 +224,9 @@ def test_verify_enumerates_each_instance_lattice_once(seed, monkeypatch, capsys)
     _assert_once_per_instance(enumerated, built)
 
 
-def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
-    enumerated, built = _count_enumerations(monkeypatch)
+def _record_quotients(monkeypatch) -> list[tuple]:
+    """Record the arguments of every quotient_module call, in every bowtie
+    namespace that binds it."""
     quotients = []
     real_quotient = modules.quotient_module
 
@@ -237,6 +238,12 @@ def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
         if (name.split(".")[0] == "bowtie"
                 and getattr(namespace, "quotient_module", None) is real_quotient):
             monkeypatch.setattr(namespace, "quotient_module", recording)
+    return quotients
+
+
+def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
+    enumerated, built = _count_enumerations(monkeypatch)
+    quotients = _record_quotients(monkeypatch)
     hunt(CorpusSpec(max_n=8), theorems=["L3i", "T_FINAL", "DIVERGENCE"], variants=VARIANTS)
     assert not quotients
     # M once per ring, since the ideals of Z_n share its base context, and
@@ -247,6 +254,17 @@ def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
                                        if inst.base_module.size > 1]
     assert len(built) == 20 and len(bases) == 8
     assert sorted(map(id, enumerated)) == sorted(map(id, expected))
+
+
+def test_an_l8_hunt_builds_m_mod_im_alone(monkeypatch):
+    # L8 reads M><I's quotients off their cosets; the one quotient module it
+    # builds is M/IM, once per instance, and none is a quotient of M><I
+    _, built = _count_enumerations(monkeypatch)
+    quotients = _record_quotients(monkeypatch)
+    hunt(CorpusSpec(max_n=20), theorems=["L8"])
+    assert len(built) == 62
+    assert [id(module) for module, _n in quotients] == [id(inst.base_module) for inst in built]
+    assert not {id(inst.bowtie_module) for inst in built} & {id(m) for m, _n in quotients}
 
 
 def _hasse_cases():

@@ -9,6 +9,7 @@ from bowtie.modules import (
     check_module_map,
     colon_by_scalar,
     colon_into_ring,
+    cosets,
     cyclic_masks,
     enumerate_submodules,
     is_cyclic,
@@ -172,9 +173,10 @@ def test_module_map_rejects_non_hom():
 
 
 def _l8_maps(ctx, monkeypatch) -> list[tuple[tuple, TableModule, TableModule, np.ndarray]]:
-    """The four maps L8 checks on ctx (f1, g1, f2, g2), as it checks them:
-    each call's arguments, the map's source and target, and the base scalar
-    through which each scalar of A><I acts on the target (its first component)."""
+    """The two maps L8 checks on ctx (f1 onto M, f2 onto M/IM), as it checks
+    them: each call's arguments, the map's source and target, and the base
+    scalar through which each scalar of A><I acts on the target (its first
+    component)."""
     seen = []
 
     def recording(*args):
@@ -184,19 +186,17 @@ def _l8_maps(ctx, monkeypatch) -> list[tuple[tuple, TableModule, TableModule, np
     monkeypatch.setattr(theorems, "check_module_map", recording)
     assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
     monkeypatch.undo()
-    assert len(seen) == 4
+    assert len(seen) == 2
     inst = ctx.inst
     base_quo, _ = quotient_module(inst.base_module, inst.im)
-    q1, q2 = (ctx.quotient(k)[0] for k in ctx.distinguished)
     scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
     through = inst.ring_pairs[:, 0]
-    maps = list(zip(seen, (inst.bowtie_module, q1, inst.bowtie_module, q2),
-                    (inst.base_module, inst.base_module, base_quo, base_quo)))
-    for (table, _, _, target_add, rows, _), source, target in maps:
-        assert len(table) == source.size
+    maps = list(zip(seen, (inst.base_module, base_quo)))
+    for (table, _, _, target_add, rows, _), target in maps:
+        assert len(table) == inst.bowtie_module.size
         assert np.array_equal(target_add, target.add)
         assert np.array_equal(rows, target.act.take(through.take(scalars), axis=0))
-    return [(args, source, target, through) for args, source, target in maps]
+    return [(args, inst.bowtie_module, target, through) for args, target in maps]
 
 
 def _mutations(table: np.ndarray, size: int, gens: np.ndarray) -> list[np.ndarray]:
@@ -249,13 +249,14 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 
 
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
-    # L8 reads each induced map off the quotient's projection with one
-    # forward scatter; the oracle walks the projection entry by entry
-    f1, g1, f2, g2 = (args for args, *_ in _l8_maps(ctx, monkeypatch))
-    for f, g, k in ((f1, g1, ctx.distinguished[0]), (f2, g2, ctx.distinguished[1])):
-        q, proj = ctx.quotient(k)
-        assert g[3] is f[3]  # g checked against f's target
-        assert g[0].tolist() == induced_map(q, proj, f[0]), ctx.base_key
+    # L8 reads each induced map off its kernel's cosets, f at each coset's
+    # least member; the oracle walks the quotient module's projection entry
+    # by entry
+    f1, f2 = (args[0] for args, *_ in _l8_maps(ctx, monkeypatch))
+    for f, k in zip((f1, f2), ctx.distinguished):
+        q, proj = quotient_module(k.module, k)
+        _coset, reps = cosets(k)
+        assert f.take(reps).tolist() == induced_map(q, proj, f), ctx.base_key
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -271,6 +272,54 @@ def test_induced_maps_match_oracle_on_families(monkeypatch):
     for module in family_modules():
         for inst in duplications(module):
             _assert_induced_maps_match_oracle(
+                theorems.Instance(inst.base_ring, inst.ideal, module), monkeypatch)
+            count += 1
+    assert count == 176
+
+
+def _assert_quotient_isos_match_the_reference(ctx, monkeypatch) -> None:
+    """L8's two _quotient_iso calls against oracles.quotient_iso, which builds
+    each quotient module: the same (problems, size) for f, each of
+    _mutations(f), f with 1 and 2 swapped in the target, and 2f."""
+    calls = []
+    real = theorems._quotient_iso
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theorems, "_quotient_iso", recording)
+    assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
+    monkeypatch.undo()
+    assert len(calls) == 2
+    inst = ctx.inst
+    scalars = pair_generators(inst.ring_pairs, inst.base_ring.zero)
+    for f, target, *rest in calls:
+        gens = rest[-1][0]
+        maps = [f, *_mutations(f, target.size, gens), target.add[f, f]]
+        if target.size > 2:
+            perm = np.arange(target.size)
+            perm[[1, 2]] = [2, 1]
+            maps.append(perm.take(f))
+        for g in maps:
+            assert (theorems._quotient_iso(g, target, *rest)
+                    == oracles.quotient_iso(inst.bowtie_module, scalars, g, target, *rest)), (
+                ctx.base_key, rest[0], g[:8])
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_quotient_isos_match_the_reference_on_zn(n, monkeypatch):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        _assert_quotient_isos_match_the_reference(
+            theorems.Instance(ring, ideal, ring_as_module(ring)), monkeypatch)
+
+
+def test_quotient_isos_match_the_reference_on_families(monkeypatch):
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            _assert_quotient_isos_match_the_reference(
                 theorems.Instance(inst.base_ring, inst.ideal, module), monkeypatch)
             count += 1
     assert count == 176

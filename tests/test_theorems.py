@@ -182,61 +182,84 @@ def test_L8_fails_on_a_broken_projection(which, mutate, detail, monkeypatch):
     # and neither is its own double; the named map is composed with the mutation
     real = theorems._quotient_iso
 
-    def mutated(ctx, f, target, name, *rest):
-        return real(ctx, mutate(f, target) if name == which else f, target, name, *rest)
+    def mutated(f, target, name, *rest):
+        return real(mutate(f, target) if name == which else f, target, name, *rest)
 
     monkeypatch.setattr(theorems, "_quotient_iso", mutated)
     row = run_checker(make_zn_instance(8, [0, 4]), "L8", None)
     assert (row.outcome, row.detail) == ("fail", detail)
 
 
-def _swap_two_sums(q, proj):
-    add = q.add.copy()
-    add[1, [0, 1]] = add[1, [1, 0]]  # 1 + 0 is no longer 1
-    return replace(q, add=add), proj
+def _swap_two_sums(monkeypatch):  # M/IM's 1 + 0 is no longer 1
+    real = theorems.quotient_module
+
+    def swapped(module, n):
+        q, proj = real(module, n)
+        add = q.add.copy()
+        add[1, [0, 1]] = add[1, [1, 0]]
+        return replace(q, add=add), proj
+
+    monkeypatch.setattr(theorems, "quotient_module", swapped)
 
 
-def _miss_a_coset(q, proj):  # coset 1 joins coset 0
-    return q, np.where(proj == 1, 0, proj)
+def _on_cosets(breaks):
+    """Break each coset table L8 reads, leaving the one kept on M><I as it is."""
+    def patch(monkeypatch):
+        real = theorems.cosets
+        monkeypatch.setattr(theorems, "cosets", lambda k: breaks(*real(k)))
+
+    return patch
 
 
-def _past_the_last_coset(q, proj):  # coset 1 is sent to q, which no coset is
-    return q, np.where(proj == 1, q.size, proj)
+def _miss_a_coset(coset, reps):  # coset 1 joins coset 0
+    return np.where(coset == 1, 0, coset), reps
 
 
-def _below_coset_zero(q, proj):  # -1, which numpy would read as the last coset
-    table = proj.astype(np.int64)
-    return q, np.where(table == q.size - 1, -1, table)
+def _past_the_last_coset(coset, reps):  # coset 1 is sent to q, which no coset is
+    return np.where(coset == 1, len(reps), coset), reps
 
 
-@pytest.mark.parametrize("breaks", [_swap_two_sums, _miss_a_coset, _past_the_last_coset,
-                                    _below_coset_zero])
-def test_L8_fails_on_a_broken_quotient(breaks, monkeypatch):
-    # L8 reads each quotient and its projection through Instance.quotient
-    real = Instance.quotient
-    monkeypatch.setattr(Instance, "quotient", lambda self, s: breaks(*real(self, s)))
+def _below_coset_zero(coset, reps):  # -1, which numpy would read as the last coset
+    table = coset.astype(np.int64)
+    return np.where(table == len(reps) - 1, -1, table), reps
+
+
+BOTH_INDUCED_MAPS = ("induced map M><I / (0 x IM) -> M is not bijective;"
+                     " induced map M><I / (IM x IM) -> M/IM is not bijective")
+
+
+@pytest.mark.parametrize("breaks,detail", [
+    (_swap_two_sums, "coset projection is not a module map;"
+                     " induced map M><I / (IM x IM) -> M/IM is not bijective"),
+    (_on_cosets(_miss_a_coset), BOTH_INDUCED_MAPS),
+    (_on_cosets(_past_the_last_coset), BOTH_INDUCED_MAPS),
+    (_on_cosets(_below_coset_zero), BOTH_INDUCED_MAPS),
+], ids=["_swap_two_sums", "_miss_a_coset", "_past_the_last_coset", "_below_coset_zero"])
+def test_L8_fails_on_a_broken_quotient(breaks, detail, monkeypatch):
+    # L8 reads M><I's quotients off theorems.cosets and builds M/IM with
+    # theorems.quotient_module
+    breaks(monkeypatch)
     row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
-    assert (row.outcome, row.detail) == ("fail", (
-        "induced map M><I / (0 x IM) -> M is not bijective;"
-        " induced map M><I / (IM x IM) -> M/IM is not bijective"))
+    assert (row.outcome, row.detail) == ("fail", detail)
 
 
 def test_L8_fails_when_f_does_not_factor_through_the_projection(monkeypatch):
     # the pair (1,3) of Z4><{0,2} moves from coset 1 to coset 0 of the 0 x IM
     # projection; it is neither a pair generator nor the least member of a coset
-    real = Instance.quotient
+    ctx = make_zn_instance(4, [0, 2])
+    real = theorems.cosets
 
-    def moved(self, s):
-        q, proj = real(self, s)
-        if s != self.distinguished[0]:
-            return q, proj
-        table = proj.copy()
-        assert self.inst.bowtie_module.labels[3] == "(1,3)" and table[3] == 1
+    def moved(k):
+        coset, reps = real(k)
+        if k != ctx.distinguished[0]:
+            return coset, reps
+        table = coset.copy()
+        assert ctx.inst.bowtie_module.labels[3] == "(1,3)" and table[3] == 1
         table[3] = 0
-        return q, table
+        return table, reps
 
-    monkeypatch.setattr(Instance, "quotient", moved)
-    row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
+    monkeypatch.setattr(theorems, "cosets", moved)
+    row = run_checker(ctx, "L8", None)
     assert (row.outcome, row.detail) == (
         "fail", "induced map M><I / (0 x IM) -> M is not bijective")
 

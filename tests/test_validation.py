@@ -127,7 +127,7 @@ def _assert_constructions_sound(inst) -> None:
     _revalidates(zero_submodule(mod))
     for s in (zero_cross_im, im_cross_im):
         _revalidates(s)
-        quo, _ = quotient_module(mod, s)  # the two L8 quotients
+        quo, _ = quotient_module(mod, s)  # the quotients L8 reads off their cosets
         assert module_axiom_violations(quo) == []
 
     # M and M/IM over A><I, scalars acting through either component's rows
