@@ -51,8 +51,6 @@ from .duplication import (
     BowtieInstance,
     build_bowtie,
     bowtie_submodule,
-    distinguished_submodules,
-    zero_cross_i,
     detect_bowtie_form,
 )
 

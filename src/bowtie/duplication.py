@@ -17,7 +17,7 @@ from .rings import (
     ClosureError, Ideal, TableRing, carrier_table, inside, mask_of, memo, narrow_dtype, pack,
     row_block, row_images, subgroup_sum,
 )
-from .modules import Submodule, TableModule, zero_submodule
+from .modules import Submodule, TableModule
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,26 +212,6 @@ def bowtie_submodule(inst: BowtieInstance, n: Submodule) -> Submodule:
         raise ValueError("submodule belongs to a different module")
     return Submodule.from_mask(inst.bowtie_module,
                                pairs_in(inst.module_pairs, 0, n.mask, n.module.size))
-
-
-def zero_cross_i(inst: BowtieInstance) -> Ideal:
-    """The ideal 0 x I of the duplicated ring: the pairs whose first component is zero."""
-    zero, size = inst.base_ring.zero, inst.base_ring.size
-    return Ideal.from_mask(inst.bowtie_ring, pairs_in(inst.ring_pairs, 0, 1 << zero, size))
-
-
-def distinguished_submodules(inst: BowtieInstance) -> tuple[Submodule, Submodule]:
-    """The submodules 0 x IM and IM x IM, with the product identity checked.
-
-    Every pair (m, m') has m - m' in IM, so m' lies in IM exactly when m
-    does: the two are 0 join I and (IM) join I.
-    The ideal product (0 x I) * (M join I) must equal 0 x IM exactly.
-    """
-    zero_cross_im = bowtie_submodule(inst, zero_submodule(inst.base_module))
-    im_cross_im = bowtie_submodule(inst, inst.im)
-    if product_submodule(zero_cross_i(inst), inst.bowtie_module).mask != zero_cross_im.mask:
-        raise AssertionError("(0 x I)(M join I) differs from 0 x IM")
-    return zero_cross_im, im_cross_im
 
 
 def detect_bowtie_form(inst: BowtieInstance, s: Submodule) -> Submodule | None:

@@ -274,13 +274,9 @@ class InstanceSpec:
                                "ideal_generators")
         ideal = ideal_generated(ring, gens)
         module = _build_module(self.module_desc, ring)
-        if self.submodule_generators is None:
-            sub = submodule_generated(module, ())
-        else:
-            mgens = _resolve_labels(list(self.submodule_generators), module.labels,
-                                    "submodule_generators")
-            sub = submodule_generated(module, mgens)
-        return Quadruple(ring, ideal, module, sub)
+        mgens = _resolve_labels(list(self.submodule_generators or ()), module.labels,
+                                "submodule_generators")
+        return Quadruple(ring, ideal, module, submodule_generated(module, mgens))
 
 
 # Built-in instances: the running Z_6 example and the three finite stand-ins

@@ -361,8 +361,13 @@ def is_cyclic(module: TableModule) -> bool:
 def cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
     """The cosets m + N: each element's coset index, numbered by least
     member, and those least members, ascending; computed once per
-    (module, mask), so two objects for one N share them."""
-    return memo(n.module, "cosets", n.mask, _cosets, n.module.add, n.members)
+    (module, mask), so two objects for one N share them, and N's members
+    are read only on a miss."""
+    return memo(n.module, "cosets", n.mask, _subset_cosets, n)
+
+
+def _subset_cosets(n: Submodule) -> tuple[np.ndarray, np.ndarray]:
+    return _cosets(n.module.add, n.members)
 
 
 def _cosets(add: np.ndarray, members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

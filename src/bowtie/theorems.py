@@ -70,7 +70,6 @@ from .duplication import (
     BowtieInstance,
     build_bowtie,
     bowtie_submodule,
-    distinguished_submodules,
     pair_generators,
     pairs_in,
 )
@@ -113,10 +112,11 @@ class Instance:
     npack, the checkers' conditions) is kept with rings.memo in the
     instance's ``derived_cache``, as M and the tables keep theirs; the
     facts of the whole instance (Lat(M><I), the distinguished submodules)
-    are cached properties. The cosets of a submodule are M><I's own, which
-    npack and L8's quotients read. What does not depend on I (Lat(M), N's
-    verdicts and scalar classes) is kept on M, so every Instance over one
-    module object shares it."""
+    are cached properties, and 0 x IM, IM x IM and M><I among them are the
+    memo's N><I for N = 0, IM and M. The cosets of a submodule are M><I's
+    own, which npack and L8's quotients read. What does not depend on I
+    (Lat(M), N's verdicts and scalar classes) is kept on M, so every
+    Instance over one module object shares it."""
 
     def __init__(
         self,
@@ -152,12 +152,15 @@ class Instance:
 
     @cached_property
     def bowtie_whole(self) -> Submodule:
-        return whole_submodule(self.inst.bowtie_module)
+        """M><I as a submodule of itself: M join I."""
+        return self.bowtie(whole_submodule(self.inst.base_module))
 
     @cached_property
     def distinguished(self) -> tuple[Submodule, Submodule]:
-        """0 x IM and IM x IM, shared by L8 and T_final."""
-        return distinguished_submodules(self.inst)
+        """0 x IM and IM x IM, shared by L8 and T_final. Every pair (m, m')
+        has m - m' in IM, so m' lies in IM exactly when m does: they are
+        0 join I and (IM) join I."""
+        return self.bowtie(zero_submodule(self.inst.base_module)), self.bowtie(self.inst.im)
 
     @cached_property
     def faithful_cyclic(self) -> tuple[bool, bool]:

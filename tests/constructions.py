@@ -1,13 +1,14 @@
 """Constructions the tests use and the library itself never calls.
 
 Sums, products, intersections and powers of ideals and submodules, the quotient
-ring A/J, faithfulness and the diagonal embedding a -> (a, a) of A into A><I. They live
-here, next to the tests that exercise them, rather than in ``src/``.
+ring A/J, faithfulness, the diagonal embedding a -> (a, a) of A into A><I and
+its ideal 0 x I. They live here, next to the tests that exercise them, rather
+than in ``src/``.
 """
 
 from __future__ import annotations
 
-from bowtie.duplication import BowtieInstance
+from bowtie.duplication import BowtieInstance, pairs_in
 from bowtie.modules import Submodule, TableModule, _same_module, annihilator, whole_submodule
 from bowtie.rings import Ideal, TableRing, subgroup_sum
 
@@ -109,3 +110,9 @@ def is_faithful(module: TableModule) -> bool:
 def diagonal_embed(inst: BowtieInstance, a: int) -> int:
     """The duplicated-ring index of (a, a)."""
     return inst.ring_pairs.tolist().index([a, a])
+
+
+def zero_cross_i(inst: BowtieInstance) -> Ideal:
+    """The ideal 0 x I of the duplicated ring: the pairs whose first component is zero."""
+    zero, size = inst.base_ring.zero, inst.base_ring.size
+    return Ideal.from_mask(inst.bowtie_ring, pairs_in(inst.ring_pairs, 0, 1 << zero, size))

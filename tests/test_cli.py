@@ -557,8 +557,8 @@ def test_lattice_over_16_nodes_per_budget_element_is_refused(command, tmp_path, 
 def test_im_is_summed_once_per_document_over_a_non_regular_module(command, tmp_path,
                                                                   monkeypatch):
     # the budget check and the duplication both read IM of a module that does
-    # not act by its ring's mul; product_submodule sums it once for both.
-    # verify also sums (0 x I)(M><I) on M><I, for the distinguished submodules
+    # not act by its ring's mul; product_submodule sums it once for both, and
+    # verify reads the distinguished submodules off the N><I memo, summing none
     calls = []
     real = duplication.product_submodule
 
@@ -574,7 +574,7 @@ def test_im_is_summed_once_per_document_over_a_non_regular_module(command, tmp_p
     assert main([command, str(p)]) in (0, 1)
     base = [m for m in calls if m.size == 4]
     assert len(base) == 1 and base[0].act is not base[0].ring.mul
-    assert len(calls) == {"classify": 1, "verify": 2}[command]
+    assert len(calls) == 1
 
 
 def test_lattice_within_16_nodes_per_budget_element_is_drawn(tmp_path, capsys):

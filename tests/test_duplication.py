@@ -11,10 +11,9 @@ from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
     detect_bowtie_form,
-    distinguished_submodules,
     pair_generators,
     predicted_sizes,
-    zero_cross_i,
+    product_submodule,
 )
 from bowtie.classify import (
     classify_submodule,
@@ -26,14 +25,15 @@ from bowtie.modules import (
     enumerate_submodules,
     quotient_module,
     ring_as_module,
+    whole_submodule,
     zero_submodule,
 )
 from bowtie.rings import (
     GATHER_BLOCK, ClosureError, Ideal, enumerate_ideals, make_zn, mask_of, table_array,
 )
-from bowtie.theorems import make_zn_instance
+from bowtie.theorems import Instance, make_zn_instance
 
-from constructions import diagonal_embed
+from constructions import diagonal_embed, zero_cross_i
 from families import duplications, family_modules, relabel
 
 Z6_PAIRS = (
@@ -77,6 +77,30 @@ def test_pair_generators_span_every_family_duplication():
     for module in family_modules():
         for inst in duplications(module):
             _assert_pair_generators_span(inst)
+            count += 1
+    assert count == 176
+
+
+def _assert_zero_cross_i_product(inst) -> None:
+    # (0 x I)(M><I) = 0 x IM, which the library reads as 0 join I
+    zero_cross_im = bowtie_submodule(inst, zero_submodule(inst.base_module))
+    assert product_submodule(zero_cross_i(inst), inst.bowtie_module).mask == zero_cross_im.mask
+
+
+# n > 20 covers the rest of what ``hunt --max 48 --budget 2304`` builds (n |I| <= n^2)
+@pytest.mark.parametrize("n", [pytest.param(n, marks=pytest.mark.slow) if n > 20 else n
+                               for n in range(1, 49)])
+def test_zero_cross_i_times_every_zn_duplication_is_zero_cross_im(n):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        _assert_zero_cross_i_product(build_bowtie(ring, ideal, ring_as_module(ring)))
+
+
+def test_zero_cross_i_times_every_family_duplication_is_zero_cross_im():
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            _assert_zero_cross_i_product(inst)
             count += 1
     assert count == 176
 
@@ -125,9 +149,25 @@ def test_zero_cross_i(z6):
 
 
 def test_distinguished_submodules(z6):
-    zero_cross_im, im_cross_im = distinguished_submodules(z6.inst)
+    zero_cross_im, im_cross_im = z6.distinguished
     assert zero_cross_im.label_set() == "{(0,0),(0,3)}"
     assert im_cross_im.label_set() == "{(0,0),(0,3),(3,0),(3,3)}"
+
+
+def test_distinguished_submodules_and_the_whole_come_from_the_bowtie_memo():
+    # 0 x IM, IM x IM and M><I are the N><I of N = 0, IM and M: one object
+    # each, shared with the per-N rows
+    contexts = [make_zn_instance(4, [0, 2]), make_zn_instance(6, [0, 3])]
+    for module in family_modules():
+        inst = list(duplications(module))[-1]  # the largest I
+        contexts.append(Instance(inst.base_ring, inst.ideal, module))
+    for ctx in contexts:
+        base = ctx.inst.base_module
+        zero_cross_im, im_cross_im = ctx.distinguished
+        assert zero_cross_im is ctx.bowtie(zero_submodule(base))
+        assert im_cross_im is ctx.bowtie(Submodule.from_mask(base, ctx.inst.im.mask))
+        assert ctx.bowtie_whole is ctx.bowtie(whole_submodule(base))
+        assert ctx.bowtie_whole.mask == whole_submodule(ctx.inst.bowtie_module).mask
 
 
 def test_bowtie_submodule_first_components(z6):

@@ -25,6 +25,7 @@ import pytest
 
 from bowtie.duplication import predicted_sizes
 from bowtie.modules import (
+    Submodule,
     _cosets,
     annihilator,
     cosets,
@@ -34,7 +35,7 @@ from bowtie.modules import (
     whole_submodule,
 )
 from bowtie.rings import enumerate_ideals, make_zn
-from bowtie.theorems import Instance
+from bowtie.theorems import Instance, make_zn_instance
 
 import oracles
 from families import DUPLICATION_CAP, family_modules, relabel
@@ -111,6 +112,16 @@ def test_cosets_are_numbered_by_least_member():
         _assert_cosets_numbered_by_least_member(module)
     reversed_z6 = relabel(ring_as_module(make_zn(6)), [5, 4, 3, 2, 1, 0])
     _assert_cosets_numbered_by_least_member(reversed_z6)
+
+
+def test_kept_cosets_are_read_without_decoding_the_subset():
+    # a fresh object for a mask whose cosets are kept lists no members
+    ctx = make_zn_instance(12, [0, 6])
+    mod = ctx.inst.bowtie_module
+    for sub in enumerate_submodules(mod):
+        kept = cosets(sub)
+        fresh = Submodule.from_mask(mod, sub.mask)
+        assert cosets(fresh) is kept and fresh._members is None
 
 
 @pytest.mark.parametrize("n", range(1, 21))

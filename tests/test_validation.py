@@ -24,9 +24,7 @@ from bowtie import modules, rings
 from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
-    distinguished_submodules,
     pairs_in,
-    zero_cross_i,
 )
 from bowtie.modules import (
     Submodule,
@@ -54,7 +52,7 @@ from bowtie.rings import (
 from bowtie.instances import InstanceSpec
 from bowtie.theorems import CorpusSpec, hunt
 
-from constructions import quotient_ring
+from constructions import quotient_ring, zero_cross_i
 from families import duplications, family_modules, products, quotient_bases, quotients_and_sums
 from oracles import module_axiom_violations, ring_axiom_violations
 
@@ -118,7 +116,8 @@ def _assert_constructions_sound(inst) -> None:
 
     # the submodules and ideals a duplication builds unchecked: N><I and
     # L1's (N : M)><I for every N, the zero submodule, 0 x IM and IM x IM
-    zero_cross_im, im_cross_im = distinguished_submodules(inst)
+    zero_cross_im, im_cross_im = (bowtie_submodule(inst, n)
+                                  for n in (zero_submodule(inst.base_module), inst.im))
     whole = whole_submodule(inst.base_module)
     for n in enumerate_submodules(inst.base_module):
         _revalidates(bowtie_submodule(inst, n))
