@@ -27,11 +27,11 @@ from .rings import (
     class_ids,
     class_rows,
     derived,
-    inside,
     lowest_bit,
     make_zn,
     mask_of,
     memo,
+    pack,
     pack_rows,
     radical,
     row_images,
@@ -114,7 +114,7 @@ class Instance:
     facts of the whole instance (Lat(M><I), the distinguished submodules)
     are cached properties, and 0 x IM, IM x IM and M><I among them are the
     memo's N><I for N = 0, IM and M. The cosets of a submodule are M><I's
-    own, which npack and L8's quotients read. What does not depend on I
+    own, which npack and the Behboodi test read. What does not depend on I
     (Lat(M), N's verdicts and scalar classes) is kept on M, so every
     Instance over one module object shares it."""
 
@@ -584,30 +584,26 @@ def _quotient_iso(f: np.ndarray, target: TableModule, name: str, k: Submodule, k
     surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
     ``at`` holds L8's gens, the base scalars through which its scalars act on
     T, and M><I's sums and products at them, as check_module_map reads them.
-    M><I / K is read off K's cosets, kept on M><I by mask: p sends x to its
-    coset, numbered by least member reps[c], and the induced map is
-    g = f.take(reps). g(p(x)) = f(x) checks that f factors through p; with g
-    injective it also gives p(reps[c]) = c, so p is onto. Then g is a module
-    map exactly when f is, and f's own check stands for g's: p is a module
-    map, so g(p(x) + p(y)) = g(p(x+y)) = f(x+y) and g(s p(x)) = g(p(sx)) =
-    f(sx), while g(p(x)) + g(p(y)) = f(x) + f(y) and s g(p(x)) = s f(x)."""
+    No quotient of M><I is built: by the first isomorphism theorem the
+    induced map exists and is bijective exactly when (i) f is a module map,
+    (ii) f is onto and (iii) ker f = K, compared as masks. Once (i) holds,
+    f(x) = f(y) iff x - y lies in ker f, so f factors through M><I / K with
+    an injective induced map iff K <= ker f <= K, which is (iii); once ker f
+    = K, |M><I / K| = |T| iff f is onto, which is (ii). So the induced map
+    fails exactly when one of (i)-(iii) does. By Lagrange, |M><I / K| =
+    |M><I| / |K|."""
     gens, through, sums, products = at
     rows = target.act.take(through, axis=0)  # rows[i]: how the i-th scalar acts on T
     problems = []
-    is_map = check_module_map(f, sums, products, target.add, rows, gens)
-    if not is_map:
+    if not check_module_map(f, sums, products, target.add, rows, gens):
         problems.append(f"{name} is not a module map")
     if len(set(f.tolist())) != target.size:
         problems.append(f"{name} is not surjective")
-    if not np.array_equal(f == target.zero, inside(k.mask, len(f))):
+    if pack(f == target.zero) != k.mask:
         problems.append(f"kernel of the {name} is not {k_name}")
-    p, reps = cosets(k)
-    q = len(reps)
-    g = f.take(reps)
-    if not (is_map and q == target.size and 0 <= p.min() and p.max() < q
-            and (g.take(p) == f).all() and len(set(g.tolist())) == q):
+    if problems:
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
-    return problems, q
+    return problems, len(f) // k.mask.bit_count()
 
 
 def check_L8(ctx: Instance) -> Outcome:
@@ -644,7 +640,7 @@ def check_T_final(ctx: Instance) -> Outcome:
                       inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
     zero_cross_im, _ = ctx.distinguished
-    wp_sub = is_weakly_prime_submodule_behboodi(zero_cross_im, ctx.bowtie_submodules)
+    wp_sub = ctx.weakly_prime(zero_cross_im, "behboodi")  # N = 0's behboodi rows share it
     note = (
         f"M><I wp-module={wp_dup.holds} IM=0:{im_zero} M wp-module={wp_base.holds}"
         f" 0xIM wp-submodule={wp_sub.holds}"
@@ -671,7 +667,7 @@ def check_divergence(ctx: Instance) -> Outcome:
     if base.size == 1:
         return "na", "zero module has no proper zero submodule"
     zn = zero_submodule(base)
-    af = is_weakly_prime_submodule_af(zn)
+    af = memo(base, "weakly_prime_af", zn.mask, is_weakly_prime_submodule_af, zn)  # C_WP's key
     bb = is_weakly_prime_submodule_behboodi(zn, ctx.base_submodules)
     if af.holds == bb.holds:
         return "pass", f"af={af.holds} behboodi={bb.holds}: agree"

@@ -814,9 +814,9 @@ def quotient_iso(module: TableModule, scalars: np.ndarray, f: np.ndarray, target
                  name: str, k: Submodule, k_name: str, target_name: str,
                  at: tuple[np.ndarray, ...]) -> tuple[list[str], int]:
     """L8's (problems, |M><I / K|) for f: M><I -> T with kernel K, read off the
-    quotient module M><I / K (the library's check before it read the quotient
-    off K's cosets). ``scalars`` are L8's scalars of A><I, and ``at`` is as
-    theorems._quotient_iso takes it. The induced map g is f scattered through
+    quotient module M><I / K and its induced map (the library reads neither,
+    only ker f = K as masks). ``scalars`` are L8's scalars of A><I, and ``at``
+    is as theorems._quotient_iso takes it. The induced map g is f scattered through
     the quotient's projection p, g[p] = f, into an array filled with f(0):
     g(p(x)) = f(x) checks that f factors through p, whichever x of a coset
     the scatter keeps, and a coset p misses keeps f(0), so g has under q

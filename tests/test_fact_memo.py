@@ -3,8 +3,8 @@
 Scalar classes live in one memo per action table, keyed by mask: an ideal of
 A and the same subset as a submodule of the regular module share one entry,
 and so do the submodules of M><I of a regular M and the ideals of A><I. The
-cosets of a submodule are kept on its module by mask, and L8 reads each
-quotient of M><I off them. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
+cosets of a submodule are kept on its module by mask, and npack and the
+Behboodi test read them. The checker conditions that no variant changes (L3i's colons, L3ii's chain, T4,
 C_IRR, the weakly-prime test of the colon) are computed once
 per N><I and reading on ``Instance``. Here the calls are counted over a hunt,
 and every row is compared with the row of the same cell computed on a fresh
@@ -97,8 +97,8 @@ def test_each_fact_is_computed_once_over_zn(monkeypatch):
     # of a whole module reads the zero classes, which T_FINAL packs anyway
     assert len(classes) == 181 and max(classes.values()) == 1
     # one quotient per instance, L8's M/IM, and one coset table per (module,
-    # mask), which npack and L8 share
-    assert len(quotients) == 35 and len(cosets) == 135
+    # mask) that npack, the Behboodi test or M/IM reads; L8 reads none of M><I
+    assert len(quotients) == 35 and len(cosets) == 123
     for counts in (*per_n, irreducible, *scans, quotients, cosets):
         assert counts and max(counts.values()) == 1
     # L3i's colon scan runs for every (N><I, reading), once for the three variants

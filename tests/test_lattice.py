@@ -257,14 +257,33 @@ def test_behboodi_checkers_read_only_the_two_instance_lattices(monkeypatch):
 
 
 def test_an_l8_hunt_builds_m_mod_im_alone(monkeypatch):
-    # L8 reads M><I's quotients off their cosets; the one quotient module it
-    # builds is M/IM, once per instance, and none is a quotient of M><I
+    # the one quotient module L8 builds is M/IM, once per instance, and none
+    # is a quotient of M><I
     _, built = _count_enumerations(monkeypatch)
     quotients = _record_quotients(monkeypatch)
     hunt(CorpusSpec(max_n=20), theorems=["L8"])
     assert len(built) == 62
     assert [id(module) for module, _n in quotients] == [id(inst.base_module) for inst in built]
     assert not {id(inst.bowtie_module) for inst in built} & {id(m) for m, _n in quotients}
+
+
+def test_an_l8_hunt_builds_no_coset_table_of_m_bowtie_i(monkeypatch):
+    # L8 compares each projection's kernel with its K as masks; the one coset
+    # table it reads is M/IM's, which quotient_module reads on M
+    _, built = _count_enumerations(monkeypatch)
+    owners = []
+    real_cosets = modules.cosets
+
+    def recording(n):
+        owners.append(n.module)
+        return real_cosets(n)
+
+    for name, namespace in list(sys.modules.items()):
+        if name.split(".")[0] == "bowtie" and getattr(namespace, "cosets", None) is real_cosets:
+            monkeypatch.setattr(namespace, "cosets", recording)
+    hunt(CorpusSpec(max_n=20), theorems=["L8"])
+    assert len(built) == 62
+    assert [id(module) for module in owners] == [id(inst.base_module) for inst in built]
 
 
 def _hasse_cases():

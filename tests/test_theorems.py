@@ -202,66 +202,78 @@ def _swap_two_sums(monkeypatch):  # M/IM's 1 + 0 is no longer 1
     monkeypatch.setattr(theorems, "quotient_module", swapped)
 
 
-def _on_cosets(breaks):
-    """Break each coset table L8 reads, leaving the one kept on M><I as it is."""
+def _miss_a_coset(monkeypatch):  # M/IM's coset 1 joins coset 0 in the projection
+    real = theorems.quotient_module
+
+    def merged(module, n):
+        q, proj = real(module, n)
+        return q, np.where(proj == 1, 0, proj).astype(proj.dtype)
+
+    monkeypatch.setattr(theorems, "quotient_module", merged)
+
+
+def _with_kernel(which, wrong):
+    """Hand L8 wrong(ctx) as its which-th kernel through Instance.distinguished."""
     def patch(monkeypatch):
-        real = theorems.cosets
-        monkeypatch.setattr(theorems, "cosets", lambda k: breaks(*real(k)))
+        real = Instance.distinguished
+
+        def swapped(ctx):
+            kernels = list(real.__get__(ctx, Instance))
+            kernels[which] = wrong(ctx, kernels[which])
+            return tuple(kernels)
+
+        monkeypatch.setattr(Instance, "distinguished", property(swapped))
 
     return patch
 
 
-def _miss_a_coset(coset, reps):  # coset 1 joins coset 0
-    return np.where(coset == 1, 0, coset), reps
+def _zero_of_m_bowtie_i(ctx, k):  # a submodule, but smaller than 0 x IM
+    return zero_submodule(ctx.inst.bowtie_module)
 
 
-def _past_the_last_coset(coset, reps):  # coset 1 is sent to q, which no coset is
-    return np.where(coset == 1, len(reps), coset), reps
-
-
-def _below_coset_zero(coset, reps):  # -1, which numpy would read as the last coset
-    table = coset.astype(np.int64)
-    return np.where(table == len(reps) - 1, -1, table), reps
-
-
-BOTH_INDUCED_MAPS = ("induced map M><I / (0 x IM) -> M is not bijective;"
-                     " induced map M><I / (IM x IM) -> M/IM is not bijective")
+def _one_pair_more(ctx, k):  # IM x IM and (1,1): not a subgroup, so no kernel
+    assert ctx.inst.bowtie_module.labels[2] == "(1,1)" and 2 not in k
+    return Submodule.from_mask(k.module, k.mask | 4)
 
 
 @pytest.mark.parametrize("breaks,detail", [
     (_swap_two_sums, "coset projection is not a module map;"
                      " induced map M><I / (IM x IM) -> M/IM is not bijective"),
-    (_on_cosets(_miss_a_coset), BOTH_INDUCED_MAPS),
-    (_on_cosets(_past_the_last_coset), BOTH_INDUCED_MAPS),
-    (_on_cosets(_below_coset_zero), BOTH_INDUCED_MAPS),
-], ids=["_swap_two_sums", "_miss_a_coset", "_past_the_last_coset", "_below_coset_zero"])
+    (_miss_a_coset, "coset projection is not surjective;"
+                    " kernel of the coset projection is not IM x IM;"
+                    " induced map M><I / (IM x IM) -> M/IM is not bijective"),
+    (_with_kernel(0, _zero_of_m_bowtie_i), "kernel of the first projection is not 0 x IM;"
+                                           " induced map M><I / (0 x IM) -> M is not bijective"),
+    (_with_kernel(1, _one_pair_more), "kernel of the coset projection is not IM x IM;"
+                                      " induced map M><I / (IM x IM) -> M/IM is not bijective"),
+], ids=["_swap_two_sums", "_miss_a_coset", "_kernel_too_small", "_kernel_not_a_subgroup"])
 def test_L8_fails_on_a_broken_quotient(breaks, detail, monkeypatch):
-    # L8 reads M><I's quotients off theorems.cosets and builds M/IM with
-    # theorems.quotient_module
+    # L8 builds M/IM with theorems.quotient_module and compares each
+    # projection's kernel with Instance.distinguished, mask against mask
     breaks(monkeypatch)
     row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
     assert (row.outcome, row.detail) == ("fail", detail)
 
 
 def test_L8_fails_when_f_does_not_factor_through_the_projection(monkeypatch):
-    # the pair (1,3) of Z4><{0,2} moves from coset 1 to coset 0 of the 0 x IM
-    # projection; it is neither a pair generator nor the least member of a coset
+    # f sends the pair (1,3) of Z4><{0,2} to 3 but (1,1), in its coset of
+    # 0 x IM, to 1: no map on M><I / (0 x IM) composes with the projection
+    # to f. (1,3) is neither a pair generator nor the least member of a coset
+    real = theorems._quotient_iso
     ctx = make_zn_instance(4, [0, 2])
-    real = theorems.cosets
 
-    def moved(k):
-        coset, reps = real(k)
-        if k != ctx.distinguished[0]:
-            return coset, reps
-        table = coset.copy()
-        assert ctx.inst.bowtie_module.labels[3] == "(1,3)" and table[3] == 1
-        table[3] = 0
-        return table, reps
+    def split(f, target, name, *rest):
+        if name == "first projection":
+            assert ctx.inst.bowtie_module.labels[3] == "(1,3)" and f[3] == f[2] == 1
+            f = f.copy()
+            f[3] = 3
+        return real(f, target, name, *rest)
 
-    monkeypatch.setattr(theorems, "cosets", moved)
+    monkeypatch.setattr(theorems, "_quotient_iso", split)
     row = run_checker(ctx, "L8", None)
     assert (row.outcome, row.detail) == (
-        "fail", "induced map M><I / (0 x IM) -> M is not bijective")
+        "fail", "first projection is not a module map;"
+                " induced map M><I / (0 x IM) -> M is not bijective")
 
 
 def test_P_colon_primary_fails_on_a_flipped_coset_action(monkeypatch):
