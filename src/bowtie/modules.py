@@ -124,7 +124,7 @@ def validate_module(module: TableModule, limit: int | None = None) -> None:
         raise RingAxiomError("action table has the wrong shape")
     if not (add == add.T).all():
         raise RingAxiomError("module add is not commutative")
-    if not (add[module.zero] == idx).all():
+    if not (0 <= module.zero < k and (add[module.zero] == idx).all()):
         raise RingAxiomError("module zero is not an identity")
     if not (add == module.zero).any(axis=1).all():
         raise RingAxiomError("some module element has no additive inverse")
@@ -235,11 +235,10 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
     Each distinct cyclic C, by size, is joined onto every K found so far, so
     the found set holds the joins of every subset of the cyclics taken; a C
     already found is such a join. While fewer than WIDE submodules are
-    found, a join ORs the cosets y + C, cached across the K, or the cosets
-    y + K when C is small against K; from then on _join_wide joins C onto
-    every K at once. Finding more than ``limit`` submodules raises
-    LatticeLimitError. The found set holds masks; a member list is decoded
-    only where a join reads one.
+    found, a join ORs the cosets y + C over the y of K, cached across the K,
+    so only C's members are ever decoded; from then on _join_wide joins C
+    onto every K at once. Finding more than ``limit`` submodules raises
+    LatticeLimitError. The found set holds masks.
     """
     found: set[int] = set()
     _found(found, 1 << module.zero, limit)
@@ -251,12 +250,10 @@ def enumerate_submodules(module: TableModule, limit: int | None = None) -> list[
             break
         if c in found:
             continue
-        c_members, c_size, translates = bits(c), c.bit_count(), {}
+        c_members, translates = bits(c), {}
         for k in list(found):
             if c & ~k:
-                joined = (_join(add, k, bits(k), c, {})
-                          if c_size * (c & k).bit_count() < k.bit_count()
-                          else _join(add, c, c_members, k, translates))
+                joined = _join(add, c, c_members, k, translates)
                 if joined not in found:
                     _found(found, joined, limit)
     width = (module.size + 7) // 8

@@ -368,9 +368,9 @@ def validate_ring(ring: TableRing, limit: int | None = None) -> None:
         if not (tbl == tbl.T).all():
             raise RingAxiomError(f"{op} is not commutative")
     idx = np.arange(k, dtype=np.int32)
-    if not (add[ring.zero] == idx).all():
+    if not (0 <= ring.zero < k and (add[ring.zero] == idx).all()):
         raise RingAxiomError("zero is not an additive identity")
-    if not (mul[ring.one] == idx).all():
+    if not (0 <= ring.one < k and (mul[ring.one] == idx).all()):
         raise RingAxiomError("one is not a multiplicative identity")
     if k > 1 and ring.one == ring.zero:
         raise RingAxiomError("one equals zero in a nontrivial ring")
@@ -618,8 +618,8 @@ def _join(
 
 def subgroup_sum(add: np.ndarray, zero: int, pieces: Iterable[int]) -> int:
     """The sum of additive subgroups, given by their masks, as a mask: each
-    piece not yet inside and the sum so far are joined, the smaller onto
-    the larger, so that a join adds few cosets.
+    piece not yet inside is joined onto the sum so far, by the cosets of
+    that sum.
 
     The one sum of ideals and submodules: submodule_generated (and through
     it ideal_generated) and duplication.product_submodule build theirs here.
@@ -627,8 +627,6 @@ def subgroup_sum(add: np.ndarray, zero: int, pieces: Iterable[int]) -> int:
     total = 1 << zero
     for piece in pieces:
         if piece & ~total:
-            if piece.bit_count() > total.bit_count():
-                total, piece = piece, total
             total = _join(add, total, bits(total), piece, {})
     return total
 

@@ -42,6 +42,7 @@ from .modules import (
     annihilator,
     check_module_map,
     colon_into_ring,
+    colon_mask,
     cosets,
     enumerate_submodules,
     is_cyclic,
@@ -108,7 +109,7 @@ class Instance:
     """A built duplication plus the facts its checkers share; each lattice
     may hold at most ``lattice_limit`` submodules.
 
-    Every fact keyed by a submodule of M><I (N><I, its verdicts, colons,
+    Every fact keyed by a submodule of M><I (N><I, its verdicts, colon,
     npack, the checkers' conditions) is kept with rings.memo in the
     instance's ``derived_cache``, as M and the tables keep theirs; the
     facts of the whole instance (Lat(M><I), the distinguished submodules)
@@ -170,11 +171,9 @@ class Instance:
     def bowtie(self, n: Submodule) -> Submodule:
         return memo(self, "bowtie", n.mask, bowtie_submodule, self.inst, n)
 
-    def colon(self, nb: Submodule, k: Submodule | None = None) -> Ideal:
-        """(N><I : K) for a submodule K of M><I, by default M><I itself;
-        built once per (N><I, K) and shared by L1, L3i, L3ii and the rest."""
-        k = self.bowtie_whole if k is None else k
-        return memo(self, "colon", (nb.mask, k.mask), colon_into_ring, nb, k)
+    def colon(self, nb: Submodule) -> Ideal:
+        """(N><I : M><I), once per N><I; L3i and L3ii read (N><I : K) by colon_mask."""
+        return memo(self, "colon", nb.mask, colon_into_ring, nb, self.bowtie_whole)
 
     def prime(self, nb: Submodule) -> Verdict:
         return memo(self, "prime", nb.mask, is_prime_submodule, nb)
@@ -330,13 +329,15 @@ def _quantifier_domain(ctx: Instance, reading: str) -> list[Submodule]:
 def non_prime_colon(ctx: Instance, nb: Submodule, reading: str) -> str:
     """Witness of the first K of the domain, not inside N><I, whose colon
     (N><I : K) is not a prime ideal; "" when there is none."""
+    ring = ctx.inst.bowtie_ring
     for k in _quantifier_domain(ctx, reading):
         if k.mask & nb.mask == k.mask:
             continue
-        col = ctx.colon(nb, k)
-        v = ideal_is_prime(col.ring, col.mask)
+        col = colon_mask(nb.classes, k.mask)
+        v = ideal_is_prime(ring, col)
         if not v.holds:
-            return f"K={k.label_set()} gives colon {col.label_set()}, not prime: {v.witness_text}"
+            return (f"K={k.label_set()} gives colon {Ideal.from_mask(ring, col).label_set()},"
+                    f" not prime: {v.witness_text}")
     return ""
 
 
@@ -356,7 +357,7 @@ def colon_chain_violation(ctx: Instance, nb: Submodule, reading: str) -> str:
     that names the lex-first one.
     """
     domain = [k for k in _quantifier_domain(ctx, reading) if k.mask & nb.mask != k.mask]
-    colons = [ctx.colon(nb, k).mask for k in domain]
+    colons = [colon_mask(nb.classes, k.mask) for k in domain]
     chain = sorted(set(colons), key=int.bit_count)
     if all(a & ~b == 0 for a, b in zip(chain, chain[1:])):
         return ""

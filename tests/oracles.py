@@ -789,12 +789,17 @@ def colon_product_violation(ctx, nb: Submodule) -> str:
 def colon_chain_pairs(ctx, nb: Submodule, reading: str) -> str:
     """L3ii's condition over every pair (K, L) of the quantifier domain,
     neither inside N><I, in domain order: the library's loop before it
-    sorted the distinct colons first."""
+    sorted the distinct colons first. Each colon (N><I : K) is read element
+    by element: s is in it when s*x lies in N><I for every x of K."""
     domain = [
         k for k in theorems._quantifier_domain(ctx, reading)
         if k.mask & nb.mask != k.mask
     ]
-    colons = [ctx.colon(nb, k).mask for k in domain]
+    act, inside_n = nb.module.act.tolist(), set(nb.members)
+    colons = [
+        mask_of(s for s, row in enumerate(act) if all(row[x] in inside_n for x in k.members))
+        for k in domain
+    ]
     for i in range(len(domain)):
         for j in range(i + 1, len(domain)):
             a, b = colons[i], colons[j]

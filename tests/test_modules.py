@@ -249,10 +249,11 @@ def test_module_map_check_matches_oracle_on_families(monkeypatch):
 
 
 def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
-    # f read at the least member of each coset (modules.cosets, which npack
-    # reads) is the map the quotient inherits from f: the oracle walks the
-    # quotient module's projection entry by entry. L8 builds no induced map,
-    # and oracles.quotient_iso checks its verdicts with this one
+    # pins modules.cosets and quotient_module on M><I, which npack and the
+    # Behboodi test read: f read at the least member of each coset is the map
+    # the quotient inherits from f, as the oracle walks the quotient module's
+    # projection entry by entry. L8 reads neither; L8's f is only a map of
+    # M><I that has these submodules as kernels
     f1, f2 = (args[0] for args, *_ in _l8_maps(ctx, monkeypatch))
     for f, k in zip((f1, f2), ctx.distinguished):
         q, proj = quotient_module(k.module, k)

@@ -339,6 +339,26 @@ def test_action_additive_but_not_multiplicative():
         validate_module(bad)
 
 
+@pytest.mark.parametrize("zero, one, message", [
+    (0, 7, "one is not a multiplicative identity"),
+    # numpy reads index -1 as the last row, which on Z2 is the identity's
+    (0, -1, "one is not a multiplicative identity"),
+    (5, 1, "zero is not an additive identity"),
+])
+def test_ring_identity_outside_the_carrier_is_refused(zero, one, message):
+    z2 = make_zn(2)
+    bad = TableRing(size=2, add=z2.add, mul=z2.mul, zero=zero, one=one, labels=z2.labels)
+    with pytest.raises(RingAxiomError, match=message):
+        validate_ring(bad)
+
+
+def test_module_zero_outside_the_carrier_is_refused():
+    z2 = make_zn(2)
+    bad = TableModule(ring=z2, size=2, add=z2.add, act=z2.mul, zero=9, labels=z2.labels)
+    with pytest.raises(RingAxiomError, match="module zero is not an identity"):
+        validate_module(bad)
+
+
 # ------------------------------------------- one comparison per axiom
 
 
