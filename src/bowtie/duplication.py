@@ -10,6 +10,7 @@ pair notation end to end: witnesses decode to pairs of base elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,27 +23,60 @@ from .modules import Submodule, TableModule
 
 @dataclass(frozen=True, eq=False)
 class BowtieInstance:
-    """A built duplication: base data, duplicated ring and module, decodes.
+    """A built duplication: base data, pairs and generator blocks; the
+    duplicated ring and module build their tables on first read.
 
     ``ring_pairs`` and ``module_pairs`` are read-only (k, 2) arrays: row x
     holds the base indices of the pair at index x, (a, a+i) for the ring,
-    (m, m') for the module. For a regular M they are one array.
+    (m, m') for the module, and ``ring_index`` and ``module_index`` their
+    lookups (_pairs); for a regular M they are one. ``gens`` and ``scalars``
+    index the pair generators of M><I and A><I; M><I's generator blocks are
+    ``sums[x, j] = x + gens[j]`` and ``products[i, j] = scalars[i] gens[j]``.
     """
 
     base_ring: TableRing
     ideal: Ideal
     base_module: TableModule
     im: Submodule  # the submodule I*M of the base module
-    bowtie_ring: TableRing
-    bowtie_module: TableModule
     ring_pairs: np.ndarray
     module_pairs: np.ndarray
+    ring_index: np.ndarray
+    module_index: np.ndarray
+    gens: np.ndarray
+    scalars: np.ndarray
+    sums: np.ndarray
+    products: np.ndarray
+
+    @cached_property
+    def bowtie_ring(self) -> TableRing:
+        ring, pairs, index = self.base_ring, self.ring_pairs, self.ring_index
+        n = ring.size
+        return TableRing(
+            size=len(pairs), add=_componentwise(ring.add, pairs, pairs, index, n, "add"),
+            mul=_componentwise(ring.mul, pairs, pairs, index, n, "mul"),
+            zero=int(index[ring.zero * n + ring.zero]), one=int(index[ring.one * n + ring.one]),
+            labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in pairs.tolist()),
+            name=f"sub(({ring.name}x{ring.name}))")
+
+    @cached_property
+    def bowtie_module(self) -> TableModule:
+        module, ring, pairs, index = (self.base_module, self.bowtie_ring, self.module_pairs,
+                                      self.module_index)
+        k, regular = module.size, pairs is self.ring_pairs
+        return TableModule(
+            ring=ring, size=len(pairs),
+            add=ring.add if regular else _componentwise(module.add, pairs, pairs, index, k, "add"),
+            act=ring.mul if regular else _componentwise(module.act, self.ring_pairs, pairs, index,
+                                                        k, "act"),
+            zero=int(index[module.zero * k + module.zero]),
+            labels=(ring.labels if regular and module.labels is self.base_ring.labels
+                    else tuple(f"({module.labels[m]},{module.labels[mp]})"
+                               for m, mp in pairs.tolist())),
+            name=f"{module.name}><{self.ideal.label_set()}")
 
     def __repr__(self) -> str:
-        return (
-            f"BowtieInstance({self.base_ring.name}, I={self.ideal.label_set()},"
-            f" |ring|={self.bowtie_ring.size}, |module|={self.bowtie_module.size})"
-        )
+        return (f"BowtieInstance({self.base_ring.name}, I={self.ideal.label_set()},"
+                f" |ring|={len(self.ring_pairs)}, |module|={len(self.module_pairs)})")
 
 
 def product_submodule(ideal: Ideal, module: TableModule) -> Submodule:
@@ -106,15 +140,18 @@ def pair_generators(pairs: np.ndarray, zero: int) -> np.ndarray:
 
 
 def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: np.ndarray,
-                   width: int, what: str) -> np.ndarray:
-    """The table (r, r').(c, c') = (r op c, r' op c') through the pair index.
+                   width: int, what: str, at: np.ndarray | None = None) -> np.ndarray:
+    """The table (r, r').(c, c') = (r op c, r' op c') through the pair index,
+    on the columns ``cols[at]`` when ``at`` is given.
 
-    A result outside the carrier raises ClosureError at the first such
-    entry, with its two pairs as codes a*width + b. The codes are built in
-    the narrowest dtype that holds them, a block of rows at a time, and
-    looked up in the lookup's dtype, so the table is the one k x k array
-    of the call; it comes back read-only in table_array's dtype.
+    A result outside the carrier of cols raises ClosureError at the first
+    such entry, with its two pairs as codes a*width + b. The codes are built
+    in the narrowest dtype that holds them, a block of rows at a time, and
+    looked up in the lookup's dtype, so the table is the one large array of
+    the call; it comes back read-only in table_array's dtype.
     """
+    size = len(cols)  # the lookup's index for a pair outside
+    cols = cols if at is None else cols.take(at, axis=0)
     t = op.astype(narrow_dtype(0, width * width - 1))
     # firsts[a, c] = a op c for the first component c of each column pair
     firsts, seconds = t.take(cols[:, 0], axis=1), t.take(cols[:, 1], axis=1)
@@ -126,84 +163,57 @@ def _componentwise(op: np.ndarray, rows: np.ndarray, cols: np.ndarray, lookup: n
         codes *= width
         codes += seconds.take(block[:, 1], axis=0)
         table[start:start + step] = lookup.take(codes)
-    if table.max() == len(cols):  # the lookup's index for a pair outside
-        i, j = (int(v) for v in np.argwhere(table == len(cols))[0])
+    if table.max() == size:
+        i, j = (int(v) for v in np.argwhere(table == size)[0])
         (a, b), (x, y) = rows[i].tolist(), cols[j].tolist()
-        raise ClosureError(
-            f"subset not closed under {what} at (({a},{b}),({x},{y}))",
-            (a * width + b, x * width + y),
-        )
-    # the entries index the carrier of cols
-    return carrier_table(table, len(cols))
+        raise ClosureError(f"subset not closed under {what} at (({a},{b}),({x},{y}))",
+                           (a * width + b, x * width + y))
+    return carrier_table(table, size)
 
 
 def build_bowtie(ring: TableRing, ideal: Ideal, module: TableModule) -> BowtieInstance:
-    """Construct the duplicated ring and module from their pairs.
+    """Construct the duplication from its pairs; no table of it is built.
 
     Both carriers are sorted pairs, the lexicographic order of A x A and
-    M x M, and both are operated on componentwise. They are a ring and a
-    module by theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so
-    nothing is re-validated; a pair set that is not closed raises
-    ClosureError. When M is the regular module of A (it acts by the ring's
-    own ``mul``), IM = IA = I, so M><I has the pairs of A><I and is its
-    regular module: it shares the ring's arrays instead of computing two more.
+    M x M, operated on componentwise. They are a ring and a module by
+    theorem (D'Anna-Fontana; Bouba-Mahdou-Tamekkante), so nothing is
+    re-validated, but a pair set P that is not closed raises ClosureError:
+    P is closed under + iff P + g lies in P for each generator g, and then
+    under a product iff each product of two generators does, by
+    bilinearity, so the generator blocks of M><I (and of A><I, unless M is
+    regular) are the check. When M is the regular module of A (it acts by
+    the ring's own ``mul``), IM = IA = I and M><I is A><I's regular module.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if module.ring is not ring:
         raise ValueError("module is over a different ring")
-    regular = module.table_owner is ring
     im = im_submodule(ideal, module)
-
-    n = ring.size
+    n, k = ring.size, module.size
     # ring carrier: the pairs (a, a+i), as codes a*n + (a+i), sorted
-    ring_codes = np.sort(
-        (np.arange(n)[:, None] * n + ring.add.take(ideal.members, axis=1)).ravel()
-    )
+    ring_codes = np.sort((np.arange(n)[:, None] * n
+                          + ring.add.take(ideal.members, axis=1)).ravel())
     ring_pairs, ring_index = _pairs(ring_codes, n)
-    rp = ring_pairs.tolist()
-    bowtie_ring = TableRing(
-        size=len(rp),
-        add=_componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add"),
-        mul=_componentwise(ring.mul, ring_pairs, ring_pairs, ring_index, n, "mul"),
-        zero=int(ring_index[ring.zero * n + ring.zero]),
-        one=int(ring_index[ring.one * n + ring.one]),
-        labels=tuple(f"({ring.labels[a]},{ring.labels[b]})" for a, b in rp),
-        name=f"sub(({ring.name}x{ring.name}))",
-    )
-
-    k = module.size
-    if regular:
-        module_pairs, module_index = ring_pairs, ring_index
-        add, act = bowtie_ring.add, bowtie_ring.mul
+    scalars = pair_generators(ring_pairs, ring.zero)
+    scalar_pairs = ring_pairs.take(scalars, axis=0)
+    if module.table_owner is ring:
+        module_pairs, module_index, gens = ring_pairs, ring_index, scalars
+        add, act, acts = ring.add, ring.mul, "mul"
     else:
+        # A><I's own blocks, for the check alone: M><I's may miss a non-ideal I
+        _componentwise(ring.add, ring_pairs, ring_pairs, ring_index, n, "add", scalars)
+        _componentwise(ring.mul, scalar_pairs, ring_pairs, ring_index, n, "mul", scalars)
         # module carrier: pairs (m, m') with m - m' in IM, in lexicographic order
         diff = module.add.take(module.neg, axis=1)  # diff[m, m'] = m - m'
         module_pairs, module_index = _pairs(np.flatnonzero(inside(im.mask, k).take(diff)), k)
-        add = _componentwise(module.add, module_pairs, module_pairs, module_index, k, "add")
-        act = _componentwise(module.act, ring_pairs, module_pairs, module_index, k, "act")
-    labels = (bowtie_ring.labels if module_pairs is ring_pairs and module.labels is ring.labels
-              else tuple(f"({module.labels[m]},{module.labels[mp]})"
-                         for m, mp in module_pairs.tolist()))
-    bowtie_module = TableModule(
-        ring=bowtie_ring,
-        size=len(module_pairs),
-        add=add,
-        act=act,
-        zero=int(module_index[module.zero * k + module.zero]),
-        labels=labels,
-        name=f"{module.name}><{ideal.label_set()}",
-    )
+        gens = pair_generators(module_pairs, module.zero)
+        add, act, acts = module.add, module.act, "act"
     return BowtieInstance(
-        base_ring=ring,
-        ideal=ideal,
-        base_module=module,
-        im=im,
-        bowtie_ring=bowtie_ring,
-        bowtie_module=bowtie_module,
-        ring_pairs=ring_pairs,
-        module_pairs=module_pairs,
-    )
+        base_ring=ring, ideal=ideal, base_module=module, im=im, ring_pairs=ring_pairs,
+        module_pairs=module_pairs, ring_index=ring_index, module_index=module_index,
+        gens=gens, scalars=scalars,
+        sums=_componentwise(add, module_pairs, module_pairs, module_index, k, "add", gens),
+        products=_componentwise(act, scalar_pairs, module_pairs, module_index, k, acts, gens))
 
 
 def bowtie_submodule(inst: BowtieInstance, n: Submodule) -> Submodule:

@@ -56,17 +56,20 @@ def table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     stored tables stay small; a table with an entry outside that range
     (which validation then rejects) is int32. An array that is read-only
     in one of these dtypes already, as the constructions build theirs, is
-    returned as it is.
+    returned as it is; an entry that is not an integer raises ValueError.
     """
     if isinstance(table, np.ndarray):
         if not table.flags.writeable and table.dtype in _DTYPES:
             return table
+        if table.dtype.kind not in "biu":
+            raise ValueError(f"table entries must be integers, not {table.dtype}")
         # casting an array to a narrower dtype wraps silently, so the
         # dtype is chosen from the entries' range
         lo, hi = (int(table.min()), int(table.max())) if table.size else (0, 0)
         arr = table.astype(narrow_dtype(lo, hi))
     else:
-        # casting nested sequences raises OverflowError at an entry out of range
+        # casting nested sequences raises OverflowError at an entry out of
+        # range but truncates a float, which makes the sum of all a float
         for dtype in _DTYPES[:2]:
             try:
                 arr = np.asarray(table, dtype=dtype)
@@ -75,6 +78,8 @@ def table_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
                 continue
         else:
             arr = np.asarray(table, dtype=np.int32)
+        if not isinstance(sum(map(sum, table)), (int, np.integer)):
+            raise ValueError("table entries must be integers")
     arr.setflags(write=False)
     return arr
 
@@ -639,10 +644,6 @@ def row_images(rows: np.ndarray, size: int) -> tuple[int, ...]:
     step = row_block(max(size, rows.shape[1]))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        if size <= 64:  # a row's mask is the OR of its entries' bits
-            bit = np.left_shift(np.uint64(1), block.astype(np.uint64))
-            masks.extend(np.bitwise_or.reduce(bit, axis=1).tolist())
-            continue
         hits = np.zeros((len(block), size), dtype=bool)
         hits[np.arange(len(block))[:, None], block] = True
         masks.extend(pack_rows(hits))

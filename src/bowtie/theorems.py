@@ -71,7 +71,6 @@ from .duplication import (
     BowtieInstance,
     build_bowtie,
     bowtie_submodule,
-    pair_generators,
     pairs_in,
 )
 
@@ -158,9 +157,9 @@ class Instance:
 
     @cached_property
     def distinguished(self) -> tuple[Submodule, Submodule]:
-        """0 x IM and IM x IM, shared by L8 and T_final. Every pair (m, m')
-        has m - m' in IM, so m' lies in IM exactly when m does: they are
-        0 join I and (IM) join I."""
+        """0 x IM and IM x IM as submodules of M><I; T_final reads the first.
+        Every pair (m, m') has m - m' in IM, so m' lies in IM exactly when m
+        does: they are 0 join I and (IM) join I. L8 reads both as masks."""
         return self.bowtie(zero_submodule(self.inst.base_module)), self.bowtie(self.inst.im)
 
     @cached_property
@@ -579,12 +578,12 @@ def check_C_radical_prime(ctx: Instance, n: Submodule, nb: Submodule, *_) -> Out
     return "fail", f"radical {rad.label_set()} is not prime: {v.witness_text}"
 
 
-def _quotient_iso(f: np.ndarray, target: TableModule, name: str, k: Submodule, k_name: str,
+def _quotient_iso(f: np.ndarray, target: TableModule, name: str, k: int, k_name: str,
                   target_name: str, at: tuple[np.ndarray, ...]) -> tuple[list[str], int]:
     """The reasons f: M><I -> T, checked at the generators, fails to be a
-    surjective module map with kernel K inducing M><I / K = T, and |M><I / K|.
-    ``at`` holds L8's gens, the base scalars through which its scalars act on
-    T, and M><I's sums and products at them, as check_module_map reads them.
+    surjective module map with kernel K (a mask) inducing M><I / K = T, and
+    |M><I / K|. ``at`` holds L8's gens, the base scalars through which its
+    scalars act on T, and M><I's generator blocks, as check_module_map reads them.
     No quotient of M><I is built: by the first isomorphism theorem the
     induced map exists and is bijective exactly when (i) f is a module map,
     (ii) f is onto and (iii) ker f = K, compared as masks. Once (i) holds,
@@ -600,29 +599,27 @@ def _quotient_iso(f: np.ndarray, target: TableModule, name: str, k: Submodule, k
         problems.append(f"{name} is not a module map")
     if len(set(f.tolist())) != target.size:
         problems.append(f"{name} is not surjective")
-    if pack(f == target.zero) != k.mask:
+    if pack(f == target.zero) != k:
         problems.append(f"kernel of the {name} is not {k_name}")
     if problems:
         problems.append(f"induced map M><I / ({k_name}) -> {target_name} is not bijective")
-    return problems, len(f) // k.mask.bit_count()
+    return problems, len(f) // k.bit_count()
 
 
 def check_L8(ctx: Instance) -> Outcome:
     """Both canonical quotient isomorphisms of M><I: the first projection onto
-    M and the coset projection onto M / IM, scalars acting through the first."""
+    M and the coset projection onto M / IM, scalars acting through the first,
+    read off the pairs and build_bowtie's generator blocks: no table of M><I."""
     inst = ctx.inst
-    mod = inst.bowtie_module
-    zero_cross_im, im_cross_im = ctx.distinguished
-    gens = pair_generators(inst.module_pairs, inst.base_module.zero)
-    scalars = (gens if inst.ring_pairs is inst.module_pairs
-               else pair_generators(inst.ring_pairs, inst.base_ring.zero))
-    # gathered once for both projections
-    at = (gens, inst.ring_pairs[scalars, 0], mod.add.take(gens, axis=1),
-          mod.act.take(scalars, axis=0).take(gens, axis=1))
+    base = inst.base_module
+    # 0 x IM and IM x IM: m' lies in IM exactly when m does
+    zero_cross_im, im_cross_im = (pairs_in(inst.module_pairs, 0, mask, base.size)
+                                  for mask in (1 << base.zero, inst.im.mask))
+    at = (inst.gens, inst.ring_pairs[inst.scalars, 0], inst.sums, inst.products)
     firsts = inst.module_pairs[:, 0]
-    problems1, q1 = _quotient_iso(firsts, inst.base_module, "first projection",
+    problems1, q1 = _quotient_iso(firsts, base, "first projection",
                                   zero_cross_im, "0 x IM", "M", at)
-    base_quo, bproj = quotient_module(inst.base_module, inst.im)
+    base_quo, bproj = quotient_module(base, inst.im)
     problems2, q2 = _quotient_iso(bproj.take(firsts), base_quo, "coset projection",
                                   im_cross_im, "IM x IM", "M/IM", at)
     if problems1 or problems2:

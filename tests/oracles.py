@@ -816,9 +816,10 @@ def colon_chain_pairs(ctx, nb: Submodule, reading: str) -> str:
 
 
 def quotient_iso(module: TableModule, scalars: np.ndarray, f: np.ndarray, target: TableModule,
-                 name: str, k: Submodule, k_name: str, target_name: str,
+                 name: str, k_mask: int, k_name: str, target_name: str,
                  at: tuple[np.ndarray, ...]) -> tuple[list[str], int]:
-    """L8's (problems, |M><I / K|) for f: M><I -> T with kernel K, read off the
+    """L8's (problems, |M><I / K|) for f: M><I -> T with kernel K (given by its
+    mask, as theorems._quotient_iso takes it), read off the
     quotient module M><I / K and its induced map (the library reads neither,
     only ker f = K as masks). ``scalars`` are L8's scalars of A><I, and ``at``
     is as theorems._quotient_iso takes it. The induced map g is f scattered through
@@ -834,9 +835,9 @@ def quotient_iso(module: TableModule, scalars: np.ndarray, f: np.ndarray, target
         problems.append(f"{name} is not a module map")
     if len(set(f.tolist())) != target.size:
         problems.append(f"{name} is not surjective")
-    if not np.array_equal(f == target.zero, inside(k.mask, len(f))):
+    if not np.array_equal(f == target.zero, inside(k_mask, len(f))):
         problems.append(f"kernel of the {name} is not {k_name}")
-    q, p = quotient_module(module, k)
+    q, p = quotient_module(module, Submodule.from_mask(module, k_mask))
     bijective = q.size == target.size and 0 <= p.min() and p.max() < q.size
     if bijective:
         g = np.full(q.size, f[0], dtype=f.dtype)

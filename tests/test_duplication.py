@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 
-from bowtie import duplication
+from bowtie import duplication, theorems
 from bowtie.duplication import (
     bowtie_submodule,
     build_bowtie,
@@ -122,6 +122,53 @@ def test_pairs_of_a_non_ideal_raise_closure_error():
     with pytest.raises(ClosureError, match=r"under add at \(\(0,1\),\(0,1\)\)") as exc:
         build_bowtie(ring, fake, ring_as_module(ring))
     assert exc.value.pair == (1, 1)  # (0,1) in A x A, at index 0*6 + 1
+
+
+@pytest.mark.parametrize("name", ["(Z2xZ2)-reg", "(Z2xZ2)/{(0,0),(0,1)}"])
+def test_pairs_of_a_subring_that_is_no_ideal_raise_closure_error(name):
+    # the diagonal {(0,0),(1,1)} of Z2xZ2 is closed under + but not under
+    # multiplication by Z2xZ2: (0,(1,1)).((0,1),(0,1)) = (0,(0,1)) is no
+    # pair. Over the quotient, IM = M and every pair of M x M lies in M><I,
+    # so the module's generator blocks close; the ring's own must not
+    module = next(m for m in family_modules() if m.name == name)
+    ring = module.ring
+    diagonal = Ideal.from_mask(ring, 1 << ring.labels.index("(0,0)")
+                               | 1 << ring.labels.index("(1,1)"))
+    with pytest.raises(ClosureError) as exc:
+        build_bowtie(ring, diagonal, module)
+    assert str(exc.value) == "subset not closed under mul at ((0,3),(1,1))"
+    assert (module.table_owner is ring) == (name == "(Z2xZ2)-reg")
+
+
+def _assert_l8_reads_only_the_generator_blocks(ctx) -> None:
+    """An L8-only pass builds neither table of the duplication, and the
+    generator blocks it read are the columns of the tables built after."""
+    inst = ctx.inst
+    assert theorems.run_checker(ctx, "L8", None).outcome == "pass"
+    assert "bowtie_ring" not in vars(inst) and "bowtie_module" not in vars(inst)
+    base = inst.base_module
+    assert np.array_equal(inst.gens, pair_generators(inst.module_pairs, base.zero))
+    assert np.array_equal(inst.scalars, pair_generators(inst.ring_pairs, inst.base_ring.zero))
+    mod = inst.bowtie_module
+    assert np.array_equal(inst.sums, mod.add.take(inst.gens, 1))
+    assert np.array_equal(inst.products, mod.act.take(inst.scalars, 0).take(inst.gens, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_l8_builds_no_table_of_a_duplication_of_zn(n):
+    ring = make_zn(n)
+    for ideal in enumerate_ideals(ring):
+        _assert_l8_reads_only_the_generator_blocks(Instance(ring, ideal, ring_as_module(ring)))
+
+
+def test_l8_builds_no_table_of_a_family_duplication():
+    count = 0
+    for module in family_modules():
+        for inst in duplications(module):
+            _assert_l8_reads_only_the_generator_blocks(
+                Instance(inst.base_ring, inst.ideal, module))
+            count += 1
+    assert count == 176
 
 
 def test_arithmetic_is_componentwise(z6):

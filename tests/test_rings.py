@@ -102,6 +102,17 @@ def test_table_array_dtype_from_range(hi, dtype, kind):
     assert not arr.flags.writeable
 
 
+@pytest.mark.parametrize("kind", [list, np.asarray])
+def test_float_entries_are_refused_not_truncated(kind):
+    # cast to uint8, this add was Z2's, and validate_ring accepted it
+    with pytest.raises(ValueError, match="table entries must be integers"):
+        TableRing(size=2, add=kind([[0.9, 1.5], [1.5, 0.2]]), mul=[[0, 0], [0, 1]],
+                  zero=0, one=1, labels=("0", "1"), name="Z2")
+    with pytest.raises(ValueError, match="table entries must be integers"):
+        table_array(kind([[0, 1], [1, 0.0]]))  # an integral float too
+    assert table_array(kind([[0, 1], [1, 0]])).tolist() == [[0, 1], [1, 0]]
+
+
 def test_table_array_negative_and_overflow():
     assert table_array(np.asarray([[-1, 3]])).dtype == np.int32
     with pytest.raises(OverflowError):

@@ -16,10 +16,9 @@ gathers through a large table (the classes, the coset numbering and the
 packing of a table's row images) read a block of rows at a time, and L8's
 module-map check and the colon product scan read only generators and class
 representatives, each under a tracemalloc bound; the blocked passes must
-equal their one-block results. Up to 64 elements ``row_images`` ORs each
-row's entry bits instead of packing a boolean fill; the fill is kept in
-``oracles.py``, and the two must agree at every carrier size up to 65 and
-on the principal and cyclic masks of Z_n><I, n <= 20, and of the families.
+equal their one-block results. ``row_images`` must agree with the
+boolean fill kept in ``oracles.py`` at every carrier size up to 65 and on
+the principal and cyclic masks of Z_n><I, n <= 20, and of the families.
 """
 
 import tracemalloc
@@ -114,8 +113,8 @@ def _agree_on_rows(rows: np.ndarray, size: int) -> None:
 
 @pytest.mark.parametrize("size", range(1, 66))
 def test_row_images_up_to_64_elements_match_the_packed_form(size, monkeypatch):
-    """Up to 64 elements a row's mask is the OR of its entries' bits; from 65
-    it is the packed boolean fill, which the oracle keeps for every size."""
+    """Every row's mask at carrier sizes 1 to 65, one block and a few rows
+    a block, against the oracle's packed boolean fill."""
     rng = np.random.default_rng(size)
     table = rng.integers(0, size, (size + 2, size))
     table[0], table[1] = size - 1, 0  # the top bit alone, and bit 0 alone

@@ -242,7 +242,9 @@ def built_tables(monkeypatch):
 
 def test_l8_hunt_derives_no_tuple_table_of_a_duplication(built_tables):
     hunt(CorpusSpec(max_n=20), theorems=["L8"])
-    assert len(built_tables) > 200
+    # 102: each Z_n, its regular module and one M/IM per instance; 226
+    # while every instance also built the tables of A><I and M><I
+    assert len(built_tables) > 100
     for obj in built_tables:
         assert_tables_stored(obj)
 

@@ -141,10 +141,13 @@ def test_L8_across_small_corpus():
 
 
 def test_L8_fails_on_swapped_kernels(monkeypatch):
-    # Z4 with I = {0,2} has IM = I, so 0 x IM and IM x IM differ
+    # Z4 with I = {0,2} has IM = I, so 0 x IM and IM x IM differ; L8 reads
+    # each off the pairs with theorems.pairs_in, here handed the other's mask
     ctx = make_zn_instance(4, [0, 2])
-    zero_cross_im, im_cross_im = ctx.distinguished
-    monkeypatch.setitem(vars(ctx), "distinguished", (im_cross_im, zero_cross_im))
+    zero, im = 1 << ctx.inst.base_module.zero, ctx.inst.im.mask
+    real = theorems.pairs_in
+    monkeypatch.setattr(theorems, "pairs_in", lambda pairs, component, mask, size: real(
+        pairs, component, {zero: im, im: zero}[mask], size))
     row = run_checker(ctx, "L8", None)
     assert row.outcome == "fail"
     problems = row.detail.split("; ")
@@ -213,27 +216,29 @@ def _miss_a_coset(monkeypatch):  # M/IM's coset 1 joins coset 0 in the projectio
 
 
 def _with_kernel(which, wrong):
-    """Hand L8 wrong(ctx) as its which-th kernel through Instance.distinguished."""
+    """Hand L8 wrong(pairs, k) as its which-th kernel mask k, which it reads
+    off the pairs with theorems.pairs_in."""
     def patch(monkeypatch):
-        real = Instance.distinguished
+        real, seen = theorems.pairs_in, []
 
-        def swapped(ctx):
-            kernels = list(real.__get__(ctx, Instance))
-            kernels[which] = wrong(ctx, kernels[which])
-            return tuple(kernels)
+        def swapped(pairs, *args):
+            k = real(pairs, *args)
+            seen.append(k)
+            return wrong(pairs, k) if len(seen) == which + 1 else k
 
-        monkeypatch.setattr(Instance, "distinguished", property(swapped))
+        monkeypatch.setattr(theorems, "pairs_in", swapped)
 
     return patch
 
 
-def _zero_of_m_bowtie_i(ctx, k):  # a submodule, but smaller than 0 x IM
-    return zero_submodule(ctx.inst.bowtie_module)
+def _zero_of_m_bowtie_i(pairs, k):  # a submodule, but smaller than 0 x IM
+    assert pairs[0].tolist() == [0, 0]
+    return 1
 
 
-def _one_pair_more(ctx, k):  # IM x IM and (1,1): not a subgroup, so no kernel
-    assert ctx.inst.bowtie_module.labels[2] == "(1,1)" and 2 not in k
-    return Submodule.from_mask(k.module, k.mask | 4)
+def _one_pair_more(pairs, k):  # IM x IM and (1,1): not a subgroup, so no kernel
+    assert pairs[2].tolist() == [1, 1] and not k >> 2 & 1
+    return k | 4
 
 
 @pytest.mark.parametrize("breaks,detail", [
@@ -249,7 +254,7 @@ def _one_pair_more(ctx, k):  # IM x IM and (1,1): not a subgroup, so no kernel
 ], ids=["_swap_two_sums", "_miss_a_coset", "_kernel_too_small", "_kernel_not_a_subgroup"])
 def test_L8_fails_on_a_broken_quotient(breaks, detail, monkeypatch):
     # L8 builds M/IM with theorems.quotient_module and compares each
-    # projection's kernel with Instance.distinguished, mask against mask
+    # projection's kernel with the mask theorems.pairs_in reads off the pairs
     breaks(monkeypatch)
     row = run_checker(make_zn_instance(4, [0, 2]), "L8", None)
     assert (row.outcome, row.detail) == ("fail", detail)
