@@ -5,8 +5,9 @@ Exit codes
   1  verify found at least one failing check
   2  unusable input: spec parse error, unknown theorem id, a --theorem
      selection that names no checker, a hunt --max that is negative or
-     above the budget, a BOWTIE_BUDGET that is not an integer, or an
-     output path that cannot be written
+     above the budget, a --budget or BOWTIE_BUDGET that is negative, a
+     BOWTIE_BUDGET that is not an integer, or an output path that cannot
+     be written
   3  improper submodule where a proper one is required
   4  instance exceeds the size budget (see BOWTIE_BUDGET), or the run
      ran out of memory within it
@@ -124,16 +125,20 @@ def _load_spec(args: argparse.Namespace) -> InstanceSpec:
 
 
 def _budget(flag: int | None) -> int:
-    """--budget if given, else BOWTIE_BUDGET or 256."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("BOWTIE_BUDGET", "")
-    if not raw.strip():
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise _Refused(EXIT_BAD_INPUT, f"BOWTIE_BUDGET must be an integer, got {raw!r}") from None
+    """--budget if given, else BOWTIE_BUDGET or 256; a negative budget is refused."""
+    source, budget = "--budget", flag
+    if flag is None:
+        source, raw = "BOWTIE_BUDGET", os.environ.get("BOWTIE_BUDGET", "")
+        if not raw.strip():
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise _Refused(EXIT_BAD_INPUT,
+                           f"BOWTIE_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise _Refused(EXIT_BAD_INPUT, f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _check_size(what: str, size: int | None, cap: int, note: str = "") -> None:

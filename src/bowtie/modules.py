@@ -35,7 +35,6 @@ from .rings import (
     bits,
     carrier_table,
     class_rows,
-    derived,
     generated_mask,
     in_range,
     inside,
@@ -91,7 +90,8 @@ class TableModule(Carrier):
     @property
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {m : a*m = 0} for the af scan, read off zero_classes on table_owner."""
-        return derived(self.table_owner, "zero_pre", class_rows, self.zero_classes, self.ring.size)
+        return memo(self.table_owner, "zero_pre", None, class_rows, self.zero_classes,
+                    self.ring.size)
 
     def __repr__(self) -> str:
         return f"TableModule({self.name}, size={self.size}, over={self.ring.name})"
@@ -198,14 +198,14 @@ def cyclic_masks(module: TableModule) -> tuple[int, ...]:
     the ring is commutative, so Rg = gR."""
     if module.table_owner is module.ring:
         return principal_masks(module.ring)
-    return derived(module, "cyclic_masks", row_images, module.act.T, module.size)
+    return memo(module, "cyclic_masks", None, row_images, module.act.T, module.size)
 
 
 def scalar_images(module: TableModule) -> tuple[int, ...]:
     """images[a] = a*M, as masks; computed once, as principal_masks on a regular M."""
     if module.table_owner is module.ring:
         return principal_masks(module.ring)
-    return derived(module, "images", row_images, module.act, module.size)
+    return memo(module, "images", None, row_images, module.act, module.size)
 
 
 def submodule_generated(module: TableModule, gens: Iterable[int]) -> Submodule:

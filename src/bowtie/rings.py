@@ -194,27 +194,16 @@ def preimage_classes(table: np.ndarray, mask: int, size: int) -> tuple[tuple[int
     return tuple((_mask(key), scalars) for key, scalars in classes.items())
 
 
-def derived(obj: Any, key: str, compute: Callable[..., Any], *args: Any) -> Any:
-    """compute(*args), a value derived from a table object on first use.
-
-    Kept in the object's ``derived_cache`` field rather than with
-    functools.cached_property: a write into an instance's ``__dict__``
-    costs CPython its fast path for every later attribute load on that
-    instance.
-    """
-    cache = obj.derived_cache
-    if key not in cache:
-        cache[key] = compute(*args)
-    return cache[key]
-
-
 def memo(owner: Any, what: str, key: Any, compute: Callable[..., Any], *args: Any) -> Any:
     """compute(*args), a value derived from an object and a key, computed
-    once per (what, key) in the object's ``derived_cache``. A value that
-    referred back to the object would make a reference cycle, so callers
-    store masks, ints, verdicts and objects that do not refer to it. Nearly
-    every lookup hits, so callers pass the function and its arguments, not
-    a closure that a hit would build for nothing."""
+    once per (what, key) in the object's ``derived_cache``; a fact of the
+    whole object is kept under the key None. Not functools.cached_property:
+    a write into an instance's ``__dict__`` costs CPython its fast path for
+    every later attribute load on that instance. A value that referred back
+    to the object would make a reference cycle, so callers store masks,
+    ints, verdicts and objects that do not refer to it. Nearly every lookup
+    hits, so callers pass the function and its arguments, not a closure
+    that a hit would build for nothing."""
     try:
         values = owner.derived_cache[what]
     except KeyError:  # once per owner and what
@@ -262,7 +251,7 @@ class Carrier:
     @property
     def neg(self) -> np.ndarray:
         """Additive inverses as a table_array: neg[x] is the y with x + y = zero."""
-        return derived(self, "neg", _neg, self.add, self.zero)
+        return memo(self, "neg", None, _neg, self.add, self.zero)
 
     def label_set(self, members: Iterable[int]) -> str:
         return "{" + ",".join(self.labels[m] for m in sorted(members)) + "}"
@@ -293,7 +282,7 @@ class TableRing(Carrier):
     def zero_pre(self) -> tuple[int, ...]:
         """zero_pre[a] = {b : a*b = 0}, as masks, read off the zero ideal's classes."""
         zero = subset_classes(self, self.mul, 1 << self.zero)
-        return derived(self, "zero_pre", class_rows, zero, self.size)
+        return memo(self, "zero_pre", None, class_rows, zero, self.size)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"TableRing({self.name}, size={self.size})"
@@ -654,7 +643,7 @@ def principal_masks(ring: TableRing) -> tuple[int, ...]:
     """principal[a] = aA, the principal ideal of a, as a mask; computed once.
     It is also the cyclic submodule of a, and the image a*M, in every module
     acting by ``mul``."""
-    return derived(ring, "principal_masks", row_images, ring.mul, ring.size)
+    return memo(ring, "principal_masks", None, row_images, ring.mul, ring.size)
 
 
 def generated_mask(add: np.ndarray, zero: int, cyclic: Sequence[int], gens: Iterable[int]) -> int:
@@ -693,7 +682,7 @@ def _radical_mask(ring: TableRing, mask: int) -> int:
     2**t >= size. Some power of a lies in J exactly when the class of a in
     A/J is nilpotent; its index of nilpotency is then at most |A/J| <= size,
     so a**(2**t) lies in J."""
-    powers = derived(ring, "top_powers", _top_powers, ring.mul)
+    powers = memo(ring, "top_powers", None, _top_powers, ring.mul)
     return pack(inside(mask, ring.size).take(powers))
 
 

@@ -26,7 +26,6 @@ from .rings import (
     bits,
     class_ids,
     class_rows,
-    derived,
     lowest_bit,
     make_zn,
     mask_of,
@@ -111,12 +110,11 @@ class Instance:
     Every fact keyed by a submodule of M><I (N><I, its verdicts, colon,
     npack, the checkers' conditions) is kept with rings.memo in the
     instance's ``derived_cache``, as M and the tables keep theirs; the
-    facts of the whole instance (Lat(M><I), the distinguished submodules)
-    are cached properties, and 0 x IM, IM x IM and M><I among them are the
-    memo's N><I for N = 0, IM and M. The cosets of a submodule are M><I's
-    own, which npack and the Behboodi test read. What does not depend on I
-    (Lat(M), N's verdicts and scalar classes) is kept on M, so every
-    Instance over one module object shares it."""
+    facts of the whole instance (Lat(M><I), M><I as a submodule) are
+    cached properties, and M><I is the memo's N><I for N = M. The cosets
+    of a submodule are M><I's own, which npack and the Behboodi test read.
+    What does not depend on I (Lat(M), N's verdicts and scalar classes) is
+    kept on M, so every Instance over one module object shares it."""
 
     def __init__(
         self,
@@ -129,13 +127,13 @@ class Instance:
         self.inst: BowtieInstance = build_bowtie(ring, ideal, module)
         self.base_key = key or f"{ring.name}|I={ideal.label_set()}"
         self.lattice_limit = lattice_limit
-        self.derived_cache: dict = {}
         # every memo is keyed by mask: a tuple of members rehashes on each
         # lookup. The six memo methods' dicts are bound by name too, since a
         # profiler counts a miss as growth of the dict it reads by that name
+        self.derived_cache: dict = {
+            what: {} for what in ("bowtie", "colon", "prime", "primary", "weakly_prime", "npack")}
         self._bowtie_n, self._colon, self._prime, self._primary, self._wp, self._npack = (
-            derived(self, what, dict)
-            for what in ("bowtie", "colon", "prime", "primary", "weakly_prime", "npack"))
+            self.derived_cache.values())
 
     def key_for(self, n: Submodule | None) -> str:
         return self.base_key if n is None else f"{self.base_key}|N={n.label_set()}"
@@ -154,13 +152,6 @@ class Instance:
     def bowtie_whole(self) -> Submodule:
         """M><I as a submodule of itself: M join I."""
         return self.bowtie(whole_submodule(self.inst.base_module))
-
-    @cached_property
-    def distinguished(self) -> tuple[Submodule, Submodule]:
-        """0 x IM and IM x IM as submodules of M><I; T_final reads the first.
-        Every pair (m, m') has m - m' in IM, so m' lies in IM exactly when m
-        does: they are 0 join I and (IM) join I. L8 reads both as masks."""
-        return self.bowtie(zero_submodule(self.inst.base_module)), self.bowtie(self.inst.im)
 
     @cached_property
     def faithful_cyclic(self) -> tuple[bool, bool]:
@@ -634,10 +625,11 @@ def check_T_final(ctx: Instance) -> Outcome:
         return "na", "hypothesis fails: M is the zero module"
     wp_dup = is_weakly_prime_module(inst.bowtie_module, ctx.bowtie_submodules)
     # a fact of M alone; Lat(M) is built first, so a bounded Instance still refuses
-    wp_base = derived(inst.base_module, "weakly_prime_module", is_weakly_prime_module,
-                      inst.base_module, ctx.base_submodules)
+    wp_base = memo(inst.base_module, "weakly_prime_module", None, is_weakly_prime_module,
+                   inst.base_module, ctx.base_submodules)
     im_zero = inst.im.is_zero
-    zero_cross_im, _ = ctx.distinguished
+    # 0 x IM is 0 join I: every pair (m, m') has m - m' in IM
+    zero_cross_im = ctx.bowtie(zero_submodule(inst.base_module))
     wp_sub = ctx.weakly_prime(zero_cross_im, "behboodi")  # N = 0's behboodi rows share it
     note = (
         f"M><I wp-module={wp_dup.holds} IM=0:{im_zero} M wp-module={wp_base.holds}"
@@ -866,6 +858,8 @@ def _hunt_task(
     key = f"Z{n}|I=" + "{" + ",".join(map(str, ideal_members)) + "}"
     if len(ideal_members) > 1:  # a checker about M alone reports once per Z_n, at I = 0
         theorems = tuple(t for t in theorems if not CHECKERS[t].about_m)
+        if not theorems:  # no row: build nothing
+            return []
     module_size = n * len(ideal_members)
     if module_size > budget:
         detail = f"budget exceeded: |M><I| = {module_size} > {budget}"

@@ -22,6 +22,10 @@ HUNT_MAX12_SHA256 = "1a097192b73711ff4e51bef7e89fbdb14d6d1053340c6ad38fe068a4311
 # with I = Z_n are skip rows)
 HUNT_L8_MAX20_SHA256 = "19ee1fe2bf59feda9262cf457854ddb78b715e5574caf07c81c3a53efbc5ee7c"
 
+# SHA-256 of the stdout of `bowtie hunt --max 20 --theorem DIVERGENCE`, a
+# checker about M alone: one row per Z_n, at I = 0
+HUNT_DIVERGENCE_MAX20_SHA256 = "ccf3231a5bf60b6bab84b3776f9d554d51f7af4c0b88ab9991ffcb0517be656b"
+
 # SHA-256 of the stdout of `bowtie hunt --max 24 --budget 576`: carriers
 # up to 576 elements, so M><I's tables are uint16 and every mask built from
 # one of their entries must come from a Python int
@@ -316,6 +320,23 @@ def test_hunt_l8_max20_report_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HUNT_L8_MAX20_SHA256
 
 
+def test_hunt_task_without_a_checker_builds_no_duplication(capsys, monkeypatch):
+    # at I != 0 DIVERGENCE is dropped, and a task left with no checker
+    # returns before its Instance: one duplication per Z_n, at I = 0
+    built = []
+    real = theorems.build_bowtie
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theorems, "build_bowtie", spy)
+    assert main(["hunt", "--max", "20", "--theorem", "DIVERGENCE"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_DIVERGENCE_MAX20_SHA256
+    assert len(built) == 20 and all(ideal.is_zero for _ring, ideal, _module in built)
+
+
 def test_hunt_max24_budget576_report_is_byte_identical(capsys):
     assert main(["hunt", "--max", "24", "--budget", "576"]) == 0
     out = capsys.readouterr().out
@@ -558,7 +579,7 @@ def test_im_is_summed_once_per_document_over_a_non_regular_module(command, tmp_p
                                                                   monkeypatch):
     # the budget check and the duplication both read IM of a module that does
     # not act by its ring's mul; product_submodule sums it once for both, and
-    # verify reads the distinguished submodules off the N><I memo, summing none
+    # verify reads 0 x IM and IM x IM as N><I or as masks, summing none
     calls = []
     real = duplication.product_submodule
 
@@ -853,6 +874,14 @@ REFUSALS = [
      BAD_VARIABLE),
     ("variable-lattice", ["lattice", "@z6", "--dot", "@out"], "abc", None, 2, "",
      BAD_VARIABLE),
+    ("negative-budget-verify", ["verify", "--seed-corpus", "z6-remark", "--budget", "-1"], None,
+     None, 2, "", "--budget must be nonnegative, got -1"),
+    ("negative-variable-hunt", ["hunt", "--max", "0"], "-3", None, 2, "",
+     "BOWTIE_BUDGET must be nonnegative, got -3"),
+    ("negative-budget-lattice", ["lattice", "@z6", "--budget", "-2", "--dot", "@out"], None,
+     None, 2, "", "--budget must be nonnegative, got -2"),
+    ("zero-budget-verify", ["verify", "--seed-corpus", "z6-remark", "--budget", "0"], None,
+     None, 4, "", "|A| = 6 exceeds the budget 0" + RAISE),
     ("size-A", ["classify", "@z2000"], None, None, 4, "",
      "|A| = 2000 exceeds the budget 256" + RAISE),
     ("size-M", ["lattice", "@f2-cubed", "--budget", "7", "--dot", "@out"], None, None, 4, "",

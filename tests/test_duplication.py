@@ -196,7 +196,8 @@ def test_zero_cross_i(z6):
 
 
 def test_distinguished_submodules(z6):
-    zero_cross_im, im_cross_im = z6.distinguished
+    zero_cross_im = z6.bowtie(zero_submodule(z6.inst.base_module))
+    im_cross_im = z6.bowtie(z6.inst.im)
     assert zero_cross_im.label_set() == "{(0,0),(0,3)}"
     assert im_cross_im.label_set() == "{(0,0),(0,3),(3,0),(3,3)}"
 
@@ -210,11 +211,15 @@ def test_distinguished_submodules_and_the_whole_come_from_the_bowtie_memo():
         contexts.append(Instance(inst.base_ring, inst.ideal, module))
     for ctx in contexts:
         base = ctx.inst.base_module
-        zero_cross_im, im_cross_im = ctx.distinguished
-        assert zero_cross_im is ctx.bowtie(zero_submodule(base))
-        assert im_cross_im is ctx.bowtie(Submodule.from_mask(base, ctx.inst.im.mask))
+        assert ctx.bowtie(ctx.inst.im) is ctx.bowtie(Submodule.from_mask(base, ctx.inst.im.mask))
         assert ctx.bowtie_whole is ctx.bowtie(whole_submodule(base))
         assert ctx.bowtie_whole.mask == whole_submodule(ctx.inst.bowtie_module).mask
+        # T_FINAL alone reads 0 x IM as the N><I of N = 0, and keeps its
+        # behboodi verdict where N = 0's rows read it
+        theorems.run_checker(ctx, "T_FINAL", None)
+        if base.size > 1:
+            zero_cross_im = ctx.bowtie(zero_submodule(base))
+            assert (zero_cross_im.mask, "behboodi") in ctx.derived_cache["weakly_prime"]
 
 
 def test_bowtie_submodule_first_components(z6):

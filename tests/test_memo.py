@@ -1,14 +1,14 @@
-"""The memo contract of ``rings.memo`` and ``rings.derived``.
+"""The memo contract of ``rings.memo``.
 
-Both keep a value in its owner's ``derived_cache``: memo once per (owner,
-what, key), derived once per (owner, key). On a miss they call
-``compute(*args)`` with the arguments they were given, and any cached
-value is a hit, a falsy one included.
+It keeps a value in its owner's ``derived_cache`` once per (owner, what,
+key), and a fact of the whole owner under the key None. On a miss it calls
+``compute(*args)`` with the arguments it was given, and any cached value
+is a hit, a falsy one included.
 """
 
 import pytest
 
-from bowtie.rings import derived, memo
+from bowtie.rings import memo
 
 
 class Owner:
@@ -41,13 +41,16 @@ def test_memo_computes_once_per_owner_what_and_key():
 
 
 def test_derived_computes_once_per_owner_and_key():
+    # a whole-object fact: the key None
     compute, calls = _counter()
     a, b = Owner(), Owner()
-    firsts = [derived(a, "x", compute), derived(a, "y", compute), derived(b, "x", compute)]
+    firsts = [memo(a, "x", None, compute), memo(a, "y", None, compute),
+              memo(b, "x", None, compute)]
     assert firsts == [1, 2, 3]
-    assert [derived(a, "x", compute), derived(a, "y", compute),
-            derived(b, "x", compute)] == firsts
+    assert [memo(a, "x", None, compute), memo(a, "y", None, compute),
+            memo(b, "x", None, compute)] == firsts
     assert len(calls) == 3
+    assert a.derived_cache == {"x": {None: 1}, "y": {None: 2}}
 
 
 def test_memo_and_derived_pass_their_arguments_through():
@@ -55,13 +58,13 @@ def test_memo_and_derived_pass_their_arguments_through():
     owner = Owner()
     memo(owner, "x", 0, compute, 1, "two", None)
     memo(owner, "x", 1, compute)
-    derived(owner, "y", compute, (3,), 4)
+    memo(owner, "y", None, compute, (3,), 4)
     assert calls == [(1, "two", None), (), ((3,), 4)]
     assert memo(owner, "pair", 7, divmod, 7, 2) == (3, 1)
-    assert derived(owner, "divmod", divmod, 9, 4) == (2, 1)
+    assert memo(owner, "divmod", None, divmod, 9, 4) == (2, 1)
     # a hit reads the cache: arguments that differ are not looked at
     assert memo(owner, "pair", 7, divmod, 100, 3) == (3, 1)
-    assert derived(owner, "divmod", divmod, 100, 3) == (2, 1)
+    assert memo(owner, "divmod", None, divmod, 100, 3) == (2, 1)
 
 
 @pytest.mark.parametrize("value", ["", 0, None, False], ids=repr)
@@ -76,6 +79,6 @@ def test_a_cached_falsy_value_is_a_hit(value):
     for _ in range(3):
         got = memo(owner, "what", "key", compute, "arg")
         assert got == value and type(got) is type(value)
-        got = derived(owner, "fact", compute)
+        got = memo(owner, "fact", None, compute)
         assert got == value and type(got) is type(value)
     assert calls == [("arg",), ()]

@@ -255,7 +255,8 @@ def _assert_induced_maps_match_oracle(ctx, monkeypatch) -> None:
     # projection entry by entry. L8 reads neither; L8's f is only a map of
     # M><I that has these submodules as kernels
     f1, f2 = (args[0] for args, *_ in _l8_maps(ctx, monkeypatch))
-    for f, k in zip((f1, f2), ctx.distinguished):
+    base = ctx.inst.base_module
+    for f, k in zip((f1, f2), (ctx.bowtie(zero_submodule(base)), ctx.bowtie(ctx.inst.im))):
         q, proj = quotient_module(k.module, k)
         _coset, reps = cosets(k)
         assert f.take(reps).tolist() == induced_map(q, proj, f), ctx.base_key

@@ -23,9 +23,9 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # once per ring, Lat(M><I) once per ideal, L1 reads (N : M) off N's
 # classes without a colon call, and L3i and L3ii read each (N><I : K) as a
 # colon_mask, neither a memo lookup nor a colon call; L8 reads its kernels
-# off the pairs, so Z1, where T_FINAL is na, looks up no N><I (1541 before)
+# off the pairs, and T_FINAL looks up one N><I, 0 x IM, where M is not zero
 HUNT6_COUNTS = {
-    "theorems.memo_calls": 1539,
+    "theorems.memo_calls": 1526,
     "theorems.memo_misses": 220,
     "modules.colon_calls": 38,
     "modules.lattice_nodes": 86,
